@@ -5,7 +5,8 @@ of simple cylinders between good orbits (``mj1``), the multiplicities of the
 orbits, and a small set of user-supplied "extra" blocks that the symmetry
 argument does not pin down.  From these we assemble:
 
-* the cylindrical (EGH) differential delta.kappa over Q on good orbits,
+* the cylindrical (EGH) differential delta.kappa on good orbits (integral,
+  since du divides d(a)) and its homology ranks over Q,
 * the integral block differential on check/hat generators,
 * the BV operator (check a -> d(a) hat a on good orbits), and
 * the U-truncated equivariant complex and its homology.
@@ -165,86 +166,51 @@ def delta(data: AutonomousData) -> Dict[Pair, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# cylindrical (EGH) complex over Q
+# cylindrical (EGH) complex
 
 
-def egh_differential(data: AutonomousData) -> Tuple[List[str], Dict[Pair, Fraction]]:
+def _integral(value: Fraction, where: str) -> int:
+    """The integer ``value``; du-divisibility guarantees one for valid data."""
+    if value.denominator != 1:
+        raise CascadehoError(f"coefficient {value} at {where} is not an integer")
+    return value.numerator
+
+
+def _egh_complex(data: AutonomousData, order, entries) -> ChainComplex:
+    """The EGH differential as a complex on one generator per good orbit."""
+    index = {oid: k for k, oid in enumerate(order)}
+    gens = []
+    for oid in order:
+        o = data.orbit(oid)
+        gens.append(ChainGenerator(oid, o.grading, o.homotopy_class, o.action, oid))
+    n = len(gens)
+    return ChainComplex(
+        tuple(gens),
+        IntMatrix(n, n, {(index[b], index[a]): v for (a, b), v in entries.items()}),
+    )
+
+
+def egh_differential(data: AutonomousData) -> Tuple[List[str], Dict[Pair, int]]:
     """delta.kappa on good orbits: <d a, b> = d(a) * <delta a, b>.
 
-    Returns the ordered list of good orbit ids and the nonzero entries.
+    Returns the ordered list of good orbit ids and the nonzero (integer)
+    entries.  Raises SquareNonzero with a witness pair unless d^2 = 0.
     """
     _require_valid(data)
-    dl = delta(data)
     order = [o.oid for o in data.good_orbits()]
-    entries: Dict[Pair, Fraction] = {}
-    for (a, b), val in dl.items():
-        coeff = data.orbit(a).d * val
+    entries: Dict[Pair, int] = {}
+    for (a, b), val in delta(data).items():
+        coeff = _integral(data.orbit(a).d * val, f"egh({a},{b})")
         if coeff:
             entries[(a, b)] = coeff
-    _check_square_zero_rational(order, entries)
+    verify_square_zero(_egh_complex(data, order, entries))
     return order, entries
-
-
-def _check_square_zero_rational(order, entries):
-    for a in order:
-        for c in order:
-            total = sum(
-                entries.get((a, mid), 0) * entries.get((mid, c), 0)
-                for mid in order
-            )
-            if total:
-                raise CascadehoError(
-                    f"EGH differential squares to {total} on ({a},{c})"
-                )
-
-
-def _dense_rank(rows: List[List[Fraction]]) -> int:
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    rank = col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, nrows):
-            if a[i][col]:
-                f = a[i][col] / a[rank][col]
-                for j in range(col, ncols):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-        col += 1
-    return rank
 
 
 def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
     """Ranks of the cylindrical homology over Q, per (class, grading)."""
     order, entries = egh_differential(data)
-    info = {oid: data.orbit(oid) for oid in order}
-    blocks: Dict[Tuple[str, int], List[str]] = {}
-    for oid in order:
-        o = info[oid]
-        blocks.setdefault((o.homotopy_class, o.grading), []).append(oid)
-
-    def block_matrix(rows_key, cols_key):
-        rows = blocks.get(rows_key, [])
-        cols = blocks.get(cols_key, [])
-        return [
-            [entries.get((c, r), Fraction(0)) for c in cols] for r in rows
-        ]
-
-    out = {}
-    for (cls, g), members in blocks.items():
-        a = block_matrix((cls, g - 1), (cls, g))  # outgoing
-        b = block_matrix((cls, g), (cls, g + 1))  # incoming
-        rank_a = _dense_rank(a) if a and a[0] else 0
-        rank_b = _dense_rank(b) if b and b[0] else 0
-        free = len(members) - rank_a - rank_b
-        if free:
-            out[(cls, g)] = free
-    return out
+    return homology(_egh_complex(data, order, entries)).rationalize()
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +229,13 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
 
     for (a, b), val in dl.items():
         da, db = data.orbit(a).d, data.orbit(b).d
-        cc = da * val  # check block: +kappa-then-delta
-        hh = -db * val  # hat block: -delta-then-kappa
+        # check block: +kappa-then-delta; hat block: -delta-then-kappa
+        cc = _integral(da * val, f"check block ({a},{b})")
+        hh = _integral(-db * val, f"hat block ({a},{b})")
         if cc:
-            assert cc.denominator == 1, "du divisibility guarantees integrality"
-            entries[(("check", a), ("check", b))] = cc.numerator
+            entries[(("check", a), ("check", b))] = cc
         if hh:
-            assert hh.denominator == 1
-            entries[(("hat", a), ("hat", b))] = hh.numerator
+            entries[(("hat", a), ("hat", b))] = hh
 
     for oid, orbit in data.orbits.items():
         if not orbit.good:
@@ -387,14 +352,14 @@ def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComp
 
 
 def equivariant_homology(
-    data: AutonomousData, truncation: int, max_workers: Optional[int] = None
+    data: AutonomousData, truncation: int
 ) -> Tuple[HomologyResult, int]:
     """Integral equivariant homology and its certified stable range 2K - 2.
 
     The stable range is verified by recomputing at truncation K - 1 and
     diffing both results below the smaller range.
     """
-    result = homology(equivariant_differential(data, truncation), max_workers)
+    result = homology(equivariant_differential(data, truncation))
     stable = 2 * truncation - 2
     if truncation >= 2:
         smaller = homology(equivariant_differential(data, truncation - 1))
@@ -441,11 +406,9 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     """Four-step comparison of equivariant and cylindrical homology."""
     complex_ = equivariant_differential(data, truncation)
     gens = complex_.generators
+    index = {g.gid: k for k, g in enumerate(gens)}
     good = {o.oid for o in data.orbits.values() if o.good}
-    excluded = {_gid("check", oid, 0) for oid in good}
-    idx_excluded = {
-        i for i, g in enumerate(gens) if g.gid in excluded
-    }
+    idx_excluded = {index[_gid("check", oid, 0)] for oid in good}
     steps = []
 
     # (i) everything else is a subcomplex
@@ -476,7 +439,9 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
         tuple(gens[i] for i in kept),
         IntMatrix(len(kept), len(kept), sub_entries),
     )
-    bad_degrees = _nonzero_rational_degrees(sub, stable)
+    bad_degrees = {
+        g for (_cls, g) in homology(sub).rationalize() if g <= stable
+    }
     steps.append(
         CompareStep(
             "subcomplex is rationally acyclic in the stable range",
@@ -486,15 +451,14 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iii) the quotient differential is the cylindrical one
-    order, egh_entries = egh_differential(data)
+    _order, egh_entries = egh_differential(data)
     mismatches = []
     for a in good:
         for b in good:
             q = complex_.differential.get(
-                complex_.index_of(_gid("check", b, 0)),
-                complex_.index_of(_gid("check", a, 0)),
+                index[_gid("check", b, 0)], index[_gid("check", a, 0)]
             )
-            e = egh_entries.get((a, b), Fraction(0))
+            e = egh_entries.get((a, b), 0)
             if q != e:
                 mismatches.append(f"({a},{b}): {q} != {e}")
     steps.append(
@@ -519,31 +483,3 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
         )
     )
     return CompareReport(tuple(steps), stable)
-
-
-def _nonzero_rational_degrees(complex_: ChainComplex, max_degree: int):
-    gens = complex_.generators
-    blocks: Dict[Tuple[str, int], List[int]] = {}
-    for i, g in enumerate(gens):
-        blocks.setdefault((g.homotopy_class, g.grading), []).append(i)
-
-    d = complex_.differential
-
-    def block(rows_key, cols_key):
-        rows = blocks.get(rows_key, [])
-        cols = blocks.get(cols_key, [])
-        return [
-            [Fraction(d.get(r, c)) for c in cols] for r in rows
-        ]
-
-    bad = set()
-    for (cls, g), members in blocks.items():
-        if g > max_degree:
-            continue
-        a = block((cls, g - 1), (cls, g))
-        b = block((cls, g), (cls, g + 1))
-        rank_a = _dense_rank(a) if a and a[0] else 0
-        rank_b = _dense_rank(b) if b and b[0] else 0
-        if len(members) - rank_a - rank_b:
-            bad.add(g)
-    return bad

@@ -220,7 +220,6 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
 def nch_homology(
     sys: MorseBottSystem,
     action_bound: Optional[Fraction] = None,
-    max_workers: Optional[int] = None,
 ) -> HomologyResult:
     """Homology of the nonequivariant complex, optionally action-truncated.
 
@@ -246,4 +245,4 @@ def nch_homology(
             IntMatrix(len(keep), len(keep), entries),
             complex_.grading_modulus,
         )
-    return homology(complex_, max_workers=max_workers)
+    return homology(complex_)

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 validation failure, 2 internal inconsistency
 (d^2 != 0, failed chain-map or comparison identity), 3 usage / I/O / schema
-error.  ``-`` stands for stdin/stdout.  CASCADEHO_THREADS caps the worker
-count used for per-degree homology computations.
+error.  ``-`` stands for stdin/stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -35,16 +33,6 @@ from .errors import (
 from .mbs import MorseBottSystem, assign_basepoints, validate_system
 from .morphisms import MorphismData, induced_chain_map, validate_morphism
 from .scenarios import fixture, fixture_names, period_doubling, prequantization
-
-
-def _max_workers():
-    raw = os.environ.get("CASCADEHO_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"CASCADEHO_THREADS={raw!r} is not an integer")
 
 
 def _read(path: str) -> str:
@@ -157,12 +145,12 @@ def _cmd_nch(args):
             raise InputError(
                 "--basepoints/--action-bound only apply to mbs documents"
             )
-        result = homology(block_differential(obj), _max_workers())
+        result = homology(block_differential(obj))
     else:
         if args.basepoints is not None:
             obj = assign_basepoints(obj, args.basepoints)
         bound = Fraction(args.action_bound) if args.action_bound else None
-        result = nch_homology(obj, action_bound=bound, max_workers=_max_workers())
+        result = nch_homology(obj, action_bound=bound)
     if args.homotopy_class is not None:
         result = type(result)(
             {
@@ -203,7 +191,7 @@ def _cmd_egh(args):
 
 def _cmd_chs1(args):
     data = _load(args.file, ("autonomous",))
-    result, stable = equivariant_homology(data, args.umax, _max_workers())
+    result, stable = equivariant_homology(data, args.umax)
     unstable = sorted(
         {k for k in result.groups if k[1] > stable}
     )

@@ -15,13 +15,11 @@ True
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import SquareNonzero
+from .errors import CascadehoError, SquareNonzero
 
 
 class IntMatrix:
@@ -440,11 +438,16 @@ def _block_homology(a: IntMatrix, b: IntMatrix):
     factors = invariant_factors(m)
     free = len(kernel_cols) - len(factors)
     # independent cross-check over Q
-    assert free == n - rank_a - rational_rank(b), "rank cross-check failed"
+    expected = n - rank_a - rational_rank(b)
+    if free != expected:
+        raise CascadehoError(
+            f"rank cross-check failed: SNF gives free rank {free}, "
+            f"rational ranks give {expected}"
+        )
     return free, tuple(f for f in factors if f > 1)
 
 
-def homology(complex_: ChainComplex, max_workers: Optional[int] = None) -> HomologyResult:
+def homology(complex_: ChainComplex) -> HomologyResult:
     """Integral homology of the complex, split by (class, grading)."""
     verify_square_zero(complex_)
     gens = complex_.generators
@@ -470,59 +473,12 @@ def homology(complex_: ChainComplex, max_workers: Optional[int] = None) -> Homol
                     entries[(rmap[i], cj)] = v
         return IntMatrix(len(rows), len(cols), entries)
 
-    def one_block(key):
-        cls, deg = key
-        below = (cls, complex_.degree_key(deg - 1))
-        above = (cls, complex_.degree_key(deg + 1))
-        a = block_matrix(below, key)
-        b = block_matrix(key, above)
-        return key, _block_homology(a, b)
-
-    keys = sorted(blocks)
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one_block, keys))
-    else:
-        results = [one_block(k) for k in keys]
-
     groups = {}
-    for key, (free, tors) in results:
+    for key in sorted(blocks):
+        cls, deg = key
+        a = block_matrix((cls, complex_.degree_key(deg - 1)), key)
+        b = block_matrix(key, (cls, complex_.degree_key(deg + 1)))
+        free, tors = _block_homology(a, b)
         if free or tors:
             groups[key] = (free, tors)
     return HomologyResult(groups, modulus)
-
-
-def determinantal_divisors(m: IntMatrix):
-    """gcd of all i x i minors, i = 1..min(rows, cols); 0 once all vanish.
-
-    Brute force; intended as an independent oracle for SNF (invariant factor
-    i equals d_i / d_{i-1}).  Only usable for small matrices.
-    """
-    import math
-
-    rows = m.to_rows()
-    nmax = min(m.rows, m.cols)
-    out = []
-    for size in range(1, nmax + 1):
-        g = 0
-        for rsel in itertools.combinations(range(m.rows), size):
-            for csel in itertools.combinations(range(m.cols), size):
-                sub = [[rows[i][j] for j in csel] for i in rsel]
-                g = math.gcd(g, _det(sub))
-        out.append(g)
-    return out
-
-
-def _det(a):
-    """Integer determinant by cofactor expansion (tiny matrices only)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        if a[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-            total += (-1) ** j * a[0][j] * _det(minor)
-    return total

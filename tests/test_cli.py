@@ -1,9 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cascadeho import serialize
+from cascadeho.autonomous import (
+    AutonomousData,
+    CylinderRecord,
+    egh_differential,
+    validate_data,
+)
 from cascadeho.cli import main
+from cascadeho.errors import SquareNonzero
+from cascadeho.mbs import Orbit
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
 
 
@@ -137,9 +146,26 @@ def test_wrong_kind_for_subcommand(tmp_path, capsys):
     assert main(["egh", path]) == 3
 
 
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    path = write_fixture(tmp_path, "one-interval")
-    monkeypatch.setenv("CASCADEHO_THREADS", "2")
-    assert main(["nch", path]) == 0
-    monkeypatch.setenv("CASCADEHO_THREADS", "banana")
-    assert main(["nch", path]) == 3
+def test_egh_square_nonzero_exit_code(tmp_path, capsys):
+    # a -> b -> c with one unit cylinder per step: valid data whose
+    # cylindrical differential squares to <d d a, c> = 1
+    data = AutonomousData(
+        orbits={
+            "a": Orbit("a", 1, 0, True, Fraction(3), "", 2),
+            "b": Orbit("b", 1, 1, True, Fraction(2), "", 1),
+            "c": Orbit("c", 1, 0, True, Fraction(1), "", 0),
+        },
+        mj1={
+            ("a", "b"): [CylinderRecord(1, 1)],
+            ("b", "c"): [CylinderRecord(1, 1)],
+        },
+    )
+    assert validate_data(data) == []
+    with pytest.raises(SquareNonzero) as err:
+        egh_differential(data)
+    assert (err.value.source, err.value.target, err.value.value) == ("a", "c", 1)
+    path = tmp_path / "square.json"
+    path.write_text(serialize.dumps(data))
+    assert main(["egh", str(path)]) == 2
+    assert main(["nch", str(path)]) == 2
+    assert "d^2 != 0" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeho.errors import SquareNonzero
+from cascadeho.errors import CascadehoError, SquareNonzero
 from cascadeho.exact import (
     ChainComplex,
     ChainGenerator,
@@ -194,6 +194,20 @@ def test_homology_two_step_with_odd_coefficient():
     h = homology(c)
     assert h.group("", 1) == (1, ())
     assert h.group("", 2) == (0, ())
+
+
+def test_homology_rank_cross_check_raises(monkeypatch):
+    # the SNF result is checked against rational ranks with an explicit
+    # error, so the check survives python -O
+    c = cc(
+        [("a", 1, "", 2, "A"), ("b", 0, "", 1, "B")],
+        {("a", "b"): 2},
+    )
+    monkeypatch.setattr(
+        "cascadeho.exact.rational_rank", lambda m: rational_rank(m) + 1
+    )
+    with pytest.raises(CascadehoError, match="rank cross-check"):
+        homology(c)
 
 
 def test_homology_even_coefficient_leaves_torsion():
