@@ -12,18 +12,24 @@ constrained preimage weighs crossing direction times transported
 orientation; an e-minus-constrained piece carries one extra factor (-1).
 With these choices d^2 = 0 holds for consistently-labelled systems and the
 bad-orbit diagonal is <d hat a, check a> = -2.
+
+One walk per source generator yields its whole column.  The same walk counts
+the chains of an induced chain map over the two-layer graph of a cobordism
+(see ``CascadeGraph``).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .errors import NonDistinct, NonGenericConfiguration, ValidationFailure
 from .exact import ChainComplex, ChainGenerator, HomologyResult, IntMatrix, homology
 from .mbs import (
     MorseBottSystem,
+    Orbit,
     Violation,
     cyclically_ordered,
     signed_preimages,
@@ -52,106 +58,188 @@ class Cascade:
     weight: int  # +-1 for honest cascades; the raw count for m2cc entries
 
 
-def _ordered(sys, orbit_id, after, before, context):
-    try:
-        return cyclically_ordered(sys.basepoint(orbit_id), after, before)
-    except NonDistinct as err:
-        raise NonGenericConfiguration(
-            f"coincident circle points at intermediate {orbit_id} ({context}): {err}"
-        ) from err
+# the layers of a cobordism graph: its nodes are (SRC, oid) and (TGT, oid)
+SRC, TGT = "src", "tgt"
 
 
-def enumerate_cascades(
-    sys: MorseBottSystem, src: CascadeGenerator, dst: CascadeGenerator
-) -> List[Cascade]:
-    """All rigid cascades contributing to <d src, dst>."""
-    if src.orbit == dst.orbit:
-        # only the forced bad-orbit diagonal survives; for good orbits the
-        # two candidate configurations carry opposite signs and cancel.
-        if (
-            src.flavor == "hat"
-            and dst.flavor == "check"
-            and not sys.orbit(src.orbit).good
-        ):
-            pieces = (("bad-diagonal", src.orbit),)
-            return [Cascade(src, dst, pieces, -1), Cascade(src, dst, pieces, -1)]
-        return []
+@dataclass(frozen=True)
+class Edge:
+    """The moduli pieces of one pair, as seen from its top node."""
 
-    p_src = sys.basepoint(src.orbit)
-    p_dst = sys.basepoint(dst.orbit)
+    bottom: Hashable
+    pair: Tuple  # (top node, bottom node): the frames of preimage queries
+    pieces: Sequence  # SignedPoints on an m0 edge, PLComponents on an m1 edge
+    phi: bool  # a cobordism piece: index d - 1 instead of d
+
+
+class CascadeGraph:
+    """Orbit circles (nodes) joined by moduli pieces (edges), indexed by top.
+
+    A system is one layer whose nodes are its orbit ids.  A cobordism is two
+    layers, source orbits (SRC, oid) above target orbits (TGT, oid), joined
+    by the phi pieces.  Only ``generators`` nodes are counted as
+    targets, so in a cobordism every counted chain crosses one phi piece.
+    ``orbit(node)`` and ``basepoint(node)`` give preimage queries their frames.
+    """
+
+    def __init__(self):
+        self.orbits: Dict[Hashable, Orbit] = {}
+        self.basepoints: Dict[Hashable, Fraction] = {}
+        self.generators: Set[Hashable] = set()
+        self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
+        self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
+        self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
+
+    @classmethod
+    def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
+        graph = cls()
+        graph._layer(sys, lambda oid: oid, generators=True)
+        return graph
+
+    @classmethod
+    def of_cobordism(cls, source, target, phi0, phi1) -> "CascadeGraph":
+        graph = cls()
+        src, tgt = (lambda oid: (SRC, oid)), (lambda oid: (TGT, oid))
+        graph._layer(source, src, generators=False)
+        graph._layer(target, tgt, generators=True)
+        graph._edges(phi0, phi1, {}, src, tgt, phi=True)
+        return graph
+
+    def orbit(self, node) -> Orbit:
+        return self.orbits[node]
+
+    def basepoint(self, node) -> Fraction:
+        return self.basepoints[node]
+
+    def _layer(self, sys, node, generators):
+        for oid, orbit in sys.orbits.items():
+            self.orbits[node(oid)] = orbit
+            self.basepoints[node(oid)] = sys.basepoint(oid)
+            if generators:
+                self.generators.add(node(oid))
+        self._edges(sys.m0, sys.m1, sys.m2cc, node, node, phi=False)
+
+    def _edges(self, m0, m1, m2cc, top, bottom, phi):
+        for table, moduli in ((self.m0, m0), (self.m1, m1)):
+            for (a, b), pieces in moduli.items():
+                if pieces:
+                    pair = (top(a), bottom(b))
+                    table[pair[0]].append(Edge(pair[1], pair, pieces, phi))
+        for (a, b), count in m2cc.items():
+            if count:
+                self.m2cc[top(a)].append((bottom(b), count))
+
+
+def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Cascade]:
+    """All rigid cascades out of ``src``: one walk gives its whole column.
+
+    A phi piece differs from an in-system piece in two ways: an e_minus-pinned
+    phi1 piece carries no extra -1, and where a pinned phi evaluation lands
+    on the basepoint of the orbit it meets, it is nudged off it (just before
+    the basepoint on a target orbit, just after it on a source orbit).
+    """
+    start = src.orbit
     out: List[Cascade] = []
 
-    def extend(current, last_minus, visited, sign, pieces):
-        if current == dst.orbit:
-            if dst.flavor == "check":
-                out.append(Cascade(src, dst, tuple(pieces), sign))
-            return
-        # unconstrained 0-dimensional pieces
-        for (top, bottom), points in sys.m0.items():
-            if top != current or bottom in visited:
-                continue
-            if bottom == dst.orbit and dst.flavor == "hat":
-                continue  # a hat target is reached only by a pinned piece
-            for idx, pt in enumerate(points):
-                if last_minus is not None and not _ordered(
-                    sys, current, last_minus, pt.e_plus, f"m0({top},{bottom})[{idx}]"
-                ):
-                    continue
-                extend(
-                    bottom,
-                    pt.e_minus,
-                    visited | {bottom},
-                    sign * pt.sign,
-                    pieces + [("m0", (top, bottom), idx)],
-                )
-        # closing pinned piece for hat targets (extra factor -1)
-        if dst.flavor == "hat":
-            pair = (current, dst.orbit)
-            for ci, comp in enumerate(sys.m1.get(pair, [])):
-                for pre in signed_preimages(sys, pair, comp, "minus", p_dst):
-                    if last_minus is not None and not _ordered(
-                        sys, current, last_minus, pre.residual, f"m1{pair}[{ci}]"
-                    ):
-                        continue
-                    out.append(
-                        Cascade(
-                            src,
-                            dst,
-                            tuple(pieces + [("pre-minus", pair, ci, pre.t)]),
-                            -sign * pre.sign,
-                        )
-                    )
+    def emit(flavor, node, pieces, weight):
+        if node in graph.generators:
+            out.append(Cascade(src, CascadeGenerator(flavor, node), tuple(pieces), weight))
 
+    def ordered(node, last, value, eps, piece):
+        if last is None:
+            return True
+        try:
+            return cyclically_ordered(graph.basepoint(node), last[0], value, last[1], eps)
+        except NonDistinct as err:
+            kind, pair, index = piece[:3]
+            raise NonGenericConfiguration(
+                f"coincident circle points at intermediate {node} "
+                f"({kind}{pair}[{index}]): {err}"
+            ) from err
+
+    def nudge(edge, value, node, eps):
+        return eps if edge.phi and value == graph.basepoint(node) else 0
+
+    # partial chains (node, last e- value and its nudge, visited, sign, pieces);
+    # an explicit stack, so the walk's depth is not bounded by recursion and
+    # its locals are freed when it returns
+    stack = []
     if src.flavor == "hat":
-        extend(src.orbit, None, {src.orbit}, 1, [])
+        if not graph.orbit(start).good:
+            # the forced bad-orbit diagonal; for good orbits the two candidate
+            # configurations carry opposite signs and cancel
+            pieces = [("bad-diagonal", start)]
+            emit("check", start, pieces, -1)
+            emit("check", start, pieces, -1)
+        stack.append((start, None, {start}, 1, []))
     else:
-        # pinned opening piece on a 1-dimensional component
-        for (top, bottom), comps in sys.m1.items():
-            if top != src.orbit:
-                continue
-            for ci, comp in enumerate(comps):
-                for pre in signed_preimages(sys, (top, bottom), comp, "plus", p_src):
-                    piece = ("pre-plus", (top, bottom), ci, pre.t)
-                    if bottom == dst.orbit:
-                        if dst.flavor == "check":
-                            out.append(Cascade(src, dst, (piece,), pre.sign))
-                        # check->hat on the same pair needs both pins on one
-                        # piece; that count is supplied directly via m2cc.
-                        continue
-                    extend(
-                        bottom,
-                        pre.residual,
-                        {src.orbit, bottom},
+        # opening e_plus-pinned pieces
+        for edge in graph.m1.get(start, ()):
+            for ci, comp in enumerate(edge.pieces):
+                for pre in signed_preimages(
+                    graph, edge.pair, comp, "plus", graph.basepoint(start)
+                ):
+                    eps = nudge(edge, pre.residual, edge.bottom, -1)
+                    stack.append((
+                        edge.bottom,
+                        (pre.residual, eps),
+                        {start, edge.bottom},
                         pre.sign,
-                        [piece],
-                    )
-        if dst.flavor == "hat":
-            count = sys.m2cc.get((src.orbit, dst.orbit), 0)
-            if count:
-                out.append(
-                    Cascade(src, dst, (("m2cc", (src.orbit, dst.orbit)),), count)
-                )
+                        [("pre-plus", edge.pair, ci, pre.t)],
+                    ))
+    while stack:
+        current, last, visited, sign, pieces = stack.pop()
+        if pieces:
+            emit("check", current, pieces, sign)
+        # unconstrained 0-dimensional pieces
+        for edge in graph.m0.get(current, ()):
+            if edge.bottom in visited:
+                continue
+            for idx, pt in enumerate(edge.pieces):
+                piece = ("m0", edge.pair, idx)
+                if ordered(current, last, pt.e_plus, 0, piece):
+                    stack.append((
+                        edge.bottom,
+                        (pt.e_minus, 0),
+                        visited | {edge.bottom},
+                        sign * pt.sign,
+                        pieces + [piece],
+                    ))
+        # closing e_minus-pinned pieces onto hat generators
+        for edge in graph.m1.get(current, ()):
+            if edge.bottom in visited or edge.bottom not in graph.generators:
+                continue
+            pin = graph.basepoint(edge.bottom)
+            extra = 1 if edge.phi else -1
+            for ci, comp in enumerate(edge.pieces):
+                for pre in signed_preimages(graph, edge.pair, comp, "minus", pin):
+                    piece = ("pre-minus", edge.pair, ci, pre.t)
+                    eps = nudge(edge, pre.residual, current, 1)
+                    if ordered(current, last, pre.residual, eps, piece):
+                        emit("hat", edge.bottom, pieces + [piece], extra * sign * pre.sign)
+    if src.flavor == "check":
+        # check -> hat on one pair needs both pins on one piece: counted by m2cc
+        for bottom, count in graph.m2cc.get(start, ()):
+            emit("hat", bottom, [("m2cc", (start, bottom))], count)
     return out
+
+
+def sum_columns(graph, sources, rows, keep) -> Dict[Tuple[int, int], int]:
+    """Matrix entries (row, column) from the cascade column of each source.
+
+    ``rows`` maps target generators to row indices; ``keep(row, column)``
+    is the caller's guard on which entries may be nonzero.
+    """
+    entries = {}
+    for j, src in enumerate(sources):
+        column: Dict[int, int] = {}
+        for c in enumerate_cascades(graph, src):
+            i = rows[c.target]
+            if keep(i, j):
+                column[i] = column.get(i, 0) + c.weight
+        for i in sorted(column):
+            entries[(i, j)] = column[i]
+    return entries
 
 
 def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
@@ -192,19 +280,14 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
                 )
             )
 
-    index = {g.gid: k for k, g in enumerate(gens)}
-    entries = {}
-    for sg in cgens:
-        src_orbit = sys.orbit(sg.orbit)
-        for tg in cgens:
-            tgt_orbit = sys.orbit(tg.orbit)
-            if sg.orbit != tg.orbit and not tgt_orbit.action < src_orbit.action:
-                continue
-            if src_orbit.homotopy_class != tgt_orbit.homotopy_class:
-                continue
-            coeff = sum(c.weight for c in enumerate_cascades(sys, sg, tg))
-            if coeff:
-                entries[(index[tg.gid], index[sg.gid])] = coeff
+    def keep(i, j):
+        src, tgt = gens[j], gens[i]
+        return (tgt.orbit == src.orbit or tgt.action < src.action) and (
+            tgt.homotopy_class == src.homotopy_class
+        )
+
+    rows = {cg: k for k, cg in enumerate(cgens)}
+    entries = sum_columns(CascadeGraph.of_system(sys), cgens, rows, keep)
 
     modulus = 2 if sys.grading_modulus == "parity" else sys.grading_modulus
     complex_ = ChainComplex(tuple(gens), IntMatrix(len(gens), len(gens), entries), modulus)

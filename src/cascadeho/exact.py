@@ -320,12 +320,6 @@ class ChainComplex:
         ):
             raise ValueError("grading modulus must be 0 or an even integer >= 2")
 
-    def index_of(self, gid: str) -> int:
-        for k, g in enumerate(self.generators):
-            if g.gid == gid:
-                return k
-        raise KeyError(gid)
-
     def degree_key(self, grading: int):
         return grading % self.grading_modulus if self.grading_modulus else grading
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NonDistinct, NonRegularValue
 
@@ -25,15 +25,29 @@ def frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def cyclically_ordered(p: Fraction, a: Fraction, b: Fraction) -> bool:
+def cyclically_ordered(
+    p: Fraction, a: Fraction, b: Fraction, eps_a: int = 0, eps_b: int = 0
+) -> bool:
     """True iff starting at p and moving positively one meets a before b.
 
-    All three points are taken mod 1 and must be pairwise distinct.
+    All three points are taken mod 1.  ``eps_a`` / ``eps_b`` in {-1, 0, +1}
+    nudge a point infinitesimally below / above its nominal position; with
+    both 0 the points must be pairwise distinct.  A point nudged off p sits
+    just before p (eps -1) or just after it (eps +1).
     """
-    p, a, b = frac_mod1(p), frac_mod1(a), frac_mod1(b)
-    if p == a or p == b or a == b:
-        raise NonDistinct(f"points not distinct: {p}, {a}, {b}")
-    return frac_mod1(a - p) < frac_mod1(b - p)
+    def key(x, eps):
+        f = frac_mod1(x - p)
+        if f == 0 and eps:
+            return (Fraction(1), -1) if eps < 0 else (Fraction(0), 1)
+        return (f, eps)
+
+    ka, kb = key(a, eps_a), key(b, eps_b)
+    if ka == kb or ka == (0, 0) or kb == (0, 0):
+        raise NonDistinct(
+            f"points not distinct: {frac_mod1(p)}, {frac_mod1(a)} (eps {eps_a}), "
+            f"{frac_mod1(b)} (eps {eps_b})"
+        )
+    return ka < kb
 
 
 @dataclass(frozen=True)
@@ -257,17 +271,14 @@ def component_preimages(
     return out
 
 
-def _sides(sys: MorseBottSystem, pair: Pair):
+def frames(upper, lower, pair: Pair):
+    """(orbit, basepoint) of the top orbit of ``pair`` in ``upper`` and of the
+    bottom orbit in ``lower``: the frames for orientations along that pair."""
     top, bottom = pair
     return (
-        (sys.orbit(top), sys.basepoint(top)),
-        (sys.orbit(bottom), sys.basepoint(bottom)),
+        (upper.orbit(top), upper.basepoint(top)),
+        (lower.orbit(bottom), lower.basepoint(bottom)),
     )
-
-
-def orientation_at(sys: MorseBottSystem, pair: Pair, comp: PLComponent, t: Fraction) -> int:
-    top, bottom = _sides(sys, pair)
-    return component_orientation(comp, t, top, bottom)
 
 
 def signed_preimages(
@@ -277,7 +288,12 @@ def signed_preimages(
     side: str,
     q: Fraction,
 ) -> List[Preimage]:
-    top, bottom = _sides(sys, pair)
+    """Preimages of q along ``pair``, in the frames ``sys`` gives its ends.
+
+    ``sys`` is a system or anything else that answers ``orbit(node)`` and
+    ``basepoint(node)``, such as a cascade graph.
+    """
+    top, bottom = frames(sys, sys, pair)
     return component_preimages(comp, side, q, top, bottom)
 
 
@@ -336,6 +352,27 @@ def _moduli_dim_ok(sys, pair, dim, violations, where):
     return len(violations) == vio_before
 
 
+def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
+    """Per orbit, every point (mod 1) where a moduli evaluation lands on it:
+    m0 evaluations and m1 lift breakpoints.  A basepoint is generic iff it
+    avoids its orbit's set; a preimage query is non-regular only at a lift
+    breakpoint, so this also decides ``basepoint-nonregular``."""
+    values: Dict[str, set] = {oid: set() for oid in sys.orbits}
+    for (top, bottom), points in sys.m0.items():
+        for pt in points:
+            if top in values:
+                values[top].add(frac_mod1(pt.e_plus))
+            if bottom in values:
+                values[bottom].add(frac_mod1(pt.e_minus))
+    for (top, bottom), comps in sys.m1.items():
+        for comp in comps:
+            for side, oid in (("plus", top), ("minus", bottom)):
+                if oid in values:
+                    for _t, val in comp.lift(side):
+                        values[oid].add(frac_mod1(val))
+    return values
+
+
 def validate_system(sys: MorseBottSystem) -> List[Violation]:
     """All structural axiom checks; returns machine-readable violations."""
     v: List[Violation] = []
@@ -359,22 +396,10 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
             _moduli_dim_ok(sys, pair, 2, v, f"m2cc{pair}")
 
     # basepoint genericity
-    eval_values: Dict[str, set] = {oid: set() for oid in sys.orbits}
-    for (top, bottom), points in sys.m0.items():
-        for pt in points:
-            if top in eval_values:
-                eval_values[top].add(frac_mod1(pt.e_plus))
-            if bottom in eval_values:
-                eval_values[bottom].add(frac_mod1(pt.e_minus))
-    for (top, bottom), comps in sys.m1.items():
-        for comp in comps:
-            for side, oid in (("plus", top), ("minus", bottom)):
-                if oid in eval_values:
-                    for _t, val in comp.lift(side):
-                        eval_values[oid].add(frac_mod1(val))
+    values = evaluation_values(sys)
     for oid in sys.orbits:
         p = sys.basepoint(oid)
-        _check(v, p not in eval_values[oid], "basepoint-collision", oid,
+        _check(v, p not in values[oid], "basepoint-collision", oid,
                f"basepoint {p} equals an evaluation value")
 
     # PL component well-formedness, monodromy, boundary structure
@@ -429,77 +454,80 @@ def _validate_interval_end(sys, pair, comp, ci, end, v):
     if mid not in sys.orbits or mid == top or mid == bottom:
         _check(v, False, "bad-label-orbit", where, f"intermediate {mid!r}")
         return
-    if label.d_plus == 0:
-        upper_list = sys.m0.get((top, mid), [])
-        lower_list = sys.m1.get((mid, bottom), [])
-        if label.point_index >= len(upper_list) or label.component_index >= len(
-            lower_list
-        ):
-            _check(v, False, "missing-broken-pair", where,
-                   "label references a moduli element that does not exist")
-            return
-        point = upper_list[label.point_index]
-        lower = lower_list[label.component_index]
-        t = label.t
-        cond_top = frac_mod1(comp.value("plus", Fraction(end))) == frac_mod1(
-            point.e_plus
-        )
-        cond_bot = frac_mod1(comp.value("minus", Fraction(end))) == frac_mod1(
-            lower.value("minus", t)
-        )
-        cond_fiber = frac_mod1(point.e_minus) == frac_mod1(lower.value("plus", t))
-        try:
-            direction = lower.slope_sign("plus", t)
-        except NonRegularValue:
-            _check(v, False, "label-nonregular", where,
-                   "broken pair sits at a breakpoint of the lower component")
-            return
-        fiber_sign = point.sign * direction * orientation_at(
-            sys, (mid, bottom), lower, t
-        )
-    elif label.d_plus == 1:
-        upper_list = sys.m1.get((top, mid), [])
-        lower_list = sys.m0.get((mid, bottom), [])
-        if label.component_index >= len(upper_list) or label.point_index >= len(
-            lower_list
-        ):
-            _check(v, False, "missing-broken-pair", where,
-                   "label references a moduli element that does not exist")
-            return
-        upper = upper_list[label.component_index]
-        point = lower_list[label.point_index]
-        t = label.t
-        cond_top = frac_mod1(comp.value("plus", Fraction(end))) == frac_mod1(
-            upper.value("plus", t)
-        )
-        cond_bot = frac_mod1(comp.value("minus", Fraction(end))) == frac_mod1(
-            point.e_minus
-        )
-        cond_fiber = frac_mod1(upper.value("minus", t)) == frac_mod1(point.e_plus)
-        try:
-            direction = upper.slope_sign("minus", t)
-        except NonRegularValue:
-            _check(v, False, "label-nonregular", where,
-                   "broken pair sits at a breakpoint of the upper component")
-            return
-        fiber_sign = direction * orientation_at(sys, (top, mid), upper, t) * point.sign
-    else:
-        _check(v, False, "bad-label", where, f"d_plus = {label.d_plus}")
+    if not isinstance(label, BoundaryLabel) or label.d_plus not in (0, 1):
+        _check(v, False, "bad-label", where,
+               f"system interval ends need d_plus 0 or 1 labels, got {label!r}")
         return
+    upper = Level(sys.m0, sys.m1, (top, mid), frames(sys, sys, (top, mid)))
+    lower = Level(sys.m0, sys.m1, (mid, bottom), frames(sys, sys, (mid, bottom)))
+    check_broken_pair(v, where, comp, frames(sys, sys, pair), end, label,
+                      label.d_plus, upper, lower, (-1) ** label.d_plus)
 
-    _check(v, cond_top, "label-eval-mismatch", where,
+
+class Level(NamedTuple):
+    """One level of a broken configuration: the moduli tables it lives in,
+    the pair it connects and that pair's frames."""
+
+    m0: Dict[Pair, List[SignedPoint]]
+    m1: Dict[Pair, List[PLComponent]]
+    pair: Pair
+    frames: Tuple
+
+
+def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
+                      upper, lower, factor):
+    """Check that ``comp``'s end ``end`` converges to the broken pair ``label``.
+
+    The upper level has dimension ``d_upper`` and the lower one 1 - d_upper:
+    the label names the rigid point of one and the parameter ``t`` on a
+    component of the other.  The boundary orientation of the end must be
+    ``factor`` times the fiber-product sign of the pair.
+    """
+    point_level, comp_level = (upper, lower) if d_upper == 0 else (lower, upper)
+    points = point_level.m0.get(point_level.pair, [])
+    comps = comp_level.m1.get(comp_level.pair, [])
+    if not (0 <= label.point_index < len(points)
+            and 0 <= label.component_index < len(comps)):
+        _check(v, False, "missing-broken-pair", where,
+               "label references a moduli element that does not exist")
+        return
+    point = points[label.point_index]
+    other = comps[label.component_index]
+    t = label.t
+    # the component meets the point at its e+ when it is the lower level
+    # and at its e- when it is the upper one; check t before evaluating it
+    fiber = "plus" if d_upper == 0 else "minus"
+    try:
+        direction = other.slope_sign(fiber, t)
+    except NonRegularValue:
+        _check(v, False, "label-nonregular", where,
+               f"broken pair sits at parameter {t}, not inside a segment of "
+               "its component")
+        return
+    if d_upper == 0:
+        top_end, bottom_end = point.e_plus, other.value("minus", t)
+        fiber_point = point.e_minus
+    else:
+        top_end, bottom_end = other.value("plus", t), point.e_minus
+        fiber_point = point.e_plus
+    _check(v, frac_mod1(comp.value("plus", Fraction(end))) == frac_mod1(top_end),
+           "label-eval-mismatch", where,
            "top evaluation does not match broken limit")
-    _check(v, cond_bot, "label-eval-mismatch", where,
+    _check(v, frac_mod1(comp.value("minus", Fraction(end))) == frac_mod1(bottom_end),
+           "label-eval-mismatch", where,
            "bottom evaluation does not match broken limit")
-    _check(v, cond_fiber, "label-fiber-mismatch", where,
+    _check(v, frac_mod1(fiber_point) == frac_mod1(other.value(fiber, t)),
+           "label-fiber-mismatch", where,
            "broken pair is not a fiber-product point")
 
-    boundary_sign = orientation_at(sys, pair, comp, Fraction(end)) * (
+    fiber_sign = point.sign * direction * component_orientation(
+        other, t, *comp_level.frames
+    )
+    boundary_sign = component_orientation(comp, Fraction(end), *comp_frames) * (
         1 if end == 1 else -1
     )
-    expected = (-1) ** label.d_plus * fiber_sign
-    _check(v, boundary_sign == expected, "label-sign-mismatch", where,
-           f"boundary sign {boundary_sign} != (-1)^d+ * fiber sign {expected}")
+    _check(v, boundary_sign == factor * fiber_sign, "label-sign-mismatch", where,
+           f"boundary sign {boundary_sign} != {factor} * fiber sign {fiber_sign}")
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +545,7 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
 
     rng = random.Random(seed)
     new = dict(sys.basepoints)
-
-    def generic(oid, candidate):
-        trial = MorseBottSystem(
-            sys.orbits, {**new, oid: candidate}, sys.m0, sys.m1, sys.m2cc,
-            sys.grading_modulus,
-        )
-        codes = {
-            x.code
-            for x in validate_system(trial)
-            if oid in x.location or x.code == "basepoint-nonregular"
-        }
-        return not ({"basepoint-collision", "basepoint-nonregular"} & codes)
-
+    values = evaluation_values(sys)
     denominators = [257, 263, 269, 271, 277, 281, 283, 293]
     for k, oid in enumerate(sorted(sys.orbits)):
         for attempt in range(64):
@@ -539,7 +555,7 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
             else:
                 q = denominators[attempt % len(denominators)]
                 candidate = Fraction(rng.randrange(q), q)
-            if generic(oid, candidate):
+            if candidate not in values[oid]:
                 new[oid] = candidate
                 break
         else:

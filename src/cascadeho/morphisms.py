@@ -7,11 +7,11 @@ index d - 1, so the grading bookkeeping is shifted by one against the
 in-system moduli: phi0 lives on pairs with grading gap -1, phi1 on gap 0.
 
 The induced map on the nonequivariant complexes counts chains made of
-source pieces, exactly one phi piece, then target pieces, with the same
-pinning and cyclic-order rules as the differential cascades.  Because the
-index parity of phi pieces is shifted, an e_minus-pinned phi1 piece carries
-no extra sign (unlike an e_minus-pinned in-system component, which carries
--1).  The chain-map identity d . phi = phi . d is enforced as a hard
+source pieces, exactly one phi piece, then target pieces: the cascade
+walk of the differential, run over the two-layer graph of the cobordism.
+Because the index parity of phi pieces is shifted, an e_minus-pinned phi1
+piece carries no extra sign (unlike an e_minus-pinned in-system component,
+which carries -1).  The chain-map identity d . phi = phi . d is enforced as a hard
 postcondition, and the trivial cobordism induces the identity matrix.
 """
 
@@ -19,20 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from .errors import ChainMapFailure, NonGenericConfiguration, ValidationFailure
+from .errors import ChainMapFailure, NonRegularValue, ValidationFailure
 from .exact import ChainComplex, IntMatrix
 from .mbs import (
+    Level,
     MorseBottSystem,
     PLComponent,
     SignedPoint,
     Violation,
-    component_orientation,
+    check_broken_pair,
     component_preimages,
     frac_mod1,
+    frames,
 )
-from .cascades import build_ncc
+from .cascades import SRC, TGT, CascadeGenerator, CascadeGraph, build_ncc, sum_columns
 
 Pair = Tuple[str, str]
 
@@ -65,13 +67,6 @@ class MorphismData:
     # pairs allowed to have equal action across the cobordism (e.g. the
     # trivial cobordism); all others must strictly decrease
     allow_equal_action: Set[Pair] = field(default_factory=set)
-
-    def sides(self, pair: Pair):
-        top, bottom = pair
-        return (
-            (self.source.orbit(top), self.source.basepoint(top)),
-            (self.target.orbit(bottom), self.target.basepoint(bottom)),
-        )
 
 
 def validate_morphism(m: MorphismData) -> List[Violation]:
@@ -119,7 +114,7 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
             continue
         if not pair_axioms(pair, 1, f"phi1{pair}"):
             continue
-        top_info, bottom_info = m.sides(pair)
+        top_info, bottom_info = frames(m.source, m.target, pair)
         for ci, comp in enumerate(comps):
             where = f"phi1{pair}[{ci}]"
             if comp.kind == "circle":
@@ -146,6 +141,12 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
                               f"interval end {end} has no broken-pair label")
                         continue
                     _validate_phi_end(m, pair, comp, ci, end, v)
+            # basepoints must be regular values of both evaluation maps
+            for side, (_orbit, p) in (("plus", top_info), ("minus", bottom_info)):
+                try:
+                    component_preimages(comp, side, p, top_info, bottom_info)
+                except NonRegularValue as err:
+                    check(False, "basepoint-nonregular", where, str(err))
     return v
 
 
@@ -153,149 +154,36 @@ def _validate_phi_end(m, pair, comp, ci, end, v):
     top, bottom = pair
     where = f"phi1{pair}[{ci}].end{end}"
     label = comp.boundary_labels[end]
-
-    def check(ok, code, msg):
-        if not ok:
-            v.append(Violation(code, where, msg))
-
     if not isinstance(label, PhiLabel) or label.side not in ("top", "bottom") \
             or label.d_phi not in (0, 1):
-        check(False, "bad-label", "phi interval ends need PhiLabel entries")
+        v.append(Violation("bad-label", where,
+                           "phi interval ends need PhiLabel entries"))
         return
     mid = label.orbit
-    end_plus = frac_mod1(comp.value("plus", Fraction(end)))
-    end_minus = frac_mod1(comp.value("minus", Fraction(end)))
-
+    name, layer = ("source", m.source) if label.side == "top" else ("target", m.target)
+    if mid not in layer.orbits:
+        v.append(Violation("bad-label-orbit", where, f"unknown {name} orbit {mid!r}"))
+        return
     if label.side == "top":
-        if mid not in m.source.orbits:
-            check(False, "bad-label-orbit", f"unknown source orbit {mid!r}")
-            return
-        if label.d_phi == 1:
-            # (source m0 point, point on a phi1 component)
-            points = m.source.m0.get((top, mid), [])
-            comps = m.phi1.get((mid, bottom), [])
-            if label.point_index >= len(points) or label.component_index >= len(comps):
-                check(False, "missing-broken-pair", "label target does not exist")
-                return
-            pt = points[label.point_index]
-            lower = comps[label.component_index]
-            t = label.t
-            cond_top = end_plus == frac_mod1(pt.e_plus)
-            cond_bot = end_minus == frac_mod1(lower.value("minus", t))
-            cond_fiber = frac_mod1(pt.e_minus) == frac_mod1(lower.value("plus", t))
-            lo_top, lo_bot = m.sides((mid, bottom))
-            fiber_sign = (
-                pt.sign
-                * lower.slope_sign("plus", t)
-                * component_orientation(lower, t, lo_top, lo_bot)
-            )
-        else:
-            # (point on a source m1 component, phi0 point)
-            comps = m.source.m1.get((top, mid), [])
-            points = m.phi0.get((mid, bottom), [])
-            if label.component_index >= len(comps) or label.point_index >= len(points):
-                check(False, "missing-broken-pair", "label target does not exist")
-                return
-            upper = comps[label.component_index]
-            pt = points[label.point_index]
-            t = label.t
-            cond_top = end_plus == frac_mod1(upper.value("plus", t))
-            cond_bot = end_minus == frac_mod1(pt.e_minus)
-            cond_fiber = frac_mod1(upper.value("minus", t)) == frac_mod1(pt.e_plus)
-            up_top = (m.source.orbit(top), m.source.basepoint(top))
-            up_bot = (m.source.orbit(mid), m.source.basepoint(mid))
-            fiber_sign = (
-                upper.slope_sign("minus", t)
-                * component_orientation(upper, t, up_top, up_bot)
-                * pt.sign
-            )
-        factor = 1  # top breaking
+        # a source level splits off above the phi level
+        upper = Level(m.source.m0, m.source.m1, (top, mid),
+                      frames(m.source, m.source, (top, mid)))
+        lower = Level(m.phi0, m.phi1, (mid, bottom),
+                      frames(m.source, m.target, (mid, bottom)))
+        d_upper, factor = 1 - label.d_phi, 1
     else:
-        if mid not in m.target.orbits:
-            check(False, "bad-label-orbit", f"unknown target orbit {mid!r}")
-            return
-        if label.d_phi == 1:
-            # (point on a phi1 component, target m0 point)
-            comps = m.phi1.get((top, mid), [])
-            points = m.target.m0.get((mid, bottom), [])
-            if label.component_index >= len(comps) or label.point_index >= len(points):
-                check(False, "missing-broken-pair", "label target does not exist")
-                return
-            upper = comps[label.component_index]
-            pt = points[label.point_index]
-            t = label.t
-            cond_top = end_plus == frac_mod1(upper.value("plus", t))
-            cond_bot = end_minus == frac_mod1(pt.e_minus)
-            cond_fiber = frac_mod1(upper.value("minus", t)) == frac_mod1(pt.e_plus)
-            up_top, up_bot = m.sides((top, mid))
-            fiber_sign = (
-                upper.slope_sign("minus", t)
-                * component_orientation(upper, t, up_top, up_bot)
-                * pt.sign
-            )
-        else:
-            # (phi0 point, point on a target m1 component)
-            points = m.phi0.get((top, mid), [])
-            comps = m.target.m1.get((mid, bottom), [])
-            if label.point_index >= len(points) or label.component_index >= len(comps):
-                check(False, "missing-broken-pair", "label target does not exist")
-                return
-            pt = points[label.point_index]
-            lower = comps[label.component_index]
-            t = label.t
-            cond_top = end_plus == frac_mod1(pt.e_plus)
-            cond_bot = end_minus == frac_mod1(lower.value("minus", t))
-            cond_fiber = frac_mod1(pt.e_minus) == frac_mod1(lower.value("plus", t))
-            lo_top = (m.target.orbit(mid), m.target.basepoint(mid))
-            lo_bot = (m.target.orbit(bottom), m.target.basepoint(bottom))
-            fiber_sign = (
-                pt.sign
-                * lower.slope_sign("plus", t)
-                * component_orientation(lower, t, lo_top, lo_bot)
-            )
-        factor = (-1) ** label.d_phi  # bottom breaking
-
-    check(cond_top, "label-eval-mismatch", "top evaluation mismatch")
-    check(cond_bot, "label-eval-mismatch", "bottom evaluation mismatch")
-    check(cond_fiber, "label-fiber-mismatch", "not a fiber-product point")
-
-    top_info, bottom_info = m.sides(pair)
-    boundary_sign = component_orientation(
-        comp, Fraction(end), top_info, bottom_info
-    ) * (1 if end == 1 else -1)
-    check(boundary_sign == factor * fiber_sign, "label-sign-mismatch",
-          f"boundary sign {boundary_sign} != {factor} * {fiber_sign}")
+        # a target level splits off below the phi level
+        upper = Level(m.phi0, m.phi1, (top, mid),
+                      frames(m.source, m.target, (top, mid)))
+        lower = Level(m.target.m0, m.target.m1, (mid, bottom),
+                      frames(m.target, m.target, (mid, bottom)))
+        d_upper, factor = label.d_phi, (-1) ** label.d_phi
+    check_broken_pair(v, where, comp, frames(m.source, m.target, pair), end,
+                      label, d_upper, upper, lower, factor)
 
 
 # ---------------------------------------------------------------------------
 # induced chain map
-
-
-def _order_key(p: Fraction, value: Fraction, eps: int):
-    f = frac_mod1(value - p)
-    if f == 0:
-        if eps == 0:
-            raise NonGenericConfiguration(
-                f"circle point coincides with basepoint {p}"
-            )
-        return (Fraction(1), -1) if eps < 0 else (Fraction(0), 1)
-    return (f, eps)
-
-
-def _ordered(p, a, b):
-    """Cyclic order with infinitesimal tie-breaks.
-
-    a and b are (value, eps) with eps in {-1, 0, +1}: eps != 0 marks values
-    nudged just below / just above their nominal position (used for pinned
-    phi pieces whose free evaluation coincides with a basepoint).
-    """
-    ka = _order_key(p, a[0], a[1])
-    kb = _order_key(p, b[0], b[1])
-    if ka == kb:
-        raise NonGenericConfiguration(
-            f"coincident circle points {a[0]} (eps {a[1]}), {b[0]} (eps {b[1]})"
-        )
-    return ka < kb
 
 
 @dataclass(frozen=True)
@@ -303,12 +191,6 @@ class ChainMap:
     source_complex: ChainComplex
     target_complex: ChainComplex
     matrix: IntMatrix  # columns: source generators, rows: target generators
-
-    def coefficient(self, src_gid: str, tgt_gid: str) -> int:
-        return self.matrix.get(
-            self.target_complex.index_of(tgt_gid),
-            self.source_complex.index_of(src_gid),
-        )
 
     def is_identity(self) -> bool:
         n = len(self.source_complex.generators)
@@ -342,16 +224,17 @@ def induced_chain_map(m: MorphismData, validate: bool = True) -> ChainMap:
     src_gens = src_cx.generators
     tgt_gens = tgt_cx.generators
 
-    entries = {}
-    for j, sg in enumerate(src_gens):
-        sflavor, sorbit = sg.gid.split(":")
-        for i, tg in enumerate(tgt_gens):
-            tflavor, torbit = tg.gid.split(":")
-            if sg.grading != tg.grading or sg.homotopy_class != tg.homotopy_class:
-                continue
-            val = _phi_coefficient(m, (sflavor, sorbit), (tflavor, torbit))
-            if val:
-                entries[(i, j)] = val
+    def generator(layer, g):
+        return CascadeGenerator(g.gid.partition(":")[0], (layer, g.orbit))
+
+    def keep(i, j):
+        src, tgt = src_gens[j], tgt_gens[i]
+        return src.grading == tgt.grading and src.homotopy_class == tgt.homotopy_class
+
+    graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+    rows = {generator(TGT, g): i for i, g in enumerate(tgt_gens)}
+    sources = [generator(SRC, g) for g in src_gens]
+    entries = sum_columns(graph, sources, rows, keep)
     matrix = IntMatrix(len(tgt_gens), len(src_gens), entries)
 
     lhs = tgt_cx.differential * matrix
@@ -365,133 +248,6 @@ def induced_chain_map(m: MorphismData, validate: bool = True) -> ChainMap:
         (i, j) = min(diff)
         raise ChainMapFailure(src_gens[j].gid, tgt_gens[i].gid, diff[(i, j)])
     return ChainMap(src_cx, tgt_cx, matrix)
-
-
-def _phi_coefficient(m: MorphismData, sgen, tgen) -> int:
-    sflavor, sorbit = sgen
-    tflavor, torbit = tgen
-    total = 0
-    p_src = m.source.basepoint(sorbit)
-    p_tgt = m.target.basepoint(torbit)
-
-    def extend(side, current, last, vis_src, vis_tgt, sign, phi_used):
-        nonlocal total
-        if side == "tgt" and current == torbit:
-            if tflavor == "check":
-                total += sign
-            return
-        sys = m.source if side == "src" else m.target
-        p_cur = sys.basepoint(current)
-        # in-system 0-dimensional pieces
-        for (top, bottom), points in sys.m0.items():
-            if top != current:
-                continue
-            if side == "src" and bottom in vis_src:
-                continue
-            if side == "tgt" and (bottom in vis_tgt or
-                                  (bottom == torbit and tflavor == "hat")):
-                continue
-            for pt in points:
-                if last is not None and not _ordered(
-                    p_cur, last, (pt.e_plus, 0)
-                ):
-                    continue
-                if side == "src":
-                    extend("src", bottom, (pt.e_minus, 0),
-                           vis_src | {bottom}, vis_tgt, sign * pt.sign, False)
-                else:
-                    extend("tgt", bottom, (pt.e_minus, 0),
-                           vis_src, vis_tgt | {bottom}, sign * pt.sign, True)
-        if side == "src" and not phi_used:
-            # crossing over: a rigid phi0 point
-            for (top, bottom), points in m.phi0.items():
-                if top != current or bottom in vis_tgt:
-                    continue
-                if bottom == torbit and tflavor == "hat":
-                    continue
-                for pt in points:
-                    if last is not None and not _ordered(
-                        p_cur, last, (pt.e_plus, 0)
-                    ):
-                        continue
-                    extend("tgt", bottom, (pt.e_minus, 0),
-                           vis_src, vis_tgt | {bottom}, sign * pt.sign, True)
-            # crossing over: an e_minus-pinned phi1 piece closes a hat chain
-            # (phi pieces have index d - 1, so no extra sign here)
-            if tflavor == "hat":
-                pair = (current, torbit)
-                top_info, bottom_info = _phi_sides(m, pair)
-                for comp in m.phi1.get(pair, []):
-                    for pre in component_preimages(
-                        comp, "minus", p_tgt, top_info, bottom_info
-                    ):
-                        eps = 1 if frac_mod1(pre.residual - p_cur) == 0 else 0
-                        if last is not None and not _ordered(
-                            p_cur, last, (pre.residual, eps)
-                        ):
-                            continue
-                        total += sign * pre.sign
-        if side == "tgt" and tflavor == "hat" and phi_used:
-            # closing pinned piece on a target component (extra factor -1)
-            pair = (current, torbit)
-            for comp in m.target.m1.get(pair, []):
-                top_info = (m.target.orbit(current), m.target.basepoint(current))
-                bottom_info = (m.target.orbit(torbit), p_tgt)
-                for pre in component_preimages(
-                    comp, "minus", p_tgt, top_info, bottom_info
-                ):
-                    if last is not None and not _ordered(
-                        p_cur, last, (pre.residual, 0)
-                    ):
-                        continue
-                    total += -sign * pre.sign
-
-    if sflavor == "hat":
-        extend("src", sorbit, None, {sorbit}, set(), 1, False)
-    else:
-        # pinned opening piece on a source component
-        for (top, bottom), comps in m.source.m1.items():
-            if top != sorbit:
-                continue
-            top_info = (m.source.orbit(top), p_src)
-            bottom_info = (m.source.orbit(bottom), m.source.basepoint(bottom))
-            for comp in comps:
-                for pre in component_preimages(
-                    comp, "plus", p_src, top_info, bottom_info
-                ):
-                    extend("src", bottom, (pre.residual, 0),
-                           {sorbit, bottom}, set(), pre.sign, False)
-        # pinned opening piece on a phi1 component
-        for (top, bottom), comps in m.phi1.items():
-            if top != sorbit:
-                continue
-            top_info, bottom_info = _phi_sides(m, (top, bottom))
-            for comp in comps:
-                for pre in component_preimages(
-                    comp, "plus", p_src, top_info, bottom_info
-                ):
-                    if bottom == torbit:
-                        if tflavor == "check":
-                            total += pre.sign
-                        # a doubly pinned single phi piece would need
-                        # two-dimensional phi data, which is not modelled
-                        continue
-                    eps = (
-                        -1
-                        if frac_mod1(pre.residual - m.target.basepoint(bottom)) == 0
-                        else 0
-                    )
-                    extend("tgt", bottom, (pre.residual, eps),
-                           {sorbit}, {bottom}, pre.sign, True)
-    return total
-
-
-def _phi_sides(m: MorphismData, pair: Pair):
-    top, bottom = pair
-    return (
-        (m.source.orbit(top), m.source.basepoint(top)),
-        (m.target.orbit(bottom), m.target.basepoint(bottom)),
-    )
 
 
 # ---------------------------------------------------------------------------

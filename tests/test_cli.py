@@ -12,7 +12,7 @@ from cascadeho.autonomous import (
 )
 from cascadeho.cli import main
 from cascadeho.errors import SquareNonzero
-from cascadeho.mbs import Orbit
+from cascadeho.mbs import Orbit, assign_basepoints, validate_system
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
 
 
@@ -169,3 +169,66 @@ def test_egh_square_nonzero_exit_code(tmp_path, capsys):
     assert main(["egh", str(path)]) == 2
     assert main(["nch", str(path)]) == 2
     assert "d^2 != 0" in capsys.readouterr().err
+
+
+# --- malformed labels and basepoints are reported, not raised ----------------
+
+
+def write_edited(tmp_path, name, edit):
+    """Write fixture ``name`` after ``edit`` changed its JSON payload."""
+    doc = json.loads(serialize.dumps(fixture(name).payload))
+    edit(doc["payload"])
+    path = tmp_path / f"{name}-edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def first_interval(table):
+    return next(c for entry in table for c in entry["components"]
+                if c["kind"] == "interval")
+
+
+def validate_report(path, capsys):
+    assert main(["validate", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    return {(v["code"], v["location"]) for v in report["violations"]}
+
+
+@pytest.mark.parametrize("name,table,changes,expect", [
+    # t = 0 is a breakpoint of the phi1 component the label names
+    ("morphism-interval", "phi1", {"t": "0"},
+     ("label-nonregular", "phi1('A', 'B')[0].end0")),
+    # a "side" key makes the label of a system interval load as a PhiLabel
+    ("one-interval", "m1", {"side": "top", "d_phi": 1},
+     ("bad-label", "m1('alpha', 'beta')[0].end0")),
+    ("one-interval", "m1", {"t": "2"},
+     ("label-nonregular", "m1('alpha', 'beta')[0].end0")),
+    ("one-interval", "m1", {"point_index": -1},
+     ("missing-broken-pair", "m1('alpha', 'beta')[0].end0")),
+])
+def test_malformed_label_is_reported(tmp_path, capsys, name, table, changes, expect):
+    def edit(payload):
+        first_interval(payload[table])["labels"]["0"].update(changes)
+    path = write_edited(tmp_path, name, edit)
+    assert validate_report(path, capsys) == {expect}
+
+
+def test_phi_basepoint_nonregular(tmp_path, capsys):
+    # cphi1's e- lift starts at 2/9 on the target orbit B
+    def edit(payload):
+        payload["target"]["basepoints"]["B"] = "2/9"
+    path = write_edited(tmp_path, "morphism-interval", edit)
+    assert validate_report(path, capsys) == {
+        ("basepoint-nonregular", "phi1('G', 'B')[0]")
+    }
+
+
+def test_nch_basepoints_repairs_collision(tmp_path, capsys):
+    mutation = next(m for m in all_mutations()
+                    if m.fixture == "one-circle" and m.cls == "basepoint-collision")
+    for seed in (None, 3):
+        assert validate_system(assign_basepoints(mutation.payload, seed)) == []
+    path = tmp_path / "collision.json"
+    path.write_text(serialize.dumps(mutation.payload))
+    assert main(["nch", str(path), "--basepoints", "3"]) == 0

@@ -51,6 +51,21 @@ def test_cyclic_order_basic():
     assert not cyclically_ordered(F(0), F(1, 2), F(1, 4))
     # wrap around the basepoint
     assert cyclically_ordered(F(3, 4), F(7, 8), F(1, 8))
+    p, q = F(1, 3), F(1, 2)
+    # a point nudged off the basepoint sits just after (+1) or before (-1) it
+    assert cyclically_ordered(p, p, q, 1, 0)
+    assert not cyclically_ordered(p, p, q, -1, 0)
+    assert cyclically_ordered(p + 2, q, p, 0, -1)
+    assert not cyclically_ordered(p, p, p, -1, 1)
+    # nudges order two copies of one nominal point
+    assert cyclically_ordered(p, q, q, -1, 0)
+    assert cyclically_ordered(p, q - 1, q, 0, 1)
+    assert not cyclically_ordered(p, q, q, 1, -1)
+    # without distinct nudges coincident points stay an error
+    for args in ((p, q, q, 1, 1), (p, p, q, 0, 0), (p, q, p + 1, 0, 0),
+                 (p, p, p, 1, 1)):
+        with pytest.raises(NonDistinct):
+            cyclically_ordered(*args)
 
 
 def test_transport_sign():
