@@ -209,7 +209,10 @@ def egh_differential(data: AutonomousData) -> Tuple[List[str], Dict[Pair, int]]:
 
 def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
     """Ranks of the cylindrical homology over Q, per (class, grading)."""
-    order, entries = egh_differential(data)
+    return _egh_ranks(data, *egh_differential(data))
+
+
+def _egh_ranks(data: AutonomousData, order, entries):
     return homology(_egh_complex(data, order, entries)).rationalize()
 
 
@@ -261,8 +264,7 @@ def _generator_list(data: AutonomousData, truncation: Optional[int]):
     return gens
 
 
-def _assemble(data, truncation):
-    raw = block_entries(data)
+def _assemble(data, raw, truncation):
     gens = _generator_list(data, truncation)
     index = {key: i for i, (key, _g, _o) in enumerate(gens)}
     entries: Dict[Tuple[int, int], int] = {}
@@ -300,8 +302,9 @@ def _assemble(data, truncation):
 def block_differential(data: AutonomousData) -> ChainComplex:
     """Nonequivariant complex (check/hat generators, integral)."""
     _require_valid(data)
-    complex_ = _assemble(data, None)
-    _check_block_identities(data)
+    raw = block_entries(data)
+    complex_ = _assemble(data, raw, None)
+    _check_block_identities(data, raw)
     verify_square_zero(complex_)
     return complex_
 
@@ -318,26 +321,37 @@ def bv_operator(data: AutonomousData) -> IntMatrix:
     return IntMatrix(n, n, entries)
 
 
-def _check_block_identities(data: AutonomousData):
-    """kappa . check-block + hat-block . kappa = 0 and d+ . kappa = 0."""
-    raw = block_entries(data)
+def _check_block_identities(data: AutonomousData, raw):
+    """kappa . check-block + hat-block . kappa = 0 and d+ . kappa = 0.
+
+    ``raw`` is ``block_entries(data)``; only its nonzero entries can break an
+    identity.  Of several failures, the first in ``data.orbits`` order is
+    reported: pair (a, b) in row-major order (the kappa identity before the
+    off-diagonal d+ test), then the diagonal of a after its pairs.
+    """
     kappa = {
         oid: (orbit.d if orbit.good else 0) for oid, orbit in data.orbits.items()
     }
-    for a in data.orbits:
-        for b in data.orbits:
+    position = {oid: k for k, oid in enumerate(data.orbits)}
+    failures = []
+    for (sf, a), (tf, b) in raw:
+        if sf == tf:
             cc = raw.get((("check", a), ("check", b)), 0)
             hh = raw.get((("hat", a), ("hat", b)), 0)
             if kappa[b] * cc + hh * kappa[a]:
-                raise CascadehoError(
-                    f"kappa-block identity fails on ({a}, {b}): "
-                    f"{kappa[b]}*{cc} + {hh}*{kappa[a]} != 0"
+                failures.append(
+                    ((position[a], 0, position[b], 0),
+                     f"kappa-block identity fails on ({a}, {b}): "
+                     f"{kappa[b]}*{cc} + {hh}*{kappa[a]} != 0")
                 )
-            dplus = raw.get((("hat", a), ("check", b)), 0)
-            if a != b and dplus:
-                raise CascadehoError(f"d+ has an off-diagonal entry ({a}, {b})")
-        if kappa[a] and raw.get((("hat", a), ("check", a)), 0):
-            raise CascadehoError(f"d+ . kappa != 0 at {a}")
+        elif (sf, tf) == ("hat", "check"):
+            if a != b:
+                failures.append(((position[a], 0, position[b], 1),
+                                 f"d+ has an off-diagonal entry ({a}, {b})"))
+            elif kappa[a]:
+                failures.append(((position[a], 1), f"d+ . kappa != 0 at {a}"))
+    if failures:
+        raise CascadehoError(min(failures)[1])
 
 
 def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
@@ -345,8 +359,9 @@ def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComp
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     _require_valid(data)
-    _check_block_identities(data)
-    complex_ = _assemble(data, truncation)
+    raw = block_entries(data)
+    _check_block_identities(data, raw)
+    complex_ = _assemble(data, raw, truncation)
     verify_square_zero(complex_)
     return complex_
 
@@ -359,7 +374,14 @@ def equivariant_homology(
     The stable range is verified by recomputing at truncation K - 1 and
     diffing both results below the smaller range.
     """
-    result = homology(equivariant_differential(data, truncation))
+    return _certified_homology(
+        data, equivariant_differential(data, truncation), truncation
+    )
+
+
+def _certified_homology(data: AutonomousData, complex_, truncation: int):
+    """``equivariant_homology`` of the already built truncation-K complex."""
+    result = homology(complex_)
     stable = 2 * truncation - 2
     if truncation >= 2:
         smaller = homology(equivariant_differential(data, truncation - 1))
@@ -451,7 +473,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iii) the quotient differential is the cylindrical one
-    _order, egh_entries = egh_differential(data)
+    egh_order, egh_entries = egh_differential(data)
     mismatches = []
     for a in good:
         for b in good:
@@ -470,11 +492,15 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
-    hom, stable = equivariant_homology(data, truncation)
+    hom, stable = _certified_homology(data, complex_, truncation)
     left = {
         k: v for k, v in hom.rationalize().items() if k[1] <= stable
     }
-    right = {k: v for k, v in egh_homology(data).items() if k[1] <= stable}
+    right = {
+        k: v
+        for k, v in _egh_ranks(data, egh_order, egh_entries).items()
+        if k[1] <= stable
+    }
     steps.append(
         CompareStep(
             "rationalised equivariant homology equals cylindrical homology",

@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on arbitrary-precision ``int`` and ``fractions.Fraction``
-only; no floating point is used anywhere.  The centrepiece is a Smith normal
-form with unimodular transforms, used to compute homology of finitely
-generated chain complexes over Z including torsion.
+only; no floating point is used anywhere.  Homology of finitely generated
+chain complexes over Z, torsion included, comes from the ranks and invariant
+factors of the differential's blocks (``invariant_factors``, which builds no
+transforms), each rank cross-checked over F_p (``rank_mod``).  The Smith
+normal form with unimodular transforms is kept as public API.
 
 >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> u, s, v = smith_normal_form(m)
@@ -11,12 +13,15 @@ generated chain complexes over Z including torsion.
 [2, 4]
 >>> (u * m * v) == s
 True
+>>> invariant_factors(m), rank_mod(m, 2)
+([2, 4], 0)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .errors import CascadehoError, SquareNonzero
@@ -255,31 +260,112 @@ def smith_normal_form(m: IntMatrix):
 
 
 def invariant_factors(m: IntMatrix):
-    """Nonzero diagonal of the SNF of ``m``."""
-    _, s, _ = smith_normal_form(m)
-    return [d for d in s.diagonal() if d]
+    """Nonzero diagonal of the SNF of ``m``, computed without transforms.
+
+    Sparse elimination over Z on a dict per row.  The pivot is a nonzero
+    entry of least absolute value, so unit entries cancel first.  Row
+    operations clear the pivot's column; an entry the pivot does not divide
+    leaves a smaller remainder, which becomes the pivot.  Once the column is
+    clear, column operations touch the pivot row alone, so reducing that row
+    modulo the pivot either empties it (the pivot is a diagonal entry) or
+    leaves a smaller pivot.  The diagonal so collected is equivalent to
+    ``m`` and is brought into a divisibility chain by gcd/lcm.
+    """
+    rows = {}
+    cols = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    units = 0
+    others = []
+    while rows:
+        best = 0
+        for i, row in rows.items():
+            for j, v in row.items():
+                if not best or abs(v) < best:
+                    best, r, c = abs(v), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        while True:
+            prow = rows[r]
+            p = prow[c]
+            for i in [i for i in cols[c] if i != r]:
+                row = rows[i]
+                q = row[c] // p
+                for j, v in prow.items():
+                    new = row.get(j, 0) - q * v
+                    if new:
+                        if j not in row:
+                            cols[j].add(i)
+                        row[j] = new
+                    elif j in row:
+                        del row[j]
+                        cols[j].discard(i)
+                if not row:
+                    del rows[i]
+                elif c in row:
+                    r = i  # the remainder is a smaller pivot
+                    break
+            else:
+                rest = {j: v % p for j, v in prow.items() if j != c and v % p}
+                if not rest:
+                    break
+                prow.update(rest)
+                for j in [j for j in prow if j != c and j not in rest]:
+                    del prow[j]
+                    cols[j].discard(r)
+                c = min(rest, key=lambda j: abs(rest[j]))
+        for j in rows.pop(r):
+            cols[j].discard(r)
+        if abs(p) == 1:
+            units += 1
+        else:
+            others.append(abs(p))
+    # diag(a, b) is equivalent to diag(gcd, lcm)
+    others.sort()
+    if all(b % a == 0 for a, b in zip(others, others[1:])):
+        return [1] * units + others
+    for i in range(len(others)):
+        for j in range(i + 1, len(others)):
+            g = gcd(others[i], others[j])
+            if g != others[i]:
+                others[i], others[j] = g, others[i] // g * others[j]
+    return [1] * units + others
 
 
 def rational_rank(m: IntMatrix) -> int:
-    """Rank of ``m`` over Q by fraction-free-ish Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m.to_rows()]
-    rank = 0
-    col = 0
-    while rank < m.rows and col < m.cols:
-        piv = next((i for i in range(rank, m.rows) if a[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        for i in range(rank + 1, m.rows):
-            if a[i][col]:
-                f = a[i][col] / pr[col]
-                for j in range(col, m.cols):
-                    a[i][j] -= f * pr[j]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of ``m`` over Q: the number of its invariant factors."""
+    return len(invariant_factors(m))
+
+
+def rank_mod(m: IntMatrix, p: int) -> int:
+    """Rank of ``m`` over F_p, ``p`` prime, by sparse row echelon form.
+
+    It equals the number of invariant factors of ``m`` not divisible by p.
+    """
+    pivots = {}  # leading column -> row scaled to a leading 1
+    rows = {}
+    for (i, j), v in m.entries.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = v % p
+    for row in rows.values():
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in prow.items():
+                new = (row.get(j, 0) - f * v) % p
+                if new:
+                    row[j] = new
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -403,76 +489,66 @@ class HomologyResult:
         return lines
 
 
-def _block_homology(a: IntMatrix, b: IntMatrix):
-    """Homology at the middle of  upper --b--> middle --a--> lower.
+# An independent check on every reduction: the rank of a block over F_p must
+# equal the number of its invariant factors that p does not divide.
+CHECK_PRIME = 2**61 - 1
 
-    Returns (free_rank, torsion_tuple).  Assumes im b is contained in ker a,
-    i.e. d^2 = 0 was checked beforehand.
-    """
-    n = a.cols
-    _, s, _, vinv = smith_with_inverse(a)
-    diag = s.diagonal()
-    rank_a = sum(1 for d in diag if d)
-    kernel_cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    # express the columns of b in kernel coordinates
-    coords = vinv * b
-    for (i, _j), val in coords.entries.items():
-        if i < len(diag) and diag[i] and val:
-            raise ValueError("image not contained in kernel (d^2 != 0?)")
-    reindex = {row: k for k, row in enumerate(kernel_cols)}
-    m = IntMatrix(
-        len(kernel_cols),
-        b.cols,
-        {
-            (reindex[i], j): val
-            for (i, j), val in coords.entries.items()
-            if i in reindex
-        },
-    )
+
+def _reduce_block(m: IntMatrix):
+    """(rank, invariant factors > 1) of one differential block."""
     factors = invariant_factors(m)
-    free = len(kernel_cols) - len(factors)
-    # independent cross-check over Q
-    expected = n - rank_a - rational_rank(b)
-    if free != expected:
+    prime_to_p = sum(1 for f in factors if f % CHECK_PRIME)
+    rank_p = rank_mod(m, CHECK_PRIME)
+    if prime_to_p != rank_p:
         raise CascadehoError(
-            f"rank cross-check failed: SNF gives free rank {free}, "
-            f"rational ranks give {expected}"
+            f"rank cross-check failed: {prime_to_p} invariant factors prime to "
+            f"{CHECK_PRIME}, but rank mod {CHECK_PRIME} is {rank_p}"
         )
-    return free, tuple(f for f in factors if f > 1)
+    return len(factors), tuple(f for f in factors if f > 1)
 
 
 def homology(complex_: ChainComplex) -> HomologyResult:
-    """Integral homology of the complex, split by (class, grading)."""
+    """Integral homology of the complex, split by (class, grading).
+
+    H_k = Z^(n_k - rank d_k - rank d_(k+1)) + (invariant factors > 1 of
+    d_(k+1)): the torsion of ker d_k / im d_(k+1) is that of coker d_(k+1),
+    because C_k / ker d_k is free.  Each block d_k is reduced once.
+    """
     verify_square_zero(complex_)
     gens = complex_.generators
-    modulus = complex_.grading_modulus
+    degree_key = complex_.degree_key
     blocks = {}
-    for idx, g in enumerate(gens):
-        key = (g.homotopy_class, complex_.degree_key(g.grading))
-        blocks.setdefault(key, []).append(idx)
+    key_of = []
+    local = []
+    for g in gens:
+        key = (g.homotopy_class, degree_key(g.grading))
+        members = blocks.setdefault(key, [])
+        key_of.append(key)
+        local.append(len(members))
+        members.append(g)
 
-    d = complex_.differential
-    by_col = {}
-    for (i, j), v in d.entries.items():
-        by_col.setdefault(j, []).append((i, v))
+    # the block of d leaving each (class, grading), into the grading below
+    below = {key: (key[0], degree_key(key[1] - 1)) for key in blocks}
+    block_entries = {}
+    for (i, j), v in complex_.differential.entries.items():
+        if key_of[i] == below[key_of[j]]:
+            block_entries.setdefault(key_of[j], {})[(local[i], local[j])] = v
 
-    def block_matrix(row_key, col_key):
-        rows = blocks.get(row_key, [])
-        cols = blocks.get(col_key, [])
-        rmap = {idx: k for k, idx in enumerate(rows)}
-        entries = {}
-        for cj, idx in enumerate(cols):
-            for i, v in by_col.get(idx, ()):
-                if i in rmap:
-                    entries[(rmap[i], cj)] = v
-        return IntMatrix(len(rows), len(cols), entries)
+    reduced = {}
+
+    def out_of(key):
+        if key not in reduced:
+            entries = block_entries.get(key)
+            reduced[key] = (0, ()) if not entries else _reduce_block(
+                IntMatrix(len(blocks[below[key]]), len(blocks[key]), entries)
+            )
+        return reduced[key]
 
     groups = {}
     for key in sorted(blocks):
         cls, deg = key
-        a = block_matrix((cls, complex_.degree_key(deg - 1)), key)
-        b = block_matrix(key, (cls, complex_.degree_key(deg + 1)))
-        free, tors = _block_homology(a, b)
+        rank_in, tors = out_of((cls, degree_key(deg + 1)))
+        free = len(blocks[key]) - out_of(key)[0] - rank_in
         if free or tors:
             groups[key] = (free, tors)
-    return HomologyResult(groups, modulus)
+    return HomologyResult(groups, complex_.grading_modulus)

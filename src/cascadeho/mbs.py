@@ -344,6 +344,13 @@ def _moduli_dim_ok(sys, pair, dim, violations, where):
         )
     _check(
         violations,
+        a.homotopy_class == b.homotopy_class,
+        "class-axiom",
+        where,
+        f"homotopy class changes across {pair}",
+    )
+    _check(
+        violations,
         b.action < a.action,
         "action-axiom",
         where,

@@ -119,17 +119,15 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
             where = f"phi1{pair}[{ci}]"
             if comp.kind == "circle":
                 try:
-                    flips = 0
-                    for side, (orbit, _p) in (
-                        ("plus", top_info),
-                        ("minus", bottom_info),
-                    ):
-                        if not orbit.good:
-                            flips += comp.winding(side)
+                    windings = (comp.winding("plus"), comp.winding("minus"))
                 except ValueError:
                     check(False, "circle-not-closed", where,
                           "lift does not close up to an integer")
                     continue
+                flips = sum(
+                    w for w, (orbit, _p) in zip(windings, (top_info, bottom_info))
+                    if not orbit.good
+                )
                 check(flips % 2 == 0, "monodromy-parity", where,
                       "orientation not consistent around the circle")
                 check(not comp.boundary_labels, "circle-with-labels", where,

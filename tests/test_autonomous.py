@@ -1,9 +1,11 @@
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
 from cascadeho.autonomous import (
+    _check_block_identities,
     AutonomousData,
     CylinderRecord,
     block_differential,
@@ -172,6 +174,44 @@ def test_kappa_identities_hold_on_fixtures():
         bv = bv_operator(data)
         d = cx.differential
         assert bv * d + d * bv == IntMatrix.zero(d.rows, d.cols), name
+
+
+def dense_identity_failure(data, raw):
+    """First failing identity, scanning every (orbit, orbit) pair in order."""
+    kappa = {o: (x.d if x.good else 0) for o, x in data.orbits.items()}
+    for a in data.orbits:
+        for b in data.orbits:
+            cc = raw.get((("check", a), ("check", b)), 0)
+            hh = raw.get((("hat", a), ("hat", b)), 0)
+            if kappa[b] * cc + hh * kappa[a]:
+                return (f"kappa-block identity fails on ({a}, {b}): "
+                        f"{kappa[b]}*{cc} + {hh}*{kappa[a]} != 0")
+            if a != b and raw.get((("hat", a), ("check", b)), 0):
+                return f"d+ has an off-diagonal entry ({a}, {b})"
+        if kappa[a] and raw.get((("hat", a), ("check", a)), 0):
+            return f"d+ . kappa != 0 at {a}"
+    return None
+
+
+def test_block_identity_failure_is_the_first_in_orbit_order():
+    data = prequantization(1, 1, 2)
+    oids = list(data.orbits)
+    slots = [("check", "check"), ("hat", "hat"), ("hat", "check")]
+    rng = random.Random(5)
+    for _ in range(200):
+        raw = dict(block_entries(data))
+        for _ in range(rng.randint(1, 4)):
+            sf, tf = rng.choice(slots)
+            key = ((sf, rng.choice(oids)), (tf, rng.choice(oids)))
+            raw[key] = raw.get(key, 0) + rng.choice((1, -1, 2))
+        raw = {k: v for k, v in raw.items() if v}
+        expected = dense_identity_failure(data, raw)
+        if expected is None:
+            _check_block_identities(data, raw)
+            continue
+        with pytest.raises(CascadehoError) as err:
+            _check_block_identities(data, raw)
+        assert str(err.value) == expected
 
 
 def test_equivariant_truncation_zero_equals_block():

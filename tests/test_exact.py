@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadeho import exact
 from cascadeho.errors import CascadehoError, SquareNonzero
 from cascadeho.exact import (
     ChainComplex,
@@ -15,7 +16,7 @@ from cascadeho.exact import (
     IntMatrix,
     homology,
     invariant_factors,
-    rational_rank,
+    rank_mod,
     smith_normal_form,
     smith_with_inverse,
     verify_square_zero,
@@ -60,6 +61,28 @@ def oracle_invariant_factors(rows, nrows, ncols):
             break
         factors.append(divisors[i] // divisors[i - 1])
     return factors
+
+
+def rational_rank(m):
+    """Rank of ``m`` over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in row] for row in m.to_rows()]
+    rank = 0
+    col = 0
+    while rank < m.rows and col < m.cols:
+        piv = next((i for i in range(rank, m.rows) if a[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        for i in range(rank + 1, m.rows):
+            if a[i][col]:
+                f = a[i][col] / pr[col]
+                for j in range(col, m.cols):
+                    a[i][j] -= f * pr[j]
+        rank += 1
+        col += 1
+    return rank
 
 
 # --- IntMatrix basics -------------------------------------------------------
@@ -147,6 +170,9 @@ def test_rational_rank():
     m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert rational_rank(m) == 2
     assert rational_rank(IntMatrix.zero(3, 3)) == 0
+    # the package's rank over Q counts invariant factors
+    assert exact.rational_rank(m) == 2
+    assert exact.rational_rank(IntMatrix.zero(3, 3)) == 0
 
 
 # --- homology ---------------------------------------------------------------
@@ -197,14 +223,14 @@ def test_homology_two_step_with_odd_coefficient():
 
 
 def test_homology_rank_cross_check_raises(monkeypatch):
-    # the SNF result is checked against rational ranks with an explicit
-    # error, so the check survives python -O
+    # the invariant factors are checked against the rank mod p with an
+    # explicit error, so the check survives python -O
     c = cc(
         [("a", 1, "", 2, "A"), ("b", 0, "", 1, "B")],
         {("a", "b"): 2},
     )
     monkeypatch.setattr(
-        "cascadeho.exact.rational_rank", lambda m: rational_rank(m) + 1
+        "cascadeho.exact.rank_mod", lambda m, p: rank_mod(m, p) + 1
     )
     with pytest.raises(CascadehoError, match="rank cross-check"):
         homology(c)
@@ -333,3 +359,152 @@ def test_describe_and_restrict():
     h = HomologyResult({("", 0): (2, (2,)), ("", 5): (1, ())})
     assert h.describe() == ["0: Z^2 + Z/2", "5: Z"]
     assert h.restricted(3).groups == {("", 0): (2, (2,))}
+
+
+# --- the transform-free kernel ----------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**61 - 1])
+def test_rank_mod_counts_factors_prime_to_p(p):
+    rng = random.Random(p % 1000)
+    for _ in range(80):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        m = IntMatrix.from_rows(rows)
+        factors = check_snf(m)
+        assert invariant_factors(m) == factors
+        assert rank_mod(m, p) == sum(1 for f in factors if f % p)
+        if p > 3:
+            assert rank_mod(m, p) == rational_rank(m) == exact.rational_rank(m)
+    # every entry even: full rank over Q, rank 0 mod 2
+    m = IntMatrix.from_rows([[2, 4], [-6, 2]])
+    assert rank_mod(m, p) == (0 if p == 2 else 2)
+
+
+def test_invariant_factors_diagonal_chain():
+    # a diagonal input is brought into a divisibility chain by gcd/lcm
+    m = IntMatrix.from_rows([[6, 0, 0], [0, 4, 0], [0, 0, 9]])
+    assert invariant_factors(m) == [1, 6, 36]
+    assert invariant_factors(IntMatrix.zero(2, 3)) == []
+
+
+def random_complex(rng, modulus, coefficients, bound):
+    """A random complex with d^2 = 0 and entries in [-bound, bound].
+
+    It is a direct sum of pieces Z --c--> Z (c from ``coefficients``) and
+    single Z's, written in a random basis of each (class, degree): each
+    change of basis e_j -> e_j + s e_i conjugates d, so d^2 stays 0.
+    """
+    specs = []  # (grading, class)
+    diff = {}
+    for _ in range(rng.randint(2, 7)):
+        cls = rng.choice("uw")
+        k = rng.randint(0, 3)
+        if modulus:
+            k %= modulus
+        specs.append((k, cls))
+        if rng.random() < 0.7:
+            lower = (k - 1) % modulus if modulus else k - 1
+            specs.append((lower, cls))
+            diff[(len(specs) - 1, len(specs) - 2)] = rng.choice(coefficients)
+    rows = [[diff.get((i, j), 0) for j in range(len(specs))] for i in range(len(specs))]
+    n = len(specs)
+    for _ in range(6 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j or specs[i] != specs[j]:
+            continue
+        s = rng.choice((1, -1))
+        new = [row[:] for row in rows]
+        for row in new:
+            row[j] += s * row[i]
+        for col in range(n):
+            new[i][col] -= s * new[j][col]
+        if all(abs(x) <= bound for row in new for x in row):
+            rows = new
+    gens = tuple(
+        ChainGenerator(f"g{k}", grading, cls, Fraction(n - k), f"O{k}")
+        for k, (grading, cls) in enumerate(specs)
+    )
+    return ChainComplex(gens, IntMatrix.from_rows(rows), modulus)
+
+
+def sympy_homology(complex_):
+    """H per (class, grading) from sympy's rank and Smith normal form."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    blocks = {}
+    for idx, g in enumerate(complex_.generators):
+        blocks.setdefault((g.homotopy_class, g.grading), []).append(idx)
+    d = complex_.differential
+
+    def block(key):
+        cls, deg = key
+        below = complex_.degree_key(deg - 1)
+        rows, cols = blocks.get((cls, below), []), blocks.get(key, [])
+        if not rows or not cols:
+            return 0, ()
+        m = sympy.Matrix([[d.get(i, j) for j in cols] for i in rows])
+        diag = sympy_snf(m, domain=sympy.ZZ).diagonal()
+        tors = sorted(abs(int(x)) for x in diag if abs(int(x)) > 1)
+        return m.rank(), tuple(tors)
+
+    groups = {}
+    for key in sorted(blocks):
+        cls, deg = key
+        rank_in, tors = block((cls, complex_.degree_key(deg + 1)))
+        free = len(blocks[key]) - block(key)[0] - rank_in
+        if free or tors:
+            groups[key] = (free, tors)
+    return groups
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+@pytest.mark.parametrize(
+    "coefficients, bound", [((1, -1, 2, 3, -4), 4), ((2, -2), 2)]
+)
+def test_homology_matches_sympy_oracle(modulus, coefficients, bound):
+    rng = random.Random(17 + modulus + bound)
+    for _ in range(25):
+        c = random_complex(rng, modulus, coefficients, bound)
+        verify_square_zero(c)
+        assert all(abs(v) <= bound for v in c.differential.entries.values())
+        assert homology(c).groups == sympy_homology(c)
+
+
+def test_homology_builds_no_transforms(monkeypatch):
+    from cascadeho.autonomous import (
+        block_differential,
+        egh_homology,
+        equivariant_homology,
+    )
+    from cascadeho.cascades import nch_homology
+    from cascadeho.scenarios import fixture, fixture_names
+
+    def refuse(*_args):
+        raise AssertionError("homology built a transform")
+
+    monkeypatch.setattr("cascadeho.exact.smith_with_inverse", refuse)
+    monkeypatch.setattr("cascadeho.exact.smith_normal_form", refuse)
+    checked = 0
+    for name in fixture_names():
+        sc = fixture(name)
+        expected = sc.expected
+        if sc.kind == "mbs":
+            assert nch_homology(sc.payload).groups == expected["nch"]
+            checked += 1
+        elif sc.kind == "autonomous":
+            if "nch" in expected:
+                got = homology(block_differential(sc.payload)).groups
+                assert got == expected["nch"]
+                checked += 1
+            if "egh" in expected:
+                assert egh_homology(sc.payload) == expected["egh"]
+                checked += 1
+            if "chs1" in expected:
+                top = max(deg for _cls, deg in expected["chs1"])
+                result, stable = equivariant_homology(sc.payload, top // 2 + 1)
+                got = {k: v for k, v in result.groups.items() if k[1] <= stable}
+                assert got == expected["chs1"]
+                checked += 1
+    assert checked >= 8

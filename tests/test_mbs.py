@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeho.errors import NonDistinct, NonRegularValue
+from cascadeho.cascades import build_ncc
+from cascadeho.errors import NonDistinct, NonRegularValue, ValidationFailure
 from cascadeho.mbs import (
     MorseBottSystem,
     Orbit,
@@ -260,6 +261,31 @@ def test_validator_flags_open_circle():
     )
     codes = {v.code for v in validate_system(sys_)}
     assert "circle-not-closed" in codes
+
+
+@pytest.mark.parametrize("table", ["m0", "m1", "m2cc"])
+def test_validator_flags_class_change(table):
+    # every moduli piece must join orbits of one homotopy class; build_ncc
+    # keeps only same-class entries, so a cross-class piece would vanish
+    circle = PLComponent(
+        "circle",
+        1,
+        ((F(0), F(1, 5)), (F(1), F(6, 5))),
+        ((F(0), F(1, 3)), (F(1), F(4, 3))),
+    )
+    dim = {"m0": 0, "m1": 1, "m2cc": 2}[table]
+    pieces = {"m0": [SignedPoint(F(1, 5), F(2, 5), 1)], "m1": [circle], "m2cc": 1}
+    sys_ = MorseBottSystem(
+        orbits={
+            "a": Orbit("a", 1, dim % 2, True, F(2), "x", dim),
+            "b": Orbit("b", 1, 0, True, F(1), "y", 0),
+        },
+        **{table: {("a", "b"): pieces[table]}},
+    )
+    found = [(v.code, v.location) for v in validate_system(sys_)]
+    assert found == [("class-axiom", f"{table}('a', 'b')")]
+    with pytest.raises(ValidationFailure):
+        build_ncc(sys_)
 
 
 def test_assign_basepoints_is_generic_and_seeded():

@@ -123,6 +123,20 @@ def test_phi_label_mutations_rejected():
     assert "bad-label" in codes
 
 
+def test_open_phi_circle_over_good_orbits_rejected():
+    # G and B are good, so no winding enters the monodromy parity; the lift
+    # must still close up
+    m = fixture("morphism-interval").payload
+    comp = m.phi1[("G", "B")][0]
+    lift = comp.e_plus_lift
+    m.phi1[("G", "B")][0] = replace(
+        comp, e_plus_lift=lift[:-1] + ((F(1), lift[-1][1] + F(1, 3)),)
+    )
+    assert m.source.orbit("G").good and m.target.orbit("B").good
+    found = {(v.code, v.location) for v in validate_morphism(m)}
+    assert ("circle-not-closed", "phi1('G', 'B')[0]") in found
+
+
 def test_morphism_grading_gap_enforced():
     m = fixture("morphism-interval").payload
     # a phi1 family must connect equal gradings (index dim - 1)
