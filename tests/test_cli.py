@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cascadeho import serialize
+from cascadeho import mbs, serialize
 from cascadeho.autonomous import (
     AutonomousData,
     CylinderRecord,
@@ -232,3 +232,20 @@ def test_nch_basepoints_repairs_collision(tmp_path, capsys):
     path = tmp_path / "collision.json"
     path.write_text(serialize.dumps(mutation.payload))
     assert main(["nch", str(path), "--basepoints", "3"]) == 0
+
+
+def test_hostile_lift_is_rejected_from_its_crossing_bound(tmp_path, capsys,
+                                                         monkeypatch):
+    # one segment from 0 to 10^9 would cross every point 10^9 times
+    def edit(payload):
+        payload["m1"][0]["components"][0]["e_plus_lift"] = [["0", "0"],
+                                                            ["1", "1000000000"]]
+    path = write_edited(tmp_path, "one-circle", edit)
+
+    def no_query(*_args):
+        raise AssertionError("a preimage query ran on a rejected lift")
+    monkeypatch.setattr(mbs, "component_preimages", no_query)
+    for command in ("validate", "nch"):
+        assert main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert "e_plus lift may cross a point 1000000001 times" in err

@@ -12,8 +12,10 @@ from cascadeho.mbs import (
     Orbit,
     PLComponent,
     SignedPoint,
+    Preimage,
     assign_basepoints,
     component_orientation,
+    component_preimages,
     cyclically_ordered,
     frac_mod1,
     signed_preimages,
@@ -156,6 +158,105 @@ def test_signed_preimages_against_dense_oracle(name, sys_, pair, ci, comp):
                 assert abs(pre.t - mid) <= F(1, 1024)
                 assert pre.direction == direction
                 assert pre.sign == sign
+
+
+# --- exact Fraction oracle for component_preimages ---------------------------
+
+
+def _fraction_orientation(comp, t, top, bottom):
+    """The component orientation at t, by Fraction arithmetic."""
+    flips = 0
+    for side, (orbit, basepoint) in (("plus", top), ("minus", bottom)):
+        if orbit.good:
+            continue
+        v0, v1 = comp.lift(side)[0][1] - basepoint, comp.value(side, t) - basepoint
+        flips += v1.numerator // v1.denominator - v0.numerator // v0.denominator
+    return comp.sign_start * (-1) ** (flips % 2)
+
+
+def _fraction_preimages(comp, side, q, top, bottom):
+    """Preimages of q found by stepping through q + Z on Fractions: the
+    library's arithmetic before it moved to integers."""
+    q = frac_mod1(q)
+    other = "minus" if side == "plus" else "plus"
+    pts = comp.lift(side)
+    for t, v in pts:
+        if frac_mod1(v) == q:
+            raise NonRegularValue(
+                f"value {q} hit at breakpoint t={t} of a {comp.kind}"
+            )
+    out = []
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if v0 == v1:
+            continue
+        lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
+        n = (lo - q).numerator // (lo - q).denominator + 1
+        while q + n < hi:
+            tc = t0 + (t1 - t0) * (q + n - v0) / (v1 - v0)
+            direction = 1 if v1 > v0 else -1
+            sign = direction * _fraction_orientation(comp, tc, top, bottom)
+            out.append(
+                Preimage(tc, sign, direction, frac_mod1(comp.value(other, tc)))
+            )
+            n += 1
+    out.sort(key=lambda pre: pre.t)
+    return out
+
+
+@st.composite
+def _lifts(draw):
+    """A lift with 1-5 segments, each rising, falling or constant."""
+    inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=30)
+                          .filter(lambda t: 0 < t < 1), max_size=4, unique=True))
+    ts = [F(0)] + sorted(inner) + [F(1)]
+    values = [draw(rationals)]
+    for _ in ts[1:]:
+        kind = draw(st.sampled_from(("rise", "fall", "flat")))
+        step = draw(st.fractions(min_value=F(1, 20), max_value=4, max_denominator=20))
+        values.append(values[-1] + {"rise": step, "fall": -step, "flat": 0}[kind])
+    return tuple(zip(ts, values))
+
+
+_frames = st.tuples(st.booleans(), st.fractions(min_value=0, max_value=F(49, 50),
+                                                max_denominator=50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lifts(), _lifts(), st.sampled_from((1, -1)), _frames, _frames,
+       st.sampled_from(("plus", "minus")), st.data())
+def test_component_preimages_match_fraction_oracle(plus, minus, sign, top, bottom,
+                                                   side, data):
+    comp = PLComponent("interval", sign, plus, minus)
+    frames_ = tuple((Orbit(oid, 2, 0, good, F(1)), p)
+                    for oid, (good, p) in (("t", top), ("b", bottom)))
+    # arbitrary points, the pinned basepoints, and the lift's own values
+    q = data.draw(st.one_of(
+        rationals,
+        st.sampled_from((top[1], bottom[1])),
+        st.sampled_from([v + 1 for _t, v in comp.lift(side)]),
+    ))
+    try:
+        expected = _fraction_preimages(comp, side, q, *frames_)
+    except NonRegularValue as err:
+        with pytest.raises(NonRegularValue) as got:
+            component_preimages(comp, side, q, *frames_)
+        assert str(got.value) == str(err)
+        return
+    assert component_preimages(comp, side, q, *frames_) == expected
+
+
+def test_fraction_oracle_covers_bad_frames_and_pinned_queries():
+    # a lift that crosses both basepoints several times on bad orbits
+    plus = ((F(0), F(-7, 5)), (F(1, 3), F(9, 4)), (F(2, 3), F(9, 4)), (F(1), F(-1, 7)))
+    minus = ((F(0), F(1, 9)), (F(1, 2), F(-13, 6)), (F(1), F(16, 5)))
+    comp = PLComponent("interval", -1, plus, minus)
+    for good in (True, False):
+        top = (Orbit("t", 2, 0, good, F(1)), F(2, 11))
+        bottom = (Orbit("b", 2, 0, False, F(1)), F(5, 13))
+        for side, (_orbit, p) in (("plus", top), ("minus", bottom)):
+            got = component_preimages(comp, side, p, top, bottom)
+            assert got == _fraction_preimages(comp, side, p, top, bottom)
+            assert len(got) >= 3 and {pre.sign for pre in got} == {1, -1}
 
 
 def test_net_crossings_equal_winding_on_good_circles():

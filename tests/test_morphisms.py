@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from cascadeho import cascades, mbs
 from cascadeho.cascades import build_ncc
 from cascadeho.errors import ChainMapFailure, ValidationFailure
 from cascadeho.exact import IntMatrix
-from cascadeho.mbs import assign_basepoints
+from cascadeho.mbs import assign_basepoints, validate_system
 from cascadeho.morphisms import (
     MorphismData,
     PhiLabel,
@@ -179,3 +180,28 @@ def test_trivial_cobordism_source_complex_matches_build_ncc():
     assert [g.gid for g in cm.source_complex.generators] == [
         g.gid for g in direct.generators
     ]
+
+
+def test_each_graph_asks_each_pinned_query_once(monkeypatch):
+    sys_ = fixture("one-interval").payload
+    m = trivial_cobordism(sys_)
+    queries = []  # every mbs.component_preimages call
+    asked = []  # (graph, pair, component, side) per query a walk makes
+    query, signed = mbs.component_preimages, cascades.signed_preimages
+
+    def counted_query(*args):
+        queries.append(args)
+        return query(*args)
+
+    def counted_signed(graph, pair, comp, side, q):
+        asked.append((graph, pair, id(comp), side))
+        return signed(graph, pair, comp, side, q)
+
+    monkeypatch.setattr(mbs, "component_preimages", counted_query)
+    monkeypatch.setattr(cascades, "signed_preimages", counted_signed)
+    assert validate_system(sys_) == []
+    assert validate_morphism(m) == []
+    assert queries == []
+    build_ncc(sys_, validate=False)
+    induced_chain_map(m, validate=False)
+    assert len(set(asked)) == len(asked) == len(queries) > 0

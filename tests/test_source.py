@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import cascadeho
@@ -17,3 +18,15 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_benchmark_tracer_finds_every_function():
+    # bench/tracing.py wraps package functions by name; a renamed function
+    # would silently read 0 in its per-layer metric
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("cascadeho_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        pass
+    assert tracer.missing == []
