@@ -371,20 +371,31 @@ def equivariant_homology(
 ) -> Tuple[HomologyResult, int]:
     """Integral equivariant homology and its certified stable range 2K - 2.
 
-    The stable range is verified by recomputing at truncation K - 1 and
-    diffing both results below the smaller range.
+    The stable range is verified by restricting to the truncation K - 1
+    subcomplex and diffing both results below the smaller range.
     """
-    return _certified_homology(
-        data, equivariant_differential(data, truncation), truncation
+    return _certified_homology(equivariant_differential(data, truncation), truncation)
+
+
+def _lower_truncation(complex_: ChainComplex, truncation: int) -> ChainComplex:
+    """The truncation K - 1 complex inside the truncation-K one.
+
+    Each (orbit, flavor) holds K + 1 consecutive generators U^0..U^K, and
+    the differential never raises the U power, so dropping every U^K leaves
+    a subcomplex: ``equivariant_differential(data, K - 1)`` itself.
+    """
+    step = truncation + 1
+    return complex_.restrict(
+        [i for i in range(len(complex_.generators)) if i % step != truncation]
     )
 
 
-def _certified_homology(data: AutonomousData, complex_, truncation: int):
+def _certified_homology(complex_, truncation: int):
     """``equivariant_homology`` of the already built truncation-K complex."""
     result = homology(complex_)
     stable = 2 * truncation - 2
     if truncation >= 2:
-        smaller = homology(equivariant_differential(data, truncation - 1))
+        smaller = homology(_lower_truncation(complex_, truncation))
         cutoff = 2 * (truncation - 1) - 2
         if smaller.restricted(cutoff).groups != result.restricted(cutoff).groups:
             raise CascadehoError(
@@ -450,17 +461,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     stable = 2 * truncation - 2
 
     # (ii) that subcomplex is acyclic over Q in the stable range
-    kept = [i for i in range(len(gens)) if i not in idx_excluded]
-    remap = {old: new for new, old in enumerate(kept)}
-    sub_entries = {
-        (remap[i], remap[j]): val
-        for (i, j), val in complex_.differential.entries.items()
-        if i in remap and j in remap
-    }
-    sub = ChainComplex(
-        tuple(gens[i] for i in kept),
-        IntMatrix(len(kept), len(kept), sub_entries),
-    )
+    sub = complex_.restrict([i for i in range(len(gens)) if i not in idx_excluded])
     bad_degrees = {
         g for (_cls, g) in homology(sub).rationalize() if g <= stable
     }
@@ -492,7 +493,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
-    hom, stable = _certified_homology(data, complex_, truncation)
+    hom, stable = _certified_homology(complex_, truncation)
     left = {
         k: v for k, v in hom.rationalize().items() if k[1] <= stable
     }

@@ -293,10 +293,16 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
                 )
             )
 
+    # generators come in decreasing action, so ranking the distinct actions
+    # once turns "action drops" into an integer comparison
+    levels: Dict[Fraction, int] = {}
+    ranks = [levels.setdefault(g.action, len(levels)) for g in gens]
+    orbits = [g.orbit for g in gens]
+    classes = [g.homotopy_class for g in gens]
+
     def keep(i, j):
-        src, tgt = gens[j], gens[i]
-        return (tgt.orbit == src.orbit or tgt.action < src.action) and (
-            tgt.homotopy_class == src.homotopy_class
+        return (orbits[i] == orbits[j] or ranks[i] > ranks[j]) and (
+            classes[i] == classes[j]
         )
 
     rows = {cg: k for k, cg in enumerate(cgens)}
@@ -324,21 +330,7 @@ def nch_homology(
     """
     complex_ = build_ncc(sys)
     if action_bound is not None:
-        keep = [
-            k
-            for k, g in enumerate(complex_.generators)
-            if g.action < action_bound
-        ]
-        remap = {old: new for new, old in enumerate(keep)}
-        keep_set = set(keep)
-        entries = {
-            (remap[i], remap[j]): val
-            for (i, j), val in complex_.differential.entries.items()
-            if i in keep_set and j in keep_set
-        }
-        complex_ = ChainComplex(
-            tuple(complex_.generators[k] for k in keep),
-            IntMatrix(len(keep), len(keep), entries),
-            complex_.grading_modulus,
+        complex_ = complex_.restrict(
+            [k for k, g in enumerate(complex_.generators) if g.action < action_bound]
         )
     return homology(complex_)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .autonomous import (
@@ -149,7 +148,7 @@ def _cmd_nch(args):
     else:
         if args.basepoints is not None:
             obj = assign_basepoints(obj, args.basepoints)
-        bound = Fraction(args.action_bound) if args.action_bound else None
+        bound = serialize._frac(args.action_bound) if args.action_bound else None
         result = nch_homology(obj, action_bound=bound)
     if args.homotopy_class is not None:
         result = type(result)(
@@ -189,9 +188,15 @@ def _cmd_egh(args):
     return 0
 
 
+def _umax(args) -> int:
+    if args.umax < 1:
+        raise InputError(f"--umax must be >= 1, got {args.umax}")
+    return args.umax
+
+
 def _cmd_chs1(args):
     data = _load(args.file, ("autonomous",))
-    result, stable = equivariant_homology(data, args.umax)
+    result, stable = equivariant_homology(data, _umax(args))
     unstable = sorted(
         {k for k in result.groups if k[1] > stable}
     )
@@ -217,7 +222,7 @@ def _cmd_chs1(args):
 
 def _cmd_compare(args):
     data = _load(args.file, ("autonomous",))
-    report = compare_egh(data, args.umax)
+    report = compare_egh(data, _umax(args))
     _emit(
         args,
         report.describe(),

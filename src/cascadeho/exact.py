@@ -401,6 +401,21 @@ class ChainComplex:
     def degree_key(self, grading: int):
         return grading % self.grading_modulus if self.grading_modulus else grading
 
+    def restrict(self, kept) -> "ChainComplex":
+        """The generators at the increasing indices ``kept`` with the entries
+        among them: a subcomplex when d maps their span into itself."""
+        remap = {old: new for new, old in enumerate(kept)}
+        entries = {
+            (remap[i], remap[j]): val
+            for (i, j), val in self.differential.entries.items()
+            if i in remap and j in remap
+        }
+        return ChainComplex(
+            tuple(self.generators[k] for k in kept),
+            IntMatrix(len(kept), len(kept), entries),
+            self.grading_modulus,
+        )
+
     def check_structure(self):
         """Structural sanity: grading drop 1, class preserved, action drops.
 

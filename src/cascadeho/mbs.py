@@ -26,7 +26,17 @@ MAX_LIFT_CROSSINGS = 10**5
 
 def frac_mod1(x: Fraction) -> Fraction:
     """Representative of x in [0, 1)."""
-    return x - (x.numerator // x.denominator)
+    n, d = x.numerator, x.denominator
+    if 0 <= n < d:
+        return x
+    return Fraction(n % d, d)
+
+
+def circle_key(x: Fraction) -> Tuple[int, int]:
+    """x mod 1 as the integer pair (n mod d, d) of its reduced form n/d: two
+    rationals are one point of R/Z iff their keys are equal."""
+    d = x.denominator
+    return x.numerator % d, d
 
 
 def cyclically_ordered(
@@ -39,19 +49,27 @@ def cyclically_ordered(
     both 0 the points must be pairwise distinct.  A point nudged off p sits
     just before p (eps -1) or just after it (eps +1).
     """
-    def key(x, eps):
-        f = frac_mod1(x - p)
-        if f == 0 and eps:
-            return (Fraction(1), -1) if eps < 0 else (Fraction(0), 1)
-        return (f, eps)
-
-    ka, kb = key(a, eps_a), key(b, eps_b)
-    if ka == kb or ka == (0, 0) or kb == (0, 0):
+    # (a - p) mod 1 = an / ad and (b - p) mod 1 = bn / bd, compared by
+    # cross-multiplication; a point nudged off p moves to 1 (eps -1) or
+    # stays at 0 (eps +1), and the nudge breaks ties
+    pn, pd = p.numerator, p.denominator
+    ad = a.denominator * pd
+    an = (a.numerator * pd - pn * a.denominator) % ad
+    bd = b.denominator * pd
+    bn = (b.numerator * pd - pn * b.denominator) % bd
+    if an == 0 and eps_a < 0:
+        an = ad
+    if bn == 0 and eps_b < 0:
+        bn = bd
+    cross = an * bd - bn * ad
+    if (cross == 0 and eps_a == eps_b) or (an == 0 and not eps_a) or (
+        bn == 0 and not eps_b
+    ):
         raise NonDistinct(
             f"points not distinct: {frac_mod1(p)}, {frac_mod1(a)} (eps {eps_a}), "
             f"{frac_mod1(b)} (eps {eps_b})"
         )
-    return ka < kb
+    return cross < 0 or (cross == 0 and eps_a < eps_b)
 
 
 @dataclass(frozen=True)
@@ -141,9 +159,10 @@ class PLComponent:
             # times; bounding the sum bounds the work of every preimage query
             bound = 0
             for (t0, v0), (t1, v1) in zip(lift, lift[1:]):
-                if t1 <= t0:
+                if t1.numerator * t0.denominator <= t0.numerator * t1.denominator:
                     raise ValueError("lift parameters must strictly increase")
-                bound += abs(_index_of(v1, 0) - _index_of(v0, 0)) + 1
+                bound += abs(v1.numerator // v1.denominator
+                             - v0.numerator // v0.denominator) + 1
             if bound > MAX_LIFT_CROSSINGS:
                 raise ValueError(
                     f"e_{side} lift may cross a point {bound} times, "
@@ -165,10 +184,14 @@ class PLComponent:
 
     def winding(self, side: str) -> int:
         pts = self.lift(side)
-        delta = pts[-1][1] - pts[0][1]
-        if delta.denominator != 1:
+        start, end = pts[0][1], pts[-1][1]
+        # reduced fractions differ by an integer iff their denominators agree
+        # and their numerators differ by a multiple of it
+        den = start.denominator
+        delta, rest = divmod(end.numerator - start.numerator, den)
+        if end.denominator != den or rest:
             raise ValueError("lift does not close up to an integer")
-        return delta.numerator
+        return delta
 
     def slope_sign(self, side: str, t: Fraction) -> int:
         """Direction of the lift at an interior point of a segment."""
@@ -439,23 +462,24 @@ def _moduli_dim_ok(sys, pair, dim, violations, where):
 
 
 def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
-    """Per orbit, every point (mod 1) where a moduli evaluation lands on it:
-    m0 evaluations and m1 lift breakpoints.  A basepoint is generic iff it
-    avoids its orbit's set; a preimage query is non-regular only at a lift
-    breakpoint, so this also decides ``basepoint-nonregular``."""
+    """Per orbit, the ``circle_key`` of every point where a moduli evaluation
+    lands on it: m0 evaluations and m1 lift breakpoints.  A basepoint is
+    generic iff its key avoids its orbit's set; a preimage query is
+    non-regular only at a lift breakpoint, so this also decides
+    ``basepoint-nonregular``."""
     values: Dict[str, set] = {oid: set() for oid in sys.orbits}
     for (top, bottom), points in sys.m0.items():
         for pt in points:
             if top in values:
-                values[top].add(frac_mod1(pt.e_plus))
+                values[top].add(circle_key(pt.e_plus))
             if bottom in values:
-                values[bottom].add(frac_mod1(pt.e_minus))
+                values[bottom].add(circle_key(pt.e_minus))
     for (top, bottom), comps in sys.m1.items():
         for comp in comps:
             for side, oid in (("plus", top), ("minus", bottom)):
                 if oid in values:
                     for _t, val in comp.lift(side):
-                        values[oid].add(frac_mod1(val))
+                        values[oid].add(circle_key(val))
     return values
 
 
@@ -485,7 +509,7 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     values = evaluation_values(sys)
     for oid in sys.orbits:
         p = sys.basepoint(oid)
-        _check(v, p not in values[oid], "basepoint-collision", oid,
+        _check(v, circle_key(p) not in values[oid], "basepoint-collision", oid,
                f"basepoint {p} equals an evaluation value")
 
     # PL component well-formedness, monodromy, boundary structure
@@ -594,13 +618,13 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
     else:
         top_end, bottom_end = other.value("plus", t), point.e_minus
         fiber_point = point.e_plus
-    _check(v, frac_mod1(comp.value("plus", Fraction(end))) == frac_mod1(top_end),
+    _check(v, circle_key(comp.value("plus", Fraction(end))) == circle_key(top_end),
            "label-eval-mismatch", where,
            "top evaluation does not match broken limit")
-    _check(v, frac_mod1(comp.value("minus", Fraction(end))) == frac_mod1(bottom_end),
+    _check(v, circle_key(comp.value("minus", Fraction(end))) == circle_key(bottom_end),
            "label-eval-mismatch", where,
            "bottom evaluation does not match broken limit")
-    _check(v, frac_mod1(fiber_point) == frac_mod1(other.value(fiber, t)),
+    _check(v, circle_key(fiber_point) == circle_key(other.value(fiber, t)),
            "label-fiber-mismatch", where,
            "broken pair is not a fiber-product point")
 
@@ -639,7 +663,7 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
             else:
                 q = denominators[attempt % len(denominators)]
                 candidate = Fraction(rng.randrange(q), q)
-            if candidate not in values[oid]:
+            if circle_key(candidate) not in values[oid]:
                 new[oid] = candidate
                 break
         else:

@@ -9,6 +9,7 @@ document is byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -24,8 +25,22 @@ def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# an optional sign, ASCII digits, and an optional nonzero ASCII denominator
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def _frac(s) -> Fraction:
+    """The one rational parser of documents and options.
+
+    Plain rationals "p" and "p/q" are read with ``int``; anything else takes
+    ``Fraction(str(s))``.  Both accept the same strings with the same values
+    and errors.
+    """
     try:
+        plain = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
+        if plain is not None:
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad rational {s!r}: {err}") from None

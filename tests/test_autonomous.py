@@ -1,11 +1,15 @@
 import copy
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cascadeho import autonomous
 from cascadeho.autonomous import (
     _check_block_identities,
+    _lower_truncation,
     AutonomousData,
     CylinderRecord,
     block_differential,
@@ -22,7 +26,7 @@ from cascadeho.autonomous import (
 from cascadeho.errors import CascadehoError, SquareNonzero, ValidationFailure
 from cascadeho.exact import IntMatrix, homology
 from cascadeho.mbs import Orbit
-from cascadeho.scenarios import fixture, period_doubling, prequantization
+from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 
 
 F = Fraction
@@ -309,3 +313,40 @@ def test_validation_failure_propagates():
     data.orbits["y"] = Orbit("y", 1, 0, True, F(2), "", 1)  # parity break
     with pytest.raises(ValidationFailure):
         block_differential(data)
+
+
+def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
+    # the certification reads the truncation K - 1 complex off the K one;
+    # cases: every autonomous fixture and the seed-1 benchmark documents
+    cases = [
+        (name, fixture(name).payload, k)
+        for name in fixture_names()
+        if fixture(name).kind == "autonomous"
+        for k in (2, 3, 4)
+    ]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    docs = {r.doc.name: r.doc for r in workloads.build("autonomous", 1, str(tmp_path))}
+    cases += [(name, doc.obj, doc.umax) for name, doc in docs.items()]
+    assert len(docs) == 3
+    for name, data, k in cases:
+        restricted = _lower_truncation(equivariant_differential(data, k), k)
+        rebuilt = equivariant_differential(data, k - 1)
+        assert restricted.generators == rebuilt.generators, (name, k)
+        assert restricted.differential.entries == rebuilt.differential.entries, (name, k)
+        assert restricted.grading_modulus == rebuilt.grading_modulus
+
+
+def test_certification_builds_the_complex_once(monkeypatch):
+    calls = []
+    original = autonomous.equivariant_differential
+
+    def counting(data, truncation):
+        calls.append(truncation)
+        return original(data, truncation)
+
+    monkeypatch.setattr(autonomous, "equivariant_differential", counting)
+    data = fixture("preq-112").payload
+    equivariant_homology(data, 3)
+    compare_egh(data, 3)
+    assert calls == [3, 3]

@@ -249,3 +249,31 @@ def test_hostile_lift_is_rejected_from_its_crossing_bound(tmp_path, capsys,
         assert main([command, path]) == 3
         err = capsys.readouterr().err
         assert "e_plus lift may cross a point 1000000001 times" in err
+
+
+@pytest.mark.parametrize("name, option, value, message", [
+    ("one-interval", "--action-bound", "abc", "bad rational 'abc'"),
+    ("one-interval", "--action-bound", "1/0", "bad rational '1/0'"),
+    ("preq-112", "--umax", "0", "--umax must be >= 1, got 0"),
+    ("preq-112", "--umax", "-1", "--umax must be >= 1, got -1"),
+])
+def test_bad_numeric_option_is_a_usage_error(tmp_path, capsys, name, option,
+                                             value, message):
+    path = write_fixture(tmp_path, name)
+    commands = ["nch"] if option == "--action-bound" else ["chs1", "compare"]
+    for command in commands:
+        assert main([command, path, option, value]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_action_bound_parses_like_a_document_rational(tmp_path, capsys):
+    path = write_fixture(tmp_path, "one-interval")
+    reports = []
+    for bound in ("5/2", "+10/4", "2.5", " 5/2 ", "25e-1"):
+        assert main(["nch", path, "--action-bound", bound, "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert len(set(reports)) == 1
+    assert main(["nch", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out != reports[0]

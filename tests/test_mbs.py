@@ -14,9 +14,11 @@ from cascadeho.mbs import (
     SignedPoint,
     Preimage,
     assign_basepoints,
+    circle_key,
     component_orientation,
     component_preimages,
     cyclically_ordered,
+    evaluation_values,
     frac_mod1,
     signed_preimages,
     transport_sign,
@@ -69,6 +71,126 @@ def test_cyclic_order_basic():
                  (p, p, p, 1, 1)):
         with pytest.raises(NonDistinct):
             cyclically_ordered(*args)
+
+
+def _mod1(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _fraction_cyclically_ordered(p, a, b, eps_a=0, eps_b=0):
+    """The Fraction cyclic-order test that the integer one replaced, kept as
+    its oracle."""
+    def key(x, eps):
+        f = _mod1(x - p)
+        if f == 0 and eps:
+            return (F(1), -1) if eps < 0 else (F(0), 1)
+        return (f, eps)
+
+    ka, kb = key(a, eps_a), key(b, eps_b)
+    if ka == kb or ka == (0, 0) or kb == (0, 0):
+        raise NonDistinct(
+            f"points not distinct: {_mod1(p)}, {_mod1(a)} (eps {eps_a}), "
+            f"{_mod1(b)} (eps {eps_b})"
+        )
+    return ka < kb
+
+
+# few classes mod 1 and integer shifts, so coincident points are common
+_circle_points = st.builds(
+    lambda x, n: x + n,
+    st.one_of(st.sampled_from((F(0), F(1, 3), F(2, 3), F(1, 2), F(5, 7))),
+              rationals),
+    st.integers(-2, 2),
+)
+_nudges = st.sampled_from((-1, 0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_circle_points, _circle_points, _circle_points, _nudges, _nudges)
+def test_cyclic_order_matches_fraction_oracle(p, a, b, eps_a, eps_b):
+    try:
+        expected = _fraction_cyclically_ordered(p, a, b, eps_a, eps_b)
+    except NonDistinct as err:
+        with pytest.raises(NonDistinct) as got:
+            cyclically_ordered(p, a, b, eps_a, eps_b)
+        assert str(got.value) == str(err)
+        return
+    assert cyclically_ordered(p, a, b, eps_a, eps_b) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circle_points, _circle_points)
+def test_circle_arithmetic_matches_fraction_oracle(x, y):
+    assert frac_mod1(x) == _mod1(x) and type(frac_mod1(x)) is F
+    assert (circle_key(x) == circle_key(y)) == (_mod1(x) == _mod1(y))
+    comp = PLComponent("circle", 1, ((F(0), x), (F(1), y)), ((F(0), x), (F(1), x + 1)))
+    if (y - x).denominator == 1:
+        assert comp.winding("plus") == y - x
+    else:
+        with pytest.raises(ValueError):
+            comp.winding("plus")
+
+
+def test_circle_keys_build_no_fractions(monkeypatch):
+    # evaluation values, the basepoint-collision test and the cyclic order
+    # are decided in integers
+    sys_ = MorseBottSystem(
+        orbits={
+            "a": Orbit("a", 1, 0, True, F(2), "", 0),
+            "b": Orbit("b", 1, 0, True, F(1), "", 0),
+        },
+        basepoints={"a": F(1, 3), "b": F(1, 7)},
+        m0={("a", "b"): [SignedPoint(F(4, 3), F(2, 5), 1)]},
+    )
+    systems = [fixture(name).payload for name in fixture_names()
+               if fixture(name).kind == "mbs"]
+    orders = ((F(0), F(1, 4), F(1, 2), 0, 0), (F(3, 4), F(-1, 8), F(9, 8), 0, 0),
+              (F(1, 3), F(1, 3), F(1, 2), 1, 0), (F(1, 3), F(4, 3), F(1, 2), -1, 0),
+              (F(1, 2), F(1, 5), F(6, 5), -1, 1))
+    built = []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    for other in systems:
+        evaluation_values(other)
+    violations = validate_system(sys_)
+    answers = [cyclically_ordered(*args) for args in orders]
+    monkeypatch.undo()
+    assert built == []
+    assert [(v.code, v.location) for v in violations] == [("basepoint-collision", "a")]
+    assert answers == [True, True, True, False, True]
+
+
+@pytest.mark.parametrize("basepoint, e_plus, breakpoint", [
+    (F(1, 3), F(4, 3), F(1, 5)),    # an m0 evaluation one turn above
+    (F(1, 3), F(2, 5), F(-2, 3)),   # a lift breakpoint one turn below
+    (F(-2, 3), F(1, 3), F(1, 5)),   # a basepoint given off [0, 1)
+])
+def test_basepoint_collision_is_decided_mod_1(basepoint, e_plus, breakpoint):
+    circle = PLComponent(
+        "circle",
+        1,
+        ((F(0), F(1, 5)), (F(1, 2), breakpoint), (F(1), F(6, 5))),
+        ((F(0), F(1, 9)), (F(1), F(10, 9))),
+    )
+    sys_ = MorseBottSystem(
+        orbits={
+            "a": Orbit("a", 1, 0, True, F(3), "", 2),
+            "m": Orbit("m", 1, 1, True, F(2), "", 1),
+            "b": Orbit("b", 1, 0, True, F(1), "", 2),
+        },
+        basepoints={"a": basepoint, "m": F(1, 2), "b": F(0)},
+        m0={("a", "b"): [SignedPoint(e_plus, F(2, 7), 1)]},
+        m1={("a", "m"): [circle]},
+    )
+    found = [(v.code, v.location) for v in validate_system(sys_)]
+    assert ("basepoint-collision", "a") in found
+    moved = assign_basepoints(sys_, seed=1)
+    assert validate_system(moved) == []
 
 
 def test_transport_sign():
