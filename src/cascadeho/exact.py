@@ -4,8 +4,9 @@ Everything here runs on arbitrary-precision ``int`` and ``fractions.Fraction``
 only; no floating point is used anywhere.  Homology of finitely generated
 chain complexes over Z, torsion included, comes from the ranks and invariant
 factors of the differential's blocks (``invariant_factors``, which builds no
-transforms), each rank cross-checked over F_p (``rank_mod``).  The Smith
-normal form with unimodular transforms is kept as public API.
+transforms), each rank cross-checked over F_p (``rank_mod``).
+``smith_normal_form`` runs the same sparse elimination and gets its
+unimodular transforms by replaying the elimination's own operations.
 
 >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> u, s, v = smith_normal_form(m)
@@ -121,155 +122,27 @@ class IntMatrix:
 # Smith normal form
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
+def _eliminate(m: IntMatrix, ops=None):
+    """Sparse elimination over Z to at most one entry per row and column.
 
+    Works on a dict per row.  The pivot is a nonzero entry of least absolute
+    value, so unit entries cancel first.  Row operations clear the pivot's
+    column; an entry the pivot does not divide leaves a smaller remainder,
+    which becomes the pivot.  Once the column is clear, column operations
+    touch the pivot row alone, so reducing that row modulo the pivot either
+    empties it (the pivot is final) or leaves a smaller pivot.
 
-def _add_row(a, dst, src, mult):
-    """row[dst] += mult * row[src]"""
-    ad, asrc = a[dst], a[src]
-    for k in range(len(ad)):
-        ad[k] += mult * asrc[k]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a, dst, src, mult):
-    """col[dst] += mult * col[src]"""
-    for row in a:
-        row[dst] += mult * row[src]
-
-
-def _smith_dense(a, rows, cols):
-    """In-place SNF of the dense list-of-lists ``a``.
-
-    Returns (u, v, vinv) as dense matrices with u @ original @ v = a and
-    vinv = v^-1.  The pivot at each step is a minimal-|value| nonzero entry
-    of the remaining submatrix, which keeps intermediate coefficients small.
-    """
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def col_op(dst, src, mult):
-        # a.col[dst] += mult * a.col[src];  v tracks the same op,
-        # vinv tracks the inverse (a row op with -mult, transposed order).
-        _add_col(a, dst, src, mult)
-        _add_col(v, dst, src, mult)
-        _add_row(vinv, src, dst, -mult)
-
-    def col_swap(i, j):
-        _swap_cols(a, i, j)
-        _swap_cols(v, i, j)
-        _swap_rows(vinv, i, j)
-
-    def row_op(dst, src, mult):
-        _add_row(a, dst, src, mult)
-        _add_row(u, dst, src, mult)
-
-    def row_swap(i, j):
-        _swap_rows(a, i, j)
-        _swap_rows(u, i, j)
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # minimal-absolute-value pivot in the trailing submatrix
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                val = a[i][j]
-                if val and (piv is None or abs(val) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-
-        while True:
-            # clear column t below the pivot (Euclid on each pair)
-            for i in range(t + 1, rows):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)
-            # clear row t right of the pivot
-            for j in range(t + 1, cols):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-            if any(a[i][t] for i in range(t + 1, rows)):
-                continue
-            # pivot must divide the whole trailing submatrix, or the
-            # divisibility chain can fail; fold a violating row in and redo.
-            viol = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    for j in range(t + 1, cols)
-                    if a[i][j] % a[t][t]
-                ),
-                None,
-            )
-            if viol is None:
-                break
-            row_op(t, viol, 1)
-        t += 1
-
-    for i in range(limit):
-        if a[i][i] < 0:
-            _add_row(a, i, i, -2)  # negate row i
-            _add_row(u, i, i, -2)
-    return u, v, vinv
-
-
-def smith_with_inverse(m: IntMatrix):
-    """SNF plus the inverse of the right transform.
-
-    Returns (u, s, v, vinv) with u*m*v = s, u and v unimodular, s diagonal
-    with non-negative entries in a divisibility chain, and vinv = v^-1.
-    """
-    a = m.to_rows()
-    u, v, vinv = _smith_dense(a, m.rows, m.cols)
-    return (
-        IntMatrix.from_rows(u) if m.rows else IntMatrix.zero(0, 0),
-        IntMatrix.from_rows(a) if m.rows else IntMatrix.zero(0, m.cols),
-        IntMatrix.from_rows(v) if m.cols else IntMatrix.zero(0, 0),
-        IntMatrix.from_rows(vinv) if m.cols else IntMatrix.zero(0, 0),
-    )
-
-
-def smith_normal_form(m: IntMatrix):
-    """Return (u, s, v) with u*m*v = s in Smith normal form."""
-    u, s, v, _ = smith_with_inverse(m)
-    return u, s, v
-
-
-def invariant_factors(m: IntMatrix):
-    """Nonzero diagonal of the SNF of ``m``, computed without transforms.
-
-    Sparse elimination over Z on a dict per row.  The pivot is a nonzero
-    entry of least absolute value, so unit entries cancel first.  Row
-    operations clear the pivot's column; an entry the pivot does not divide
-    leaves a smaller remainder, which becomes the pivot.  Once the column is
-    clear, column operations touch the pivot row alone, so reducing that row
-    modulo the pivot either empties it (the pivot is a diagonal entry) or
-    leaves a smaller pivot.  The diagonal so collected is equivalent to
-    ``m`` and is brought into a divisibility chain by gcd/lcm.
+    Returns the pivots as (row, col, value).  When ``ops`` is a list, each
+    row operation row[dst] -= q * row[src] is appended to it as
+    ("row", dst, src, q) and each column operation col[dst] -= q * col[src]
+    as ("col", dst, src, q); applied to ``m`` they leave only the pivots.
     """
     rows = {}
     cols = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-    units = 0
-    others = []
+    pivots = []
     while rows:
         best = 0
         for i, row in rows.items():
@@ -286,6 +159,8 @@ def invariant_factors(m: IntMatrix):
             for i in [i for i in cols[c] if i != r]:
                 row = rows[i]
                 q = row[c] // p
+                if ops is not None:
+                    ops.append(("row", i, r, q))
                 for j, v in prow.items():
                     new = row.get(j, 0) - q * v
                     if new:
@@ -301,6 +176,10 @@ def invariant_factors(m: IntMatrix):
                     r = i  # the remainder is a smaller pivot
                     break
             else:
+                if ops is not None:
+                    ops.extend(
+                        ("col", j, c, v // p) for j, v in prow.items() if j != c
+                    )
                 rest = {j: v % p for j, v in prow.items() if j != c and v % p}
                 if not rest:
                     break
@@ -311,6 +190,95 @@ def invariant_factors(m: IntMatrix):
                 c = min(rest, key=lambda j: abs(rest[j]))
         for j in rows.pop(r):
             cols[j].discard(r)
+        pivots.append((r, c, p))
+    return pivots
+
+
+def _combine(a, s, b, t):
+    """The sparse row s * a + t * b."""
+    out = {k: s * a.get(k, 0) + t * b.get(k, 0) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+def smith_with_inverse(m: IntMatrix):
+    """SNF plus the inverse of the right transform.
+
+    Returns (u, s, v, vinv) with u*m*v = s, u and v unimodular, s diagonal
+    with non-negative entries in a divisibility chain, and vinv = v^-1.
+    The transforms replay the operations ``_eliminate`` records on identity
+    rows; the pivots are then moved onto the diagonal, least first, and
+    each pair diag(a, b) with b % a != 0 becomes diag(gcd, lcm).
+    """
+    ops = []
+    pivots = sorted(_eliminate(m, ops), key=lambda piv: abs(piv[2]))
+    u = [{i: 1} for i in range(m.rows)]
+    vt = [{j: 1} for j in range(m.cols)]  # the columns of v
+    vinv = [{j: 1} for j in range(m.cols)]
+    for kind, dst, src, q in ops:
+        if kind == "row":
+            u[dst] = _combine(u[dst], 1, u[src], -q)
+        else:
+            vt[dst] = _combine(vt[dst], 1, vt[src], -q)
+            # v^-1 gains the inverse operation from the left
+            vinv[src] = _combine(vinv[src], 1, vinv[dst], q)
+    prow = [r for r, _, _ in pivots]
+    pcol = [c for _, c, _ in pivots]
+    u = [u[r] for r in prow + sorted(set(range(m.rows)) - set(prow))]
+    pcol += sorted(set(range(m.cols)) - set(pcol))
+    vt, vinv = [vt[c] for c in pcol], [vinv[c] for c in pcol]
+    diag = [abs(p) for _, _, p in pivots]
+    for k, (_, _, p) in enumerate(pivots):
+        if p < 0:
+            u[k] = {j: -x for j, x in u[k].items()}
+
+    def mix(rows, i, j, a, b, c, d):
+        # rows i and j become [[a, b], [c, d]] times rows i and j
+        rows[i], rows[j] = (
+            _combine(rows[i], a, rows[j], b), _combine(rows[i], c, rows[j], d)
+        )
+
+    # with xa + yb = g, s = xa/g and t = yb/g: U = [[x, y], [-b/g, a/g]]
+    # and V = [[1, -t], [1, s]] take diag(a, b) to diag(g, ab/g), and
+    # V^-1 = [[s, t], [-1, 1]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = gcd(a, b)
+                x = pow(a // g, -1, b // g)
+                y = (g - x * a) // b
+                s, t = x * a // g, y * b // g
+                mix(u, i, j, x, y, -b // g, a // g)
+                mix(vt, i, j, 1, 1, -t, s)
+                mix(vinv, i, j, s, t, -1, 1)
+                diag[i], diag[j] = g, a // g * b
+
+    def matrix(rows, transpose=False):
+        return IntMatrix(len(rows), len(rows), {
+            (j, i) if transpose else (i, j): v
+            for i, row in enumerate(rows)
+            for j, v in row.items()
+        })
+
+    snf = IntMatrix(m.rows, m.cols, {(k, k): d for k, d in enumerate(diag)})
+    return matrix(u), snf, matrix(vt, transpose=True), matrix(vinv)
+
+
+def smith_normal_form(m: IntMatrix):
+    """Return (u, s, v) with u*m*v = s in Smith normal form."""
+    u, s, v, _ = smith_with_inverse(m)
+    return u, s, v
+
+
+def invariant_factors(m: IntMatrix):
+    """Nonzero diagonal of the SNF of ``m``, computed without transforms.
+
+    The pivots of ``_eliminate`` form a diagonal equivalent to ``m``, which
+    is brought into a divisibility chain by gcd/lcm.
+    """
+    units = 0
+    others = []
+    for _r, _c, p in _eliminate(m):
         if abs(p) == 1:
             units += 1
         else:

@@ -514,6 +514,8 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
 
     # PL component well-formedness, monodromy, boundary structure
     for pair, comps in sorted(sys.m1.items()):
+        if pair[0] not in sys.orbits or pair[1] not in sys.orbits:
+            continue  # reported as unknown-orbit
         for ci, comp in enumerate(comps):
             where = f"m1{pair}[{ci}]"
             if comp.kind == "circle":

@@ -46,6 +46,20 @@ def _frac(s) -> Fraction:
         raise InputError(f"bad rational {s!r}: {err}") from None
 
 
+def _object(data, key):
+    """``data[key]`` when it is a JSON object; {} when it is absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} must be an object, got {value!r}")
+    return value
+
+
+def _gen_key(data) -> Tuple[str, str]:
+    if not (isinstance(data, list) and len(data) == 2):
+        raise ValueError(f"{data!r} is not a [flavor, orbit] pair")
+    return tuple(data)
+
+
 def _lift_json(lift):
     return [[_frac_str(t), _frac_str(v)] for t, v in lift]
 
@@ -115,7 +129,7 @@ def _component_load(data) -> PLComponent:
         _lift_load(data["e_minus_lift"]),
         {
             int(end): _label_load(label)
-            for end, label in data.get("labels", {}).items()
+            for end, label in _object(data, "labels").items()
         },
     )
 
@@ -135,6 +149,9 @@ def _orbit_json(orbit: Orbit):
 
 
 def _orbit_load(data) -> Orbit:
+    grading = data.get("grading")
+    if not isinstance(grading, (int, type(None))):
+        raise TypeError(f"orbit grading must be an integer, got {grading!r}")
     return Orbit(
         data["id"],
         int(data["d"]),
@@ -142,7 +159,7 @@ def _orbit_load(data) -> Orbit:
         bool(data["good"]),
         _frac(data["action"]),
         data.get("class", ""),
-        data["grading"] if "grading" in data else None,
+        grading,
     )
 
 
@@ -191,7 +208,7 @@ def _mbs_load(payload) -> MorseBottSystem:
     return MorseBottSystem(
         orbits={o["id"]: _orbit_load(o) for o in payload["orbits"]},
         basepoints={
-            oid: _frac(p) for oid, p in payload.get("basepoints", {}).items()
+            oid: _frac(p) for oid, p in _object(payload, "basepoints").items()
         },
         m0={
             (e["top"], e["bottom"]): _points_load(e["points"])
@@ -238,7 +255,7 @@ def _autonomous_load(payload) -> AutonomousData:
             for e in payload.get("mj1", [])
         },
         extra={
-            (tuple(e["source"]), tuple(e["target"])): int(e["coefficient"])
+            (_gen_key(e["source"]), _gen_key(e["target"])): int(e["coefficient"])
             for e in payload.get("extra", [])
         },
     )

@@ -214,6 +214,16 @@ def test_malformed_label_is_reported(tmp_path, capsys, name, table, changes, exp
     assert validate_report(path, capsys) == {expect}
 
 
+def test_unknown_orbit_on_labelled_interval_is_reported(tmp_path, capsys):
+    # the labels would need frames of ("nope", "gamma"), which do not exist
+    def edit(payload):
+        payload["m1"][0]["top"] = "nope"
+    path = write_edited(tmp_path, "one-interval", edit)
+    assert validate_report(path, capsys) == {
+        ("unknown-orbit", "m1('nope', 'beta')")
+    }
+
+
 def test_phi_basepoint_nonregular(tmp_path, capsys):
     # cphi1's e- lift starts at 2/9 on the target orbit B
     def edit(payload):
@@ -277,3 +287,43 @@ def test_action_bound_parses_like_a_document_rational(tmp_path, capsys):
     assert len(set(reports)) == 1
     assert main(["nch", path, "--format", "json"]) == 0
     assert capsys.readouterr().out != reports[0]
+
+
+# --- malformed document shapes are usage errors, not tracebacks -------------
+
+
+def basepoints_as_list(payload):
+    system = payload.get("source", payload)
+    system["basepoints"] = list(system["basepoints"].values())
+
+
+def labels_as_list(payload):
+    comp = first_interval(payload["m1"])
+    comp["labels"] = list(comp["labels"].values())
+
+
+def source_not_a_pair(payload):
+    payload["extra"][0]["source"] = ["check", "p", "r"]
+
+
+def grading_as_string(payload):
+    payload["orbits"][0]["grading"] = str(payload["orbits"][0]["grading"])
+
+
+@pytest.mark.parametrize("name, edit, command", [
+    ("one-interval", basepoints_as_list, "nch"),
+    ("one-interval", labels_as_list, "nch"),
+    ("morphism-interval", basepoints_as_list, "morphism"),
+    ("preq-112", source_not_a_pair, "egh"),
+    ("preq-112", grading_as_string, "chs1"),
+    ("one-interval", grading_as_string, "nch"),
+])
+def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command):
+    path = write_edited(tmp_path, name, edit)
+    argv = [command, path] + (["--umax", "2"] if command == "chs1" else [])
+    for extra in ([], ["--format", "json"]):
+        assert main(argv + extra) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+    assert main(["validate", path]) == 3

@@ -166,6 +166,29 @@ def test_snf_properties(rows):
     assert len(factors) == rational_rank(m)
 
 
+def test_snf_transforms_on_sparse_torsion_matrices():
+    # det_leibniz stops scaling near 6x6, so sympy's det is the unimodularity
+    # oracle for blocks up to 16x16
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    values = (1, -1, 2, -2, 3, 4, -6)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 16), rng.randint(1, 16)
+        density = rng.choice((0.1, 0.25, 0.5))
+        rows = [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        m = IntMatrix.from_rows(rows)
+        u, s, v, vinv = smith_with_inverse(m)
+        assert abs(sympy.Matrix(u.to_rows()).det()) == 1
+        assert abs(sympy.Matrix(v.to_rows()).det()) == 1
+        assert v * vinv == IntMatrix.identity(nc)
+        assert u * m * v == s
+        assert all(i == j for i, j in s.entries)
+        assert [d for d in s.diagonal() if d] == invariant_factors(m)
+
+
 def test_rational_rank():
     m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert rational_rank(m) == 2

@@ -1,6 +1,8 @@
 """Source-level checks on the package itself."""
 
 import ast
+import doctest
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -30,3 +32,18 @@ def test_benchmark_tracer_finds_every_function():
     with tracing.Tracer() as tracer:
         pass
     assert tracer.missing == []
+
+
+def test_docstring_examples_pass():
+    # the examples in module docstrings are documentation; keep them true
+    names = sorted(p.stem for p in Path(cascadeho.__file__).parent.glob("*.py"))
+    failed = attempted = 0
+    for name in names:
+        module = importlib.import_module(
+            "cascadeho" if name == "__init__" else f"cascadeho.{name}"
+        )
+        result = doctest.testmod(module)
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted > 0
