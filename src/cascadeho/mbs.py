@@ -11,7 +11,8 @@ sign past the basepoint flips it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -416,51 +417,6 @@ def _check(violations, ok, code, location, message):
     return ok
 
 
-def _moduli_dim_ok(sys, pair, dim, violations, where):
-    top, bottom = pair
-    vio_before = len(violations)
-    if top not in sys.orbits or bottom not in sys.orbits:
-        violations.append(Violation("unknown-orbit", where, f"pair {pair}"))
-        return False
-    a, b = sys.orbit(top), sys.orbit(bottom)
-    _check(
-        violations,
-        (a.parity - b.parity - dim) % 2 == 0,
-        "parity-axiom",
-        where,
-        f"CZ parity gap != {dim} mod 2 for {pair}",
-    )
-    if a.grading is not None and b.grading is not None:
-        gap = a.grading - b.grading
-        if sys.grading_modulus not in (0, "parity"):
-            gap %= sys.grading_modulus
-            dim_mod = dim % sys.grading_modulus
-        else:
-            dim_mod = dim
-        _check(
-            violations,
-            gap == dim_mod or sys.grading_modulus == "parity",
-            "grading-axiom",
-            where,
-            f"grading gap {gap} != moduli dimension {dim} for {pair}",
-        )
-    _check(
-        violations,
-        a.homotopy_class == b.homotopy_class,
-        "class-axiom",
-        where,
-        f"homotopy class changes across {pair}",
-    )
-    _check(
-        violations,
-        b.action < a.action,
-        "action-axiom",
-        where,
-        f"action does not decrease across {pair}",
-    )
-    return len(violations) == vio_before
-
-
 def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
     """Per orbit, the ``circle_key`` of every point where a moduli evaluation
     lands on it: m0 evaluations and m1 lift breakpoints.  A basepoint is
@@ -495,16 +451,6 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
             _check(v, (orbit.grading - orbit.parity) % 2 == 0,
                    "grading-parity", oid, "grading parity != CZ parity")
 
-    for pair, points in sorted(sys.m0.items()):
-        if points:
-            _moduli_dim_ok(sys, pair, 0, v, f"m0{pair}")
-    for pair, comps in sorted(sys.m1.items()):
-        if comps:
-            _moduli_dim_ok(sys, pair, 1, v, f"m1{pair}")
-    for pair, count in sorted(sys.m2cc.items()):
-        if count:
-            _moduli_dim_ok(sys, pair, 2, v, f"m2cc{pair}")
-
     # basepoint genericity
     values = evaluation_values(sys)
     for oid in sys.orbits:
@@ -512,48 +458,79 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
         _check(v, circle_key(p) not in values[oid], "basepoint-collision", oid,
                f"basepoint {p} equals an evaluation value")
 
-    # PL component well-formedness, monodromy, boundary structure
-    for pair, comps in sorted(sys.m1.items()):
-        if pair[0] not in sys.orbits or pair[1] not in sys.orbits:
-            continue  # reported as unknown-orbit
-        for ci, comp in enumerate(comps):
-            where = f"m1{pair}[{ci}]"
-            if comp.kind == "circle":
-                ok = True
-                try:
-                    wplus, wminus = comp.winding("plus"), comp.winding("minus")
-                except ValueError:
-                    _check(v, False, "circle-not-closed", where,
-                           "lift does not close up to an integer")
-                    ok = False
-                if ok:
-                    flips = 0
-                    for w, oid in ((wplus, pair[0]), (wminus, pair[1])):
-                        if oid in sys.orbits and not sys.orbit(oid).good:
-                            flips += w
-                    _check(v, flips % 2 == 0, "monodromy-parity", where,
-                           "orientation not consistent around the circle: "
-                           f"(-1)^(w+ bad+ + w- bad-) = -1")
-                _check(v, not comp.boundary_labels, "circle-with-labels",
-                       where, "circle components have no boundary")
-            else:
-                for end in (0, 1):
-                    if end not in comp.boundary_labels:
-                        _check(v, False, "unlabeled-end", where,
-                               f"interval end {end} has no broken-pair label")
-                        continue
-                    _validate_interval_end(sys, pair, comp, ci, end, v)
-
-    # basepoints must be regular values of all PL evaluation maps
-    for pair, comps in sorted(sys.m1.items()):
-        for ci, comp in enumerate(comps):
-            for side, oid in (("plus", pair[0]), ("minus", pair[1])):
-                if oid not in sys.orbits:
-                    continue
-                hit = breakpoint_hit(comp, side, sys.basepoint(oid))
-                _check(v, hit is None, "basepoint-nonregular",
-                       f"m1{pair}[{ci}]", hit)
+    validate_moduli(
+        v, sys, sys, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
+        shift=0, modulus=sys.grading_modulus, equal_action=(),
+        end_check=partial(_validate_interval_end, sys),
+    )
     return v
+
+
+def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
+                    end_check):
+    """Check moduli from orbits of ``upper`` down to orbits of ``lower``.
+
+    ``tables`` lists (name, dimension, moduli); a piece of dimension d has
+    index d - ``shift``, and its pair's grading gap must equal that index
+    mod ``modulus`` (0: exactly; "parity": no check).  Action must drop
+    strictly, except across pairs in ``equal_action``.  Each end of a
+    1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
+    """
+    for name, dim, moduli in tables:
+        index = dim - shift
+        for pair, pieces in sorted(moduli.items()):
+            if not pieces:
+                continue
+            where = f"{name}{pair}"
+            top, bottom = pair
+            if top not in upper.orbits or bottom not in lower.orbits:
+                v.append(Violation("unknown-orbit", where, f"pair {pair}"))
+                continue
+            a, b = upper.orbit(top), lower.orbit(bottom)
+            _check(v, (a.parity - b.parity - index) % 2 == 0, "parity-axiom",
+                   where, f"CZ parity gap != {index} mod 2 for {pair}")
+            if a.grading is not None and b.grading is not None and modulus != "parity":
+                gap = a.grading - b.grading
+                if modulus:
+                    gap %= modulus
+                _check(v, gap == (index % modulus if modulus else index),
+                       "grading-axiom", where,
+                       f"grading gap {gap} != moduli index {index} for {pair}")
+            _check(v, a.homotopy_class == b.homotopy_class, "class-axiom",
+                   where, f"homotopy class changes across {pair}")
+            _check(v, b.action <= a.action if pair in equal_action
+                   else b.action < a.action,
+                   "action-axiom", where, f"action does not decrease across {pair}")
+            if dim != 1:
+                continue
+            comp_frames = frames(upper, lower, pair)
+            for ci, comp in enumerate(pieces):
+                at = f"{where}[{ci}]"
+                if comp.kind == "circle":
+                    try:
+                        windings = (comp.winding("plus"), comp.winding("minus"))
+                    except ValueError:
+                        _check(v, False, "circle-not-closed", at,
+                               "lift does not close up to an integer")
+                    else:
+                        flips = sum(w for w, (orbit, _p) in zip(windings, comp_frames)
+                                    if not orbit.good)
+                        _check(v, flips % 2 == 0, "monodromy-parity", at,
+                               "orientation not consistent around the circle: "
+                               "(-1)^(w+ bad+ + w- bad-) = -1")
+                    _check(v, not comp.boundary_labels, "circle-with-labels", at,
+                           "circle components have no boundary")
+                else:
+                    for end in (0, 1):
+                        if end in comp.boundary_labels:
+                            end_check(pair, comp, ci, end, v)
+                        else:
+                            _check(v, False, "unlabeled-end", at,
+                                   f"interval end {end} has no broken-pair label")
+                # basepoints must be regular values of both evaluation maps
+                for side, (_orbit, p) in zip(("plus", "minus"), comp_frames):
+                    hit = breakpoint_hit(comp, side, p)
+                    _check(v, hit is None, "basepoint-nonregular", at, hit)
 
 
 def _validate_interval_end(sys, pair, comp, ci, end, v):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Set, Tuple
 
 from .errors import ChainMapFailure, ValidationFailure
@@ -29,13 +30,13 @@ from .mbs import (
     PLComponent,
     SignedPoint,
     Violation,
-    breakpoint_hit,
     check_broken_pair,
     frac_mod1,
     frames,
+    validate_moduli,
 )
-# not called here (validate_morphism asks breakpoint_hit); kept because
-# bench/test_bench.py::test_wrappers_are_removed checks this binding
+# not called here; kept because bench/test_bench.py::test_wrappers_are_removed
+# checks this binding
 from .mbs import component_preimages  # noqa: F401
 from .cascades import SRC, TGT, CascadeGenerator, CascadeGraph, build_ncc, sum_columns
 
@@ -83,69 +84,11 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
                           violation.message)
             )
 
-    def check(ok, code, where, msg):
-        if not ok:
-            v.append(Violation(code, where, msg))
-
-    def pair_axioms(pair, dim, where):
-        top, bottom = pair
-        if top not in m.source.orbits or bottom not in m.target.orbits:
-            check(False, "unknown-orbit", where, f"pair {pair}")
-            return False
-        a = m.source.orbit(top)
-        b = m.target.orbit(bottom)
-        check((a.parity - b.parity - (dim - 1)) % 2 == 0, "parity-axiom",
-              where, f"CZ parity gap != {dim} - 1 mod 2")
-        if a.grading is not None and b.grading is not None:
-            check(a.grading - b.grading + 1 == dim, "grading-axiom", where,
-                  f"grading gap + 1 != phi dimension {dim}")
-        check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
-              "cobordism moduli preserve the homotopy class")
-        ok_action = (
-            b.action <= a.action
-            if pair in m.allow_equal_action
-            else b.action < a.action
-        )
-        check(ok_action, "action-axiom", where, "action increases")
-        return True
-
-    for pair, points in sorted(m.phi0.items()):
-        if points:
-            pair_axioms(pair, 0, f"phi0{pair}")
-    for pair, comps in sorted(m.phi1.items()):
-        if not comps:
-            continue
-        if not pair_axioms(pair, 1, f"phi1{pair}"):
-            continue
-        top_info, bottom_info = frames(m.source, m.target, pair)
-        for ci, comp in enumerate(comps):
-            where = f"phi1{pair}[{ci}]"
-            if comp.kind == "circle":
-                try:
-                    windings = (comp.winding("plus"), comp.winding("minus"))
-                except ValueError:
-                    check(False, "circle-not-closed", where,
-                          "lift does not close up to an integer")
-                    continue
-                flips = sum(
-                    w for w, (orbit, _p) in zip(windings, (top_info, bottom_info))
-                    if not orbit.good
-                )
-                check(flips % 2 == 0, "monodromy-parity", where,
-                      "orientation not consistent around the circle")
-                check(not comp.boundary_labels, "circle-with-labels", where,
-                      "circle components have no boundary")
-            else:
-                for end in (0, 1):
-                    if end not in comp.boundary_labels:
-                        check(False, "unlabeled-end", where,
-                              f"interval end {end} has no broken-pair label")
-                        continue
-                    _validate_phi_end(m, pair, comp, ci, end, v)
-            # basepoints must be regular values of both evaluation maps
-            for side, (_orbit, p) in (("plus", top_info), ("minus", bottom_info)):
-                hit = breakpoint_hit(comp, side, p)
-                check(hit is None, "basepoint-nonregular", where, hit)
+    validate_moduli(
+        v, m.source, m.target, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)),
+        shift=1, modulus=0, equal_action=m.allow_equal_action,
+        end_check=partial(_validate_phi_end, m),
+    )
     return v
 
 

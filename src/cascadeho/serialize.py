@@ -54,6 +54,16 @@ def _object(data, key):
     return value
 
 
+def _typed(data, key, kind=int):
+    """``data[key]`` when it is a JSON value of exactly ``kind``: an integer
+    field refuses floats, numeric strings and booleans."""
+    value = data[key]
+    if type(value) is not kind:
+        what = "a boolean" if kind is bool else "an integer"
+        raise TypeError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _gen_key(data) -> Tuple[str, str]:
     if not (isinstance(data, list) and len(data) == 2):
         raise ValueError(f"{data!r} is not a [flavor, orbit] pair")
@@ -92,16 +102,16 @@ def _label_load(data):
         return PhiLabel(
             data["side"],
             data["orbit"],
-            int(data["d_phi"]),
-            int(data["point_index"]),
-            int(data["component_index"]),
+            _typed(data, "d_phi"),
+            _typed(data, "point_index"),
+            _typed(data, "component_index"),
             _frac(data["t"]),
         )
     return BoundaryLabel(
         data["orbit"],
-        int(data["d_plus"]),
-        int(data["point_index"]),
-        int(data["component_index"]),
+        _typed(data, "d_plus"),
+        _typed(data, "point_index"),
+        _typed(data, "component_index"),
         _frac(data["t"]),
     )
 
@@ -124,7 +134,7 @@ def _component_json(comp: PLComponent):
 def _component_load(data) -> PLComponent:
     return PLComponent(
         data["kind"],
-        int(data["sign_start"]),
+        _typed(data, "sign_start"),
         _lift_load(data["e_plus_lift"]),
         _lift_load(data["e_minus_lift"]),
         {
@@ -149,17 +159,14 @@ def _orbit_json(orbit: Orbit):
 
 
 def _orbit_load(data) -> Orbit:
-    grading = data.get("grading")
-    if not isinstance(grading, (int, type(None))):
-        raise TypeError(f"orbit grading must be an integer, got {grading!r}")
     return Orbit(
         data["id"],
-        int(data["d"]),
-        int(data["parity"]),
-        bool(data["good"]),
+        _typed(data, "d"),
+        _typed(data, "parity"),
+        _typed(data, "good", bool),
         _frac(data["action"]),
         data.get("class", ""),
-        grading,
+        None if data.get("grading") is None else _typed(data, "grading"),
     )
 
 
@@ -173,7 +180,7 @@ def _points_json(points):
 
 def _points_load(data):
     return [
-        SignedPoint(_frac(p["e_plus"]), _frac(p["e_minus"]), int(p["sign"]))
+        SignedPoint(_frac(p["e_plus"]), _frac(p["e_minus"]), _typed(p, "sign"))
         for p in data
     ]
 
@@ -203,8 +210,11 @@ def _mbs_payload(sys: MorseBottSystem) -> Dict:
 
 def _mbs_load(payload) -> MorseBottSystem:
     modulus = payload.get("grading_modulus", 0)
-    if modulus != "parity":
-        modulus = int(modulus)
+    if modulus != "parity" and not (
+        type(modulus) is int and modulus >= 0 and modulus % 2 == 0
+    ):
+        raise ValueError('grading modulus must be "parity", 0 or an even '
+                         f"integer >= 2, got {modulus!r}")
     return MorseBottSystem(
         orbits={o["id"]: _orbit_load(o) for o in payload["orbits"]},
         basepoints={
@@ -221,7 +231,7 @@ def _mbs_load(payload) -> MorseBottSystem:
             for e in payload.get("m1", [])
         },
         m2cc={
-            (e["top"], e["bottom"]): int(e["count"])
+            (e["top"], e["bottom"]): _typed(e, "count")
             for e in payload.get("m2cc", [])
         },
         grading_modulus=modulus,
@@ -249,13 +259,13 @@ def _autonomous_load(payload) -> AutonomousData:
         orbits={o["id"]: _orbit_load(o) for o in payload["orbits"]},
         mj1={
             (e["top"], e["bottom"]): [
-                CylinderRecord(int(c["epsilon"]), int(c["du"]))
+                CylinderRecord(_typed(c, "epsilon"), _typed(c, "du"))
                 for c in e["cylinders"]
             ]
             for e in payload.get("mj1", [])
         },
         extra={
-            (_gen_key(e["source"]), _gen_key(e["target"])): int(e["coefficient"])
+            (_gen_key(e["source"]), _gen_key(e["target"])): _typed(e, "coefficient")
             for e in payload.get("extra", [])
         },
     )

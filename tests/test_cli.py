@@ -310,6 +310,28 @@ def grading_as_string(payload):
     payload["orbits"][0]["grading"] = str(payload["orbits"][0]["grading"])
 
 
+def setting(*path, value):
+    """An edit that puts ``value`` at ``path`` inside the payload."""
+    def edit(payload):
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    edit.__name__ = ".".join(map(str, path)) + f"={value!r}"
+    return edit
+
+
+def label_setting(table, key, value):
+    def edit(payload):
+        first_interval(payload[table])["labels"]["0"][key] = value
+    edit.__name__ = f"{table}-label.{key}={value!r}"
+    return edit
+
+
+def m2cc_count(payload):
+    payload["m2cc"] = [{"top": "alpha", "bottom": "beta", "count": 1.0}]
+
+
 @pytest.mark.parametrize("name, edit, command", [
     ("one-interval", basepoints_as_list, "nch"),
     ("one-interval", labels_as_list, "nch"),
@@ -317,6 +339,33 @@ def grading_as_string(payload):
     ("preq-112", source_not_a_pair, "egh"),
     ("preq-112", grading_as_string, "chs1"),
     ("one-interval", grading_as_string, "nch"),
+    # integer fields take JSON integers only: no floats, strings or booleans
+    ("one-interval", setting("orbits", 0, "d", value=1.9), "nch"),
+    ("one-interval", setting("orbits", 0, "parity", value="0"), "nch"),
+    ("one-interval", setting("orbits", 0, "d", value=True), "nch"),
+    ("one-interval", setting("orbits", 0, "grading", value=True), "nch"),
+    ("one-interval", setting("m0", 0, "points", 0, "sign", value=1.5), "nch"),
+    ("one-interval", setting("m1", 0, "components", 0, "sign_start", value="-1"),
+     "nch"),
+    ("one-interval", label_setting("m1", "d_plus", 0.0), "nch"),
+    ("one-interval", label_setting("m1", "point_index", "0"), "nch"),
+    ("one-interval", label_setting("m1", "component_index", False), "nch"),
+    ("one-interval", m2cc_count, "nch"),
+    ("morphism-interval", label_setting("phi1", "d_phi", 1.0), "morphism"),
+    ("autonomous-chain", setting("mj1", 0, "cylinders", 0, "epsilon", value=1.0),
+     "egh"),
+    ("autonomous-chain", setting("mj1", 0, "cylinders", 0, "du", value="1"), "egh"),
+    ("preq-112", setting("extra", 0, "coefficient", value=2.5), "egh"),
+    # and "good" takes a JSON boolean only
+    ("one-interval", setting("orbits", 0, "good", value="false"), "nch"),
+    ("one-interval", setting("orbits", 0, "good", value=1), "nch"),
+    # a grading modulus is "parity", 0 or an even integer >= 2
+    ("one-interval", setting("grading_modulus", value=3), "nch"),
+    ("one-interval", setting("grading_modulus", value=-2), "nch"),
+    ("one-interval", setting("grading_modulus", value=1.5), "nch"),
+    ("one-interval", setting("grading_modulus", value="2"), "nch"),
+    ("morphism-interval", setting("target", "grading_modulus", value=3),
+     "morphism"),
 ])
 def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command):
     path = write_edited(tmp_path, name, edit)

@@ -136,6 +136,18 @@ def test_open_phi_circle_over_good_orbits_rejected():
     assert m.source.orbit("G").good and m.target.orbit("B").good
     found = {(v.code, v.location) for v in validate_morphism(m)}
     assert ("circle-not-closed", "phi1('G', 'B')[0]") in found
+    # an open circle still gets the remaining component checks, as in a system
+    labelled = replace(m.phi1[("G", "B")][0],
+                       boundary_labels=dict(m.phi1[("A", "B")][0].boundary_labels))
+    m.phi1[("G", "B")][0] = labelled
+    m.source.basepoints["G"] = labelled.e_plus_lift[0][1]
+    found = [(v.code, v.location) for v in validate_morphism(m)
+             if v.location == "phi1('G', 'B')[0]"]
+    assert found == [
+        ("circle-not-closed", "phi1('G', 'B')[0]"),
+        ("circle-with-labels", "phi1('G', 'B')[0]"),
+        ("basepoint-nonregular", "phi1('G', 'B')[0]"),
+    ]
 
 
 def test_morphism_grading_gap_enforced():

@@ -71,6 +71,18 @@ def test_period_doubling_sides():
     ] == 4
 
 
+def _violations(payload):
+    """The (code, location) sequence the payload's validator returns."""
+    if isinstance(payload, MorseBottSystem):
+        found = validate_system(payload)
+    elif isinstance(payload, AutonomousData):
+        found = validate_data(payload)
+    else:
+        assert isinstance(payload, MorphismData)
+        found = validate_morphism(payload)
+    return [(v.code, v.location) for v in found]
+
+
 def _is_rejected(mutation):
     payload = mutation.payload
     if mutation.expect == "square-nonzero":
@@ -79,14 +91,7 @@ def _is_rejected(mutation):
         except SquareNonzero:
             return True
         return False
-    if isinstance(payload, MorseBottSystem):
-        codes = {v.code for v in validate_system(payload)}
-    elif isinstance(payload, AutonomousData):
-        codes = {v.code for v in validate_data(payload)}
-    else:
-        assert isinstance(payload, MorphismData)
-        codes = {v.code for v in validate_morphism(payload)}
-    return mutation.expect in codes
+    return mutation.expect in {code for code, _ in _violations(payload)}
 
 
 def test_every_mutation_is_rejected():
@@ -94,6 +99,98 @@ def test_every_mutation_is_rejected():
     assert corpus
     for mutation in corpus:
         assert _is_rejected(mutation), (mutation.fixture, mutation.cls)
+
+
+# every violation of every mutation, in order: a validator refactor must
+# neither drop, add nor reorder one
+VIOLATION_SEQUENCES = {
+    ("autonomous-chain", "parity-break"): [("grading-parity", "v")],
+    ("autonomous-chain", "extra-slot"): [("extra-slot", "extra(hat:w -> hat:y)")],
+    ("autonomous-chain", "du-nondivisor"): [("du-divisibility", "mj1(w,y)")],
+    ("autonomous-chain", "square-break"): [],
+    ("autonomous-chain", "action-break"): [("action-axiom", "mj1(w,y)")],
+    ("bad-circle", "parity-break"): [
+        ("grading-parity", "b"),
+        ("parity-axiom", "m1('B', 'b')"),
+    ],
+    ("bad-circle", "action-break"): [("action-axiom", "m1('B', 'b')")],
+    ("bad-circle", "basepoint-collision"): [
+        ("basepoint-collision", "B"),
+        ("basepoint-nonregular", "m1('B', 'b')[0]"),
+    ],
+    ("bad-circle", "odd-winding-bad-circle"): [
+        ("monodromy-parity", "m1('B', 'b')[0]"),
+    ],
+    ("morphism-interval", "label-sign-flip"): [
+        ("label-sign-mismatch", "phi1('A', 'B')[0].end1"),
+    ],
+    ("morphism-interval", "label-eval-mismatch"): [
+        ("label-eval-mismatch", "phi1('A', 'B')[0].end0"),
+    ],
+    ("morphism-interval", "missing-broken-pair"): [
+        ("missing-broken-pair", "phi1('A', 'B')[0].end1"),
+    ],
+    ("morphism-interval", "action-break"): [
+        ("action-axiom", "target:m0('Bp', 'B')"),
+        ("action-axiom", "phi1('A', 'B')"),
+        ("action-axiom", "phi1('G', 'B')"),
+    ],
+    ("morphism-interval", "parity-break"): [
+        ("grading-parity", "target:B"),
+        ("parity-axiom", "target:m0('Bp', 'B')"),
+        ("parity-axiom", "phi1('A', 'B')"),
+        ("parity-axiom", "phi1('G', 'B')"),
+    ],
+    ("one-bad-orbit", "parity-break"): [("grading-parity", "X")],
+    ("one-circle", "parity-break"): [
+        ("grading-parity", "b"),
+        ("parity-axiom", "m1('g', 'b')"),
+    ],
+    ("one-circle", "action-break"): [("action-axiom", "m1('g', 'b')")],
+    ("one-circle", "basepoint-collision"): [
+        ("basepoint-collision", "g"),
+        ("basepoint-nonregular", "m1('g', 'b')[0]"),
+    ],
+    ("one-interval", "parity-break"): [
+        ("grading-parity", "beta"),
+        ("parity-axiom", "m0('gammap', 'beta')"),
+        ("parity-axiom", "m1('alpha', 'beta')"),
+        ("parity-axiom", "m1('gamma', 'beta')"),
+    ],
+    ("one-interval", "action-break"): [
+        ("action-axiom", "m0('gammap', 'beta')"),
+        ("action-axiom", "m1('alpha', 'beta')"),
+        ("action-axiom", "m1('gamma', 'beta')"),
+    ],
+    ("one-interval", "basepoint-collision"): [
+        ("basepoint-collision", "alpha"),
+        ("basepoint-nonregular", "m1('alpha', 'beta')[0]"),
+    ],
+    ("one-interval", "label-sign-flip"): [
+        ("label-sign-mismatch", "m1('alpha', 'beta')[0].end0"),
+    ],
+    ("one-interval", "label-eval-mismatch"): [
+        ("label-eval-mismatch", "m1('alpha', 'beta')[0].end0"),
+    ],
+    ("one-interval", "missing-broken-pair"): [
+        ("missing-broken-pair", "m1('alpha', 'beta')[0].end0"),
+    ],
+    ("pd-minus", "parity-break"): [("grading-parity", "E1")],
+    ("pd-plus", "parity-break"): [("grading-parity", "H1")],
+    ("preq-112", "parity-break"): [("grading-parity", "p")],
+    ("preq-112", "action-break"): [("action-axiom", "extra(check:p -> hat:r)")],
+}
+
+
+def test_violation_sequences_are_pinned():
+    for name in fixture_names():
+        assert _violations(fixture(name).payload) == [], name
+    found = {}
+    for mutation in all_mutations():
+        key = (mutation.fixture, mutation.cls)
+        assert key not in found, key
+        found[key] = _violations(mutation.payload)
+    assert found == VIOLATION_SEQUENCES
 
 
 def test_mutation_corpus_covers_all_classes():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadeho import serialize
 from cascadeho.errors import InputError
+from cascadeho.scenarios import fixture
 from cascadeho.serialize import _frac
 
 
@@ -57,3 +59,10 @@ def test_frac_matches_fraction_of_str(s):
 @given(st.text(alphabet="0123456789+-/ ._eE٣", max_size=8))
 def test_frac_matches_fraction_of_str_on_random_text(s):
     assert _parsed(s) == _oracle(s)
+
+
+@pytest.mark.parametrize("modulus", ["parity", 0, 2, 4])
+def test_admissible_grading_moduli_load(modulus):
+    doc = json.loads(serialize.dumps(fixture("one-interval").payload))
+    doc["payload"]["grading_modulus"] = modulus
+    assert serialize.loads(json.dumps(doc)).grading_modulus == modulus
