@@ -212,8 +212,8 @@ def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
     return _egh_ranks(data, *egh_differential(data))
 
 
-def _egh_ranks(data: AutonomousData, order, entries):
-    return homology(_egh_complex(data, order, entries)).rationalize()
+def _egh_ranks(data: AutonomousData, order, entries, reduced=None):
+    return homology(_egh_complex(data, order, entries), reduced=reduced).rationalize()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,8 @@ def equivariant_homology(
     The stable range is verified by restricting to the truncation K - 1
     subcomplex and diffing both results below the smaller range.
     """
-    return _certified_homology(equivariant_differential(data, truncation), truncation)
+    complex_ = equivariant_differential(data, truncation)
+    return _certified_homology(complex_, truncation, {})
 
 
 def _lower_truncation(complex_: ChainComplex, truncation: int) -> ChainComplex:
@@ -390,12 +391,13 @@ def _lower_truncation(complex_: ChainComplex, truncation: int) -> ChainComplex:
     )
 
 
-def _certified_homology(complex_, truncation: int):
-    """``equivariant_homology`` of the already built truncation-K complex."""
-    result = homology(complex_)
+def _certified_homology(complex_, truncation: int, reduced):
+    """``equivariant_homology`` of the already built truncation-K complex;
+    the K - 1 subcomplex repeats its blocks, so both share ``reduced``."""
+    result = homology(complex_, reduced=reduced)
     stable = 2 * truncation - 2
     if truncation >= 2:
-        smaller = homology(_lower_truncation(complex_, truncation))
+        smaller = homology(_lower_truncation(complex_, truncation), reduced=reduced)
         cutoff = 2 * (truncation - 1) - 2
         if smaller.restricted(cutoff).groups != result.restricted(cutoff).groups:
             raise CascadehoError(
@@ -459,11 +461,14 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     stable = 2 * truncation - 2
+    # every homology below reduces each distinct block once
+    reduced = {}
 
     # (ii) that subcomplex is acyclic over Q in the stable range
     sub = complex_.restrict([i for i in range(len(gens)) if i not in idx_excluded])
     bad_degrees = {
-        g for (_cls, g) in homology(sub).rationalize() if g <= stable
+        g for (_cls, g) in homology(sub, reduced=reduced).rationalize()
+        if g <= stable
     }
     steps.append(
         CompareStep(
@@ -493,13 +498,13 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
-    hom, stable = _certified_homology(complex_, truncation)
+    hom, stable = _certified_homology(complex_, truncation, reduced)
     left = {
         k: v for k, v in hom.rationalize().items() if k[1] <= stable
     }
     right = {
         k: v
-        for k, v in _egh_ranks(data, egh_order, egh_entries).items()
+        for k, v in _egh_ranks(data, egh_order, egh_entries, reduced).items()
         if k[1] <= stable
     }
     steps.append(

@@ -482,13 +482,19 @@ def _reduce_block(m: IntMatrix):
     return len(factors), tuple(f for f in factors if f > 1)
 
 
-def homology(complex_: ChainComplex) -> HomologyResult:
+def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     """Integral homology of the complex, split by (class, grading).
 
     H_k = Z^(n_k - rank d_k - rank d_(k+1)) + (invariant factors > 1 of
     d_(k+1)): the torsion of ker d_k / im d_(k+1) is that of coker d_(k+1),
-    because C_k / ker d_k is free.  Each block d_k is reduced once.
+    because C_k / ker d_k is free.  Each distinct nonzero block d_k is
+    reduced once: ``reduced`` maps a block's (rows, cols, frozenset of its
+    entries) to its (rank, torsion).  Pass one dict to several calls to
+    share the reductions of blocks they have in common; a fresh one is made
+    per call by default.
     """
+    if reduced is None:
+        reduced = {}
     verify_square_zero(complex_)
     gens = complex_.generators
     degree_key = complex_.degree_key
@@ -509,21 +515,18 @@ def homology(complex_: ChainComplex) -> HomologyResult:
         if key_of[i] == below[key_of[j]]:
             block_entries.setdefault(key_of[j], {})[(local[i], local[j])] = v
 
-    reduced = {}
-
-    def out_of(key):
-        if key not in reduced:
-            entries = block_entries.get(key)
-            reduced[key] = (0, ()) if not entries else _reduce_block(
-                IntMatrix(len(blocks[below[key]]), len(blocks[key]), entries)
-            )
-        return reduced[key]
+    out_of = {}
+    for key, entries in block_entries.items():
+        block = (len(blocks[below[key]]), len(blocks[key]), frozenset(entries.items()))
+        if block not in reduced:
+            reduced[block] = _reduce_block(IntMatrix(block[0], block[1], entries))
+        out_of[key] = reduced[block]
 
     groups = {}
     for key in sorted(blocks):
         cls, deg = key
-        rank_in, tors = out_of((cls, degree_key(deg + 1)))
-        free = len(blocks[key]) - out_of(key)[0] - rank_in
+        rank_in, tors = out_of.get((cls, degree_key(deg + 1)), (0, ()))
+        free = len(blocks[key]) - out_of.get(key, (0, ()))[0] - rank_in
         if free or tors:
             groups[key] = (free, tors)
     return HomologyResult(groups, complex_.grading_modulus)

@@ -54,12 +54,20 @@ def _object(data, key):
     return value
 
 
+def _array(data, key):
+    """``data[key]`` when it is a JSON array; [] when it is absent."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be an array, got {value!r}")
+    return value
+
+
 def _typed(data, key, kind=int):
     """``data[key]`` when it is a JSON value of exactly ``kind``: an integer
     field refuses floats, numeric strings and booleans."""
     value = data[key]
     if type(value) is not kind:
-        what = "a boolean" if kind is bool else "an integer"
+        what = {bool: "a boolean", str: "a string"}.get(kind, "an integer")
         raise TypeError(f"{key!r} must be {what}, got {value!r}")
     return value
 
@@ -67,6 +75,15 @@ def _typed(data, key, kind=int):
 def _gen_key(data) -> Tuple[str, str]:
     if not (isinstance(data, list) and len(data) == 2):
         raise ValueError(f"{data!r} is not a [flavor, orbit] pair")
+    return tuple(data)
+
+
+def _name_pair(data) -> Tuple[str, str]:
+    if not (
+        isinstance(data, list) and len(data) == 2
+        and all(type(x) is str for x in data)
+    ):
+        raise ValueError(f"{data!r} is not a pair of orbit ids")
     return tuple(data)
 
 
@@ -100,15 +117,15 @@ def _label_json(label):
 def _label_load(data):
     if "side" in data:
         return PhiLabel(
-            data["side"],
-            data["orbit"],
+            _typed(data, "side", str),
+            _typed(data, "orbit", str),
             _typed(data, "d_phi"),
             _typed(data, "point_index"),
             _typed(data, "component_index"),
             _frac(data["t"]),
         )
     return BoundaryLabel(
-        data["orbit"],
+        _typed(data, "orbit", str),
         _typed(data, "d_plus"),
         _typed(data, "point_index"),
         _typed(data, "component_index"),
@@ -300,7 +317,7 @@ def _morphism_load(payload) -> MorphismData:
             for e in payload.get("phi1", [])
         },
         allow_equal_action={
-            tuple(pair) for pair in payload.get("allow_equal_action", [])
+            _name_pair(pair) for pair in _array(payload, "allow_equal_action")
         },
     )
 

@@ -350,3 +350,62 @@ def test_certification_builds_the_complex_once(monkeypatch):
     equivariant_homology(data, 3)
     compare_egh(data, 3)
     assert calls == [3, 3]
+
+
+def distinct_blocks(*complexes):
+    """(rows, cols, entries) of each nonzero block of d, over all complexes."""
+    out = set()
+    for c in complexes:
+        keys = [(g.homotopy_class, c.degree_key(g.grading)) for g in c.generators]
+        members, local = {}, []
+        for k, key in enumerate(keys):
+            local.append(len(members.setdefault(key, [])))
+            members[key].append(k)
+        blocks = {}
+        for (i, j), v in c.differential.entries.items():
+            cls, deg = keys[j]
+            if keys[i] == (cls, c.degree_key(deg - 1)):
+                blocks.setdefault((keys[i], keys[j]), {})[(local[i], local[j])] = v
+        out |= {
+            (len(members[tgt]), len(members[src]), frozenset(entries.items()))
+            for (tgt, src), entries in blocks.items()
+        }
+    return out
+
+
+def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
+    from cascadeho import exact
+    from cascadeho.cli import main
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    docs = {r.doc.name: r.doc for r in workloads.build("autonomous", 1, str(tmp_path))}
+    called = []
+
+    def count(name):
+        original = getattr(exact, name)
+
+        def counted(*args):
+            called.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+
+    count("invariant_factors")
+    count("rank_mod")
+
+    for doc in docs.values():
+        data, k = doc.obj, doc.umax
+        tower = equivariant_differential(data, k)
+        lower = _lower_truncation(tower, k)
+        excluded = {f"check:{oid}:U0" for oid, o in data.orbits.items() if o.good}
+        sub = tower.restrict([i for i, g in enumerate(tower.generators)
+                              if g.gid not in excluded])
+        egh = autonomous._egh_complex(data, *egh_differential(data))
+        for command, complexes in (("chs1", (tower, lower)),
+                                   ("compare", (sub, tower, lower, egh))):
+            expected = len(distinct_blocks(*complexes))
+            called.clear()
+            assert main([command, doc.path, "--umax", str(k)]) == 0
+            counts = (called.count("invariant_factors"), called.count("rank_mod"))
+            assert counts == (expected, expected), (doc.name, command)

@@ -366,6 +366,16 @@ def m2cc_count(payload):
     ("one-interval", setting("grading_modulus", value="2"), "nch"),
     ("morphism-interval", setting("target", "grading_modulus", value=3),
      "morphism"),
+    # a label's orbit, and a phi label's side, is a JSON string
+    ("one-interval", label_setting("m1", "orbit", ["gamma"]), "nch"),
+    ("morphism-interval", label_setting("phi1", "orbit", {"a": 1}), "morphism"),
+    ("morphism-interval", label_setting("phi1", "side", ["top"]), "morphism"),
+    # allow_equal_action is a list of [orbit, orbit] pairs of strings
+    ("morphism-interval", setting("allow_equal_action", value=[["A"]]), "morphism"),
+    ("morphism-interval", setting("allow_equal_action", value=[["A", "B", "C"]]),
+     "morphism"),
+    ("morphism-interval", setting("allow_equal_action", value="AB"), "morphism"),
+    ("morphism-interval", setting("allow_equal_action", value=[[1, 2]]), "morphism"),
 ])
 def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command):
     path = write_edited(tmp_path, name, edit)

@@ -531,3 +531,96 @@ def test_homology_builds_no_transforms(monkeypatch):
                 assert got == expected["chs1"]
                 checked += 1
     assert checked >= 8
+
+
+# --- one reduction per distinct block -----------------------------------------
+
+
+def direct_sum(*pieces):
+    """The direct sum of complexes, the k-th piece's gradings raised by 2k:
+    a U-tower without its tail, whose middle blocks repeat."""
+    gens, entries, offset = [], {}, 0
+    for k, c in enumerate(pieces):
+        gens += [
+            ChainGenerator(f"{g.gid}:{k}", g.grading + 2 * k, g.homotopy_class,
+                           g.action, g.orbit)
+            for g in c.generators
+        ]
+        for (i, j), v in c.differential.entries.items():
+            entries[(i + offset, j + offset)] = v
+        offset += len(c.generators)
+    return ChainComplex(tuple(gens), IntMatrix(offset, offset, entries))
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(exact, name)
+
+    def counted(m, *args):
+        calls.append(m)
+        return original(m, *args)
+
+    monkeypatch.setattr(exact, name, counted)
+    return calls
+
+
+def test_shared_reductions_match_separate_ones_and_sympy():
+    from cascadeho.autonomous import _lower_truncation, equivariant_differential
+    from cascadeho.scenarios import prequantization
+
+    rng = random.Random(23)
+    families = []
+    for _ in range(12):
+        c = random_complex(rng, 0, (1, -1, 2, 3, -4), 4)
+        families.append([c, direct_sum(c, c, c), direct_sum(c, c)])
+    data = prequantization(2, 1, 2)
+    tower = equivariant_differential(data, 4)
+    families.append([tower, _lower_truncation(tower, 4),
+                     equivariant_differential(data, 2)])
+    shared_total = separate_total = 0
+    for family in families:
+        shared, separate = {}, []
+        for c in family:
+            alone = {}
+            expected = homology(c, reduced=alone).groups
+            separate.append(alone)
+            assert homology(c, reduced=shared).groups == expected
+            assert expected == sympy_homology(c)
+        assert shared == {k: v for alone in separate for k, v in alone.items()}
+        shared_total += len(shared)
+        separate_total += sum(map(len, separate))
+    assert shared_total < separate_total  # the families do repeat blocks
+
+
+def test_near_miss_blocks_reduce_separately(monkeypatch):
+    calls = counting(monkeypatch, "invariant_factors")
+    a_to_b = [("a", 1, "", 3, "A"), ("b", 0, "", 1, "B")]
+    plain = cc(a_to_b, {("a", "b"): 2})
+    # the same entry in a taller block
+    taller = cc(a_to_b + [("z", 0, "", 2, "Z")], {("a", "b"): 2})
+    # the same shape with the entry changed
+    changed = cc(a_to_b, {("a", "b"): 3})
+    reduced = {}
+    assert homology(plain, reduced=reduced).group("", 0) == (0, (2,))
+    assert homology(taller, reduced=reduced).group("", 0) == (1, (2,))
+    assert homology(changed, reduced=reduced).group("", 0) == (0, (3,))
+    assert homology(plain, reduced=reduced).group("", 0) == (0, (2,))
+    assert len(calls) == len(reduced) == 3
+
+
+def test_repeated_blocks_are_cross_checked(monkeypatch):
+    # the repeats of a block reuse its checked result; the first reduction
+    # of every distinct block still meets the F_p rank check
+    c = cc([("a", 1, "", 2, "A"), ("b", 0, "", 1, "B")], {("a", "b"): 2})
+    tower = direct_sum(c, c, c)
+    calls = counting(monkeypatch, "rank_mod")
+    homology(tower)
+    assert len(calls) == 1
+    monkeypatch.setattr(
+        "cascadeho.exact.rank_mod", lambda m, p: rank_mod(m, p) + 1
+    )
+    reduced = {}
+    for _ in range(2):
+        with pytest.raises(CascadehoError, match="rank cross-check"):
+            homology(tower, reduced=reduced)
+    assert reduced == {}
