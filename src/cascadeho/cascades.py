@@ -13,9 +13,10 @@ orientation; an e-minus-constrained piece carries one extra factor (-1).
 With these choices d^2 = 0 holds for consistently-labelled systems and the
 bad-orbit diagonal is <d hat a, check a> = -2.
 
-One walk per source generator yields its whole column.  The same walk counts
-the chains of an induced chain map over the two-layer graph of a cobordism
-(see ``CascadeGraph``).
+One walk per source generator yields its whole column.  Over the two-layer
+graph of a cobordism (see ``CascadeGraph``) the walk from a source generator
+yields its column of the source differential and of the induced chain map
+at once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import NonDistinct, NonGenericConfiguration, ValidationFailure
+from .errors import InputError, NonDistinct, NonGenericConfiguration, ValidationFailure
 from .exact import ChainComplex, ChainGenerator, HomologyResult, IntMatrix, homology
 from .mbs import (
     MorseBottSystem,
@@ -35,6 +36,12 @@ from .mbs import (
     cyclically_ordered,
     signed_preimages,
 )
+
+
+# most partial chains one walk may extend: chains through pairwise-distinct
+# orbits can grow exponentially with the orbit count, so untrusted documents
+# cannot make one column unbounded work
+MAX_PARTIAL_CHAINS = 10**5
 
 
 @dataclass(frozen=True)
@@ -51,16 +58,40 @@ class CascadeGenerator:
         return f"{self.flavor}:{self.orbit}"
 
 
-@dataclass(frozen=True)
-class Cascade:
-    source: CascadeGenerator
-    target: CascadeGenerator
-    pieces: Tuple
+Key = Tuple[str, Hashable]  # (flavor, node): a generator of a cascade graph
+
+
+class Cascade(NamedTuple):
+    """One counted chain: the key of its target, its weight, and its trail.
+
+    The trail is (last piece, trail before it), back to None; ``pieces``
+    unwinds it only when a caller asks for them.
+    """
+
+    key: Key
     weight: int  # +-1 for honest cascades; the raw count for m2cc entries
+    trail: Optional[Tuple]
+
+    @property
+    def target(self) -> CascadeGenerator:
+        return CascadeGenerator(*self.key)
+
+    @property
+    def pieces(self) -> Tuple:
+        out = []
+        trail = self.trail
+        while trail is not None:
+            piece, trail = trail
+            out.append(piece)
+        return tuple(reversed(out))
 
 
 # the layers of a cobordism graph: its nodes are (SRC, oid) and (TGT, oid)
 SRC, TGT = "src", "tgt"
+
+
+def _layer_and_oid(node) -> Tuple[Optional[str], Hashable]:
+    return node if isinstance(node, tuple) else (None, node)
 
 
 @dataclass(frozen=True)
@@ -78,16 +109,16 @@ class CascadeGraph:
 
     A system is one layer whose nodes are its orbit ids.  A cobordism is two
     layers, source orbits (SRC, oid) above target orbits (TGT, oid), joined
-    by the phi pieces.  Only ``generators`` nodes are counted as
-    targets, so in a cobordism every counted chain crosses one phi piece.
-    ``orbit(node)`` and ``basepoint(node)`` give preimage queries their frames;
-    ``preimages`` answers each pinned query once per graph.
+    by the phi pieces.  Every node is a target, so a walk from a source node
+    counts the chains that stay in the source layer (its differential
+    column) and those that cross one phi piece (its column of the induced
+    map).  ``orbit(node)`` and ``basepoint(node)`` give preimage queries
+    their frames; ``preimages`` answers each pinned query once per graph.
     """
 
     def __init__(self):
         self.orbits: Dict[Hashable, Orbit] = {}
         self.basepoints: Dict[Hashable, Fraction] = {}
-        self.generators: Set[Hashable] = set()
         self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
@@ -96,15 +127,15 @@ class CascadeGraph:
     @classmethod
     def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
         graph = cls()
-        graph._layer(sys, lambda oid: oid, generators=True)
+        graph._layer(sys, lambda oid: oid)
         return graph
 
     @classmethod
     def of_cobordism(cls, source, target, phi0, phi1) -> "CascadeGraph":
         graph = cls()
         src, tgt = (lambda oid: (SRC, oid)), (lambda oid: (TGT, oid))
-        graph._layer(source, src, generators=False)
-        graph._layer(target, tgt, generators=True)
+        graph._layer(source, src)
+        graph._layer(target, tgt)
         graph._edges(phi0, phi1, {}, src, tgt, phi=True)
         return graph
 
@@ -127,12 +158,10 @@ class CascadeGraph:
             )
         return found
 
-    def _layer(self, sys, node, generators):
+    def _layer(self, sys, node):
         for oid, orbit in sys.orbits.items():
             self.orbits[node(oid)] = orbit
             self.basepoints[node(oid)] = sys.basepoint(oid)
-            if generators:
-                self.generators.add(node(oid))
         self._edges(sys.m0, sys.m1, sys.m2cc, node, node, phi=False)
 
     def _edges(self, m0, m1, m2cc, top, bottom, phi):
@@ -153,21 +182,21 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
     phi1 piece carries no extra -1, and where a pinned phi evaluation lands
     on the basepoint of the orbit it meets, it is nudged off it (just before
     the basepoint on a target orbit, just after it on a source orbit).
+    Raises InputError once the walk has extended MAX_PARTIAL_CHAINS chains.
     """
     start = src.orbit
     out: List[Cascade] = []
 
-    def emit(flavor, node, pieces, weight):
-        if node in graph.generators:
-            out.append(Cascade(src, CascadeGenerator(flavor, node), tuple(pieces), weight))
-
-    def ordered(node, last, value, eps, piece):
-        if last is None:
-            return True
+    def ordered(node, last, value, eps, piece, edge):
         try:
             return cyclically_ordered(graph.basepoint(node), last[0], value, last[1], eps)
         except NonDistinct as err:
             kind, pair, index = piece[:3]
+            layer, oid = _layer_and_oid(node)
+            if not edge.phi and layer == _layer_and_oid(start)[0]:
+                # inside the layer the walk started in: name it as a walk
+                # over that layer's system alone does
+                node, pair = oid, tuple(_layer_and_oid(n)[1] for n in pair)
             raise NonGenericConfiguration(
                 f"coincident circle points at intermediate {node} "
                 f"({kind}{pair}[{index}]): {err}"
@@ -176,18 +205,18 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
     def nudge(edge, value, node, eps):
         return eps if edge.phi and value == graph.basepoint(node) else 0
 
-    # partial chains (node, last e- value and its nudge, visited, sign, pieces);
-    # an explicit stack, so the walk's depth is not bounded by recursion and
-    # its locals are freed when it returns
+    # partial chains (node, last e- value and its nudge, visited, sign,
+    # trail); an explicit stack, so the walk's depth is not bounded by
+    # recursion and its locals are freed when it returns
     stack = []
     if src.flavor == "hat":
         if not graph.orbit(start).good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
-            pieces = [("bad-diagonal", start)]
-            emit("check", start, pieces, -1)
-            emit("check", start, pieces, -1)
-        stack.append((start, None, {start}, 1, []))
+            trail = (("bad-diagonal", start), None)
+            out.append(Cascade(("check", start), -1, trail))
+            out.append(Cascade(("check", start), -1, trail))
+        stack.append((start, None, (start,), 1, None))
     else:
         # opening e_plus-pinned pieces
         for edge in graph.m1.get(start, ()):
@@ -197,79 +226,101 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
                     stack.append((
                         edge.bottom,
                         (pre.residual, eps),
-                        {start, edge.bottom},
+                        (start, edge.bottom),
                         pre.sign,
-                        [("pre-plus", edge.pair, ci, pre.t)],
+                        (("pre-plus", edge.pair, ci, pre.t), None),
                     ))
+    walked = 0
     while stack:
-        current, last, visited, sign, pieces = stack.pop()
-        if pieces:
-            emit("check", current, pieces, sign)
+        current, last, visited, sign, trail = stack.pop()
+        if trail is not None:
+            walked += 1
+            if walked > MAX_PARTIAL_CHAINS:
+                layer, oid = _layer_and_oid(start)
+                where = f"{src.flavor}:{oid}" + (f" ({layer} layer)" if layer else "")
+                raise InputError(
+                    f"the cascade walk from {where} extends more than "
+                    f"{MAX_PARTIAL_CHAINS} partial chains"
+                )
+            out.append(Cascade(("check", current), sign, trail))
         # unconstrained 0-dimensional pieces
         for edge in graph.m0.get(current, ()):
-            if edge.bottom in visited:
+            bottom = edge.bottom
+            if bottom in visited:
                 continue
             for idx, pt in enumerate(edge.pieces):
                 piece = ("m0", edge.pair, idx)
-                if ordered(current, last, pt.e_plus, 0, piece):
+                if last is None or ordered(current, last, pt.e_plus, 0, piece, edge):
                     stack.append((
-                        edge.bottom,
+                        bottom,
                         (pt.e_minus, 0),
-                        visited | {edge.bottom},
+                        visited + (bottom,),
                         sign * pt.sign,
-                        pieces + [piece],
+                        (piece, trail),
                     ))
         # closing e_minus-pinned pieces onto hat generators
         for edge in graph.m1.get(current, ()):
-            if edge.bottom in visited or edge.bottom not in graph.generators:
+            if edge.bottom in visited:
                 continue
+            key = ("hat", edge.bottom)
             extra = 1 if edge.phi else -1
             for ci in range(len(edge.pieces)):
                 for pre in graph.preimages(edge, ci, "minus"):
                     piece = ("pre-minus", edge.pair, ci, pre.t)
                     eps = nudge(edge, pre.residual, current, 1)
-                    if ordered(current, last, pre.residual, eps, piece):
-                        emit("hat", edge.bottom, pieces + [piece], extra * sign * pre.sign)
+                    if last is None or ordered(current, last, pre.residual, eps,
+                                               piece, edge):
+                        out.append(Cascade(key, extra * sign * pre.sign, (piece, trail)))
     if src.flavor == "check":
         # check -> hat on one pair needs both pins on one piece: counted by m2cc
         for bottom, count in graph.m2cc.get(start, ()):
-            emit("hat", bottom, [("m2cc", (start, bottom))], count)
+            out.append(Cascade(("hat", bottom), count, (("m2cc", (start, bottom)), None)))
     return out
 
 
-def sum_columns(graph, sources, rows, keep) -> Dict[Tuple[int, int], int]:
-    """Matrix entries (row, column) from the cascade column of each source.
+def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
+    """Matrix entries (row, column) of several blocks, one walk per column.
 
-    ``rows`` maps target generators to row indices; ``keep(row, column)``
-    is the caller's guard on which entries may be nonzero.
+    ``sources`` maps the column keys to column indices.  Each block is a pair
+    (rows, keep): ``rows`` maps the target keys it counts to row indices and
+    ``keep(row, column)`` is the caller's guard on which entries may be
+    nonzero.  Every counted chain ends at a key of exactly one block.
     """
-    entries = {}
-    for j, src in enumerate(sources):
-        column: Dict[int, int] = {}
-        for c in enumerate_cascades(graph, src):
-            i = rows[c.target]
-            if keep(i, j):
-                column[i] = column.get(i, 0) + c.weight
-        for i in sorted(column):
-            entries[(i, j)] = column[i]
-    return entries
+    where = {
+        key: (b, i) for b, (rows, _keep) in enumerate(blocks) for key, i in rows.items()
+    }
+    keeps = [keep for _rows, keep in blocks]
+    out = [{} for _ in blocks]
+    for key, j in sources.items():
+        totals: Dict[Key, int] = {}
+        for c in enumerate_cascades(graph, CascadeGenerator(*key)):
+            totals[c.key] = totals.get(c.key, 0) + c.weight
+        columns = [{} for _ in blocks]
+        for target, weight in totals.items():
+            b, i = where[target]
+            if keeps[b](i, j):
+                columns[b][i] = weight
+        for entries, column in zip(out, columns):
+            for i in sorted(column):
+                entries[(i, j)] = column[i]
+    return out
 
 
-def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
-    """Assemble the nonequivariant chain complex of a validated system."""
-    from .mbs import validate_system
+def chain_generators(
+    sys: MorseBottSystem, layer: Optional[str] = None
+) -> Tuple[Dict[Key, int], List[ChainGenerator]]:
+    """The check and hat generator of each orbit, in decreasing action.
 
-    if validate:
-        violations = validate_system(sys)
-        if violations:
-            raise ValidationFailure(violations)
-
+    Returns their keys (flavor, node), mapped to their indices, and their
+    ChainGenerators.  A node is the orbit id, or (layer, oid) in a
+    cobordism graph.
+    """
     order = sorted(sys.orbits.values(), key=lambda o: (-o.action, o.oid))
+    keys: Dict[Key, int] = {}
     gens = []
-    cgens = []
     for orbit in order:
+        node = orbit.oid if layer is None else (layer, orbit.oid)
         for flavor in ("check", "hat"):
-            cg = CascadeGenerator(flavor, orbit.oid)
             if sys.grading_modulus == "parity":
                 grading = (orbit.parity + (flavor == "hat")) % 2
             else:
@@ -282,17 +333,22 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
                 grading = orbit.grading + (flavor == "hat")
                 if sys.grading_modulus:
                     grading %= sys.grading_modulus
-            cgens.append(cg)
+            keys[(flavor, node)] = len(gens)
             gens.append(
                 ChainGenerator(
-                    cg.gid,
+                    f"{flavor}:{orbit.oid}",
                     grading,
                     orbit.homotopy_class,
                     orbit.action,
                     orbit.oid,
                 )
             )
+    return keys, gens
 
+
+def differential_guard(gens: Sequence[ChainGenerator]):
+    """keep(i, j) for a differential: class kept, and action drops unless
+    both generators sit on one orbit."""
     # generators come in decreasing action, so ranking the distinct actions
     # once turns "action drops" into an integer comparison
     levels: Dict[Fraction, int] = {}
@@ -305,9 +361,12 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
             classes[i] == classes[j]
         )
 
-    rows = {cg: k for k, cg in enumerate(cgens)}
-    entries = sum_columns(CascadeGraph.of_system(sys), cgens, rows, keep)
+    return keep
 
+
+def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
+    """The complex of ``sys`` on ``gens`` with differential ``entries``,
+    checked for grading drop, class and action."""
     modulus = 2 if sys.grading_modulus == "parity" else sys.grading_modulus
     complex_ = ChainComplex(tuple(gens), IntMatrix(len(gens), len(gens), entries), modulus)
     problems = complex_.check_structure()
@@ -317,6 +376,22 @@ def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
              for p in problems]
         )
     return complex_
+
+
+def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
+    """Assemble the nonequivariant chain complex of a validated system."""
+    from .mbs import validate_system
+
+    if validate:
+        violations = validate_system(sys)
+        if violations:
+            raise ValidationFailure(violations)
+
+    keys, gens = chain_generators(sys)
+    (entries,) = sum_columns(
+        CascadeGraph.of_system(sys), keys, [(keys, differential_guard(gens))]
+    )
+    return assemble_complex(sys, gens, entries)
 
 
 def nch_homology(

@@ -72,12 +72,6 @@ class IntMatrix:
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def diagonal(self):
         n = min(self.rows, self.cols)
         return [self.get(i, i) for i in range(n)]

@@ -88,16 +88,6 @@ class Orbit:
             raise ValueError(f"{self.oid}: parity must be 0 or 1")
 
 
-def transport_sign(orbit: Orbit, raw_sign: int, windings: int) -> int:
-    """Transport a sign around the orbit circle ``windings`` times.
-
-    Good orbits have trivial orientation monodromy; bad orbits flip per loop.
-    """
-    if orbit.good or windings % 2 == 0:
-        return raw_sign
-    return -raw_sign
-
-
 @dataclass(frozen=True)
 class SignedPoint:
     """A point of a 0-dimensional moduli space with its sign."""

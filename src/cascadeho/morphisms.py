@@ -38,7 +38,15 @@ from .mbs import (
 # not called here; kept because bench/test_bench.py::test_wrappers_are_removed
 # checks this binding
 from .mbs import component_preimages  # noqa: F401
-from .cascades import SRC, TGT, CascadeGenerator, CascadeGraph, build_ncc, sum_columns
+from .cascades import (
+    SRC,
+    TGT,
+    CascadeGraph,
+    assemble_complex,
+    chain_generators,
+    differential_guard,
+    sum_columns,
+)
 
 Pair = Tuple[str, str]
 
@@ -161,23 +169,25 @@ def induced_chain_map(m: MorphismData, validate: bool = True) -> ChainMap:
         if violations:
             raise ValidationFailure(violations)
 
-    src_cx = build_ncc(m.source, validate=False)
-    tgt_cx = build_ncc(m.target, validate=False)
-    src_gens = src_cx.generators
-    tgt_gens = tgt_cx.generators
-
-    def generator(layer, g):
-        return CascadeGenerator(g.gid.partition(":")[0], (layer, g.orbit))
+    src_keys, src_gens = chain_generators(m.source, SRC)
+    tgt_keys, tgt_gens = chain_generators(m.target, TGT)
 
     def keep(i, j):
         src, tgt = src_gens[j], tgt_gens[i]
         return src.grading == tgt.grading and src.homotopy_class == tgt.homotopy_class
 
+    # one graph: a walk from a source generator yields its d_src column (the
+    # chains ending in the source layer) and its phi column (those that cross
+    # into the target layer).  Target columns go first, so that a coincidence
+    # among target pieces alone is met as build_ncc(target) meets it.
     graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
-    rows = {generator(TGT, g): i for i, g in enumerate(tgt_gens)}
-    sources = [generator(SRC, g) for g in src_gens]
-    entries = sum_columns(graph, sources, rows, keep)
-    matrix = IntMatrix(len(tgt_gens), len(src_gens), entries)
+    (d_tgt,) = sum_columns(graph, tgt_keys, [(tgt_keys, differential_guard(tgt_gens))])
+    d_src, phi = sum_columns(
+        graph, src_keys, [(src_keys, differential_guard(src_gens)), (tgt_keys, keep)]
+    )
+    src_cx = assemble_complex(m.source, src_gens, d_src)
+    tgt_cx = assemble_complex(m.target, tgt_gens, d_tgt)
+    matrix = IntMatrix(len(tgt_gens), len(src_gens), phi)
 
     lhs = tgt_cx.differential * matrix
     rhs = matrix * src_cx.differential

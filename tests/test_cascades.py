@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cascadeho import cascades, serialize
 from cascadeho.cascades import (
     CascadeGenerator,
     CascadeGraph,
@@ -9,9 +10,11 @@ from cascadeho.cascades import (
     enumerate_cascades,
     nch_homology,
 )
-from cascadeho.errors import NonGenericConfiguration, ValidationFailure
+from cascadeho.cli import main
+from cascadeho.errors import InputError, NonGenericConfiguration, ValidationFailure
 from cascadeho.exact import verify_square_zero
 from cascadeho.mbs import MorseBottSystem, Orbit, SignedPoint, assign_basepoints
+from cascadeho.morphisms import induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
 
@@ -103,10 +106,11 @@ def test_action_bound_truncation():
     assert h.group("c", 0) == (0, ())
 
 
-def test_nongeneric_configuration_raises():
-    # e_minus of the first piece coincides with e_plus of the second at the
-    # intermediate orbit: the cyclic-order test is undefined
-    sys_ = MorseBottSystem(
+def nongeneric_system(e_plus_bc=F(2, 5)):
+    # with e_plus_bc = 2/5, e_minus of the first piece coincides with e_plus
+    # of the second at the intermediate orbit: the cyclic-order test is
+    # undefined
+    return MorseBottSystem(
         orbits={
             "A": Orbit("A", 1, 0, True, F(3), "", 0),
             "B": Orbit("B", 1, 0, True, F(2), "", 0),
@@ -114,11 +118,70 @@ def test_nongeneric_configuration_raises():
         },
         m0={
             ("A", "B"): [SignedPoint(F(1, 5), F(2, 5), 1)],
-            ("B", "C"): [SignedPoint(F(2, 5), F(1, 2), 1)],
+            ("B", "C"): [SignedPoint(e_plus_bc, F(1, 2), 1)],
         },
     )
+
+
+COINCIDENCE_AT_B = (
+    "coincident circle points at intermediate B (m0('B', 'C')[0]): "
+    "points not distinct: 0, 2/5 (eps 0), 2/5 (eps 0)"
+)
+
+
+def test_nongeneric_configuration_raises():
     with pytest.raises(NonGenericConfiguration):
+        build_ncc(nongeneric_system())
+
+
+def test_nongeneric_configuration_named_per_system_in_a_morphism():
+    # a coincidence among the pieces of one system reads the same whether
+    # build_ncc or the one graph of a morphism meets it
+    with pytest.raises(NonGenericConfiguration) as err:
+        build_ncc(nongeneric_system())
+    assert str(err.value) == COINCIDENCE_AT_B
+    with pytest.raises(NonGenericConfiguration) as err:
+        induced_chain_map(trivial_cobordism(nongeneric_system()))
+    assert str(err.value) == COINCIDENCE_AT_B
+    # only the target system is nongeneric
+    m = trivial_cobordism(nongeneric_system(e_plus_bc=F(3, 5)))
+    m.target.m0[("B", "C")] = nongeneric_system().m0[("B", "C")]
+    with pytest.raises(NonGenericConfiguration) as err:
+        induced_chain_map(m)
+    assert str(err.value) == COINCIDENCE_AT_B
+
+
+def _fan(m):
+    """m points on A -> B and m on B -> C, every pair in cyclic order at B:
+    the walk from hat:A extends m + m^2 partial chains, every other walk
+    fewer."""
+    return MorseBottSystem(
+        orbits={
+            "A": Orbit("A", 1, 0, True, F(3), "", 0),
+            "B": Orbit("B", 1, 0, True, F(2), "", 0),
+            "C": Orbit("C", 1, 0, True, F(1), "", 0),
+        },
+        m0={
+            ("A", "B"): [SignedPoint(F(k, 4 * m + 1), F(k, 2 * m + 1), 1)
+                         for k in range(1, m + 1)],
+            ("B", "C"): [SignedPoint(F(m + k, 2 * m + 1), F(k, 4 * m + 3), 1)
+                         for k in range(1, m + 1)],
+        },
+    )
+
+
+def test_partial_chain_budget(monkeypatch, tmp_path, capsys):
+    m = 4
+    sys_ = _fan(m)
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m)
+    assert build_ncc(sys_).differential.entries
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m - 1)
+    with pytest.raises(InputError, match="from hat:A extends more than 19 "):
         build_ncc(sys_)
+    path = tmp_path / "fan.json"
+    path.write_text(serialize.dumps(sys_))
+    assert main(["nch", str(path)]) == 3
+    assert "hat:A" in capsys.readouterr().err
 
 
 def test_build_ncc_rejects_invalid_system():

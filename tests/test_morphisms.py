@@ -1,6 +1,9 @@
 import copy
+import importlib.util
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +220,63 @@ def test_each_graph_asks_each_pinned_query_once(monkeypatch):
     build_ncc(sys_, validate=False)
     induced_chain_map(m, validate=False)
     assert len(set(asked)) == len(asked) == len(queries) > 0
+
+
+def _bench_module(name):
+    # bench/ is not a package; load its module by path
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"cascadeho_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_lifts(seed):
+    """The lifts behind the cobordism workload's documents for ``seed``: the
+    rng draws surface data in this order, then lifts each."""
+    gen = _bench_module("generators")
+    rng = random.Random(seed)
+    data = [
+        gen.surface(gen.torus_triangles(3), 1, "1T", rng),
+        gen.surface(gen.OCTAHEDRON, 1, "1S", rng),
+        gen.surface(gen.OCTAHEDRON, 2, "2S", rng),
+        gen.prequantization_shuffled(24, 1, 2, rng),
+    ]
+    return [gen.lift_to_mbs(d, rng) for d in data]
+
+
+def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
+    systems = [fixture(n).payload for n in fixture_names() if fixture(n).kind == "mbs"]
+    systems += _bench_lifts(seed=1)
+    graphs, calls = [], []
+    init, query = cascades.CascadeGraph.__init__, mbs.component_preimages
+
+    def counted_init(self):
+        graphs.append(self)
+        init(self)
+
+    def counted_query(comp, side, q, top, bottom):
+        calls.append((id(comp), side, q, top, bottom))
+        return query(comp, side, q, top, bottom)
+
+    monkeypatch.setattr(cascades.CascadeGraph, "__init__", counted_init)
+    monkeypatch.setattr(mbs, "component_preimages", counted_query)
+    asked = []
+    for sys_ in systems:
+        m = trivial_cobordism(sys_)
+        assert validate_morphism(m) == []
+        graphs.clear()
+        calls.clear()
+        cm = induced_chain_map(m, validate=False)
+        assert len(graphs) == 1
+        assert len(calls) == len(set(calls)) > 0
+        asked.append(len(calls))
+        assert cm.is_identity()
+        for complex_, sys_side in ((cm.source_complex, m.source),
+                                   (cm.target_complex, m.target)):
+            direct = build_ncc(sys_side, validate=False)
+            assert complex_.generators == direct.generators
+            assert complex_.differential.entries == direct.differential.entries
+            assert complex_.grading_modulus == direct.grading_modulus
+    # the torus(3, 1) lift has 540 distinct queries
+    assert asked[-4] == 540
