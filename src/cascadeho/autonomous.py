@@ -14,6 +14,9 @@ argument does not pin down.  From these we assemble:
 ``compare_egh`` re-runs the standard spectral comparison: the span of
 everything except the U^0 check generators of good orbits is an acyclic
 (over Q) subcomplex whose quotient is exactly the EGH complex.
+
+Each builder validates the data, computes ``delta`` and checks d^2 = 0 of
+the complex it returns, so ``homology`` does not check it again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CascadehoError, ValidationFailure
+from .errors import CascadehoError, InputError, ValidationFailure
 from .exact import (
     ChainComplex,
     ChainGenerator,
@@ -36,6 +39,10 @@ from .mbs import Orbit, Violation
 
 Pair = Tuple[str, str]
 GenKey = Tuple[str, str]  # (flavor, orbit)
+
+# most generators of one U-truncated complex: 2 per orbit and U power, so
+# an untrusted --umax cannot make the assembly unbounded work
+MAX_GENERATORS = 10**6
 
 
 @dataclass(frozen=True)
@@ -176,44 +183,37 @@ def _integral(value: Fraction, where: str) -> int:
     return value.numerator
 
 
-def _egh_complex(data: AutonomousData, order, entries) -> ChainComplex:
-    """The EGH differential as a complex on one generator per good orbit."""
-    index = {oid: k for k, oid in enumerate(order)}
-    gens = []
-    for oid in order:
-        o = data.orbit(oid)
-        gens.append(ChainGenerator(oid, o.grading, o.homotopy_class, o.action, oid))
-    n = len(gens)
-    return ChainComplex(
-        tuple(gens),
-        IntMatrix(n, n, {(index[b], index[a]): v for (a, b), v in entries.items()}),
+def _egh_complex(data: AutonomousData, dl) -> ChainComplex:
+    """``egh_differential`` of valid data whose ``delta`` is ``dl``."""
+    gens = tuple(
+        ChainGenerator(o.oid, o.grading, o.homotopy_class, o.action, o.oid)
+        for o in data.good_orbits()
     )
-
-
-def egh_differential(data: AutonomousData) -> Tuple[List[str], Dict[Pair, int]]:
-    """delta.kappa on good orbits: <d a, b> = d(a) * <delta a, b>.
-
-    Returns the ordered list of good orbit ids and the nonzero (integer)
-    entries.  Raises SquareNonzero with a witness pair unless d^2 = 0.
-    """
-    _require_valid(data)
-    order = [o.oid for o in data.good_orbits()]
-    entries: Dict[Pair, int] = {}
-    for (a, b), val in delta(data).items():
+    index = {g.gid: k for k, g in enumerate(gens)}
+    entries = {}
+    for (a, b), val in dl.items():
         coeff = _integral(data.orbit(a).d * val, f"egh({a},{b})")
         if coeff:
-            entries[(a, b)] = coeff
-    verify_square_zero(_egh_complex(data, order, entries))
-    return order, entries
+            entries[(index[b], index[a])] = coeff
+    complex_ = ChainComplex(gens, IntMatrix(len(gens), len(gens), entries))
+    verify_square_zero(complex_)
+    return complex_
+
+
+def egh_differential(data: AutonomousData) -> ChainComplex:
+    """delta.kappa on good orbits: <d a, b> = d(a) * <delta a, b>.
+
+    Returns the complex on one generator per good orbit, its gid the orbit
+    id, in decreasing action.  Raises SquareNonzero with a witness pair
+    unless d^2 = 0.
+    """
+    _require_valid(data)
+    return _egh_complex(data, delta(data))
 
 
 def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
     """Ranks of the cylindrical homology over Q, per (class, grading)."""
-    return _egh_ranks(data, *egh_differential(data))
-
-
-def _egh_ranks(data: AutonomousData, order, entries, reduced=None):
-    return homology(_egh_complex(data, order, entries), reduced=reduced).rationalize()
+    return homology(egh_differential(data)).rationalize()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,10 @@ def _gid(flavor: str, oid: str, k: Optional[int] = None) -> str:
 
 def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     """Integer matrix entries of the nonequivariant block differential."""
-    dl = delta(data)
+    return _block_entries(data, delta(data))
+
+
+def _block_entries(data: AutonomousData, dl) -> Dict[Tuple[GenKey, GenKey], int]:
     entries: Dict[Tuple[GenKey, GenKey], int] = {}
 
     for (a, b), val in dl.items():
@@ -354,16 +357,36 @@ def _check_block_identities(data: AutonomousData, raw):
         raise CascadehoError(min(failures)[1])
 
 
-def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
-    """d (x) 1 + d_1 (x) U^{-1} on generators up to U^truncation."""
+def _check_truncation(data: AutonomousData, truncation: int):
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    _require_valid(data)
-    raw = block_entries(data)
+    count = 2 * len(data.orbits) * (truncation + 1)
+    if count > MAX_GENERATORS:
+        raise InputError(
+            f"truncation K = {truncation} (--umax) needs {count} generators "
+            f"(2 x {len(data.orbits)} orbits x (K + 1)), more than "
+            f"{MAX_GENERATORS}"
+        )
+
+
+def _tower(data: AutonomousData, dl, truncation: int) -> ChainComplex:
+    """``equivariant_differential`` of valid data whose ``delta`` is ``dl``."""
+    raw = _block_entries(data, dl)
     _check_block_identities(data, raw)
     complex_ = _assemble(data, raw, truncation)
     verify_square_zero(complex_)
     return complex_
+
+
+def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
+    """d (x) 1 + d_1 (x) U^{-1} on generators up to U^truncation.
+
+    Raises InputError, before any assembly, when the complex would have
+    more than MAX_GENERATORS generators.
+    """
+    _check_truncation(data, truncation)
+    _require_valid(data)
+    return _tower(data, delta(data), truncation)
 
 
 def equivariant_homology(
@@ -438,19 +461,29 @@ class CompareReport:
 
 
 def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
-    """Four-step comparison of equivariant and cylindrical homology."""
-    complex_ = equivariant_differential(data, truncation)
+    """Four-step comparison of equivariant and cylindrical homology.
+
+    The data is validated and ``delta`` computed once, for both the
+    truncation-K complex and the EGH complex; each is built and checked once.
+    """
+    _check_truncation(data, truncation)
+    _require_valid(data)
+    dl = delta(data)
+    complex_ = _tower(data, dl, truncation)
     gens = complex_.generators
-    index = {g.gid: k for k, g in enumerate(gens)}
     good = {o.oid for o in data.orbits.values() if o.good}
-    idx_excluded = {index[_gid("check", oid, 0)] for oid in good}
+    # the U^0 check generator of each good orbit, by index
+    u0 = {
+        k: g.orbit for k, g in enumerate(gens)
+        if g.orbit in good and g.gid == _gid("check", g.orbit, 0)
+    }
     steps = []
 
     # (i) everything else is a subcomplex
     leaks = [
         (gens[j].gid, gens[i].gid)
         for (i, j), _val in complex_.differential.entries.items()
-        if j not in idx_excluded and i in idx_excluded
+        if j not in u0 and i in u0
     ]
     steps.append(
         CompareStep(
@@ -465,7 +498,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     reduced = {}
 
     # (ii) that subcomplex is acyclic over Q in the stable range
-    sub = complex_.restrict([i for i in range(len(gens)) if i not in idx_excluded])
+    sub = complex_.restrict([i for i in range(len(gens)) if i not in u0])
     bad_degrees = {
         g for (_cls, g) in homology(sub, reduced=reduced).rationalize()
         if g <= stable
@@ -478,17 +511,24 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
         )
     )
 
-    # (iii) the quotient differential is the cylindrical one
-    egh_order, egh_entries = egh_differential(data)
-    mismatches = []
-    for a in good:
-        for b in good:
-            q = complex_.differential.get(
-                index[_gid("check", b, 0)], index[_gid("check", a, 0)]
-            )
-            e = egh_entries.get((a, b), 0)
-            if q != e:
-                mismatches.append(f"({a},{b}): {q} != {e}")
+    # (iii) the quotient differential is the cylindrical one: both read as
+    # <d a, b> per pair of good orbits, listed in the iteration order of good
+    egh = _egh_complex(data, dl)
+    quotient = {
+        (u0[j], u0[i]): v
+        for (i, j), v in complex_.differential.entries.items()
+        if i in u0 and j in u0
+    }
+    oids = [g.gid for g in egh.generators]
+    cylindrical = {
+        (oids[j], oids[i]): v for (i, j), v in egh.differential.entries.items()
+    }
+    position = {oid: k for k, oid in enumerate(good)}
+    differ = {ab for ab, _v in quotient.items() ^ cylindrical.items()}
+    mismatches = [
+        f"({a},{b}): {quotient.get((a, b), 0)} != {cylindrical.get((a, b), 0)}"
+        for a, b in sorted(differ, key=lambda ab: (position[ab[0]], position[ab[1]]))
+    ]
     steps.append(
         CompareStep(
             "quotient differential equals the cylindrical differential",
@@ -504,7 +544,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     }
     right = {
         k: v
-        for k, v in _egh_ranks(data, egh_order, egh_entries, reduced).items()
+        for k, v in homology(egh, reduced=reduced).rationalize().items()
         if k[1] <= stable
     }
     steps.append(

@@ -27,7 +27,14 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, NonDistinct, NonGenericConfiguration, ValidationFailure
-from .exact import ChainComplex, ChainGenerator, HomologyResult, IntMatrix, homology
+from .exact import (
+    ChainComplex,
+    ChainGenerator,
+    HomologyResult,
+    IntMatrix,
+    homology,
+    verify_square_zero,
+)
 from .mbs import (
     MorseBottSystem,
     Orbit,
@@ -366,7 +373,7 @@ def differential_guard(gens: Sequence[ChainGenerator]):
 
 def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
     """The complex of ``sys`` on ``gens`` with differential ``entries``,
-    checked for grading drop, class and action."""
+    checked for grading drop, class and action, then for d^2 = 0."""
     modulus = 2 if sys.grading_modulus == "parity" else sys.grading_modulus
     complex_ = ChainComplex(tuple(gens), IntMatrix(len(gens), len(gens), entries), modulus)
     problems = complex_.check_structure()
@@ -375,6 +382,7 @@ def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
             [Violation("structure", p, "assembled differential is malformed")
              for p in problems]
         )
+    verify_square_zero(complex_)
     return complex_
 
 

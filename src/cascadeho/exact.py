@@ -350,6 +350,9 @@ class ChainComplex:
     generators: tuple
     differential: IntMatrix
     grading_modulus: int = 0
+    # d o d = 0 is known: set by verify_square_zero and by a restriction
+    # closed under d, never by the constructor, so a rebuilt copy is unknown
+    _square_zero: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.generators)
@@ -365,18 +368,29 @@ class ChainComplex:
 
     def restrict(self, kept) -> "ChainComplex":
         """The generators at the increasing indices ``kept`` with the entries
-        among them: a subcomplex when d maps their span into itself."""
+        among them: a subcomplex when d maps their span into itself.
+
+        A subcomplex of a complex known to square to zero is known to as
+        well (its d o d is the restriction of d o d); any other restriction
+        is checked again by ``homology``.
+        """
         remap = {old: new for new, old in enumerate(kept)}
-        entries = {
-            (remap[i], remap[j]): val
-            for (i, j), val in self.differential.entries.items()
-            if i in remap and j in remap
-        }
-        return ChainComplex(
+        entries = {}
+        closed = True
+        for (i, j), val in self.differential.entries.items():
+            if j in remap:
+                if i in remap:
+                    entries[(remap[i], remap[j])] = val
+                else:
+                    closed = False
+        sub = ChainComplex(
             tuple(self.generators[k] for k in kept),
             IntMatrix(len(kept), len(kept), entries),
             self.grading_modulus,
         )
+        if closed and self._square_zero:
+            object.__setattr__(sub, "_square_zero", True)
+        return sub
 
     def check_structure(self):
         """Structural sanity: grading drop 1, class preserved, action drops.
@@ -401,12 +415,14 @@ class ChainComplex:
 
 
 def verify_square_zero(complex_: ChainComplex):
-    """Raise SquareNonzero (with a witness pair) unless d o d = 0."""
+    """Raise SquareNonzero (with a witness pair) unless d o d = 0; a complex
+    that passes is marked, so ``homology`` does not multiply it again."""
     sq = complex_.differential * complex_.differential
     if sq.entries:
         (i, j), val = min(sq.entries.items())
         gens = complex_.generators
         raise SquareNonzero(gens[j].gid, gens[i].gid, val)
+    object.__setattr__(complex_, "_square_zero", True)
 
 
 @dataclass(frozen=True)
@@ -486,10 +502,19 @@ def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     entries) to its (rank, torsion).  Pass one dict to several calls to
     share the reductions of blocks they have in common; a fresh one is made
     per call by default.
+
+    Raises SquareNonzero unless d o d = 0.  The product is skipped only for
+    a complex already known to square to zero: one that passed
+    ``verify_square_zero``, as every complex a checking builder returns has
+    (``block_differential``, ``equivariant_differential``,
+    ``egh_differential``, ``cascades.assemble_complex``), or a restriction
+    of one that is closed under d.  A hand-built complex, a restriction
+    that is not closed, or a rebuilt copy is multiplied out here.
     """
     if reduced is None:
         reduced = {}
-    verify_square_zero(complex_)
+    if not complex_._square_zero:
+        verify_square_zero(complex_)
     gens = complex_.generators
     degree_key = complex_.degree_key
     blocks = {}

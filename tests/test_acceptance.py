@@ -175,7 +175,7 @@ def test_criterion_06_structural_property_suite():
     scenarios += [prequantization(g, 1, d) for g in (1, 2) for d in (1, 2)]
     scenarios += [period_doubling("minus"), period_doubling("plus", 3)]
     for data in scenarios:
-        order, entries = egh_differential(data)  # checks (delta kappa)^2 = 0
+        egh_differential(data)  # checks (delta kappa)^2 = 0
         cx = block_differential(data)  # checks d^2 and the kappa identities
         bv = bv_operator(data)
         zero = IntMatrix.zero(bv.rows, bv.cols)

@@ -23,8 +23,8 @@ from cascadeho.autonomous import (
     equivariant_homology,
     validate_data,
 )
-from cascadeho.errors import CascadehoError, SquareNonzero, ValidationFailure
-from cascadeho.exact import IntMatrix, homology
+from cascadeho.errors import CascadehoError, InputError, SquareNonzero, ValidationFailure
+from cascadeho.exact import ChainComplex, IntMatrix, homology
 from cascadeho.mbs import Orbit
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 
@@ -50,8 +50,9 @@ def test_delta_formula():
     data.mj1[("a", "b")].append(CylinderRecord(1, 2))
     assert delta(data) == {("a", "b"): F(1, 2)}
     # EGH coefficient is d(a) * delta: integral by du-divisibility
-    _, entries = egh_differential(data)
-    assert entries == {("a", "b"): F(1)}
+    egh = egh_differential(data)
+    assert [g.gid for g in egh.generators] == ["a", "b"]
+    assert egh.differential.entries == {(1, 0): 1}
 
 
 def test_delta_empty():
@@ -339,13 +340,13 @@ def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
 
 def test_certification_builds_the_complex_once(monkeypatch):
     calls = []
-    original = autonomous.equivariant_differential
+    original = autonomous._assemble
 
-    def counting(data, truncation):
+    def counting(data, raw, truncation):
         calls.append(truncation)
-        return original(data, truncation)
+        return original(data, raw, truncation)
 
-    monkeypatch.setattr(autonomous, "equivariant_differential", counting)
+    monkeypatch.setattr(autonomous, "_assemble", counting)
     data = fixture("preq-112").payload
     equivariant_homology(data, 3)
     compare_egh(data, 3)
@@ -401,7 +402,7 @@ def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
         excluded = {f"check:{oid}:U0" for oid, o in data.orbits.items() if o.good}
         sub = tower.restrict([i for i, g in enumerate(tower.generators)
                               if g.gid not in excluded])
-        egh = autonomous._egh_complex(data, *egh_differential(data))
+        egh = egh_differential(data)
         for command, complexes in (("chs1", (tower, lower)),
                                    ("compare", (sub, tower, lower, egh))):
             expected = len(distinct_blocks(*complexes))
@@ -409,3 +410,98 @@ def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
             assert main([command, doc.path, "--umax", str(k)]) == 0
             counts = (called.count("invariant_factors"), called.count("rank_mod"))
             assert counts == (expected, expected), (doc.name, command)
+
+
+def seed1_documents(tmp_path, monkeypatch):
+    """The seed-1 documents of the autonomous benchmark workload, by name."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    requests = workloads.build("autonomous", 1, str(tmp_path))
+    return requests, {r.doc.name: r.doc for r in requests}
+
+
+def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
+    # validate, nch, egh and chs1 build one complex each; compare builds the
+    # truncation-K complex and the EGH complex.  homology multiplies none of
+    # them again, nor the closed restrictions chs1 and compare take.
+    from cascadeho.cli import main
+
+    requests, _docs = seed1_documents(tmp_path, monkeypatch)
+    products = []
+    original = IntMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    expected = {"validate": 1, "nch": 1, "egh": 1, "chs1": 1, "compare": 2}
+    assert sorted({r.argv[0] for r in requests}) == sorted(expected)
+    for r in requests:
+        products.clear()
+        assert main(r.argv) == 0
+        assert len(products) == expected[r.argv[0]], (r.doc.name, r.argv[0])
+    capsys.readouterr()
+
+
+def test_compare_validates_once(monkeypatch):
+    calls = []
+    original = autonomous.validate_data
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(autonomous, "validate_data", counting)
+    assert compare_egh(fixture("preq-112").payload, 3).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("factor", [-1, 0, 2])
+def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, factor):
+    # a cylindrical differential scaled by ``factor`` breaks step (iii); its
+    # details list the pairs as a loop over good x good in set order does
+    _requests, docs = seed1_documents(tmp_path, monkeypatch)
+    data = docs["torus3-d1"].obj
+    original = autonomous._egh_complex
+
+    def scaled(data, dl):
+        c = original(data, dl)
+        n = len(c.generators)
+        entries = {k: factor * v for k, v in c.differential.entries.items()}
+        return ChainComplex(c.generators, IntMatrix(n, n, entries))
+
+    monkeypatch.setattr(autonomous, "_egh_complex", scaled)
+    step = compare_egh(data, 2).steps[2]
+
+    tower = equivariant_differential(data, 2)
+    index = {g.gid: k for k, g in enumerate(tower.generators)}
+    egh = scaled(data, delta(data))
+    cylindrical = {
+        (egh.generators[j].gid, egh.generators[i].gid): v
+        for (i, j), v in egh.differential.entries.items()
+    }
+    good = {o.oid for o in data.orbits.values() if o.good}
+    expected = []
+    for a in good:
+        for b in good:
+            q = tower.differential.get(index[f"check:{b}:U0"], index[f"check:{a}:U0"])
+            e = cylindrical.get((a, b), 0)
+            if q != e:
+                expected.append(f"({a},{b}): {q} != {e}")
+    assert len(expected) > 3
+    assert not step.ok
+    assert step.details == "; ".join(expected[:3])
+
+
+def test_generator_budget(monkeypatch):
+    data = fixture("autonomous-chain").payload
+    k = 3
+    count = 2 * len(data.orbits) * (k + 1)
+    monkeypatch.setattr(autonomous, "MAX_GENERATORS", count - 1)
+    for build in (equivariant_differential, equivariant_homology, compare_egh):
+        with pytest.raises(InputError, match=f"truncation K = {k} .--umax."):
+            build(data, k)
+    monkeypatch.setattr(autonomous, "MAX_GENERATORS", count)
+    assert len(equivariant_differential(data, k).generators) == count
+    assert compare_egh(data, k).ok

@@ -1,9 +1,11 @@
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cascadeho import mbs, serialize
+from cascadeho import autonomous, cli, mbs, serialize
 from cascadeho.autonomous import (
     AutonomousData,
     CylinderRecord,
@@ -13,6 +15,7 @@ from cascadeho.autonomous import (
 from cascadeho.cli import main
 from cascadeho.errors import SquareNonzero
 from cascadeho.mbs import Orbit, assign_basepoints, validate_system
+from cascadeho.morphisms import trivial_cobordism, validate_morphism
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
 
 
@@ -386,3 +389,82 @@ def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command)
         assert out == ""
         assert err.startswith("error: malformed ") and err.count("\n") == 1
     assert main(["validate", path]) == 3
+
+
+# --- every builder checks d^2 = 0; one parser serves every call ------------
+
+
+def bench_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
+def test_d_squared_is_checked_for_every_document_kind(tmp_path, monkeypatch, capsys):
+    # the seed-1 lift of the sphere (d = 1) without the only component of
+    # m1(s0_2, s0): valid, but <d d check:s0_2_5, check:s0> = 1
+    workloads = bench_workloads(monkeypatch)
+    docs = {r.doc.name: r.doc for r in workloads.build("mbs-lift", 1, str(tmp_path))}
+    sys_ = docs["lift-sphere-d1"].obj
+    del sys_.m1[("s0_2", "s0")][0]
+    assert sys_.m1[("s0_2", "s0")] == []
+    phi = trivial_cobordism(sys_)
+    assert validate_system(sys_) == [] and validate_morphism(phi) == []
+    sys_path, phi_path = tmp_path / "broken.json", tmp_path / "broken-phi.json"
+    sys_path.write_text(serialize.dumps(sys_))
+    phi_path.write_text(serialize.dumps(phi))
+    for argv in (["validate", sys_path], ["nch", sys_path],
+                 ["nch", sys_path, "--action-bound", "3/2"],
+                 ["validate", phi_path], ["morphism", phi_path]):
+        for fmt in ("text", "json"):
+            assert main([str(a) for a in argv] + ["--format", fmt]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: d^2 != 0: <d d check:s0_2_5, check:s0> = 1\n"
+
+
+def test_generator_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = write_fixture(tmp_path, "preq-112")
+    orbits = len(fixture("preq-112").payload.orbits)
+    count = 2 * orbits * (5 + 1)
+    for budget, code in ((count - 1, 3), (count, 0)):
+        monkeypatch.setattr(autonomous, "MAX_GENERATORS", budget)
+        for command in ("chs1", "compare"):
+            assert main([command, path, "--umax", "5"]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert out == ""
+                assert err == (
+                    f"error: truncation K = 5 (--umax) needs {count} generators "
+                    f"(2 x {orbits} orbits x (K + 1)), more than {count - 1}\n"
+                )
+
+
+def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    workloads = bench_workloads(monkeypatch)
+    argvs = []
+    for name in workloads.WORKLOADS:
+        argvs += [r.argv for r in workloads.build(name, 1, str(tmp_path / name))]
+    docs = {r.doc.name: r.doc.path for r in workloads.build(
+        "autonomous", 1, str(tmp_path / "autonomous"))}
+    torus = docs["torus3-d1"]
+    argvs += [
+        ["nch", torus, "--class", "1T"], ["nch", torus],
+        ["nch", torus, "--class", "nowhere"], ["nch", torus],
+        ["egh", torus, "--format", "json"], ["egh", torus],
+        ["chs1", torus, "--umax", "x"], ["chs1", torus, "--umax", "2"],
+        ["nch", torus, "--bogus"], ["nch", torus],
+        ["frobnicate"], ["validate", torus, "--format", "json"],
+    ]
+
+    def run(clear):
+        out = []
+        for argv in argvs:
+            if clear:
+                cli._parser.cache_clear()
+            code = main(argv)
+            out.append((argv, code) + capsys.readouterr())
+        return out
+
+    fresh = run(clear=True)
+    assert {code for _argv, code, _out, _err in fresh} == {0, 3}
+    assert run(clear=False) + run(clear=False) == fresh + fresh

@@ -319,6 +319,63 @@ def test_square_nonzero_witness():
     verify_square_zero(ok)
 
 
+def count_products(monkeypatch):
+    """A list that gains one item per IntMatrix product."""
+    calls = []
+    original = IntMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    return calls
+
+
+def diamond():
+    """d a = b + b', d b = c, d b' = -c: d^2 = 0, but not on {a, b, c}."""
+    return cc(
+        [("a", 2, "", 4, "A"), ("b", 1, "", 3, "B"), ("b'", 1, "", 2, "B'"),
+         ("c", 0, "", 1, "C")],
+        {("a", "b"): 1, ("a", "b'"): 1, ("b", "c"): 1, ("b'", "c"): -1},
+    )
+
+
+def test_homology_checks_what_no_builder_checked(monkeypatch):
+    products = count_products(monkeypatch)
+    checked = diamond()
+    homology(checked)  # hand-built: multiplied out here
+    assert len(products) == 1
+    homology(checked)  # now known to square to zero
+    assert len(products) == 1
+    # a rebuilt copy is not known to
+    homology(ChainComplex(checked.generators, checked.differential))
+    assert len(products) == 2
+    # a restriction closed under d keeps the guarantee: {b, b', c}
+    assert homology(checked.restrict([1, 2, 3])).group("", 1) == (1, ())
+    assert len(products) == 2
+    # {a, b, c} drops b' from d a: checked again, and d^2 a = c there
+    with pytest.raises(SquareNonzero) as err:
+        homology(checked.restrict([0, 1, 3]))
+    assert (err.value.source, err.value.target, err.value.value) == ("a", "c", 1)
+    assert len(products) == 3
+    # a hand-built complex with d^2 != 0 still raises
+    with pytest.raises(SquareNonzero):
+        homology(cc(
+            [("a", 2, "", 3, "A"), ("b", 1, "", 2, "B"), ("c", 0, "", 1, "C")],
+            {("a", "b"): 1, ("b", "c"): 1},
+        ))
+
+
+def test_the_guarantee_is_no_constructor_argument():
+    c = diamond()
+    verify_square_zero(c)
+    with pytest.raises(TypeError):
+        ChainComplex(c.generators, c.differential, 0, True)
+    assert c == ChainComplex(c.generators, c.differential)  # not compared
+    assert "square" not in repr(c)
+
+
 def test_check_structure_flags_bad_entries():
     c = cc(
         [("a", 2, "u", 3, "A"), ("b", 0, "w", 4, "B")],
