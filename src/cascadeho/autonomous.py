@@ -15,8 +15,10 @@ argument does not pin down.  From these we assemble:
 everything except the U^0 check generators of good orbits is an acyclic
 (over Q) subcomplex whose quotient is exactly the EGH complex.
 
-Each builder validates the data, computes ``delta`` and checks d^2 = 0 of
-the complex it returns, so ``homology`` does not check it again.
+Each public builder validates the data once; the checking builders
+``_tower`` (the block and U-tower complexes) and ``_egh_complex`` then
+compute ``delta`` and check d^2 = 0 of the complex they return, so
+``homology`` does not check it again.
 """
 
 from __future__ import annotations
@@ -183,15 +185,15 @@ def _integral(value: Fraction, where: str) -> int:
     return value.numerator
 
 
-def _egh_complex(data: AutonomousData, dl) -> ChainComplex:
-    """``egh_differential`` of valid data whose ``delta`` is ``dl``."""
+def _egh_complex(data: AutonomousData) -> ChainComplex:
+    """``egh_differential`` of valid data."""
     gens = tuple(
         ChainGenerator(o.oid, o.grading, o.homotopy_class, o.action, o.oid)
         for o in data.good_orbits()
     )
     index = {g.gid: k for k, g in enumerate(gens)}
     entries = {}
-    for (a, b), val in dl.items():
+    for (a, b), val in delta(data).items():
         coeff = _integral(data.orbit(a).d * val, f"egh({a},{b})")
         if coeff:
             entries[(index[b], index[a])] = coeff
@@ -208,7 +210,7 @@ def egh_differential(data: AutonomousData) -> ChainComplex:
     unless d^2 = 0.
     """
     _require_valid(data)
-    return _egh_complex(data, delta(data))
+    return _egh_complex(data)
 
 
 def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
@@ -227,13 +229,9 @@ def _gid(flavor: str, oid: str, k: Optional[int] = None) -> str:
 
 def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     """Integer matrix entries of the nonequivariant block differential."""
-    return _block_entries(data, delta(data))
-
-
-def _block_entries(data: AutonomousData, dl) -> Dict[Tuple[GenKey, GenKey], int]:
     entries: Dict[Tuple[GenKey, GenKey], int] = {}
 
-    for (a, b), val in dl.items():
+    for (a, b), val in delta(data).items():
         da, db = data.orbit(a).d, data.orbit(b).d
         # check block: +kappa-then-delta; hat block: -delta-then-kappa
         cc = _integral(da * val, f"check block ({a},{b})")
@@ -305,11 +303,7 @@ def _assemble(data, raw, truncation):
 def block_differential(data: AutonomousData) -> ChainComplex:
     """Nonequivariant complex (check/hat generators, integral)."""
     _require_valid(data)
-    raw = block_entries(data)
-    complex_ = _assemble(data, raw, None)
-    _check_block_identities(data, raw)
-    verify_square_zero(complex_)
-    return complex_
+    return _tower(data, None)
 
 
 def bv_operator(data: AutonomousData) -> IntMatrix:
@@ -369,9 +363,10 @@ def _check_truncation(data: AutonomousData, truncation: int):
         )
 
 
-def _tower(data: AutonomousData, dl, truncation: int) -> ChainComplex:
-    """``equivariant_differential`` of valid data whose ``delta`` is ``dl``."""
-    raw = _block_entries(data, dl)
+def _tower(data: AutonomousData, truncation: Optional[int]) -> ChainComplex:
+    """The block complex of valid data: ``block_differential`` for
+    ``truncation`` None, else ``equivariant_differential`` up to U^truncation."""
+    raw = block_entries(data)
     _check_block_identities(data, raw)
     complex_ = _assemble(data, raw, truncation)
     verify_square_zero(complex_)
@@ -386,7 +381,7 @@ def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComp
     """
     _check_truncation(data, truncation)
     _require_valid(data)
-    return _tower(data, delta(data), truncation)
+    return _tower(data, truncation)
 
 
 def equivariant_homology(
@@ -463,13 +458,12 @@ class CompareReport:
 def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     """Four-step comparison of equivariant and cylindrical homology.
 
-    The data is validated and ``delta`` computed once, for both the
-    truncation-K complex and the EGH complex; each is built and checked once.
+    The data is validated once; the truncation-K complex and the EGH
+    complex are each built and checked once.
     """
     _check_truncation(data, truncation)
     _require_valid(data)
-    dl = delta(data)
-    complex_ = _tower(data, dl, truncation)
+    complex_ = _tower(data, truncation)
     gens = complex_.generators
     good = {o.oid for o in data.orbits.values() if o.good}
     # the U^0 check generator of each good orbit, by index
@@ -512,8 +506,8 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iii) the quotient differential is the cylindrical one: both read as
-    # <d a, b> per pair of good orbits, listed in the iteration order of good
-    egh = _egh_complex(data, dl)
+    # <d a, b> per pair of good orbits, listed in the EGH generator order
+    egh = _egh_complex(data)
     quotient = {
         (u0[j], u0[i]): v
         for (i, j), v in complex_.differential.entries.items()
@@ -523,7 +517,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     cylindrical = {
         (oids[j], oids[i]): v for (i, j), v in egh.differential.entries.items()
     }
-    position = {oid: k for k, oid in enumerate(good)}
+    position = {oid: k for k, oid in enumerate(oids)}
     differ = {ab for ab, _v in quotient.items() ^ cylindrical.items()}
     mismatches = [
         f"({a},{b}): {quotient.get((a, b), 0)} != {cylindrical.get((a, b), 0)}"

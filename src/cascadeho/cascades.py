@@ -42,6 +42,7 @@ from .mbs import (
     Violation,
     cyclically_ordered,
     signed_preimages,
+    validate_system,
 )
 
 
@@ -288,15 +289,14 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
 def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     """Matrix entries (row, column) of several blocks, one walk per column.
 
-    ``sources`` maps the column keys to column indices.  Each block is a pair
-    (rows, keep): ``rows`` maps the target keys it counts to row indices and
-    ``keep(row, column)`` is the caller's guard on which entries may be
-    nonzero.  Every counted chain ends at a key of exactly one block.
+    ``sources`` maps the column keys to column indices and each block maps
+    the target keys it counts to row indices; every counted chain ends at a
+    key of exactly one block.  Every chain is kept: on validated pieces it
+    drops the grading by 1, strictly drops the action (the bad diagonal
+    stays on one orbit) and keeps the homotopy class, so it lands in a slot
+    ``assemble_complex`` allows, and any that did not would fail there.
     """
-    where = {
-        key: (b, i) for b, (rows, _keep) in enumerate(blocks) for key, i in rows.items()
-    }
-    keeps = [keep for _rows, keep in blocks]
+    where = {key: (b, i) for b, rows in enumerate(blocks) for key, i in rows.items()}
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals: Dict[Key, int] = {}
@@ -305,8 +305,7 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
         columns = [{} for _ in blocks]
         for target, weight in totals.items():
             b, i = where[target]
-            if keeps[b](i, j):
-                columns[b][i] = weight
+            columns[b][i] = weight
         for entries, column in zip(out, columns):
             for i in sorted(column):
                 entries[(i, j)] = column[i]
@@ -353,24 +352,6 @@ def chain_generators(
     return keys, gens
 
 
-def differential_guard(gens: Sequence[ChainGenerator]):
-    """keep(i, j) for a differential: class kept, and action drops unless
-    both generators sit on one orbit."""
-    # generators come in decreasing action, so ranking the distinct actions
-    # once turns "action drops" into an integer comparison
-    levels: Dict[Fraction, int] = {}
-    ranks = [levels.setdefault(g.action, len(levels)) for g in gens]
-    orbits = [g.orbit for g in gens]
-    classes = [g.homotopy_class for g in gens]
-
-    def keep(i, j):
-        return (orbits[i] == orbits[j] or ranks[i] > ranks[j]) and (
-            classes[i] == classes[j]
-        )
-
-    return keep
-
-
 def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
     """The complex of ``sys`` on ``gens`` with differential ``entries``,
     checked for grading drop, class and action, then for d^2 = 0."""
@@ -386,19 +367,14 @@ def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
     return complex_
 
 
-def build_ncc(sys: MorseBottSystem, validate: bool = True) -> ChainComplex:
-    """Assemble the nonequivariant chain complex of a validated system."""
-    from .mbs import validate_system
-
-    if validate:
-        violations = validate_system(sys)
-        if violations:
-            raise ValidationFailure(violations)
+def build_ncc(sys: MorseBottSystem) -> ChainComplex:
+    """Validate ``sys`` and assemble its nonequivariant chain complex."""
+    violations = validate_system(sys)
+    if violations:
+        raise ValidationFailure(violations)
 
     keys, gens = chain_generators(sys)
-    (entries,) = sum_columns(
-        CascadeGraph.of_system(sys), keys, [(keys, differential_guard(gens))]
-    )
+    (entries,) = sum_columns(CascadeGraph.of_system(sys), keys, [keys])
     return assemble_complex(sys, gens, entries)
 
 

@@ -506,8 +506,8 @@ def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     Raises SquareNonzero unless d o d = 0.  The product is skipped only for
     a complex already known to square to zero: one that passed
     ``verify_square_zero``, as every complex a checking builder returns has
-    (``block_differential``, ``equivariant_differential``,
-    ``egh_differential``, ``cascades.assemble_complex``), or a restriction
+    (``autonomous._tower``, ``autonomous._egh_complex``,
+    ``cascades.assemble_complex``), or a restriction
     of one that is closed under d.  A hand-built complex, a restriction
     that is not closed, or a rebuilt copy is multiplied out here.
     """

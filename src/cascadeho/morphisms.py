@@ -34,6 +34,7 @@ from .mbs import (
     frac_mod1,
     frames,
     validate_moduli,
+    validate_system,
 )
 # not called here; kept because bench/test_bench.py::test_wrappers_are_removed
 # checks this binding
@@ -44,7 +45,6 @@ from .cascades import (
     CascadeGraph,
     assemble_complex,
     chain_generators,
-    differential_guard,
     sum_columns,
 )
 
@@ -82,8 +82,6 @@ class MorphismData:
 
 
 def validate_morphism(m: MorphismData) -> List[Violation]:
-    from .mbs import validate_system
-
     v: List[Violation] = []
     for name, sys in (("source", m.source), ("target", m.target)):
         for violation in validate_system(sys):
@@ -162,29 +160,23 @@ def compose(second: ChainMap, first: ChainMap) -> ChainMap:
     )
 
 
-def induced_chain_map(m: MorphismData, validate: bool = True) -> ChainMap:
-    """Count one-phi-piece chains; enforce the chain-map identity."""
-    if validate:
-        violations = validate_morphism(m)
-        if violations:
-            raise ValidationFailure(violations)
+def induced_chain_map(m: MorphismData) -> ChainMap:
+    """Validate ``m``, count one-phi-piece chains; enforce the chain-map
+    identity."""
+    violations = validate_morphism(m)
+    if violations:
+        raise ValidationFailure(violations)
 
     src_keys, src_gens = chain_generators(m.source, SRC)
     tgt_keys, tgt_gens = chain_generators(m.target, TGT)
-
-    def keep(i, j):
-        src, tgt = src_gens[j], tgt_gens[i]
-        return src.grading == tgt.grading and src.homotopy_class == tgt.homotopy_class
 
     # one graph: a walk from a source generator yields its d_src column (the
     # chains ending in the source layer) and its phi column (those that cross
     # into the target layer).  Target columns go first, so that a coincidence
     # among target pieces alone is met as build_ncc(target) meets it.
     graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
-    (d_tgt,) = sum_columns(graph, tgt_keys, [(tgt_keys, differential_guard(tgt_gens))])
-    d_src, phi = sum_columns(
-        graph, src_keys, [(src_keys, differential_guard(src_gens)), (tgt_keys, keep)]
-    )
+    (d_tgt,) = sum_columns(graph, tgt_keys, [tgt_keys])
+    d_src, phi = sum_columns(graph, src_keys, [src_keys, tgt_keys])
     src_cx = assemble_complex(m.source, src_gens, d_src)
     tgt_cx = assemble_complex(m.target, tgt_gens, d_tgt)
     matrix = IntMatrix(len(tgt_gens), len(src_gens), phi)

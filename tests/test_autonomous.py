@@ -457,31 +457,38 @@ def test_compare_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("factor", [-1, 0, 2])
-def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, factor):
-    # a cylindrical differential scaled by ``factor`` breaks step (iii); its
-    # details list the pairs as a loop over good x good in set order does
-    _requests, docs = seed1_documents(tmp_path, monkeypatch)
-    data = docs["torus3-d1"].obj
+def _scaled_egh(monkeypatch, factor):
+    """Make ``compare_egh`` read a cylindrical differential scaled by ``factor``."""
     original = autonomous._egh_complex
 
-    def scaled(data, dl):
-        c = original(data, dl)
+    def scaled(data):
+        c = original(data)
         n = len(c.generators)
         entries = {k: factor * v for k, v in c.differential.entries.items()}
         return ChainComplex(c.generators, IntMatrix(n, n, entries))
 
     monkeypatch.setattr(autonomous, "_egh_complex", scaled)
+    return scaled
+
+
+@pytest.mark.parametrize("factor", [-1, 0, 2])
+def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, factor):
+    # a cylindrical differential scaled by ``factor`` breaks step (iii); its
+    # details list the pairs as a loop over good x good in the EGH generator
+    # order (decreasing action, then id) does
+    _requests, docs = seed1_documents(tmp_path, monkeypatch)
+    data = docs["torus3-d1"].obj
+    scaled = _scaled_egh(monkeypatch, factor)
     step = compare_egh(data, 2).steps[2]
 
     tower = equivariant_differential(data, 2)
     index = {g.gid: k for k, g in enumerate(tower.generators)}
-    egh = scaled(data, delta(data))
+    egh = scaled(data)
     cylindrical = {
         (egh.generators[j].gid, egh.generators[i].gid): v
         for (i, j), v in egh.differential.entries.items()
     }
-    good = {o.oid for o in data.orbits.values() if o.good}
+    good = [o.oid for o in data.good_orbits()]
     expected = []
     for a in good:
         for b in good:
@@ -492,6 +499,35 @@ def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, fa
     assert len(expected) > 3
     assert not step.ok
     assert step.details == "; ".join(expected[:3])
+
+
+def test_quotient_mismatches_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # the same failing step (iii) in fresh interpreters with different
+    # string hashing reads the same
+    import os
+    import subprocess
+    import sys
+
+    _requests, docs = seed1_documents(tmp_path, monkeypatch)
+    script = (
+        "import sys, pytest, test_autonomous as t\n"
+        "from cascadeho import serialize\n"
+        "from cascadeho.autonomous import compare_egh\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    t._scaled_egh(mp, 2)\n"
+        "    data = serialize.loads(open(sys.argv[1]).read())\n"
+        "    print(compare_egh(data, 2).steps[2].details)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", script, docs["torus3-d1"].path],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] != "\n"
 
 
 def test_generator_budget(monkeypatch):

@@ -192,6 +192,26 @@ def test_build_ncc_rejects_invalid_system():
     assert any(v.code == "parity-axiom" for v in err.value.violations)
 
 
+def test_unvalidated_cross_class_coefficients_fail_loudly(monkeypatch):
+    # with the validator bypassed, the walk still counts the chains from g to
+    # a b of another class, and the structure check rejects them instead of
+    # a guard dropping them into an empty differential
+    from dataclasses import replace
+
+    from cascadeho import mbs
+
+    sys_ = fixture("one-circle").payload
+    sys_.orbits["b"] = replace(sys_.orbits["b"], homotopy_class="x")
+    for module in (mbs, cascades):
+        monkeypatch.setattr(module, "validate_system", lambda _sys: [], raising=False)
+    with pytest.raises(ValidationFailure) as err:
+        build_ncc(sys_)
+    assert [(v.code, v.location) for v in err.value.violations] == [
+        ("structure", "class: <d check:g, check:b> = 2"),
+        ("structure", "class: <d hat:g, hat:b> = -1"),
+    ]
+
+
 def test_parity_graded_system():
     sys_ = MorseBottSystem(
         orbits={

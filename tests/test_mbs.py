@@ -498,7 +498,7 @@ def test_validator_flags_open_circle():
 @pytest.mark.parametrize("table", ["m0", "m1", "m2cc"])
 def test_validator_flags_class_change(table):
     # every moduli piece must join orbits of one homotopy class; build_ncc
-    # keeps only same-class entries, so a cross-class piece would vanish
+    # rejects the system before it counts a cross-class chain
     circle = PLComponent(
         "circle",
         1,

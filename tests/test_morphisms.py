@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cascadeho import cascades, mbs
+from cascadeho import cascades, mbs, morphisms, serialize
 from cascadeho.cascades import build_ncc
 from cascadeho.errors import ChainMapFailure, ValidationFailure
 from cascadeho.exact import IntMatrix
@@ -60,6 +61,21 @@ def test_trivial_cobordism_composes_to_identity():
     assert stacked.matrix == cm2.matrix * cm1.matrix
 
 
+def test_trivial_cobordism_into_a_coarser_grading_is_identity(tmp_path, capsys):
+    # the source keeps integer gradings and the target reduces them mod 2;
+    # the map's entries must not be compared across the two conventions
+    from cascadeho.cli import main
+
+    m = trivial_cobordism(fixture("one-interval").payload)
+    m.target.grading_modulus = 2
+    assert induced_chain_map(m).is_identity()
+    path = tmp_path / "tc.json"
+    path.write_text(serialize.dumps(m))
+    capsys.readouterr()
+    assert main(["morphism", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity"] is True
+
+
 def test_compose_rejects_mismatched_middle():
     cm1 = induced_chain_map(trivial_cobordism(fixture("one-circle").payload))
     cm2 = induced_chain_map(trivial_cobordism(fixture("one-interval").payload))
@@ -89,12 +105,13 @@ def test_morphism_gradings_preserved():
         assert src.homotopy_class == tgt.homotopy_class
 
 
-def test_chain_map_failure_witness():
+def test_chain_map_failure_witness(monkeypatch):
     m = fixture("morphism-interval").payload
     # flipping the source flow-line sign changes d_src but not the map
     m.source.m0[("A", "G")][0] = replace(m.source.m0[("A", "G")][0], sign=-1)
+    monkeypatch.setattr(morphisms, "validate_morphism", lambda _m: [])
     with pytest.raises(ChainMapFailure) as err:
-        induced_chain_map(m, validate=False)
+        induced_chain_map(m)
     assert err.value.source == "hat:A"
     assert err.value.target == "check:B"
     assert err.value.value != 0
@@ -217,8 +234,8 @@ def test_each_graph_asks_each_pinned_query_once(monkeypatch):
     assert validate_system(sys_) == []
     assert validate_morphism(m) == []
     assert queries == []
-    build_ncc(sys_, validate=False)
-    induced_chain_map(m, validate=False)
+    build_ncc(sys_)
+    induced_chain_map(m)
     assert len(set(asked)) == len(asked) == len(queries) > 0
 
 
@@ -267,14 +284,14 @@ def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
         assert validate_morphism(m) == []
         graphs.clear()
         calls.clear()
-        cm = induced_chain_map(m, validate=False)
+        cm = induced_chain_map(m)
         assert len(graphs) == 1
         assert len(calls) == len(set(calls)) > 0
         asked.append(len(calls))
         assert cm.is_identity()
         for complex_, sys_side in ((cm.source_complex, m.source),
                                    (cm.target_complex, m.target)):
-            direct = build_ncc(sys_side, validate=False)
+            direct = build_ncc(sys_side)
             assert complex_.generators == direct.generators
             assert complex_.differential.entries == direct.differential.entries
             assert complex_.grading_modulus == direct.grading_modulus
