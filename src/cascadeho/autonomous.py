@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
+from .cascades import chain_generators
 from .errors import CascadehoError, InputError, ValidationFailure
 from .exact import (
     ChainComplex,
@@ -80,15 +81,14 @@ class AutonomousData:
             key=lambda o: (-o.action, o.oid),
         )
 
-
-def _gen_grading(data: AutonomousData, key: GenKey) -> int:
-    flavor, oid = key
-    orbit = data.orbit(oid)
-    if orbit.grading is None:
-        raise ValidationFailure(
-            [Violation("missing-grading", oid, "autonomous data needs gradings")]
-        )
-    return orbit.grading + (flavor == "hat")
+    def generator_grading(self, orbit: Orbit, flavor: str) -> int:
+        """The grading of ``orbit``'s check or hat generator."""
+        if orbit.grading is None:
+            raise ValidationFailure(
+                [Violation("missing-grading", orbit.oid,
+                           "autonomous data needs gradings")]
+            )
+        return orbit.grading + (flavor == "hat")
 
 
 def validate_data(data: AutonomousData) -> List[Violation]:
@@ -151,7 +151,8 @@ def validate_data(data: AutonomousData) -> List[Violation]:
         check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
               "extra entries preserve the homotopy class")
         try:
-            gap = _gen_grading(data, src) - _gen_grading(data, tgt)
+            gap = (data.generator_grading(a, src[0])
+                   - data.generator_grading(b, tgt[0]))
             check(gap == 1, "grading-axiom", where, f"grading gap {gap} != 1")
         except ValidationFailure:
             pass  # reported above
@@ -222,11 +223,6 @@ def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
 # integral block differential and the equivariant complex
 
 
-def _gid(flavor: str, oid: str, k: Optional[int] = None) -> str:
-    base = f"{flavor}:{oid}"
-    return base if k is None else f"{base}:U{k}"
-
-
 def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     """Integer matrix entries of the nonequivariant block differential."""
     entries: Dict[Tuple[GenKey, GenKey], int] = {}
@@ -251,53 +247,30 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     return {k: v for k, v in entries.items() if v}
 
 
-def _generator_list(data: AutonomousData, truncation: Optional[int]):
-    order = sorted(data.orbits.values(), key=lambda o: (-o.action, o.oid))
-    gens = []
-    for orbit in order:
-        for flavor in ("check", "hat"):
-            base = _gen_grading(data, (flavor, orbit.oid))
-            if truncation is None:
-                gens.append(((flavor, orbit.oid, None), base, orbit))
-            else:
-                for k in range(truncation + 1):
-                    gens.append(((flavor, orbit.oid, k), base + 2 * k, orbit))
-    return gens
-
-
 def _assemble(data, raw, truncation):
-    gens = _generator_list(data, truncation)
-    index = {key: i for i, (key, _g, _o) in enumerate(gens)}
+    """The complex on ``chain_generators(data)`` times U^0..U^truncation
+    (U^0 alone for None): generator ``keys[key] * (K + 1) + k`` is
+    ``key`` (x) U^k, graded up by 2k."""
+    keys, base = chain_generators(data)
+    step = 1 if truncation is None else truncation + 1
+    gens = base if truncation is None else [
+        ChainGenerator(f"{g.gid}:U{k}", g.grading + 2 * k, g.homotopy_class,
+                       g.action, g.orbit)
+        for g in base for k in range(step)
+    ]
     entries: Dict[Tuple[int, int], int] = {}
-
-    def add(src_key, tgt_key, val):
-        if val:
-            ij = (index[tgt_key], index[src_key])
-            entries[ij] = entries.get(ij, 0) + val
-
-    ks = [None] if truncation is None else list(range(truncation + 1))
-    for ((sf, so), (tf, to)), val in raw.items():
-        for k in ks:
-            add((sf, so, k), (tf, to, k), val)
-    if truncation is not None:
-        # BV tail: d(check a (x) U^k) gains d(a) * hat a (x) U^{k-1}
-        for oid, orbit in data.orbits.items():
-            if orbit.good:
-                for k in range(1, truncation + 1):
-                    add(("check", oid, k), ("hat", oid, k - 1), orbit.d)
-
-    chain_gens = tuple(
-        ChainGenerator(
-            _gid(key[0], key[1], key[2]),
-            grading,
-            orbit.homotopy_class,
-            orbit.action,
-            orbit.oid,
-        )
-        for key, grading, orbit in gens
-    )
-    n = len(chain_gens)
-    return ChainComplex(chain_gens, IntMatrix(n, n, entries))
+    for (src, tgt), val in raw.items():
+        for k in range(step):
+            entries[(keys[tgt] * step + k, keys[src] * step + k)] = val
+    # BV tail: d(check a (x) U^k) gains d(a) * hat a (x) U^{k-1}, a slot no
+    # raw entry holds, since every raw entry keeps the U power
+    for oid, orbit in data.orbits.items():
+        if orbit.good:
+            check, hat = keys[("check", oid)] * step, keys[("hat", oid)] * step
+            for k in range(1, step):
+                entries[(hat + k - 1, check + k)] = orbit.d
+    n = len(gens)
+    return ChainComplex(tuple(gens), IntMatrix(n, n, entries))
 
 
 def block_differential(data: AutonomousData) -> ChainComplex:
@@ -308,12 +281,11 @@ def block_differential(data: AutonomousData) -> ChainComplex:
 
 def bv_operator(data: AutonomousData) -> IntMatrix:
     """Degree-1 BV operator: check a -> d(a) hat a on good orbits."""
-    gens = _generator_list(data, None)
-    index = {key: i for i, (key, _g, _o) in enumerate(gens)}
+    keys, gens = chain_generators(data)
     entries = {}
     for oid, orbit in data.orbits.items():
         if orbit.good:
-            entries[(index[("hat", oid, None)], index[("check", oid, None)])] = orbit.d
+            entries[(keys[("hat", oid)], keys[("check", oid)])] = orbit.d
     n = len(gens)
     return IntMatrix(n, n, entries)
 
@@ -465,11 +437,11 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     _require_valid(data)
     complex_ = _tower(data, truncation)
     gens = complex_.generators
-    good = {o.oid for o in data.orbits.values() if o.good}
-    # the U^0 check generator of each good orbit, by index
+    # the U^0 check generator of each good orbit: check keys are even, so
+    # its index keys[key] * (K + 1) is a multiple of 2K + 2
     u0 = {
         k: g.orbit for k, g in enumerate(gens)
-        if g.orbit in good and g.gid == _gid("check", g.orbit, 0)
+        if k % (2 * truncation + 2) == 0 and data.orbit(g.orbit).good
     }
     steps = []
 

@@ -52,20 +52,6 @@ from .mbs import (
 MAX_PARTIAL_CHAINS = 10**5
 
 
-@dataclass(frozen=True)
-class CascadeGenerator:
-    flavor: str  # "check" | "hat"
-    orbit: str
-
-    def __post_init__(self):
-        if self.flavor not in ("check", "hat"):
-            raise ValueError(f"bad flavor {self.flavor!r}")
-
-    @property
-    def gid(self) -> str:
-        return f"{self.flavor}:{self.orbit}"
-
-
 Key = Tuple[str, Hashable]  # (flavor, node): a generator of a cascade graph
 
 
@@ -79,10 +65,6 @@ class Cascade(NamedTuple):
     key: Key
     weight: int  # +-1 for honest cascades; the raw count for m2cc entries
     trail: Optional[Tuple]
-
-    @property
-    def target(self) -> CascadeGenerator:
-        return CascadeGenerator(*self.key)
 
     @property
     def pieces(self) -> Tuple:
@@ -183,8 +165,9 @@ class CascadeGraph:
                 self.m2cc[top(a)].append((bottom(b), count))
 
 
-def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Cascade]:
-    """All rigid cascades out of ``src``: one walk gives its whole column.
+def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
+    """All rigid cascades out of the generator ``src`` = (flavor, node): one
+    walk gives its whole column.
 
     A phi piece differs from an in-system piece in two ways: an e_minus-pinned
     phi1 piece carries no extra -1, and where a pinned phi evaluation lands
@@ -192,7 +175,7 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
     the basepoint on a target orbit, just after it on a source orbit).
     Raises InputError once the walk has extended MAX_PARTIAL_CHAINS chains.
     """
-    start = src.orbit
+    flavor, start = src
     out: List[Cascade] = []
 
     def ordered(node, last, value, eps, piece, edge):
@@ -217,7 +200,7 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
     # trail); an explicit stack, so the walk's depth is not bounded by
     # recursion and its locals are freed when it returns
     stack = []
-    if src.flavor == "hat":
+    if flavor == "hat":
         if not graph.orbit(start).good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
@@ -245,7 +228,7 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
             walked += 1
             if walked > MAX_PARTIAL_CHAINS:
                 layer, oid = _layer_and_oid(start)
-                where = f"{src.flavor}:{oid}" + (f" ({layer} layer)" if layer else "")
+                where = f"{flavor}:{oid}" + (f" ({layer} layer)" if layer else "")
                 raise InputError(
                     f"the cascade walk from {where} extends more than "
                     f"{MAX_PARTIAL_CHAINS} partial chains"
@@ -279,7 +262,7 @@ def enumerate_cascades(graph: CascadeGraph, src: CascadeGenerator) -> List[Casca
                     if last is None or ordered(current, last, pre.residual, eps,
                                                piece, edge):
                         out.append(Cascade(key, extra * sign * pre.sign, (piece, trail)))
-    if src.flavor == "check":
+    if flavor == "check":
         # check -> hat on one pair needs both pins on one piece: counted by m2cc
         for bottom, count in graph.m2cc.get(start, ()):
             out.append(Cascade(("hat", bottom), count, (("m2cc", (start, bottom)), None)))
@@ -300,7 +283,7 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals: Dict[Key, int] = {}
-        for c in enumerate_cascades(graph, CascadeGenerator(*key)):
+        for c in enumerate_cascades(graph, key):
             totals[c.key] = totals.get(c.key, 0) + c.weight
         columns = [{} for _ in blocks]
         for target, weight in totals.items():
@@ -313,37 +296,28 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
 
 
 def chain_generators(
-    sys: MorseBottSystem, layer: Optional[str] = None
+    doc, layer: Optional[str] = None
 ) -> Tuple[Dict[Key, int], List[ChainGenerator]]:
-    """The check and hat generator of each orbit, in decreasing action.
+    """The check and hat generator of each orbit of ``doc``, in decreasing
+    action: the one list every complex on check/hat generators is built on.
 
-    Returns their keys (flavor, node), mapped to their indices, and their
+    ``doc`` is a MorseBottSystem or AutonomousData; its
+    ``generator_grading(orbit, flavor)`` grades each generator.  Returns
+    their keys (flavor, node), mapped to their indices, and their
     ChainGenerators.  A node is the orbit id, or (layer, oid) in a
     cobordism graph.
     """
-    order = sorted(sys.orbits.values(), key=lambda o: (-o.action, o.oid))
+    order = sorted(doc.orbits.values(), key=lambda o: (-o.action, o.oid))
     keys: Dict[Key, int] = {}
     gens = []
     for orbit in order:
         node = orbit.oid if layer is None else (layer, orbit.oid)
         for flavor in ("check", "hat"):
-            if sys.grading_modulus == "parity":
-                grading = (orbit.parity + (flavor == "hat")) % 2
-            else:
-                if orbit.grading is None:
-                    raise ValidationFailure(
-                        [Violation("missing-grading", orbit.oid,
-                                   "integer grading required unless the "
-                                   "grading modulus is 'parity'")]
-                    )
-                grading = orbit.grading + (flavor == "hat")
-                if sys.grading_modulus:
-                    grading %= sys.grading_modulus
             keys[(flavor, node)] = len(gens)
             gens.append(
                 ChainGenerator(
                     f"{flavor}:{orbit.oid}",
-                    grading,
+                    doc.generator_grading(orbit, flavor),
                     orbit.homotopy_class,
                     orbit.action,
                     orbit.oid,

@@ -16,7 +16,7 @@ from functools import partial
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import NonDistinct, NonRegularValue
+from .errors import NonDistinct, NonRegularValue, ValidationFailure
 
 Pair = Tuple[str, str]
 
@@ -86,6 +86,8 @@ class Orbit:
     def __post_init__(self):
         if self.parity not in (0, 1):
             raise ValueError(f"{self.oid}: parity must be 0 or 1")
+        if self.d < 1:
+            raise ValueError(f"{self.oid}: multiplicity d must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,19 @@ class MorseBottSystem:
     def pairs(self):
         seen = set(self.m0) | set(self.m1) | set(self.m2cc)
         return sorted(seen)
+
+    def generator_grading(self, orbit: Orbit, flavor: str) -> int:
+        """The grading of ``orbit``'s check or hat generator."""
+        if self.grading_modulus == "parity":
+            return (orbit.parity + (flavor == "hat")) % 2
+        if orbit.grading is None:
+            raise ValidationFailure(
+                [Violation("missing-grading", orbit.oid,
+                           "integer grading required unless the "
+                           "grading modulus is 'parity'")]
+            )
+        grading = orbit.grading + (flavor == "hat")
+        return grading % self.grading_modulus if self.grading_modulus else grading
 
 
 def _lattice_index(num: int, den: int, p: Fraction) -> int:

@@ -72,18 +72,13 @@ def _typed(data, key, kind=int):
     return value
 
 
-def _gen_key(data) -> Tuple[str, str]:
-    if not (isinstance(data, list) and len(data) == 2):
-        raise ValueError(f"{data!r} is not a [flavor, orbit] pair")
-    return tuple(data)
-
-
 def _name_pair(data) -> Tuple[str, str]:
+    """An [orbit, orbit] or [flavor, orbit] pair of JSON strings."""
     if not (
         isinstance(data, list) and len(data) == 2
         and all(type(x) is str for x in data)
     ):
-        raise ValueError(f"{data!r} is not a pair of orbit ids")
+        raise ValueError(f"{data!r} is not a pair of strings")
     return tuple(data)
 
 
@@ -149,15 +144,16 @@ def _component_json(comp: PLComponent):
 
 
 def _component_load(data) -> PLComponent:
+    labels = _object(data, "labels")
+    for end in labels:
+        if end not in ("0", "1"):
+            raise ValueError(f'label end {end!r} is neither "0" nor "1"')
     return PLComponent(
         data["kind"],
         _typed(data, "sign_start"),
         _lift_load(data["e_plus_lift"]),
         _lift_load(data["e_minus_lift"]),
-        {
-            int(end): _label_load(label)
-            for end, label in _object(data, "labels").items()
-        },
+        {int(end): _label_load(label) for end, label in labels.items()},
     )
 
 
@@ -177,7 +173,7 @@ def _orbit_json(orbit: Orbit):
 
 def _orbit_load(data) -> Orbit:
     return Orbit(
-        data["id"],
+        _typed(data, "id", str),
         _typed(data, "d"),
         _typed(data, "parity"),
         _typed(data, "good", bool),
@@ -210,6 +206,18 @@ def _pairs_json(mapping, value_key, value_fn):
     ]
 
 
+def _pairs_load(payload, name, load):
+    """The inverse of ``_pairs_json``: the table ``name`` of ``payload``,
+    keyed by (top, bottom) orbit ids, each entry's value read by ``load``."""
+    return {
+        _name_pair([e["top"], e["bottom"]]): load(e) for e in _array(payload, name)
+    }
+
+
+def _components_load(e):
+    return [_component_load(c) for c in e["components"]]
+
+
 def _mbs_payload(sys: MorseBottSystem) -> Dict:
     return {
         "grading_modulus": sys.grading_modulus,
@@ -233,24 +241,13 @@ def _mbs_load(payload) -> MorseBottSystem:
         raise ValueError('grading modulus must be "parity", 0 or an even '
                          f"integer >= 2, got {modulus!r}")
     return MorseBottSystem(
-        orbits={o["id"]: _orbit_load(o) for o in payload["orbits"]},
+        orbits={o.oid: o for o in map(_orbit_load, payload["orbits"])},
         basepoints={
             oid: _frac(p) for oid, p in _object(payload, "basepoints").items()
         },
-        m0={
-            (e["top"], e["bottom"]): _points_load(e["points"])
-            for e in payload.get("m0", [])
-        },
-        m1={
-            (e["top"], e["bottom"]): [
-                _component_load(c) for c in e["components"]
-            ]
-            for e in payload.get("m1", [])
-        },
-        m2cc={
-            (e["top"], e["bottom"]): _typed(e, "count")
-            for e in payload.get("m2cc", [])
-        },
+        m0=_pairs_load(payload, "m0", lambda e: _points_load(e["points"])),
+        m1=_pairs_load(payload, "m1", _components_load),
+        m2cc=_pairs_load(payload, "m2cc", lambda e: _typed(e, "count")),
         grading_modulus=modulus,
     )
 
@@ -273,17 +270,15 @@ def _autonomous_payload(data: AutonomousData) -> Dict:
 
 def _autonomous_load(payload) -> AutonomousData:
     return AutonomousData(
-        orbits={o["id"]: _orbit_load(o) for o in payload["orbits"]},
-        mj1={
-            (e["top"], e["bottom"]): [
-                CylinderRecord(_typed(c, "epsilon"), _typed(c, "du"))
-                for c in e["cylinders"]
-            ]
-            for e in payload.get("mj1", [])
-        },
+        orbits={o.oid: o for o in map(_orbit_load, payload["orbits"])},
+        mj1=_pairs_load(payload, "mj1", lambda e: [
+            CylinderRecord(_typed(c, "epsilon"), _typed(c, "du"))
+            for c in e["cylinders"]
+        ]),
         extra={
-            (_gen_key(e["source"]), _gen_key(e["target"])): _typed(e, "coefficient")
-            for e in payload.get("extra", [])
+            (_name_pair(e["source"]), _name_pair(e["target"])):
+                _typed(e, "coefficient")
+            for e in _array(payload, "extra")
         },
     )
 
@@ -306,16 +301,8 @@ def _morphism_load(payload) -> MorphismData:
     return MorphismData(
         source=_mbs_load(payload["source"]),
         target=_mbs_load(payload["target"]),
-        phi0={
-            (e["top"], e["bottom"]): _points_load(e["points"])
-            for e in payload.get("phi0", [])
-        },
-        phi1={
-            (e["top"], e["bottom"]): [
-                _component_load(c) for c in e["components"]
-            ]
-            for e in payload.get("phi1", [])
-        },
+        phi0=_pairs_load(payload, "phi0", lambda e: _points_load(e["points"])),
+        phi1=_pairs_load(payload, "phi1", _components_load),
         allow_equal_action={
             _name_pair(pair) for pair in _array(payload, "allow_equal_action")
         },

@@ -335,6 +335,28 @@ def m2cc_count(payload):
     payload["m2cc"] = [{"top": "alpha", "bottom": "beta", "count": 1.0}]
 
 
+def integer_orbit_id(payload):
+    payload["orbits"].append(dict(payload["orbits"][0], id=7))
+
+
+def every_multiplicity(d):
+    def edit(payload):
+        for orbit in payload["orbits"]:
+            orbit["d"] = d
+    edit.__name__ = f"every-d={d}"
+    return edit
+
+
+def label_end(end, moved):
+    """An edit that files interval end ``moved``'s label under ``end``, or
+    copies end "0"'s label there when ``moved`` is None."""
+    def edit(payload):
+        labels = first_interval(payload["m1"])["labels"]
+        labels[end] = labels["0"] if moved is None else labels.pop(moved)
+    edit.__name__ = f"label-end={end!r}"
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, command", [
     ("one-interval", basepoints_as_list, "nch"),
     ("one-interval", labels_as_list, "nch"),
@@ -379,6 +401,20 @@ def m2cc_count(payload):
      "morphism"),
     ("morphism-interval", setting("allow_equal_action", value="AB"), "morphism"),
     ("morphism-interval", setting("allow_equal_action", value=[[1, 2]]), "morphism"),
+    # orbit ids, pair tables and extra keys hold JSON strings only
+    ("one-interval", setting("m0", 0, "top", value=1), "nch"),
+    ("autonomous-chain", setting("mj1", 0, "top", value=1), "egh"),
+    ("preq-112", setting("extra", 0, "source", value=["check", 5]), "egh"),
+    ("one-interval", integer_orbit_id, "nch"),
+    # an orbit multiplicity is a positive integer
+    ("preq-112", every_multiplicity(0), "chs1"),
+    ("preq-112", every_multiplicity(-2), "chs1"),
+    ("one-circle", setting("orbits", 0, "d", value=0), "nch"),
+    # an interval's labels sit under "0" and "1" only
+    ("one-interval", label_end("2", None), "nch"),
+    ("one-interval", label_end(" 1", "1"), "nch"),
+    ("one-interval", label_end("+1", "1"), "nch"),
+    ("one-interval", label_end("01", "1"), "nch"),
 ])
 def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command):
     path = write_edited(tmp_path, name, edit)
