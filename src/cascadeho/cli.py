@@ -57,12 +57,7 @@ def _write(path: str, text: str):
 
 def _load(path: str, expect_kind=None):
     obj = serialize.loads(_read(path))
-    kinds = {
-        MorseBottSystem: "mbs",
-        AutonomousData: "autonomous",
-        MorphismData: "morphism",
-    }
-    kind = kinds[type(obj)]
+    kind = serialize.kind_of(obj)
     if expect_kind and kind not in expect_kind:
         raise InputError(
             f"{path}: expected a {' or '.join(expect_kind)} document, got {kind}"

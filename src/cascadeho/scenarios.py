@@ -17,6 +17,7 @@ from .autonomous import AutonomousData, CylinderRecord
 from .errors import InputError, UnknownFixture
 from .mbs import BoundaryLabel, MorseBottSystem, Orbit, PLComponent, SignedPoint
 from .morphisms import MorphismData, PhiLabel, trivial_cobordism
+from .serialize import kind_of
 
 
 def _f(a, b=1):
@@ -82,7 +83,7 @@ def period_doubling(side: str, c: int = 1, allow_even: bool = False) -> Autonomo
 @dataclass
 class Scenario:
     name: str
-    kind: str  # "mbs" | "autonomous" | "morphism"
+    kind: str  # the document kind of the payload: see serialize.kind_of
     payload: object
     expected: Dict  # hand-computed reference values, consumed by tests
 
@@ -227,9 +228,7 @@ def _morphism_interval() -> MorphismData:
 
 
 _FIXTURES = {
-    "one-circle": lambda: Scenario(
-        "one-circle",
-        "mbs",
+    "one-circle": lambda: (
         _one_circle(),
         {
             "differential": {
@@ -239,9 +238,7 @@ _FIXTURES = {
             "nch": {("", 0): (0, (2,))},
         },
     ),
-    "bad-circle": lambda: Scenario(
-        "bad-circle",
-        "mbs",
+    "bad-circle": lambda: (
         _bad_circle(),
         {
             "differential": {
@@ -251,9 +248,7 @@ _FIXTURES = {
             "nch": {("", 2): (1, ()), ("", 1): (1, ())},
         },
     ),
-    "one-interval": lambda: Scenario(
-        "one-interval",
-        "mbs",
+    "one-interval": lambda: (
         _one_interval(),
         {
             "differential": {
@@ -266,18 +261,14 @@ _FIXTURES = {
             "nch": {("c", 3): (1, ()), ("c", 2): (2, ()), ("c", 1): (1, ())},
         },
     ),
-    "one-bad-orbit": lambda: Scenario(
-        "one-bad-orbit",
-        "mbs",
+    "one-bad-orbit": lambda: (
         _one_bad_orbit(),
         {
             "differential": {("hat:X", "check:X"): -2},
             "nch": {("", 0): (0, (2,))},
         },
     ),
-    "autonomous-chain": lambda: Scenario(
-        "autonomous-chain",
-        "autonomous",
+    "autonomous-chain": lambda: (
         _autonomous_chain(),
         {
             "block": {
@@ -286,9 +277,7 @@ _FIXTURES = {
             },
         },
     ),
-    "preq-112": lambda: Scenario(
-        "preq-112",
-        "autonomous",
+    "preq-112": lambda: (
         prequantization(1, 1, 2),
         {
             "nch": {
@@ -308,9 +297,7 @@ _FIXTURES = {
             },
         },
     ),
-    "pd-minus": lambda: Scenario(
-        "pd-minus",
-        "autonomous",
+    "pd-minus": lambda: (
         period_doubling("minus"),
         {
             "chs1": {("2G", 1): (1, ())}
@@ -318,18 +305,14 @@ _FIXTURES = {
             "egh": {("2G", 1): 1},
         },
     ),
-    "pd-plus": lambda: Scenario(
-        "pd-plus",
-        "autonomous",
+    "pd-plus": lambda: (
         period_doubling("plus", 1),
         {
             "nch": {("2G", 1): (1, ()), ("2G", 2): (1, ())},
             "egh": {("2G", 1): 1},
         },
     ),
-    "morphism-interval": lambda: Scenario(
-        "morphism-interval",
-        "morphism",
+    "morphism-interval": lambda: (
         _morphism_interval(),
         {
             "map": {
@@ -340,9 +323,7 @@ _FIXTURES = {
             },
         },
     ),
-    "trivial-cobordism": lambda: Scenario(
-        "trivial-cobordism",
-        "morphism",
+    "trivial-cobordism": lambda: (
         trivial_cobordism(_one_interval()),
         {"identity": True},
     ),
@@ -358,7 +339,8 @@ def fixture(name: str) -> Scenario:
         builder = _FIXTURES[name]
     except KeyError:
         raise UnknownFixture(name) from None
-    return builder()
+    payload, expected = builder()
+    return Scenario(name, kind_of(payload), payload, expected)
 
 
 # ---------------------------------------------------------------------------

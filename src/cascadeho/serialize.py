@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -62,14 +63,27 @@ def _array(data, key):
     return value
 
 
-def _typed(data, key, kind=int):
-    """``data[key]`` when it is a JSON value of exactly ``kind``: an integer
-    field refuses floats, numeric strings and booleans."""
+def _read(data, key, kind):
+    """``data[key]`` as a ``kind``: a Fraction field takes a rational, any
+    other field a JSON value of exactly ``kind`` (an integer field refuses
+    floats, numeric strings and booleans)."""
     value = data[key]
+    if kind is Fraction:
+        return _frac(value)
     if type(value) is not kind:
         what = {bool: "a boolean", str: "a string"}.get(kind, "an integer")
         raise TypeError(f"{key!r} must be {what}, got {value!r}")
     return value
+
+
+def _unique(items, what):
+    """The dict of the (key, value) ``items``; a repeated key is malformed."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise ValueError(f"duplicate {what} {key!r}")
+        out[key] = value
+    return out
 
 
 def _name_pair(data) -> Tuple[str, str]:
@@ -90,42 +104,49 @@ def _lift_load(data):
     return tuple((_frac(t), _frac(v)) for t, v in data)
 
 
-def _label_json(label):
-    if isinstance(label, PhiLabel):
-        return {
-            "side": label.side,
-            "orbit": label.orbit,
-            "d_phi": label.d_phi,
-            "point_index": label.point_index,
-            "component_index": label.component_index,
-            "t": _frac_str(label.t),
-        }
-    return {
-        "orbit": label.orbit,
-        "d_plus": label.d_plus,
-        "point_index": label.point_index,
-        "component_index": label.component_index,
-        "t": _frac_str(label.t),
-    }
+# each record's (JSON key, attribute, type) rows, in reading order; a field
+# with a dataclass default may be absent or null, and is written unless None
+_FIELDS = {
+    Orbit: (("id", "oid", str), ("d", "d", int), ("parity", "parity", int),
+            ("good", "good", bool), ("action", "action", Fraction),
+            ("class", "homotopy_class", str), ("grading", "grading", int)),
+    SignedPoint: (("e_plus", "e_plus", Fraction),
+                  ("e_minus", "e_minus", Fraction), ("sign", "sign", int)),
+    BoundaryLabel: (("orbit", "orbit", str), ("d_plus", "d_plus", int),
+                    ("point_index", "point_index", int),
+                    ("component_index", "component_index", int),
+                    ("t", "t", Fraction)),
+    PhiLabel: (("side", "side", str), ("orbit", "orbit", str),
+               ("d_phi", "d_phi", int), ("point_index", "point_index", int),
+               ("component_index", "component_index", int),
+               ("t", "t", Fraction)),
+    CylinderRecord: (("epsilon", "epsilon", int), ("du", "du", int)),
+}
 
 
-def _label_load(data):
-    if "side" in data:
-        return PhiLabel(
-            _typed(data, "side", str),
-            _typed(data, "orbit", str),
-            _typed(data, "d_phi"),
-            _typed(data, "point_index"),
-            _typed(data, "component_index"),
-            _frac(data["t"]),
-        )
-    return BoundaryLabel(
-        _typed(data, "orbit", str),
-        _typed(data, "d_plus"),
-        _typed(data, "point_index"),
-        _typed(data, "component_index"),
-        _frac(data["t"]),
-    )
+def _record_json(record):
+    out = {}
+    for key, attr, kind in _FIELDS[type(record)]:
+        value = getattr(record, attr)
+        if value is not None:
+            out[key] = _frac_str(value) if kind is Fraction else value
+    return out
+
+
+_OPTIONAL = {cls: {f.name for f in fields(cls) if f.default is not MISSING}
+             for cls in _FIELDS}
+
+
+def _record_load(cls, data):
+    return cls(**{
+        attr: _read(data, key, kind)
+        for key, attr, kind in _FIELDS[cls]
+        if attr not in _OPTIONAL[cls] or data.get(key) is not None
+    })
+
+
+def _records_load(cls, data):
+    return [_record_load(cls, item) for item in data]
 
 
 def _component_json(comp: PLComponent):
@@ -137,7 +158,7 @@ def _component_json(comp: PLComponent):
     }
     if comp.boundary_labels:
         out["labels"] = {
-            str(end): _label_json(label)
+            str(end): _record_json(label)
             for end, label in sorted(comp.boundary_labels.items())
         }
     return out
@@ -150,52 +171,15 @@ def _component_load(data) -> PLComponent:
             raise ValueError(f'label end {end!r} is neither "0" nor "1"')
     return PLComponent(
         data["kind"],
-        _typed(data, "sign_start"),
+        _read(data, "sign_start", int),
         _lift_load(data["e_plus_lift"]),
         _lift_load(data["e_minus_lift"]),
-        {int(end): _label_load(label) for end, label in labels.items()},
+        {
+            int(end): _record_load(
+                PhiLabel if "side" in label else BoundaryLabel, label)
+            for end, label in labels.items()
+        },
     )
-
-
-def _orbit_json(orbit: Orbit):
-    out = {
-        "id": orbit.oid,
-        "d": orbit.d,
-        "parity": orbit.parity,
-        "good": orbit.good,
-        "action": _frac_str(orbit.action),
-        "class": orbit.homotopy_class,
-    }
-    if orbit.grading is not None:
-        out["grading"] = orbit.grading
-    return out
-
-
-def _orbit_load(data) -> Orbit:
-    return Orbit(
-        _typed(data, "id", str),
-        _typed(data, "d"),
-        _typed(data, "parity"),
-        _typed(data, "good", bool),
-        _frac(data["action"]),
-        data.get("class", ""),
-        None if data.get("grading") is None else _typed(data, "grading"),
-    )
-
-
-def _points_json(points):
-    return [
-        {"e_plus": _frac_str(p.e_plus), "e_minus": _frac_str(p.e_minus),
-         "sign": p.sign}
-        for p in points
-    ]
-
-
-def _points_load(data):
-    return [
-        SignedPoint(_frac(p["e_plus"]), _frac(p["e_minus"]), _typed(p, "sign"))
-        for p in data
-    ]
 
 
 def _pairs_json(mapping, value_key, value_fn):
@@ -209,26 +193,46 @@ def _pairs_json(mapping, value_key, value_fn):
 def _pairs_load(payload, name, load):
     """The inverse of ``_pairs_json``: the table ``name`` of ``payload``,
     keyed by (top, bottom) orbit ids, each entry's value read by ``load``."""
-    return {
-        _name_pair([e["top"], e["bottom"]]): load(e) for e in _array(payload, name)
-    }
+    return _unique((
+        (_name_pair([e["top"], e["bottom"]]), load(e))
+        for e in _array(payload, name)
+    ), f"{name} pair")
+
+
+def _records_json(records):
+    return [_record_json(r) for r in records]
+
+
+def _points_load(e):
+    return _records_load(SignedPoint, e["points"])
+
+
+def _components_json(components):
+    return [_component_json(c) for c in components]
 
 
 def _components_load(e):
     return [_component_load(c) for c in e["components"]]
 
 
+def _orbits_json(orbits):
+    return [_record_json(o) for _, o in sorted(orbits.items())]
+
+
+def _orbits_load(payload):
+    orbits = _records_load(Orbit, payload["orbits"])
+    return _unique(((o.oid, o) for o in orbits), "orbit id")
+
+
 def _mbs_payload(sys: MorseBottSystem) -> Dict:
     return {
         "grading_modulus": sys.grading_modulus,
-        "orbits": [_orbit_json(o) for _, o in sorted(sys.orbits.items())],
+        "orbits": _orbits_json(sys.orbits),
         "basepoints": {
             oid: _frac_str(p) for oid, p in sorted(sys.basepoints.items())
         },
-        "m0": _pairs_json(sys.m0, "points", _points_json),
-        "m1": _pairs_json(
-            sys.m1, "components", lambda cs: [_component_json(c) for c in cs]
-        ),
+        "m0": _pairs_json(sys.m0, "points", _records_json),
+        "m1": _pairs_json(sys.m1, "components", _components_json),
         "m2cc": _pairs_json(sys.m2cc, "count", int),
     }
 
@@ -241,25 +245,21 @@ def _mbs_load(payload) -> MorseBottSystem:
         raise ValueError('grading modulus must be "parity", 0 or an even '
                          f"integer >= 2, got {modulus!r}")
     return MorseBottSystem(
-        orbits={o.oid: o for o in map(_orbit_load, payload["orbits"])},
+        orbits=_orbits_load(payload),
         basepoints={
             oid: _frac(p) for oid, p in _object(payload, "basepoints").items()
         },
-        m0=_pairs_load(payload, "m0", lambda e: _points_load(e["points"])),
+        m0=_pairs_load(payload, "m0", _points_load),
         m1=_pairs_load(payload, "m1", _components_load),
-        m2cc=_pairs_load(payload, "m2cc", lambda e: _typed(e, "count")),
+        m2cc=_pairs_load(payload, "m2cc", lambda e: _read(e, "count", int)),
         grading_modulus=modulus,
     )
 
 
 def _autonomous_payload(data: AutonomousData) -> Dict:
     return {
-        "orbits": [_orbit_json(o) for _, o in sorted(data.orbits.items())],
-        "mj1": _pairs_json(
-            data.mj1,
-            "cylinders",
-            lambda cs: [{"epsilon": c.epsilon, "du": c.du} for c in cs],
-        ),
+        "orbits": _orbits_json(data.orbits),
+        "mj1": _pairs_json(data.mj1, "cylinders", _records_json),
         "extra": [
             {"source": list(src), "target": list(tgt), "coefficient": coeff}
             for (src, tgt), coeff in sorted(data.extra.items())
@@ -270,16 +270,14 @@ def _autonomous_payload(data: AutonomousData) -> Dict:
 
 def _autonomous_load(payload) -> AutonomousData:
     return AutonomousData(
-        orbits={o.oid: o for o in map(_orbit_load, payload["orbits"])},
-        mj1=_pairs_load(payload, "mj1", lambda e: [
-            CylinderRecord(_typed(c, "epsilon"), _typed(c, "du"))
-            for c in e["cylinders"]
-        ]),
-        extra={
-            (_name_pair(e["source"]), _name_pair(e["target"])):
-                _typed(e, "coefficient")
+        orbits=_orbits_load(payload),
+        mj1=_pairs_load(payload, "mj1", lambda e: _records_load(
+            CylinderRecord, e["cylinders"])),
+        extra=_unique((
+            ((_name_pair(e["source"]), _name_pair(e["target"])),
+             _read(e, "coefficient", int))
             for e in _array(payload, "extra")
-        },
+        ), "extra entry"),
     )
 
 
@@ -287,10 +285,8 @@ def _morphism_payload(m: MorphismData) -> Dict:
     return {
         "source": _mbs_payload(m.source),
         "target": _mbs_payload(m.target),
-        "phi0": _pairs_json(m.phi0, "points", _points_json),
-        "phi1": _pairs_json(
-            m.phi1, "components", lambda cs: [_component_json(c) for c in cs]
-        ),
+        "phi0": _pairs_json(m.phi0, "points", _records_json),
+        "phi1": _pairs_json(m.phi1, "components", _components_json),
         "allow_equal_action": sorted(
             [list(pair) for pair in m.allow_equal_action]
         ),
@@ -301,7 +297,7 @@ def _morphism_load(payload) -> MorphismData:
     return MorphismData(
         source=_mbs_load(payload["source"]),
         target=_mbs_load(payload["target"]),
-        phi0=_pairs_load(payload, "phi0", lambda e: _points_load(e["points"])),
+        phi0=_pairs_load(payload, "phi0", _points_load),
         phi1=_pairs_load(payload, "phi1", _components_load),
         allow_equal_action={
             _name_pair(pair) for pair in _array(payload, "allow_equal_action")
@@ -309,15 +305,25 @@ def _morphism_load(payload) -> MorphismData:
     )
 
 
+# each document kind's name -> (class, payload writer, payload reader)
+_KINDS = {
+    "mbs": (MorseBottSystem, _mbs_payload, _mbs_load),
+    "autonomous": (AutonomousData, _autonomous_payload, _autonomous_load),
+    "morphism": (MorphismData, _morphism_payload, _morphism_load),
+}
+
+
+def kind_of(obj) -> str:
+    """The document kind of ``obj``: "mbs", "autonomous" or "morphism"."""
+    for kind, (cls, *_codec) in _KINDS.items():
+        if isinstance(obj, cls):
+            return kind
+    raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
 def to_document(obj) -> Dict:
-    if isinstance(obj, MorseBottSystem):
-        kind, payload = "mbs", _mbs_payload(obj)
-    elif isinstance(obj, AutonomousData):
-        kind, payload = "autonomous", _autonomous_payload(obj)
-    elif isinstance(obj, MorphismData):
-        kind, payload = "morphism", _morphism_payload(obj)
-    else:
-        raise InputError(f"cannot serialize {type(obj).__name__}")
+    kind = kind_of(obj)
+    payload = _KINDS[kind][1](obj)
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
 
 
@@ -331,16 +337,12 @@ def from_document(doc: Dict):
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise InputError("missing payload")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"unknown document kind {kind!r}")
     try:
-        if kind == "mbs":
-            return _mbs_load(payload)
-        if kind == "autonomous":
-            return _autonomous_load(payload)
-        if kind == "morphism":
-            return _morphism_load(payload)
+        return _KINDS[kind][2](payload)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed {kind} payload: {err}") from None
-    raise InputError(f"unknown document kind {kind!r}")
 
 
 def dumps(obj) -> str:

@@ -28,9 +28,16 @@ def write_fixture(tmp_path, name):
 # --- documents --------------------------------------------------------------
 
 
-def test_round_trip_is_canonical():
-    for name in fixture_names():
-        text = serialize.dumps(fixture(name).payload)
+def test_round_trip_is_canonical(tmp_path, monkeypatch):
+    docs = {name: fixture(name).payload for name in fixture_names()}
+    docs.update((f"{m.fixture}--{m.cls}", m.payload) for m in all_mutations())
+    workloads = bench_workloads(monkeypatch)
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            docs.update((f"{name}-{seed}:{r.doc.name}", r.doc.obj) for r in
+                        workloads.build(name, seed, str(tmp_path / name)))
+    for name, obj in docs.items():
+        text = serialize.dumps(obj)
         assert serialize.dumps(serialize.loads(text)) == text, name
 
 
@@ -116,6 +123,30 @@ def test_morphism_command(tmp_path, capsys):
     assert main(["morphism", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["identity"]
+
+
+def test_morphism_overrides_source_and_target(tmp_path, capsys):
+    # morphism PHI SOURCE TARGET reads both systems from their own files
+    sys_ = fixture("one-interval").payload
+    reseeded = assign_basepoints(sys_, 3)
+    assert reseeded.basepoints != sys_.basepoints
+    phi, plain, moved = (tmp_path / f"{n}.json" for n in ("phi", "s", "r"))
+    phi.write_text(serialize.dumps(trivial_cobordism(sys_)))
+    plain.write_text(serialize.dumps(sys_))
+    moved.write_text(serialize.dumps(reseeded))
+    # both ends reseeded: still the identity; only the target: the target's
+    # basepoints change the map
+    for source, identity in ((moved, True), (plain, False)):
+        argv = ["morphism", str(phi), str(source), str(moved), "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["identity"] is identity
+    assert main(["morphism", str(phi), str(moved)]) == 3
+    assert capsys.readouterr().err == (
+        "error: give both source and target files, or neither\n")
+    assert main(["morphism", str(phi), str(phi), str(moved)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {phi}: expected a mbs document, got morphism\n")
 
 
 def test_exit_code_validation_failure(tmp_path, capsys):
@@ -339,11 +370,21 @@ def integer_orbit_id(payload):
     payload["orbits"].append(dict(payload["orbits"][0], id=7))
 
 
-def every_multiplicity(d):
+def every_orbit(key, value):
     def edit(payload):
         for orbit in payload["orbits"]:
-            orbit["d"] = d
-    edit.__name__ = f"every-d={d}"
+            orbit[key] = value
+    edit.__name__ = f"every-{key}={value!r}"
+    return edit
+
+
+def repeated(table, at, **changes):
+    """An edit that inserts a copy of the first entry of ``table``, with
+    ``changes``, at index ``at``."""
+    def edit(payload):
+        entries = payload[table]
+        entries.insert(at, dict(entries[0], **changes))
+    edit.__name__ = f"repeated-{table}"
     return edit
 
 
@@ -407,14 +448,25 @@ def label_end(end, moved):
     ("preq-112", setting("extra", 0, "source", value=["check", 5]), "egh"),
     ("one-interval", integer_orbit_id, "nch"),
     # an orbit multiplicity is a positive integer
-    ("preq-112", every_multiplicity(0), "chs1"),
-    ("preq-112", every_multiplicity(-2), "chs1"),
+    ("preq-112", every_orbit("d", 0), "chs1"),
+    ("preq-112", every_orbit("d", -2), "chs1"),
     ("one-circle", setting("orbits", 0, "d", value=0), "nch"),
     # an interval's labels sit under "0" and "1" only
     ("one-interval", label_end("2", None), "nch"),
     ("one-interval", label_end(" 1", "1"), "nch"),
     ("one-interval", label_end("+1", "1"), "nch"),
     ("one-interval", label_end("01", "1"), "nch"),
+    # an orbit's class is a JSON string
+    ("one-interval", every_orbit("class", 5), "nch"),
+    ("one-interval", every_orbit("class", ["c"]), "nch"),
+    ("one-interval", every_orbit("class", {"a": 1}), "nch"),
+    ("preq-112", every_orbit("class", 5), "chs1"),
+    ("preq-112", every_orbit("class", ["c"]), "chs1"),
+    ("preq-112", every_orbit("class", {"a": 1}), "chs1"),
+    # orbit ids, pair-table (top, bottom) pairs and extra keys are unique
+    ("one-interval", repeated("orbits", 1), "nch"),
+    ("one-interval", repeated("m0", 1, points=[]), "nch"),
+    ("preq-112", repeated("extra", 0, coefficient=5), "nch"),
 ])
 def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command):
     path = write_edited(tmp_path, name, edit)

@@ -3,9 +3,11 @@
 For each document of the corpus (the fixtures and their mutations) and each
 command below, one sha256 covers the exit code, stdout and stderr of the
 text run and of the json run, with the document's path replaced by its file
-name.  A refactor that claims identical outputs must leave
-``golden_outputs.json`` unchanged; a deliberate output change regenerates it
-with ``python tests/test_golden.py`` and says why.
+name.  ``golden_dumps.json`` pins the document format itself: one sha256
+of each document's ``serialize.dumps`` text, which catches a key renamed in
+both the writer and the reader.  A refactor that claims identical outputs
+must leave both files unchanged; a deliberate change regenerates them with
+``python tests/test_golden.py`` and says why.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from cascadeho.cli import main
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+DUMPS = Path(__file__).with_name("golden_dumps.json")
 
 COMMANDS = (
     ("validate",),
@@ -74,6 +77,12 @@ def digests(name, text, directory):
 DOCUMENTS = corpus()
 
 
+def dumps_digests():
+    """The document -> sha256 of its ``serialize.dumps`` text table."""
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in DOCUMENTS}
+
+
 @pytest.mark.parametrize("name,text", DOCUMENTS, ids=[n for n, _ in DOCUMENTS])
 def test_outputs_match_golden(name, text, tmp_path):
     golden = json.loads(GOLDEN.read_text())
@@ -89,9 +98,18 @@ def test_golden_file_covers_the_corpus():
     assert all(len(table) == len(COMMANDS) for table in golden.values())
 
 
+def test_documents_match_golden_dumps():
+    golden = json.loads(DUMPS.read_text())
+    got = dumps_digests()
+    assert sorted(golden) == sorted(got)
+    changed = [name for name in got if got[name] != golden[name]]
+    assert not changed, f"serialize.dumps changed for {changed}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         table = {name: digests(name, text, directory) for name, text in DOCUMENTS}
     GOLDEN.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(table)} documents x {len(COMMANDS)} commands to {GOLDEN}",
-          file=sys.stderr)
+    DUMPS.write_text(json.dumps(dumps_digests(), sort_keys=True, indent=2) + "\n")
+    print(f"wrote {len(table)} documents x {len(COMMANDS)} commands to {GOLDEN}"
+          f" and their dumps digests to {DUMPS}", file=sys.stderr)

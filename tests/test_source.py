@@ -1,12 +1,14 @@
 """Source-level checks on the package itself."""
 
 import ast
+import dataclasses
 import doctest
 import importlib
 import importlib.util
 from pathlib import Path
 
 import cascadeho
+from cascadeho import serialize
 
 
 def test_no_bare_asserts_in_package():
@@ -47,3 +49,13 @@ def test_docstring_examples_pass():
         attempted += result.attempted
     assert failed == 0
     assert attempted > 0
+
+
+def test_every_record_field_has_one_json_key():
+    # dumps writes only the attributes a record's field table names; a new
+    # dataclass field missing from the table would be dropped silently
+    for cls, rows in serialize._FIELDS.items():
+        attrs = sorted(attr for _key, attr, _kind in rows)
+        assert attrs == sorted(f.name for f in dataclasses.fields(cls)), cls
+        keys = [key for key, _attr, _kind in rows]
+        assert len(set(keys)) == len(keys), cls
