@@ -38,9 +38,11 @@ from .exact import (
 from .mbs import (
     MorseBottSystem,
     Orbit,
+    Point,
     Preimage,
     Violation,
     cyclically_ordered,
+    scaled_actions,
     signed_preimages,
     validate_system,
 )
@@ -58,8 +60,9 @@ Key = Tuple[str, Hashable]  # (flavor, node): a generator of a cascade graph
 class Cascade(NamedTuple):
     """One counted chain: the key of its target, its weight, and its trail.
 
-    The trail is (last piece, trail before it), back to None; ``pieces``
-    unwinds it only when a caller asks for them.
+    The trail is (last piece, trail before it), back to None.  A pinned
+    piece records its Preimage; ``pieces`` unwinds the trail, with each
+    such piece's parameter t as a Fraction, only when a caller asks.
     """
 
     key: Key
@@ -72,6 +75,8 @@ class Cascade(NamedTuple):
         trail = self.trail
         while trail is not None:
             piece, trail = trail
+            if isinstance(piece[-1], Preimage):
+                piece = piece[:-1] + (piece[-1].t,)
             out.append(piece)
         return tuple(reversed(out))
 
@@ -102,13 +107,14 @@ class CascadeGraph:
     by the phi pieces.  Every node is a target, so a walk from a source node
     counts the chains that stay in the source layer (its differential
     column) and those that cross one phi piece (its column of the induced
-    map).  ``orbit(node)`` and ``basepoint(node)`` give preimage queries
-    their frames; ``preimages`` answers each pinned query once per graph.
+    map).  ``orbit(node)`` and ``basepoint(node)`` (a circle key, made once
+    per graph) give preimage queries their frames; ``preimages`` answers
+    each pinned query once per graph.
     """
 
     def __init__(self):
         self.orbits: Dict[Hashable, Orbit] = {}
-        self.basepoints: Dict[Hashable, Fraction] = {}
+        self.basepoints: Dict[Hashable, Point] = {}
         self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
@@ -132,7 +138,7 @@ class CascadeGraph:
     def orbit(self, node) -> Orbit:
         return self.orbits[node]
 
-    def basepoint(self, node) -> Fraction:
+    def basepoint(self, node) -> Point:
         return self.basepoints[node]
 
     def preimages(self, edge: Edge, ci: int, side: str) -> List[Preimage]:
@@ -177,10 +183,11 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     """
     flavor, start = src
     out: List[Cascade] = []
+    basepoints = graph.basepoints
 
     def ordered(node, last, value, eps, piece, edge):
         try:
-            return cyclically_ordered(graph.basepoint(node), last[0], value, last[1], eps)
+            return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
         except NonDistinct as err:
             kind, pair, index = piece[:3]
             layer, oid = _layer_and_oid(node)
@@ -194,9 +201,9 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
             ) from err
 
     def nudge(edge, value, node, eps):
-        return eps if edge.phi and value == graph.basepoint(node) else 0
+        return eps if edge.phi and value == basepoints[node] else 0
 
-    # partial chains (node, last e- value and its nudge, visited, sign,
+    # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
     # recursion and its locals are freed when it returns
     stack = []
@@ -213,13 +220,13 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
         for edge in graph.m1.get(start, ()):
             for ci in range(len(edge.pieces)):
                 for pre in graph.preimages(edge, ci, "plus"):
-                    eps = nudge(edge, pre.residual, edge.bottom, -1)
+                    eps = nudge(edge, pre.point, edge.bottom, -1)
                     stack.append((
                         edge.bottom,
-                        (pre.residual, eps),
+                        (pre.point, eps),
                         (start, edge.bottom),
                         pre.sign,
-                        (("pre-plus", edge.pair, ci, pre.t), None),
+                        (("pre-plus", edge.pair, ci, pre), None),
                     ))
     walked = 0
     while stack:
@@ -241,10 +248,11 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
                 continue
             for idx, pt in enumerate(edge.pieces):
                 piece = ("m0", edge.pair, idx)
-                if last is None or ordered(current, last, pt.e_plus, 0, piece, edge):
+                if last is None or ordered(current, last, pt.e_plus_key, 0, piece,
+                                           edge):
                     stack.append((
                         bottom,
-                        (pt.e_minus, 0),
+                        (pt.e_minus_key, 0),
                         visited + (bottom,),
                         sign * pt.sign,
                         (piece, trail),
@@ -257,9 +265,9 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
             extra = 1 if edge.phi else -1
             for ci in range(len(edge.pieces)):
                 for pre in graph.preimages(edge, ci, "minus"):
-                    piece = ("pre-minus", edge.pair, ci, pre.t)
-                    eps = nudge(edge, pre.residual, current, 1)
-                    if last is None or ordered(current, last, pre.residual, eps,
+                    piece = ("pre-minus", edge.pair, ci, pre)
+                    eps = nudge(edge, pre.point, current, 1)
+                    if last is None or ordered(current, last, pre.point, eps,
                                                piece, edge):
                         out.append(Cascade(key, extra * sign * pre.sign, (piece, trail)))
     if flavor == "check":
@@ -295,6 +303,14 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     return out
 
 
+def by_action(orbits: Dict[str, Orbit]) -> List[Orbit]:
+    """The orbits of ``orbits`` in decreasing action, ties broken by id:
+    exactly the order of (-action, oid), compared in integers."""
+    (action,) = scaled_actions(orbits)
+    ranked = sorted(orbits.items(), key=lambda item: (-action[item[0]], item[1].oid))
+    return [orbit for _key, orbit in ranked]
+
+
 def chain_generators(
     doc, layer: Optional[str] = None
 ) -> Tuple[Dict[Key, int], List[ChainGenerator]]:
@@ -307,10 +323,9 @@ def chain_generators(
     ChainGenerators.  A node is the orbit id, or (layer, oid) in a
     cobordism graph.
     """
-    order = sorted(doc.orbits.values(), key=lambda o: (-o.action, o.oid))
     keys: Dict[Key, int] = {}
     gens = []
-    for orbit in order:
+    for orbit in by_action(doc.orbits):
         node = orbit.oid if layer is None else (layer, orbit.oid)
         for flavor in ("check", "hat"):
             keys[(flavor, node)] = len(gens)

@@ -7,18 +7,25 @@ given as PL lifts to the universal cover, so winding numbers and crossing
 counts are exact integer data.  Orientation local systems are trivialised at
 a basepoint on each orbit; bad orbits have monodromy -1, so transporting a
 sign past the basepoint flips it.
+
+Documents and constructors take Fractions; each record keeps its circle
+coordinates as integers from construction on (``PLComponent.int_plus``,
+``SignedPoint.e_plus_key``, ...), and every query and validator reads those.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import NonDistinct, NonRegularValue, ValidationFailure
 
 Pair = Tuple[str, str]
+Point = Tuple[int, int]  # a rational num / den as the integers (num, den), den > 0
 
 # most crossings of one point that a lift may have: untrusted documents
 # cannot make a preimage query unbounded work
@@ -33,31 +40,53 @@ def frac_mod1(x: Fraction) -> Fraction:
     return Fraction(n % d, d)
 
 
-def circle_key(x: Fraction) -> Tuple[int, int]:
+def circle_key(x: Fraction) -> Point:
     """x mod 1 as the integer pair (n mod d, d) of its reduced form n/d: two
     rationals are one point of R/Z iff their keys are equal."""
     d = x.denominator
     return x.numerator % d, d
 
 
+def point_key(num: int, den: int) -> Point:
+    """The ``circle_key`` of num / den (den > 0), in integers."""
+    num %= den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, in integers."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def point_str(point: Point) -> str:
+    """A circle point as ``str`` of its representative in [0, 1)."""
+    num, den = point
+    return _ratio_str(num % den, den)
+
+
 def cyclically_ordered(
-    p: Fraction, a: Fraction, b: Fraction, eps_a: int = 0, eps_b: int = 0
+    p: Point, a: Point, b: Point, eps_a: int = 0, eps_b: int = 0
 ) -> bool:
     """True iff starting at p and moving positively one meets a before b.
 
-    All three points are taken mod 1.  ``eps_a`` / ``eps_b`` in {-1, 0, +1}
-    nudge a point infinitesimally below / above its nominal position; with
-    both 0 the points must be pairwise distinct.  A point nudged off p sits
-    just before p (eps -1) or just after it (eps +1).
+    The three points are integer pairs (num, den) taken mod 1.  ``eps_a`` /
+    ``eps_b`` in {-1, 0, +1} nudge a point infinitesimally below / above its
+    nominal position; with both 0 the points must be pairwise distinct.  A
+    point nudged off p sits just before p (eps -1) or just after it (eps +1).
     """
     # (a - p) mod 1 = an / ad and (b - p) mod 1 = bn / bd, compared by
     # cross-multiplication; a point nudged off p moves to 1 (eps -1) or
     # stays at 0 (eps +1), and the nudge breaks ties
-    pn, pd = p.numerator, p.denominator
-    ad = a.denominator * pd
-    an = (a.numerator * pd - pn * a.denominator) % ad
-    bd = b.denominator * pd
-    bn = (b.numerator * pd - pn * b.denominator) % bd
+    pn, pd = p
+    an, ad = a
+    bn, bd = b
+    an = (an * pd - pn * ad) % (ad * pd)
+    ad *= pd
+    bn = (bn * pd - pn * bd) % (bd * pd)
+    bd *= pd
     if an == 0 and eps_a < 0:
         an = ad
     if bn == 0 and eps_b < 0:
@@ -67,8 +96,8 @@ def cyclically_ordered(
         bn == 0 and not eps_b
     ):
         raise NonDistinct(
-            f"points not distinct: {frac_mod1(p)}, {frac_mod1(a)} (eps {eps_a}), "
-            f"{frac_mod1(b)} (eps {eps_b})"
+            f"points not distinct: {point_str(p)}, {point_str(a)} (eps {eps_a}), "
+            f"{point_str(b)} (eps {eps_b})"
         )
     return cross < 0 or (cross == 0 and eps_a < eps_b)
 
@@ -92,7 +121,11 @@ class Orbit:
 
 @dataclass(frozen=True)
 class SignedPoint:
-    """A point of a 0-dimensional moduli space with its sign."""
+    """A point of a 0-dimensional moduli space with its sign.
+
+    ``e_plus_key`` / ``e_minus_key`` are the ``circle_key`` of each
+    evaluation, kept on construction for the walk and the validators.
+    """
 
     e_plus: Fraction
     e_minus: Fraction
@@ -101,6 +134,11 @@ class SignedPoint:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +-1")
+        object.__setattr__(self, "e_plus_key", circle_key(self.e_plus))
+        object.__setattr__(self, "e_minus_key", circle_key(self.e_minus))
+
+    def __deepcopy__(self, memo):
+        return copy.copy(self)  # every attribute is immutable
 
 
 @dataclass(frozen=True)
@@ -122,6 +160,16 @@ class BoundaryLabel:
     t: Fraction
 
 
+# a lift in integers: (tn, td, vn, vd) per breakpoint (t, value) =
+# (tn / td, vn / vd), each in lowest terms with a positive denominator
+IntLift = Tuple[Tuple[int, int, int, int], ...]
+
+
+def _int_lift(lift) -> IntLift:
+    return tuple([(t.numerator, t.denominator, v.numerator, v.denominator)
+                  for t, v in lift])
+
+
 @dataclass(frozen=True)
 class PLComponent:
     """A component of a 1-dimensional moduli space, parametrised by [0, 1].
@@ -131,7 +179,9 @@ class PLComponent:
     0 to 1.  For circles the endpoints are identified, so each lift must
     close up to an integer (its winding number).  ``sign_start`` is the
     orientation sign at parameter 0, expressed in the basepoint
-    trivialisations of both orientation local systems.
+    trivialisations of both orientation local systems.  ``int_plus`` /
+    ``int_minus`` are the two lifts as ``IntLift``s, made on construction:
+    every query reads those.
     """
 
     kind: str  # "circle" | "interval"
@@ -146,63 +196,87 @@ class PLComponent:
         if self.sign_start not in (1, -1):
             raise ValueError("sign_start must be +-1")
         for side, lift in (("plus", self.e_plus_lift), ("minus", self.e_minus_lift)):
-            if len(lift) < 2 or lift[0][0] != 0 or lift[-1][0] != 1:
+            pts = _int_lift(lift)
+            if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != pts[-1][1]:
                 raise ValueError("lift must run from t=0 to t=1")
             # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
             # times; bounding the sum bounds the work of every preimage query
             bound = 0
-            for (t0, v0), (t1, v1) in zip(lift, lift[1:]):
-                if t1.numerator * t0.denominator <= t0.numerator * t1.denominator:
+            for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+                if t1n * t0d <= t0n * t1d:
                     raise ValueError("lift parameters must strictly increase")
-                bound += abs(v1.numerator // v1.denominator
-                             - v0.numerator // v0.denominator) + 1
+                bound += abs(v1n // v1d - v0n // v0d) + 1
             if bound > MAX_LIFT_CROSSINGS:
                 raise ValueError(
                     f"e_{side} lift may cross a point {bound} times, "
                     f"more than {MAX_LIFT_CROSSINGS}"
                 )
+            object.__setattr__(self, f"int_{side}", pts)
+
+    def __deepcopy__(self, memo):
+        # the lifts and their integer views are immutable: share them
+        new = copy.copy(self)
+        object.__setattr__(new, "boundary_labels",
+                           copy.deepcopy(self.boundary_labels, memo))
+        return new
 
     def lift(self, side: str):
         return self.e_plus_lift if side == "plus" else self.e_minus_lift
 
+    def int_lift(self, side: str) -> IntLift:
+        return self.int_plus if side == "plus" else self.int_minus
+
     def value(self, side: str, t: Fraction) -> Fraction:
         """PL interpolation of the chosen lift at parameter t in [0, 1]."""
-        pts = self.lift(side)
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        raise AssertionError("unreachable")
+        return Fraction(*_Evaluator(self.int_lift(side)).at(t.numerator, t.denominator))
 
     def winding(self, side: str) -> int:
-        pts = self.lift(side)
-        start, end = pts[0][1], pts[-1][1]
+        pts = self.int_lift(side)
+        (_t0n, _t0d, start, den), (_t1n, _t1d, end, end_den) = pts[0], pts[-1]
         # reduced fractions differ by an integer iff their denominators agree
         # and their numerators differ by a multiple of it
-        den = start.denominator
-        delta, rest = divmod(end.numerator - start.numerator, den)
-        if end.denominator != den or rest:
+        delta, rest = divmod(end - start, den)
+        if end_den != den or rest:
             raise ValueError("lift does not close up to an integer")
         return delta
 
     def slope_sign(self, side: str, t: Fraction) -> int:
         """Direction of the lift at an interior point of a segment."""
-        pts = self.lift(side)
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 < t < t1:
-                return (v1 > v0) - (v1 < v0)
+        pts = self.int_lift(side)
+        tn, td = t.numerator, t.denominator
+        for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+            if t0n * td < tn * t0d and tn * t1d < t1n * td:
+                rise = v1n * v0d - v0n * v1d
+                return (rise > 0) - (rise < 0)
         raise NonRegularValue(f"parameter {t} sits on a breakpoint")
 
 
-@dataclass(frozen=True)
-class Preimage:
-    """One transverse crossing from a signed-preimage query."""
+class Preimage(NamedTuple):
+    """One transverse crossing from a signed-preimage query, in integers.
 
-    t: Fraction
+    The crossing sits at parameter t = tn / td (td > 0); ``point`` is the
+    circle key of the *other* evaluation map's value there.  ``t`` and
+    ``residual`` read them as Fractions.
+    """
+
+    tn: int
+    td: int
     sign: int  # crossing direction times transported orientation
     direction: int  # +1 upward crossing, -1 downward
-    residual: Fraction  # value of the *other* evaluation map at t, mod 1
+    point: Point
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.tn, self.td)
+
+    @property
+    def residual(self) -> Fraction:
+        return Fraction(*self.point)
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -218,13 +292,14 @@ class MorseBottSystem:
 
     def __post_init__(self):
         for oid in self.orbits:
-            self.basepoints.setdefault(oid, Fraction(0))
+            self.basepoints.setdefault(oid, _ZERO)
 
     def orbit(self, oid: str) -> Orbit:
         return self.orbits[oid]
 
-    def basepoint(self, oid: str) -> Fraction:
-        return frac_mod1(self.basepoints[oid])
+    def basepoint(self, oid: str) -> Point:
+        """The ``circle_key`` of ``oid``'s basepoint."""
+        return circle_key(self.basepoints[oid])
 
     def pairs(self):
         seen = set(self.m0) | set(self.m1) | set(self.m2cc)
@@ -244,78 +319,85 @@ class MorseBottSystem:
         return grading % self.grading_modulus if self.grading_modulus else grading
 
 
-def _lattice_index(num: int, den: int, p: Fraction) -> int:
-    """floor(num/den - p) for den > 0: which gap of the lattice p + Z holds
-    num/den.  The one floor of the preimage arithmetic."""
-    return (num * p.denominator - p.numerator * den) // (den * p.denominator)
+Frame = Tuple[Orbit, Point]  # an evaluation circle: its orbit and basepoint key
 
 
-def _index_of(value: Fraction, p: Fraction) -> int:
-    return _lattice_index(value.numerator, value.denominator, p)
+def transported_sign(comp: PLComponent, top: Frame, bottom: Frame,
+                     plus: Point, minus: Point) -> int:
+    """Orientation sign of ``comp`` where its e+ lift reads ``plus`` and its
+    e- lift reads ``minus``, in the basepoint frames ``top`` and ``bottom``.
 
-
-def component_orientation(
-    comp: PLComponent,
-    t: Fraction,
-    top: Tuple[Orbit, Fraction],
-    bottom: Tuple[Orbit, Fraction],
-) -> int:
-    """Orientation sign of ``comp`` at parameter t, in basepoint frames.
-
-    ``top`` and ``bottom`` are (orbit, basepoint) for the two evaluation
-    circles.  The sign is transported from sign_start at t=0; each net
-    crossing of a basepoint by an evaluation point flips it when the
-    corresponding orbit is bad.
+    The sign is transported from sign_start at t=0: it flips once for each
+    gap of the lattice basepoint + Z that the lift of a bad orbit has moved
+    across since t=0.  The one sign-transport rule of orientations.
     """
-    flips = 0
-    for side, (orbit, basepoint) in (("plus", top), ("minus", bottom)):
-        if orbit.good:
-            continue
-        start = comp.lift(side)[0][1]
-        flips += _index_of(comp.value(side, t), basepoint) - _index_of(start, basepoint)
-    return comp.sign_start * (-1) ** (flips % 2)
+    sign = comp.sign_start
+    for (orbit, (pn, pd)), (num, den), pts in (
+        (top, plus, comp.int_plus), (bottom, minus, comp.int_minus)
+    ):
+        if not orbit.good:
+            # floor(value - p) - floor(start - p)
+            _tn, _td, start, sd = pts[0]
+            gaps = (num * pd - pn * den) // (den * pd) - (
+                start * pd - pn * sd) // (sd * pd)
+            if gaps % 2:
+                sign = -sign
+    return sign
 
 
-def breakpoint_hit(comp: PLComponent, side: str, q: Fraction) -> Optional[str]:
-    """Why q is not a regular value of the ``side`` evaluation map, or None.
+def component_orientation(comp: PLComponent, t: Fraction, top: Frame,
+                          bottom: Frame) -> int:
+    """Orientation sign of ``comp`` at parameter t, in basepoint frames: the
+    ``transported_sign`` at the values of both lifts at t."""
+    tn, td = t.numerator, t.denominator
+    return transported_sign(comp, top, bottom,
+                            _Evaluator(comp.int_plus).at(tn, td),
+                            _Evaluator(comp.int_minus).at(tn, td))
+
+
+def breakpoint_hit(comp: PLComponent, side: str, q: Point) -> Optional[str]:
+    """Why the circle point q, a pair in lowest terms such as a circle key,
+    is not a regular value of the ``side`` evaluation map, or None.
 
     A lift meets q + Z non-transversally exactly when a breakpoint value is
     q mod 1: an interval end, a corner, or a constant segment all start at
     a breakpoint.
     """
-    q = frac_mod1(q)
-    den, num = q.denominator, q.numerator
-    for t, v in comp.lift(side):
-        if v.denominator == den and (v.numerator - num) % den == 0:
-            return f"value {q} hit at breakpoint t={t} of a {comp.kind}"
+    qn, qd = q
+    for tn, td, vn, vd in comp.int_lift(side):
+        # reduced fractions are one point mod 1 iff their denominators agree
+        # and their numerators are congruent
+        if vd == qd and (vn - qn) % qd == 0:
+            return (f"value {point_str(q)} hit at breakpoint "
+                    f"t={_ratio_str(tn, td)} of a {comp.kind}")
     return None
 
 
 class _Evaluator:
-    """Exact values of one lift at increasing parameters t = tn/td, as
-    unreduced integer fractions (num, den) with den > 0."""
+    """Exact values of one ``IntLift`` at increasing parameters t = tn/td,
+    as unreduced integer fractions (num, den) with den > 0."""
 
     __slots__ = ("pts", "k")
 
-    def __init__(self, pts):
+    def __init__(self, pts: IntLift):
         self.pts = pts
         self.k = 0
 
-    def at(self, tn: int, td: int) -> Tuple[int, int]:
+    def at(self, tn: int, td: int) -> Point:
         pts, k = self.pts, self.k
         while k + 2 < len(pts):
-            s1 = pts[k + 1][0]
-            if tn * s1.denominator <= s1.numerator * td:
+            s1n, s1d, _wn, _wd = pts[k + 1]
+            if tn * s1d <= s1n * td:
                 break
             k += 1
         self.k = k
-        (s0, w0), (s1, w1) = pts[k], pts[k + 1]
+        (s0n, s0d, w0n, w0d), (s1n, s1d, w1n, w1d) = pts[k], pts[k + 1]
         # w0 + (w1 - w0) (t - s0) / (s1 - s0), over the common denominator
-        # wd * sd * td with w = wn / wd and s = sn / sd
-        sd = s0.denominator * s1.denominator
-        s0n, s1n = s0.numerator * s1.denominator, s1.numerator * s0.denominator
-        wd = w0.denominator * w1.denominator
-        w0n, w1n = w0.numerator * w1.denominator, w1.numerator * w0.denominator
+        # wd * sd * td
+        sd = s0d * s1d
+        s0n, s1n = s0n * s1d, s1n * s0d
+        wd = w0d * w1d
+        w0n, w1n = w0n * w1d, w1n * w0d
         num = w0n * (s1n - s0n) * td + (w1n - w0n) * (tn * sd - s0n * td)
         return num, wd * (s1n - s0n) * td
 
@@ -323,65 +405,60 @@ class _Evaluator:
 def component_preimages(
     comp: PLComponent,
     side: str,
-    q: Fraction,
-    top: Tuple[Orbit, Fraction],
-    bottom: Tuple[Orbit, Fraction],
+    q: Point,
+    top: Frame,
+    bottom: Frame,
 ) -> List[Preimage]:
-    """All transverse preimages of q (mod 1) under one evaluation map.
+    """All transverse preimages of the circle point q (a circle key) under
+    one evaluation map, in the basepoint frames ``top`` and ``bottom``.
 
     Each crossing carries sign = direction x orientation, where orientation
     is the local-system-transported component orientation at the crossing.
     Raises NonRegularValue if q is hit at a breakpoint, an interval end, or
-    along a constant segment.  The crossings are found, ordered and signed
-    in integers; only ``t`` and ``residual`` become Fractions.
+    along a constant segment.  Everything is integer arithmetic.
     """
     hit = breakpoint_hit(comp, side, q)
     if hit is not None:
         raise NonRegularValue(hit)
-    (orbit, p), (other_orbit, other_p) = (top, bottom) if side == "plus" else (bottom, top)
-    pts = comp.lift(side)
-    other = _Evaluator(comp.lift("minus" if side == "plus" else "plus"))
-    # a bad orbit flips the sign once per basepoint gap its lift moves from t = 0
-    flips0 = 0
-    if not orbit.good:
-        flips0 -= _index_of(pts[0][1], p)
-    if not other_orbit.good:
-        flips0 -= _index_of(other.pts[0][1], other_p)
+    pts = comp.int_lift(side)
+    other = _Evaluator(comp.int_lift("minus" if side == "plus" else "plus"))
+    transport = not (top[0].good and bottom[0].good)
+    qn, qd = q
     out = []
-    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-        if v0 == v1:
+    for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+        if v0n == v1n and v0d == v1d:
             continue  # constant segment away from q (checked above)
         # v0, v1 and q over one denominator d: crossings at q + n d strictly
         # between a0 and a1, for any representative q of its class mod 1
-        d = v0.denominator * v1.denominator * q.denominator
-        a0 = v0.numerator * (d // v0.denominator)
-        a1 = v1.numerator * (d // v1.denominator)
-        qn = q.numerator * (d // q.denominator)
+        d = v0d * v1d * qd
+        a0 = v0n * v1d * qd
+        a1 = v1n * v0d * qd
+        qnd = qn * v0d * v1d
         if a1 > a0:
-            direction, first, last = 1, (a0 - qn) // d + 1, (a1 - qn) // d
+            direction, first, last = 1, (a0 - qnd) // d + 1, (a1 - qnd) // d
         else:
-            direction, first, last = -1, (a0 - qn) // d, (a1 - qn) // d + 1
+            direction, first, last = -1, (a0 - qnd) // d, (a1 - qnd) // d + 1
         # t = t0 + (t1 - t0) (q + n - v0) / (v1 - v0) = tn / td, td > 0
-        t0n, t1n = t0.numerator * t1.denominator, t1.numerator * t0.denominator
-        td = t0.denominator * t1.denominator * (a1 - a0) * direction
+        t0, t1 = t0n * t1d, t1n * t0d
+        td = t0d * t1d * (a1 - a0) * direction
         for n in range(first, last + direction, direction):
-            value = qn + n * d
-            tn = (t0n * (a1 - a0) + (t1n - t0n) * (value - a0)) * direction
-            flips = flips0
-            if not orbit.good:
-                flips += _lattice_index(value, d, p)
+            value = qnd + n * d
+            tn = (t0 * (a1 - a0) + (t1 - t0) * (value - a0)) * direction
             num, den = other.at(tn, td)
-            if not other_orbit.good:
-                flips += _lattice_index(num, den, other_p)
-            sign = direction * comp.sign_start * (-1) ** (flips % 2)
-            out.append(Preimage(Fraction(tn, td), sign, direction,
-                                Fraction(num % den, den)))
+            sign = comp.sign_start
+            if transport:
+                ends = ((value, d), (num, den)) if side == "plus" else (
+                    (num, den), (value, d))
+                sign = transported_sign(comp, top, bottom, *ends)
+            out.append(Preimage(tn, td, direction * sign, direction,
+                                point_key(num, den)))
     return out
 
 
 def frames(upper, lower, pair: Pair):
-    """(orbit, basepoint) of the top orbit of ``pair`` in ``upper`` and of the
-    bottom orbit in ``lower``: the frames for orientations along that pair."""
+    """(orbit, basepoint key) of the top orbit of ``pair`` in ``upper`` and
+    of the bottom orbit in ``lower``: the frames for orientations along that
+    pair."""
     top, bottom = pair
     return (
         (upper.orbit(top), upper.basepoint(top)),
@@ -394,9 +471,10 @@ def signed_preimages(
     pair: Pair,
     comp: PLComponent,
     side: str,
-    q: Fraction,
+    q: Point,
 ) -> List[Preimage]:
-    """Preimages of q along ``pair``, in the frames ``sys`` gives its ends.
+    """Preimages of the circle point q along ``pair``, in the frames
+    ``sys`` gives its ends.
 
     ``sys`` is a system or anything else that answers ``orbit(node)`` and
     ``basepoint(node)``, such as a cascade graph.
@@ -432,15 +510,15 @@ def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
     for (top, bottom), points in sys.m0.items():
         for pt in points:
             if top in values:
-                values[top].add(circle_key(pt.e_plus))
+                values[top].add(pt.e_plus_key)
             if bottom in values:
-                values[bottom].add(circle_key(pt.e_minus))
+                values[bottom].add(pt.e_minus_key)
     for (top, bottom), comps in sys.m1.items():
         for comp in comps:
             for side, oid in (("plus", top), ("minus", bottom)):
                 if oid in values:
-                    for _t, val in comp.lift(side):
-                        values[oid].add(circle_key(val))
+                    values[oid].update([(vn % vd, vd) for _tn, _td, vn, vd
+                                        in comp.int_lift(side)])
     return values
 
 
@@ -460,8 +538,14 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     values = evaluation_values(sys)
     for oid in sys.orbits:
         p = sys.basepoint(oid)
-        _check(v, circle_key(p) not in values[oid], "basepoint-collision", oid,
-               f"basepoint {p} equals an evaluation value")
+        if p in values[oid]:
+            v.append(Violation("basepoint-collision", oid,
+                               f"basepoint {point_str(p)} equals an evaluation value"))
+    # a basepoint for no orbit is most likely a misspelt orbit id, which
+    # would leave the intended orbit at basepoint 0
+    for oid in sorted(set(sys.basepoints) - set(sys.orbits)):
+        v.append(Violation("unknown-orbit", f"basepoints[{oid}]",
+                           f"basepoint for unknown orbit {oid!r}"))
 
     validate_moduli(
         v, sys, sys, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
@@ -469,6 +553,15 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
         end_check=partial(_validate_interval_end, sys),
     )
     return v
+
+
+def scaled_actions(*orbit_tables) -> List[Dict[str, int]]:
+    """Each table's orbit actions as integers: every action times the lcm of
+    all their denominators, so the integers compare as the actions do."""
+    scale = lcm(*(o.action.denominator for table in orbit_tables
+                  for o in table.values()))
+    return [{oid: o.action.numerator * (scale // o.action.denominator)
+             for oid, o in table.items()} for table in orbit_tables]
 
 
 def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
@@ -481,61 +574,73 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     strictly, except across pairs in ``equal_action``.  Each end of a
     1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
     """
+    up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
     for name, dim, moduli in tables:
         index = dim - shift
         for pair, pieces in sorted(moduli.items()):
             if not pieces:
                 continue
+            # messages and component locations are formatted only for a
+            # violation
             where = f"{name}{pair}"
             top, bottom = pair
             if top not in upper.orbits or bottom not in lower.orbits:
                 v.append(Violation("unknown-orbit", where, f"pair {pair}"))
                 continue
             a, b = upper.orbit(top), lower.orbit(bottom)
-            _check(v, (a.parity - b.parity - index) % 2 == 0, "parity-axiom",
-                   where, f"CZ parity gap != {index} mod 2 for {pair}")
+            if (a.parity - b.parity - index) % 2:
+                v.append(Violation("parity-axiom", where,
+                                   f"CZ parity gap != {index} mod 2 for {pair}"))
             if a.grading is not None and b.grading is not None and modulus != "parity":
                 gap = a.grading - b.grading
                 if modulus:
                     gap %= modulus
-                _check(v, gap == (index % modulus if modulus else index),
-                       "grading-axiom", where,
-                       f"grading gap {gap} != moduli index {index} for {pair}")
-            _check(v, a.homotopy_class == b.homotopy_class, "class-axiom",
-                   where, f"homotopy class changes across {pair}")
-            _check(v, b.action <= a.action if pair in equal_action
-                   else b.action < a.action,
-                   "action-axiom", where, f"action does not decrease across {pair}")
+                if gap != (index % modulus if modulus else index):
+                    v.append(Violation(
+                        "grading-axiom", where,
+                        f"grading gap {gap} != moduli index {index} for {pair}"))
+            if a.homotopy_class != b.homotopy_class:
+                v.append(Violation("class-axiom", where,
+                                   f"homotopy class changes across {pair}"))
+            drop = up_action[top] - low_action[bottom]
+            if drop < 0 or (drop == 0 and pair not in equal_action):
+                v.append(Violation("action-axiom", where,
+                                   f"action does not decrease across {pair}"))
             if dim != 1:
                 continue
             comp_frames = frames(upper, lower, pair)
             for ci, comp in enumerate(pieces):
-                at = f"{where}[{ci}]"
                 if comp.kind == "circle":
                     try:
                         windings = (comp.winding("plus"), comp.winding("minus"))
                     except ValueError:
-                        _check(v, False, "circle-not-closed", at,
-                               "lift does not close up to an integer")
+                        v.append(Violation("circle-not-closed", f"{where}[{ci}]",
+                                           "lift does not close up to an integer"))
                     else:
                         flips = sum(w for w, (orbit, _p) in zip(windings, comp_frames)
                                     if not orbit.good)
-                        _check(v, flips % 2 == 0, "monodromy-parity", at,
-                               "orientation not consistent around the circle: "
-                               "(-1)^(w+ bad+ + w- bad-) = -1")
-                    _check(v, not comp.boundary_labels, "circle-with-labels", at,
-                           "circle components have no boundary")
+                        if flips % 2:
+                            v.append(Violation(
+                                "monodromy-parity", f"{where}[{ci}]",
+                                "orientation not consistent around the circle: "
+                                "(-1)^(w+ bad+ + w- bad-) = -1"))
+                    if comp.boundary_labels:
+                        v.append(Violation("circle-with-labels", f"{where}[{ci}]",
+                                           "circle components have no boundary"))
                 else:
                     for end in (0, 1):
                         if end in comp.boundary_labels:
                             end_check(pair, comp, ci, end, v)
                         else:
-                            _check(v, False, "unlabeled-end", at,
-                                   f"interval end {end} has no broken-pair label")
+                            v.append(Violation(
+                                "unlabeled-end", f"{where}[{ci}]",
+                                f"interval end {end} has no broken-pair label"))
                 # basepoints must be regular values of both evaluation maps
                 for side, (_orbit, p) in zip(("plus", "minus"), comp_frames):
                     hit = breakpoint_hit(comp, side, p)
-                    _check(v, hit is None, "basepoint-nonregular", at, hit)
+                    if hit is not None:
+                        v.append(Violation("basepoint-nonregular",
+                                           f"{where}[{ci}]", hit))
 
 
 def _validate_interval_end(sys, pair, comp, ci, end, v):
@@ -564,6 +669,12 @@ class Level(NamedTuple):
     m1: Dict[Pair, List[PLComponent]]
     pair: Pair
     frames: Tuple
+
+
+def _end_value(lift: IntLift, end: int) -> Point:
+    """The value of ``lift`` at parameter ``end`` (0 or 1)."""
+    _tn, _td, vn, vd = lift[-1 if end else 0]
+    return vn, vd
 
 
 def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
@@ -596,26 +707,27 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
                f"broken pair sits at parameter {t}, not inside a segment of "
                "its component")
         return
+    tn, td = t.numerator, t.denominator
+    at = {s: point_key(*_Evaluator(other.int_lift(s)).at(tn, td))
+          for s in ("plus", "minus")}
     if d_upper == 0:
-        top_end, bottom_end = point.e_plus, other.value("minus", t)
-        fiber_point = point.e_minus
+        top_end, bottom_end = point.e_plus_key, at["minus"]
+        fiber_point = point.e_minus_key
     else:
-        top_end, bottom_end = other.value("plus", t), point.e_minus
-        fiber_point = point.e_plus
-    _check(v, circle_key(comp.value("plus", Fraction(end))) == circle_key(top_end),
-           "label-eval-mismatch", where,
+        top_end, bottom_end = at["plus"], point.e_minus_key
+        fiber_point = point.e_plus_key
+    ends = (_end_value(comp.int_plus, end), _end_value(comp.int_minus, end))
+    _check(v, point_key(*ends[0]) == top_end, "label-eval-mismatch", where,
            "top evaluation does not match broken limit")
-    _check(v, circle_key(comp.value("minus", Fraction(end))) == circle_key(bottom_end),
-           "label-eval-mismatch", where,
+    _check(v, point_key(*ends[1]) == bottom_end, "label-eval-mismatch", where,
            "bottom evaluation does not match broken limit")
-    _check(v, circle_key(fiber_point) == circle_key(other.value(fiber, t)),
-           "label-fiber-mismatch", where,
+    _check(v, fiber_point == at[fiber], "label-fiber-mismatch", where,
            "broken pair is not a fiber-product point")
 
     fiber_sign = point.sign * direction * component_orientation(
         other, t, *comp_level.frames
     )
-    boundary_sign = component_orientation(comp, Fraction(end), *comp_frames) * (
+    boundary_sign = transported_sign(comp, *comp_frames, *ends) * (
         1 if end == 1 else -1
     )
     _check(v, boundary_sign == factor * fiber_sign, "label-sign-mismatch", where,

@@ -205,7 +205,7 @@ def trivial_cobordism(sys: MorseBottSystem) -> MorphismData:
     target = copy.deepcopy(sys)
     phi1: Dict[Pair, List[PLComponent]] = {}
     for oid in sys.orbits:
-        c = frac_mod1(sys.basepoint(oid) + Fraction(1, 2))
+        c = frac_mod1(sys.basepoints[oid] + Fraction(1, 2))
         lift = ((Fraction(0), c), (Fraction(1), c + 1))
         phi1[(oid, oid)] = [
             PLComponent("circle", 1, lift, lift)

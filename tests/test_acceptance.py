@@ -38,7 +38,12 @@ from cascadeho.exact import (
     smith_with_inverse,
     verify_square_zero,
 )
-from cascadeho.mbs import assign_basepoints, signed_preimages, validate_system
+from cascadeho.mbs import (
+    assign_basepoints,
+    circle_key,
+    signed_preimages,
+    validate_system,
+)
 from cascadeho.morphisms import compose, induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import (
     CORRUPTION_CLASSES,
@@ -219,7 +224,8 @@ def test_criterion_08_preimage_oracle():
                     while hits < 20:
                         q = F(rng.randrange(1, 991), 991)
                         try:
-                            got = signed_preimages(sys_, pair, comp, side, q)
+                            got = signed_preimages(sys_, pair, comp, side,
+                                                  circle_key(q))
                         except NonRegularValue:
                             continue
                         hits += 1

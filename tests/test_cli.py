@@ -268,6 +268,24 @@ def test_phi_basepoint_nonregular(tmp_path, capsys):
     }
 
 
+def test_basepoint_for_unknown_orbit_is_reported(tmp_path, capsys):
+    # a misspelt orbit id in "basepoints" is a violation, not a silent no-op
+    def edit(payload):
+        payload["basepoints"]["nosuch"] = "1/3"
+    path = write_edited(tmp_path, "one-circle", edit)
+    assert validate_report(path, capsys) == {
+        ("unknown-orbit", "basepoints[nosuch]")
+    }
+    assert main(["nch", path]) == 1
+    assert "unknown-orbit at basepoints[nosuch]" in capsys.readouterr().out
+
+    def edit_source(payload):
+        payload["source"]["basepoints"]["nosuch"] = "1/3"
+    path = write_edited(tmp_path, "morphism-interval", edit_source)
+    assert main(["morphism", path]) == 1
+    assert "unknown-orbit at source:basepoints[nosuch]" in capsys.readouterr().out
+
+
 def test_nch_basepoints_repairs_collision(tmp_path, capsys):
     mutation = next(m for m in all_mutations()
                     if m.fixture == "one-circle" and m.cls == "basepoint-collision")

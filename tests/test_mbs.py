@@ -1,3 +1,5 @@
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeho.cascades import build_ncc
+from cascadeho.cascades import (
+    SRC,
+    TGT,
+    CascadeGraph,
+    build_ncc,
+    by_action,
+    chain_generators,
+    sum_columns,
+)
 from cascadeho.errors import NonDistinct, NonRegularValue, ValidationFailure
 from cascadeho.mbs import (
     MorseBottSystem,
     Orbit,
     PLComponent,
     SignedPoint,
-    Preimage,
     assign_basepoints,
     circle_key,
     component_orientation,
@@ -20,9 +29,12 @@ from cascadeho.mbs import (
     cyclically_ordered,
     evaluation_values,
     frac_mod1,
+    scaled_actions,
     signed_preimages,
+    transported_sign,
     validate_system,
 )
+from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
 
@@ -33,6 +45,16 @@ rationals = st.fractions(
 )
 
 
+def _pt(x):
+    """A rational as the library's integer pair (num, den)."""
+    return x.numerator, x.denominator
+
+
+def ordered(p, a, b, eps_a=0, eps_b=0):
+    """``cyclically_ordered`` on three rationals."""
+    return cyclically_ordered(_pt(p), _pt(a), _pt(b), eps_a, eps_b)
+
+
 # --- circle order -----------------------------------------------------------
 
 
@@ -40,36 +62,36 @@ rationals = st.fractions(
 @given(rationals, rationals, rationals, rationals)
 def test_cyclic_order_rotation_invariant(p, a, b, r):
     try:
-        base = cyclically_ordered(p, a, b)
+        base = ordered(p, a, b)
     except NonDistinct:
         with pytest.raises(NonDistinct):
-            cyclically_ordered(p + r, a + r, b + r)
+            ordered(p + r, a + r, b + r)
         return
-    assert cyclically_ordered(p + r, a + r, b + r) == base
+    assert ordered(p + r, a + r, b + r) == base
     # swapping the two targets flips the answer
-    assert cyclically_ordered(p, b, a) != base
+    assert ordered(p, b, a) != base
 
 
 def test_cyclic_order_basic():
-    assert cyclically_ordered(F(0), F(1, 4), F(1, 2))
-    assert not cyclically_ordered(F(0), F(1, 2), F(1, 4))
+    assert ordered(F(0), F(1, 4), F(1, 2))
+    assert not ordered(F(0), F(1, 2), F(1, 4))
     # wrap around the basepoint
-    assert cyclically_ordered(F(3, 4), F(7, 8), F(1, 8))
+    assert ordered(F(3, 4), F(7, 8), F(1, 8))
     p, q = F(1, 3), F(1, 2)
     # a point nudged off the basepoint sits just after (+1) or before (-1) it
-    assert cyclically_ordered(p, p, q, 1, 0)
-    assert not cyclically_ordered(p, p, q, -1, 0)
-    assert cyclically_ordered(p + 2, q, p, 0, -1)
-    assert not cyclically_ordered(p, p, p, -1, 1)
+    assert ordered(p, p, q, 1, 0)
+    assert not ordered(p, p, q, -1, 0)
+    assert ordered(p + 2, q, p, 0, -1)
+    assert not ordered(p, p, p, -1, 1)
     # nudges order two copies of one nominal point
-    assert cyclically_ordered(p, q, q, -1, 0)
-    assert cyclically_ordered(p, q - 1, q, 0, 1)
-    assert not cyclically_ordered(p, q, q, 1, -1)
+    assert ordered(p, q, q, -1, 0)
+    assert ordered(p, q - 1, q, 0, 1)
+    assert not ordered(p, q, q, 1, -1)
     # without distinct nudges coincident points stay an error
     for args in ((p, q, q, 1, 1), (p, p, q, 0, 0), (p, q, p + 1, 0, 0),
                  (p, p, p, 1, 1)):
         with pytest.raises(NonDistinct):
-            cyclically_ordered(*args)
+            ordered(*args)
 
 
 def _mod1(x):
@@ -111,10 +133,10 @@ def test_cyclic_order_matches_fraction_oracle(p, a, b, eps_a, eps_b):
         expected = _fraction_cyclically_ordered(p, a, b, eps_a, eps_b)
     except NonDistinct as err:
         with pytest.raises(NonDistinct) as got:
-            cyclically_ordered(p, a, b, eps_a, eps_b)
+            ordered(p, a, b, eps_a, eps_b)
         assert str(got.value) == str(err)
         return
-    assert cyclically_ordered(p, a, b, eps_a, eps_b) is expected
+    assert ordered(p, a, b, eps_a, eps_b) is expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,8 +153,9 @@ def test_circle_arithmetic_matches_fraction_oracle(x, y):
 
 
 def test_circle_keys_build_no_fractions(monkeypatch):
-    # evaluation values, the basepoint-collision test and the cyclic order
-    # are decided in integers
+    # evaluation values, the basepoint-collision test, the cyclic order and
+    # the cascade walk, of a system and of a cobordism, are decided in
+    # integers
     sys_ = MorseBottSystem(
         orbits={
             "a": Orbit("a", 1, 0, True, F(2), "", 0),
@@ -143,9 +166,11 @@ def test_circle_keys_build_no_fractions(monkeypatch):
     )
     systems = [fixture(name).payload for name in fixture_names()
                if fixture(name).kind == "mbs"]
-    orders = ((F(0), F(1, 4), F(1, 2), 0, 0), (F(3, 4), F(-1, 8), F(9, 8), 0, 0),
-              (F(1, 3), F(1, 3), F(1, 2), 1, 0), (F(1, 3), F(4, 3), F(1, 2), -1, 0),
-              (F(1, 2), F(1, 5), F(6, 5), -1, 1))
+    cobordism = trivial_cobordism(fixture("bad-circle").payload)
+    orders = [tuple(map(_pt, args[:3])) + args[3:] for args in (
+        (F(0), F(1, 4), F(1, 2), 0, 0), (F(3, 4), F(-1, 8), F(9, 8), 0, 0),
+        (F(1, 3), F(1, 3), F(1, 2), 1, 0), (F(1, 3), F(4, 3), F(1, 2), -1, 0),
+        (F(1, 2), F(1, 5), F(6, 5), -1, 1))]
     built = []
     original = F.__new__
 
@@ -158,10 +183,24 @@ def test_circle_keys_build_no_fractions(monkeypatch):
         evaluation_values(other)
     violations = validate_system(sys_)
     answers = [cyclically_ordered(*args) for args in orders]
+    columns = []
+    for other in systems:
+        keys, _gens = chain_generators(other)
+        columns += sum_columns(CascadeGraph.of_system(other), keys, [keys])
+    src_keys, _gens = chain_generators(cobordism.source, SRC)
+    tgt_keys, _gens = chain_generators(cobordism.target, TGT)
+    graph = CascadeGraph.of_cobordism(cobordism.source, cobordism.target,
+                                      cobordism.phi0, cobordism.phi1)
+    columns += sum_columns(graph, tgt_keys, [tgt_keys])
+    columns += sum_columns(graph, src_keys, [src_keys, tgt_keys])
     monkeypatch.undo()
     assert built == []
     assert [(v.code, v.location) for v in violations] == [("basepoint-collision", "a")]
     assert answers == [True, True, True, False, True]
+    # the walks did count chains: every system has a nonzero differential,
+    # and the trivial cobordism's map is the identity
+    assert all(columns[:len(systems)])
+    assert columns[-1] == {(i, i): 1 for i in range(len(tgt_keys))}
 
 
 @pytest.mark.parametrize("basepoint, e_plus, breakpoint", [
@@ -219,7 +258,8 @@ def _dense_crossings(comp, side, q, top, bottom, samples=1024):
     Independent of the closed-form floor arithmetic in the library: the
     crossing positions come from scanning, and the orientation at each
     crossing is recomputed by counting basepoint crossings of both
-    evaluation maps along the way.
+    evaluation maps along the way.  The frames hold the library's basepoint
+    keys.
     """
     q = frac_mod1(q)
 
@@ -233,6 +273,7 @@ def _dense_crossings(comp, side, q, top, bottom, samples=1024):
         for s, (orbit, basepoint) in (("plus", top), ("minus", bottom)):
             if orbit.good:
                 continue
+            basepoint = F(*basepoint)
             d0 = comp.lift(s)[0][1] - basepoint
             dt = comp.value(s, t) - basepoint
             flips += dt.numerator // dt.denominator - (
@@ -278,7 +319,7 @@ def test_signed_preimages_against_dense_oracle(name, sys_, pair, ci, comp):
         while tried < 5:
             q = F(rng.randrange(1, 997), 997)
             try:
-                got = signed_preimages(sys_, pair, comp, side, q)
+                got = signed_preimages(sys_, pair, comp, side, circle_key(q))
             except NonRegularValue:
                 continue
             tried += 1
@@ -306,8 +347,9 @@ def _fraction_orientation(comp, t, top, bottom):
 
 
 def _fraction_preimages(comp, side, q, top, bottom):
-    """Preimages of q found by stepping through q + Z on Fractions: the
-    library's arithmetic before it moved to integers."""
+    """Preimages of q found by stepping through q + Z on Fractions, as
+    (t, sign, direction, residual): the library's arithmetic before it moved
+    to integers."""
     q = frac_mod1(q)
     other = "minus" if side == "plus" else "plus"
     pts = comp.lift(side)
@@ -326,12 +368,18 @@ def _fraction_preimages(comp, side, q, top, bottom):
             tc = t0 + (t1 - t0) * (q + n - v0) / (v1 - v0)
             direction = 1 if v1 > v0 else -1
             sign = direction * _fraction_orientation(comp, tc, top, bottom)
-            out.append(
-                Preimage(tc, sign, direction, frac_mod1(comp.value(other, tc)))
-            )
+            out.append((tc, sign, direction, frac_mod1(comp.value(other, tc))))
             n += 1
-    out.sort(key=lambda pre: pre.t)
+    out.sort()
     return out
+
+
+def _library_preimages(comp, side, q, top, bottom):
+    """``component_preimages`` on rationals, each crossing read back as
+    (t, sign, direction, residual)."""
+    frames_ = [(orbit, circle_key(p)) for orbit, p in (top, bottom)]
+    return [(pre.t, pre.sign, pre.direction, pre.residual)
+            for pre in component_preimages(comp, side, circle_key(q), *frames_)]
 
 
 @st.composite
@@ -370,10 +418,10 @@ def test_component_preimages_match_fraction_oracle(plus, minus, sign, top, botto
         expected = _fraction_preimages(comp, side, q, *frames_)
     except NonRegularValue as err:
         with pytest.raises(NonRegularValue) as got:
-            component_preimages(comp, side, q, *frames_)
+            _library_preimages(comp, side, q, *frames_)
         assert str(got.value) == str(err)
         return
-    assert component_preimages(comp, side, q, *frames_) == expected
+    assert _library_preimages(comp, side, q, *frames_) == expected
 
 
 def test_fraction_oracle_covers_bad_frames_and_pinned_queries():
@@ -385,9 +433,9 @@ def test_fraction_oracle_covers_bad_frames_and_pinned_queries():
         top = (Orbit("t", 2, 0, good, F(1)), F(2, 11))
         bottom = (Orbit("b", 2, 0, False, F(1)), F(5, 13))
         for side, (_orbit, p) in (("plus", top), ("minus", bottom)):
-            got = component_preimages(comp, side, p, top, bottom)
+            got = _library_preimages(comp, side, p, top, bottom)
             assert got == _fraction_preimages(comp, side, p, top, bottom)
-            assert len(got) >= 3 and {pre.sign for pre in got} == {1, -1}
+            assert len(got) >= 3 and {sign for _t, sign, _d, _r in got} == {1, -1}
 
 
 def test_net_crossings_equal_winding_on_good_circles():
@@ -399,7 +447,7 @@ def test_net_crossings_equal_winding_on_good_circles():
         for _ in range(20):
             q = F(rng.randrange(1, 499), 499)
             try:
-                pres = signed_preimages(sys_, ("g", "b"), comp, side, q)
+                pres = signed_preimages(sys_, ("g", "b"), comp, side, circle_key(q))
             except NonRegularValue:
                 continue
             assert sum(p.direction for p in pres) == winding
@@ -413,10 +461,10 @@ def test_nonregular_value_raises():
     comp = sys_.m1[("gamma", "beta")][0]
     with pytest.raises(NonRegularValue):
         # e_minus is constant at 1/3
-        signed_preimages(sys_, ("gamma", "beta"), comp, "minus", F(1, 3))
+        signed_preimages(sys_, ("gamma", "beta"), comp, "minus", (1, 3))
     with pytest.raises(NonRegularValue):
         # breakpoint value of the e_plus lift
-        signed_preimages(sys_, ("gamma", "beta"), comp, "plus", F(1, 7))
+        signed_preimages(sys_, ("gamma", "beta"), comp, "plus", (1, 7))
 
 
 def test_orientation_transport_over_bad_orbit():
@@ -430,6 +478,79 @@ def test_orientation_transport_over_bad_orbit():
     assert component_orientation(comp, F(0), top, bottom) == 1
     assert component_orientation(comp, F(1, 2), top, bottom) == -1
     assert component_orientation(comp, F(1), top, bottom) == 1
+
+
+def _brute_transported_sign(comp, top, bottom, plus, minus):
+    """sign_start flipped once for every point of basepoint + Z that a bad
+    orbit's lift passes between its start and the given value, found by
+    stepping through the integers on Fractions."""
+    sign = comp.sign_start
+    for (orbit, basepoint), value, side in ((top, plus, "plus"),
+                                            (bottom, minus, "minus")):
+        if orbit.good:
+            continue
+        lo, hi = sorted((comp.lift(side)[0][1], value))
+        k = math.floor(lo) - 2
+        while basepoint + k <= hi:
+            if lo < basepoint + k:
+                sign = -sign
+            k += 1
+    return sign
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lifts(), _lifts(), st.sampled_from((1, -1)), _frames, _frames,
+       rationals, rationals,
+       st.fractions(min_value=0, max_value=1, max_denominator=60))
+def test_transported_sign_matches_brute_force(plus_lift, minus_lift, sign, top,
+                                              bottom, plus, minus, t):
+    # the one sign-transport rule, for the preimage query (any values) and
+    # for the label validator (the values at a parameter t)
+    comp = PLComponent("interval", sign, plus_lift, minus_lift)
+    frames_ = [(Orbit(oid, 2, 0, good, F(1)), p)
+               for oid, (good, p) in (("t", top), ("b", bottom))]
+    keys = [(orbit, circle_key(p)) for orbit, p in frames_]
+    assert transported_sign(comp, *keys, _pt(plus), _pt(minus)) == (
+        _brute_transported_sign(comp, *frames_, plus, minus))
+    assert component_orientation(comp, t, *keys) == _brute_transported_sign(
+        comp, *frames_, comp.value("plus", t), comp.value("minus", t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lifts(), _lifts(), rationals, rationals)
+def test_integer_views_agree_with_fractions(plus, minus, e_plus, e_minus):
+    comp = PLComponent("interval", 1, plus, minus)
+    point = SignedPoint(e_plus, e_minus, 1)
+    for record in (comp, copy.deepcopy(comp)):
+        for side in ("plus", "minus"):
+            assert [(F(tn, td), F(vn, vd)) for tn, td, vn, vd
+                    in record.int_lift(side)] == list(comp.lift(side))
+    for record in (point, copy.deepcopy(point)):
+        assert F(*record.e_plus_key) == _mod1(e_plus)
+        assert F(*record.e_minus_key) == _mod1(e_minus)
+        assert record.e_plus_key == circle_key(e_plus)
+
+
+# few actions, so ties are common, and large coprime denominators
+_actions = st.one_of(
+    st.sampled_from((F(0), F(-3, 2), F(5, 7), F(1, 1000003))),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(F, st.integers(-10**15, 10**15),
+              st.sampled_from((1000003, 999983, 2**61 - 1, 10**9 + 7))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text("abxyz", min_size=1, max_size=3), _actions,
+                       max_size=12))
+def test_integer_action_order_matches_fractions(actions):
+    orbits = {oid: Orbit(oid, 1, 0, True, action) for oid, action in actions.items()}
+    expected = sorted(orbits.values(), key=lambda o: (-o.action, o.oid))
+    assert by_action(orbits) == expected
+    (scaled,) = scaled_actions(orbits)
+    for a in orbits.values():
+        for b in orbits.values():
+            assert (scaled[a.oid] < scaled[b.oid]) == (a.action < b.action)
 
 
 # --- validator --------------------------------------------------------------
@@ -448,6 +569,20 @@ def test_validator_flags_bad_multiplicity():
     )
     codes = {v.code for v in validate_system(sys_)}
     assert "bad-orbit-multiplicity" in codes
+
+
+def test_validator_flags_basepoint_for_unknown_orbit():
+    # a misspelt orbit id would leave the intended orbit at basepoint 0
+    sys_ = MorseBottSystem(
+        orbits={"a": Orbit("a", 1, 0, True, F(2), "", 0)},
+        basepoints={"a": F(1, 5), "nosuch": F(1, 3)},
+    )
+    assert [(v.code, v.location, v.message) for v in validate_system(sys_)] == [
+        ("unknown-orbit", "basepoints[nosuch]",
+         "basepoint for unknown orbit 'nosuch'")
+    ]
+    with pytest.raises(ValidationFailure):
+        build_ncc(sys_)
 
 
 def test_validator_flags_unknown_orbit_in_pair():

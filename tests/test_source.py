@@ -8,7 +8,8 @@ import importlib.util
 from pathlib import Path
 
 import cascadeho
-from cascadeho import serialize
+from cascadeho import cli, serialize
+from cascadeho.scenarios import fixture
 
 
 def test_no_bare_asserts_in_package():
@@ -24,16 +25,34 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
-def test_benchmark_tracer_finds_every_function():
-    # bench/tracing.py wraps package functions by name; a renamed function
-    # would silently read 0 in its per-layer metric
+def _tracing():
+    """The benchmark's bench/tracing.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("cascadeho_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    with tracing.Tracer() as tracer:
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_function():
+    # bench/tracing.py wraps package functions by name; a renamed function
+    # would silently read 0 in its per-layer metric
+    with _tracing().Tracer() as tracer:
         pass
     assert tracer.missing == []
+
+
+def test_benchmark_tracer_sees_the_walk_and_its_queries(tmp_path, capsys):
+    # the traced preimage and walk counts read the wrapped functions; a
+    # refactor that bypassed them would silently read 0
+    path = tmp_path / "one-circle.json"
+    path.write_text(serialize.dumps(fixture("one-circle").payload))
+    with _tracing().Tracer() as tracer:
+        assert cli.main(["nch", str(path)]) == 0
+    capsys.readouterr()
+    for name in ("mbs.component_preimages", "mbs.signed_preimages",
+                 "cascades.enumerate_cascades"):
+        assert tracer.functions[name].calls > 0, name
 
 
 def test_docstring_examples_pass():
