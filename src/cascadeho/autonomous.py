@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .cascades import chain_generators
+from .cascades import by_action, chain_generators
 from .errors import CascadehoError, InputError, ValidationFailure
 from .exact import (
     ChainComplex,
@@ -75,11 +75,8 @@ class AutonomousData:
     def orbit(self, oid: str) -> Orbit:
         return self.orbits[oid]
 
-    def good_orbits(self) -> List[str]:
-        return sorted(
-            (o for o in self.orbits.values() if o.good),
-            key=lambda o: (-o.action, o.oid),
-        )
+    def good_orbits(self) -> List[Orbit]:
+        return [o for o in by_action(self.orbits) if o.good]
 
     def generator_grading(self, orbit: Orbit, flavor: str) -> int:
         """The grading of ``orbit``'s check or hat generator."""

@@ -8,8 +8,8 @@ counts are exact integer data.  Orientation local systems are trivialised at
 a basepoint on each orbit; bad orbits have monodromy -1, so transporting a
 sign past the basepoint flips it.
 
-Documents and constructors take Fractions; each record keeps its circle
-coordinates as integers from construction on (``PLComponent.int_plus``,
+Constructors take Fractions; each record keeps its circle coordinates as
+integers from construction on (a ``PLComponent``'s lifts are ``IntLift``s,
 ``SignedPoint.e_plus_key``, ...), and every query and validator reads those.
 """
 
@@ -30,14 +30,6 @@ Point = Tuple[int, int]  # a rational num / den as the integers (num, den), den 
 # most crossings of one point that a lift may have: untrusted documents
 # cannot make a preimage query unbounded work
 MAX_LIFT_CROSSINGS = 10**5
-
-
-def frac_mod1(x: Fraction) -> Fraction:
-    """Representative of x in [0, 1)."""
-    n, d = x.numerator, x.denominator
-    if 0 <= n < d:
-        return x
-    return Fraction(n % d, d)
 
 
 def circle_key(x: Fraction) -> Point:
@@ -165,29 +157,36 @@ class BoundaryLabel:
 IntLift = Tuple[Tuple[int, int, int, int], ...]
 
 
-def _int_lift(lift) -> IntLift:
-    return tuple([(t.numerator, t.denominator, v.numerator, v.denominator)
-                  for t, v in lift])
+def _breakpoint(point) -> Tuple[int, int, int, int]:
+    """A breakpoint given as a rational pair (t, value), or as integers
+    (tn, td, vn, vd) already in lowest terms, in ``IntLift`` form."""
+    if len(point) == 2:
+        t, v = point
+        return t.numerator, t.denominator, v.numerator, v.denominator
+    tn, td, vn, vd = point
+    if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
+        raise ValueError(f"breakpoint {point!r} is not in lowest terms "
+                         "with positive denominators")
+    return tn, td, vn, vd
 
 
 @dataclass(frozen=True)
 class PLComponent:
     """A component of a 1-dimensional moduli space, parametrised by [0, 1].
 
-    ``e_plus_lift`` / ``e_minus_lift`` are breakpoint lists ((t, value), ...)
-    of lifts of the evaluation maps to R; parameters strictly increase from
-    0 to 1.  For circles the endpoints are identified, so each lift must
-    close up to an integer (its winding number).  ``sign_start`` is the
-    orientation sign at parameter 0, expressed in the basepoint
-    trivialisations of both orientation local systems.  ``int_plus`` /
-    ``int_minus`` are the two lifts as ``IntLift``s, made on construction:
-    every query reads those.
+    ``e_plus_lift`` / ``e_minus_lift`` are the breakpoints (t, value) of
+    lifts of the evaluation maps to R, stored as ``IntLift``s; the
+    constructor also takes them as rational pairs.  Parameters strictly
+    increase from 0 to 1.  For circles the endpoints are identified, so each
+    lift must close up to an integer (its winding number).  ``sign_start``
+    is the orientation sign at parameter 0, expressed in the basepoint
+    trivialisations of both orientation local systems.
     """
 
     kind: str  # "circle" | "interval"
     sign_start: int
-    e_plus_lift: Tuple[Tuple[Fraction, Fraction], ...]
-    e_minus_lift: Tuple[Tuple[Fraction, Fraction], ...]
+    e_plus_lift: IntLift
+    e_minus_lift: IntLift
     boundary_labels: Dict[int, BoundaryLabel] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -195,8 +194,8 @@ class PLComponent:
             raise ValueError(f"bad component kind {self.kind!r}")
         if self.sign_start not in (1, -1):
             raise ValueError("sign_start must be +-1")
-        for side, lift in (("plus", self.e_plus_lift), ("minus", self.e_minus_lift)):
-            pts = _int_lift(lift)
+        for side in ("plus", "minus"):
+            pts = tuple([_breakpoint(p) for p in self.lift(side)])
             if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != pts[-1][1]:
                 raise ValueError("lift must run from t=0 to t=1")
             # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
@@ -211,29 +210,26 @@ class PLComponent:
                     f"e_{side} lift may cross a point {bound} times, "
                     f"more than {MAX_LIFT_CROSSINGS}"
                 )
-            object.__setattr__(self, f"int_{side}", pts)
+            object.__setattr__(self, f"e_{side}_lift", pts)
 
     def __deepcopy__(self, memo):
-        # the lifts and their integer views are immutable: share them
+        # the lifts are immutable: share them
         new = copy.copy(self)
         object.__setattr__(new, "boundary_labels",
                            copy.deepcopy(self.boundary_labels, memo))
         return new
 
-    def lift(self, side: str):
+    def lift(self, side: str) -> IntLift:
         return self.e_plus_lift if side == "plus" else self.e_minus_lift
-
-    def int_lift(self, side: str) -> IntLift:
-        return self.int_plus if side == "plus" else self.int_minus
 
     def value(self, side: str, t: Fraction) -> Fraction:
         """PL interpolation of the chosen lift at parameter t in [0, 1]."""
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
-        return Fraction(*_Evaluator(self.int_lift(side)).at(t.numerator, t.denominator))
+        return Fraction(*_Evaluator(self.lift(side)).at(t.numerator, t.denominator))
 
     def winding(self, side: str) -> int:
-        pts = self.int_lift(side)
+        pts = self.lift(side)
         (_t0n, _t0d, start, den), (_t1n, _t1d, end, end_den) = pts[0], pts[-1]
         # reduced fractions differ by an integer iff their denominators agree
         # and their numerators differ by a multiple of it
@@ -244,7 +240,7 @@ class PLComponent:
 
     def slope_sign(self, side: str, t: Fraction) -> int:
         """Direction of the lift at an interior point of a segment."""
-        pts = self.int_lift(side)
+        pts = self.lift(side)
         tn, td = t.numerator, t.denominator
         for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
             if t0n * td < tn * t0d and tn * t1d < t1n * td:
@@ -333,7 +329,7 @@ def transported_sign(comp: PLComponent, top: Frame, bottom: Frame,
     """
     sign = comp.sign_start
     for (orbit, (pn, pd)), (num, den), pts in (
-        (top, plus, comp.int_plus), (bottom, minus, comp.int_minus)
+        (top, plus, comp.e_plus_lift), (bottom, minus, comp.e_minus_lift)
     ):
         if not orbit.good:
             # floor(value - p) - floor(start - p)
@@ -351,8 +347,8 @@ def component_orientation(comp: PLComponent, t: Fraction, top: Frame,
     ``transported_sign`` at the values of both lifts at t."""
     tn, td = t.numerator, t.denominator
     return transported_sign(comp, top, bottom,
-                            _Evaluator(comp.int_plus).at(tn, td),
-                            _Evaluator(comp.int_minus).at(tn, td))
+                            _Evaluator(comp.e_plus_lift).at(tn, td),
+                            _Evaluator(comp.e_minus_lift).at(tn, td))
 
 
 def breakpoint_hit(comp: PLComponent, side: str, q: Point) -> Optional[str]:
@@ -364,7 +360,7 @@ def breakpoint_hit(comp: PLComponent, side: str, q: Point) -> Optional[str]:
     a breakpoint.
     """
     qn, qd = q
-    for tn, td, vn, vd in comp.int_lift(side):
+    for tn, td, vn, vd in comp.lift(side):
         # reduced fractions are one point mod 1 iff their denominators agree
         # and their numerators are congruent
         if vd == qd and (vn - qn) % qd == 0:
@@ -420,8 +416,8 @@ def component_preimages(
     hit = breakpoint_hit(comp, side, q)
     if hit is not None:
         raise NonRegularValue(hit)
-    pts = comp.int_lift(side)
-    other = _Evaluator(comp.int_lift("minus" if side == "plus" else "plus"))
+    pts = comp.lift(side)
+    other = _Evaluator(comp.lift("minus" if side == "plus" else "plus"))
     transport = not (top[0].good and bottom[0].good)
     qn, qd = q
     out = []
@@ -518,7 +514,7 @@ def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
             for side, oid in (("plus", top), ("minus", bottom)):
                 if oid in values:
                     values[oid].update([(vn % vd, vd) for _tn, _td, vn, vd
-                                        in comp.int_lift(side)])
+                                        in comp.lift(side)])
     return values
 
 
@@ -671,12 +667,6 @@ class Level(NamedTuple):
     frames: Tuple
 
 
-def _end_value(lift: IntLift, end: int) -> Point:
-    """The value of ``lift`` at parameter ``end`` (0 or 1)."""
-    _tn, _td, vn, vd = lift[-1 if end else 0]
-    return vn, vd
-
-
 def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
                       upper, lower, factor):
     """Check that ``comp``'s end ``end`` converges to the broken pair ``label``.
@@ -708,7 +698,7 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
                "its component")
         return
     tn, td = t.numerator, t.denominator
-    at = {s: point_key(*_Evaluator(other.int_lift(s)).at(tn, td))
+    at = {s: point_key(*_Evaluator(other.lift(s)).at(tn, td))
           for s in ("plus", "minus")}
     if d_upper == 0:
         top_end, bottom_end = point.e_plus_key, at["minus"]
@@ -716,7 +706,8 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
     else:
         top_end, bottom_end = at["plus"], point.e_minus_key
         fiber_point = point.e_plus_key
-    ends = (_end_value(comp.int_plus, end), _end_value(comp.int_minus, end))
+    # the values (vn, vd) of both lifts at parameter ``end`` (0 or 1)
+    ends = [comp.lift(side)[-1 if end else 0][2:] for side in ("plus", "minus")]
     _check(v, point_key(*ends[0]) == top_end, "label-eval-mismatch", where,
            "top evaluation does not match broken limit")
     _check(v, point_key(*ends[1]) == bottom_end, "label-eval-mismatch", where,

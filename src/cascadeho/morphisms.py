@@ -31,7 +31,6 @@ from .mbs import (
     SignedPoint,
     Violation,
     check_broken_pair,
-    frac_mod1,
     frames,
     validate_moduli,
     validate_system,
@@ -205,11 +204,9 @@ def trivial_cobordism(sys: MorseBottSystem) -> MorphismData:
     target = copy.deepcopy(sys)
     phi1: Dict[Pair, List[PLComponent]] = {}
     for oid in sys.orbits:
-        c = frac_mod1(sys.basepoints[oid] + Fraction(1, 2))
+        c = (sys.basepoints[oid] + Fraction(1, 2)) % 1
         lift = ((Fraction(0), c), (Fraction(1), c + 1))
-        phi1[(oid, oid)] = [
-            PLComponent("circle", 1, lift, lift)
-        ]
+        phi1[(oid, oid)] = [PLComponent("circle", 1, lift, lift)]
     return MorphismData(
         source=sys,
         target=target,

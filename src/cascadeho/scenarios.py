@@ -402,7 +402,8 @@ def mutations(name: str) -> List[Mutation]:
                 "action-axiom")
             mutated = copy.deepcopy(sys)
             comp = mutated.m1[some_pair][0]
-            mutated.basepoints[top] = comp.lift("plus")[0][1]
+            _tn, _td, vn, vd = comp.lift("plus")[0]
+            mutated.basepoints[top] = _f(vn, vd)
             add("basepoint-collision", mutated, "basepoint-collision")
         else:
             bad = next(iter(sys.orbits))

@@ -12,10 +12,13 @@ import json
 import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Tuple
 
 from .errors import InputError
-from .mbs import BoundaryLabel, MorseBottSystem, Orbit, PLComponent, SignedPoint
+from .mbs import (
+    BoundaryLabel, MorseBottSystem, Orbit, PLComponent, SignedPoint, _ratio_str,
+)
 from .autonomous import AutonomousData, CylinderRecord
 from .morphisms import MorphismData, PhiLabel
 
@@ -30,8 +33,9 @@ def _frac_str(x: Fraction) -> str:
 _PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
-def _frac(s) -> Fraction:
-    """The one rational parser of documents and options.
+def _ratio(s) -> Tuple[int, int]:
+    """The one rational parser of documents and options: ``s`` in lowest
+    terms as the integers (num, den), den > 0.
 
     Plain rationals "p" and "p/q" are read with ``int``; anything else takes
     ``Fraction(str(s))``.  Both accept the same strings with the same values
@@ -39,12 +43,18 @@ def _frac(s) -> Fraction:
     """
     try:
         plain = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
-        if plain is not None:
-            num, den = plain.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return Fraction(str(s))
+        if plain is None:
+            x = Fraction(str(s))
+            return x.numerator, x.denominator
+        num, den = int(plain[1]), int(plain[2] or 1)
+        g = gcd(num, den)
+        return num // g, den // g
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad rational {s!r}: {err}") from None
+
+
+def _frac(s) -> Fraction:
+    return Fraction(*_ratio(s))
 
 
 def _object(data, key):
@@ -97,11 +107,14 @@ def _name_pair(data) -> Tuple[str, str]:
 
 
 def _lift_json(lift):
-    return [[_frac_str(t), _frac_str(v)] for t, v in lift]
+    return [[_ratio_str(tn, td), _ratio_str(vn, vd)] for tn, td, vn, vd in lift]
 
 
 def _lift_load(data):
-    return tuple((_frac(t), _frac(v)) for t, v in data)
+    """A lift's ``IntLift``, read from a JSON array of [t, value] arrays."""
+    if type(data) is not list or any(type(p) is not list or len(p) != 2 for p in data):
+        raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
+    return tuple([(*_ratio(t), *_ratio(v)) for t, v in data])
 
 
 # each record's (JSON key, attribute, type) rows, in reading order; a field

@@ -481,6 +481,11 @@ def label_end(end, moved):
     ("preq-112", every_orbit("class", 5), "chs1"),
     ("preq-112", every_orbit("class", ["c"]), "chs1"),
     ("preq-112", every_orbit("class", {"a": 1}), "chs1"),
+    # a lift is an array of [t, value] arrays
+    ("one-circle", setting("m1", 0, "components", 0, "e_plus_lift",
+                           value=["00", "12"]), "nch"),
+    ("one-circle", setting("m1", 0, "components", 0, "e_plus_lift",
+                           value={"00": 0, "12": 0}), "nch"),
     # orbit ids, pair-table (top, bottom) pairs and extra keys are unique
     ("one-interval", repeated("orbits", 1), "nch"),
     ("one-interval", repeated("m0", 1, points=[]), "nch"),

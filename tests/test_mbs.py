@@ -1,12 +1,16 @@
 import copy
+import json
 import math
 import random
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadeho import serialize
 from cascadeho.cascades import (
     SRC,
     TGT,
@@ -18,6 +22,7 @@ from cascadeho.cascades import (
 )
 from cascadeho.errors import NonDistinct, NonRegularValue, ValidationFailure
 from cascadeho.mbs import (
+    BoundaryLabel,
     MorseBottSystem,
     Orbit,
     PLComponent,
@@ -28,7 +33,6 @@ from cascadeho.mbs import (
     component_preimages,
     cyclically_ordered,
     evaluation_values,
-    frac_mod1,
     scaled_actions,
     signed_preimages,
     transported_sign,
@@ -48,6 +52,11 @@ rationals = st.fractions(
 def _pt(x):
     """A rational as the library's integer pair (num, den)."""
     return x.numerator, x.denominator
+
+
+def _rational_lift(comp, side):
+    """``comp``'s stored ``side`` lift as (t, value) Fraction pairs."""
+    return [(F(tn, td), F(vn, vd)) for tn, td, vn, vd in comp.lift(side)]
 
 
 def ordered(p, a, b, eps_a=0, eps_b=0):
@@ -142,7 +151,6 @@ def test_cyclic_order_matches_fraction_oracle(p, a, b, eps_a, eps_b):
 @settings(max_examples=200, deadline=None)
 @given(_circle_points, _circle_points)
 def test_circle_arithmetic_matches_fraction_oracle(x, y):
-    assert frac_mod1(x) == _mod1(x) and type(frac_mod1(x)) is F
     assert (circle_key(x) == circle_key(y)) == (_mod1(x) == _mod1(y))
     comp = PLComponent("circle", 1, ((F(0), x), (F(1), y)), ((F(0), x), (F(1), x + 1)))
     if (y - x).denominator == 1:
@@ -261,7 +269,7 @@ def _dense_crossings(comp, side, q, top, bottom, samples=1024):
     evaluation maps along the way.  The frames hold the library's basepoint
     keys.
     """
-    q = frac_mod1(q)
+    q %= 1
 
     def level(t):
         v = comp.value(side, t)
@@ -274,7 +282,7 @@ def _dense_crossings(comp, side, q, top, bottom, samples=1024):
             if orbit.good:
                 continue
             basepoint = F(*basepoint)
-            d0 = comp.lift(s)[0][1] - basepoint
+            d0 = _rational_lift(comp, s)[0][1] - basepoint
             dt = comp.value(s, t) - basepoint
             flips += dt.numerator // dt.denominator - (
                 d0.numerator // d0.denominator
@@ -341,7 +349,8 @@ def _fraction_orientation(comp, t, top, bottom):
     for side, (orbit, basepoint) in (("plus", top), ("minus", bottom)):
         if orbit.good:
             continue
-        v0, v1 = comp.lift(side)[0][1] - basepoint, comp.value(side, t) - basepoint
+        v0 = _rational_lift(comp, side)[0][1] - basepoint
+        v1 = comp.value(side, t) - basepoint
         flips += v1.numerator // v1.denominator - v0.numerator // v0.denominator
     return comp.sign_start * (-1) ** (flips % 2)
 
@@ -350,11 +359,11 @@ def _fraction_preimages(comp, side, q, top, bottom):
     """Preimages of q found by stepping through q + Z on Fractions, as
     (t, sign, direction, residual): the library's arithmetic before it moved
     to integers."""
-    q = frac_mod1(q)
+    q %= 1
     other = "minus" if side == "plus" else "plus"
-    pts = comp.lift(side)
+    pts = _rational_lift(comp, side)
     for t, v in pts:
-        if frac_mod1(v) == q:
+        if v % 1 == q:
             raise NonRegularValue(
                 f"value {q} hit at breakpoint t={t} of a {comp.kind}"
             )
@@ -368,7 +377,7 @@ def _fraction_preimages(comp, side, q, top, bottom):
             tc = t0 + (t1 - t0) * (q + n - v0) / (v1 - v0)
             direction = 1 if v1 > v0 else -1
             sign = direction * _fraction_orientation(comp, tc, top, bottom)
-            out.append((tc, sign, direction, frac_mod1(comp.value(other, tc))))
+            out.append((tc, sign, direction, comp.value(other, tc) % 1))
             n += 1
     out.sort()
     return out
@@ -412,7 +421,7 @@ def test_component_preimages_match_fraction_oracle(plus, minus, sign, top, botto
     q = data.draw(st.one_of(
         rationals,
         st.sampled_from((top[1], bottom[1])),
-        st.sampled_from([v + 1 for _t, v in comp.lift(side)]),
+        st.sampled_from([v + 1 for _t, v in _rational_lift(comp, side)]),
     ))
     try:
         expected = _fraction_preimages(comp, side, q, *frames_)
@@ -489,7 +498,7 @@ def _brute_transported_sign(comp, top, bottom, plus, minus):
                                             (bottom, minus, "minus")):
         if orbit.good:
             continue
-        lo, hi = sorted((comp.lift(side)[0][1], value))
+        lo, hi = sorted((_rational_lift(comp, side)[0][1], value))
         k = math.floor(lo) - 2
         while basepoint + k <= hi:
             if lo < basepoint + k:
@@ -516,19 +525,85 @@ def test_transported_sign_matches_brute_force(plus_lift, minus_lift, sign, top,
         comp, *frames_, comp.value("plus", t), comp.value("minus", t))
 
 
+def _lowest_terms(lift):
+    return tuple((t.numerator, t.denominator, v.numerator, v.denominator)
+                 for t, v in lift)
+
+
+def _one_component_system(comp):
+    return MorseBottSystem(
+        orbits={"a": Orbit("a", 1, 0, True, F(2), "", 1),
+                "b": Orbit("b", 1, 0, True, F(1), "", 0)},
+        m1={("a", "b"): [comp]},
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(_lifts(), _lifts(), rationals, rationals)
 def test_integer_views_agree_with_fractions(plus, minus, e_plus, e_minus):
+    # a lift is stored once, as the lowest-terms integers of the rational
+    # pairs it was given, and every copy and round trip keeps that form
     comp = PLComponent("interval", 1, plus, minus)
+    assert set(vars(comp)) == {f.name for f in fields(PLComponent)}
+    loaded = serialize.loads(serialize.dumps(_one_component_system(comp)))
+    label = BoundaryLabel("m", 0, 0, 0, F(1, 2))
+    for record in (comp, copy.deepcopy(comp),
+                   replace(comp, boundary_labels={0: label}),
+                   loaded.m1[("a", "b")][0]):
+        assert record.e_plus_lift == record.lift("plus") == _lowest_terms(plus)
+        assert record.e_minus_lift == record.lift("minus") == _lowest_terms(minus)
     point = SignedPoint(e_plus, e_minus, 1)
-    for record in (comp, copy.deepcopy(comp)):
-        for side in ("plus", "minus"):
-            assert [(F(tn, td), F(vn, vd)) for tn, td, vn, vd
-                    in record.int_lift(side)] == list(comp.lift(side))
     for record in (point, copy.deepcopy(point)):
         assert F(*record.e_plus_key) == _mod1(e_plus)
         assert F(*record.e_minus_key) == _mod1(e_minus)
         assert record.e_plus_key == circle_key(e_plus)
+
+
+def test_lift_strings_load_as_lowest_terms_integers():
+    doc = json.loads(serialize.dumps(_one_component_system(
+        PLComponent("interval", 1, ((F(0), F(0)), (F(1), F(1))),
+                    ((F(0), F(0)), (F(1), F(1)))))))
+    lift = [["-0/5", "2/4"], ["2/4", "+3"], ["+1", "-6/4"]]
+    doc["payload"]["m1"][0]["components"][0]["e_plus_lift"] = lift
+    loaded = serialize.loads(json.dumps(doc))
+    comp = loaded.m1[("a", "b")][0]
+    assert comp.e_plus_lift == ((0, 1, 1, 2), (1, 2, 3, 1), (1, 1, -3, 2))
+    again = json.loads(serialize.dumps(loaded))
+    assert again["payload"]["m1"][0]["components"][0]["e_plus_lift"] == [
+        ["0", "1/2"], ["1/2", "3"], ["1", "-3/2"]]
+    # integer breakpoints must already be in lowest terms, over positive
+    # denominators
+    minus = ((0, 1, 0, 1), (1, 1, 1, 1))
+    for start in ((0, 2, 0, 1), (0, 1, 2, 4), (0, 1, 1, -2), (0, 1, -1, -2),
+                  (0, 0, 0, 1), (0, 1, 0, 0)):
+        with pytest.raises(ValueError, match="lowest terms"):
+            PLComponent("interval", 1, (start, (1, 1, 1, 1)), minus)
+
+
+def test_loads_builds_no_fraction_for_a_lift(monkeypatch):
+    # lift strings are read straight into integers; the document's other
+    # rationals (actions, basepoints, m0 points, label parameters) are
+    # still Fractions
+    texts = [serialize.dumps(fixture(name).payload) for name in fixture_names()
+             if fixture(name).kind != "autonomous"]
+    texts.append(serialize.dumps(trivial_cobordism(fixture("bad-circle").payload)))
+    lift_readers = {serialize._lift_load.__code__,
+                    PLComponent.__post_init__.__code__}
+    in_lifts, elsewhere = [], []
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in lift_readers:
+            frame = frame.f_back
+        (elsewhere if frame is None else in_lifts).append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    loaded = [serialize.loads(text) for text in texts]
+    monkeypatch.undo()
+    assert in_lifts == [] and elsewhere
+    assert [serialize.dumps(obj) for obj in loaded] == texts
 
 
 # few actions, so ties are common, and large coprime denominators

@@ -149,9 +149,9 @@ def test_open_phi_circle_over_good_orbits_rejected():
     # must still close up
     m = fixture("morphism-interval").payload
     comp = m.phi1[("G", "B")][0]
-    lift = comp.e_plus_lift
+    *head, (_tn, _td, vn, vd) = comp.e_plus_lift
     m.phi1[("G", "B")][0] = replace(
-        comp, e_plus_lift=lift[:-1] + ((F(1), lift[-1][1] + F(1, 3)),)
+        comp, e_plus_lift=(*head, (F(1), F(vn, vd) + F(1, 3)))
     )
     assert m.source.orbit("G").good and m.target.orbit("B").good
     found = {(v.code, v.location) for v in validate_morphism(m)}
@@ -160,7 +160,8 @@ def test_open_phi_circle_over_good_orbits_rejected():
     labelled = replace(m.phi1[("G", "B")][0],
                        boundary_labels=dict(m.phi1[("A", "B")][0].boundary_labels))
     m.phi1[("G", "B")][0] = labelled
-    m.source.basepoints["G"] = labelled.e_plus_lift[0][1]
+    _tn, _td, vn, vd = labelled.e_plus_lift[0]
+    m.source.basepoints["G"] = F(vn, vd)
     found = [(v.code, v.location) for v in validate_morphism(m)
              if v.location == "phi1('G', 'B')[0]"]
     assert found == [
