@@ -5,8 +5,8 @@ of simple cylinders between good orbits (``mj1``), the multiplicities of the
 orbits, and a small set of user-supplied "extra" blocks that the symmetry
 argument does not pin down.  From these we assemble:
 
-* the cylindrical (EGH) differential delta.kappa on good orbits (integral,
-  since du divides d(a)) and its homology ranks over Q,
+* the cylindrical (EGH) differential delta.kappa on good orbits and its
+  homology ranks over Q,
 * the integral block differential on check/hat generators,
 * the BV operator (check a -> d(a) hat a on good orbits), and
 * the U-truncated equivariant complex and its homology.
@@ -15,16 +15,20 @@ argument does not pin down.  From these we assemble:
 everything except the U^0 check generators of good orbits is an acyclic
 (over Q) subcomplex whose quotient is exactly the EGH complex.
 
+Every entry is computed in integers.  <delta a, b> is the sum of
+epsilon/du over the simple cylinders a -> b, and each entry multiplies it by
+a multiplicity d that every du divides, so it is the integer sum of
+epsilon * (d // du) (``_scaled_count``); no rational is formed.
+
 Each public builder validates the data once; the checking builders
 ``_tower`` (the block and U-tower complexes) and ``_egh_complex`` then
-compute ``delta`` and check d^2 = 0 of the complex they return, so
-``homology`` does not check it again.
+check d^2 = 0 of the complex they return, so ``homology`` does not check
+it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -38,7 +42,7 @@ from .exact import (
     homology,
     verify_square_zero,
 )
-from .mbs import Orbit, Violation
+from .mbs import Orbit, Violation, scaled_actions
 
 Pair = Tuple[str, str]
 GenKey = Tuple[str, str]  # (flavor, orbit)
@@ -60,9 +64,10 @@ class CylinderRecord:
     du: int
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
+        # the block formulas divide d by du in integers
+        if type(self.epsilon) is not int or self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +-1")
-        if self.du < 1:
+        if type(self.du) is not int or self.du < 1:
             raise ValueError("du must be a positive integer")
 
 
@@ -105,6 +110,8 @@ def validate_data(data: AutonomousData) -> List[Violation]:
             check(orbit.d % 2 == 0, "bad-orbit-multiplicity", oid,
                   "bad orbit must have even multiplicity")
 
+    # the action axioms compare integers, as the generator order does
+    (action,) = scaled_actions(data.orbits)
     for (top, bottom), cylinders in sorted(data.mj1.items()):
         where = f"mj1({top},{bottom})"
         if top not in data.orbits or bottom not in data.orbits:
@@ -113,7 +120,7 @@ def validate_data(data: AutonomousData) -> List[Violation]:
         a, b = data.orbit(top), data.orbit(bottom)
         check(a.good and b.good, "cylinder-bad-orbit", where,
               "cylinder records live between good orbits")
-        check(b.action < a.action, "action-axiom", where,
+        check(action[bottom] < action[top], "action-axiom", where,
               "action does not decrease")
         check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
               "cylinders preserve the homotopy class")
@@ -128,6 +135,8 @@ def validate_data(data: AutonomousData) -> List[Violation]:
         where = f"extra({src[0]}:{src[1]} -> {tgt[0]}:{tgt[1]})"
         if not coeff:
             continue
+        check(type(coeff) is int, "extra-coefficient", where,
+              f"coefficient {coeff!r} is not an integer")
         if src[1] not in data.orbits or tgt[1] not in data.orbits:
             check(False, "unknown-orbit", where, "unknown orbit id")
             continue
@@ -143,7 +152,7 @@ def validate_data(data: AutonomousData) -> List[Violation]:
             legal = False
         check(legal, "extra-slot", where,
               "coefficient sits in a slot the block formulas determine")
-        check(b.action < a.action, "action-axiom", where,
+        check(action[tgt[1]] < action[src[1]], "action-axiom", where,
               "action does not decrease")
         check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
               "extra entries preserve the homotopy class")
@@ -162,25 +171,21 @@ def _require_valid(data: AutonomousData):
         raise ValidationFailure(violations)
 
 
-def delta(data: AutonomousData) -> Dict[Pair, Fraction]:
-    """<delta a, b> = sum of epsilon/du over simple cylinders a -> b."""
-    out: Dict[Pair, Fraction] = {}
-    for pair, cylinders in data.mj1.items():
-        total = sum(Fraction(c.epsilon, c.du) for c in cylinders)
-        if total:
-            out[pair] = total
-    return out
+def _scaled_count(cylinders: List[CylinderRecord], d: int, where: str) -> int:
+    """d * <delta a, b> for the simple cylinders a -> b: the sum of
+    epsilon * (d // du).  Raises CascadehoError if some du does not divide
+    d, which ``validate_data`` rules out."""
+    total = 0
+    for cyl in cylinders:
+        q, r = divmod(d, cyl.du)
+        if r:
+            raise CascadehoError(f"du = {cyl.du} does not divide {d} at {where}")
+        total += cyl.epsilon * q
+    return total
 
 
 # ---------------------------------------------------------------------------
 # cylindrical (EGH) complex
-
-
-def _integral(value: Fraction, where: str) -> int:
-    """The integer ``value``; du-divisibility guarantees one for valid data."""
-    if value.denominator != 1:
-        raise CascadehoError(f"coefficient {value} at {where} is not an integer")
-    return value.numerator
 
 
 def _egh_complex(data: AutonomousData) -> ChainComplex:
@@ -191,11 +196,12 @@ def _egh_complex(data: AutonomousData) -> ChainComplex:
     )
     index = {g.gid: k for k, g in enumerate(gens)}
     entries = {}
-    for (a, b), val in delta(data).items():
-        coeff = _integral(data.orbit(a).d * val, f"egh({a},{b})")
+    for (a, b), cylinders in data.mj1.items():
+        coeff = _scaled_count(cylinders, data.orbit(a).d, f"egh({a},{b})")
         if coeff:
             entries[(index[b], index[a])] = coeff
-    complex_ = ChainComplex(gens, IntMatrix(len(gens), len(gens), entries))
+    n = len(gens)
+    complex_ = ChainComplex(gens, IntMatrix._trusted(n, n, entries))
     verify_square_zero(complex_)
     return complex_
 
@@ -224,11 +230,10 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     """Integer matrix entries of the nonequivariant block differential."""
     entries: Dict[Tuple[GenKey, GenKey], int] = {}
 
-    for (a, b), val in delta(data).items():
-        da, db = data.orbit(a).d, data.orbit(b).d
+    for (a, b), cylinders in data.mj1.items():
         # check block: +kappa-then-delta; hat block: -delta-then-kappa
-        cc = _integral(da * val, f"check block ({a},{b})")
-        hh = _integral(-db * val, f"hat block ({a},{b})")
+        cc = _scaled_count(cylinders, data.orbit(a).d, f"check block ({a},{b})")
+        hh = -_scaled_count(cylinders, data.orbit(b).d, f"hat block ({a},{b})")
         if cc:
             entries[(("check", a), ("check", b))] = cc
         if hh:
@@ -267,7 +272,7 @@ def _assemble(data, raw, truncation):
             for k in range(1, step):
                 entries[(hat + k - 1, check + k)] = orbit.d
     n = len(gens)
-    return ChainComplex(tuple(gens), IntMatrix(n, n, entries))
+    return ChainComplex(tuple(gens), IntMatrix._trusted(n, n, entries))
 
 
 def block_differential(data: AutonomousData) -> ChainComplex:

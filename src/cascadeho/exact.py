@@ -49,6 +49,14 @@ class IntMatrix:
         self.entries = cleaned
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "IntMatrix":
+        """The matrix holding ``entries`` itself, unchecked: for callers whose
+        entries are already nonzero ints inside ``rows`` x ``cols``."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols)
 
@@ -79,15 +87,22 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # index other's entries by row for sparse multiply
+        # index other's entries by row; accumulate one dict per product row
         by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        rows = {}
         for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                acc[(i, j)] = acc.get((i, j), 0) + a * b
-        return IntMatrix(self.rows, other.cols, acc)
+            terms = by_row.get(k)
+            if terms:
+                acc = rows.get(i)
+                if acc is None:
+                    acc = rows[i] = {}
+                for j, b in terms:
+                    acc[j] = acc.get(j, 0) + a * b
+        return IntMatrix._trusted(self.rows, other.cols, {
+            (i, j): v for i, acc in rows.items() for j, v in acc.items() if v
+        })
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -119,12 +134,18 @@ class IntMatrix:
 def _eliminate(m: IntMatrix, ops=None):
     """Sparse elimination over Z to at most one entry per row and column.
 
-    Works on a dict per row.  The pivot is a nonzero entry of least absolute
-    value, so unit entries cancel first.  Row operations clear the pivot's
-    column; an entry the pivot does not divide leaves a smaller remainder,
-    which becomes the pivot.  Once the column is clear, column operations
-    touch the pivot row alone, so reducing that row modulo the pivot either
-    empties it (the pivot is final) or leaves a smaller pivot.
+    Works on a dict per row.  The pivot is the first entry, in row order,
+    whose absolute value is at most the last pivot's (at most 1 for the
+    first), so unit entries cancel first.  Only when no entry is that small
+    does a full scan take one of least absolute value, which then sets the
+    bound: a block whose entries share one size (all +-2, say) is scanned
+    once, not once per pivot.  Row operations clear the pivot's column; an
+    entry the pivot does not divide leaves a smaller remainder, which
+    becomes the pivot.  Once the column is clear, column operations touch
+    the pivot row alone, so reducing that row modulo the pivot either
+    empties it (the pivot is final) or leaves a smaller pivot.  Any choice
+    of pivot gives the same invariant factors; the rule only keeps entries
+    and remainder steps small.
 
     Returns the pivots as (row, col, value).  When ``ops`` is a list, each
     row operation row[dst] -= q * row[src] is appended to it as
@@ -137,16 +158,21 @@ def _eliminate(m: IntMatrix, ops=None):
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
     pivots = []
+    bound = 1
     while rows:
-        best = 0
+        r = None
         for i, row in rows.items():
             for j, v in row.items():
-                if not best or abs(v) < best:
-                    best, r, c = abs(v), i, j
-                    if best == 1:
-                        break
-            if best == 1:
+                if -bound <= v <= bound:
+                    r, c = i, j
+                    break
+            if r is not None:
                 break
+        else:
+            # every entry exceeds the last pivot: one full scan for a least
+            bound, r, c = min(
+                (abs(v), i, j) for i, row in rows.items() for j, v in row.items()
+            )
         while True:
             prow = rows[r]
             p = prow[c]
@@ -185,6 +211,7 @@ def _eliminate(m: IntMatrix, ops=None):
         for j in rows.pop(r):
             cols[j].discard(r)
         pivots.append((r, c, p))
+        bound = abs(p)
     return pivots
 
 
@@ -385,7 +412,7 @@ class ChainComplex:
                     closed = False
         sub = ChainComplex(
             tuple(self.generators[k] for k in kept),
-            IntMatrix(len(kept), len(kept), entries),
+            IntMatrix._trusted(len(kept), len(kept), entries),
             self.grading_modulus,
         )
         if closed and self._square_zero:
@@ -510,42 +537,65 @@ def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     ``cascades.assemble_complex``), or a restriction
     of one that is closed under d.  A hand-built complex, a restriction
     that is not closed, or a rebuilt copy is multiplied out here.
+
+    Raises CascadehoError, naming both generators, for an entry of d that
+    does not lower the grading by 1 within one class: such an entry lies in
+    no block, and ``check_structure`` reports it too.
     """
     if reduced is None:
         reduced = {}
     if not complex_._square_zero:
         verify_square_zero(complex_)
     gens = complex_.generators
-    degree_key = complex_.degree_key
-    blocks = {}
-    key_of = []
+    modulus = complex_.grading_modulus
+    if modulus:
+        keys = [(g.homotopy_class, g.grading % modulus) for g in gens]
+    else:
+        keys = [(g.homotopy_class, g.grading) for g in gens]
+    # number the (class, grading) pairs, count the generators of each and
+    # give every generator its index inside its own
+    ids = {}
+    size = []
+    block_of = []
     local = []
-    for g in gens:
-        key = (g.homotopy_class, degree_key(g.grading))
-        members = blocks.setdefault(key, [])
-        key_of.append(key)
-        local.append(len(members))
-        members.append(g)
+    for key in keys:
+        b = ids.get(key)
+        if b is None:
+            b = ids[key] = len(size)
+            size.append(0)
+        block_of.append(b)
+        local.append(size[b])
+        size[b] += 1
 
     # the block of d leaving each (class, grading), into the grading below
-    below = {key: (key[0], degree_key(key[1] - 1)) for key in blocks}
-    block_entries = {}
+    degree_key = complex_.degree_key
+    below = [ids.get((cls, degree_key(deg - 1))) for cls, deg in ids]
+    blocks = [{} for _ in size]
     for (i, j), v in complex_.differential.entries.items():
-        if key_of[i] == below[key_of[j]]:
-            block_entries.setdefault(key_of[j], {})[(local[i], local[j])] = v
+        b = block_of[j]
+        if block_of[i] != below[b]:
+            raise CascadehoError(
+                f"<d {gens[j].gid}, {gens[i].gid}> = {v} does not lower the "
+                "grading by 1 within one class"
+            )
+        blocks[b][(local[i], local[j])] = v
 
     out_of = {}
-    for key, entries in block_entries.items():
-        block = (len(blocks[below[key]]), len(blocks[key]), frozenset(entries.items()))
-        if block not in reduced:
-            reduced[block] = _reduce_block(IntMatrix(block[0], block[1], entries))
-        out_of[key] = reduced[block]
+    for key, b in ids.items():
+        entries = blocks[b]
+        if entries:
+            block = (size[below[b]], size[b], frozenset(entries.items()))
+            if block not in reduced:
+                reduced[block] = _reduce_block(
+                    IntMatrix._trusted(block[0], block[1], entries)
+                )
+            out_of[key] = reduced[block]
 
     groups = {}
-    for key in sorted(blocks):
+    for key in sorted(ids):
         cls, deg = key
         rank_in, tors = out_of.get((cls, degree_key(deg + 1)), (0, ()))
-        free = len(blocks[key]) - out_of.get(key, (0, ()))[0] - rank_in
+        free = size[ids[key]] - out_of.get(key, (0, ()))[0] - rank_in
         if free or tors:
             groups[key] = (free, tors)
     return HomologyResult(groups, complex_.grading_modulus)

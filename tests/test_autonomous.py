@@ -16,7 +16,6 @@ from cascadeho.autonomous import (
     block_entries,
     bv_operator,
     compare_egh,
-    delta,
     egh_differential,
     egh_homology,
     equivariant_differential,
@@ -30,6 +29,17 @@ from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequan
 
 
 F = Fraction
+
+
+def delta(data):
+    """<delta a, b> = sum of epsilon/du over simple cylinders a -> b, in
+    rationals: the oracle for the integer block formulas."""
+    out = {}
+    for pair, cylinders in data.mj1.items():
+        total = sum(F(c.epsilon, c.du) for c in cylinders)
+        if total:
+            out[pair] = total
+    return out
 
 
 # --- delta and the cylindrical complex --------------------------------------
@@ -100,6 +110,85 @@ def test_block_hat_sign_uses_target_multiplicity():
     entries = block_entries(data)
     assert entries[(("check", "a"), ("check", "b"))] == 3  # d(a)/du
     assert entries[(("hat", "a"), ("hat", "b"))] == -1  # -d(b)/du
+
+
+def rational_block_entries(data):
+    """``block_entries`` from ``delta`` in rationals: the check entry is
+    d(a) * delta, the hat entry -d(b) * delta, each must be an integer."""
+    entries = {}
+    for (a, b), val in delta(data).items():
+        cc, hh = data.orbit(a).d * val, -data.orbit(b).d * val
+        assert cc.denominator == hh.denominator == 1
+        entries[(("check", a), ("check", b))] = int(cc)
+        entries[(("hat", a), ("hat", b))] = int(hh)
+    for oid, orbit in data.orbits.items():
+        if not orbit.good:
+            entries[(("hat", oid), ("check", oid))] = -2
+    for key, coeff in data.extra.items():
+        entries[key] = entries.get(key, 0) + coeff
+    return {k: v for k, v in entries.items() if v}
+
+
+def test_integer_block_formulas_match_the_rational_oracle(tmp_path, monkeypatch):
+    # every autonomous fixture and the seed 1-3 benchmark documents
+    cases = {name: fixture(name).payload for name in fixture_names()
+             if fixture(name).kind == "autonomous"}
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    fixtures = len(cases)
+    for seed in (1, 2, 3):
+        for r in workloads.build("autonomous", seed, str(tmp_path / str(seed))):
+            cases[f"{r.doc.name}@{seed}"] = r.doc.obj
+    assert len(cases) == fixtures + 3 * 3
+    for name, data in cases.items():
+        assert block_entries(data) == rational_block_entries(data), name
+        egh = egh_differential(data)
+        oids = [g.gid for g in egh.generators]
+        got = {(oids[j], oids[i]): v for (i, j), v in egh.differential.entries.items()}
+        assert got == {(a, b): int(data.orbit(a).d * val)
+                       for (a, b), val in delta(data).items()}, name
+
+
+def test_du_not_dividing_the_multiplicity_raises():
+    # the rational sum 1/2 + 1/2 is an integer, but no single 1/du is: the
+    # integer formulas refuse such data instead of flooring d // du
+    orbits = {
+        "a": Orbit("a", 1, 1, True, F(2), "", 1),
+        "b": Orbit("b", 2, 0, True, F(1), "", 0),
+    }
+    data = AutonomousData(orbits=orbits, mj1={
+        ("a", "b"): [CylinderRecord(1, 2), CylinderRecord(1, 2)]})
+    assert {v.code for v in validate_data(data)} == {"du-divisibility"}
+    with pytest.raises(CascadehoError, match="du = 2 does not divide 1"):
+        block_entries(data)
+    with pytest.raises(CascadehoError, match="du = 2 does not divide 1"):
+        autonomous._egh_complex(data)
+    with pytest.raises(ValidationFailure):
+        egh_differential(data)
+    # du divides d(a) but not d(b): the hat block refuses
+    data = AutonomousData(orbits={
+        "a": Orbit("a", 4, 1, True, F(2), "", 1),
+        "b": Orbit("b", 2, 0, True, F(1), "", 0),
+    }, mj1={("a", "b"): [CylinderRecord(-1, 4)]})
+    with pytest.raises(CascadehoError, match=r"du = 4 does not divide 2 at hat block \(a,b\)"):
+        block_entries(data)
+    # a record holds ints, so d // du is never a float division
+    for epsilon, du in ((1.0, 1), (True, 1), (1, 2.0), (1, True)):
+        with pytest.raises(ValueError):
+            CylinderRecord(epsilon, du)
+
+
+def test_non_integer_extra_coefficient_is_a_violation():
+    # the block entries are ints from end to end; a float coefficient used
+    # to be truncated silently (2.5 read as 2)
+    data = prequantization(1, 1, 2)
+    key = next(iter(data.extra))
+    data.extra[key] = 2.5
+    violations = validate_data(data)
+    assert [v.code for v in violations] == ["extra-coefficient"]
+    assert "2.5" in violations[0].message
+    with pytest.raises(ValidationFailure):
+        block_differential(data)
 
 
 def test_bad_diagonal_forced():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadeho import exact
@@ -387,6 +387,28 @@ def test_check_structure_flags_bad_entries():
     assert any("action" in p for p in problems)
 
 
+def test_homology_rejects_an_entry_outside_every_block():
+    # d a = 5c skips grading 1: d o d = 0, and no block holds the entry, so
+    # reading the blocks alone would report the homology of d = 0
+    c = cc(
+        [("a", 2, "", 3, "A"), ("b", 1, "", 2, "B"), ("c", 0, "", 1, "C")],
+        {("a", "c"): 5},
+    )
+    assert c.check_structure() == ["grading: <d a, c> = 5"]
+    with pytest.raises(CascadehoError, match="<d a, c> = 5"):
+        homology(c)
+    # an entry that keeps the grading drop but changes the class
+    c = cc([("a", 1, "u", 2, "A"), ("b", 0, "w", 1, "B")], {("a", "b"): 1})
+    with pytest.raises(CascadehoError, match="<d a, b> = 1"):
+        homology(c)
+    # the same entries inside the blocks are read as before
+    c = cc(
+        [("a", 2, "", 3, "A"), ("b", 1, "", 2, "B"), ("c", 0, "", 1, "C")],
+        {("b", "c"): 5},
+    )
+    assert homology(c).groups == {("", 0): (0, (5,)), ("", 2): (1, ())}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 3))
 def test_homology_random_two_term(d, extra):
@@ -689,3 +711,50 @@ def test_repeated_blocks_are_cross_checked(monkeypatch):
         with pytest.raises(CascadehoError, match="rank cross-check"):
             homology(tower, reduced=reduced)
     assert reduced == {}
+
+
+# --- the pivot rule on blocks without units -----------------------------------
+
+
+# entries of no unit size that are not all multiples of one another, so the
+# elimination meets remainders (a smaller pivot in the same column or row)
+# and raises its pivot bound by a full scan after a unit pivot
+unit_free_blocks = st.integers(1, 12).flatmap(
+    lambda nr: st.integers(1, 12).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.sampled_from((0, 0, 2, -2, 3, -3, 4, -4, 6, -6)),
+                     min_size=nc, max_size=nc),
+            min_size=nr, max_size=nr,
+        )
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_free_blocks)
+# the first pivot, 2, leaves a remainder 1 in the last row; the second pivot
+# is then the 2 of the middle row, the first entry within the bound, not the 1
+@example([[2, 2, 0], [0, 0, 2], [2, 3, 0]])
+def test_unit_free_blocks_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    m = IntMatrix.from_rows(rows)
+    nr, nc = m.rows, m.cols
+    expected = [abs(int(x)) for x in sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+                .diagonal() if x]
+    assert invariant_factors(m) == sorted(expected)
+    u, s, v, vinv = smith_with_inverse(m)
+    assert u * m * v == s
+    assert abs(sympy.Matrix(to_rows(u)).det()) == 1
+    assert abs(sympy.Matrix(to_rows(v)).det()) == 1
+    assert v * vinv == IntMatrix.identity(nc)
+    assert [d for d in s.diagonal() if d] == invariant_factors(m)
+    # the block as the only differential of a two-term complex
+    gens = tuple(
+        [ChainGenerator(f"c{j}", 1, "", Fraction(2), f"C{j}") for j in range(nc)]
+        + [ChainGenerator(f"r{i}", 0, "", Fraction(1), f"R{i}") for i in range(nr)]
+    )
+    entries = {(nc + i, j): v for (i, j), v in m.entries.items()}
+    c = ChainComplex(gens, IntMatrix(nr + nc, nr + nc, entries))
+    assert homology(c).groups == sympy_homology(c)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import cascadeho
 from cascadeho import cli, serialize
-from cascadeho.scenarios import fixture
+from cascadeho.scenarios import fixture, fixture_names
 
 
 def test_no_bare_asserts_in_package():
@@ -78,3 +78,46 @@ def test_every_record_field_has_one_json_key():
         assert attrs == sorted(f.name for f in dataclasses.fields(cls)), cls
         keys = [key for key, _attr, _kind in rows]
         assert len(set(keys)) == len(keys), cls
+
+
+def test_autonomous_builders_make_no_fractions(tmp_path, monkeypatch):
+    # the block formulas, the U-tower, the EGH complex, the comparison and
+    # their homology run on integers: no Fraction is made in autonomous or
+    # exact once a document is loaded, and every matrix the builders return
+    # holds nonzero ints inside its shape, as IntMatrix's own checks demand
+    from fractions import Fraction
+
+    from cascadeho import autonomous
+    from cascadeho.exact import IntMatrix
+
+    docs = [serialize.loads(serialize.dumps(fixture(name).payload))
+            for name in fixture_names() if fixture(name).kind == "autonomous"]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    paths = {r.doc.path for r in workloads.build("autonomous", 1, str(tmp_path))}
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(serialize.loads(fh.read()))
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    matrices, reports = [], []
+    for data in docs:
+        block = autonomous.block_differential(data)
+        tower = autonomous.equivariant_differential(data, 3)
+        egh = autonomous.egh_differential(data)
+        lower = autonomous._lower_truncation(tower, 3)
+        matrices += [c.differential for c in (block, tower, egh, lower)]
+        matrices.append(tower.differential * tower.differential)
+        reports.append(autonomous.compare_egh(data, 3))
+    monkeypatch.undo()
+    assert built == []
+    assert all(report.ok for report in reports)
+    for m in matrices:
+        assert m == IntMatrix(m.rows, m.cols, m.entries)
+        assert all(type(v) is int and v for v in m.entries.values())
