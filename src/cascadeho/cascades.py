@@ -22,7 +22,7 @@ at once.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -81,6 +81,12 @@ class Cascade(NamedTuple):
         return tuple(reversed(out))
 
 
+# a Cascade made from its (key, weight, trail) tuple in one C call: the
+# walk makes one per counted chain, and the generated ``Cascade.__new__``
+# is a Python function
+_cascade = partial(tuple.__new__, Cascade)
+
+
 # the layers of a cobordism graph: its nodes are (SRC, oid) and (TGT, oid)
 SRC, TGT = "src", "tgt"
 
@@ -89,8 +95,7 @@ def _layer_and_oid(node) -> Tuple[Optional[str], Hashable]:
     return node if isinstance(node, tuple) else (None, node)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """The moduli pieces of one pair, as seen from its top node."""
 
     bottom: Hashable
@@ -108,8 +113,10 @@ class CascadeGraph:
     counts the chains that stay in the source layer (its differential
     column) and those that cross one phi piece (its column of the induced
     map).  ``orbit(node)`` and ``basepoint(node)`` (a circle key, made once
-    per graph) give preimage queries their frames; ``preimages`` answers
-    each pinned query once per graph.
+    per graph) give preimage queries their frames.
+
+    ``exits(node)`` lists the pieces a walk leaves a node by, made once per
+    graph on first use, so each pinned preimage query is asked once.
     """
 
     def __init__(self):
@@ -118,7 +125,7 @@ class CascadeGraph:
         self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
         self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
-        self._preimages: Dict[Tuple, List[Preimage]] = {}
+        self._exits: Dict[Hashable, Tuple[List, List, List]] = {}
 
     @classmethod
     def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
@@ -141,17 +148,46 @@ class CascadeGraph:
     def basepoint(self, node) -> Point:
         return self.basepoints[node]
 
-    def preimages(self, edge: Edge, ci: int, side: str) -> List[Preimage]:
-        """Preimages of the basepoint of the queried side's own node (the top
-        node for "plus", the bottom node for "minus") under component ``ci``
-        of ``edge``: the only queries a walk makes, each asked once."""
-        key = (edge.pair, ci, side)
-        found = self._preimages.get(key)
-        if found is None:
-            node = edge.pair[0] if side == "plus" else edge.pair[1]
-            found = self._preimages[key] = signed_preimages(
-                self, edge.pair, edge.pieces[ci], side, self.basepoint(node)
-            )
+    def exits(self, node) -> Tuple[List, List, List]:
+        """The (opening, steps, closing) pieces out of ``node``, in edge,
+        piece and crossing order:
+
+        * opening: each e+-pinned crossing at the basepoint of ``node``, as
+          (bottom, (e- circle key, nudge), sign, trail);
+        * steps: each m0 point, as (bottom, e+ key, (e- key, 0), sign, piece);
+        * closing: each e--pinned crossing at the basepoint of its bottom,
+          as (hat key of the bottom, weight, e+ circle key, nudge, piece).
+
+        A pinned phi evaluation that lands on the basepoint of the orbit it
+        meets is nudged off it: just before it on the target orbit of an
+        opening piece (-1), just after it on the source orbit of a closing
+        one (+1).  A closing weight carries the extra -1 of an e--pinned
+        in-system component.
+        """
+        found = self._exits.get(node)
+        if found is not None:
+            return found
+        basepoints = self.basepoints
+        here = basepoints[node]
+        opening, steps, closing = [], [], []
+        for edge in self.m0.get(node, ()):
+            for idx, pt in enumerate(edge.pieces):
+                steps.append((edge.bottom, pt.e_plus_key, (pt.e_minus_key, 0), pt.sign,
+                              ("m0", edge.pair, idx)))
+        for bottom, pair, pieces, phi in self.m1.get(node, ()):
+            there = basepoints[bottom]
+            key = ("hat", bottom)
+            extra = 1 if phi else -1
+            for ci, comp in enumerate(pieces):
+                for pre in signed_preimages(self, pair, comp, "plus", here):
+                    eps = -1 if phi and pre.point == there else 0
+                    opening.append((bottom, (pre.point, eps), pre.sign,
+                                    (("pre-plus", pair, ci, pre), None)))
+                for pre in signed_preimages(self, pair, comp, "minus", there):
+                    eps = 1 if phi and pre.point == here else 0
+                    closing.append((key, extra * pre.sign, pre.point, eps,
+                                    ("pre-minus", pair, ci, pre)))
+        found = self._exits[node] = (opening, steps, closing)
         return found
 
     def _layer(self, sys, node):
@@ -175,33 +211,32 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     """All rigid cascades out of the generator ``src`` = (flavor, node): one
     walk gives its whole column.
 
-    A phi piece differs from an in-system piece in two ways: an e_minus-pinned
-    phi1 piece carries no extra -1, and where a pinned phi evaluation lands
-    on the basepoint of the orbit it meets, it is nudged off it (just before
-    the basepoint on a target orbit, just after it on a source orbit).
-    Raises InputError once the walk has extended MAX_PARTIAL_CHAINS chains.
+    The walk reads each node's ``exits``.  A phi piece differs from an
+    in-system piece in two ways, both settled there: an e_minus-pinned phi1
+    piece carries no extra -1, and a pinned phi evaluation on a basepoint is
+    nudged off it.  Raises InputError once the walk has extended
+    MAX_PARTIAL_CHAINS chains.
     """
     flavor, start = src
     out: List[Cascade] = []
     basepoints = graph.basepoints
+    exits = graph.exits
 
-    def ordered(node, last, value, eps, piece, edge):
+    def ordered(node, last, value, eps, piece):
         try:
             return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
         except NonDistinct as err:
             kind, pair, index = piece[:3]
             layer, oid = _layer_and_oid(node)
-            if not edge.phi and layer == _layer_and_oid(start)[0]:
-                # inside the layer the walk started in: name it as a walk
-                # over that layer's system alone does
+            layers = [_layer_and_oid(n)[0] for n in pair]
+            if layers[0] == layers[1] == _layer_and_oid(start)[0]:
+                # an in-system piece of the layer the walk started in: name it
+                # as a walk over that layer's system alone does
                 node, pair = oid, tuple(_layer_and_oid(n)[1] for n in pair)
             raise NonGenericConfiguration(
                 f"coincident circle points at intermediate {node} "
                 f"({kind}{pair}[{index}]): {err}"
             ) from err
-
-    def nudge(edge, value, node, eps):
-        return eps if edge.phi and value == basepoints[node] else 0
 
     # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
@@ -212,22 +247,12 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
             trail = (("bad-diagonal", start), None)
-            out.append(Cascade(("check", start), -1, trail))
-            out.append(Cascade(("check", start), -1, trail))
+            out.append(_cascade((("check", start), -1, trail)))
+            out.append(_cascade((("check", start), -1, trail)))
         stack.append((start, None, (start,), 1, None))
     else:
-        # opening e_plus-pinned pieces
-        for edge in graph.m1.get(start, ()):
-            for ci in range(len(edge.pieces)):
-                for pre in graph.preimages(edge, ci, "plus"):
-                    eps = nudge(edge, pre.point, edge.bottom, -1)
-                    stack.append((
-                        edge.bottom,
-                        (pre.point, eps),
-                        (start, edge.bottom),
-                        pre.sign,
-                        (("pre-plus", edge.pair, ci, pre), None),
-                    ))
+        for bottom, last, sign, trail in exits(start)[0]:
+            stack.append((bottom, last, (start, bottom), sign, trail))
     walked = 0
     while stack:
         current, last, visited, sign, trail = stack.pop()
@@ -240,45 +265,31 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
                     f"the cascade walk from {where} extends more than "
                     f"{MAX_PARTIAL_CHAINS} partial chains"
                 )
-            out.append(Cascade(("check", current), sign, trail))
+            out.append(_cascade((("check", current), sign, trail)))
+        _opening, steps, closing = exits(current)
         # unconstrained 0-dimensional pieces
-        for edge in graph.m0.get(current, ()):
-            bottom = edge.bottom
-            if bottom in visited:
-                continue
-            for idx, pt in enumerate(edge.pieces):
-                piece = ("m0", edge.pair, idx)
-                if last is None or ordered(current, last, pt.e_plus_key, 0, piece,
-                                           edge):
-                    stack.append((
-                        bottom,
-                        (pt.e_minus_key, 0),
-                        visited + (bottom,),
-                        sign * pt.sign,
-                        (piece, trail),
-                    ))
+        for bottom, e_plus, e_minus, weight, piece in steps:
+            if bottom not in visited and (
+                last is None or ordered(current, last, e_plus, 0, piece)
+            ):
+                stack.append((bottom, e_minus, visited + (bottom,), sign * weight,
+                              (piece, trail)))
         # closing e_minus-pinned pieces onto hat generators
-        for edge in graph.m1.get(current, ()):
-            if edge.bottom in visited:
-                continue
-            key = ("hat", edge.bottom)
-            extra = 1 if edge.phi else -1
-            for ci in range(len(edge.pieces)):
-                for pre in graph.preimages(edge, ci, "minus"):
-                    piece = ("pre-minus", edge.pair, ci, pre)
-                    eps = nudge(edge, pre.point, current, 1)
-                    if last is None or ordered(current, last, pre.point, eps,
-                                               piece, edge):
-                        out.append(Cascade(key, extra * sign * pre.sign, (piece, trail)))
+        for key, weight, point, eps, piece in closing:
+            if key[1] not in visited and (
+                last is None or ordered(current, last, point, eps, piece)
+            ):
+                out.append(_cascade((key, weight * sign, (piece, trail))))
     if flavor == "check":
         # check -> hat on one pair needs both pins on one piece: counted by m2cc
         for bottom, count in graph.m2cc.get(start, ()):
-            out.append(Cascade(("hat", bottom), count, (("m2cc", (start, bottom)), None)))
+            out.append(_cascade((("hat", bottom), count, (("m2cc", (start, bottom)), None))))
     return out
 
 
 def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
-    """Matrix entries (row, column) of several blocks, one walk per column.
+    """The nonzero matrix entries (row, column) of several blocks, one walk
+    per column, each column's entries in row order.
 
     ``sources`` maps the column keys to column indices and each block maps
     the target keys it counts to row indices; every counted chain ends at a
@@ -291,15 +302,10 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals: Dict[Key, int] = {}
-        for c in enumerate_cascades(graph, key):
-            totals[c.key] = totals.get(c.key, 0) + c.weight
-        columns = [{} for _ in blocks]
-        for target, weight in totals.items():
-            b, i = where[target]
-            columns[b][i] = weight
-        for entries, column in zip(out, columns):
-            for i in sorted(column):
-                entries[(i, j)] = column[i]
+        for target, weight, _trail in enumerate_cascades(graph, key):
+            totals[target] = totals.get(target, 0) + weight
+        for (b, i), weight in sorted([(where[t], w) for t, w in totals.items() if w]):
+            out[b][(i, j)] = weight
     return out
 
 
@@ -342,10 +348,12 @@ def chain_generators(
 
 
 def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
-    """The complex of ``sys`` on ``gens`` with differential ``entries``,
-    checked for grading drop, class and action, then for d^2 = 0."""
+    """The complex of ``sys`` on ``gens`` with differential ``entries`` (as
+    ``sum_columns`` gives them), checked for grading drop, class and action,
+    then for d^2 = 0."""
     modulus = 2 if sys.grading_modulus == "parity" else sys.grading_modulus
-    complex_ = ChainComplex(tuple(gens), IntMatrix(len(gens), len(gens), entries), modulus)
+    complex_ = ChainComplex(tuple(gens), IntMatrix._trusted(len(gens), len(gens), entries),
+                            modulus)
     problems = complex_.check_structure()
     if problems:
         raise ValidationFailure(

@@ -157,19 +157,6 @@ class BoundaryLabel:
 IntLift = Tuple[Tuple[int, int, int, int], ...]
 
 
-def _breakpoint(point) -> Tuple[int, int, int, int]:
-    """A breakpoint given as a rational pair (t, value), or as integers
-    (tn, td, vn, vd) already in lowest terms, in ``IntLift`` form."""
-    if len(point) == 2:
-        t, v = point
-        return t.numerator, t.denominator, v.numerator, v.denominator
-    tn, td, vn, vd = point
-    if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
-        raise ValueError(f"breakpoint {point!r} is not in lowest terms "
-                         "with positive denominators")
-    return tn, td, vn, vd
-
-
 @dataclass(frozen=True)
 class PLComponent:
     """A component of a 1-dimensional moduli space, parametrised by [0, 1].
@@ -181,6 +168,13 @@ class PLComponent:
     lift must close up to an integer (its winding number).  ``sign_start``
     is the orientation sign at parameter 0, expressed in the basepoint
     trivialisations of both orientation local systems.
+
+    The constructor reads each lift in one pass: it converts each rational
+    pair (or checks that an integer breakpoint is in lowest terms with
+    positive denominators), checks that t increases and adds up the
+    crossing bound.  Errors come in a fixed order per side, plus first: a
+    breakpoint not in lowest terms, ends other than t=0 and t=1, a
+    parameter that does not increase, then a bound over MAX_LIFT_CROSSINGS.
     """
 
     kind: str  # "circle" | "interval"
@@ -194,23 +188,35 @@ class PLComponent:
             raise ValueError(f"bad component kind {self.kind!r}")
         if self.sign_start not in (1, -1):
             raise ValueError("sign_start must be +-1")
-        for side in ("plus", "minus"):
-            pts = tuple([_breakpoint(p) for p in self.lift(side)])
-            if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != pts[-1][1]:
-                raise ValueError("lift must run from t=0 to t=1")
+        for side, lift in (("plus", self.e_plus_lift), ("minus", self.e_minus_lift)):
             # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
             # times; bounding the sum bounds the work of every preimage query
-            bound = 0
-            for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
-                if t1n * t0d <= t0n * t1d:
-                    raise ValueError("lift parameters must strictly increase")
-                bound += abs(v1n // v1d - v0n // v0d) + 1
+            pts, bound, increasing = [], 0, True
+            for point in lift:
+                if len(point) == 2:
+                    t, v = point
+                    tn, td, vn, vd = t.numerator, t.denominator, v.numerator, v.denominator
+                else:
+                    tn, td, vn, vd = point
+                    if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
+                        raise ValueError(f"breakpoint {point!r} is not in lowest "
+                                         "terms with positive denominators")
+                floor = vn // vd
+                if pts:
+                    increasing = increasing and last_tn * td < tn * last_td
+                    bound += abs(floor - last_floor) + 1
+                last_tn, last_td, last_floor = tn, td, floor
+                pts.append((tn, td, vn, vd))
+            if len(pts) < 2 or pts[0][0] != 0 or last_tn != last_td:
+                raise ValueError("lift must run from t=0 to t=1")
+            if not increasing:
+                raise ValueError("lift parameters must strictly increase")
             if bound > MAX_LIFT_CROSSINGS:
                 raise ValueError(
                     f"e_{side} lift may cross a point {bound} times, "
                     f"more than {MAX_LIFT_CROSSINGS}"
                 )
-            object.__setattr__(self, f"e_{side}_lift", pts)
+            object.__setattr__(self, f"e_{side}_lift", tuple(pts))
 
     def __deepcopy__(self, memo):
         # the lifts are immutable: share them
@@ -270,6 +276,11 @@ class Preimage(NamedTuple):
     @property
     def residual(self) -> Fraction:
         return Fraction(*self.point)
+
+
+# a Preimage made from its field tuple in one C call, for the per-crossing
+# loop of ``component_preimages``
+_preimage = partial(tuple.__new__, Preimage)
 
 
 _ZERO = Fraction(0)
@@ -413,15 +424,19 @@ def component_preimages(
     Raises NonRegularValue if q is hit at a breakpoint, an interval end, or
     along a constant segment.  Everything is integer arithmetic.
     """
-    hit = breakpoint_hit(comp, side, q)
-    if hit is not None:
-        raise NonRegularValue(hit)
-    pts = comp.lift(side)
-    other = _Evaluator(comp.lift("minus" if side == "plus" else "plus"))
+    if side == "plus":
+        pts, other = comp.e_plus_lift, _Evaluator(comp.e_minus_lift)
+    else:
+        pts, other = comp.e_minus_lift, _Evaluator(comp.e_plus_lift)
     transport = not (top[0].good and bottom[0].good)
     qn, qd = q
     out = []
     for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+        # reduced fractions are one point mod 1 iff their denominators agree
+        # and their numerators are congruent; the last breakpoint is checked
+        # below
+        if v0d == qd and (v0n - qn) % qd == 0:
+            raise NonRegularValue(breakpoint_hit(comp, side, q))
         if v0n == v1n and v0d == v1d:
             continue  # constant segment away from q (checked above)
         # v0, v1 and q over one denominator d: crossings at q + n d strictly
@@ -446,8 +461,11 @@ def component_preimages(
                 ends = ((value, d), (num, den)) if side == "plus" else (
                     (num, den), (value, d))
                 sign = transported_sign(comp, top, bottom, *ends)
-            out.append(Preimage(tn, td, direction * sign, direction,
-                                point_key(num, den)))
+            out.append(_preimage((tn, td, direction * sign, direction,
+                                  point_key(num, den))))
+    _tn, _td, vn, vd = pts[-1]
+    if vd == qd and (vn - qn) % qd == 0:
+        raise NonRegularValue(breakpoint_hit(comp, side, q))
     return out
 
 
@@ -571,6 +589,9 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
     """
     up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
+    up_point = {oid: upper.basepoint(oid) for oid in upper.orbits}
+    low_point = up_point if lower is upper else {
+        oid: lower.basepoint(oid) for oid in lower.orbits}
     for name, dim, moduli in tables:
         index = dim - shift
         for pair, pieces in sorted(moduli.items()):
@@ -604,18 +625,17 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                                    f"action does not decrease across {pair}"))
             if dim != 1:
                 continue
-            comp_frames = frames(upper, lower, pair)
+            ends = (("plus", up_point[top]), ("minus", low_point[bottom]))
             for ci, comp in enumerate(pieces):
                 if comp.kind == "circle":
                     try:
-                        windings = (comp.winding("plus"), comp.winding("minus"))
+                        w_plus, w_minus = comp.winding("plus"), comp.winding("minus")
                     except ValueError:
                         v.append(Violation("circle-not-closed", f"{where}[{ci}]",
                                            "lift does not close up to an integer"))
                     else:
-                        flips = sum(w for w, (orbit, _p) in zip(windings, comp_frames)
-                                    if not orbit.good)
-                        if flips % 2:
+                        # a bad orbit flips the orientation once per turn
+                        if (w_plus * (not a.good) + w_minus * (not b.good)) % 2:
                             v.append(Violation(
                                 "monodromy-parity", f"{where}[{ci}]",
                                 "orientation not consistent around the circle: "
@@ -632,7 +652,7 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                                 "unlabeled-end", f"{where}[{ci}]",
                                 f"interval end {end} has no broken-pair label"))
                 # basepoints must be regular values of both evaluation maps
-                for side, (_orbit, p) in zip(("plus", "minus"), comp_frames):
+                for side, p in ends:
                     hit = breakpoint_hit(comp, side, p)
                     if hit is not None:
                         v.append(Violation("basepoint-nonregular",

@@ -178,7 +178,7 @@ def induced_chain_map(m: MorphismData) -> ChainMap:
     d_src, phi = sum_columns(graph, src_keys, [src_keys, tgt_keys])
     src_cx = assemble_complex(m.source, src_gens, d_src)
     tgt_cx = assemble_complex(m.target, tgt_gens, d_tgt)
-    matrix = IntMatrix(len(tgt_gens), len(src_gens), phi)
+    matrix = IntMatrix._trusted(len(tgt_gens), len(src_gens), phi)
 
     lhs = tgt_cx.differential * matrix
     rhs = matrix * src_cx.differential

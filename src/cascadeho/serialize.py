@@ -9,7 +9,6 @@ document is byte-identical.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
 from math import gcd
@@ -29,26 +28,29 @@ def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-# an optional sign, ASCII digits, and an optional nonzero ASCII denominator
-_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
-
-
 def _ratio(s) -> Tuple[int, int]:
     """The one rational parser of documents and options: ``s`` in lowest
     terms as the integers (num, den), den > 0.
 
-    Plain rationals "p" and "p/q" are read with ``int``; anything else takes
-    ``Fraction(str(s))``.  Both accept the same strings with the same values
-    and errors.
+    A plain rational, "p" or "p/q" in ASCII digits with an optional sign on
+    p and q not zero, is split at its "/" and read with ``int``; anything
+    else takes ``Fraction(str(s))``.  Both accept the same strings with the
+    same values and errors.
     """
     try:
-        plain = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
-        if plain is None:
-            x = Fraction(str(s))
-            return x.numerator, x.denominator
-        num, den = int(plain[1]), int(plain[2] or 1)
-        g = gcd(num, den)
-        return num // g, den // g
+        if type(s) is str and s.isascii():
+            num, slash, den = s.partition("/")
+            if (num.isdigit() or num[:1] in "+-" and num[1:].isdigit()) and (
+                not slash or den.isdigit()
+            ):
+                if not slash:
+                    return int(num), 1
+                n, d = int(num), int(den)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+        x = Fraction(str(s))
+        return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad rational {s!r}: {err}") from None
 
@@ -98,12 +100,11 @@ def _unique(items, what):
 
 def _name_pair(data) -> Tuple[str, str]:
     """An [orbit, orbit] or [flavor, orbit] pair of JSON strings."""
-    if not (
-        isinstance(data, list) and len(data) == 2
-        and all(type(x) is str for x in data)
-    ):
-        raise ValueError(f"{data!r} is not a pair of strings")
-    return tuple(data)
+    if isinstance(data, list) and len(data) == 2:
+        top, bottom = data
+        if type(top) is str and type(bottom) is str:
+            return top, bottom
+    raise ValueError(f"{data!r} is not a pair of strings")
 
 
 def _lift_json(lift):
@@ -111,10 +112,18 @@ def _lift_json(lift):
 
 
 def _lift_load(data):
-    """A lift's ``IntLift``, read from a JSON array of [t, value] arrays."""
-    if type(data) is not list or any(type(p) is not list or len(p) != 2 for p in data):
+    """A lift's (tn, td, vn, vd) breakpoints, read from a JSON array of
+    [t, value] arrays; ``PLComponent`` makes them its ``IntLift``."""
+    if type(data) is not list:
         raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
-    return tuple([(*_ratio(t), *_ratio(v)) for t, v in data])
+    out = []
+    for point in data:
+        if type(point) is not list or len(point) != 2:
+            raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
+        tn, td = _ratio(point[0])
+        vn, vd = _ratio(point[1])
+        out.append((tn, td, vn, vd))
+    return out
 
 
 # each record's (JSON key, attribute, type) rows, in reading order; a field

@@ -12,9 +12,13 @@ from cascadeho.cascades import (
 from cascadeho.cli import main
 from cascadeho.errors import InputError, NonGenericConfiguration, ValidationFailure
 from cascadeho.exact import verify_square_zero
-from cascadeho.mbs import MorseBottSystem, Orbit, SignedPoint, assign_basepoints
+from cascadeho.mbs import (
+    MorseBottSystem, Orbit, SignedPoint, assign_basepoints, cyclically_ordered,
+    signed_preimages,
+)
 from cascadeho.morphisms import induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
+from test_morphisms import BENCH_LIFTS, _bench_lifts, reseeded_cobordisms
 
 
 F = Fraction
@@ -230,3 +234,126 @@ def test_cascade_pieces_recorded():
     kind, pair, ci, t = c.pieces[0]
     assert (kind, pair, ci) == ("pre-plus", ("alpha", "beta"), 0)
     assert t == F(14, 19)
+
+
+# --- the walk against an edge-by-edge oracle --------------------------------
+
+
+def oracle_cascades(graph, src):
+    """The cascades out of ``src`` walked edge by edge: at every arrival each
+    m0 edge, then each m1 edge's components and their e_minus-pinned
+    crossings, queried afresh.  The same records, in the same order, as
+    ``enumerate_cascades`` must give."""
+    flavor, start = src
+    basepoints = graph.basepoints
+    out = []
+
+    def nudge(edge, value, node, eps):
+        return eps if edge.phi and value == basepoints[node] else 0
+
+    def ordered(node, last, value, eps):
+        return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
+
+    def preimages(edge, ci, side):
+        node = edge.pair[0] if side == "plus" else edge.pair[1]
+        return signed_preimages(graph, edge.pair, edge.pieces[ci], side,
+                                basepoints[node])
+
+    stack = []
+    if flavor == "hat":
+        if not graph.orbit(start).good:
+            trail = (("bad-diagonal", start), None)
+            out += [cascades.Cascade(("check", start), -1, trail)] * 2
+        stack.append((start, None, (start,), 1, None))
+    else:
+        for edge in graph.m1.get(start, ()):
+            for ci in range(len(edge.pieces)):
+                for pre in preimages(edge, ci, "plus"):
+                    last = (pre.point, nudge(edge, pre.point, edge.bottom, -1))
+                    stack.append((edge.bottom, last, (start, edge.bottom), pre.sign,
+                                  (("pre-plus", edge.pair, ci, pre), None)))
+    while stack:
+        current, last, visited, sign, trail = stack.pop()
+        if trail is not None:
+            out.append(cascades.Cascade(("check", current), sign, trail))
+        for edge in graph.m0.get(current, ()):
+            if edge.bottom in visited:
+                continue
+            for idx, pt in enumerate(edge.pieces):
+                if last is None or ordered(current, last, pt.e_plus_key, 0):
+                    stack.append((edge.bottom, (pt.e_minus_key, 0),
+                                  visited + (edge.bottom,), sign * pt.sign,
+                                  (("m0", edge.pair, idx), trail)))
+        for edge in graph.m1.get(current, ()):
+            if edge.bottom in visited:
+                continue
+            extra = 1 if edge.phi else -1
+            for ci in range(len(edge.pieces)):
+                for pre in preimages(edge, ci, "minus"):
+                    eps = nudge(edge, pre.point, current, 1)
+                    if last is None or ordered(current, last, pre.point, eps):
+                        out.append(cascades.Cascade(
+                            ("hat", edge.bottom), extra * sign * pre.sign,
+                            (("pre-minus", edge.pair, ci, pre), trail)))
+    if flavor == "check":
+        for bottom, count in graph.m2cc.get(start, ()):
+            out.append(cascades.Cascade(("hat", bottom), count,
+                                        (("m2cc", (start, bottom)), None)))
+    return out
+
+
+def _graphs(sys_, reseeds):
+    """The graph of ``sys_`` and of its trivial cobordism, with the keys of
+    their generators; with ``reseeds``, also each reseeded trivial
+    cobordism's."""
+    keys = [(flavor, oid) for oid in sys_.orbits for flavor in ("check", "hat")]
+    out = [(CascadeGraph.of_system(sys_), keys)]
+    cobordisms = [trivial_cobordism(sys_)]
+    if reseeds:
+        cobordisms += [m for _end, _seed, m in reseeded_cobordisms(sys_)]
+    for m in cobordisms:
+        graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+        out.append((graph, [(flavor, (layer, oid)) for flavor, oid in keys
+                            for layer in (cascades.SRC, cascades.TGT)]))
+    return out
+
+
+# the systems whose reseeded trivial cobordisms tests/test_morphisms.py checks
+RESEEDED = ("one-circle", "one-interval", "bad-circle", "one-bad-orbit") + tuple(
+    f"cobordism-{n}" for n in BENCH_LIFTS)
+MBS_LIFTS = ("1T", "2T", "1S", "2S", "preq")
+
+
+def _walk_system(name):
+    workload, _, lift = name.rpartition("-")
+    if workload == "cobordism":
+        return _bench_lifts(1)[BENCH_LIFTS.index(lift)]
+    if workload == "mbs-lift":
+        return _bench_lifts(1, "mbs-lift")[MBS_LIFTS.index(lift)]
+    return fixture(name).payload
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in fixture_names() if fixture(n).kind == "mbs"]
+    + [f"cobordism-{n}" for n in BENCH_LIFTS] + [f"mbs-lift-{n}" for n in MBS_LIFTS])
+def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
+    asked = []
+    query = cascades.signed_preimages
+
+    def counted(graph, pair, comp, side, q):
+        asked.append((pair, id(comp), side))
+        return query(graph, pair, comp, side, q)
+
+    monkeypatch.setattr(cascades, "signed_preimages", counted)
+    queries = 0
+    for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
+        asked.clear()
+        for key in keys:
+            walked = [(c.key, c.weight, c.pieces) for c in enumerate_cascades(graph, key)]
+            expected = [(c.key, c.weight, c.pieces) for c in oracle_cascades(graph, key)]
+            assert walked == expected, key
+        # each node's opening and closing lists were built at most once
+        assert len(asked) == len(set(asked))
+        queries += len(asked)
+    assert queries > 0  # every trivial cobordism has pinned phi pieces

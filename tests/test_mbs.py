@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeho import serialize
+from cascadeho import mbs, serialize
 from cascadeho.cascades import (
     SRC,
     TGT,
@@ -578,6 +578,85 @@ def test_lift_strings_load_as_lowest_terms_integers():
                   (0, 0, 0, 1), (0, 1, 0, 0)):
         with pytest.raises(ValueError, match="lowest terms"):
             PLComponent("interval", 1, (start, (1, 1, 1, 1)), minus)
+
+
+def _two_pass_lift(lift, side):
+    """One side of the ``PLComponent`` check in two passes, as an oracle:
+    convert or check every breakpoint, then walk the segments.  Returns the
+    ``IntLift`` or raises the constructor's ValueError."""
+    pts = []
+    for point in lift:
+        if len(point) == 2:
+            t, v = point
+            pts.append((t.numerator, t.denominator, v.numerator, v.denominator))
+            continue
+        tn, td, vn, vd = point
+        if td < 1 or vd < 1 or math.gcd(tn, td) != 1 or math.gcd(vn, vd) != 1:
+            raise ValueError(f"breakpoint {point!r} is not in lowest terms "
+                             "with positive denominators")
+        pts.append((tn, td, vn, vd))
+    if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != pts[-1][1]:
+        raise ValueError("lift must run from t=0 to t=1")
+    bound = 0
+    for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+        if t1n * t0d <= t0n * t1d:
+            raise ValueError("lift parameters must strictly increase")
+        bound += abs(v1n // v1d - v0n // v0d) + 1
+    if bound > mbs.MAX_LIFT_CROSSINGS:
+        raise ValueError(f"e_{side} lift may cross a point {bound} times, "
+                         f"more than {mbs.MAX_LIFT_CROSSINGS}")
+    return tuple(pts)
+
+
+def _stored_or_error(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def _raw_lifts(draw):
+    """Breakpoints as rational pairs or integer 4-tuples: mostly a lift from
+    t=0 to t=1, some with a repeated or out-of-order t, wrong ends, or one
+    breakpoint unreduced or over a zero or negative denominator."""
+    ts = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                       max_size=4))
+    if draw(st.integers(0, 4)):
+        ts = [F(0)] + sorted(t for t in ts if 0 < t < 1) + [F(1)]
+    if len(ts) > 2 and not draw(st.integers(0, 4)):
+        ts[1], ts[2] = ts[2], ts[1]
+    out = []
+    for t in ts:
+        v = draw(rationals)
+        out.append((t, v) if draw(st.booleans()) else
+                   (t.numerator, t.denominator, v.numerator, v.denominator))
+    flaw = draw(st.sampled_from((None, None, None, "unreduced", "bad denominator")))
+    if flaw and out:
+        k = draw(st.integers(0, len(out) - 1))
+        t, v = out[k] if len(out[k]) == 2 else (F(*out[k][:2]), F(*out[k][2:]))
+        point = [t.numerator, t.denominator, v.numerator, v.denominator]
+        if flaw == "unreduced":
+            at, by = draw(st.sampled_from((0, 2))), draw(st.integers(2, 3))
+            point[at:at + 2] = [x * by for x in point[at:at + 2]]
+        else:
+            point[draw(st.sampled_from((1, 3)))] *= draw(st.sampled_from((0, -1)))
+        out[k] = tuple(point)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_lifts(), _raw_lifts(), st.sampled_from((None, 1, 2, 3, 5, 8)))
+def test_one_pass_constructor_matches_the_two_pass_check(plus, minus, bound):
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(mbs, "MAX_LIFT_CROSSINGS", bound)
+        expected = _stored_or_error(
+            lambda: (_two_pass_lift(plus, "plus"), _two_pass_lift(minus, "minus")))
+        got = _stored_or_error(lambda: (
+            lambda c: (c.e_plus_lift, c.e_minus_lift)
+        )(PLComponent("interval", 1, plus, minus)))
+    assert got == expected
 
 
 def test_loads_builds_no_fraction_for_a_lift(monkeypatch):

@@ -249,17 +249,19 @@ def _bench_module(name):
     return module
 
 
-def _bench_lifts(seed):
-    """The lifts behind the cobordism workload's documents for ``seed``: the
-    rng draws surface data in this order, then lifts each."""
+def _bench_lifts(seed, workload="cobordism"):
+    """The lifts behind the ``cobordism`` (or ``mbs-lift``) workload's
+    documents for ``seed``: the rng draws surface data in this order, then
+    lifts each."""
     gen = _bench_module("generators")
     rng = random.Random(seed)
-    data = [
-        gen.surface(gen.torus_triangles(3), 1, "1T", rng),
-        gen.surface(gen.OCTAHEDRON, 1, "1S", rng),
-        gen.surface(gen.OCTAHEDRON, 2, "2S", rng),
-        gen.prequantization_shuffled(24, 1, 2, rng),
-    ]
+    surfaces = [(gen.torus_triangles(3), 1, "1T"), (gen.OCTAHEDRON, 1, "1S"),
+                (gen.OCTAHEDRON, 2, "2S")]
+    if workload == "mbs-lift":
+        rng.randrange(1, 1 << 30)  # the seed of its --basepoints requests
+        surfaces.insert(1, (gen.torus_triangles(3), 2, "2T"))
+    data = [gen.surface(*surface, rng) for surface in surfaces]
+    data.append(gen.prequantization_shuffled(24, 1, 2, rng))
     return [gen.lift_to_mbs(d, rng) for d in data]
 
 
@@ -298,3 +300,67 @@ def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
             assert complex_.grading_modulus == direct.grading_modulus
     # the torus(3, 1) lift has 540 distinct queries
     assert asked[-4] == 540
+
+
+# --- basepoint changes at one or both ends of a trivial cobordism -----------
+
+# a change of basepoint changes only the trivialisations, so the trivial
+# cobordism between two basepoint choices must induce an isomorphism
+RESEEDS = {
+    "source": lambda m, s: replace(m, source=assign_basepoints(m.source, s)),
+    "target": lambda m, s: replace(m, target=assign_basepoints(m.target, s)),
+    "both": lambda m, s: replace(m, source=assign_basepoints(m.source, s),
+                                 target=assign_basepoints(m.target, s + 8)),
+}
+BENCH_LIFTS = ("1T", "1S", "2S", "preq")
+
+
+def _reseed_base(name):
+    if name.startswith("bench-"):
+        return _bench_lifts(seed=1)[BENCH_LIFTS.index(name[6:])]
+    return fixture(name).payload
+
+
+def reseeded_cobordisms(sys_):
+    """The trivial cobordism over ``sys_`` with new basepoints at its source,
+    its target or both ends, for seeds 1-8: (end, seed, morphism)."""
+    m = trivial_cobordism(sys_)
+    return [(end, seed, reseed(m, seed))
+            for end, reseed in RESEEDS.items() for seed in range(1, 9)]
+
+
+def assert_unitriangular(cm):
+    """Each orbit's check -> check and hat -> hat entries are +1 and every
+    other entry goes to a generator of strictly lower action: the map is
+    unitriangular, so an isomorphism over Z."""
+    src, tgt = cm.source_complex.generators, cm.target_complex.generators
+    assert [g.gid for g in src] == [g.gid for g in tgt]
+    diagonal = []
+    for (i, j), value in sorted(cm.matrix.entries.items()):
+        if i == j:
+            assert value == 1, src[j].gid
+            diagonal.append(j)
+        else:
+            assert tgt[i].action < src[j].action, (src[j].gid, tgt[i].gid, value)
+    assert diagonal == list(range(len(src)))
+
+
+@pytest.mark.parametrize(
+    "name", ["one-circle", "one-interval"] + [f"bench-{n}" for n in BENCH_LIFTS])
+def test_reseeded_trivial_cobordism_is_unitriangular(name):
+    for end, seed, m in reseeded_cobordisms(_reseed_base(name)):
+        try:
+            assert_unitriangular(induced_chain_map(m))
+        except AssertionError as err:
+            raise AssertionError(f"{name}, {end} reseeded with seed {seed}") from err
+
+
+@pytest.mark.xfail(strict=True, raises=ChainMapFailure,
+                   reason="ROADMAP item 2: reseeding one end of a trivial "
+                          "cobordism over a bad orbit gives no chain map")
+@pytest.mark.parametrize("end", list(RESEEDS))
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("name", ["bad-circle", "one-bad-orbit"])
+def test_reseeded_trivial_cobordism_over_a_bad_orbit(name, seed, end):
+    m = RESEEDS[end](trivial_cobordism(fixture(name).payload), seed)
+    assert_unitriangular(induced_chain_map(m))

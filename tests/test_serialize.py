@@ -40,6 +40,7 @@ CORPUS = [
     "٣", "٣/٤", "３/4", "²", "3/٤",
     # zero denominators and malformed signs
     "1/0", "0/0", "-0/0", "5/00", "3/-4", "3/+4", "+-3", "--3", "-",
+    "+/2", "-/2", "1/²", "²/2", "+1/0",
     # neither
     "", "/", "1/", "/2", "1/2/3", "abc", "nan", "inf", "0x10", "1//2",
     # past the integer string limit
