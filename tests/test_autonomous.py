@@ -23,7 +23,14 @@ from cascadeho.autonomous import (
     validate_data,
 )
 from cascadeho.errors import CascadehoError, InputError, SquareNonzero, ValidationFailure
-from cascadeho.exact import ChainComplex, IntMatrix, homology
+from cascadeho.cascades import by_action, chain_generators
+from cascadeho.exact import (
+    ChainComplex,
+    ChainGenerator,
+    IntMatrix,
+    homology,
+    verify_square_zero,
+)
 from cascadeho.mbs import Orbit
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 
@@ -390,12 +397,49 @@ def test_compare_egh_period_doubling_odd_c():
     assert egh_homology(period_doubling("plus", 5)) == {("2G", 1): 1}
 
 
-def test_compare_egh_detects_manufactured_leak():
-    """A hand-built complex whose U^0 check column leaks into the would-be
-    subcomplex must fail step (i)."""
-    data = fixture("autonomous-chain").payload
-    report = compare_egh(data, 2)
-    assert report.ok  # sanity: the honest data passes
+def test_compare_egh_detects_manufactured_leak(tmp_path, monkeypatch, capsys):
+    """A tower with an entry from a non-U^0 generator into a U^0 good check
+    generator fails step (i), which names the leak; the other steps and the
+    exit code read as they did when the U^0 complement was a copy.
+
+    The leak check:r:U1 -> check:q1:U0 keeps d^2 = 0: nothing maps to
+    check:r:U1 and d(check:q1:U0) = 0.  No valid document holds it (the
+    check -> check slot of a good target is illegal), so the built tower is
+    patched.
+    """
+    from cascadeho import serialize
+    from cascadeho.cli import main
+
+    data = fixture("preq-112").payload
+    assert compare_egh(data, 2).ok  # the honest data passes
+    original = autonomous._tower
+
+    def leaking(data, truncation):
+        c = original(data, truncation)
+        index = {g.gid: k for k, g in enumerate(c.generators)}
+        entries = dict(c.differential.entries)
+        entries[(index["check:q1:U0"], index["check:r:U1"])] = 1
+        n = len(c.generators)
+        leaked = ChainComplex(c.generators, IntMatrix(n, n, entries))
+        verify_square_zero(leaked)
+        return leaked
+
+    monkeypatch.setattr(autonomous, "_tower", leaking)
+    path = tmp_path / "preq-112.json"
+    path.write_text(serialize.dumps(data))
+    for k in (2, 3):
+        capsys.readouterr()
+        assert main(["compare", str(path), "--umax", str(k)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] complement of U^0 good check generators is a subcomplex "
+            "(check:r:U1 -> check:q1:U0)",
+            "[ok] subcomplex is rationally acyclic in the stable range",
+            "[ok] quotient differential equals the cylindrical differential",
+            "[FAIL] rationalised equivariant homology equals cylindrical "
+            "homology ({('2G', -1): 1, ('2G', 0): 1} != "
+            "{('2G', -1): 1, ('2G', 0): 2, ('2G', 1): 1})",
+            f"stable range: degrees <= {2 * k - 2}",
+        ]
 
 
 def test_validation_failure_propagates():
@@ -531,6 +575,109 @@ def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
         assert main(r.argv) == 0
         assert len(products) == expected[r.argv[0]], (r.doc.name, r.argv[0])
     capsys.readouterr()
+
+
+# --- d^2 on the two-level core ------------------------------------------------
+
+
+def hand_tower(data, k):
+    """R (x) 1 + B (x) S on the base generators times U^0..U^k, entry by
+    entry from ``block_entries`` (R) and ``bv_operator`` (B); generator
+    t * (k + 1) + u is t (x) U^u."""
+    keys, base = chain_generators(data)
+    step = k + 1
+    gens = tuple(
+        ChainGenerator(f"{g.gid}:U{u}", g.grading + 2 * u, g.homotopy_class,
+                       g.action, g.orbit)
+        for g in base for u in range(step)
+    )
+    entries = {}
+    for (src, tgt), v in block_entries(data).items():
+        for u in range(step):
+            entries[(keys[tgt] * step + u, keys[src] * step + u)] = v
+    for (t, s), v in bv_operator(data).entries.items():
+        for u in range(1, step):
+            entries[(t * step + u - 1, s * step + u)] = v
+    n = len(gens)
+    return ChainComplex(gens, IntMatrix(n, n, entries))
+
+
+@pytest.mark.parametrize("broken", ["R^2", "RB+BR"])
+def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
+    # "R^2": an extra check c -> hat c after an entry into check c, so
+    # R^2 != 0 while RB + BR = 0 (no check -> hat entry enters RB + BR);
+    # "RB+BR": an extra hat a -> check a on the good orbit of highest
+    # action, so (RB + BR)[check a, check a] = d(a) and D^2 has it at
+    # (check a U^0, check a U^1).  The validators reject both before any
+    # assembly, so they are switched off to reach the d^2 check.
+    monkeypatch.setattr(autonomous, "validate_data", lambda data: [])
+    monkeypatch.setattr(autonomous, "_check_block_identities", lambda data, raw: None)
+    cases = shifted = 0
+    for name in fixture_names():
+        if fixture(name).kind != "autonomous":
+            continue
+        data = copy.deepcopy(fixture(name).payload)
+        if broken == "R^2":
+            into_check = sorted(tgt for _src, tgt in block_entries(data)
+                                if tgt[0] == "check")
+            if not into_check:
+                continue
+            c = into_check[0][1]
+            data.extra[(("check", c), ("hat", c))] = 1
+        else:
+            a = data.good_orbits()[0]
+            data.extra[(("hat", a.oid), ("check", a.oid))] = 1
+        for k in range(1, 6):
+            with pytest.raises(SquareNonzero) as whole:
+                verify_square_zero(hand_tower(data, k))
+            with pytest.raises(SquareNonzero) as core:
+                equivariant_differential(data, k)
+            witness = (core.value.source, core.value.target, core.value.value)
+            assert witness == (
+                whole.value.source, whole.value.target, whole.value.value), (name, k)
+            assert str(core.value) == str(whole.value)
+            if broken == "R^2":
+                assert witness[0].endswith(":U0") and witness[1].endswith(":U0")
+            elif by_action(data.orbits)[0].oid == a.oid:
+                # nothing enters hat a, so R^2 stays 0 in row check a
+                assert witness == (f"check:{a.oid}:U1", f"check:{a.oid}:U0", a.d)
+                shifted += 1
+        cases += 1
+    # R^2 breaks where an entry enters a check generator: autonomous-chain
+    # and pd-plus; RB + BR breaks on every autonomous fixture, and on all
+    # but pd-plus (whose highest orbit is bad) its witness is D^2's U^1 ->
+    # U^0 entry
+    assert cases == (2 if broken == "R^2" else 4)
+    assert shifted == (0 if broken == "R^2" else 3 * 5)
+
+
+def test_chs1_and_compare_multiply_no_matrix_larger_than_the_core(
+        tmp_path, monkeypatch, capsys):
+    # the tower's d^2 is checked on U^0 + U^1 alone, and the EGH complex
+    # has one generator per good orbit: no product on the chs1 or compare
+    # path is larger than the core, 2 generators per orbit and U power
+    from cascadeho.cli import main
+
+    requests, _docs = seed1_documents(tmp_path, monkeypatch)
+    sizes = []
+    original = IntMatrix.__mul__
+
+    def recorded(self, other):
+        sizes.append(max(self.rows, self.cols, other.rows, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", recorded)
+    checked = 0
+    for r in requests:
+        if r.argv[0] in ("chs1", "compare"):
+            sizes.clear()
+            assert main(r.argv) == 0
+            core = 2 * len(r.doc.obj.orbits) * 2
+            assert sizes and max(sizes) == core, (r.doc.name, r.argv[0])
+            assert core < 2 * len(r.doc.obj.orbits) * (r.doc.umax + 1)
+            checked += 1
+    capsys.readouterr()
+    assert checked == 6
 
 
 def test_compare_validates_once(monkeypatch):

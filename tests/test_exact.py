@@ -713,6 +713,103 @@ def test_repeated_blocks_are_cross_checked(monkeypatch):
     assert reduced == {}
 
 
+# --- restrictions read off the split -------------------------------------------
+
+
+def materialised(c, kept):
+    """The restriction of ``c`` to the increasing indices ``kept``, built
+    entry by entry as a complex of its own."""
+    remap = {old: new for new, old in enumerate(kept)}
+    entries = {
+        (remap[i], remap[j]): v for (i, j), v in c.differential.entries.items()
+        if i in remap and j in remap
+    }
+    return ChainComplex(tuple(c.generators[k] for k in kept),
+                        IntMatrix(len(kept), len(kept), entries), c.grading_modulus)
+
+
+def outcome(c, reduced):
+    """``homology(c)``'s groups, or the witness of the SquareNonzero it raises."""
+    try:
+        return homology(c, reduced=reduced).groups
+    except SquareNonzero as err:
+        return err.source, err.target, err.value
+
+
+def restriction_cases(rng):
+    """(complex, kept index lists): random complexes, the autonomous
+    fixture towers at K = 3 and prequantization(200, 1, 2) at K = 60, each
+    with random kept sets; the towers also with their K - 1 truncation and
+    their U^0 complement."""
+    from cascadeho.autonomous import equivariant_differential
+    from cascadeho.scenarios import fixture, fixture_names, prequantization
+
+    def random_kept(n, count):
+        return [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(count)]
+
+    cases = []
+    for modulus in (0, 2):
+        for _ in range(15):
+            c = random_complex(rng, modulus, (1, -1, 2, 3, -4), 4)
+            if rng.random() < 0.5:
+                verify_square_zero(c)
+            cases.append((c, random_kept(len(c.generators), 4)))
+    towers = [(fixture(name).payload, 3) for name in fixture_names()
+              if fixture(name).kind == "autonomous"]
+    towers.append((prequantization(200, 1, 2), 60))
+    for data, k in towers:
+        tower = equivariant_differential(data, k)
+        gens = tower.generators
+        lower = [i for i, g in enumerate(gens) if not g.gid.endswith(f":U{k}")]
+        complement = [
+            i for i, g in enumerate(gens)
+            if not (g.gid.startswith("check:") and g.gid.endswith(":U0")
+                    and data.orbit(g.orbit).good)
+        ]
+        count = 1 if len(gens) > 10**4 else 3
+        cases.append((tower, [lower, complement] + random_kept(len(gens), count)))
+    return cases
+
+
+def test_restrictions_read_off_the_split_match_materialised_copies():
+    rng = random.Random(31)
+    raised = 0
+    for c, kept_sets in restriction_cases(rng):
+        shared, separate = {}, []
+        for kept in kept_sets:
+            alone_copy, alone = {}, {}
+            expected = outcome(materialised(c, kept), alone_copy)
+            # read off the split, also as a restriction of a restriction
+            assert outcome(c.restrict(kept), alone) == expected
+            half = sorted(rng.sample(range(len(kept)), len(kept) // 2))
+            assert outcome(c.restrict(kept).restrict(half), {}) == outcome(
+                materialised(c, [kept[i] for i in half]), {})
+            # the split gives each block the key the copy gives it
+            assert alone == alone_copy
+            separate.append(alone)
+            if isinstance(expected, dict):
+                assert homology(c.restrict(kept), reduced=shared).groups == expected
+            else:
+                raised += 1
+        assert shared == {k: v for alone in separate for k, v in alone.items()}
+    assert raised > 0
+
+
+def test_a_restriction_builds_its_copy_only_when_asked(monkeypatch):
+    from cascadeho.autonomous import _lower_truncation, equivariant_differential
+    from cascadeho.scenarios import prequantization
+
+    tower = equivariant_differential(prequantization(2, 1, 2), 4)
+    lower = _lower_truncation(tower, 4)
+    products = count_products(monkeypatch)
+    homology(tower)
+    homology(lower)
+    assert products == []  # both known to square to zero
+    assert "generators" not in vars(lower) and "differential" not in vars(lower)
+    assert lower == materialised(tower, lower._kept)
+    assert "generators" in vars(lower) and "differential" in vars(lower)
+
+
 # --- the pivot rule on blocks without units -----------------------------------
 
 

@@ -121,3 +121,38 @@ def test_autonomous_builders_make_no_fractions(tmp_path, monkeypatch):
     for m in matrices:
         assert m == IntMatrix(m.rows, m.cols, m.entries)
         assert all(type(v) is int and v for v in m.entries.values())
+
+
+def test_complex_builders_compare_no_fractions(tmp_path, monkeypatch):
+    # check_structure and the validators compare lcm-scaled integer actions:
+    # building a system's complex or a morphism's chain map compares no
+    # Fraction, on the fixtures and the seed-1 cobordism benchmark documents
+    from fractions import Fraction
+
+    from cascadeho.cascades import build_ncc
+    from cascadeho.morphisms import induced_chain_map
+
+    docs = [(fixture(name).kind, serialize.loads(serialize.dumps(fixture(name).payload)))
+            for name in fixture_names() if fixture(name).kind in ("mbs", "morphism")]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    paths = {r.doc.path for r in workloads.build("cobordism", 1, str(tmp_path))}
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(("morphism", serialize.loads(fh.read())))
+    compared = []
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        original = getattr(Fraction, op)
+
+        def counting(a, b, _original=original, _op=op):
+            compared.append(_op)
+            return _original(a, b)
+
+        monkeypatch.setattr(Fraction, op, counting)
+    built = []
+    for kind, doc in docs:
+        built.append(build_ncc(doc) if kind == "mbs" else induced_chain_map(doc))
+    monkeypatch.undo()
+    assert compared == []
+    assert sum(kind == "morphism" for kind, _doc in docs) >= 5
+    assert len(built) == len(docs)
