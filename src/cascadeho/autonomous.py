@@ -22,8 +22,10 @@ epsilon * (d // du) (``_scaled_count``); no rational is formed.
 
 Each public builder validates the data once; the checking builders
 ``_tower`` (the block and U-tower complexes) and ``_egh_complex`` then
-check d^2 = 0 of the complex they return (a U-tower's on its two-level
-core U^0 + U^1, which decides it), so ``homology`` does not check it again.
+check d^2 = 0 of the complex they return (a U-tower's on its base
+generators, which decides it), so ``homology`` does not check it again.
+``equivariant_homology`` and ``compare_egh`` build no tower: they read its
+homology off windows of the base pattern R + B (``_Pattern``).
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .cascades import by_action, chain_generators
-from .errors import CascadehoError, InputError, ValidationFailure
+from .errors import CascadehoError, InputError, SquareNonzero, ValidationFailure
 from .exact import (
     ChainComplex,
     ChainGenerator,
     HomologyResult,
     IntMatrix,
+    _groups,
+    _reduced,
     homology,
     verify_square_zero,
 )
@@ -249,33 +253,6 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     return {k: v for k, v in entries.items() if v}
 
 
-def _assemble(data, raw, truncation):
-    """The complex on ``chain_generators(data)`` times U^0..U^truncation
-    (U^0 alone for None): generator ``keys[key] * (K + 1) + k`` is
-    ``key`` (x) U^k, graded up by 2k."""
-    keys, base = chain_generators(data)
-    step = 1 if truncation is None else truncation + 1
-    powers = [(f":U{k}", 2 * k) for k in range(step)]
-    new = tuple.__new__
-    gens = base if truncation is None else [
-        new(ChainGenerator, (gid + suffix, grading + shift, cls, action, orbit))
-        for gid, grading, cls, action, orbit in base for suffix, shift in powers
-    ]
-    entries: Dict[Tuple[int, int], int] = {}
-    for (src, tgt), val in raw.items():
-        for k in range(step):
-            entries[(keys[tgt] * step + k, keys[src] * step + k)] = val
-    # BV tail: d(check a (x) U^k) gains d(a) * hat a (x) U^{k-1}, a slot no
-    # raw entry holds, since every raw entry keeps the U power
-    for oid, orbit in data.orbits.items():
-        if orbit.good:
-            check, hat = keys[("check", oid)] * step, keys[("hat", oid)] * step
-            for k in range(1, step):
-                entries[(hat + k - 1, check + k)] = orbit.d
-    n = len(gens)
-    return ChainComplex(tuple(gens), IntMatrix._trusted(n, n, entries))
-
-
 def block_differential(data: AutonomousData) -> ChainComplex:
     """Nonequivariant complex (check/hat generators, integral)."""
     _require_valid(data)
@@ -338,40 +315,183 @@ def _check_truncation(data: AutonomousData, truncation: int):
         )
 
 
-def _tower(data: AutonomousData, truncation: Optional[int]) -> ChainComplex:
-    """The block complex of valid data: ``block_differential`` for
-    ``truncation`` None, else ``equivariant_differential`` up to U^truncation.
+class _Pattern:
+    """The block complex R of valid data and its U-towers, on the base
+    generators alone.
 
-    d^2 = 0 of a U-tower is checked on its two-level core U^0 + U^1, read
-    off the built tower, and the tower is then marked checked.  The tower
-    is D = R (x) 1 + B (x) S on the base generators times U^0..U^K: R the
-    block differential (``block_entries``, which keeps the U power), B the
-    BV operator (check a -> d(a) hat a) and S: U^k -> U^(k-1) the shift.
-    B^2 = 0, since B goes from check to hat generators only, so
+    The tower up to U^K is D = R (x) 1 + B (x) S on the base generators
+    (``chain_generators``) times U^0..U^K, t (x) U^k graded gr(t) + 2k.  R
+    is ``block_entries``: it keeps the U power and, as ``validate_data``
+    requires, lowers the base grading by 1 within one class.  B is the BV
+    operator (check a -> d(a) hat a on good orbits): it lowers the U power
+    and raises the base grading by 1.  S: U^k -> U^(k-1) is the shift.
+
+    So the generators of class c in degree g are t (x) U^k for the base
+    generators T_g of class c with gr(t) = g (mod 2) and gr(t) <= g <=
+    gr(t) + 2K, one each and in base order, and the block of D from degree
+    g to g - 1 is the window of M = R + B on the rows T_(g-1) and the
+    columns T_g: for t in T_g and s in T_(g-1) the U powers are fixed by
+    the degrees, R[s, t] can only join equal powers and B[s, t] only
+    lower the power by one.  Between hi + 1 and lo + 2K, for the least and
+    greatest base gradings lo and hi of the class, T_g is every base
+    generator of g's parity, so the windows of those degrees repeat with
+    period 2.  ``homology`` builds each distinct window once (``_window``).
+
+    d^2 = 0 of every tower is checked on the n base generators: B^2 = 0,
+    since B goes from check to hat generators only, so
 
         D^2 = R^2 (x) 1 + (RB + BR) (x) S,
 
     and for K >= 1, where 1 and S are independent, D^2 = 0 exactly when
-    R^2 = 0 and RB + BR = 0: exactly when it vanishes for K = 1, the core.
-    The witness is the same too.  Generator ``t * (K + 1) + k`` is t (x)
-    U^k, so D^2 has R^2[t, s] at (t U^k, s U^k) for k <= K and (RB + BR)[t, s]
-    at (t U^(k-1), s U^k) for 1 <= k <= K.  Its least nonzero (row, column)
-    is therefore in row t U^0 for the least base row t of either matrix,
-    and in column s U^0 or s U^1 for the least base column s of that row
-    (U^0 first): the same generator pair and value in the core as in the
-    whole tower, so ``SquareNonzero`` reads the same.
+    R^2 = 0 and RB + BR = 0.  The witness is the tower's too.  Generator
+    ``t * (K + 1) + k`` of the built tower is t (x) U^k, so D^2 has R^2[t, s]
+    at (t U^k, s U^k) for k <= K and (RB + BR)[t, s] at (t U^(k-1), s U^k)
+    for 1 <= k <= K.  Its least nonzero (row, column) is therefore in row
+    t U^0 for the least base row t of either matrix, and in column s U^0
+    or s U^1 for the least base column s of that row (U^0 first): the
+    least (t, s, power) over R^2 at power 0 and RB + BR at power 1, the
+    same generator pair and value for every K.
     """
-    raw = block_entries(data)
-    _check_block_identities(data, raw)
-    complex_ = _assemble(data, raw, truncation)
+
+    def __init__(self, data: AutonomousData, tower: bool):
+        keys, self.base = chain_generators(data)
+        raw = block_entries(data)
+        _check_block_identities(data, raw)
+        # R in base indices, (row, column) = (target, source), in raw's order
+        self.r = {(keys[tgt], keys[src]): v for (src, tgt), v in raw.items()}
+        # B by column: check a -> (hat a, d(a)) for each good orbit a
+        self.bv = {keys[("check", oid)]: (keys[("hat", oid)], orbit.d)
+                   for oid, orbit in data.orbits.items() if orbit.good}
+        self._verify_square(tower)
+        self.grading = [g.grading for g in self.base]
+        self.classes: Dict[str, List[int]] = {}
+        for t, g in enumerate(self.base):
+            self.classes.setdefault(g.homotopy_class, []).append(t)
+        # M = R + B by column: column t lists (s, M[s, t])
+        self.columns = [[] for _ in self.base]
+        for (s, t), v in self.r.items():
+            self.columns[t].append((s, v))
+        for check, (hat, d) in self.bv.items():
+            self.columns[check].append((hat, d))
+        self.windows = {}  # (rows, columns) -> (rank, torsion) or None
+
+    def _verify_square(self, tower: bool):
+        """Raise SquareNonzero unless R^2 = 0 and, for a tower, RB + BR = 0,
+        with the witness of the block complex or of every tower.  RB + BR
+        is formed by scaling: B has one entry per good orbit."""
+        n = len(self.base)
+        r = IntMatrix._trusted(n, n, self.r)
+        found = [((t, s, 0), v) for (t, s), v in (r * r).entries.items()]
+        if tower:
+            hat_of = self.bv
+            check_of = {hat: (check, d) for check, (hat, d) in hat_of.items()}
+            rbbr: Dict[Tuple[int, int], int] = {}
+            for (t, s), v in self.r.items():
+                if s in check_of:  # R B: column hat a becomes column check a
+                    check, d = check_of[s]
+                    rbbr[(t, check)] = rbbr.get((t, check), 0) + v * d
+                if t in hat_of:  # B R: row check a becomes row hat a
+                    hat, d = hat_of[t]
+                    rbbr[(hat, s)] = rbbr.get((hat, s), 0) + d * v
+            found += [((t, s, 1), v) for (t, s), v in rbbr.items() if v]
+        if found:
+            (t, s, power), value = min(found)
+            source, target = self.base[s].gid, self.base[t].gid
+            if tower:
+                source, target = f"{source}:U{power}", f"{target}:U0"
+            raise SquareNonzero(source, target, value)
+
+    def window(self, rows: tuple, cols: tuple, reduced):
+        """``_window`` of ``rows`` x ``cols``, built once."""
+        key = (rows, cols)
+        if key not in self.windows:
+            self.windows[key] = _window(self.columns, rows, cols, reduced)
+        return self.windows[key]
+
+    def homology(self, truncation: int, reduced, dropped=()) -> HomologyResult:
+        """Integral homology of the tower up to U^truncation, less the U^0
+        copy of each base generator in ``dropped``, read off its windows;
+        the degrees of the periodic middle take the two parities' results."""
+        grading = self.grading
+        top = 2 * truncation
+        sizes, out_of = [], {}
+        for cls, members in self.classes.items():
+            lo = min(grading[t] for t in members)
+            hi = max(grading[t] for t in members)
+            full = [tuple(t for t in members if grading[t] % 2 == p) for p in (0, 1)]
+
+            def level(g):
+                """T_g, less ``dropped`` at U^0."""
+                if hi < g <= lo + top:
+                    return full[g % 2]
+                return tuple(t for t in full[g % 2] if g - top <= grading[t] <= g
+                             and not (grading[t] == g and t in dropped))
+
+            fill = {}  # parity -> the window of the periodic middle
+            rows = level(lo - 1)
+            for g in range(lo, hi + top + 1):
+                cols = level(g)
+                sizes.append(((cls, g), len(cols)))
+                if not hi + 1 < g <= lo + top:
+                    result = self.window(rows, cols, reduced)
+                elif g % 2 in fill:
+                    result = fill[g % 2]
+                else:
+                    result = fill[g % 2] = self.window(rows, cols, reduced)
+                if result is not None:
+                    out_of[(cls, g)] = result
+                rows = cols
+        return _groups(sizes, out_of, 0)
+
+
+def _window(columns, rows: tuple, cols: tuple, reduced):
+    """(rank, torsion) of M = R + B on the base generators ``rows`` x
+    ``cols`` (``columns`` lists M by column), None when it has no entry."""
+    local = {s: k for k, s in enumerate(rows)}
+    block = {}
+    for c, t in enumerate(cols):
+        for s, v in columns[t]:
+            r = local.get(s)
+            if r is not None:
+                block[(r, c)] = v
+    return _reduced(reduced, len(rows), len(cols), block) if block else None
+
+
+def _assemble(pattern: _Pattern, truncation: Optional[int]) -> ChainComplex:
+    """The complex on ``pattern``'s base generators times U^0..U^truncation
+    (U^0 alone for None): generator ``t * (K + 1) + k`` is t (x) U^k,
+    graded up by 2k."""
+    base = pattern.base
     if truncation is None:
-        verify_square_zero(complex_)
-    else:
-        step = truncation + 1
-        n = len(complex_.generators)
-        verify_square_zero(complex_.restrict(
-            sorted([*range(0, n, step), *range(1, n, step)])))
-        object.__setattr__(complex_, "_square_zero", True)
+        n = len(base)
+        return ChainComplex(tuple(base), IntMatrix._trusted(n, n, pattern.r))
+    step = truncation + 1
+    powers = [(f":U{k}", 2 * k) for k in range(step)]
+    new = tuple.__new__
+    gens = tuple(
+        new(ChainGenerator, (gid + suffix, grading + shift, cls, action, orbit))
+        for gid, grading, cls, action, orbit in base for suffix, shift in powers
+    )
+    entries: Dict[Tuple[int, int], int] = {}
+    for (t, s), v in pattern.r.items():
+        for k in range(step):
+            entries[(t * step + k, s * step + k)] = v
+    # BV tail: d(check a (x) U^k) gains d(a) * hat a (x) U^{k-1}, a slot no
+    # entry of R holds, since R keeps the U power
+    for check, (hat, d) in pattern.bv.items():
+        for k in range(1, step):
+            entries[(hat * step + k - 1, check * step + k)] = d
+    n = len(gens)
+    return ChainComplex(gens, IntMatrix._trusted(n, n, entries))
+
+
+def _tower(data: AutonomousData, truncation: Optional[int]) -> ChainComplex:
+    """The block complex of valid data: ``block_differential`` for
+    ``truncation`` None, else ``equivariant_differential`` up to
+    U^truncation, with d^2 = 0 checked on the base generators
+    (``_Pattern``) and the complex marked checked."""
+    complex_ = _assemble(_Pattern(data, truncation is not None), truncation)
+    object.__setattr__(complex_, "_square_zero", True)
     return complex_
 
 
@@ -391,33 +511,23 @@ def equivariant_homology(
 ) -> Tuple[HomologyResult, int]:
     """Integral equivariant homology and its certified stable range 2K - 2.
 
-    The stable range is verified by restricting to the truncation K - 1
-    subcomplex and diffing both results below the smaller range.
+    The stable range is verified by computing the truncation K - 1
+    homology too and diffing both results below the smaller range.  Both
+    are read off the windows of R + B (``_Pattern``); no tower is built.
     """
-    complex_ = equivariant_differential(data, truncation)
-    return _certified_homology(complex_, truncation, {})
+    _check_truncation(data, truncation)
+    _require_valid(data)
+    return _certified_homology(_Pattern(data, True), truncation, {})
 
 
-def _lower_truncation(complex_: ChainComplex, truncation: int) -> ChainComplex:
-    """The truncation K - 1 complex inside the truncation-K one.
-
-    Each (orbit, flavor) holds K + 1 consecutive generators U^0..U^K, and
-    the differential never raises the U power, so dropping every U^K leaves
-    a subcomplex: ``equivariant_differential(data, K - 1)`` itself.
-    """
-    step = truncation + 1
-    return complex_.restrict(
-        [i for i in range(len(complex_.generators)) if i % step != truncation]
-    )
-
-
-def _certified_homology(complex_, truncation: int, reduced):
-    """``equivariant_homology`` of the already built truncation-K complex;
-    the K - 1 subcomplex repeats its blocks, so both share ``reduced``."""
-    result = homology(complex_, reduced=reduced)
+def _certified_homology(pattern: _Pattern, truncation: int, reduced):
+    """``equivariant_homology`` of ``pattern``; the truncation K - 1 tower
+    has the same windows less the top ones, so both share them and
+    ``reduced``."""
+    result = pattern.homology(truncation, reduced)
     stable = 2 * truncation - 2
     if truncation >= 2:
-        smaller = homology(_lower_truncation(complex_, truncation), reduced=reduced)
+        smaller = pattern.homology(truncation - 1, reduced)
         cutoff = 2 * (truncation - 1) - 2
         if smaller.restricted(cutoff).groups != result.restricted(cutoff).groups:
             raise CascadehoError(
@@ -460,26 +570,25 @@ class CompareReport:
 def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     """Four-step comparison of equivariant and cylindrical homology.
 
-    The data is validated once; the truncation-K complex and the EGH
-    complex are each built and checked once.
+    The data is validated once and the EGH complex built once; the
+    truncation-K tower is read off its base pattern (``_Pattern``), never
+    built.  Its U^0 good check generators are the U^0 copies of the base
+    check generators of good orbits.  D enters them only through R at U^0,
+    since B lands on hat generators and R keeps the U power, so steps (i)
+    and (iii) read R on the base generators, and step (ii) drops them from
+    the bottom windows.
     """
     _check_truncation(data, truncation)
     _require_valid(data)
-    complex_ = _tower(data, truncation)
-    gens = complex_.generators
-    # the U^0 check generator of each good orbit: check keys are even, so
-    # its index keys[key] * (K + 1) is a multiple of 2K + 2
-    u0 = {
-        k: gens[k].orbit for k in range(0, len(gens), 2 * truncation + 2)
-        if data.orbit(gens[k].orbit).good
-    }
+    pattern = _Pattern(data, True)
+    gens = pattern.base
+    u0 = {check: gens[check].orbit for check in pattern.bv}
     steps = []
 
     # (i) everything else is a subcomplex
     leaks = [
-        (gens[j].gid, gens[i].gid)
-        for (i, j), _val in complex_.differential.entries.items()
-        if j not in u0 and i in u0
+        (f"{gens[j].gid}:U0", f"{gens[i].gid}:U0")
+        for i, j in pattern.r if j not in u0 and i in u0
     ]
     steps.append(
         CompareStep(
@@ -494,9 +603,8 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     reduced = {}
 
     # (ii) that subcomplex is acyclic over Q in the stable range
-    sub = complex_.restrict([i for i in range(len(gens)) if i not in u0])
     bad_degrees = {
-        g for (_cls, g) in homology(sub, reduced=reduced).rationalize()
+        g for (_cls, g) in pattern.homology(truncation, reduced, u0).rationalize()
         if g <= stable
     }
     steps.append(
@@ -511,9 +619,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     # <d a, b> per pair of good orbits, listed in the EGH generator order
     egh = _egh_complex(data)
     quotient = {
-        (u0[j], u0[i]): v
-        for (i, j), v in complex_.differential.entries.items()
-        if i in u0 and j in u0
+        (u0[j], u0[i]): v for (i, j), v in pattern.r.items() if i in u0 and j in u0
     }
     oids = [g.gid for g in egh.generators]
     cylindrical = {
@@ -534,7 +640,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
-    hom, stable = _certified_homology(complex_, truncation, reduced)
+    hom, stable = _certified_homology(pattern, truncation, reduced)
     left = {
         k: v for k, v in hom.rationalize().items() if k[1] <= stable
     }

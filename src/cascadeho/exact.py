@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .errors import CascadehoError, SquareNonzero
 
@@ -379,14 +379,6 @@ class ChainComplex:
     # d o d = 0 is known: set by verify_square_zero and for a restriction
     # closed under d, never by the constructor, so a rebuilt copy is unknown
     _square_zero: bool = field(default=False, init=False, repr=False, compare=False)
-    # a restriction remembers the complex it was read off (never itself a
-    # restriction) and the indices it kept there
-    _parent: Optional["ChainComplex"] = field(
-        default=None, init=False, repr=False, compare=False)
-    _kept: tuple = field(default=(), init=False, repr=False, compare=False)
-    # homology's split of d into (class, grading) blocks, made once
-    _split: Optional["_Split"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.generators)
@@ -397,25 +389,6 @@ class ChainComplex:
         ):
             raise ValueError("grading modulus must be 0 or an even integer >= 2")
 
-    def __getattr__(self, name):
-        # only a restriction lacks a field: its generators and differential
-        # are read off its parent when first asked for
-        parent = self._parent
-        if parent is None or name not in ("generators", "differential"):
-            raise AttributeError(name)
-        kept = self._kept
-        if name == "generators":
-            value = tuple(map(parent.generators.__getitem__, kept))
-        else:
-            remap = dict(zip(kept, range(len(kept))))
-            value = IntMatrix._trusted(len(kept), len(kept), {
-                (remap[i], remap[j]): v
-                for (i, j), v in parent.differential.entries.items()
-                if i in remap and j in remap
-            })
-        object.__setattr__(self, name, value)
-        return value
-
     def degree_key(self, grading: int):
         return grading % self.grading_modulus if self.grading_modulus else grading
 
@@ -423,21 +396,24 @@ class ChainComplex:
         """The generators at the increasing indices ``kept`` with the entries
         among them: a subcomplex when d maps their span into itself.
 
-        The restriction remembers the complex it is read off and the kept
-        indices there, and builds its generators and differential only when
-        they are asked for: ``homology`` reads its blocks off the split of
-        that complex.  A restriction closed under d of a complex known to
-        square to zero is known to as well (its d o d is the restriction of
-        d o d); any other restriction is checked again by ``homology``.
+        A restriction closed under d of a complex known to square to zero
+        is known to as well (its d o d is the restriction of d o d); any
+        other restriction is checked again by ``homology``.
         """
-        sub = object.__new__(ChainComplex)
-        object.__setattr__(sub, "grading_modulus", self.grading_modulus)
-        if self._parent is None:
-            object.__setattr__(sub, "_parent", self)
-            object.__setattr__(sub, "_kept", tuple(kept))
-        else:
-            object.__setattr__(sub, "_parent", self._parent)
-            object.__setattr__(sub, "_kept", tuple(map(self._kept.__getitem__, kept)))
+        remap = {old: new for new, old in enumerate(kept)}
+        entries = {}
+        closed = True
+        for (i, j), v in self.differential.entries.items():
+            if j in remap:
+                if i in remap:
+                    entries[(remap[i], remap[j])] = v
+                else:
+                    closed = False
+        n = len(remap)
+        sub = ChainComplex(tuple(self.generators[k] for k in remap),
+                           IntMatrix._trusted(n, n, entries), self.grading_modulus)
+        if closed and self._square_zero:
+            object.__setattr__(sub, "_square_zero", True)
         return sub
 
     def check_structure(self):
@@ -545,149 +521,48 @@ def _reduce_block(m: IntMatrix):
     return len(factors), tuple(f for f in factors if f > 1)
 
 
-class _Split:
-    """A complex's differential split into (class, grading) blocks.
-
-    Block b holds the ``size[b]`` generators of the pair ``keys[b]``: for a
-    complex read off no other, the increasing indices ``members[b]``.  A
-    generator's local index is its place among its block's generators.
-    ``entries[b]`` is the block of d leaving block b, into block
-    ``below[b]``, in local indices, and ``memo[b]`` its memo key (rows,
-    cols, frozenset of its entries), None when it has no entry.  ``stray``
-    lists (i, j, message) for each entry of d in no block, in d's order,
-    with i and j indices in the complex read off no other.
-    """
-
-    __slots__ = ("keys", "members", "size", "below", "entries", "memo", "stray")
-
-    def __init__(self, keys, members, size, below, entries, stray, parent=None):
-        """Block b keeps the memo key of ``parent`` (a split) wherever
-        ``entries[b]`` is the parent's own block."""
-        self.keys, self.members, self.size = keys, members, size
-        self.below, self.entries, self.stray = below, entries, stray
-        self.memo = [
-            parent.memo[b] if parent is not None and block is parent.entries[b]
-            else (size[b_below], size[b], frozenset(block.items())) if block
-            else None
-            for b, (b_below, block) in enumerate(zip(below, entries))
-        ]
+def _reduced(reduced, rows: int, cols: int, block: dict):
+    """(rank, torsion) of the nonzero block ``block`` of d, a ``rows`` x
+    ``cols`` matrix in local indices, reduced once per memo ``reduced``,
+    which it keys by (rows, cols, frozenset of the entries)."""
+    key = (rows, cols, frozenset(block.items()))
+    result = reduced.get(key)
+    if result is None:
+        result = reduced[key] = _reduce_block(IntMatrix._trusted(rows, cols, block))
+    return result
 
 
-def _split_complex(complex_: ChainComplex) -> _Split:
-    """Split ``complex_`` from its generators and entries."""
-    gens = complex_.generators
-    modulus = complex_.grading_modulus
-    # number the (class, grading) pairs and give every generator its block
-    # and its index inside it
-    ids = {}
-    members = []
-    block_of = []
-    local = []
-    for i, g in enumerate(gens):
-        key = (g.homotopy_class, g.grading % modulus if modulus else g.grading)
-        b = ids.get(key)
-        if b is None:
-            b = ids[key] = len(members)
-            members.append([])
-        m = members[b]
-        block_of.append(b)
-        local.append(len(m))
-        m.append(i)
-
-    # the block of d leaving each (class, grading), into the grading below
-    degree_key = complex_.degree_key
-    below = [ids.get((cls, degree_key(deg - 1))) for cls, deg in ids]
-    entries = [{} for _ in members]
-    stray = []
-    for (i, j), v in complex_.differential.entries.items():
-        b = block_of[j]
-        if block_of[i] != below[b]:
-            stray.append((i, j, f"<d {gens[j].gid}, {gens[i].gid}> = {v} does "
-                                "not lower the grading by 1 within one class"))
-        else:
-            entries[b][(local[i], local[j])] = v
-    return _Split(list(ids), members, [len(m) for m in members], below,
-                  entries, stray)
-
-
-def _restricted_split(parent: _Split, n: int, kept):
-    """The split of the restriction of a complex on ``n`` generators, split
-    as ``parent``, to the increasing indices ``kept``, and whether that
-    restriction is closed under d.
-
-    Only the blocks that lost a generator are renumbered, and only the
-    blocks of d leaving or entering one of them are rebuilt and re-keyed;
-    every other block keeps its entries and its memo key.  A block that
-    lost every generator stays, empty.
-    """
-    dropped = set(range(n)).difference(kept)
-    size = list(parent.size)
-    renumber = {}  # block -> {old local index: new local index}
-    for b, members in enumerate(parent.members):
-        if not dropped.isdisjoint(members):
-            places = [k for k, i in enumerate(members) if i not in dropped]
-            renumber[b] = dict(zip(places, range(len(places))))
-            size[b] = len(places)
-    entries = list(parent.entries)
-    closed = True
-    for b, block in enumerate(entries):
-        below = parent.below[b]
-        cols, rows = renumber.get(b), renumber.get(below)
-        if block and (cols is not None or rows is not None):
-            if cols is None:
-                cols = dict(zip(range(size[b]), range(size[b])))
-            if rows is None:
-                rows = dict(zip(range(size[below]), range(size[below])))
-            entries[b] = {}
-            for (i, j), v in block.items():
-                if j in cols:
-                    if i in rows:
-                        entries[b][(rows[i], cols[j])] = v
-                    else:
-                        closed = False
-    stray = []
-    for i, j, text in parent.stray:
-        if j not in dropped:
-            if i in dropped:
-                closed = False
-            else:
-                stray.append((i, j, text))
-    split = _Split(parent.keys, None, size, parent.below, entries, stray, parent)
-    return split, closed
-
-
-def _split_of(complex_: ChainComplex) -> _Split:
-    """The split of ``complex_``, made once: a restriction's is read off
-    the split of the complex it was restricted from."""
-    split = complex_._split
-    if split is None:
-        parent = complex_._parent
-        if parent is None:
-            split = _split_complex(complex_)
-        else:
-            split, closed = _restricted_split(
-                _split_of(parent), len(parent.generators), complex_._kept)
-            if closed and parent._square_zero:
-                object.__setattr__(complex_, "_square_zero", True)
-        object.__setattr__(complex_, "_split", split)
-    return split
+def _groups(sizes, out_of, grading_modulus: int) -> HomologyResult:
+    """H_k = Z^(n_k - rank d_k - rank d_(k+1)) + (invariant factors > 1 of
+    d_(k+1)) for each (class, grading) k: ``sizes`` yields each k with its
+    n_k generators, and ``out_of`` maps k to the (rank, torsion) of d_k,
+    the block of d leaving grading k, when it has an entry.  The torsion of
+    ker d_k / im d_(k+1) is that of coker d_(k+1), because C_k / ker d_k is
+    free."""
+    groups = {}
+    for key, n in sorted(sizes):
+        if n:
+            cls, deg = key
+            above = deg + 1
+            if grading_modulus:
+                above %= grading_modulus
+            rank_in, tors = out_of.get((cls, above), (0, ()))
+            free = n - out_of.get(key, (0, ()))[0] - rank_in
+            if free or tors:
+                groups[key] = (free, tors)
+    return HomologyResult(groups, grading_modulus)
 
 
 def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     """Integral homology of the complex, split by (class, grading).
 
-    H_k = Z^(n_k - rank d_k - rank d_(k+1)) + (invariant factors > 1 of
-    d_(k+1)): the torsion of ker d_k / im d_(k+1) is that of coker d_(k+1),
-    because C_k / ker d_k is free.  Each distinct nonzero block d_k is
-    reduced once: ``reduced`` maps a block's (rows, cols, frozenset of its
-    entries) to its (rank, torsion).  Pass one dict to several calls to
-    share the reductions of blocks they have in common; a fresh one is made
-    per call by default.
-
-    A complex is split into blocks once, and the split is kept.  A
-    restriction (``ChainComplex.restrict``) is split from the split of the
-    complex it was read off: only the blocks that lost a generator are
-    rebuilt and re-keyed.
+    d is split into its (class, grading) blocks in one pass over its
+    entries, and the groups follow from each block's rank and invariant
+    factors (``_groups``).  Each distinct nonzero block d_k is reduced
+    once: ``reduced`` maps a block's (rows, cols, frozenset of its entries)
+    to its (rank, torsion).  Pass one dict to several calls to share the
+    reductions of blocks they have in common; a fresh one is made per call
+    by default.
 
     Raises SquareNonzero unless d o d = 0.  The product is skipped only for
     a complex already known to square to zero: one that passed
@@ -703,29 +578,39 @@ def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
     """
     if reduced is None:
         reduced = {}
-    split = _split_of(complex_)
     if not complex_._square_zero:
         verify_square_zero(complex_)
-    if split.stray:
-        raise CascadehoError(split.stray[0][2])
+    gens = complex_.generators
+    modulus = complex_.grading_modulus
+    # number the (class, grading) pairs and give every generator its block
+    # and its index inside it
+    ids = {}
+    size = []
+    block_of = []
+    local = []
+    for g in gens:
+        key = (g.homotopy_class, g.grading % modulus if modulus else g.grading)
+        b = ids.get(key)
+        if b is None:
+            b = ids[key] = len(size)
+            size.append(0)
+        block_of.append(b)
+        local.append(size[b])
+        size[b] += 1
 
-    out_of = {}
-    for key, block, memo in zip(split.keys, split.entries, split.memo):
-        if memo is not None:
-            result = reduced.get(memo)
-            if result is None:
-                result = reduced[memo] = _reduce_block(
-                    IntMatrix._trusted(memo[0], memo[1], block)
-                )
-            out_of[key] = result
-
+    # the block of d leaving each (class, grading), into the grading below
     degree_key = complex_.degree_key
-    groups = {}
-    for key, n in sorted(zip(split.keys, split.size)):
-        if n:
-            cls, deg = key
-            rank_in, tors = out_of.get((cls, degree_key(deg + 1)), (0, ()))
-            free = n - out_of.get(key, (0, ()))[0] - rank_in
-            if free or tors:
-                groups[key] = (free, tors)
-    return HomologyResult(groups, complex_.grading_modulus)
+    below = [ids.get((cls, degree_key(deg - 1))) for cls, deg in ids]
+    blocks = [{} for _ in size]
+    for (i, j), v in complex_.differential.entries.items():
+        b = block_of[j]
+        if block_of[i] != below[b]:
+            raise CascadehoError(
+                f"<d {gens[j].gid}, {gens[i].gid}> = {v} does not lower the "
+                "grading by 1 within one class")
+        blocks[b][(local[i], local[j])] = v
+    out_of = {
+        key: _reduced(reduced, size[b_below], n, block)
+        for key, n, b_below, block in zip(ids, size, below, blocks) if block
+    }
+    return _groups(zip(ids, size), out_of, modulus)

@@ -9,7 +9,6 @@ import pytest
 from cascadeho import autonomous
 from cascadeho.autonomous import (
     _check_block_identities,
-    _lower_truncation,
     AutonomousData,
     CylinderRecord,
     block_differential,
@@ -398,48 +397,37 @@ def test_compare_egh_period_doubling_odd_c():
 
 
 def test_compare_egh_detects_manufactured_leak(tmp_path, monkeypatch, capsys):
-    """A tower with an entry from a non-U^0 generator into a U^0 good check
-    generator fails step (i), which names the leak; the other steps and the
-    exit code read as they did when the U^0 complement was a copy.
+    """An extra hat q2 -> check q1 entry leaks into the U^0 good check
+    generator check:q1:U0 of preq-112, and ``compare`` refuses the data
+    with the d^2 witness and exit code 2, as it did when it built the tower.
 
-    The leak check:r:U1 -> check:q1:U0 keeps d^2 = 0: nothing maps to
-    check:r:U1 and d(check:q1:U0) = 0.  No valid document holds it (the
-    check -> check slot of a good target is illegal), so the built tower is
-    patched.
+    Every leak the data can write breaks d^2 = 0.  D = R (x) 1 + B (x) S
+    enters a U^0 good check generator check q (x) U^0 only through an R
+    entry x -> check q at U^0, with x no good check generator, and then
+    (RB + BR)[hat q, x] = d(q) R[check q, x]: B R carries the entry to hat q
+    and R B has no term there, since B leaves only good check generators.
+    The U^1 -> U^0 check -> check leak this test once patched into a built
+    tower cannot be written as R (x) 1 + B (x) S at all: R keeps the U
+    power and B maps check generators to hat generators.  The validators
+    reject the hat -> check slot, so they are switched off to reach the
+    d^2 check.
     """
     from cascadeho import serialize
     from cascadeho.cli import main
 
     data = fixture("preq-112").payload
     assert compare_egh(data, 2).ok  # the honest data passes
-    original = autonomous._tower
-
-    def leaking(data, truncation):
-        c = original(data, truncation)
-        index = {g.gid: k for k, g in enumerate(c.generators)}
-        entries = dict(c.differential.entries)
-        entries[(index["check:q1:U0"], index["check:r:U1"])] = 1
-        n = len(c.generators)
-        leaked = ChainComplex(c.generators, IntMatrix(n, n, entries))
-        verify_square_zero(leaked)
-        return leaked
-
-    monkeypatch.setattr(autonomous, "_tower", leaking)
-    path = tmp_path / "preq-112.json"
+    data.extra[(("hat", "q2"), ("check", "q1"))] = 1
+    monkeypatch.setattr(autonomous, "validate_data", lambda data: [])
+    monkeypatch.setattr(autonomous, "_check_block_identities", lambda data, raw: None)
+    path = tmp_path / "preq-112-leak.json"
     path.write_text(serialize.dumps(data))
-    for k in (2, 3):
+    for k in (1, 2, 3):
         capsys.readouterr()
         assert main(["compare", str(path), "--umax", str(k)]) == 2
-        assert capsys.readouterr().out.splitlines() == [
-            "[FAIL] complement of U^0 good check generators is a subcomplex "
-            "(check:r:U1 -> check:q1:U0)",
-            "[ok] subcomplex is rationally acyclic in the stable range",
-            "[ok] quotient differential equals the cylindrical differential",
-            "[FAIL] rationalised equivariant homology equals cylindrical "
-            "homology ({('2G', -1): 1, ('2G', 0): 1} != "
-            "{('2G', -1): 1, ('2G', 0): 2, ('2G', 1): 1})",
-            f"stable range: degrees <= {2 * k - 2}",
-        ]
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", "error: d^2 != 0: <d d check:q2:U1, check:q1:U0> = 2\n")
 
 
 def test_validation_failure_propagates():
@@ -450,8 +438,10 @@ def test_validation_failure_propagates():
 
 
 def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
-    # the certification reads the truncation K - 1 complex off the K one;
-    # cases: every autonomous fixture and the seed-1 benchmark documents
+    # the certification reads the truncation K - 1 homology off the same
+    # pattern as the K one: its groups are those of the K - 1 tower built
+    # by hand; cases: every autonomous fixture and the seed-1 benchmark
+    # documents
     cases = [
         (name, fixture(name).payload, k)
         for name in fixture_names()
@@ -463,27 +453,69 @@ def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
     docs = {r.doc.name: r.doc for r in workloads.build("autonomous", 1, str(tmp_path))}
     cases += [(name, doc.obj, doc.umax) for name, doc in docs.items()]
     assert len(docs) == 3
+    read = {}
+    original = autonomous._Pattern.homology
+
+    def recorded(self, truncation, reduced, dropped=()):
+        result = original(self, truncation, reduced, dropped)
+        read[truncation] = result
+        return result
+
+    monkeypatch.setattr(autonomous._Pattern, "homology", recorded)
     for name, data, k in cases:
-        restricted = _lower_truncation(equivariant_differential(data, k), k)
-        rebuilt = equivariant_differential(data, k - 1)
-        assert restricted.generators == rebuilt.generators, (name, k)
-        assert restricted.differential.entries == rebuilt.differential.entries, (name, k)
-        assert restricted.grading_modulus == rebuilt.grading_modulus
+        read.clear()
+        equivariant_homology(data, k)
+        assert sorted(read) == [k - 1, k], (name, k)
+        assert read[k - 1].groups == homology(hand_tower(data, k - 1)).groups, (name, k)
 
 
-def test_certification_builds_the_complex_once(monkeypatch):
-    calls = []
-    original = autonomous._assemble
+def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
+    # the distinct windows, their reductions and the generators made are
+    # the same at K = 60 and K = 960, and no tower is assembled
+    from cascadeho import exact
 
-    def counting(data, raw, truncation):
-        calls.append(truncation)
-        return original(data, raw, truncation)
+    data = prequantization(200, 1, 2)
+    reductions, windows, made = [], [], []
+    original_reduce, original_window = exact._reduce_block, autonomous._window
 
-    monkeypatch.setattr(autonomous, "_assemble", counting)
-    data = fixture("preq-112").payload
-    equivariant_homology(data, 3)
-    compare_egh(data, 3)
-    assert calls == [3, 3]
+    def reduce(m):
+        reductions.append(m)
+        return original_reduce(m)
+
+    def window(*args):
+        windows.append(args[1:3])
+        return original_window(*args)
+
+    def assemble(*args):
+        raise AssertionError("a tower was assembled")
+
+    original_new = ChainGenerator.__new__
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_reduce_block", reduce)
+    monkeypatch.setattr(autonomous, "_window", window)
+    monkeypatch.setattr(autonomous, "_assemble", assemble)
+    monkeypatch.setattr(ChainGenerator, "__new__", new)
+    base = 2 * len(data.orbits)
+    good = len(data.good_orbits())
+    counts = {}
+    for k in (60, 960):
+        for command, run, generators in (
+                ("chs1", equivariant_homology, base),
+                # compare also builds the EGH complex, one per good orbit
+                ("compare", compare_egh, base + good)):
+            for seen in (reductions, windows, made):
+                seen.clear()
+            run(data, k)
+            assert len(made) == generators, (command, k)
+            assert len(set(windows)) == len(windows), (command, k)
+            counts.setdefault(command, []).append((len(reductions), len(windows)))
+    for command, (at60, at960) in counts.items():
+        assert at60 == at960, command
+        assert 0 < at60[0] <= at60[1], command
 
 
 def distinct_blocks(*complexes):
@@ -530,8 +562,9 @@ def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
 
     for doc in docs.values():
         data, k = doc.obj, doc.umax
-        tower = equivariant_differential(data, k)
-        lower = _lower_truncation(tower, k)
+        tower = hand_tower(data, k)
+        lower = tower.restrict([i for i, g in enumerate(tower.generators)
+                                if not g.gid.endswith(f":U{k}")])
         excluded = {f"check:{oid}:U0" for oid, o in data.orbits.items() if o.good}
         sub = tower.restrict([i for i, g in enumerate(tower.generators)
                               if g.gid not in excluded])
@@ -577,7 +610,7 @@ def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-# --- d^2 on the two-level core ------------------------------------------------
+# --- the tower and its base pattern --------------------------------------------
 
 
 def hand_tower(data, k):
@@ -600,6 +633,120 @@ def hand_tower(data, k):
             entries[(t * step + u - 1, s * step + u)] = v
     n = len(gens)
     return ChainComplex(gens, IntMatrix(n, n, entries))
+
+
+def u0_complement(data, tower):
+    """The U^0 good check generators of ``tower`` by index, with their
+    orbits, and the restriction of ``tower`` to the other generators."""
+    u0 = {i: g.orbit for i, g in enumerate(tower.generators)
+          if g.gid.startswith("check:") and g.gid.endswith(":U0")
+          and data.orbit(g.orbit).good}
+    return u0, tower.restrict([i for i in range(len(tower.generators)) if i not in u0])
+
+
+def tower_report(data, k):
+    """``compare_egh``'s four steps read off ``hand_tower``: its entries, its
+    U^0 good check complement as a restriction, and its quotient onto the
+    U^0 good check generators."""
+    from cascadeho.autonomous import CompareReport, CompareStep
+
+    tower = hand_tower(data, k)
+    gens = tower.generators
+    u0, sub = u0_complement(data, tower)
+    entries = tower.differential.entries
+    stable = 2 * k - 2
+    leaks = [f"{gens[j].gid} -> {gens[i].gid}" for i, j in entries
+             if i in u0 and j not in u0]
+    bad = sorted({g for _cls, g in homology(sub).rationalize() if g <= stable})
+    egh = egh_differential(data)
+    order = [g.gid for g in egh.generators]
+    quotient = {(u0[j], u0[i]): v for (i, j), v in entries.items()
+                if i in u0 and j in u0}
+    cylindrical = {(order[j], order[i]): v
+                   for (i, j), v in egh.differential.entries.items()}
+    mismatches = [
+        f"({a},{b}): {quotient.get((a, b), 0)} != {cylindrical.get((a, b), 0)}"
+        for a in order for b in order
+        if quotient.get((a, b), 0) != cylindrical.get((a, b), 0)
+    ]
+    left = {key: v for key, v in homology(tower).rationalize().items()
+            if key[1] <= stable}
+    right = {key: v for key, v in homology(egh).rationalize().items()
+             if key[1] <= stable}
+    return CompareReport((
+        CompareStep("complement of U^0 good check generators is a subcomplex",
+                    not leaks, "; ".join(leaks[:3])),
+        CompareStep("subcomplex is rationally acyclic in the stable range",
+                    not bad, ", ".join(map(str, bad[:4]))),
+        CompareStep("quotient differential equals the cylindrical differential",
+                    not mismatches, "; ".join(mismatches[:3])),
+        CompareStep("rationalised equivariant homology equals cylindrical homology",
+                    left == right, "" if left == right else f"{left} != {right}"),
+    ), stable)
+
+
+def pattern_cases(monkeypatch):
+    """(name, data): every autonomous fixture, both period-doubling sides,
+    prequantization data for small g, e, d, and random triangulated
+    surfaces from the benchmark generators with d = 1 and d = 2."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    generators = importlib.import_module("generators")
+    cases = [(name, fixture(name).payload) for name in fixture_names()
+             if fixture(name).kind == "autonomous"]
+    cases += [("pd-minus", period_doubling("minus")),
+              ("pd-plus-3", period_doubling("plus", 3))]
+    cases += [(f"preq({g},{e},{d})", prequantization(g, e, d))
+              for g in (1, 2) for e in (1, 2) for d in (1, 2)]
+    rng = random.Random(41)
+    for d in (1, 2):
+        cases.append((f"torus3-d{d}", generators.surface(
+            generators.torus_triangles(3), d, f"{d}T", rng)))
+        cases.append((f"sphere-d{d}", generators.surface(
+            generators.OCTAHEDRON, d, f"{d}S", rng)))
+    return cases
+
+
+def test_pattern_homology_matches_the_materialised_tower(monkeypatch):
+    # chs1 and compare read the tower off windows of R + B; the tower built
+    # entry by entry gives the same groups, torsion included, the same
+    # truncation certificate and the same four compare steps, and each
+    # command reduces exactly the distinct blocks of the towers it reads
+    from cascadeho import exact
+
+    reductions = []
+    original = exact._reduce_block
+
+    def counted(m):
+        reductions.append(m)
+        return original(m)
+
+    checked = 0
+    for name, data in pattern_cases(monkeypatch):
+        egh = egh_differential(data)
+        lower = None
+        for k in range(1, 13):
+            tower = hand_tower(data, k)
+            whole = homology(tower)
+            towers = (tower,) if lower is None else (tower, lower)
+            if lower is not None:
+                cutoff = 2 * k - 4
+                assert (homology(lower).restricted(cutoff)
+                        == whole.restricted(cutoff)), (name, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_reduce_block", counted)
+                reductions.clear()
+                result, stable = equivariant_homology(data, k)
+                assert len(reductions) == len(distinct_blocks(*towers)), (name, k)
+                reductions.clear()
+                report = compare_egh(data, k)
+                _u0, sub = u0_complement(data, tower)
+                assert len(reductions) == len(
+                    distinct_blocks(sub, *towers, egh)), (name, k)
+            assert (result.groups, stable) == (whole.groups, 2 * k - 2), (name, k)
+            assert report == tower_report(data, k), (name, k)
+            lower = tower
+            checked += 1
+    assert checked == (4 + 2 + 8 + 4) * 12
 
 
 @pytest.mark.parametrize("broken", ["R^2", "RB+BR"])
@@ -653,9 +800,10 @@ def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
 
 def test_chs1_and_compare_multiply_no_matrix_larger_than_the_core(
         tmp_path, monkeypatch, capsys):
-    # the tower's d^2 is checked on U^0 + U^1 alone, and the EGH complex
-    # has one generator per good orbit: no product on the chs1 or compare
-    # path is larger than the core, 2 generators per orbit and U power
+    # the tower's d^2 is checked as R^2 = 0 on the base generators, with
+    # RB + BR formed without a product, and the EGH complex has one
+    # generator per good orbit: no product on the chs1 or compare path is
+    # larger than the base, 2 generators per orbit
     from cascadeho.cli import main
 
     requests, _docs = seed1_documents(tmp_path, monkeypatch)
@@ -672,9 +820,8 @@ def test_chs1_and_compare_multiply_no_matrix_larger_than_the_core(
         if r.argv[0] in ("chs1", "compare"):
             sizes.clear()
             assert main(r.argv) == 0
-            core = 2 * len(r.doc.obj.orbits) * 2
-            assert sizes and max(sizes) == core, (r.doc.name, r.argv[0])
-            assert core < 2 * len(r.doc.obj.orbits) * (r.doc.umax + 1)
+            base = 2 * len(r.doc.obj.orbits)
+            assert sizes and max(sizes) == base, (r.doc.name, r.argv[0])
             checked += 1
     capsys.readouterr()
     assert checked == 6

@@ -652,7 +652,7 @@ def counting(monkeypatch, name):
 
 
 def test_shared_reductions_match_separate_ones_and_sympy():
-    from cascadeho.autonomous import _lower_truncation, equivariant_differential
+    from cascadeho.autonomous import equivariant_differential
     from cascadeho.scenarios import prequantization
 
     rng = random.Random(23)
@@ -662,7 +662,7 @@ def test_shared_reductions_match_separate_ones_and_sympy():
         families.append([c, direct_sum(c, c, c), direct_sum(c, c)])
     data = prequantization(2, 1, 2)
     tower = equivariant_differential(data, 4)
-    families.append([tower, _lower_truncation(tower, 4),
+    families.append([tower, equivariant_differential(data, 3),
                      equivariant_differential(data, 2)])
     shared_total = separate_total = 0
     for family in families:
@@ -713,7 +713,7 @@ def test_repeated_blocks_are_cross_checked(monkeypatch):
     assert reduced == {}
 
 
-# --- restrictions read off the split -------------------------------------------
+# --- restrictions ----------------------------------------------------------------
 
 
 def materialised(c, kept):
@@ -779,12 +779,12 @@ def test_restrictions_read_off_the_split_match_materialised_copies():
         for kept in kept_sets:
             alone_copy, alone = {}, {}
             expected = outcome(materialised(c, kept), alone_copy)
-            # read off the split, also as a restriction of a restriction
+            # also as a restriction of a restriction
             assert outcome(c.restrict(kept), alone) == expected
             half = sorted(rng.sample(range(len(kept)), len(kept) // 2))
             assert outcome(c.restrict(kept).restrict(half), {}) == outcome(
                 materialised(c, [kept[i] for i in half]), {})
-            # the split gives each block the key the copy gives it
+            # each block gets the key the copy gives it
             assert alone == alone_copy
             separate.append(alone)
             if isinstance(expected, dict):
@@ -793,21 +793,6 @@ def test_restrictions_read_off_the_split_match_materialised_copies():
                 raised += 1
         assert shared == {k: v for alone in separate for k, v in alone.items()}
     assert raised > 0
-
-
-def test_a_restriction_builds_its_copy_only_when_asked(monkeypatch):
-    from cascadeho.autonomous import _lower_truncation, equivariant_differential
-    from cascadeho.scenarios import prequantization
-
-    tower = equivariant_differential(prequantization(2, 1, 2), 4)
-    lower = _lower_truncation(tower, 4)
-    products = count_products(monkeypatch)
-    homology(tower)
-    homology(lower)
-    assert products == []  # both known to square to zero
-    assert "generators" not in vars(lower) and "differential" not in vars(lower)
-    assert lower == materialised(tower, lower._kept)
-    assert "generators" in vars(lower) and "differential" in vars(lower)
 
 
 # --- the pivot rule on blocks without units -----------------------------------

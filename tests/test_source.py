@@ -111,7 +111,7 @@ def test_autonomous_builders_make_no_fractions(tmp_path, monkeypatch):
         block = autonomous.block_differential(data)
         tower = autonomous.equivariant_differential(data, 3)
         egh = autonomous.egh_differential(data)
-        lower = autonomous._lower_truncation(tower, 3)
+        lower = autonomous.equivariant_differential(data, 2)
         matrices += [c.differential for c in (block, tower, egh, lower)]
         matrices.append(tower.differential * tower.differential)
         reports.append(autonomous.compare_egh(data, 3))
