@@ -42,7 +42,7 @@ from .exact import (
     HomologyResult,
     IntMatrix,
     _groups,
-    _reduced,
+    _reduce_block,
     homology,
     verify_square_zero,
 )
@@ -51,8 +51,10 @@ from .mbs import Orbit, Violation, scaled_actions
 Pair = Tuple[str, str]
 GenKey = Tuple[str, str]  # (flavor, orbit)
 
-# most generators of one U-truncated complex: 2 per orbit and U power, so
-# an untrusted --umax cannot make the assembly unbounded work
+# most generators of one U-truncated complex, 2 per orbit and U power.
+# equivariant_differential assembles them; chs1 and compare build none, but
+# walk the tower's degrees (about 2K per class) and report a group for each,
+# so the bound keeps an untrusted --umax from making either unbounded work
 MAX_GENERATORS = 10**6
 
 
@@ -335,7 +337,8 @@ class _Pattern:
     lower the power by one.  Between hi + 1 and lo + 2K, for the least and
     greatest base gradings lo and hi of the class, T_g is every base
     generator of g's parity, so the windows of those degrees repeat with
-    period 2.  ``homology`` builds each distinct window once (``_window``).
+    period 2.  ``homology`` builds and reduces each distinct window once
+    (``window``).
 
     d^2 = 0 of every tower is checked on the n base generators: B^2 = 0,
     since B goes from check to hat generators only, so
@@ -401,14 +404,23 @@ class _Pattern:
                 source, target = f"{source}:U{power}", f"{target}:U0"
             raise SquareNonzero(source, target, value)
 
-    def window(self, rows: tuple, cols: tuple, reduced):
-        """``_window`` of ``rows`` x ``cols``, built once."""
+    def window(self, rows: tuple, cols: tuple):
+        """(rank, torsion) of M on the base generators ``rows`` x ``cols``,
+        None when it has no entry; each window is built and reduced once."""
         key = (rows, cols)
         if key not in self.windows:
-            self.windows[key] = _window(self.columns, rows, cols, reduced)
+            local = {s: k for k, s in enumerate(rows)}
+            block = {}
+            for c, t in enumerate(cols):
+                for s, v in self.columns[t]:
+                    r = local.get(s)
+                    if r is not None:
+                        block[(r, c)] = v
+            self.windows[key] = _reduce_block(
+                IntMatrix._trusted(len(rows), len(cols), block)) if block else None
         return self.windows[key]
 
-    def homology(self, truncation: int, reduced, dropped=()) -> HomologyResult:
+    def homology(self, truncation: int, dropped=()) -> HomologyResult:
         """Integral homology of the tower up to U^truncation, less the U^0
         copy of each base generator in ``dropped``, read off its windows;
         the degrees of the periodic middle take the two parities' results."""
@@ -433,28 +445,15 @@ class _Pattern:
                 cols = level(g)
                 sizes.append(((cls, g), len(cols)))
                 if not hi + 1 < g <= lo + top:
-                    result = self.window(rows, cols, reduced)
+                    result = self.window(rows, cols)
                 elif g % 2 in fill:
                     result = fill[g % 2]
                 else:
-                    result = fill[g % 2] = self.window(rows, cols, reduced)
+                    result = fill[g % 2] = self.window(rows, cols)
                 if result is not None:
                     out_of[(cls, g)] = result
                 rows = cols
         return _groups(sizes, out_of, 0)
-
-
-def _window(columns, rows: tuple, cols: tuple, reduced):
-    """(rank, torsion) of M = R + B on the base generators ``rows`` x
-    ``cols`` (``columns`` lists M by column), None when it has no entry."""
-    local = {s: k for k, s in enumerate(rows)}
-    block = {}
-    for c, t in enumerate(cols):
-        for s, v in columns[t]:
-            r = local.get(s)
-            if r is not None:
-                block[(r, c)] = v
-    return _reduced(reduced, len(rows), len(cols), block) if block else None
 
 
 def _assemble(pattern: _Pattern, truncation: Optional[int]) -> ChainComplex:
@@ -517,17 +516,17 @@ def equivariant_homology(
     """
     _check_truncation(data, truncation)
     _require_valid(data)
-    return _certified_homology(_Pattern(data, True), truncation, {})
+    return _certified_homology(_Pattern(data, True), truncation)
 
 
-def _certified_homology(pattern: _Pattern, truncation: int, reduced):
+def _certified_homology(pattern: _Pattern, truncation: int):
     """``equivariant_homology`` of ``pattern``; the truncation K - 1 tower
-    has the same windows less the top ones, so both share them and
-    ``reduced``."""
-    result = pattern.homology(truncation, reduced)
+    has the same windows less the top ones, so it reads them off
+    ``pattern.windows``."""
+    result = pattern.homology(truncation)
     stable = 2 * truncation - 2
     if truncation >= 2:
-        smaller = pattern.homology(truncation - 1, reduced)
+        smaller = pattern.homology(truncation - 1)
         cutoff = 2 * (truncation - 1) - 2
         if smaller.restricted(cutoff).groups != result.restricted(cutoff).groups:
             raise CascadehoError(
@@ -599,12 +598,10 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     stable = 2 * truncation - 2
-    # every homology below reduces each distinct block once
-    reduced = {}
 
     # (ii) that subcomplex is acyclic over Q in the stable range
     bad_degrees = {
-        g for (_cls, g) in pattern.homology(truncation, reduced, u0).rationalize()
+        g for (_cls, g) in pattern.homology(truncation, u0).rationalize()
         if g <= stable
     }
     steps.append(
@@ -640,15 +637,9 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     )
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
-    hom, stable = _certified_homology(pattern, truncation, reduced)
-    left = {
-        k: v for k, v in hom.rationalize().items() if k[1] <= stable
-    }
-    right = {
-        k: v
-        for k, v in homology(egh, reduced=reduced).rationalize().items()
-        if k[1] <= stable
-    }
+    hom, stable = _certified_homology(pattern, truncation)
+    left = {k: v for k, v in hom.rationalize().items() if k[1] <= stable}
+    right = {k: v for k, v in homology(egh).rationalize().items() if k[1] <= stable}
     steps.append(
         CompareStep(
             "rationalised equivariant homology equals cylindrical homology",

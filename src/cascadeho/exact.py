@@ -31,7 +31,9 @@ from .errors import CascadehoError, SquareNonzero
 class IntMatrix:
     """Immutable sparse integer matrix.
 
-    Entries are stored as a dict mapping (row, col) to a nonzero int.
+    Entries are stored as a dict mapping (row, col) to a nonzero int.  The
+    constructor and ``from_rows`` raise TypeError for a value that is not
+    an ``int`` (a ``bool`` or a ``Fraction`` is not), rather than round it.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -44,8 +46,10 @@ class IntMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry {(i, j)} outside {rows}x{cols}")
+                if type(v) is not int:
+                    raise TypeError(f"entry {(i, j)} = {v!r} is not an int")
                 if v:
-                    cleaned[(i, j)] = int(v)
+                    cleaned[(i, j)] = v
         self.entries = cleaned
 
     @classmethod
@@ -73,8 +77,7 @@ class IntMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
+                entries[(i, j)] = v
         return cls(len(data), ncols, entries)
 
     def get(self, i: int, j: int) -> int:
@@ -376,8 +379,8 @@ class ChainComplex:
     generators: tuple
     differential: IntMatrix
     grading_modulus: int = 0
-    # d o d = 0 is known: set by verify_square_zero and for a restriction
-    # closed under d, never by the constructor, so a rebuilt copy is unknown
+    # d o d = 0 is known: set by verify_square_zero and autonomous._tower,
+    # never by the constructor, so a rebuilt copy or a restriction is unknown
     _square_zero: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -394,27 +397,15 @@ class ChainComplex:
 
     def restrict(self, kept) -> "ChainComplex":
         """The generators at the increasing indices ``kept`` with the entries
-        among them: a subcomplex when d maps their span into itself.
-
-        A restriction closed under d of a complex known to square to zero
-        is known to as well (its d o d is the restriction of d o d); any
-        other restriction is checked again by ``homology``.
-        """
+        among them: a subcomplex when d maps their span into itself.  The
+        copy is not known to square to zero; ``homology`` checks it."""
         remap = {old: new for new, old in enumerate(kept)}
-        entries = {}
-        closed = True
-        for (i, j), v in self.differential.entries.items():
-            if j in remap:
-                if i in remap:
-                    entries[(remap[i], remap[j])] = v
-                else:
-                    closed = False
+        entries = {(remap[i], remap[j]): v
+                   for (i, j), v in self.differential.entries.items()
+                   if i in remap and j in remap}
         n = len(remap)
-        sub = ChainComplex(tuple(self.generators[k] for k in remap),
-                           IntMatrix._trusted(n, n, entries), self.grading_modulus)
-        if closed and self._square_zero:
-            object.__setattr__(sub, "_square_zero", True)
-        return sub
+        return ChainComplex(tuple(self.generators[k] for k in remap),
+                            IntMatrix._trusted(n, n, entries), self.grading_modulus)
 
     def check_structure(self):
         """Structural sanity: grading drop 1, class preserved, action drops.
@@ -521,17 +512,6 @@ def _reduce_block(m: IntMatrix):
     return len(factors), tuple(f for f in factors if f > 1)
 
 
-def _reduced(reduced, rows: int, cols: int, block: dict):
-    """(rank, torsion) of the nonzero block ``block`` of d, a ``rows`` x
-    ``cols`` matrix in local indices, reduced once per memo ``reduced``,
-    which it keys by (rows, cols, frozenset of the entries)."""
-    key = (rows, cols, frozenset(block.items()))
-    result = reduced.get(key)
-    if result is None:
-        result = reduced[key] = _reduce_block(IntMatrix._trusted(rows, cols, block))
-    return result
-
-
 def _groups(sizes, out_of, grading_modulus: int) -> HomologyResult:
     """H_k = Z^(n_k - rank d_k - rank d_(k+1)) + (invariant factors > 1 of
     d_(k+1)) for each (class, grading) k: ``sizes`` yields each k with its
@@ -553,31 +533,26 @@ def _groups(sizes, out_of, grading_modulus: int) -> HomologyResult:
     return HomologyResult(groups, grading_modulus)
 
 
-def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
+def homology(complex_: ChainComplex) -> HomologyResult:
     """Integral homology of the complex, split by (class, grading).
 
     d is split into its (class, grading) blocks in one pass over its
-    entries, and the groups follow from each block's rank and invariant
-    factors (``_groups``).  Each distinct nonzero block d_k is reduced
-    once: ``reduced`` maps a block's (rows, cols, frozenset of its entries)
-    to its (rank, torsion).  Pass one dict to several calls to share the
-    reductions of blocks they have in common; a fresh one is made per call
-    by default.
+    entries; each nonzero block is reduced once (``_reduce_block``, which
+    cross-checks its rank over F_p), and the groups follow from the blocks'
+    ranks and invariant factors (``_groups``).
 
     Raises SquareNonzero unless d o d = 0.  The product is skipped only for
     a complex already known to square to zero: one that passed
     ``verify_square_zero``, as every complex a checking builder returns has
-    (``autonomous._tower``, ``autonomous._egh_complex``,
-    ``cascades.assemble_complex``), or a restriction
-    of one that is closed under d.  A hand-built complex, a restriction
-    that is not closed, or a rebuilt copy is multiplied out here.
+    (``autonomous._egh_complex``, ``cascades.assemble_complex``), or a
+    tower ``autonomous._tower`` checked on its base generators.  A
+    hand-built complex, a restriction or a rebuilt copy is multiplied out
+    here.
 
     Raises CascadehoError, naming both generators, for an entry of d that
     does not lower the grading by 1 within one class: such an entry lies in
     no block, and ``check_structure`` reports it too.
     """
-    if reduced is None:
-        reduced = {}
     if not complex_._square_zero:
         verify_square_zero(complex_)
     gens = complex_.generators
@@ -610,7 +585,7 @@ def homology(complex_: ChainComplex, *, reduced=None) -> HomologyResult:
                 "grading by 1 within one class")
         blocks[b][(local[i], local[j])] = v
     out_of = {
-        key: _reduced(reduced, size[b_below], n, block)
+        key: _reduce_block(IntMatrix._trusted(size[b_below], n, block))
         for key, n, b_below, block in zip(ids, size, below, blocks) if block
     }
     return _groups(zip(ids, size), out_of, modulus)

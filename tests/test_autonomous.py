@@ -1,6 +1,7 @@
 import copy
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from cascadeho.exact import (
 )
 from cascadeho.mbs import Orbit
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
+from test_exact import blocks, record_reductions
 
 
 F = Fraction
@@ -456,8 +458,8 @@ def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
     read = {}
     original = autonomous._Pattern.homology
 
-    def recorded(self, truncation, reduced, dropped=()):
-        result = original(self, truncation, reduced, dropped)
+    def recorded(self, truncation, dropped=()):
+        result = original(self, truncation, dropped)
         read[truncation] = result
         return result
 
@@ -470,21 +472,18 @@ def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
 
 
 def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
-    # the distinct windows, their reductions and the generators made are
-    # the same at K = 60 and K = 960, and no tower is assembled
-    from cascadeho import exact
-
+    # the windows built, the blocks reduced and the generators made are the
+    # same at K = 60 and K = 960, no block is reduced twice, and no tower
+    # is assembled
     data = prequantization(200, 1, 2)
-    reductions, windows, made = [], [], []
-    original_reduce, original_window = exact._reduce_block, autonomous._window
+    windows, made = [], []
+    reductions = record_reductions(monkeypatch)
+    original_window = autonomous._Pattern.window
 
-    def reduce(m):
-        reductions.append(m)
-        return original_reduce(m)
-
-    def window(*args):
-        windows.append(args[1:3])
-        return original_window(*args)
+    def window(self, rows, cols):
+        if (rows, cols) not in self.windows:
+            windows.append((rows, cols))
+        return original_window(self, rows, cols)
 
     def assemble(*args):
         raise AssertionError("a tower was assembled")
@@ -495,8 +494,7 @@ def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
         made.append(args)
         return original_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "_reduce_block", reduce)
-    monkeypatch.setattr(autonomous, "_window", window)
+    monkeypatch.setattr(autonomous._Pattern, "window", window)
     monkeypatch.setattr(autonomous, "_assemble", assemble)
     monkeypatch.setattr(ChainGenerator, "__new__", new)
     base = 2 * len(data.orbits)
@@ -511,7 +509,7 @@ def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
                 seen.clear()
             run(data, k)
             assert len(made) == generators, (command, k)
-            assert len(set(windows)) == len(windows), (command, k)
+            assert len(set(reductions)) == len(reductions), (command, k)
             counts.setdefault(command, []).append((len(reductions), len(windows)))
     for command, (at60, at960) in counts.items():
         assert at60 == at960, command
@@ -520,23 +518,7 @@ def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
 
 def distinct_blocks(*complexes):
     """(rows, cols, entries) of each nonzero block of d, over all complexes."""
-    out = set()
-    for c in complexes:
-        keys = [(g.homotopy_class, c.degree_key(g.grading)) for g in c.generators]
-        members, local = {}, []
-        for k, key in enumerate(keys):
-            local.append(len(members.setdefault(key, [])))
-            members[key].append(k)
-        blocks = {}
-        for (i, j), v in c.differential.entries.items():
-            cls, deg = keys[j]
-            if keys[i] == (cls, c.degree_key(deg - 1)):
-                blocks.setdefault((keys[i], keys[j]), {})[(local[i], local[j])] = v
-        out |= {
-            (len(members[tgt]), len(members[src]), frozenset(entries.items()))
-            for (tgt, src), entries in blocks.items()
-        }
-    return out
+    return set(blocks(*complexes))
 
 
 def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
@@ -589,7 +571,7 @@ def seed1_documents(tmp_path, monkeypatch):
 def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
     # validate, nch, egh and chs1 build one complex each; compare builds the
     # truncation-K complex and the EGH complex.  homology multiplies none of
-    # them again, nor the closed restrictions chs1 and compare take.
+    # them again.
     from cascadeho.cli import main
 
     requests, _docs = seed1_documents(tmp_path, monkeypatch)
@@ -709,17 +691,9 @@ def pattern_cases(monkeypatch):
 def test_pattern_homology_matches_the_materialised_tower(monkeypatch):
     # chs1 and compare read the tower off windows of R + B; the tower built
     # entry by entry gives the same groups, torsion included, the same
-    # truncation certificate and the same four compare steps, and each
-    # command reduces exactly the distinct blocks of the towers it reads
-    from cascadeho import exact
-
-    reductions = []
-    original = exact._reduce_block
-
-    def counted(m):
-        reductions.append(m)
-        return original(m)
-
+    # truncation certificate and the same four compare steps; each command
+    # reduces exactly the distinct blocks of the towers it reads, and
+    # compare also each block of the EGH complex
     checked = 0
     for name, data in pattern_cases(monkeypatch):
         egh = egh_differential(data)
@@ -733,15 +707,15 @@ def test_pattern_homology_matches_the_materialised_tower(monkeypatch):
                 assert (homology(lower).restricted(cutoff)
                         == whole.restricted(cutoff)), (name, k)
             with monkeypatch.context() as patch:
-                patch.setattr(exact, "_reduce_block", counted)
-                reductions.clear()
+                reductions = record_reductions(patch)
                 result, stable = equivariant_homology(data, k)
-                assert len(reductions) == len(distinct_blocks(*towers)), (name, k)
+                assert Counter(reductions) == Counter(distinct_blocks(*towers)), (
+                    name, k)
                 reductions.clear()
                 report = compare_egh(data, k)
                 _u0, sub = u0_complement(data, tower)
-                assert len(reductions) == len(
-                    distinct_blocks(sub, *towers, egh)), (name, k)
+                assert Counter(reductions) == Counter(
+                    [*distinct_blocks(sub, *towers), *blocks(egh)]), (name, k)
             assert (result.groups, stable) == (whole.groups, 2 * k - 2), (name, k)
             assert report == tower_report(data, k), (name, k)
             lower = tower

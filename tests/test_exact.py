@@ -1,13 +1,19 @@
+import contextlib
+import importlib
+import io
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascadeho import exact
+from cascadeho import exact, serialize
 from cascadeho.errors import CascadehoError, SquareNonzero
 from cascadeho.exact import (
     ChainComplex,
@@ -107,6 +113,19 @@ def test_matrix_multiply_and_identity():
 def test_matrix_rejects_out_of_range():
     with pytest.raises(IndexError):
         IntMatrix(2, 2, {(2, 0): 1})
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, 0.0, True, False, Fraction(4, 2), "3"],
+                         ids=repr)
+def test_matrix_rejects_entries_that_are_not_ints(value):
+    # exact or fail loudly: a float, bool or Fraction is never rounded or
+    # cast, even when its value is integral or zero
+    with pytest.raises(TypeError, match=r"entry \(0, 1\)"):
+        IntMatrix(1, 2, {(0, 0): 1, (0, 1): value})
+    with pytest.raises(TypeError, match=r"entry \(0, 1\)"):
+        IntMatrix.from_rows([[1, value]])
+    assert IntMatrix.from_rows([[0, -3]]).entries == {(0, 1): -3}
+    assert invariant_factors(IntMatrix.from_rows([[3, 0], [0, 2]])) == [1, 6]
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -351,14 +370,14 @@ def test_homology_checks_what_no_builder_checked(monkeypatch):
     # a rebuilt copy is not known to
     homology(ChainComplex(checked.generators, checked.differential))
     assert len(products) == 2
-    # a restriction closed under d keeps the guarantee: {b, b', c}
+    # a restriction is a copy: checked again, even one closed under d
     assert homology(checked.restrict([1, 2, 3])).group("", 1) == (1, ())
-    assert len(products) == 2
-    # {a, b, c} drops b' from d a: checked again, and d^2 a = c there
+    assert len(products) == 3
+    # {a, b, c} drops b' from d a, and d^2 a = c there
     with pytest.raises(SquareNonzero) as err:
         homology(checked.restrict([0, 1, 3]))
     assert (err.value.source, err.value.target, err.value.value) == ("a", "c", 1)
-    assert len(products) == 3
+    assert len(products) == 4
     # a hand-built complex with d^2 != 0 still raises
     with pytest.raises(SquareNonzero):
         homology(cc(
@@ -620,7 +639,7 @@ def test_homology_builds_no_transforms(monkeypatch):
     assert checked >= 8
 
 
-# --- one reduction per distinct block -----------------------------------------
+# --- one reduction per block ---------------------------------------------------
 
 
 def direct_sum(*pieces):
@@ -651,7 +670,62 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_shared_reductions_match_separate_ones_and_sympy():
+def record_reductions(patch):
+    """A list that gains the (rows, cols, entries) of each block reduction.
+    ``_reduce_block`` is patched in every package module that holds it, so
+    no caller of it goes uncounted."""
+    calls = []
+    original = exact._reduce_block
+
+    def recorded(m):
+        calls.append((m.rows, m.cols, frozenset(m.entries.items())))
+        return original(m)
+
+    holders = [module for name, module in sorted(sys.modules.items())
+               if name.split(".")[0] == "cascadeho"
+               and getattr(module, "_reduce_block", None) is original]
+    assert exact in holders
+    for module in holders:
+        patch.setattr(module, "_reduce_block", recorded)
+    return calls
+
+
+def bench_requests(tmp_path, monkeypatch, *names):
+    """The seed-1 requests of the named benchmark workloads, their documents
+    written under ``tmp_path``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    outdir = tmp_path / "bench"
+    outdir.mkdir(exist_ok=True)
+    return [r for name in names for r in workloads.build(name, 1, str(outdir))]
+
+
+def blocks(*complexes):
+    """(rows, cols, entries) of each nonzero (class, grading) block of d, in
+    local indices, one item per block of each complex."""
+    out = []
+    for c in complexes:
+        keys = [(g.homotopy_class, c.degree_key(g.grading)) for g in c.generators]
+        members, local = {}, []
+        for k, key in enumerate(keys):
+            local.append(len(members.setdefault(key, [])))
+            members[key].append(k)
+        split = {}
+        for (i, j), v in c.differential.entries.items():
+            cls, deg = keys[j]
+            if keys[i] == (cls, c.degree_key(deg - 1)):
+                split.setdefault((keys[i], keys[j]), {})[(local[i], local[j])] = v
+        out += [
+            (len(members[tgt]), len(members[src]), frozenset(entries.items()))
+            for (tgt, src), entries in split.items()
+        ]
+    return out
+
+
+def test_direct_sums_and_towers_match_sympy(monkeypatch):
+    # homology reduces each nonzero block of each complex once, a repeated
+    # block once per copy: the copies of a direct sum and the middle blocks
+    # of a built tower
     from cascadeho.autonomous import equivariant_differential
     from cascadeho.scenarios import prequantization
 
@@ -661,56 +735,126 @@ def test_shared_reductions_match_separate_ones_and_sympy():
         c = random_complex(rng, 0, (1, -1, 2, 3, -4), 4)
         families.append([c, direct_sum(c, c, c), direct_sum(c, c)])
     data = prequantization(2, 1, 2)
-    tower = equivariant_differential(data, 4)
-    families.append([tower, equivariant_differential(data, 3),
-                     equivariant_differential(data, 2)])
-    shared_total = separate_total = 0
+    families.append([equivariant_differential(data, k) for k in (4, 3, 2)])
+    reductions = record_reductions(monkeypatch)
+    repeated = 0
     for family in families:
-        shared, separate = {}, []
         for c in family:
-            alone = {}
-            expected = homology(c, reduced=alone).groups
-            separate.append(alone)
-            assert homology(c, reduced=shared).groups == expected
-            assert expected == sympy_homology(c)
-        assert shared == {k: v for alone in separate for k, v in alone.items()}
-        shared_total += len(shared)
-        separate_total += sum(map(len, separate))
-    assert shared_total < separate_total  # the families do repeat blocks
+            reductions.clear()
+            assert homology(c).groups == sympy_homology(c)
+            assert Counter(reductions) == Counter(blocks(c))
+            repeated += len(set(reductions)) < len(reductions)
+    assert repeated  # the families do repeat blocks
 
 
 def test_near_miss_blocks_reduce_separately(monkeypatch):
-    calls = counting(monkeypatch, "invariant_factors")
+    reductions = record_reductions(monkeypatch)
     a_to_b = [("a", 1, "", 3, "A"), ("b", 0, "", 1, "B")]
     plain = cc(a_to_b, {("a", "b"): 2})
     # the same entry in a taller block
     taller = cc(a_to_b + [("z", 0, "", 2, "Z")], {("a", "b"): 2})
     # the same shape with the entry changed
     changed = cc(a_to_b, {("a", "b"): 3})
-    reduced = {}
-    assert homology(plain, reduced=reduced).group("", 0) == (0, (2,))
-    assert homology(taller, reduced=reduced).group("", 0) == (1, (2,))
-    assert homology(changed, reduced=reduced).group("", 0) == (0, (3,))
-    assert homology(plain, reduced=reduced).group("", 0) == (0, (2,))
-    assert len(calls) == len(reduced) == 3
+    assert homology(plain).group("", 0) == (0, (2,))
+    assert homology(taller).group("", 0) == (1, (2,))
+    assert homology(changed).group("", 0) == (0, (3,))
+    assert homology(plain).group("", 0) == (0, (2,))
+    two, three = frozenset({((0, 0), 2)}), frozenset({((0, 0), 3)})
+    assert reductions == [(1, 1, two), (2, 1, two), (1, 1, three), (1, 1, two)]
 
 
 def test_repeated_blocks_are_cross_checked(monkeypatch):
-    # the repeats of a block reuse its checked result; the first reduction
-    # of every distinct block still meets the F_p rank check
+    # every copy of a repeated block meets the F_p rank check, and a failed
+    # check raises on the first copy
     c = cc([("a", 1, "", 2, "A"), ("b", 0, "", 1, "B")], {("a", "b"): 2})
     tower = direct_sum(c, c, c)
     calls = counting(monkeypatch, "rank_mod")
-    homology(tower)
+    assert homology(tower).groups == {("", g): (0, (2,)) for g in (0, 2, 4)}
+    assert len(calls) == 3
+
+    def broken(m, p):
+        calls.append(m)
+        return rank_mod(m, p) + 1
+
+    monkeypatch.setattr(exact, "rank_mod", broken)
+    calls.clear()
+    with pytest.raises(CascadehoError, match="rank cross-check"):
+        homology(tower)
     assert len(calls) == 1
-    monkeypatch.setattr(
-        "cascadeho.exact.rank_mod", lambda m, p: rank_mod(m, p) + 1
-    )
-    reduced = {}
-    for _ in range(2):
-        with pytest.raises(CascadehoError, match="rank cross-check"):
-            homology(tower, reduced=reduced)
-    assert reduced == {}
+
+
+def test_every_reduction_is_cross_checked(tmp_path, monkeypatch, capsys):
+    # nch, egh, chs1 and compare on every autonomous fixture and on the
+    # seed-1 benchmark documents: each invariant_factors call of a block
+    # reduction, from homology or a U-tower window, is followed by one
+    # rank_mod call on the same block
+    from cascadeho.cli import main
+    from cascadeho.scenarios import fixture, fixture_names
+
+    calls = []
+    for name in ("invariant_factors", "rank_mod"):
+        original = getattr(exact, name)
+
+        def counted(m, *args, name=name, original=original):
+            calls.append((name, m))
+            return original(m, *args)
+
+        monkeypatch.setattr(exact, name, counted)
+    paths = []
+    for name in fixture_names():
+        if fixture(name).kind == "autonomous":
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize.dumps(fixture(name).payload))
+            paths.append(str(path))
+    runs = [[command, path, *umax] for path in paths
+            for command, *umax in (("nch",), ("egh",), ("chs1", "--umax", "4"),
+                                   ("compare", "--umax", "4"))]
+    runs += [r.argv for r in bench_requests(tmp_path, monkeypatch, "autonomous", "mbs-lift")
+             if r.argv[0] in ("nch", "egh", "chs1", "compare")]
+    checked = 0
+    for argv in runs:
+        calls.clear()
+        assert main(argv) == 0, argv
+        names = [name for name, _m in calls]
+        assert names == ["invariant_factors", "rank_mod"] * (len(calls) // 2), argv
+        assert all(a is b for (_, a), (_, b) in zip(calls[::2], calls[1::2])), argv
+        checked += len(calls) // 2
+    assert checked
+    capsys.readouterr()
+
+
+def test_each_command_reduces_each_distinct_block_once(tmp_path, monkeypatch):
+    # every command of the golden corpus, and the seed-1 autonomous and
+    # mbs-lift benchmark requests, reduces no block twice; the one repeat is
+    # a 1 x 1 block of autonomous-chain whose EGH complex equals one window
+    # of its U-tower, which compare reduces once in each
+    from cascadeho.cli import main
+    from test_golden import COMMANDS, DOCUMENTS
+
+    reductions = record_reductions(monkeypatch)
+    runs = []
+    for name, text in DOCUMENTS:
+        path = tmp_path / name
+        path.write_text(text)
+        runs += [(name, [command, str(path), *options])
+                 for command, *options in COMMANDS]
+    runs += [(r.doc.name, r.argv)
+             for r in bench_requests(tmp_path, monkeypatch, "autonomous", "mbs-lift")]
+    repeats, total = {}, 0
+    for name, argv in runs:
+        reductions.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        total += len(reductions)
+        seen = Counter(reductions)
+        extra = [(rows, cols, n - 1) for (rows, cols, _e), n in seen.items() if n > 1]
+        if extra:
+            repeats[(name, argv[0], *argv[2:])] = extra
+    assert total
+    assert repeats == {
+        ("autonomous-chain.json", "compare", "--umax", k): [(1, 1, 1)] for k in ("3", "12")
+    }
 
 
 # --- restrictions ----------------------------------------------------------------
@@ -728,10 +872,10 @@ def materialised(c, kept):
                         IntMatrix(len(kept), len(kept), entries), c.grading_modulus)
 
 
-def outcome(c, reduced):
+def outcome(c):
     """``homology(c)``'s groups, or the witness of the SquareNonzero it raises."""
     try:
-        return homology(c, reduced=reduced).groups
+        return homology(c).groups
     except SquareNonzero as err:
         return err.source, err.target, err.value
 
@@ -771,27 +915,28 @@ def restriction_cases(rng):
     return cases
 
 
-def test_restrictions_read_off_the_split_match_materialised_copies():
+def test_restrictions_match_materialised_copies(monkeypatch):
+    # a restriction is the complex built from the kept generators alone: the
+    # same generators, entries and outcome, the same blocks reduced, and
+    # the same d^2 witness when it does not square to zero
+    reductions = record_reductions(monkeypatch)
     rng = random.Random(31)
     raised = 0
     for c, kept_sets in restriction_cases(rng):
-        shared, separate = {}, []
         for kept in kept_sets:
-            alone_copy, alone = {}, {}
-            expected = outcome(materialised(c, kept), alone_copy)
+            copy, sub = materialised(c, kept), c.restrict(kept)
+            assert sub == copy
+            reductions.clear()
+            expected = outcome(copy)
+            from_copy = list(reductions)
+            reductions.clear()
+            assert outcome(sub) == expected
+            assert reductions == from_copy
             # also as a restriction of a restriction
-            assert outcome(c.restrict(kept), alone) == expected
             half = sorted(rng.sample(range(len(kept)), len(kept) // 2))
-            assert outcome(c.restrict(kept).restrict(half), {}) == outcome(
-                materialised(c, [kept[i] for i in half]), {})
-            # each block gets the key the copy gives it
-            assert alone == alone_copy
-            separate.append(alone)
-            if isinstance(expected, dict):
-                assert homology(c.restrict(kept), reduced=shared).groups == expected
-            else:
-                raised += 1
-        assert shared == {k: v for alone in separate for k, v in alone.items()}
+            assert outcome(sub.restrict(half)) == outcome(
+                materialised(c, [kept[i] for i in half]))
+            raised += not isinstance(expected, dict)
     assert raised > 0
 
 
