@@ -195,18 +195,21 @@ class PLComponent:
             for point in lift:
                 if len(point) == 2:
                     t, v = point
-                    tn, td, vn, vd = t.numerator, t.denominator, v.numerator, v.denominator
+                    tn, td, vn, vd = point = (t.numerator, t.denominator,
+                                              v.numerator, v.denominator)
                 else:
                     tn, td, vn, vd = point
                     if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
                         raise ValueError(f"breakpoint {point!r} is not in lowest "
                                          "terms with positive denominators")
+                    if type(point) is not tuple:
+                        point = (tn, td, vn, vd)
                 floor = vn // vd
                 if pts:
                     increasing = increasing and last_tn * td < tn * last_td
                     bound += abs(floor - last_floor) + 1
                 last_tn, last_td, last_floor = tn, td, floor
-                pts.append((tn, td, vn, vd))
+                pts.append(point)
             if len(pts) < 2 or pts[0][0] != 0 or last_tn != last_td:
                 raise ValueError("lift must run from t=0 to t=1")
             if not increasing:
@@ -232,7 +235,8 @@ class PLComponent:
         """PL interpolation of the chosen lift at parameter t in [0, 1]."""
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
-        return Fraction(*_Evaluator(self.lift(side)).at(t.numerator, t.denominator))
+        _k, num, den = _interpolate(self.lift(side), 0, t.numerator, t.denominator)
+        return Fraction(num, den)
 
     def winding(self, side: str) -> int:
         pts = self.lift(side)
@@ -358,8 +362,8 @@ def component_orientation(comp: PLComponent, t: Fraction, top: Frame,
     ``transported_sign`` at the values of both lifts at t."""
     tn, td = t.numerator, t.denominator
     return transported_sign(comp, top, bottom,
-                            _Evaluator(comp.e_plus_lift).at(tn, td),
-                            _Evaluator(comp.e_minus_lift).at(tn, td))
+                            _interpolate(comp.e_plus_lift, 0, tn, td)[1:],
+                            _interpolate(comp.e_minus_lift, 0, tn, td)[1:])
 
 
 def breakpoint_hit(comp: PLComponent, side: str, q: Point) -> Optional[str]:
@@ -380,33 +384,25 @@ def breakpoint_hit(comp: PLComponent, side: str, q: Point) -> Optional[str]:
     return None
 
 
-class _Evaluator:
-    """Exact values of one ``IntLift`` at increasing parameters t = tn/td,
-    as unreduced integer fractions (num, den) with den > 0."""
-
-    __slots__ = ("pts", "k")
-
-    def __init__(self, pts: IntLift):
-        self.pts = pts
-        self.k = 0
-
-    def at(self, tn: int, td: int) -> Point:
-        pts, k = self.pts, self.k
-        while k + 2 < len(pts):
-            s1n, s1d, _wn, _wd = pts[k + 1]
-            if tn * s1d <= s1n * td:
-                break
-            k += 1
-        self.k = k
-        (s0n, s0d, w0n, w0d), (s1n, s1d, w1n, w1d) = pts[k], pts[k + 1]
-        # w0 + (w1 - w0) (t - s0) / (s1 - s0), over the common denominator
-        # wd * sd * td
-        sd = s0d * s1d
-        s0n, s1n = s0n * s1d, s1n * s0d
-        wd = w0d * w1d
-        w0n, w1n = w0n * w1d, w1n * w0d
-        num = w0n * (s1n - s0n) * td + (w1n - w0n) * (tn * sd - s0n * td)
-        return num, wd * (s1n - s0n) * td
+def _interpolate(pts: IntLift, k: int, tn: int, td: int) -> Tuple[int, int, int]:
+    """The value of the lift ``pts`` at t = tn/td, found from segment k on:
+    (k', num, den) with value num / den unreduced, den > 0, and k' the
+    segment t lies in.  Queries at increasing t pass back the k' they got,
+    so a walk along the lift reads each segment once."""
+    while k + 2 < len(pts):
+        s1n, s1d, _wn, _wd = pts[k + 1]
+        if tn * s1d <= s1n * td:
+            break
+        k += 1
+    (s0n, s0d, w0n, w0d), (s1n, s1d, w1n, w1d) = pts[k], pts[k + 1]
+    # w0 + (w1 - w0) (t - s0) / (s1 - s0), over the common denominator
+    # wd * sd * td
+    sd = s0d * s1d
+    s0n, s1n = s0n * s1d, s1n * s0d
+    wd = w0d * w1d
+    w0n, w1n = w0n * w1d, w1n * w0d
+    num = w0n * (s1n - s0n) * td + (w1n - w0n) * (tn * sd - s0n * td)
+    return k, num, wd * (s1n - s0n) * td
 
 
 def component_preimages(
@@ -425,12 +421,12 @@ def component_preimages(
     along a constant segment.  Everything is integer arithmetic.
     """
     if side == "plus":
-        pts, other = comp.e_plus_lift, _Evaluator(comp.e_minus_lift)
+        pts, other = comp.e_plus_lift, comp.e_minus_lift
     else:
-        pts, other = comp.e_minus_lift, _Evaluator(comp.e_plus_lift)
+        pts, other = comp.e_minus_lift, comp.e_plus_lift
     transport = not (top[0].good and bottom[0].good)
     qn, qd = q
-    out = []
+    out, k = [], 0  # k: the segment of ``other`` the last crossing fell in
     for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
         # reduced fractions are one point mod 1 iff their denominators agree
         # and their numerators are congruent; the last breakpoint is checked
@@ -455,7 +451,7 @@ def component_preimages(
         for n in range(first, last + direction, direction):
             value = qnd + n * d
             tn = (t0 * (a1 - a0) + (t1 - t0) * (value - a0)) * direction
-            num, den = other.at(tn, td)
+            k, num, den = _interpolate(other, k, tn, td)
             sign = comp.sign_start
             if transport:
                 ends = ((value, d), (num, den)) if side == "plus" else (
@@ -597,16 +593,14 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
         for pair, pieces in sorted(moduli.items()):
             if not pieces:
                 continue
-            # messages and component locations are formatted only for a
-            # violation
-            where = f"{name}{pair}"
+            # messages and locations are formatted only for a violation
             top, bottom = pair
             if top not in upper.orbits or bottom not in lower.orbits:
-                v.append(Violation("unknown-orbit", where, f"pair {pair}"))
+                v.append(Violation("unknown-orbit", f"{name}{pair}", f"pair {pair}"))
                 continue
             a, b = upper.orbit(top), lower.orbit(bottom)
             if (a.parity - b.parity - index) % 2:
-                v.append(Violation("parity-axiom", where,
+                v.append(Violation("parity-axiom", f"{name}{pair}",
                                    f"CZ parity gap != {index} mod 2 for {pair}"))
             if a.grading is not None and b.grading is not None and modulus != "parity":
                 gap = a.grading - b.grading
@@ -614,14 +608,14 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                     gap %= modulus
                 if gap != (index % modulus if modulus else index):
                     v.append(Violation(
-                        "grading-axiom", where,
+                        "grading-axiom", f"{name}{pair}",
                         f"grading gap {gap} != moduli index {index} for {pair}"))
             if a.homotopy_class != b.homotopy_class:
-                v.append(Violation("class-axiom", where,
+                v.append(Violation("class-axiom", f"{name}{pair}",
                                    f"homotopy class changes across {pair}"))
             drop = up_action[top] - low_action[bottom]
             if drop < 0 or (drop == 0 and pair not in equal_action):
-                v.append(Violation("action-axiom", where,
+                v.append(Violation("action-axiom", f"{name}{pair}",
                                    f"action does not decrease across {pair}"))
             if dim != 1:
                 continue
@@ -631,17 +625,17 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                     try:
                         w_plus, w_minus = comp.winding("plus"), comp.winding("minus")
                     except ValueError:
-                        v.append(Violation("circle-not-closed", f"{where}[{ci}]",
+                        v.append(Violation("circle-not-closed", f"{name}{pair}[{ci}]",
                                            "lift does not close up to an integer"))
                     else:
                         # a bad orbit flips the orientation once per turn
                         if (w_plus * (not a.good) + w_minus * (not b.good)) % 2:
                             v.append(Violation(
-                                "monodromy-parity", f"{where}[{ci}]",
+                                "monodromy-parity", f"{name}{pair}[{ci}]",
                                 "orientation not consistent around the circle: "
                                 "(-1)^(w+ bad+ + w- bad-) = -1"))
                     if comp.boundary_labels:
-                        v.append(Violation("circle-with-labels", f"{where}[{ci}]",
+                        v.append(Violation("circle-with-labels", f"{name}{pair}[{ci}]",
                                            "circle components have no boundary"))
                 else:
                     for end in (0, 1):
@@ -649,14 +643,14 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                             end_check(pair, comp, ci, end, v)
                         else:
                             v.append(Violation(
-                                "unlabeled-end", f"{where}[{ci}]",
+                                "unlabeled-end", f"{name}{pair}[{ci}]",
                                 f"interval end {end} has no broken-pair label"))
                 # basepoints must be regular values of both evaluation maps
                 for side, p in ends:
                     hit = breakpoint_hit(comp, side, p)
                     if hit is not None:
                         v.append(Violation("basepoint-nonregular",
-                                           f"{where}[{ci}]", hit))
+                                           f"{name}{pair}[{ci}]", hit))
 
 
 def _validate_interval_end(sys, pair, comp, ci, end, v):
@@ -718,7 +712,7 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
                "its component")
         return
     tn, td = t.numerator, t.denominator
-    at = {s: point_key(*_Evaluator(other.lift(s)).at(tn, td))
+    at = {s: point_key(*_interpolate(other.lift(s), 0, tn, td)[1:])
           for s in ("plus", "minus")}
     if d_upper == 0:
         top_end, bottom_end = point.e_plus_key, at["minus"]

@@ -35,10 +35,13 @@ def _ratio(s) -> Tuple[int, int]:
     A plain rational, "p" or "p/q" in ASCII digits with an optional sign on
     p and q not zero, is split at its "/" and read with ``int``; anything
     else takes ``Fraction(str(s))``.  Both accept the same strings with the
-    same values and errors.
+    same values and errors.  A single digit, such as the t of a lift's ends,
+    is read before any split.
     """
     try:
         if type(s) is str and s.isascii():
+            if len(s) == 1 and s.isdigit():
+                return int(s), 1
             num, slash, den = s.partition("/")
             if (num.isdigit() or num[:1] in "+-" and num[1:].isdigit()) and (
                 not slash or den.isdigit()
@@ -75,16 +78,19 @@ def _array(data, key):
     return value
 
 
+def _kind_error(key, kind, value) -> TypeError:
+    """The error for a JSON ``value`` at ``key`` that is not exactly of type
+    ``kind`` (an integer field refuses floats, numeric strings and
+    booleans)."""
+    what = {bool: "a boolean", str: "a string"}.get(kind, "an integer")
+    return TypeError(f"{key!r} must be {what}, got {value!r}")
+
+
 def _read(data, key, kind):
-    """``data[key]`` as a ``kind``: a Fraction field takes a rational, any
-    other field a JSON value of exactly ``kind`` (an integer field refuses
-    floats, numeric strings and booleans)."""
+    """``data[key]`` as a JSON value of exactly type ``kind``."""
     value = data[key]
-    if kind is Fraction:
-        return _frac(value)
     if type(value) is not kind:
-        what = {bool: "a boolean", str: "a string"}.get(kind, "an integer")
-        raise TypeError(f"{key!r} must be {what}, got {value!r}")
+        raise _kind_error(key, kind, value)
     return value
 
 
@@ -120,9 +126,8 @@ def _lift_load(data):
     for point in data:
         if type(point) is not list or len(point) != 2:
             raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
-        tn, td = _ratio(point[0])
-        vn, vd = _ratio(point[1])
-        out.append((tn, td, vn, vd))
+        t, v = point
+        out.append(_ratio(t) + _ratio(v))
     return out
 
 
@@ -155,20 +160,37 @@ def _record_json(record):
     return out
 
 
-_OPTIONAL = {cls: {f.name for f in fields(cls) if f.default is not MISSING}
-             for cls in _FIELDS}
+def _reader(cls):
+    """The loader of a ``cls`` record from its JSON object: the keys of
+    ``_FIELDS[cls]`` in order, a Fraction field read as a rational and any
+    other as a JSON value of exactly its type."""
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    rows = [(key, attr, kind, attr in optional) for key, attr, kind in _FIELDS[cls]]
+
+    def read(data):
+        values = {}
+        for key, attr, kind, is_optional in rows:
+            if is_optional:
+                value = data.get(key)
+                if value is None:
+                    continue
+            else:
+                value = data[key]
+            if kind is Fraction:
+                value = _frac(value)
+            elif type(value) is not kind:
+                raise _kind_error(key, kind, value)
+            values[attr] = value
+        return cls(**values)
+
+    return read
 
 
-def _record_load(cls, data):
-    return cls(**{
-        attr: _read(data, key, kind)
-        for key, attr, kind in _FIELDS[cls]
-        if attr not in _OPTIONAL[cls] or data.get(key) is not None
-    })
+_READERS = {cls: _reader(cls) for cls in _FIELDS}
 
 
 def _records_load(cls, data):
-    return [_record_load(cls, item) for item in data]
+    return list(map(_READERS[cls], data))
 
 
 def _component_json(comp: PLComponent):
@@ -197,8 +219,7 @@ def _component_load(data) -> PLComponent:
         _lift_load(data["e_plus_lift"]),
         _lift_load(data["e_minus_lift"]),
         {
-            int(end): _record_load(
-                PhiLabel if "side" in label else BoundaryLabel, label)
+            int(end): _READERS[PhiLabel if "side" in label else BoundaryLabel](label)
             for end, label in labels.items()
         },
     )

@@ -580,6 +580,66 @@ def test_lift_strings_load_as_lowest_terms_integers():
             PLComponent("interval", 1, (start, (1, 1, 1, 1)), minus)
 
 
+def test_breakpoints_are_stored_as_tuples():
+    plus = [[0, 1, -1, 3], [1, 2, 5, 4], [1, 1, 2, 1]]
+    minus = [[0, 1, 0, 1], [1, 1, 7, 2]]
+    as_tuples = [tuple(map(tuple, lift)) for lift in (plus, minus)]
+    as_pairs = [[(F(tn, td), F(vn, vd)) for tn, td, vn, vd in lift]
+                for lift in (plus, minus)]
+    built = [PLComponent("circle", -1, *lifts)
+             for lifts in ((plus, minus), as_tuples, as_pairs)]
+    for comp in built:
+        for side, given in zip(("plus", "minus"), as_tuples):
+            lift = comp.lift(side)
+            assert type(lift) is tuple and all(type(p) is tuple for p in lift)
+            assert lift == given and hash(lift) == hash(given)
+        assert comp == built[0]
+    # a breakpoint given as a 4-tuple is kept, not copied
+    assert all(a is b for a, b in zip(built[1].e_plus_lift, as_tuples[0]))
+    for unreduced in ((0, 2, -1, 3), [0, 2, -1, 3]):
+        with pytest.raises(ValueError) as err:
+            PLComponent("circle", 1, (unreduced,) + as_tuples[0][1:], minus)
+        assert str(err.value) == (f"breakpoint {unreduced!r} is not in lowest "
+                                  "terms with positive denominators")
+
+
+def _fraction_value(comp, side, t):
+    """The ``side`` lift of ``comp`` at t, interpolated on Fractions."""
+    pts = _rational_lift(comp, side)
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t0 <= t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    raise ValueError(t)
+
+
+# each queried lift crosses q = 1/2 at t = 1/8, 3/8, 5/8 and 7/8, rising,
+# falling or both; the other lift rises and falls between breakpoints at
+# 1/2, 5/8 and 3/4, so one query reads two crossings in its first segment,
+# one on the t of an interior breakpoint and one in a later segment
+_RISING = ((F(0), F(0)), (F(1), F(4)))
+_FALLING = ((F(0), F(4)), (F(1), F(0)))
+_UP_AND_DOWN = ((F(0), F(0)), (F(1, 2), F(2)), (F(1), F(0)))
+_ZIGZAG = ((F(0), F(1, 5)), (F(1, 2), F(3, 2)), (F(5, 8), F(1, 3)),
+           (F(3, 4), F(2)), (F(1), F(-1)))
+
+
+@pytest.mark.parametrize("queried", (_RISING, _FALLING, _UP_AND_DOWN),
+                         ids=("rising", "falling", "up-and-down"))
+@pytest.mark.parametrize("side", ("plus", "minus"))
+@pytest.mark.parametrize("good", (True, False), ids=("good", "bad"))
+def test_crossings_across_segments_of_the_other_lift(queried, side, good):
+    lifts = (queried, _ZIGZAG) if side == "plus" else (_ZIGZAG, queried)
+    comp = PLComponent("interval", -1, *lifts)
+    frames_ = (Orbit("t", 2, 0, good, F(1)), F(2, 11)), (
+        Orbit("b", 2, 0, False, F(1)), F(5, 13))
+    other = "minus" if side == "plus" else "plus"
+    got = _library_preimages(comp, side, F(1, 2), *frames_)
+    assert got == _fraction_preimages(comp, side, F(1, 2), *frames_)
+    assert [t for t, *_rest in got] == [F(1, 8), F(3, 8), F(5, 8), F(7, 8)]
+    for t, _sign, _direction, residual in got:
+        assert residual == _fraction_value(comp, other, t) % 1
+
+
 def _two_pass_lift(lift, side):
     """One side of the ``PLComponent`` check in two passes, as an oracle:
     convert or check every breakpoint, then walk the segments.  Returns the

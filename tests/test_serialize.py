@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadeho import serialize
+from cascadeho.autonomous import CylinderRecord
 from cascadeho.errors import InputError
+from cascadeho.mbs import BoundaryLabel, Orbit, SignedPoint
+from cascadeho.morphisms import PhiLabel
 from cascadeho.scenarios import fixture
 from cascadeho.serialize import _frac
 
@@ -67,3 +71,81 @@ def test_admissible_grading_moduli_load(modulus):
     doc = json.loads(serialize.dumps(fixture("one-interval").payload))
     doc["payload"]["grading_modulus"] = modulus
     assert serialize.loads(json.dumps(doc)).grading_modulus == modulus
+
+
+# --- per-kind record readers -------------------------------------------------
+
+
+def _record_load_oracle(cls, data):
+    """The record loader before per-kind readers, as the oracle: one typed
+    read and one optional-field lookup per field."""
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+
+    def read(key, kind):
+        value = data[key]
+        if kind is Fraction:
+            return _frac(value)
+        if type(value) is not kind:
+            what = {bool: "a boolean", str: "a string"}.get(kind, "an integer")
+            raise TypeError(f"{key!r} must be {what}, got {value!r}")
+        return value
+
+    return cls(**{
+        attr: read(key, kind)
+        for key, attr, kind in serialize._FIELDS[cls]
+        if attr not in optional or data.get(key) is not None
+    })
+
+
+WELL_FORMED = {
+    Orbit: [{"id": "a", "d": 2, "parity": 0, "good": False, "action": "3/2",
+             "class": "x", "grading": 4},
+            {"id": "b", "d": 1, "parity": 1, "good": True, "action": "0"}],
+    SignedPoint: [{"e_plus": "1/3", "e_minus": "-7/5", "sign": -1}],
+    BoundaryLabel: [{"orbit": "m", "d_plus": 1, "point_index": 0,
+                     "component_index": 2, "t": "1/2"}],
+    PhiLabel: [{"side": "top", "orbit": "m", "d_phi": 0, "point_index": 1,
+                "component_index": 0, "t": "2/3"}],
+    CylinderRecord: [{"epsilon": -1, "du": 2}],
+}
+# what a malformed record may hold in place of one field; _ABSENT drops it
+_ABSENT = object()
+_SUBSTITUTES = [_ABSENT, None, 1.5, True, False, "7", 7, 0, -2, "1/0", "abc",
+                "", [1], {}, "4/6"]
+
+
+def _outcome(load, cls, data):
+    try:
+        return ("value", load(cls, data))
+    except Exception as err:  # the reader must raise exactly what the oracle does
+        return ("error", type(err), str(err))
+
+
+def _malformed(cls):
+    for record in WELL_FORMED[cls]:
+        yield record
+        for key in record:
+            for value in _SUBSTITUTES:
+                bad = dict(record)
+                if value is _ABSENT:
+                    del bad[key]
+                else:
+                    bad[key] = value
+                yield bad
+    yield from ([], "x", {})
+
+
+@pytest.mark.parametrize("cls", list(serialize._FIELDS), ids=lambda c: c.__name__)
+def test_record_readers_match_the_per_field_oracle(cls):
+    # same record, or same exception type and text, on well-formed records and
+    # on a corpus with missing keys, null and absent optional fields, floats,
+    # booleans and strings for integers, non-string ids and bad rationals
+    assert set(WELL_FORMED) == set(serialize._FIELDS)
+    cases = list(_malformed(cls))
+    for data in cases:
+        expected = _outcome(_record_load_oracle, cls, data)
+        assert _outcome(serialize._records_load, cls, [data]) == (
+            expected if expected[0] == "error" else ("value", [expected[1]])), data
+    assert {_outcome(_record_load_oracle, cls, d)[0] for d in cases} == {
+        "value", "error"}
+

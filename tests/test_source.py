@@ -156,3 +156,41 @@ def test_complex_builders_compare_no_fractions(tmp_path, monkeypatch):
     assert compared == []
     assert sum(kind == "morphism" for kind, _doc in docs) >= 5
     assert len(built) == len(docs)
+
+
+def _rational_parsing_calls(tree):
+    """(function, line) of each ``.partition("/")``, ``.split("/")`` and
+    ``Fraction(str(...))`` call in a module, with the name of the top-level
+    function (or class) it sits in."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            splits = (isinstance(func, ast.Attribute)
+                      and func.attr in ("partition", "split")
+                      and args and isinstance(args[0], ast.Constant)
+                      and args[0].value == "/")
+            reparse = (isinstance(func, ast.Name) and func.id == "Fraction"
+                       and args and isinstance(args[0], ast.Call)
+                       and isinstance(args[0].func, ast.Name)
+                       and args[0].func.id == "str")
+            if splits or reparse:
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_ratio_is_the_one_rational_parser():
+    # every rational of a document or an option goes through serialize._ratio;
+    # a second parser could accept other strings or give other errors
+    offenders, in_ratio = [], 0
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for function, line in _rational_parsing_calls(tree):
+            if (path.name, function) == ("serialize.py", "_ratio"):
+                in_ratio += 1
+            else:
+                offenders.append(f"{path.name}:{line} in {function}")
+    assert offenders == []
+    assert in_ratio == 2  # its split at "/" and its Fraction(str(s)) fallback
