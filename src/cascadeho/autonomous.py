@@ -20,19 +20,21 @@ epsilon/du over the simple cylinders a -> b, and each entry multiplies it by
 a multiplicity d that every du divides, so it is the integer sum of
 epsilon * (d // du) (``_scaled_count``); no rational is formed.
 
-Each public builder validates the data once; the checking builders
-``_tower`` (the block and U-tower complexes) and ``_egh_complex`` then
-check d^2 = 0 of the complex they return (a U-tower's on its base
-generators, which decides it), so ``homology`` does not check it again.
-``equivariant_homology`` and ``compare_egh`` build no tower: they read its
-homology off windows of the base pattern R + B (``_Pattern``).
+Each public builder validates the data once.  ``block_differential`` and
+``_egh_complex`` check d^2 = 0 of the complex they return with
+``verify_square_zero``, which marks it, so ``homology`` does not check it
+again.  A U-tower's d^2 is checked on its base generators, which decides
+it (``_Pattern``).  ``equivariant_homology`` and ``compare_egh`` build no
+tower: they read its homology off windows of the base pattern R + B.
+``equivariant_differential`` returns its tower unmarked, so ``homology``
+multiplies it out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .cascades import by_action, chain_generators
 from .errors import CascadehoError, InputError, SquareNonzero, ValidationFailure
@@ -255,12 +257,6 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     return {k: v for k, v in entries.items() if v}
 
 
-def block_differential(data: AutonomousData) -> ChainComplex:
-    """Nonequivariant complex (check/hat generators, integral)."""
-    _require_valid(data)
-    return _tower(data, None)
-
-
 def bv_operator(data: AutonomousData) -> IntMatrix:
     """Degree-1 BV operator: check a -> d(a) hat a on good orbits."""
     keys, gens = chain_generators(data)
@@ -305,21 +301,29 @@ def _check_block_identities(data: AutonomousData, raw):
         raise CascadehoError(min(failures)[1])
 
 
-def _check_truncation(data: AutonomousData, truncation: int):
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    count = 2 * len(data.orbits) * (truncation + 1)
-    if count > MAX_GENERATORS:
-        raise InputError(
-            f"truncation K = {truncation} (--umax) needs {count} generators "
-            f"(2 x {len(data.orbits)} orbits x (K + 1)), more than "
-            f"{MAX_GENERATORS}"
-        )
+def _block_matrix(data: AutonomousData):
+    """The base generators of valid data (``chain_generators``), their keys,
+    and R = ``block_entries`` in their indices, (row, column) = (target,
+    source), in block_entries' order, once the kappa identities hold."""
+    keys, gens = chain_generators(data)
+    raw = block_entries(data)
+    _check_block_identities(data, raw)
+    return keys, gens, {(keys[tgt], keys[src]): v for (src, tgt), v in raw.items()}
+
+
+def block_differential(data: AutonomousData) -> ChainComplex:
+    """Nonequivariant complex (check/hat generators, integral).  Raises
+    SquareNonzero with a witness pair unless d^2 = 0."""
+    _require_valid(data)
+    _keys, gens, r = _block_matrix(data)
+    n = len(gens)
+    complex_ = ChainComplex(tuple(gens), IntMatrix._trusted(n, n, r))
+    verify_square_zero(complex_)
+    return complex_
 
 
 class _Pattern:
-    """The block complex R of valid data and its U-towers, on the base
-    generators alone.
+    """The U-towers of valid data, on the base generators alone.
 
     The tower up to U^K is D = R (x) 1 + B (x) S on the base generators
     (``chain_generators``) times U^0..U^K, t (x) U^k graded gr(t) + 2k.  R
@@ -356,16 +360,12 @@ class _Pattern:
     same generator pair and value for every K.
     """
 
-    def __init__(self, data: AutonomousData, tower: bool):
-        keys, self.base = chain_generators(data)
-        raw = block_entries(data)
-        _check_block_identities(data, raw)
-        # R in base indices, (row, column) = (target, source), in raw's order
-        self.r = {(keys[tgt], keys[src]): v for (src, tgt), v in raw.items()}
+    def __init__(self, data: AutonomousData):
+        keys, self.base, self.r = _block_matrix(data)
         # B by column: check a -> (hat a, d(a)) for each good orbit a
         self.bv = {keys[("check", oid)]: (keys[("hat", oid)], orbit.d)
                    for oid, orbit in data.orbits.items() if orbit.good}
-        self._verify_square(tower)
+        self._verify_square()
         self.grading = [g.grading for g in self.base]
         self.classes: Dict[str, List[int]] = {}
         for t, g in enumerate(self.base):
@@ -378,31 +378,28 @@ class _Pattern:
             self.columns[check].append((hat, d))
         self.windows = {}  # (rows, columns) -> (rank, torsion) or None
 
-    def _verify_square(self, tower: bool):
-        """Raise SquareNonzero unless R^2 = 0 and, for a tower, RB + BR = 0,
-        with the witness of the block complex or of every tower.  RB + BR
-        is formed by scaling: B has one entry per good orbit."""
+    def _verify_square(self):
+        """Raise SquareNonzero, with every tower's witness, unless R^2 = 0
+        and RB + BR = 0.  RB + BR is formed by scaling: B has one entry per
+        good orbit."""
         n = len(self.base)
         r = IntMatrix._trusted(n, n, self.r)
         found = [((t, s, 0), v) for (t, s), v in (r * r).entries.items()]
-        if tower:
-            hat_of = self.bv
-            check_of = {hat: (check, d) for check, (hat, d) in hat_of.items()}
-            rbbr: Dict[Tuple[int, int], int] = {}
-            for (t, s), v in self.r.items():
-                if s in check_of:  # R B: column hat a becomes column check a
-                    check, d = check_of[s]
-                    rbbr[(t, check)] = rbbr.get((t, check), 0) + v * d
-                if t in hat_of:  # B R: row check a becomes row hat a
-                    hat, d = hat_of[t]
-                    rbbr[(hat, s)] = rbbr.get((hat, s), 0) + d * v
-            found += [((t, s, 1), v) for (t, s), v in rbbr.items() if v]
+        hat_of = self.bv
+        check_of = {hat: (check, d) for check, (hat, d) in hat_of.items()}
+        rbbr: Dict[Tuple[int, int], int] = {}
+        for (t, s), v in self.r.items():
+            if s in check_of:  # R B: column hat a becomes column check a
+                check, d = check_of[s]
+                rbbr[(t, check)] = rbbr.get((t, check), 0) + v * d
+            if t in hat_of:  # B R: row check a becomes row hat a
+                hat, d = hat_of[t]
+                rbbr[(hat, s)] = rbbr.get((hat, s), 0) + d * v
+        found += [((t, s, 1), v) for (t, s), v in rbbr.items() if v]
         if found:
             (t, s, power), value = min(found)
-            source, target = self.base[s].gid, self.base[t].gid
-            if tower:
-                source, target = f"{source}:U{power}", f"{target}:U0"
-            raise SquareNonzero(source, target, value)
+            raise SquareNonzero(f"{self.base[s].gid}:U{power}",
+                                f"{self.base[t].gid}:U0", value)
 
     def window(self, rows: tuple, cols: tuple):
         """(rank, torsion) of M on the base generators ``rows`` x ``cols``,
@@ -456,14 +453,10 @@ class _Pattern:
         return _groups(sizes, out_of, 0)
 
 
-def _assemble(pattern: _Pattern, truncation: Optional[int]) -> ChainComplex:
-    """The complex on ``pattern``'s base generators times U^0..U^truncation
-    (U^0 alone for None): generator ``t * (K + 1) + k`` is t (x) U^k,
-    graded up by 2k."""
+def _assemble(pattern: _Pattern, truncation: int) -> ChainComplex:
+    """The complex on ``pattern``'s base generators times U^0..U^truncation:
+    generator ``t * (K + 1) + k`` is t (x) U^k, graded up by 2k."""
     base = pattern.base
-    if truncation is None:
-        n = len(base)
-        return ChainComplex(tuple(base), IntMatrix._trusted(n, n, pattern.r))
     step = truncation + 1
     powers = [(f":U{k}", 2 * k) for k in range(step)]
     new = tuple.__new__
@@ -484,25 +477,36 @@ def _assemble(pattern: _Pattern, truncation: Optional[int]) -> ChainComplex:
     return ChainComplex(gens, IntMatrix._trusted(n, n, entries))
 
 
-def _tower(data: AutonomousData, truncation: Optional[int]) -> ChainComplex:
-    """The block complex of valid data: ``block_differential`` for
-    ``truncation`` None, else ``equivariant_differential`` up to
-    U^truncation, with d^2 = 0 checked on the base generators
-    (``_Pattern``) and the complex marked checked."""
-    complex_ = _assemble(_Pattern(data, truncation is not None), truncation)
-    object.__setattr__(complex_, "_square_zero", True)
-    return complex_
+def _tower_pattern(data: AutonomousData, truncation: int) -> _Pattern:
+    """The ``_Pattern`` of ``data`` for the towers up to U^truncation.
+
+    Raises ValueError for a truncation below 1 and InputError when the
+    tower would have more than MAX_GENERATORS generators, both before any
+    work; then ValidationFailure for invalid data, and SquareNonzero, with
+    the tower's witness, unless every tower squares to zero.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    count = 2 * len(data.orbits) * (truncation + 1)
+    if count > MAX_GENERATORS:
+        raise InputError(
+            f"truncation K = {truncation} (--umax) needs {count} generators "
+            f"(2 x {len(data.orbits)} orbits x (K + 1)), more than "
+            f"{MAX_GENERATORS}"
+        )
+    _require_valid(data)
+    return _Pattern(data)
 
 
 def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
     """d (x) 1 + d_1 (x) U^{-1} on generators up to U^truncation.
 
     Raises InputError, before any assembly, when the complex would have
-    more than MAX_GENERATORS generators.
+    more than MAX_GENERATORS generators.  d^2 = 0 is checked on the base
+    generators (``_Pattern``), with the tower's witness; the tower is not
+    marked checked, so ``homology`` multiplies it out again.
     """
-    _check_truncation(data, truncation)
-    _require_valid(data)
-    return _tower(data, truncation)
+    return _assemble(_tower_pattern(data, truncation), truncation)
 
 
 def equivariant_homology(
@@ -514,9 +518,7 @@ def equivariant_homology(
     homology too and diffing both results below the smaller range.  Both
     are read off the windows of R + B (``_Pattern``); no tower is built.
     """
-    _check_truncation(data, truncation)
-    _require_valid(data)
-    return _certified_homology(_Pattern(data, True), truncation)
+    return _certified_homology(_tower_pattern(data, truncation), truncation)
 
 
 def _certified_homology(pattern: _Pattern, truncation: int):
@@ -573,28 +575,21 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     truncation-K tower is read off its base pattern (``_Pattern``), never
     built.  Its U^0 good check generators are the U^0 copies of the base
     check generators of good orbits.  D enters them only through R at U^0,
-    since B lands on hat generators and R keeps the U power, so steps (i)
-    and (iii) read R on the base generators, and step (ii) drops them from
-    the bottom windows.
+    since B lands on hat generators and R keeps the U power, so step (iii)
+    reads R on the base generators, and step (ii) drops them from the
+    bottom windows.
     """
-    _check_truncation(data, truncation)
-    _require_valid(data)
-    pattern = _Pattern(data, True)
-    gens = pattern.base
-    u0 = {check: gens[check].orbit for check in pattern.bv}
+    pattern = _tower_pattern(data, truncation)
+    u0 = {check: pattern.base[check].orbit for check in pattern.bv}
     steps = []
 
-    # (i) everything else is a subcomplex
-    leaks = [
-        (f"{gens[j].gid}:U0", f"{gens[i].gid}:U0")
-        for i, j in pattern.r if j not in u0 and i in u0
-    ]
+    # (i) everything else is a subcomplex, a certificate of the d^2 check:
+    # a leak is an R entry x -> check q, q good, x no good check generator,
+    # and then (RB + BR)[hat q, x] = d(q) * R[check q, x] != 0 (B R carries
+    # the entry to hat q; R B has no term there, as B leaves only good check
+    # generators), which ``_Pattern`` has refused with the tower's witness
     steps.append(
-        CompareStep(
-            "complement of U^0 good check generators is a subcomplex",
-            not leaks,
-            "; ".join(f"{a} -> {b}" for a, b in leaks[:3]),
-        )
+        CompareStep("complement of U^0 good check generators is a subcomplex", True)
     )
 
     stable = 2 * truncation - 2

@@ -123,9 +123,6 @@ class IntMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
@@ -379,8 +376,8 @@ class ChainComplex:
     generators: tuple
     differential: IntMatrix
     grading_modulus: int = 0
-    # d o d = 0 is known: set by verify_square_zero and autonomous._tower,
-    # never by the constructor, so a rebuilt copy or a restriction is unknown
+    # d o d = 0 is known: set by verify_square_zero alone, never by the
+    # constructor, so a rebuilt copy or a restriction is unknown
     _square_zero: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -542,12 +539,11 @@ def homology(complex_: ChainComplex) -> HomologyResult:
     ranks and invariant factors (``_groups``).
 
     Raises SquareNonzero unless d o d = 0.  The product is skipped only for
-    a complex already known to square to zero: one that passed
-    ``verify_square_zero``, as every complex a checking builder returns has
-    (``autonomous._egh_complex``, ``cascades.assemble_complex``), or a
-    tower ``autonomous._tower`` checked on its base generators.  A
-    hand-built complex, a restriction or a rebuilt copy is multiplied out
-    here.
+    a complex that passed ``verify_square_zero``, as every complex a
+    checking builder returns has (``autonomous.block_differential``,
+    ``autonomous._egh_complex``, ``cascades.assemble_complex``).  A
+    hand-built complex, a restriction, a rebuilt copy or the tower of
+    ``autonomous.equivariant_differential`` is multiplied out here.
 
     Raises CascadehoError, naming both generators, for an entry of d that
     does not lower the grading by 1 within one class: such an entry lies in

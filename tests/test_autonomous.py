@@ -399,29 +399,56 @@ def test_compare_egh_period_doubling_odd_c():
 
 
 def test_compare_egh_detects_manufactured_leak(tmp_path, monkeypatch, capsys):
-    """An extra hat q2 -> check q1 entry leaks into the U^0 good check
-    generator check:q1:U0 of preq-112, and ``compare`` refuses the data
-    with the d^2 witness and exit code 2, as it did when it built the tower.
+    """Every leak into a U^0 good check generator that data can write
+    breaks d^2 = 0, so ``compare`` refuses the data with the tower's d^2
+    witness, and its step (i) is a certificate that cannot fail.
 
-    Every leak the data can write breaks d^2 = 0.  D = R (x) 1 + B (x) S
-    enters a U^0 good check generator check q (x) U^0 only through an R
-    entry x -> check q at U^0, with x no good check generator, and then
-    (RB + BR)[hat q, x] = d(q) R[check q, x]: B R carries the entry to hat q
-    and R B has no term there, since B leaves only good check generators.
-    The U^1 -> U^0 check -> check leak this test once patched into a built
-    tower cannot be written as R (x) 1 + B (x) S at all: R keeps the U
-    power and B maps check generators to hat generators.  The validators
-    reject the hat -> check slot, so they are switched off to reach the
-    d^2 check.
+    D = R (x) 1 + B (x) S enters a U^0 good check generator check q (x) U^0
+    only through an R entry x -> check q at U^0, with x no good check
+    generator, and then (RB + BR)[hat q, x] = d(q) R[check q, x]: B R
+    carries the entry to hat q and R B has no term there, since B leaves
+    only good check generators.  Each autonomous fixture gets each such
+    slot within one class in turn, and for K = 1..3 ``compare_egh`` raises
+    the SquareNonzero of the whole tower, built by hand.  On preq-112 the
+    leak hat q2 -> check q1 also exits 2 from the CLI with that witness.
+    The validators reject every leak slot, so they are switched off to
+    reach the d^2 check.
     """
     from cascadeho import serialize
     from cascadeho.cli import main
 
-    data = fixture("preq-112").payload
-    assert compare_egh(data, 2).ok  # the honest data passes
-    data.extra[(("hat", "q2"), ("check", "q1"))] = 1
+    names = [name for name in fixture_names() if fixture(name).kind == "autonomous"]
+    assert all(compare_egh(fixture(name).payload, 2).ok for name in names)
     monkeypatch.setattr(autonomous, "validate_data", lambda data: [])
     monkeypatch.setattr(autonomous, "_check_block_identities", lambda data, raw: None)
+    slots = 0
+    for name in names:
+        honest = fixture(name).payload
+        for q in honest.good_orbits():
+            for x in chain_generators(honest)[0]:
+                flavor, oid = x
+                if (honest.orbit(oid).homotopy_class != q.homotopy_class
+                        or (flavor == "check" and honest.orbit(oid).good)):
+                    continue
+                data = copy.deepcopy(honest)
+                data.extra[(x, ("check", q.oid))] = 1
+                assert block_entries(data)[(x, ("check", q.oid))] == 1
+                for k in (1, 2, 3):
+                    with pytest.raises(SquareNonzero) as whole:
+                        verify_square_zero(hand_tower(data, k))
+                    with pytest.raises(SquareNonzero) as compared:
+                        compare_egh(data, k)
+                    assert (compared.value.source, compared.value.target,
+                            compared.value.value) == (
+                        whole.value.source, whole.value.target,
+                        whole.value.value), (name, x, q.oid, k)
+                slots += 1
+    # 3 x 3 on autonomous-chain, 1 on pd-minus, 3 on pd-plus (hat e2, and
+    # check and hat of the bad H1), 4 x 4 on preq-112
+    assert slots == 9 + 1 + 3 + 16
+
+    data = fixture("preq-112").payload
+    data.extra[(("hat", "q2"), ("check", "q1"))] = 1
     path = tmp_path / "preq-112-leak.json"
     path.write_text(serialize.dumps(data))
     for k in (1, 2, 3):
@@ -590,6 +617,49 @@ def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
         assert main(r.argv) == 0
         assert len(products) == expected[r.argv[0]], (r.doc.name, r.argv[0])
     capsys.readouterr()
+
+
+def test_homology_multiplies_only_unmarked_complexes(monkeypatch):
+    # verify_square_zero is the one writer of the d^2 mark: the checking
+    # builders return marked complexes, which homology does not multiply
+    # again; the tower of equivariant_differential (checked on its base
+    # generators, not marked), a restriction, a rebuilt copy and a
+    # hand-built complex are unmarked, so homology multiplies each once
+    from cascadeho.cascades import build_ncc
+    from cascadeho.morphisms import induced_chain_map
+
+    marked, unmarked = [], []
+    for name in fixture_names():
+        sc = fixture(name)
+        if sc.kind == "autonomous":
+            block = block_differential(sc.payload)
+            marked += [block, egh_differential(sc.payload)]
+            unmarked.append(ChainComplex(block.generators, block.differential))
+            for k in (1, 2, 3):
+                tower = equivariant_differential(sc.payload, k)
+                unmarked += [tower, tower.restrict(range(len(tower.generators))),
+                             hand_tower(sc.payload, k)]
+        elif sc.kind == "mbs":
+            marked.append(build_ncc(sc.payload))
+        else:
+            chain_map = induced_chain_map(sc.payload)
+            marked += [chain_map.source_complex, chain_map.target_complex]
+    assert (len(marked), len(unmarked)) == (4 * 2 + 4 + 2 * 2, 4 * 10)
+
+    products = []
+    original = IntMatrix.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    counts = []
+    for complex_ in marked + unmarked:
+        products.clear()
+        homology(complex_)
+        counts.append(len(products))
+    assert counts == [0] * len(marked) + [1] * len(unmarked)
 
 
 # --- the tower and its base pattern --------------------------------------------

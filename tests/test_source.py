@@ -25,6 +25,31 @@ def test_no_bare_asserts_in_package():
     assert offenders == []
 
 
+def test_only_verify_square_zero_writes_the_square_zero_mark():
+    # homology skips d o d for a complex marked _square_zero, so a second
+    # writer could mark a complex whose check never ran.  The mark is
+    # written by an attribute store or by its name as a string (as
+    # object.__setattr__ takes it); apart from the field's declaration in
+    # ChainComplex, only exact.verify_square_zero may do either
+    found = []
+
+    def scan(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Attribute) and child.attr == "_square_zero"
+                    and not isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Constant) and child.value == "_square_zero"
+                    or isinstance(child, ast.Name) and child.id == "_square_zero"):
+                found.append(f"{name}:{scope}")
+            scan(child, inner, name)
+
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        scan(ast.parse(path.read_text(), str(path)), "", path.name)
+    assert found == ["exact.py:ChainComplex", "exact.py:verify_square_zero"]
+
+
 def _tracing():
     """The benchmark's bench/tracing.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
