@@ -9,6 +9,7 @@ document is byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
 from math import gcd
@@ -36,7 +37,11 @@ def _ratio(s) -> Tuple[int, int]:
     p and q not zero, is split at its "/" and read with ``int``; anything
     else takes ``Fraction(str(s))``.  Both accept the same strings with the
     same values and errors.  A single digit, such as the t of a lift's ends,
-    is read before any split.
+    is read before any split.  ``Fraction`` computes 10**e for an exponent
+    e, so a string whose text after its first "e" or "E" reads as an
+    integer (as ``int`` reads it) larger in magnitude than
+    ``sys.get_int_max_str_digits()`` is refused first, as a plain integer
+    with more digits than that is.
     """
     try:
         if type(s) is str and s.isascii():
@@ -52,10 +57,24 @@ def _ratio(s) -> Tuple[int, int]:
                 if d:
                     g = gcd(n, d)
                     return n // g, d // g
+        _check_exponent(str(s))
         x = Fraction(str(s))
         return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad rational {s!r}: {err}") from None
+
+
+def _check_exponent(text: str):
+    _, e, exp = text.upper().partition("E")
+    limit = sys.get_int_max_str_digits()
+    if not (e and limit):
+        return
+    try:
+        n = int(exp)
+    except ValueError:  # not an exponent: Fraction words the error
+        return
+    if abs(n) > limit:
+        raise ValueError(f"exponent {n} exceeds the limit ({limit} digits)")
 
 
 def _frac(s) -> Fraction:

@@ -1,5 +1,7 @@
+import gc
 import importlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +343,25 @@ def test_action_bound_parses_like_a_document_rational(tmp_path, capsys):
     assert capsys.readouterr().out != reports[0]
 
 
+@pytest.mark.parametrize("rational", ["1e3000000", "1e-5000", "2.5E+9999"])
+@pytest.mark.parametrize("name", ["one-interval", "preq-112", "trivial-cobordism"])
+def test_huge_exponent_is_a_usage_error(tmp_path, capsys, name, rational):
+    # Fraction computes 10**exponent: an orbit action of "1e3000000" took
+    # seconds to validate, and passed
+    def edit(payload):
+        payload.get("source", payload)["orbits"][0]["action"] = rational
+    limit = sys.get_int_max_str_digits()
+    message = (f"error: bad rational {rational!r}: exponent "
+               f"{int(rational.upper().partition('E')[2])} exceeds the limit "
+               f"({limit} digits)\n")
+    argvs = [["validate", write_edited(tmp_path, name, edit)]]
+    if name == "one-interval":
+        argvs.append(["nch", write_fixture(tmp_path, name), "--action-bound", rational])
+    for argv in argvs:
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", message)
+
+
 # --- malformed document shapes are usage errors, not tracebacks -------------
 
 
@@ -579,3 +600,102 @@ def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
     fresh = run(clear=True)
     assert {code for _argv, code, _out, _err in fresh} == {0, 3}
     assert run(clear=False) + run(clear=False) == fresh + fresh
+
+
+# --- the collector sits out each command; no command makes cycles ----------
+
+
+def exit_code_argvs(tmp_path):
+    """(argv, exit code) for every way out of main: a command's exit 0, 1, 2
+    and 3, and argparse's usage error and help."""
+    def mutation(cls):
+        m = next(m for m in all_mutations() if m.cls == cls)
+        path = tmp_path / f"{cls}.json"
+        path.write_text(serialize.dumps(m.payload))
+        return str(path)
+    ok = write_fixture(tmp_path, "one-interval")
+    return [
+        (["validate", ok], 0),
+        (["validate", mutation("label-sign-flip")], 1),
+        (["validate", mutation("square-break")], 2),
+        (["validate", str(tmp_path / "missing.json")], 3),
+        (["nch", ok, "--bogus"], 3),
+        (["--help"], 0),
+    ]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_setting(tmp_path, capsys, monkeypatch,
+                                             collecting):
+    cases = exit_code_argvs(tmp_path)
+    seen, load, failing = [], cli._load, []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if failing:
+            raise RuntimeError("spy")
+        return load(*args)
+    monkeypatch.setattr(cli, "_load", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is collecting, argv
+        failing.append(True)
+        with pytest.raises(RuntimeError, match="spy"):
+            main(cases[0][0])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the four commands that got as far as loading, and the one that raised
+    assert seen == [False] * 5
+
+
+def every_command(tmp_path, monkeypatch):
+    """The argv of each command that applies to each fixture, `chs1` and
+    `compare` at --umax 1 to 3, and the seed-1 bench requests, all without
+    --format."""
+    argvs = []
+    for name in fixture_names():
+        path = write_fixture(tmp_path, name)
+        kind = serialize.kind_of(fixture(name).payload)
+        argvs.append(["validate", path])
+        if kind == "mbs":
+            argvs += [["nch", path], ["nch", path, "--basepoints", "3"]]
+        elif kind == "autonomous":
+            argvs += [["nch", path], ["egh", path]]
+            argvs += [[command, path, "--umax", str(k)]
+                      for command in ("chs1", "compare") for k in (1, 2, 3)]
+        else:
+            argvs.append(["morphism", path])
+    workloads = bench_workloads(monkeypatch)
+    for name in workloads.WORKLOADS:
+        for r in workloads.build(name, 1, str(tmp_path / name)):
+            at = r.argv.index("--format") if "--format" in r.argv else len(r.argv)
+            argvs.append(r.argv[:at] + r.argv[at + 2:])
+    return argvs
+
+
+def test_no_command_leaves_reference_cycles(tmp_path, monkeypatch, capsys):
+    # what lets main pause the collector: reference counting frees all that a
+    # command drops, but for the closures the standard library's indent
+    # encoder leaves in a cycle, the same few for every JSON report
+    argvs = every_command(tmp_path, monkeypatch)
+    left = {"text": [], "json": []}
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for fmt in left:  # warm-up: the parser, lazy imports
+            main(argvs[0] + ["--format", fmt])
+        gc.collect()
+        for argv in argvs:
+            for fmt, counts in left.items():
+                assert main(argv + ["--format", fmt]) == 0, argv
+                counts.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
+    assert set(left["text"]) == {0}
+    assert len(set(left["json"])) == 1, sorted(set(left["json"]))

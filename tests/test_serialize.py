@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
 
@@ -16,7 +17,21 @@ from cascadeho.serialize import _frac
 
 
 def _oracle(s):
-    """What ``Fraction(str(s))`` makes of s: ("value", n, d) or ("error", text)."""
+    """What ``Fraction(str(s))`` makes of s: ("value", n, d) or ("error", text).
+
+    One stated exception: Fraction computes 10**e, so when the text after the
+    first "e" or "E" reads as an integer (as ``int`` reads it) beyond the
+    integer string digit limit, _frac refuses s before Fraction sees it.
+    """
+    _, e, exp = str(s).upper().partition("E")
+    limit = sys.get_int_max_str_digits()
+    try:
+        n = int(exp) if e else 0
+    except ValueError:
+        n = 0
+    if abs(n) > limit:
+        return ("error", f"bad rational {s!r}: exponent {n} exceeds the limit "
+                         f"({limit} digits)")
     try:
         f = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as err:
@@ -47,8 +62,9 @@ CORPUS = [
     "+/2", "-/2", "1/²", "²/2", "+1/0",
     # neither
     "", "/", "1/", "/2", "1/2/3", "abc", "nan", "inf", "0x10", "1//2",
-    # past the integer string limit
-    "1" * 5000, "1/" + "2" * 5000,
+    # past the integer string limit, in digits or in an exponent
+    "1" * 5000, "1/" + "2" * 5000, "1e5000", "1e-5000", "2.5E+9999",
+    "1e" + "1" * 5000, "1e4300", "1e 5000",
 ]
 # JSON numbers and other values a document may hold
 CORPUS += [json.loads(t) for t in ("3", "-7", "0", "10000000000000000000000000000",
@@ -64,6 +80,16 @@ def test_frac_matches_fraction_of_str(s):
 @given(st.text(alphabet="0123456789+-/ ._eE٣", max_size=8))
 def test_frac_matches_fraction_of_str_on_random_text(s):
     assert _parsed(s) == _oracle(s)
+
+
+@pytest.mark.parametrize("s", ["1e999999", "1e-3000000", "-7.5E+99999999"])
+def test_huge_exponent_is_refused_before_fraction_computes_it(s, monkeypatch):
+    # "1e3000000" alone took seconds in Fraction; no power of ten is formed
+    def no_power(*_args):
+        raise AssertionError("Fraction ran on a refused exponent")
+    monkeypatch.setattr(serialize, "Fraction", no_power)
+    kind, text = _parsed(s)
+    assert kind == "error" and "exceeds the limit" in text
 
 
 @pytest.mark.parametrize("modulus", ["parity", 0, 2, 4])

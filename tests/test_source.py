@@ -50,6 +50,25 @@ def test_only_verify_square_zero_writes_the_square_zero_mark():
     assert found == ["exact.py:ChainComplex", "exact.py:verify_square_zero"]
 
 
+def test_only_cli_main_sets_the_collector_policy():
+    # cli.main pauses the collector for one command and restores the caller's
+    # setting; a second place that switched it (the library, say, which
+    # in-process callers use directly) would override their policy
+    found = []
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "gc"):
+                    found.append(f"{path.name}:{getattr(top, 'name', None)}:{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    found.append(f"{path.name}:from gc import")
+    assert sorted(found) == [
+        "cli.py:main:disable", "cli.py:main:enable", "cli.py:main:isenabled",
+    ]
+
+
 def _tracing():
     """The benchmark's bench/tracing.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
