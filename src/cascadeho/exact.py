@@ -143,7 +143,8 @@ def _eliminate(m: IntMatrix, ops=None):
     entry the pivot does not divide leaves a smaller remainder, which
     becomes the pivot.  Once the column is clear, column operations touch
     the pivot row alone, so reducing that row modulo the pivot either
-    empties it (the pivot is final) or leaves a smaller pivot.  Any choice
+    empties it (the pivot is final) or leaves a smaller pivot; a +-1 pivot
+    is final at once, with no remainder row built.  Any choice
     of pivot gives the same invariant factors; the rule only keeps entries
     and remainder steps small.
 
@@ -200,6 +201,8 @@ def _eliminate(m: IntMatrix, ops=None):
                     ops.extend(
                         ("col", j, c, v // p) for j, v in prow.items() if j != c
                     )
+                if p == 1 or p == -1:
+                    break  # a unit divides the whole row: nothing remains
                 rest = {j: v % p for j, v in prow.items() if j != c and v % p}
                 if not rest:
                     break
@@ -325,23 +328,51 @@ def rank_mod(m: IntMatrix, p: int) -> int:
     """Rank of ``m`` over F_p, ``p`` prime, by sparse row echelon form.
 
     It equals the number of invariant factors of ``m`` not divisible by p.
+    Each row is reduced by the pivot rows, least leading column first
+    (``min(row)``), and a row that keeps an entry becomes the pivot row of
+    its leading column as it stands, leading value pc and all: rows are
+    never normalised to a leading 1.  To clear an entry f by such a row,
+    the factor is the exact quotient f // pc when pc divides f over Z,
+    else f times pc's inverse mod p, computed once per pivot on first need.
+    Every stored value is an int in (-p, p), so an entry is 0 mod p exactly
+    when it is 0.  An exact step reduces a value mod p only when it leaves
+    that range, so on the +-1 and +-2 blocks this program builds values
+    stay word-sized, where a leading 1 would have made each one a residue
+    as wide as p.  A factor from the inverse is itself such a residue, so
+    that step reduces every value it makes.
     """
-    pivots = {}  # leading column -> row scaled to a leading 1
+    pivots = {}  # leading column -> [pc, pivot row, pc^-1 mod p or None]
     rows = {}
     for (i, j), v in m.entries.items():
-        if v % p:
-            rows.setdefault(i, {})[j] = v % p
+        if abs(v) >= p:
+            v %= p
+        if v:
+            rows.setdefault(i, {})[j] = v
     for row in rows.values():
         while row:
             c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = [row[c], row, None]
                 break
+            pc, prow, inv = pivot
             f = row[c]
+            q, rem = divmod(f, pc)
+            if rem:
+                if inv is None:
+                    inv = pivot[2] = pow(pc, -1, p)
+                q = f * inv % p
+                for j, v in prow.items():
+                    new = (row.get(j, 0) - q * v) % p
+                    if new:
+                        row[j] = new
+                    else:
+                        row.pop(j, None)
+                continue
             for j, v in prow.items():
-                new = (row.get(j, 0) - f * v) % p
+                new = row.get(j, 0) - q * v
+                if abs(new) >= p:
+                    new %= p
                 if new:
                     row[j] = new
                 else:

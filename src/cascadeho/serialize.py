@@ -41,7 +41,8 @@ def _ratio(s) -> Tuple[int, int]:
     e, so a string whose text after its first "e" or "E" reads as an
     integer (as ``int`` reads it) larger in magnitude than
     ``sys.get_int_max_str_digits()`` is refused first, as a plain integer
-    with more digits than that is.
+    with more digits than that is.  When that limit is off (0), the bound is
+    its default, ``sys.int_info.default_max_str_digits``.
     """
     try:
         if type(s) is str and s.isascii():
@@ -66,9 +67,9 @@ def _ratio(s) -> Tuple[int, int]:
 
 def _check_exponent(text: str):
     _, e, exp = text.upper().partition("E")
-    limit = sys.get_int_max_str_digits()
-    if not (e and limit):
+    if not e:
         return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
         n = int(exp)
     except ValueError:  # not an exponent: Fraction words the error
@@ -414,6 +415,6 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise InputError(f"invalid JSON: {err}") from None
     return from_document(doc)

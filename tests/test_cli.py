@@ -1,5 +1,6 @@
 import gc
 import importlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -175,6 +176,33 @@ def test_exit_code_schema_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 3
     assert main(["validate", str(tmp_path / "missing.json")]) == 3
     assert main(["frobnicate"]) == 3
+
+
+def test_undecodable_input_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # bytes that are not UTF-8 used to end in a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    phi = write_fixture(tmp_path, "trivial-cobordism")
+    system = write_fixture(tmp_path, "one-circle")
+    message = (f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
+               "0xff in position 0: invalid start byte\n")
+    for argv in (["validate", str(bad)], ["nch", str(bad)],
+                 ["morphism", str(bad)], ["morphism", phi, str(bad), system]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", message)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict"))
+    assert main(["validate", "-"]) == 3
+    assert capsys.readouterr().err == message.replace(str(bad), "-")
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["validate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid JSON: maximum recursion")
 
 
 def test_wrong_kind_for_subcommand(tmp_path, capsys):

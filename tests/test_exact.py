@@ -3,6 +3,7 @@ import importlib
 import io
 import math
 import random
+import signal
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -508,6 +509,94 @@ def test_rank_mod_counts_factors_prime_to_p(p):
     # every entry even: full rank over Q, rank 0 mod 2
     m = IntMatrix.from_rows([[2, 4], [-6, 2]])
     assert rank_mod(m, p) == (0 if p == 2 else 2)
+
+
+def normalising_rank_mod(m, p):
+    """Rank of ``m`` over F_p by row echelon form with every pivot row scaled
+    to a leading 1 and every value a residue in [0, p): the oracle for the
+    exact-quotient elimination of ``rank_mod``."""
+    pivots = {}
+    rows = {}
+    for (i, j), v in m.entries.items():
+        if v % p:
+            rows.setdefault(i, {})[j] = v % p
+    for row in rows.values():
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in prow.items():
+                new = (row.get(j, 0) - f * v) % p
+                if new:
+                    row[j] = new
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    # a step that leaves its entry uncleared loops for ever: fail instead
+    def expire(*_args):
+        raise TimeoutError(f"rank_mod ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def oracle_blocks(p):
+    rng = random.Random(p % 1000 + 41)
+    blocks = []
+    for _ in range(80):  # small dense matrices, as in the test above
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        blocks.append(IntMatrix.from_rows(
+            [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]))
+    for _ in range(40):  # sparse blocks with the program's small entries
+        nr, nc = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.3))
+        blocks.append(IntMatrix(nr, nc, {
+            (i, j): rng.choice((1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+            for i in range(nr) for j in range(nc) if rng.random() < density}))
+    wide = (p, -p, 2 * p, -3 * p, p - 1, p + 1, 1 - p, -p - 1, 2**64 + 1,
+            -(2**64) - 3, 3 * 2**70 + p, 5 * p * 2**64, 1, -1, 2)
+    for _ in range(40):  # multiples of p, p +- 1 and values past 2^64
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        blocks.append(IntMatrix(nr, nc, {
+            (i, j): rng.choice(wide) for i in range(nr) for j in range(nc)
+            if rng.random() < 0.6}))
+    return blocks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
+def test_rank_mod_matches_the_normalising_elimination(p):
+    with time_limit(20):
+        for m in oracle_blocks(p):
+            assert rank_mod(m, p) == normalising_rank_mod(m, p), (m.entries, p)
+
+
+def test_rank_mod_inverts_a_pivot_that_does_not_divide(monkeypatch):
+    # pivot 2 over entries +-3 at p = 5: no exact quotient, so the factor is
+    # +-3 * 2^-1 mod 5, with the inverse computed once for the pivot; the
+    # unit pivots that follow divide every entry and need none
+    inverses = []
+
+    def counted_pow(*args):
+        inverses.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(exact, "pow", counted_pow, raising=False)
+    m = IntMatrix.from_rows([[2, 0, 0], [3, 1, 0], [3, 0, 1], [-3, 1, 1]])
+    with time_limit(10):
+        assert rank_mod(m, 5) == normalising_rank_mod(m, 5) == 3
+    assert inverses == [(2, -1, 5)]
 
 
 def test_invariant_factors_diagonal_chain():

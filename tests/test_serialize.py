@@ -24,7 +24,7 @@ def _oracle(s):
     integer string digit limit, _frac refuses s before Fraction sees it.
     """
     _, e, exp = str(s).upper().partition("E")
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
         n = int(exp) if e else 0
     except ValueError:
@@ -90,6 +90,24 @@ def test_huge_exponent_is_refused_before_fraction_computes_it(s, monkeypatch):
     monkeypatch.setattr(serialize, "Fraction", no_power)
     kind, text = _parsed(s)
     assert kind == "error" and "exceeds the limit" in text
+
+
+def test_exponent_bound_holds_with_the_digit_limit_off(monkeypatch):
+    # under -X int_max_str_digits=0 the guard used to switch off, and
+    # "1e3000000" passed validate after a second of Fraction work
+    def no_power(*_args):
+        raise AssertionError("Fraction ran on a refused exponent")
+    monkeypatch.setattr(serialize, "Fraction", no_power)
+    default = sys.int_info.default_max_str_digits
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for s in ("1e3000000", f"1e-{default + 1}"):
+            assert _parsed(s) == ("error", (
+                f"bad rational {s!r}: exponent {int(s[2:])} exceeds the limit "
+                f"({default} digits)"))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("modulus", ["parity", 0, 2, 4])

@@ -50,6 +50,33 @@ def test_only_verify_square_zero_writes_the_square_zero_mark():
     assert found == ["exact.py:ChainComplex", "exact.py:verify_square_zero"]
 
 
+def test_rank_mod_stays_independent_of_the_z_elimination():
+    # rank_mod cross-checks every reduction over F_p; if either path reached
+    # the other, directly or through a helper of exact.py, a fault in the
+    # shared code could pass its own check
+    path = Path(cascadeho.__file__).parent / "exact.py"
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref in functions and ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+        return seen
+
+    z_path = {"_eliminate", "invariant_factors"} | {
+        name for name in functions if name.startswith("smith_")}
+    assert z_path <= set(functions)
+    assert reached("rank_mod") & z_path == set()
+    assert "rank_mod" not in reached("_eliminate")
+
+
 def test_only_cli_main_sets_the_collector_policy():
     # cli.main pauses the collector for one command and restores the caller's
     # setting; a second place that switched it (the library, say, which
