@@ -41,11 +41,14 @@ from .mbs import (
     Point,
     Preimage,
     Violation,
+    component_preimages,
     cyclically_ordered,
     scaled_actions,
-    signed_preimages,
     validate_system,
 )
+# not called here; kept because bench/test_bench.py::test_wrappers_are_removed
+# checks this binding
+from .mbs import signed_preimages  # noqa: F401
 
 
 # most partial chains one walk may extend: chains through pairwise-distinct
@@ -99,7 +102,7 @@ class Edge(NamedTuple):
     """The moduli pieces of one pair, as seen from its top node."""
 
     bottom: Hashable
-    pair: Tuple  # (top node, bottom node): the frames of preimage queries
+    pair: Tuple  # (top node, bottom node): names the pair in trails and errors
     pieces: Sequence  # SignedPoints on an m0 edge, PLComponents on an m1 edge
     phi: bool  # a cobordism piece: index d - 1 instead of d
 
@@ -112,11 +115,13 @@ class CascadeGraph:
     by the phi pieces.  Every node is a target, so a walk from a source node
     counts the chains that stay in the source layer (its differential
     column) and those that cross one phi piece (its column of the induced
-    map).  ``orbit(node)`` and ``basepoint(node)`` (a circle key, made once
-    per graph) give preimage queries their frames.
+    map).  ``basepoints`` holds each node's basepoint as a circle key, made
+    once per graph; ``orbit(node)`` and ``basepoint(node)`` read a node's
+    frame, so ``mbs.signed_preimages`` can query along a pair of the graph.
 
     ``exits(node)`` lists the pieces a walk leaves a node by, made once per
-    graph on first use, so each pinned preimage query is asked once.
+    graph on first use, so each pinned preimage query is asked once; it
+    builds the frames of those queries once per node and edge.
     """
 
     def __init__(self):
@@ -163,12 +168,17 @@ class CascadeGraph:
         opening piece (-1), just after it on the source orbit of a closing
         one (+1).  A closing weight carries the extra -1 of an e--pinned
         in-system component.
+
+        The frame (orbit, basepoint key) of ``node`` is built once, and that
+        of each m1 edge's bottom once per edge; each (edge, component, side)
+        is one ``mbs.component_preimages`` query in those frames.
         """
         found = self._exits.get(node)
         if found is not None:
             return found
-        basepoints = self.basepoints
+        orbits, basepoints = self.orbits, self.basepoints
         here = basepoints[node]
+        top = (orbits[node], here)
         opening, steps, closing = [], [], []
         for edge in self.m0.get(node, ()):
             for idx, pt in enumerate(edge.pieces):
@@ -176,14 +186,15 @@ class CascadeGraph:
                               ("m0", edge.pair, idx)))
         for bottom, pair, pieces, phi in self.m1.get(node, ()):
             there = basepoints[bottom]
+            below = (orbits[bottom], there)
             key = ("hat", bottom)
             extra = 1 if phi else -1
             for ci, comp in enumerate(pieces):
-                for pre in signed_preimages(self, pair, comp, "plus", here):
+                for pre in component_preimages(comp, "plus", here, top, below):
                     eps = -1 if phi and pre.point == there else 0
                     opening.append((bottom, (pre.point, eps), pre.sign,
                                     (("pre-plus", pair, ci, pre), None)))
-                for pre in signed_preimages(self, pair, comp, "minus", there):
+                for pre in component_preimages(comp, "minus", there, top, below):
                     eps = 1 if phi and pre.point == here else 0
                     closing.append((key, extra * pre.sign, pre.point, eps,
                                     ("pre-minus", pair, ci, pre)))

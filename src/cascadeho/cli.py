@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import sys
 
 from . import serialize
@@ -68,7 +67,7 @@ def _load(path: str, expect_kind=None):
 
 def _emit(args, text_lines, payload):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(serialize.json_text(payload))
     else:
         for line in text_lines:
             print(line)
@@ -361,11 +360,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 3 if err.code else 0
-    # A command makes no reference cycle of its own, and a JSON report leaves
-    # the same few of the standard encoder's (tests/test_cli.py counts both on
-    # every fixture).  So reference counting frees what a command drops, and a
-    # collector pass would only re-scan what is still alive: the collector
-    # sits out the command, and the caller's setting returns on every way out.
+    # A command makes no reference cycle, in a text or a JSON report
+    # (tests/test_cli.py counts both on every fixture).  So reference counting
+    # frees what a command drops, and a collector pass would only re-scan what
+    # is still alive: the collector sits out the command, and the caller's
+    # setting returns on every way out.
     collecting = gc.isenabled()
     gc.disable()
     try:

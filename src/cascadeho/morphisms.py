@@ -180,17 +180,34 @@ def induced_chain_map(m: MorphismData) -> ChainMap:
     tgt_cx = assemble_complex(m.target, tgt_gens, d_tgt)
     matrix = IntMatrix._trusted(len(tgt_gens), len(src_gens), phi)
 
-    lhs = tgt_cx.differential * matrix
-    rhs = matrix * src_cx.differential
-    diff = {
-        key: lhs.entries.get(key, 0) - rhs.entries.get(key, 0)
-        for key in set(lhs.entries) | set(rhs.entries)
-    }
-    diff = {k: v for k, v in diff.items() if v}
-    if diff:
-        (i, j) = min(diff)
-        raise ChainMapFailure(src_gens[j].gid, tgt_gens[i].gid, diff[(i, j)])
+    failure = _chain_map_defect(d_tgt, phi, d_src)
+    if failure is not None:
+        (i, j), value = failure
+        raise ChainMapFailure(src_gens[j].gid, tgt_gens[i].gid, value)
     return ChainMap(src_cx, tgt_cx, matrix)
+
+
+def _chain_map_defect(d_tgt, phi, d_src):
+    """The least (row, column) where d_tgt . phi - phi . d_src is nonzero,
+    with its value, or None: the entries are accumulated in one dict, from
+    the (row, column) entry dicts and column indexes of d_tgt and phi."""
+    tgt_cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (i, k), a in d_tgt.items():
+        tgt_cols.setdefault(k, []).append((i, a))
+    phi_cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (i, k), a in phi.items():
+        phi_cols.setdefault(k, []).append((i, a))
+    acc: Dict[Tuple[int, int], int] = {}
+    for (k, j), b in phi.items():
+        for i, a in tgt_cols.get(k, ()):
+            key = (i, j)
+            acc[key] = acc.get(key, 0) + a * b
+    for (k, j), b in d_src.items():
+        for i, a in phi_cols.get(k, ()):
+            key = (i, j)
+            acc[key] = acc.get(key, 0) - a * b
+    least = min((key for key, value in acc.items() if value), default=None)
+    return None if least is None else (least, acc[least])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """JSON documents for systems, autonomous data, and cobordism data.
 
 Rationals are serialized as reduced "p/q" strings (plain "p" when integral)
-so no floats ever appear.  ``dumps`` emits a canonical form (sorted keys,
-two-space indent, trailing newline); loading and re-dumping a canonical
-document is byte-identical.
+so no floats ever appear.  ``dumps`` emits a canonical form through
+``json_text`` (sorted keys, two-space indent, trailing newline); loading
+and re-dumping a canonical document is byte-identical.
 """
 
 from __future__ import annotations
@@ -408,8 +408,67 @@ def from_document(doc: Dict):
         raise InputError(f"malformed {kind} payload: {err}") from None
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def json_text(value) -> str:
+    """``value`` exactly as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it: the one JSON text writer of documents and ``--format json``
+    reports.
+
+    ``value`` is built of str, int, bool, None, lists (or tuples) and dicts
+    with str keys.  A float, a key that is not a str, or any other value
+    raises TypeError.  Unlike the standard library's indent encoder, whose
+    nested closures refer to each other, the writer leaves no reference
+    cycle behind.
+    """
+    out = []
+    _write(value, "", "\n", out)
+    return "".join(out)
+
+
+def _write(value, head, newline, out):
+    """Append ``head`` and the text of ``value`` to ``out``, a scalar in one
+    piece with its head; ``newline`` is a line break and the indent of the
+    line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(head + _quote(value))
+    elif value is None:
+        out.append(head + "null")
+    elif value is True:
+        out.append(head + "true")
+    elif value is False:
+        out.append(head + "false")
+    elif isinstance(value, int):
+        out.append(head + int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in value:
+            _write(item, head, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys here must be str, not {type(key).__name__}")
+            _write(value[key], head + _quote(key) + ": ", inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON here")
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), sort_keys=True, indent=2) + "\n"
+    return json_text(to_document(obj)) + "\n"
 
 
 def loads(text: str):

@@ -338,14 +338,15 @@ def _walk_system(name):
     [n for n in fixture_names() if fixture(n).kind == "mbs"]
     + [f"cobordism-{n}" for n in BENCH_LIFTS] + [f"mbs-lift-{n}" for n in MBS_LIFTS])
 def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
-    asked = []
-    query = cascades.signed_preimages
+    asked = []  # the walk's queries; the oracle's go through mbs instead
+    query = cascades.component_preimages
 
-    def counted(graph, pair, comp, side, q):
-        asked.append((pair, id(comp), side))
-        return query(graph, pair, comp, side, q)
+    def counted(comp, side, q, top, bottom):
+        # a component lies on one edge, so this names (edge, component, side)
+        asked.append((id(comp), side))
+        return query(comp, side, q, top, bottom)
 
-    monkeypatch.setattr(cascades, "signed_preimages", counted)
+    monkeypatch.setattr(cascades, "component_preimages", counted)
     queries = 0
     for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
         asked.clear()
@@ -353,7 +354,10 @@ def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
             walked = [(c.key, c.weight, c.pieces) for c in enumerate_cascades(graph, key)]
             expected = [(c.key, c.weight, c.pieces) for c in oracle_cascades(graph, key)]
             assert walked == expected, key
-        # each node's opening and closing lists were built at most once
-        assert len(asked) == len(set(asked))
+        # each node's opening and closing lists were built at most once: one
+        # query per side of each component on an edge out of a built node
+        assert len(asked) == len(set(asked)) == sum(
+            2 * len(edge.pieces) for node in graph._exits
+            for edge in graph.m1.get(node, ()))
         queries += len(asked)
     assert queries > 0  # every trivial cobordism has pinned phi pieces

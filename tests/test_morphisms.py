@@ -218,26 +218,35 @@ def test_trivial_cobordism_source_complex_matches_build_ncc():
 def test_each_graph_asks_each_pinned_query_once(monkeypatch):
     sys_ = fixture("one-interval").payload
     m = trivial_cobordism(sys_)
-    queries = []  # every mbs.component_preimages call
-    asked = []  # (graph, pair, component, side) per query a walk makes
-    query, signed = mbs.component_preimages, cascades.signed_preimages
+    queries = []  # every mbs.component_preimages call outside the walk
+    asked = []  # (graph, component, side) per query a walk makes
+    graphs = []
+    init, query = cascades.CascadeGraph.__init__, mbs.component_preimages
+
+    def counted_init(self):
+        graphs.append(self)
+        init(self)
 
     def counted_query(*args):
         queries.append(args)
         return query(*args)
 
-    def counted_signed(graph, pair, comp, side, q):
-        asked.append((graph, pair, id(comp), side))
-        return signed(graph, pair, comp, side, q)
+    def counted_walk_query(comp, side, q, top, bottom):
+        # a component lies on one edge: this names (edge, component, side)
+        asked.append((len(graphs), id(comp), side))
+        return query(comp, side, q, top, bottom)
 
+    monkeypatch.setattr(cascades.CascadeGraph, "__init__", counted_init)
     monkeypatch.setattr(mbs, "component_preimages", counted_query)
-    monkeypatch.setattr(cascades, "signed_preimages", counted_signed)
+    monkeypatch.setattr(cascades, "component_preimages", counted_walk_query)
     assert validate_system(sys_) == []
     assert validate_morphism(m) == []
-    assert queries == []
+    assert queries == asked == []
     build_ncc(sys_)
     induced_chain_map(m)
-    assert len(set(asked)) == len(asked) == len(queries) > 0
+    assert queries == []
+    assert len(graphs) == 2
+    assert len(set(asked)) == len(asked) > 0
 
 
 def _bench_module(name):
@@ -269,7 +278,7 @@ def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
     systems = [fixture(n).payload for n in fixture_names() if fixture(n).kind == "mbs"]
     systems += _bench_lifts(seed=1)
     graphs, calls = [], []
-    init, query = cascades.CascadeGraph.__init__, mbs.component_preimages
+    init, query = cascades.CascadeGraph.__init__, cascades.component_preimages
 
     def counted_init(self):
         graphs.append(self)
@@ -280,7 +289,7 @@ def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
         return query(comp, side, q, top, bottom)
 
     monkeypatch.setattr(cascades.CascadeGraph, "__init__", counted_init)
-    monkeypatch.setattr(mbs, "component_preimages", counted_query)
+    monkeypatch.setattr(cascades, "component_preimages", counted_query)
     asked = []
     for sys_ in systems:
         m = trivial_cobordism(sys_)
@@ -364,3 +373,51 @@ def test_reseeded_trivial_cobordism_is_unitriangular(name):
 def test_reseeded_trivial_cobordism_over_a_bad_orbit(name, seed, end):
     m = RESEEDS[end](trivial_cobordism(fixture(name).payload), seed)
     assert_unitriangular(induced_chain_map(m))
+
+
+def _two_product_witness(m):
+    """The witness of the chain-map identity as it was first computed: both
+    products d_tgt . phi and phi . d_src in full, diffed over the union of
+    their keys, least (row, column) first.  (source gid, target gid, value),
+    or None when the identity holds."""
+    src_keys, src_gens = cascades.chain_generators(m.source, cascades.SRC)
+    tgt_keys, tgt_gens = cascades.chain_generators(m.target, cascades.TGT)
+    graph = cascades.CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+    (d_tgt,) = cascades.sum_columns(graph, tgt_keys, [tgt_keys])
+    d_src, phi = cascades.sum_columns(graph, src_keys, [src_keys, tgt_keys])
+    n_src, n_tgt = len(src_gens), len(tgt_gens)
+    lhs = IntMatrix(n_tgt, n_tgt, d_tgt) * IntMatrix(n_tgt, n_src, phi)
+    rhs = IntMatrix(n_tgt, n_src, phi) * IntMatrix(n_src, n_src, d_src)
+    diff = {key: lhs.entries.get(key, 0) - rhs.entries.get(key, 0)
+            for key in set(lhs.entries) | set(rhs.entries)}
+    diff = {key: value for key, value in diff.items() if value}
+    if not diff:
+        return None
+    i, j = min(diff)
+    return src_gens[j].gid, tgt_gens[i].gid, diff[(i, j)]
+
+
+def _failing_cobordisms(case):
+    if case == "one-interval-flipped":
+        # each identity cylinder in turn with its orientation reversed
+        m = trivial_cobordism(fixture("one-interval").payload)
+        for pair, (comp,) in m.phi1.items():
+            flipped = replace(comp, sign_start=-comp.sign_start)
+            yield pair, replace(m, phi1={**m.phi1, pair: [flipped]})
+    else:
+        # ROADMAP item 2's defect: only the target reseeded over a bad orbit
+        for seed in range(1, 9):
+            yield seed, RESEEDS["target"](trivial_cobordism(fixture(case).payload), seed)
+
+
+@pytest.mark.parametrize("case", ["bad-circle", "one-bad-orbit", "one-interval-flipped"])
+def test_chain_map_failure_names_the_two_product_witness(case):
+    # the one-dict check of induced_chain_map names the same least entry,
+    # with the same value, as the two full products it replaced
+    for label, m in _failing_cobordisms(case):
+        expected = _two_product_witness(m)
+        assert expected is not None, label
+        with pytest.raises(ChainMapFailure) as info:
+            induced_chain_map(m)
+        err = info.value
+        assert (err.source, err.target, err.value) == expected, label

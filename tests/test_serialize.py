@@ -193,3 +193,43 @@ def test_record_readers_match_the_per_field_oracle(cls):
     assert {_outcome(_record_load_oracle, cls, d)[0] for d in cases} == {
         "value", "error"}
 
+
+
+# --- the JSON text writer against the standard library ----------------------
+
+# str drawn to include non-ASCII (beyond the BMP too), quotes, backslashes and
+# control characters; ints well past 64 bits, of either sign
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f ퟿\U0001f600é'),
+                          st.characters()))
+_SCALARS = st.one_of(st.none(), st.booleans(), _TEXT,
+                     st.integers(), st.integers(-(10**400), 10**400))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_json_text_matches_the_standard_indent_encoder(value):
+    assert serialize.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"": {}}, {"a": [[], {}]}, [[[]], {"x": []}], "",
+    -(2**200), 2**200, True, None, {"b": 1, "a": {"d": [], "c": ""}},
+])
+def test_json_text_on_empty_and_nested_empty_containers(value):
+    assert serialize.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}}, {(1, 2): 3},
+    [Fraction(1, 2)], {"a": {1, 2}},
+])
+def test_json_text_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        serialize.json_text(value)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import cascadeho
 from cascadeho import cli, serialize
+from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
 
@@ -21,6 +22,22 @@ def test_no_bare_asserts_in_package():
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_no_indented_json_dumps_in_package():
+    # with an indent the standard library encodes in pure Python and leaves
+    # reference cycles; serialize.json_text writes the same text and is the
+    # one JSON text writer of the package
+    sources = sorted(Path(cascadeho.__file__).parent.glob("*.py"))
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(k.arg == "indent" for k in node.keywords)
     ]
     assert offenders == []
 
@@ -115,15 +132,18 @@ def test_benchmark_tracer_finds_every_function():
 
 def test_benchmark_tracer_sees_the_walk_and_its_queries(tmp_path, capsys):
     # the traced preimage and walk counts read the wrapped functions; a
-    # refactor that bypassed them would silently read 0
-    path = tmp_path / "one-circle.json"
-    path.write_text(serialize.dumps(fixture("one-circle").payload))
-    with _tracing().Tracer() as tracer:
-        assert cli.main(["nch", str(path)]) == 0
-    capsys.readouterr()
-    for name in ("mbs.component_preimages", "mbs.signed_preimages",
-                 "cascades.enumerate_cascades"):
-        assert tracer.functions[name].calls > 0, name
+    # refactor that bypassed them would silently read 0, on the nch path or
+    # on the morphism path the cobordism workload runs
+    sys_ = fixture("one-circle").payload
+    for doc, argv in ((sys_, ["nch"]),
+                      (trivial_cobordism(sys_), ["morphism", "--format", "json"])):
+        path = tmp_path / f"{argv[0]}.json"
+        path.write_text(serialize.dumps(doc))
+        with _tracing().Tracer() as tracer:
+            assert cli.main([argv[0], str(path)] + argv[1:]) == 0, argv
+        capsys.readouterr()
+        for name in ("mbs.component_preimages", "cascades.enumerate_cascades"):
+            assert tracer.functions[name].calls > 0, (argv, name)
 
 
 def test_docstring_examples_pass():
