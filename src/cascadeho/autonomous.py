@@ -46,6 +46,7 @@ from .exact import (
     _groups,
     _reduce_block,
     homology,
+    product_sum,
     verify_square_zero,
 )
 from .mbs import Orbit, Violation, scaled_actions
@@ -257,15 +258,18 @@ def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     return {k: v for k, v in entries.items() if v}
 
 
+def _bv_entries(data: AutonomousData, keys) -> Dict[Tuple[int, int], int]:
+    """The BV operator's entries (hat a, check a) -> d(a), one per good
+    orbit a, in the generator indices ``keys``."""
+    return {(keys[("hat", oid)], keys[("check", oid)]): orbit.d
+            for oid, orbit in data.orbits.items() if orbit.good}
+
+
 def bv_operator(data: AutonomousData) -> IntMatrix:
     """Degree-1 BV operator: check a -> d(a) hat a on good orbits."""
     keys, gens = chain_generators(data)
-    entries = {}
-    for oid, orbit in data.orbits.items():
-        if orbit.good:
-            entries[(keys[("hat", oid)], keys[("check", oid)])] = orbit.d
     n = len(gens)
-    return IntMatrix(n, n, entries)
+    return IntMatrix(n, n, _bv_entries(data, keys))
 
 
 def _check_block_identities(data: AutonomousData, raw):
@@ -331,6 +335,9 @@ class _Pattern:
     requires, lowers the base grading by 1 within one class.  B is the BV
     operator (check a -> d(a) hat a on good orbits): it lowers the U power
     and raises the base grading by 1.  S: U^k -> U^(k-1) is the shift.
+    ``r`` and ``bv`` hold R and B once, as entry dicts (row, column) ->
+    value in the base indices; the windows, the d^2 check, ``_assemble``
+    and ``compare_egh`` all read them.
 
     So the generators of class c in degree g are t (x) U^k for the base
     generators T_g of class c with gr(t) = g (mod 2) and gr(t) <= g <=
@@ -350,21 +357,20 @@ class _Pattern:
         D^2 = R^2 (x) 1 + (RB + BR) (x) S,
 
     and for K >= 1, where 1 and S are independent, D^2 = 0 exactly when
-    R^2 = 0 and RB + BR = 0.  The witness is the tower's too.  Generator
-    ``t * (K + 1) + k`` of the built tower is t (x) U^k, so D^2 has R^2[t, s]
-    at (t U^k, s U^k) for k <= K and (RB + BR)[t, s] at (t U^(k-1), s U^k)
-    for 1 <= k <= K.  Its least nonzero (row, column) is therefore in row
-    t U^0 for the least base row t of either matrix, and in column s U^0
-    or s U^1 for the least base column s of that row (U^0 first): the
-    least (t, s, power) over R^2 at power 0 and RB + BR at power 1, the
-    same generator pair and value for every K.
+    R^2 = 0 and RB + BR = 0: R^2 is an n x n ``IntMatrix`` product, and
+    RB + BR one two-term ``product_sum``.  The witness is the tower's too.
+    Generator ``t * (K + 1) + k`` of the built tower is t (x) U^k, so D^2
+    has R^2[t, s] at (t U^k, s U^k) for k <= K and (RB + BR)[t, s] at
+    (t U^(k-1), s U^k) for 1 <= k <= K.  Its least nonzero (row, column) is
+    therefore in row t U^0 for the least base row t of either matrix, and
+    in column s U^0 or s U^1 for the least base column s of that row (U^0
+    first): the least (t, s, power) over R^2 at power 0 and RB + BR at
+    power 1, the same generator pair and value for every K.
     """
 
     def __init__(self, data: AutonomousData):
         keys, self.base, self.r = _block_matrix(data)
-        # B by column: check a -> (hat a, d(a)) for each good orbit a
-        self.bv = {keys[("check", oid)]: (keys[("hat", oid)], orbit.d)
-                   for oid, orbit in data.orbits.items() if orbit.good}
+        self.bv = _bv_entries(data, keys)
         self._verify_square()
         self.grading = [g.grading for g in self.base]
         self.classes: Dict[str, List[int]] = {}
@@ -372,30 +378,19 @@ class _Pattern:
             self.classes.setdefault(g.homotopy_class, []).append(t)
         # M = R + B by column: column t lists (s, M[s, t])
         self.columns = [[] for _ in self.base]
-        for (s, t), v in self.r.items():
-            self.columns[t].append((s, v))
-        for check, (hat, d) in self.bv.items():
-            self.columns[check].append((hat, d))
+        for entries in (self.r, self.bv):
+            for (s, t), v in entries.items():
+                self.columns[t].append((s, v))
         self.windows = {}  # (rows, columns) -> (rank, torsion) or None
 
     def _verify_square(self):
         """Raise SquareNonzero, with every tower's witness, unless R^2 = 0
-        and RB + BR = 0.  RB + BR is formed by scaling: B has one entry per
-        good orbit."""
+        and RB + BR = 0."""
         n = len(self.base)
         r = IntMatrix._trusted(n, n, self.r)
         found = [((t, s, 0), v) for (t, s), v in (r * r).entries.items()]
-        hat_of = self.bv
-        check_of = {hat: (check, d) for check, (hat, d) in hat_of.items()}
-        rbbr: Dict[Tuple[int, int], int] = {}
-        for (t, s), v in self.r.items():
-            if s in check_of:  # R B: column hat a becomes column check a
-                check, d = check_of[s]
-                rbbr[(t, check)] = rbbr.get((t, check), 0) + v * d
-            if t in hat_of:  # B R: row check a becomes row hat a
-                hat, d = hat_of[t]
-                rbbr[(hat, s)] = rbbr.get((hat, s), 0) + d * v
-        found += [((t, s, 1), v) for (t, s), v in rbbr.items() if v]
+        rbbr = product_sum((1, self.r, self.bv), (1, self.bv, self.r))
+        found += [((t, s, 1), v) for (t, s), v in rbbr.items()]
         if found:
             (t, s, power), value = min(found)
             raise SquareNonzero(f"{self.base[s].gid}:U{power}",
@@ -470,7 +465,7 @@ def _assemble(pattern: _Pattern, truncation: int) -> ChainComplex:
             entries[(t * step + k, s * step + k)] = v
     # BV tail: d(check a (x) U^k) gains d(a) * hat a (x) U^{k-1}, a slot no
     # entry of R holds, since R keeps the U power
-    for check, (hat, d) in pattern.bv.items():
+    for (hat, check), d in pattern.bv.items():
         for k in range(1, step):
             entries[(hat * step + k - 1, check * step + k)] = d
     n = len(gens)
@@ -580,7 +575,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     bottom windows.
     """
     pattern = _tower_pattern(data, truncation)
-    u0 = {check: pattern.base[check].orbit for check in pattern.bv}
+    u0 = {check: pattern.base[check].orbit for _hat, check in pattern.bv}
     steps = []
 
     # (i) everything else is a subcomplex, a certificate of the d^2 check:

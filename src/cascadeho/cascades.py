@@ -115,9 +115,8 @@ class CascadeGraph:
     by the phi pieces.  Every node is a target, so a walk from a source node
     counts the chains that stay in the source layer (its differential
     column) and those that cross one phi piece (its column of the induced
-    map).  ``basepoints`` holds each node's basepoint as a circle key, made
-    once per graph; ``orbit(node)`` and ``basepoint(node)`` read a node's
-    frame, so ``mbs.signed_preimages`` can query along a pair of the graph.
+    map).  ``orbits`` holds each node's orbit and ``basepoints`` its
+    basepoint as a circle key, made once per graph: a node's frame.
 
     ``exits(node)`` lists the pieces a walk leaves a node by, made once per
     graph on first use, so each pinned preimage query is asked once; it
@@ -146,12 +145,6 @@ class CascadeGraph:
         graph._layer(target, tgt)
         graph._edges(phi0, phi1, {}, src, tgt, phi=True)
         return graph
-
-    def orbit(self, node) -> Orbit:
-        return self.orbits[node]
-
-    def basepoint(self, node) -> Point:
-        return self.basepoints[node]
 
     def exits(self, node) -> Tuple[List, List, List]:
         """The (opening, steps, closing) pieces out of ``node``, in edge,
@@ -254,7 +247,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     # recursion and its locals are freed when it returns
     stack = []
     if flavor == "hat":
-        if not graph.orbit(start).good:
+        if not graph.orbits[start].good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
             trail = (("bad-diagonal", start), None)

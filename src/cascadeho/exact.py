@@ -7,6 +7,8 @@ factors of the differential's blocks (``invariant_factors``, which builds no
 transforms), each rank cross-checked over F_p (``rank_mod``).
 ``smith_normal_form`` runs the same sparse elimination and gets its
 unimodular transforms by replaying the elimination's own operations.
+``product_sum`` is the one sparse product: ``IntMatrix.__mul__``, the
+U-tower's RB + BR and the chain-map identity d.phi - phi.d all call it.
 
 >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> u, s, v = smith_normal_form(m)
@@ -90,22 +92,8 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # index other's entries by row; accumulate one dict per product row
-        by_row = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        rows = {}
-        for (i, k), a in self.entries.items():
-            terms = by_row.get(k)
-            if terms:
-                acc = rows.get(i)
-                if acc is None:
-                    acc = rows[i] = {}
-                for j, b in terms:
-                    acc[j] = acc.get(j, 0) + a * b
-        return IntMatrix._trusted(self.rows, other.cols, {
-            (i, j): v for i, acc in rows.items() for j, v in acc.items() if v
-        })
+        return IntMatrix._trusted(self.rows, other.cols,
+                                  product_sum((1, self.entries, other.entries)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -125,6 +113,30 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+
+
+def product_sum(*terms) -> dict:
+    """The nonzero (row, column) entries of the sum of sign * A * B over the
+    terms (sign, A, B), A and B given as (row, column) entry dicts.
+
+    The one sparse product of the package: each B is indexed by row, and
+    one dict per row of the sum accumulates every term.
+    """
+    rows = {}
+    for sign, a, b in terms:
+        by_row = {}
+        for (k, j), v in b.items():
+            by_row.setdefault(k, []).append((j, v))
+        for (i, k), x in a.items():
+            row = by_row.get(k)
+            if row:
+                acc = rows.get(i)
+                if acc is None:
+                    acc = rows[i] = {}
+                x *= sign
+                for j, v in row:
+                    acc[j] = acc.get(j, 0) + x * v
+    return {(i, j): v for i, acc in rows.items() for j, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,9 @@ def signed_preimages(
     """Preimages of the circle point q along ``pair``, in the frames
     ``sys`` gives its ends.
 
-    ``sys`` is a system or anything else that answers ``orbit(node)`` and
-    ``basepoint(node)``, such as a cascade graph.  The cascade walk does not
-    come through here: ``CascadeGraph.exits`` builds each frame once per
-    node and edge and calls ``component_preimages`` itself.
+    The cascade walk does not come through here: ``CascadeGraph.exits``
+    builds each frame once per node and edge and calls
+    ``component_preimages`` itself.
     """
     top, bottom = frames(sys, sys, pair)
     return component_preimages(comp, side, q, top, bottom)

@@ -23,7 +23,7 @@ from functools import partial
 from typing import Dict, List, Set, Tuple
 
 from .errors import ChainMapFailure, ValidationFailure
-from .exact import ChainComplex, IntMatrix
+from .exact import ChainComplex, IntMatrix, product_sum
 from .mbs import (
     Level,
     MorseBottSystem,
@@ -180,34 +180,12 @@ def induced_chain_map(m: MorphismData) -> ChainMap:
     tgt_cx = assemble_complex(m.target, tgt_gens, d_tgt)
     matrix = IntMatrix._trusted(len(tgt_gens), len(src_gens), phi)
 
-    failure = _chain_map_defect(d_tgt, phi, d_src)
-    if failure is not None:
-        (i, j), value = failure
+    # d_tgt . phi - phi . d_src, named by its least (row, column) entry
+    defect = product_sum((1, d_tgt, phi), (-1, phi, d_src))
+    if defect:
+        (i, j), value = min(defect.items())
         raise ChainMapFailure(src_gens[j].gid, tgt_gens[i].gid, value)
     return ChainMap(src_cx, tgt_cx, matrix)
-
-
-def _chain_map_defect(d_tgt, phi, d_src):
-    """The least (row, column) where d_tgt . phi - phi . d_src is nonzero,
-    with its value, or None: the entries are accumulated in one dict, from
-    the (row, column) entry dicts and column indexes of d_tgt and phi."""
-    tgt_cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (i, k), a in d_tgt.items():
-        tgt_cols.setdefault(k, []).append((i, a))
-    phi_cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (i, k), a in phi.items():
-        phi_cols.setdefault(k, []).append((i, a))
-    acc: Dict[Tuple[int, int], int] = {}
-    for (k, j), b in phi.items():
-        for i, a in tgt_cols.get(k, ()):
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + a * b
-    for (k, j), b in d_src.items():
-        for i, a in phi_cols.get(k, ()):
-            key = (i, j)
-            acc[key] = acc.get(key, 0) - a * b
-    least = min((key for key, value in acc.items() if value), default=None)
-    return None if least is None else (least, acc[least])
 
 
 # ---------------------------------------------------------------------------

@@ -844,28 +844,37 @@ def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
 
 def test_chs1_and_compare_multiply_no_matrix_larger_than_the_core(
         tmp_path, monkeypatch, capsys):
-    # the tower's d^2 is checked as R^2 = 0 on the base generators, with
-    # RB + BR formed without a product, and the EGH complex has one
-    # generator per good orbit: no product on the chs1 or compare path is
-    # larger than the base, 2 generators per orbit
+    # the tower's d^2 is checked as R^2 = 0 and RB + BR = 0 on the base
+    # generators, and the EGH complex has one generator per good orbit: no
+    # product on the chs1 or compare path is larger than the base, 2
+    # generators per orbit, and product_sum sees no index beyond it
+    from cascadeho import exact
     from cascadeho.cli import main
 
     requests, _docs = seed1_documents(tmp_path, monkeypatch)
-    sizes = []
-    original = IntMatrix.__mul__
+    sizes, indices = [], []
+    original, original_sum = IntMatrix.__mul__, exact.product_sum
 
     def recorded(self, other):
         sizes.append(max(self.rows, self.cols, other.rows, other.cols))
         return original(self, other)
 
+    def recorded_sum(*terms):
+        indices.extend(k for _sign, a, b in terms for key in (*a, *b) for k in key)
+        return original_sum(*terms)
+
     monkeypatch.setattr(IntMatrix, "__mul__", recorded)
+    for module in (exact, autonomous):
+        monkeypatch.setattr(module, "product_sum", recorded_sum)
     checked = 0
     for r in requests:
         if r.argv[0] in ("chs1", "compare"):
             sizes.clear()
+            indices.clear()
             assert main(r.argv) == 0
             base = 2 * len(r.doc.obj.orbits)
             assert sizes and max(sizes) == base, (r.doc.name, r.argv[0])
+            assert indices and max(indices) < base, (r.doc.name, r.argv[0])
             checked += 1
     capsys.readouterr()
     assert checked == 6

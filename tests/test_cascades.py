@@ -13,8 +13,8 @@ from cascadeho.cli import main
 from cascadeho.errors import InputError, NonGenericConfiguration, ValidationFailure
 from cascadeho.exact import verify_square_zero
 from cascadeho.mbs import (
-    MorseBottSystem, Orbit, SignedPoint, assign_basepoints, cyclically_ordered,
-    signed_preimages,
+    MorseBottSystem, Orbit, SignedPoint, assign_basepoints, component_preimages,
+    cyclically_ordered,
 )
 from cascadeho.morphisms import induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
@@ -245,7 +245,7 @@ def oracle_cascades(graph, src):
     crossings, queried afresh.  The same records, in the same order, as
     ``enumerate_cascades`` must give."""
     flavor, start = src
-    basepoints = graph.basepoints
+    orbits, basepoints = graph.orbits, graph.basepoints
     out = []
 
     def nudge(edge, value, node, eps):
@@ -255,13 +255,14 @@ def oracle_cascades(graph, src):
         return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
 
     def preimages(edge, ci, side):
-        node = edge.pair[0] if side == "plus" else edge.pair[1]
-        return signed_preimages(graph, edge.pair, edge.pieces[ci], side,
-                                basepoints[node])
+        top, bottom = edge.pair
+        return component_preimages(
+            edge.pieces[ci], side, basepoints[top if side == "plus" else bottom],
+            (orbits[top], basepoints[top]), (orbits[bottom], basepoints[bottom]))
 
     stack = []
     if flavor == "hat":
-        if not graph.orbit(start).good:
+        if not orbits[start].good:
             trail = (("bad-diagonal", start), None)
             out += [cascades.Cascade(("check", start), -1, trail)] * 2
         stack.append((start, None, (start,), 1, None))

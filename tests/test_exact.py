@@ -23,6 +23,7 @@ from cascadeho.exact import (
     IntMatrix,
     homology,
     invariant_factors,
+    product_sum,
     rank_mod,
     smith_normal_form,
     smith_with_inverse,
@@ -109,6 +110,55 @@ def test_matrix_multiply_and_identity():
     assert a * i == a
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert to_rows(a * b) == [[2, 1], [4, 3]]
+
+
+# entries of a product_sum term: mostly zero or small, some as wide as 10^30
+_ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def product_terms(draw):
+    """(n, p, terms): 1-3 terms (sign, A, B) of dense rows, A n x m and B
+    m x p with m drawn per term, any size 0-4; a term may repeat an earlier
+    one with the other sign, so that the two cancel exactly."""
+    n, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if terms and draw(st.booleans()):
+            sign, a, b = draw(st.sampled_from(terms))
+            terms.append((-sign, a, b))
+            continue
+        m = draw(st.integers(0, 4))
+        a = [[draw(_ENTRY) for _ in range(m)] for _ in range(n)]
+        b = [[draw(_ENTRY) for _ in range(p)] for _ in range(m)]
+        terms.append((draw(st.sampled_from([1, -1])), a, b))
+    return n, p, terms
+
+
+def dense_product_sum(n, p, terms):
+    """The sum of sign * A * B by the triple loop of the definition."""
+    out = [[0] * p for _ in range(n)]
+    for sign, a, b in terms:
+        for i in range(n):
+            for j in range(p):
+                out[i][j] += sign * sum(a[i][k] * b[k][j] for k in range(len(b)))
+    return out
+
+
+def entry_dict(rows):
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_terms())
+@example((1, 1, [(1, [[1, 1]], [[1], [-1]])]))
+@example((1, 1, [(1, [[10**30]], [[-10**30]]), (-1, [[10**30]], [[-10**30]])]))
+@example((2, 0, [(-1, [[], []], [])]))
+def test_product_sum_matches_the_dense_triple_loop(case):
+    n, p, terms = case
+    got = product_sum(*((sign, entry_dict(a), entry_dict(b)) for sign, a, b in terms))
+    assert got == entry_dict(dense_product_sum(n, p, terms))
+    assert all(got.values())
 
 
 def test_matrix_rejects_out_of_range():

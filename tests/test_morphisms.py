@@ -375,6 +375,17 @@ def test_reseeded_trivial_cobordism_over_a_bad_orbit(name, seed, end):
     assert_unitriangular(induced_chain_map(m))
 
 
+def _entry_product(a, b):
+    """The product of two (row, column) entry dicts, every pair of entries
+    tried: a product of its own, sharing no code with ``exact``."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return out
+
+
 def _two_product_witness(m):
     """The witness of the chain-map identity as it was first computed: both
     products d_tgt . phi and phi . d_src in full, diffed over the union of
@@ -385,11 +396,8 @@ def _two_product_witness(m):
     graph = cascades.CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
     (d_tgt,) = cascades.sum_columns(graph, tgt_keys, [tgt_keys])
     d_src, phi = cascades.sum_columns(graph, src_keys, [src_keys, tgt_keys])
-    n_src, n_tgt = len(src_gens), len(tgt_gens)
-    lhs = IntMatrix(n_tgt, n_tgt, d_tgt) * IntMatrix(n_tgt, n_src, phi)
-    rhs = IntMatrix(n_tgt, n_src, phi) * IntMatrix(n_src, n_src, d_src)
-    diff = {key: lhs.entries.get(key, 0) - rhs.entries.get(key, 0)
-            for key in set(lhs.entries) | set(rhs.entries)}
+    lhs, rhs = _entry_product(d_tgt, phi), _entry_product(phi, d_src)
+    diff = {key: lhs.get(key, 0) - rhs.get(key, 0) for key in lhs.keys() | rhs.keys()}
     diff = {key: value for key, value in diff.items() if value}
     if not diff:
         return None
@@ -412,8 +420,8 @@ def _failing_cobordisms(case):
 
 @pytest.mark.parametrize("case", ["bad-circle", "one-bad-orbit", "one-interval-flipped"])
 def test_chain_map_failure_names_the_two_product_witness(case):
-    # the one-dict check of induced_chain_map names the same least entry,
-    # with the same value, as the two full products it replaced
+    # the product_sum check of induced_chain_map names the same least entry,
+    # with the same value, as two full products formed in this file
     for label, m in _failing_cobordisms(case):
         expected = _two_product_witness(m)
         assert expected is not None, label
@@ -421,3 +429,37 @@ def test_chain_map_failure_names_the_two_product_witness(case):
             induced_chain_map(m)
         err = info.value
         assert (err.source, err.target, err.value) == expected, label
+
+
+@pytest.mark.parametrize("name", ["morphism-interval", "one-interval"])
+def test_morphism_squares_twice_and_checks_the_identity_once(
+        name, tmp_path, monkeypatch, capsys):
+    # a morphism squares its two complexes (two IntMatrix products) and
+    # checks d_tgt . phi = phi . d_src with one two-term product_sum, the
+    # kernel both reach through their own module's binding
+    from cascadeho import autonomous, exact
+    from cascadeho.cli import main
+
+    doc = fixture(name).payload
+    if name == "one-interval":
+        doc = trivial_cobordism(doc)
+    path = tmp_path / "phi.json"
+    path.write_text(serialize.dumps(doc))
+    products, sums = [], []
+    original, original_sum = IntMatrix.__mul__, exact.product_sum
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    def counted_sum(*terms):
+        sums.append(len(terms))
+        return original_sum(*terms)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    for module in (exact, autonomous, morphisms):
+        monkeypatch.setattr(module, "product_sum", counted_sum)
+    assert main(["morphism", str(path)]) == 0
+    capsys.readouterr()
+    assert len(products) == 2
+    assert sorted(sums) == [1, 1, 2]
