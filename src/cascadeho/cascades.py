@@ -301,15 +301,23 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     drops the grading by 1, strictly drops the action (the bad diagonal
     stays on one orbit) and keeps the homotopy class, so it lands in a slot
     ``assemble_complex`` allows, and any that did not would fail there.
+
+    Each column's chains are totalled by their (block, row) slot, and the
+    slots are sorted once, so the entries of each block's column are
+    inserted in row order.
     """
     where = {key: (b, i) for b, rows in enumerate(blocks) for key, i in rows.items()}
     out = [{} for _ in blocks]
     for key, j in sources.items():
-        totals: Dict[Key, int] = {}
+        totals: Dict[Tuple[int, int], int] = {}
         for target, weight, _trail in enumerate_cascades(graph, key):
-            totals[target] = totals.get(target, 0) + weight
-        for (b, i), weight in sorted([(where[t], w) for t, w in totals.items() if w]):
-            out[b][(i, j)] = weight
+            slot = where[target]
+            totals[slot] = totals.get(slot, 0) + weight
+        for slot in sorted(totals):
+            weight = totals[slot]
+            if weight:
+                b, i = slot
+                out[b][(i, j)] = weight
     return out
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
@@ -518,7 +519,12 @@ class HomologyResult:
         )
 
     def describe(self):
-        """Sorted human-readable lines like 'c | 2: Z^2 + Z/3'."""
+        """Sorted human-readable lines like 'c | 2: Z^2 + Z/3'.
+
+        Each run of equal invariant factors is written by one join of
+        copies of one term; the factors of a divisibility chain come
+        sorted, so (Z/2)^K is one run.
+        """
         lines = []
         for (cls, grading), (free, tors) in sorted(
             self.groups.items(), key=lambda kv: (kv[0][0], kv[0][1])
@@ -528,7 +534,8 @@ class HomologyResult:
                 parts.append("Z")
             elif free:
                 parts.append(f"Z^{free}")
-            parts.extend(f"Z/{t}" for t in tors)
+            for t, run in groupby(tors):
+                parts.append(" + ".join([f"Z/{t}"] * len(list(run))))
             label = f"{cls} | " if cls else ""
             lines.append(f"{label}{grading}: " + (" + ".join(parts) or "0"))
         return lines

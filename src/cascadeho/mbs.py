@@ -514,9 +514,11 @@ def _check(violations, ok, code, location, message):
 def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
     """Per orbit, the ``circle_key`` of every point where a moduli evaluation
     lands on it: m0 evaluations and m1 lift breakpoints.  A basepoint is
-    generic iff its key avoids its orbit's set; a preimage query is
-    non-regular only at a lift breakpoint, so this also decides
-    ``basepoint-nonregular``."""
+    generic iff its key avoids its orbit's set.  A preimage query is
+    non-regular only at a lift breakpoint, so a basepoint whose key is not
+    in its orbit's set is a regular value of every m1 evaluation onto that
+    orbit: ``validate_moduli`` scans an in-system component for
+    ``basepoint-nonregular`` only when the key is in the set."""
     values: Dict[str, set] = {oid: set() for oid in sys.orbits}
     for (top, bottom), points in sys.m0.items():
         for pt in points:
@@ -561,7 +563,7 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     validate_moduli(
         v, sys, sys, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
         shift=0, modulus=sys.grading_modulus, equal_action=(),
-        end_check=partial(_validate_interval_end, sys),
+        end_check=partial(_validate_interval_end, sys), values=values,
     )
     return v
 
@@ -576,7 +578,7 @@ def scaled_actions(*orbit_tables) -> List[Dict[str, int]]:
 
 
 def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
-                    end_check):
+                    end_check, values):
     """Check moduli from orbits of ``upper`` down to orbits of ``lower``.
 
     ``tables`` lists (name, dimension, moduli); a piece of dimension d has
@@ -584,6 +586,15 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     mod ``modulus`` (0: exactly; "parity": no check).  Action must drop
     strictly, except across pairs in ``equal_action``.  Each end of a
     1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
+
+    Each basepoint must be a regular value of the evaluation maps onto its
+    orbit (``basepoint-nonregular``).  ``values`` is ``evaluation_values``
+    of the one system that ``upper`` and ``lower`` are, or None.  With it,
+    a component's ``breakpoint_hit`` scan at an end runs only when that
+    end's basepoint key is in its orbit's set, as the set holds every
+    breakpoint key of the component; otherwise the scan could not find a
+    hit.  With None (phi pieces, which no system's set holds) every
+    component is scanned.
     """
     up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
     up_point = {oid: upper.basepoint(oid) for oid in upper.orbits}
@@ -620,7 +631,12 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                                    f"action does not decrease across {pair}"))
             if dim != 1:
                 continue
-            ends = (("plus", up_point[top]), ("minus", low_point[bottom]))
+            ends = [
+                (side, p)
+                for side, p, oid in (("plus", up_point[top], top),
+                                     ("minus", low_point[bottom], bottom))
+                if values is None or p in values[oid]
+            ]
             for ci, comp in enumerate(pieces):
                 if comp.kind == "circle":
                     try:

@@ -82,6 +82,29 @@ def _frac(s) -> Fraction:
     return Fraction(*_ratio(s))
 
 
+def _rationals():
+    """A new rational reader for one document: ``_ratio``, run once per
+    distinct string.
+
+    The first occurrence of each string goes through ``_ratio`` with all
+    its checks and errors; later occurrences read its (num, den) from a
+    table that lives as long as the reader, so no table outlives the
+    ``from_document`` call that made it.  A value that is not a ``str``
+    goes to ``_ratio`` every time.
+    """
+    table = {}
+
+    def ratio(s):
+        if type(s) is not str:
+            return _ratio(s)
+        value = table.get(s)
+        if value is None:
+            value = table[s] = _ratio(s)
+        return value
+
+    return ratio
+
+
 def _object(data, key):
     """``data[key]`` when it is a JSON object; {} when it is absent."""
     value = data.get(key, {})
@@ -130,16 +153,21 @@ def _name_pair(data) -> Tuple[str, str]:
         top, bottom = data
         if type(top) is str and type(bottom) is str:
             return top, bottom
-    raise ValueError(f"{data!r} is not a pair of strings")
+    raise _pair_error(data)
+
+
+def _pair_error(data) -> ValueError:
+    return ValueError(f"{data!r} is not a pair of strings")
 
 
 def _lift_json(lift):
     return [[_ratio_str(tn, td), _ratio_str(vn, vd)] for tn, td, vn, vd in lift]
 
 
-def _lift_load(data):
+def _lift_load(data, ratio):
     """A lift's (tn, td, vn, vd) breakpoints, read from a JSON array of
-    [t, value] arrays; ``PLComponent`` makes them its ``IntLift``."""
+    [t, value] arrays by the document's ``ratio``; ``PLComponent`` makes
+    them its ``IntLift``."""
     if type(data) is not list:
         raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
     out = []
@@ -147,7 +175,7 @@ def _lift_load(data):
         if type(point) is not list or len(point) != 2:
             raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
         t, v = point
-        out.append(_ratio(t) + _ratio(v))
+        out.append(ratio(t) + ratio(v))
     return out
 
 
@@ -181,13 +209,14 @@ def _record_json(record):
 
 
 def _reader(cls):
-    """The loader of a ``cls`` record from its JSON object: the keys of
-    ``_FIELDS[cls]`` in order, a Fraction field read as a rational and any
-    other as a JSON value of exactly its type."""
+    """The loader of a ``cls`` record from its JSON object and the
+    document's rational reader: the keys of ``_FIELDS[cls]`` in order, a
+    Fraction field read by ``ratio`` and any other as a JSON value of
+    exactly its type."""
     optional = {f.name for f in fields(cls) if f.default is not MISSING}
     rows = [(key, attr, kind, attr in optional) for key, attr, kind in _FIELDS[cls]]
 
-    def read(data):
+    def read(data, ratio):
         values = {}
         for key, attr, kind, is_optional in rows:
             if is_optional:
@@ -197,7 +226,7 @@ def _reader(cls):
             else:
                 value = data[key]
             if kind is Fraction:
-                value = _frac(value)
+                value = Fraction(*ratio(value))
             elif type(value) is not kind:
                 raise _kind_error(key, kind, value)
             values[attr] = value
@@ -209,8 +238,9 @@ def _reader(cls):
 _READERS = {cls: _reader(cls) for cls in _FIELDS}
 
 
-def _records_load(cls, data):
-    return list(map(_READERS[cls], data))
+def _records_load(cls, data, ratio):
+    read = _READERS[cls]
+    return [read(record, ratio) for record in data]
 
 
 def _component_json(comp: PLComponent):
@@ -228,7 +258,7 @@ def _component_json(comp: PLComponent):
     return out
 
 
-def _component_load(data) -> PLComponent:
+def _component_load(data, ratio) -> PLComponent:
     labels = _object(data, "labels")
     for end in labels:
         if end not in ("0", "1"):
@@ -236,10 +266,11 @@ def _component_load(data) -> PLComponent:
     return PLComponent(
         data["kind"],
         _read(data, "sign_start", int),
-        _lift_load(data["e_plus_lift"]),
-        _lift_load(data["e_minus_lift"]),
+        _lift_load(data["e_plus_lift"], ratio),
+        _lift_load(data["e_minus_lift"], ratio),
         {
-            int(end): _READERS[PhiLabel if "side" in label else BoundaryLabel](label)
+            int(end): _READERS[PhiLabel if "side" in label else BoundaryLabel](
+                label, ratio)
             for end, label in labels.items()
         },
     )
@@ -253,37 +284,45 @@ def _pairs_json(mapping, value_key, value_fn):
     ]
 
 
-def _pairs_load(payload, name, load):
+def _pairs_load(payload, name, load, *args):
     """The inverse of ``_pairs_json``: the table ``name`` of ``payload``,
-    keyed by (top, bottom) orbit ids, each entry's value read by ``load``."""
-    return _unique((
-        (_name_pair([e["top"], e["bottom"]]), load(e))
-        for e in _array(payload, name)
-    ), f"{name} pair")
+    keyed by (top, bottom) orbit ids, each entry ``e``'s value read by
+    ``load(e, *args)``.  An entry's own errors (its pair, then its value)
+    come before a repeated pair's."""
+    out = {}
+    for e in _array(payload, name):
+        pair = top, bottom = e["top"], e["bottom"]
+        if type(top) is not str or type(bottom) is not str:
+            raise _pair_error([top, bottom])
+        value = load(e, *args)
+        if pair in out:
+            raise ValueError(f"duplicate {name} pair {pair!r}")
+        out[pair] = value
+    return out
 
 
 def _records_json(records):
     return [_record_json(r) for r in records]
 
 
-def _points_load(e):
-    return _records_load(SignedPoint, e["points"])
+def _points_load(e, ratio):
+    return _records_load(SignedPoint, e["points"], ratio)
 
 
 def _components_json(components):
     return [_component_json(c) for c in components]
 
 
-def _components_load(e):
-    return [_component_load(c) for c in e["components"]]
+def _components_load(e, ratio):
+    return [_component_load(c, ratio) for c in e["components"]]
 
 
 def _orbits_json(orbits):
     return [_record_json(o) for _, o in sorted(orbits.items())]
 
 
-def _orbits_load(payload):
-    orbits = _records_load(Orbit, payload["orbits"])
+def _orbits_load(payload, ratio):
+    orbits = _records_load(Orbit, payload["orbits"], ratio)
     return _unique(((o.oid, o) for o in orbits), "orbit id")
 
 
@@ -300,7 +339,7 @@ def _mbs_payload(sys: MorseBottSystem) -> Dict:
     }
 
 
-def _mbs_load(payload) -> MorseBottSystem:
+def _mbs_load(payload, ratio) -> MorseBottSystem:
     modulus = payload.get("grading_modulus", 0)
     if modulus != "parity" and not (
         type(modulus) is int and modulus >= 0 and modulus % 2 == 0
@@ -308,13 +347,14 @@ def _mbs_load(payload) -> MorseBottSystem:
         raise ValueError('grading modulus must be "parity", 0 or an even '
                          f"integer >= 2, got {modulus!r}")
     return MorseBottSystem(
-        orbits=_orbits_load(payload),
+        orbits=_orbits_load(payload, ratio),
         basepoints={
-            oid: _frac(p) for oid, p in _object(payload, "basepoints").items()
+            oid: Fraction(*ratio(p))
+            for oid, p in _object(payload, "basepoints").items()
         },
-        m0=_pairs_load(payload, "m0", _points_load),
-        m1=_pairs_load(payload, "m1", _components_load),
-        m2cc=_pairs_load(payload, "m2cc", lambda e: _read(e, "count", int)),
+        m0=_pairs_load(payload, "m0", _points_load, ratio),
+        m1=_pairs_load(payload, "m1", _components_load, ratio),
+        m2cc=_pairs_load(payload, "m2cc", _read, "count", int),
         grading_modulus=modulus,
     )
 
@@ -331,11 +371,11 @@ def _autonomous_payload(data: AutonomousData) -> Dict:
     }
 
 
-def _autonomous_load(payload) -> AutonomousData:
+def _autonomous_load(payload, ratio) -> AutonomousData:
     return AutonomousData(
-        orbits=_orbits_load(payload),
+        orbits=_orbits_load(payload, ratio),
         mj1=_pairs_load(payload, "mj1", lambda e: _records_load(
-            CylinderRecord, e["cylinders"])),
+            CylinderRecord, e["cylinders"], ratio)),
         extra=_unique((
             ((_name_pair(e["source"]), _name_pair(e["target"])),
              _read(e, "coefficient", int))
@@ -356,19 +396,20 @@ def _morphism_payload(m: MorphismData) -> Dict:
     }
 
 
-def _morphism_load(payload) -> MorphismData:
+def _morphism_load(payload, ratio) -> MorphismData:
     return MorphismData(
-        source=_mbs_load(payload["source"]),
-        target=_mbs_load(payload["target"]),
-        phi0=_pairs_load(payload, "phi0", _points_load),
-        phi1=_pairs_load(payload, "phi1", _components_load),
+        source=_mbs_load(payload["source"], ratio),
+        target=_mbs_load(payload["target"], ratio),
+        phi0=_pairs_load(payload, "phi0", _points_load, ratio),
+        phi1=_pairs_load(payload, "phi1", _components_load, ratio),
         allow_equal_action={
             _name_pair(pair) for pair in _array(payload, "allow_equal_action")
         },
     )
 
 
-# each document kind's name -> (class, payload writer, payload reader)
+# each document kind's name -> (class, payload writer, payload reader); a
+# reader takes the payload and the document's rational reader
 _KINDS = {
     "mbs": (MorseBottSystem, _mbs_payload, _mbs_load),
     "autonomous": (AutonomousData, _autonomous_payload, _autonomous_load),
@@ -403,7 +444,7 @@ def from_document(doc: Dict):
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InputError(f"unknown document kind {kind!r}")
     try:
-        return _KINDS[kind][2](payload)
+        return _KINDS[kind][2](payload, _rationals())
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed {kind} payload: {err}") from None
 

@@ -16,7 +16,7 @@ from cascadeho.mbs import (
     MorseBottSystem, Orbit, SignedPoint, assign_basepoints, component_preimages,
     cyclically_ordered,
 )
-from cascadeho.morphisms import induced_chain_map, trivial_cobordism
+from cascadeho.morphisms import MorphismData, induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 from test_morphisms import BENCH_LIFTS, _bench_lifts, reseeded_cobordisms
 
@@ -362,3 +362,57 @@ def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
             for edge in graph.m1.get(node, ()))
         queries += len(asked)
     assert queries > 0  # every trivial cobordism has pinned phi pieces
+
+
+def _sum_columns_oracle(graph, sources, blocks):
+    """``sum_columns`` as it totalled each column's chains by target key,
+    then mapped the nonzero totals to (block, row) slots and sorted them."""
+    where = {key: (b, i) for b, rows in enumerate(blocks) for key, i in rows.items()}
+    out = [{} for _ in blocks]
+    for key, j in sources.items():
+        totals = {}
+        for target, weight, _trail in enumerate_cascades(graph, key):
+            totals[target] = totals.get(target, 0) + weight
+        for (b, i), weight in sorted([(where[t], w) for t, w in totals.items() if w]):
+            out[b][(i, j)] = weight
+    return out
+
+
+def _column_sums():
+    """(name, graph, sources, blocks) of every Morse-Bott fixture's walk and
+    of the three walks of each morphism: every morphism fixture, and the
+    trivial cobordism over every Morse-Bott fixture and over the seed 1-3
+    lifts of both Morse-Bott workloads."""
+    systems, morphisms = [], []
+    for name in fixture_names():
+        payload = fixture(name).payload
+        if isinstance(payload, MorseBottSystem):
+            systems.append((name, payload))
+        elif isinstance(payload, MorphismData):
+            morphisms.append((name, payload))
+    for workload in ("cobordism", "mbs-lift"):
+        for seed in (1, 2, 3):
+            systems += [(f"{workload}/{seed}/{k}", lift)
+                        for k, lift in enumerate(_bench_lifts(seed, workload))]
+    morphisms += [(f"trivial-{name}", trivial_cobordism(sys_)) for name, sys_ in systems]
+    out = []
+    for name, sys_ in systems:
+        keys, _gens = cascades.chain_generators(sys_)
+        out.append((name, CascadeGraph.of_system(sys_), keys, [keys]))
+    for name, m in morphisms:
+        src, _gens = cascades.chain_generators(m.source, cascades.SRC)
+        tgt, _gens = cascades.chain_generators(m.target, cascades.TGT)
+        graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+        out += [(f"{name}/target", graph, tgt, [tgt]),
+                (f"{name}/source", graph, src, [src, tgt])]
+    return out
+
+
+def test_sum_columns_matches_the_per_key_totals():
+    # the same entries, inserted in the same order, column by column
+    for name, graph, sources, blocks in _column_sums():
+        got = cascades.sum_columns(graph, sources, blocks)
+        expected = _sum_columns_oracle(graph, sources, blocks)
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in expected], name
+        if name.endswith("/source"):  # every morphism here has a nonzero map
+            assert got[1], name

@@ -541,6 +541,38 @@ def test_describe_and_restrict():
     assert h.restricted(3).groups == {("", 0): (2, (2,))}
 
 
+def _describe_oracle(groups):
+    """``HomologyResult.describe`` as one f-string per invariant factor."""
+    lines = []
+    for (cls, grading), (free, tors) in sorted(groups.items()):
+        parts = ["Z"] if free == 1 else [f"Z^{free}"] if free else []
+        parts.extend(f"Z/{t}" for t in tors)
+        label = f"{cls} | " if cls else ""
+        lines.append(f"{label}{grading}: " + (" + ".join(parts) or "0"))
+    return lines
+
+
+# torsion as runs (factor, length): long runs of one factor, several runs of
+# small factors, and factor sequences in any order
+_runs = st.lists(st.tuples(st.sampled_from((2, 3, 4, 6, 12, 10**20)),
+                           st.integers(1, 300)), max_size=4)
+_torsion = st.one_of(
+    _runs.map(lambda runs: tuple(sorted(t for t, n in runs for _ in range(n)))),
+    _runs.map(lambda runs: tuple(t for t, n in runs for _ in range(n))),
+    st.lists(st.integers(2, 9), max_size=12).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.sampled_from(("", "c", "1T")), st.integers(-3, 5)),
+    st.tuples(st.integers(0, 3), _torsion), max_size=5))
+@example({("", 2): (0, (2,) * 960)})
+@example({("c", 0): (1, (2, 2, 4, 4, 4, 12)), ("", 1): (0, ())})
+def test_describe_matches_one_term_per_factor(groups):
+    assert HomologyResult(groups).describe() == _describe_oracle(groups)
+
+
 # --- the transform-free kernel ----------------------------------------------
 
 

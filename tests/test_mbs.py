@@ -38,8 +38,9 @@ from cascadeho.mbs import (
     transported_sign,
     validate_system,
 )
-from cascadeho.morphisms import trivial_cobordism
-from cascadeho.scenarios import fixture, fixture_names
+from cascadeho.morphisms import MorphismData, trivial_cobordism, validate_morphism
+from cascadeho.scenarios import all_mutations, fixture, fixture_names
+from test_morphisms import _bench_lifts
 
 
 F = Fraction
@@ -237,6 +238,75 @@ def test_basepoint_collision_is_decided_mod_1(basepoint, e_plus, breakpoint):
     assert ("basepoint-collision", "a") in found
     moved = assign_basepoints(sys_, seed=1)
     assert validate_system(moved) == []
+
+
+def _on_breakpoints(sys_, seed):
+    """``sys_`` with the basepoint of one top orbit moved onto an e+
+    breakpoint of an m1 component below it, then that of one bottom orbit
+    onto an e- breakpoint of one above it, both drawn by ``seed``."""
+    rng = random.Random(seed)
+    pairs = sorted(pair for pair, comps in sys_.m1.items() if comps)
+    basepoints = dict(sys_.basepoints)
+    for side, end in (("plus", 0), ("minus", 1)):
+        pair = rng.choice(pairs)
+        _tn, _td, vn, vd = rng.choice(rng.choice(sys_.m1[pair]).lift(side))
+        basepoints[pair[end]] = F(vn, vd) % 1
+    return replace(sys_, basepoints=basepoints)
+
+
+def _validation_cases():
+    """(name, validator, document): every Morse-Bott and morphism fixture
+    and mutation, and the seed 1-3 lifts of both Morse-Bott workloads with
+    their trivial cobordisms, as drawn and with basepoints on breakpoints."""
+    def validator(doc):
+        if isinstance(doc, MorseBottSystem):
+            return validate_system
+        return validate_morphism if isinstance(doc, MorphismData) else None
+
+    docs = [(name, fixture(name).payload) for name in fixture_names()]
+    docs += [(f"{m.fixture}/{m.cls}", m.payload) for m in all_mutations()]
+    for workload in ("cobordism", "mbs-lift"):
+        for seed in (1, 2, 3):
+            for k, lift in enumerate(_bench_lifts(seed, workload)):
+                systems = [("drawn", lift)]
+                if any(lift.m1.values()):  # the prequantization lift has none
+                    systems.append(("on-breakpoints", _on_breakpoints(lift, seed)))
+                for label, sys_ in systems:
+                    name = f"{workload}/{seed}/{k}/{label}"
+                    docs += [(name, sys_), (f"{name}/trivial", trivial_cobordism(sys_))]
+    return [(name, validator(doc), doc) for name, doc in docs if validator(doc)]
+
+
+def test_gated_basepoint_scan_reports_what_the_full_scan_does(monkeypatch):
+    # validate_moduli scans an in-system component for basepoint-nonregular
+    # only when the basepoint's key is among its orbit's evaluation values;
+    # the oracle scans every component, as phi pieces always are
+    cases = _validation_cases()
+    scans = []
+    hit = mbs.breakpoint_hit
+
+    def counted_hit(*args):
+        scans.append(args)
+        return hit(*args)
+
+    monkeypatch.setattr(mbs, "breakpoint_hit", counted_hit)
+    gated = [validate(doc) for _name, validate, doc in cases]
+    gated_scans = len(scans)
+    original = mbs.validate_moduli
+
+    def scan_all(*args, **kwargs):
+        return original(*args, **dict(kwargs, values=None))
+
+    monkeypatch.setattr(mbs, "validate_moduli", scan_all)
+    ungated = [validate(doc) for _name, validate, doc in cases]
+    for (name, _validate, _doc), got, expected in zip(cases, gated, ungated):
+        assert got == expected, name
+    # the gate skipped scans, and the cases do hit breakpoints: every moved
+    # system reports basepoint-nonregular, and so does its cobordism
+    assert gated_scans < len(scans) - gated_scans
+    for (name, _validate, _doc), found in zip(cases, gated):
+        if "on-breakpoints" in name:
+            assert any(v.code == "basepoint-nonregular" for v in found), name
 
 
 def transport_sign(orbit: Orbit, raw_sign: int, windings: int) -> int:

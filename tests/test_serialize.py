@@ -1,5 +1,6 @@
 import json
 import sys
+import weakref
 from dataclasses import MISSING, fields
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from cascadeho import serialize
 from cascadeho.autonomous import CylinderRecord
 from cascadeho.errors import InputError
 from cascadeho.mbs import BoundaryLabel, Orbit, SignedPoint
-from cascadeho.morphisms import PhiLabel
-from cascadeho.scenarios import fixture
+from cascadeho.morphisms import PhiLabel, trivial_cobordism
+from cascadeho.scenarios import fixture, fixture_names
 from cascadeho.serialize import _frac
 
 
@@ -179,6 +180,10 @@ def _malformed(cls):
     yield from ([], "x", {})
 
 
+def _records_load(cls, data):
+    return serialize._records_load(cls, data, serialize._rationals())
+
+
 @pytest.mark.parametrize("cls", list(serialize._FIELDS), ids=lambda c: c.__name__)
 def test_record_readers_match_the_per_field_oracle(cls):
     # same record, or same exception type and text, on well-formed records and
@@ -188,7 +193,7 @@ def test_record_readers_match_the_per_field_oracle(cls):
     cases = list(_malformed(cls))
     for data in cases:
         expected = _outcome(_record_load_oracle, cls, data)
-        assert _outcome(serialize._records_load, cls, [data]) == (
+        assert _outcome(_records_load, cls, [data]) == (
             expected if expected[0] == "error" else ("value", [expected[1]])), data
     assert {_outcome(_record_load_oracle, cls, d)[0] for d in cases} == {
         "value", "error"}
@@ -233,3 +238,183 @@ def test_json_text_on_empty_and_nested_empty_containers(value):
 def test_json_text_refuses_floats_and_non_str_keys(value):
     with pytest.raises(TypeError):
         serialize.json_text(value)
+
+
+# --- one rational table per document -----------------------------------------
+
+
+def _documents():
+    """Canonical texts of every fixture and of the trivial cobordism over
+    each Morse-Bott fixture, by name."""
+    texts = {name: serialize.dumps(fixture(name).payload) for name in fixture_names()}
+    for name in fixture_names():
+        if fixture(name).kind == "mbs":
+            texts[f"trivial-{name}"] = serialize.dumps(
+                trivial_cobordism(fixture(name).payload))
+    return texts
+
+
+def test_loading_one_document_after_another_is_loading_each_fresh(monkeypatch):
+    # no rational read for one document is seen by the next: each loads to
+    # what it loads to alone, and its reader is freed when loads returns
+    texts = _documents()
+    fresh = {name: serialize.loads(text) for name, text in texts.items()}
+    readers = []
+    make = serialize._rationals
+
+    def tracked():
+        ratio = make()
+        readers.append(weakref.ref(ratio))
+        return ratio
+
+    monkeypatch.setattr(serialize, "_rationals", tracked)
+    names = sorted(texts)
+    for a in names:
+        for b in names:
+            serialize.loads(texts[a])
+            got = serialize.loads(texts[b])
+            assert got == fresh[b], (a, b)
+            assert serialize.dumps(got) == texts[b], (a, b)
+    assert len(readers) == 2 * len(names) ** 2
+    assert all(ref() is None for ref in readers)
+
+
+def test_each_distinct_rational_string_is_parsed_once(monkeypatch):
+    text = serialize.dumps(fixture("morphism-interval").payload)
+    parsed, reads = [], []
+    ratio, make = serialize._ratio, serialize._rationals
+
+    def counted_ratio(s):
+        parsed.append(s)
+        return ratio(s)
+
+    def counted_reader():
+        read = make()
+
+        def counted(s):
+            reads.append(s)
+            return read(s)
+
+        return counted
+
+    monkeypatch.setattr(serialize, "_ratio", counted_ratio)
+    monkeypatch.setattr(serialize, "_rationals", counted_reader)
+    loaded = serialize.loads(text)
+    monkeypatch.undo()
+    assert sorted(parsed) == sorted(set(reads))
+    assert len(reads) > len(parsed)
+    assert serialize.dumps(loaded) == text
+
+
+def _one_interval_variant(change):
+    doc = json.loads(serialize.dumps(fixture("one-interval").payload))
+    change(doc["payload"])
+    return doc
+
+
+def _set_lift_starts(value):
+    def change(payload):
+        comp = payload["m1"][0]["components"][0]
+        comp["e_plus_lift"][0][1] = comp["e_minus_lift"][0][1] = value
+    return change
+
+
+def _set_label_ts(payload):
+    for label in payload["m1"][0]["components"][0]["labels"].values():
+        label["t"] = "a/b"
+
+
+def _set_point_ends(payload):
+    point = payload["m0"][0]["points"][0]
+    point["e_plus"] = point["e_minus"] = "--1"
+
+
+def _set_actions(payload):
+    for orbit in payload["orbits"][:2]:
+        orbit["action"] = "2/0"
+
+
+def _set_action_and_basepoint(payload):
+    payload["orbits"][0]["action"] = payload["basepoints"]["beta"] = "3/0"
+
+
+# each bad rational occurs twice in its document; the messages are those
+# of the loader that parsed every occurrence
+BAD_TWICE = {
+    "lift": (_set_lift_starts("1/0"), "bad rational '1/0': Fraction(1, 0)"),
+    "lift-text": (_set_lift_starts("x"),
+                  "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    "lift-non-string": (_set_lift_starts([1]),
+                        "bad rational [1]: Invalid literal for Fraction: '[1]'"),
+    "label-t": (_set_label_ts,
+                "bad rational 'a/b': Invalid literal for Fraction: 'a/b'"),
+    "m0-point": (_set_point_ends,
+                 "bad rational '--1': Invalid literal for Fraction: '--1'"),
+    "actions": (_set_actions, "bad rational '2/0': Fraction(2, 0)"),
+    "action-and-basepoint": (_set_action_and_basepoint,
+                             "bad rational '3/0': Fraction(3, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TWICE))
+def test_a_bad_rational_met_twice_keeps_its_message(case):
+    change, message = BAD_TWICE[case]
+    with pytest.raises(InputError) as err:
+        serialize.from_document(_one_interval_variant(change))
+    assert str(err.value) == message
+
+
+def _repeat_m1(change):
+    def repeat(payload):
+        entry = json.loads(json.dumps(payload["m1"][0]))
+        change(entry)
+        payload["m1"].append(entry)
+    return repeat
+
+
+def _bad_lift(entry):
+    entry["components"][0]["e_plus_lift"] = "no"
+
+
+def _bad_bottom(entry):
+    entry["bottom"] = 3
+
+
+def _no_components(entry):
+    del entry["components"]
+
+
+def _bad_point(payload):
+    entry = json.loads(json.dumps(payload["m0"][0]))
+    entry["points"][0]["e_plus"] = "1/0"
+    payload["m0"].append(entry)
+
+
+def _bad_count(payload):
+    payload["m2cc"] = [{"top": "alpha", "bottom": "beta", "count": 1},
+                       {"top": "alpha", "bottom": "beta", "count": "1"}]
+
+
+# a repeated pair whose second entry is malformed reports that entry's own
+# error; only a well-formed repeat is a duplicate
+REPEATED_PAIRS = {
+    "bad-lift": (_repeat_m1(_bad_lift), "malformed mbs payload: lift 'no' is "
+                 "not an array of [t, value] arrays"),
+    "bad-pair": (_repeat_m1(_bad_bottom),
+                 "malformed mbs payload: ['alpha', 3] is not a pair of strings"),
+    "missing-value": (_repeat_m1(_no_components),
+                      "malformed mbs payload: 'components'"),
+    "bad-rational": (_bad_point, "bad rational '1/0': Fraction(1, 0)"),
+    "bad-count": (_bad_count,
+                  "malformed mbs payload: 'count' must be an integer, got '1'"),
+    "well-formed": (_repeat_m1(lambda entry: None),
+                    "malformed mbs payload: duplicate m1 pair ('alpha', 'beta')"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_PAIRS))
+def test_a_repeated_pair_reports_its_entrys_own_error_first(case):
+    change, message = REPEATED_PAIRS[case]
+    with pytest.raises(InputError) as err:
+        serialize.from_document(_one_interval_variant(change))
+    assert str(err.value) == message

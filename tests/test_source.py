@@ -285,3 +285,83 @@ def test_ratio_is_the_one_rational_parser():
                 offenders.append(f"{path.name}:{line} in {function}")
     assert offenders == []
     assert in_ratio == 2  # its split at "/" and its Fraction(str(s)) fallback
+
+
+# methods that change a list, dict or set in place
+_MUTATORS = {
+    "append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+    "update", "setdefault", "popitem", "add", "discard", "difference_update",
+    "intersection_update", "symmetric_difference_update", "__setitem__",
+    "__delitem__",
+}
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_container(node):
+    return isinstance(node, _CONTAINERS) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "dict", "list", "set", "defaultdict", "OrderedDict", "Counter"))
+
+
+def _module_state_writes(tree):
+    """The module-level containers of ``tree`` (names bound at the top
+    level to a list, dict or set) and the (function, line) of each way a
+    function could keep state in the module: a ``global`` statement, a
+    mutable default argument, an ``lru_cache`` or ``cache`` decorator, an
+    item assignment or deletion on a module-level container, a call of one
+    of its mutating methods, and any other use of it than reading an item,
+    testing membership or calling a method that does not mutate (such as
+    binding it to another name, passing it on or returning it)."""
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_container(node.value):
+            containers.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        allowed = set()  # the container loads that read an item or call a method
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                allowed.add(id(node.value))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr not in _MUTATORS:
+                allowed.add(id(node.func.value))
+            elif isinstance(node, ast.Compare):  # membership tests
+                allowed.update(id(right) for op, right in zip(node.ops, node.comparators)
+                               if isinstance(op, (ast.In, ast.NotIn)))
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + node.args.kw_defaults
+                decorators = getattr(node, "decorator_list", [])
+                keeps = any(d is not None and _is_container(d) for d in defaults) or any(
+                    "cache" in ast.unparse(d) for d in decorators)
+            else:
+                keeps = isinstance(node, ast.Global) or (
+                    isinstance(node, ast.Name) and node.id in containers
+                    and id(node) not in allowed)
+            if keeps:
+                found.append((top.name, node.lineno))
+    return containers, found
+
+
+def test_serialize_keeps_no_state_between_calls():
+    # each document's rational table lives in one from_document call; no
+    # function may keep anything in the module, so no table can outlive it
+    planted = ast.parse(
+        "_TABLE = {}\n"
+        "def a(s):\n    _TABLE[s] = 1\n"
+        "def b(s):\n    return _TABLE.setdefault(s, 1)\n"
+        "def c():\n    global _TABLE\n"
+        "def d(s):\n    table = _TABLE\n    return table\n"
+        "def e(s, table={}):\n    return table\n"
+        "@functools.lru_cache(None)\ndef f(s):\n    return s\n"
+        "def g(s):\n    table = {}\n    table[s] = _TABLE[s]\n"
+        "    return _TABLE.get(s), [table], s in _TABLE\n"
+    )
+    assert _module_state_writes(planted) == (
+        {"_TABLE"}, [("a", 3), ("b", 5), ("c", 7), ("d", 9), ("e", 11), ("f", 14)])
+    path = Path(serialize.__file__)
+    containers, found = _module_state_writes(ast.parse(path.read_text(), str(path)))
+    assert containers == {"_FIELDS", "_READERS", "_KINDS"}
+    assert found == []
