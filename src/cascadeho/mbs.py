@@ -11,6 +11,11 @@ sign past the basepoint flips it.
 Constructors take Fractions; each record keeps its circle coordinates as
 integers from construction on (a ``PLComponent``'s lifts are ``IntLift``s,
 ``SignedPoint.e_plus_key``, ...), and every query and validator reads those.
+``check_lift`` is the one checker of a lift's rules; the constructor and the
+document loader's ``PLComponent._trusted`` run it once per lift.  Queries
+keep their integers small by putting two values over their shared
+denominator when they have one, so a crossing's parameter comes back as an
+unreduced pair (``Preimage.t`` reads it).
 """
 
 from __future__ import annotations
@@ -157,6 +162,63 @@ class BoundaryLabel:
 IntLift = Tuple[Tuple[int, int, int, int], ...]
 
 
+def check_lift(side: str, pts: IntLift) -> None:
+    """The one checker of a lift's rules, on its ``IntLift``: it runs from
+    t=0 to t=1, t strictly increases, and no point is crossed more than
+    MAX_LIFT_CROSSINGS times.  A broken rule raises ValueError, in that
+    order; ``side`` ("plus" or "minus") names the lift in the bound's error.
+    """
+    if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != pts[-1][1]:
+        raise ValueError("lift must run from t=0 to t=1")
+    # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
+    # times; bounding the sum bounds the work of every preimage query
+    last_tn, last_td, vn, vd = pts[0]
+    last_floor, bound = vn // vd, 0
+    for tn, td, vn, vd in pts[1:]:
+        if tn * last_td <= last_tn * td:
+            raise ValueError("lift parameters must strictly increase")
+        floor = vn // vd
+        bound += abs(floor - last_floor) + 1
+        last_tn, last_td, last_floor = tn, td, floor
+    if bound > MAX_LIFT_CROSSINGS:
+        raise ValueError(
+            f"e_{side} lift may cross a point {bound} times, "
+            f"more than {MAX_LIFT_CROSSINGS}"
+        )
+
+
+def lift_shape_error(lift) -> ValueError:
+    """The error for a ``lift`` that is not a list or tuple of breakpoints,
+    worded alike by the constructor and the document loader."""
+    return ValueError(f"lift {lift!r} is not an array of [t, value] arrays")
+
+
+def _int_lift(lift) -> IntLift:
+    """``lift``, a list or tuple of breakpoints, as an ``IntLift``: a
+    (t, value) rational pair converted, an integer 4-tuple checked to be in
+    lowest terms with positive denominators and kept as it is, an integer
+    4-list checked and copied to a tuple."""
+    if type(lift) not in (list, tuple):
+        raise lift_shape_error(lift)
+    pts = []
+    for point in lift:
+        size = len(point) if type(point) in (list, tuple) else 0
+        if size == 2:
+            t, v = point
+            point = (t.numerator, t.denominator, v.numerator, v.denominator)
+        elif size != 4:
+            raise lift_shape_error(lift)
+        else:
+            tn, td, vn, vd = point
+            if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
+                raise ValueError(f"breakpoint {point!r} is not in lowest "
+                                 "terms with positive denominators")
+            if type(point) is not tuple:
+                point = (tn, td, vn, vd)
+        pts.append(point)
+    return tuple(pts)
+
+
 @dataclass(frozen=True)
 class PLComponent:
     """A component of a 1-dimensional moduli space, parametrised by [0, 1].
@@ -169,12 +231,14 @@ class PLComponent:
     is the orientation sign at parameter 0, expressed in the basepoint
     trivialisations of both orientation local systems.
 
-    The constructor reads each lift in one pass: it converts each rational
-    pair (or checks that an integer breakpoint is in lowest terms with
-    positive denominators), checks that t increases and adds up the
-    crossing bound.  Errors come in a fixed order per side, plus first: a
-    breakpoint not in lowest terms, ends other than t=0 and t=1, a
-    parameter that does not increase, then a bound over MAX_LIFT_CROSSINGS.
+    The constructor checks the kind, then the sign, then each lift, plus
+    first: it converts each rational pair (or checks that an integer
+    breakpoint is in lowest terms with positive denominators, and that a
+    lift is a list or tuple of pairs and 4-tuples), then ``check_lift``
+    checks the lift's rules.  ``_trusted`` builds a component from lifts
+    already in lowest terms, such as the document loader reads: it runs the
+    same checks except the conversion, so the loader checks no breakpoint
+    twice and each lift's rules once.
     """
 
     kind: str  # "circle" | "interval"
@@ -184,42 +248,39 @@ class PLComponent:
     boundary_labels: Dict[int, BoundaryLabel] = field(default_factory=dict)
 
     def __post_init__(self):
+        self._check_kind_and_sign()
+        for side, name in (("plus", "e_plus_lift"), ("minus", "e_minus_lift")):
+            lift = _int_lift(getattr(self, name))
+            check_lift(side, lift)
+            object.__setattr__(self, name, lift)
+
+    @classmethod
+    def _trusted(cls, kind: str, sign_start: int, e_plus_lift: IntLift,
+                 e_minus_lift: IntLift,
+                 boundary_labels: Dict[int, BoundaryLabel]) -> "PLComponent":
+        """The component of these fields, for a caller whose lifts are
+        ``IntLift``s already: every check of the constructor, in its order,
+        except the conversion and lowest-terms check of each breakpoint."""
+        comp = cls.__new__(cls)
+        # one store per field, as the dataclass __init__ makes them: the
+        # instance keeps the compact attribute layout, where filling
+        # vars(comp) would give each component its own dict
+        store = object.__setattr__
+        store(comp, "kind", kind)
+        store(comp, "sign_start", sign_start)
+        store(comp, "e_plus_lift", e_plus_lift)
+        store(comp, "e_minus_lift", e_minus_lift)
+        store(comp, "boundary_labels", boundary_labels)
+        comp._check_kind_and_sign()
+        check_lift("plus", e_plus_lift)
+        check_lift("minus", e_minus_lift)
+        return comp
+
+    def _check_kind_and_sign(self):
         if self.kind not in ("circle", "interval"):
             raise ValueError(f"bad component kind {self.kind!r}")
         if self.sign_start not in (1, -1):
             raise ValueError("sign_start must be +-1")
-        for side, lift in (("plus", self.e_plus_lift), ("minus", self.e_minus_lift)):
-            # a segment meets a lattice q + Z at most |floor v1 - floor v0| + 1
-            # times; bounding the sum bounds the work of every preimage query
-            pts, bound, increasing = [], 0, True
-            for point in lift:
-                if len(point) == 2:
-                    t, v = point
-                    tn, td, vn, vd = point = (t.numerator, t.denominator,
-                                              v.numerator, v.denominator)
-                else:
-                    tn, td, vn, vd = point
-                    if td < 1 or vd < 1 or gcd(tn, td) != 1 or gcd(vn, vd) != 1:
-                        raise ValueError(f"breakpoint {point!r} is not in lowest "
-                                         "terms with positive denominators")
-                    if type(point) is not tuple:
-                        point = (tn, td, vn, vd)
-                floor = vn // vd
-                if pts:
-                    increasing = increasing and last_tn * td < tn * last_td
-                    bound += abs(floor - last_floor) + 1
-                last_tn, last_td, last_floor = tn, td, floor
-                pts.append(point)
-            if len(pts) < 2 or pts[0][0] != 0 or last_tn != last_td:
-                raise ValueError("lift must run from t=0 to t=1")
-            if not increasing:
-                raise ValueError("lift parameters must strictly increase")
-            if bound > MAX_LIFT_CROSSINGS:
-                raise ValueError(
-                    f"e_{side} lift may cross a point {bound} times, "
-                    f"more than {MAX_LIFT_CROSSINGS}"
-                )
-            object.__setattr__(self, f"e_{side}_lift", tuple(pts))
 
     def __deepcopy__(self, memo):
         # the lifts are immutable: share them
@@ -264,7 +325,9 @@ class Preimage(NamedTuple):
 
     The crossing sits at parameter t = tn / td (td > 0); ``point`` is the
     circle key of the *other* evaluation map's value there.  ``t`` and
-    ``residual`` read them as Fractions.
+    ``residual`` read them as Fractions.  The pair (tn, td) is not reduced,
+    and which unreduced pair a query gives for a t depends on the
+    denominators of its segment: compare parameters through ``t``.
     """
 
     tn: int
@@ -396,11 +459,18 @@ def _interpolate(pts: IntLift, k: int, tn: int, td: int) -> Tuple[int, int, int]
         k += 1
     (s0n, s0d, w0n, w0d), (s1n, s1d, w1n, w1d) = pts[k], pts[k + 1]
     # w0 + (w1 - w0) (t - s0) / (s1 - s0), over the common denominator
-    # wd * sd * td
-    sd = s0d * s1d
-    s0n, s1n = s0n * s1d, s1n * s0d
-    wd = w0d * w1d
-    w0n, w1n = w0n * w1d, w1n * w0d
+    # wd * sd * td, where sd (wd) is the ends' shared denominator or else
+    # their product
+    if s0d == s1d:
+        sd = s0d
+    else:
+        sd = s0d * s1d
+        s0n, s1n = s0n * s1d, s1n * s0d
+    if w0d == w1d:
+        wd = w0d
+    else:
+        wd = w0d * w1d
+        w0n, w1n = w0n * w1d, w1n * w0d
     num = w0n * (s1n - s0n) * td + (w1n - w0n) * (tn * sd - s0n * td)
     return k, num, wd * (s1n - s0n) * td
 
@@ -436,18 +506,30 @@ def component_preimages(
         if v0n == v1n and v0d == v1d:
             continue  # constant segment away from q (checked above)
         # v0, v1 and q over one denominator d: crossings at q + n d strictly
-        # between a0 and a1, for any representative q of its class mod 1
-        d = v0d * v1d * qd
-        a0 = v0n * v1d * qd
-        a1 = v1n * v0d * qd
-        qnd = qn * v0d * v1d
+        # between a0 and a1, for any representative q of its class mod 1;
+        # d is qd times the ends' shared denominator, or else their product
+        if v0d == v1d:
+            d = v0d * qd
+            a0 = v0n * qd
+            a1 = v1n * qd
+            qnd = qn * v0d
+        else:
+            d = v0d * v1d * qd
+            a0 = v0n * v1d * qd
+            a1 = v1n * v0d * qd
+            qnd = qn * v0d * v1d
         if a1 > a0:
             direction, first, last = 1, (a0 - qnd) // d + 1, (a1 - qnd) // d
         else:
             direction, first, last = -1, (a0 - qnd) // d, (a1 - qnd) // d + 1
-        # t = t0 + (t1 - t0) (q + n - v0) / (v1 - v0) = tn / td, td > 0
-        t0, t1 = t0n * t1d, t1n * t0d
-        td = t0d * t1d * (a1 - a0) * direction
+        # t = t0 + (t1 - t0) (q + n - v0) / (v1 - v0) = tn / td, td > 0,
+        # with t0 and t1 over their shared denominator or else their product
+        if t0d == t1d:
+            t0, t1 = t0n, t1n
+            td = t0d * (a1 - a0) * direction
+        else:
+            t0, t1 = t0n * t1d, t1n * t0d
+            td = t0d * t1d * (a1 - a0) * direction
         for n in range(first, last + direction, direction):
             value = qnd + n * d
             tn = (t0 * (a1 - a0) + (t1 - t0) * (value - a0)) * direction

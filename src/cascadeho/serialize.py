@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 from .errors import InputError
 from .mbs import (
     BoundaryLabel, MorseBottSystem, Orbit, PLComponent, SignedPoint, _ratio_str,
+    lift_shape_error,
 )
 from .autonomous import AutonomousData, CylinderRecord
 from .morphisms import MorphismData, PhiLabel
@@ -165,18 +166,20 @@ def _lift_json(lift):
 
 
 def _lift_load(data, ratio):
-    """A lift's (tn, td, vn, vd) breakpoints, read from a JSON array of
-    [t, value] arrays by the document's ``ratio``; ``PLComponent`` makes
-    them its ``IntLift``."""
+    """A lift's ``IntLift``, read from a JSON array of [t, value] arrays by
+    the document's ``ratio``.  Only its shape is checked here: ``ratio``
+    gives lowest terms over positive denominators, so the component is made
+    by ``PLComponent._trusted``, and ``mbs.check_lift`` checks the lift's
+    rules there, once."""
     if type(data) is not list:
-        raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
+        raise lift_shape_error(data)
     out = []
     for point in data:
         if type(point) is not list or len(point) != 2:
-            raise ValueError(f"lift {data!r} is not an array of [t, value] arrays")
+            raise lift_shape_error(data)
         t, v = point
         out.append(ratio(t) + ratio(v))
-    return out
+    return tuple(out)
 
 
 # each record's (JSON key, attribute, type) rows, in reading order; a field
@@ -263,7 +266,7 @@ def _component_load(data, ratio) -> PLComponent:
     for end in labels:
         if end not in ("0", "1"):
             raise ValueError(f'label end {end!r} is neither "0" nor "1"')
-    return PLComponent(
+    return PLComponent._trusted(
         data["kind"],
         _read(data, "sign_start", int),
         _lift_load(data["e_plus_lift"], ratio),

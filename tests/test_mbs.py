@@ -20,7 +20,12 @@ from cascadeho.cascades import (
     chain_generators,
     sum_columns,
 )
-from cascadeho.errors import NonDistinct, NonRegularValue, ValidationFailure
+from cascadeho.errors import (
+    InputError,
+    NonDistinct,
+    NonRegularValue,
+    ValidationFailure,
+)
 from cascadeho.mbs import (
     BoundaryLabel,
     MorseBottSystem,
@@ -710,6 +715,65 @@ def test_crossings_across_segments_of_the_other_lift(queried, side, good):
         assert residual == _fraction_value(comp, other, t) % 1
 
 
+# segments whose ends share a denominator: a lift shaped like the
+# benchmark generator's (x = p + 1/3 running to x + 2 over one segment, so
+# a query at p crosses twice), one whose values share a denominator on
+# segments whose ts do not, and one whose ts share a denominator on
+# segments whose values do not; the last two also mix in segments with
+# both or neither shared
+_P, _R = F(17, 1009), F(400, 1009)
+_GENERATOR_PLUS = ((F(0), _P + F(1, 3)), (F(1), _P + F(7, 3)))
+_GENERATOR_MINUS = ((F(0), _R + F(1, 3) + F(1, 10007)),
+                    (F(1), _R + F(7, 3) + F(1, 10007)))
+_SHARED_VALUE_DEN = ((F(0), F(1, 5)), (F(1, 3), F(11, 5)), (F(3, 7), F(-4, 5)),
+                     (F(5, 7), F(6, 5)), (F(1), F(3, 7)))
+_SHARED_T_DEN = ((F(0), F(0)), (F(1, 5), F(1, 3)), (F(3, 5), F(5, 2)),
+                 (F(4, 5), F(-1, 4)), (F(1), F(3, 4)))
+
+
+def _segment_dens(lift):
+    """Per segment, whether its ts and its values share a denominator."""
+    return {(t0.denominator == t1.denominator, v0.denominator == v1.denominator)
+            for (t0, v0), (t1, v1) in zip(lift, lift[1:])}
+
+
+@pytest.mark.parametrize("lifts, q", (
+    ((_GENERATOR_PLUS, _GENERATOR_MINUS), {"plus": _P, "minus": _R}),
+    ((_SHARED_VALUE_DEN, _SHARED_T_DEN), {"plus": F(1, 2), "minus": F(2, 9)}),
+    ((_SHARED_T_DEN, _SHARED_VALUE_DEN), {"plus": F(2, 9), "minus": F(5, 8)}),
+), ids=("generator", "value-den-shared", "t-den-shared"))
+@pytest.mark.parametrize("side", ("plus", "minus"))
+@pytest.mark.parametrize("good", (True, False), ids=("good", "bad"))
+def test_crossings_on_segments_with_shared_denominators(lifts, q, side, good):
+    assert _segment_dens(_GENERATOR_PLUS) == {(True, True)}
+    assert {(False, True), (True, True)} <= _segment_dens(_SHARED_VALUE_DEN)
+    assert {(True, False), (False, False)} <= _segment_dens(_SHARED_T_DEN)
+    comp = PLComponent("interval", -1, *lifts)
+    frames_ = (Orbit("t", 2, 0, good, F(1)), q["plus"]), (
+        Orbit("b", 2, 0, False, F(1)), q["minus"])
+    other = "minus" if side == "plus" else "plus"
+    got = _library_preimages(comp, side, q[side], *frames_)
+    assert got == _fraction_preimages(comp, side, q[side], *frames_)
+    assert len(got) >= 2
+    if lifts[0] is _GENERATOR_PLUS:
+        assert [direction for _t, _sign, direction, _r in got] == [1, 1]
+    for t, sign, direction, residual in got:
+        # the orientation and the other value, interpolated on Fractions
+        flips = 0
+        for s, (orbit, basepoint) in zip(("plus", "minus"), frames_):
+            if not orbit.good:
+                start = _rational_lift(comp, s)[0][1] - basepoint
+                now = _fraction_value(comp, s, t) - basepoint
+                flips += math.floor(now) - math.floor(start)
+        assert sign == direction * comp.sign_start * (-1) ** (flips % 2)
+        assert residual == _fraction_value(comp, other, t) % 1
+    # t = tn / td need not be in lowest terms: Preimage.t reads it
+    top, bottom = [(orbit, circle_key(p)) for orbit, p in frames_]
+    for pre in component_preimages(comp, side, circle_key(q[side]), top, bottom):
+        assert pre.td > 0 and pre.t == F(pre.tn, pre.td)
+        assert pre.point == mbs.point_key(*pre.point)
+
+
 def _two_pass_lift(lift, side):
     """One side of the ``PLComponent`` check in two passes, as an oracle:
     convert or check every breakpoint, then walk the segments.  Returns the
@@ -787,6 +851,91 @@ def test_one_pass_constructor_matches_the_two_pass_check(plus, minus, bound):
             lambda c: (c.e_plus_lift, c.e_minus_lift)
         )(PLComponent("interval", 1, plus, minus)))
     assert got == expected
+
+
+_GOOD_LIFT = [["0", "1/3"], ["1", "7/3"]]
+_SHAPE = "lift {} is not an array of [t, value] arrays"
+_ENDS = "lift must run from t=0 to t=1"
+_INCREASE = "lift parameters must strictly increase"
+
+# each malformed component as (kind, sign_start, e_plus_lift, e_minus_lift)
+# in its JSON form, and the first error it reports; a shape error names the
+# lift as it was given to each path.  A component with one fault, or with a
+# bad kind or sign and a lift that breaks a rule, reports alike through
+# both; the loader reads both lifts' shape before the kind, so a bad kind
+# with a lift of the wrong shape is left out
+MALFORMED_COMPONENTS = {
+    "lift-not-an-array": (("circle", 1, "no", _GOOD_LIFT), _SHAPE),
+    "point-not-a-pair": (("circle", 1, _GOOD_LIFT, [["0", "0"], ["1"]]), _SHAPE),
+    "point-of-three": (("circle", 1, [["0", "0", "0"], ["1", "1"]], _GOOD_LIFT),
+                       _SHAPE),
+    "no-t-0": (("circle", 1, [["1/2", "0"], ["1", "1"]], _GOOD_LIFT), _ENDS),
+    "no-t-1": (("circle", 1, _GOOD_LIFT, [["0", "0"], ["1/2", "1"]]), _ENDS),
+    "t-decreases": (("circle", 1, [["0", "0"], ["1/2", "1"], ["1/3", "2"],
+                                   ["1", "3"]], _GOOD_LIFT), _INCREASE),
+    "t-repeats": (("interval", 1, _GOOD_LIFT, [["0", "0"], ["1/2", "1"],
+                                               ["2/4", "2"], ["1", "3"]]),
+                  _INCREASE),
+    "plus-bound": (("circle", 1, [["0", "0"], ["1", "100000"]], _GOOD_LIFT),
+                   "e_plus lift may cross a point 100001 times, more than 100000"),
+    "minus-bound": (("circle", 1, _GOOD_LIFT, [["0", "1/2"], ["1/2", "-99999"],
+                                               ["1", "1/2"]]),
+                    "e_minus lift may cross a point 200000 times, more than 100000"),
+    "bad-kind": (("torus", 1, _GOOD_LIFT, _GOOD_LIFT), "bad component kind 'torus'"),
+    "bad-sign": (("interval", 2, _GOOD_LIFT, _GOOD_LIFT), "sign_start must be +-1"),
+    "bad-kind-and-lift": (("torus", 1, [["0", "0"], ["1/2", "1"], ["1/3", "2"],
+                                        ["1", "3"]], _GOOD_LIFT),
+                          "bad component kind 'torus'"),
+    "bad-sign-and-lift": (("circle", 0, _GOOD_LIFT, [["1/2", "0"], ["1", "1"]]),
+                          "sign_start must be +-1"),
+    "plus-rules-first": (("circle", 1, [["0", "0"], ["1/2", "1"]],
+                          [["0", "0"], ["1", "100000"]]), _ENDS),
+}
+
+
+def _constructor_lift(lift):
+    """A JSON lift as the constructor takes it: each array of rational
+    strings a tuple of Fractions; anything else as it is."""
+    if type(lift) is not list:
+        return lift
+    return [tuple(F(x) for x in point) for point in lift]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_COMPONENTS))
+def test_loader_and_constructor_report_the_same_component_error(case):
+    (kind, sign, plus, minus), message = MALFORMED_COMPONENTS[case]
+    doc = json.loads(serialize.dumps(_one_component_system(
+        PLComponent("circle", 1, *[_constructor_lift(_GOOD_LIFT)] * 2))))
+    doc["payload"]["m1"][0]["components"][0] = {
+        "kind": kind, "sign_start": sign, "e_plus_lift": plus, "e_minus_lift": minus}
+    bad = next((lift for lift in (plus, minus) if lift is not _GOOD_LIFT), None)
+    with pytest.raises(InputError) as loaded:
+        serialize.loads(json.dumps(doc))
+    with pytest.raises(ValueError) as built:
+        PLComponent(kind, sign, _constructor_lift(plus), _constructor_lift(minus))
+    assert str(loaded.value) == "malformed mbs payload: " + message.format(repr(bad))
+    assert str(built.value) == message.format(repr(_constructor_lift(bad)))
+
+
+def test_loads_checks_each_lift_once(monkeypatch):
+    # the loader's breakpoints come from its rational reader in lowest
+    # terms, so each lift goes through check_lift once and through the
+    # constructor's conversion not at all
+    doc = serialize.dumps(trivial_cobordism(fixture("bad-circle").payload))
+    checked, converted = [], []
+    check, convert = mbs.check_lift, mbs._int_lift
+    monkeypatch.setattr(mbs, "check_lift",
+                        lambda side, pts: checked.append(pts) or check(side, pts))
+    monkeypatch.setattr(mbs, "_int_lift",
+                        lambda lift: converted.append(lift) or convert(lift))
+    loaded = serialize.loads(doc)
+    monkeypatch.undo()
+    lifts = [lift for moduli in (loaded.source.m1, loaded.target.m1, loaded.phi1)
+             for comps in moduli.values() for c in comps
+             for lift in (c.e_plus_lift, c.e_minus_lift)]
+    assert lifts and converted == []
+    assert len(checked) == len(lifts)
+    assert all(a is b for a, b in zip(checked, lifts))
 
 
 def test_loads_builds_no_fraction_for_a_lift(monkeypatch):

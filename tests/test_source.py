@@ -365,3 +365,57 @@ def test_serialize_keeps_no_state_between_calls():
     containers, found = _module_state_writes(ast.parse(path.read_text(), str(path)))
     assert containers == {"_FIELDS", "_READERS", "_KINDS"}
     assert found == []
+
+
+# the lift rules and the words of their errors
+_LIFT_RULES = ("t=0 to t=1", "strictly increase", "may cross a point")
+
+
+def _lift_rule_checks(tree):
+    """(scope, rule) of each raise in a module whose message holds the words
+    of a lift rule, and (scope, "MAX_LIFT_CROSSINGS") of each read of the
+    bound, where scope is the dotted name of the enclosing function or
+    class."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Raise):
+                texts = [n.value for n in ast.walk(child)
+                         if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                found.extend((scope, rule) for rule in _LIFT_RULES
+                             if any(rule in text for text in texts))
+            elif ((isinstance(child, ast.Name) and child.id == "MAX_LIFT_CROSSINGS"
+                   or isinstance(child, ast.Attribute)
+                   and child.attr == "MAX_LIFT_CROSSINGS")
+                  and isinstance(child.ctx, ast.Load)):
+                found.append((scope, "MAX_LIFT_CROSSINGS"))
+            scan(child, inner)
+
+    scan(tree, "")
+    return found
+
+
+def test_one_mbs_function_checks_the_lift_rules():
+    # the constructor and the loader's PLComponent._trusted both check a
+    # lift through mbs.check_lift; a second copy of a rule could drift from
+    # it, and a check in the loader would check each lift twice
+    planted = ast.parse(
+        "def a(pts):\n    raise ValueError('lift must run from t=0 to t=1')\n"
+        "class B:\n    def c(self, n):\n"
+        "        if n > mbs.MAX_LIFT_CROSSINGS:\n"
+        "            raise ValueError(f'e_{n} lift may cross a point {n} times')\n"
+        "def d():\n    '''t strictly increases'''\n"
+    )
+    assert _lift_rule_checks(planted) == [
+        ("a", "t=0 to t=1"), ("B.c", "MAX_LIFT_CROSSINGS"), ("B.c", "may cross a point")]
+    found = {}
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, rule in _lift_rule_checks(tree):
+            found.setdefault(rule, set()).add(f"{path.name}:{scope}")
+    assert found == {rule: {"mbs.py:check_lift"}
+                     for rule in _LIFT_RULES + ("MAX_LIFT_CROSSINGS",)}
