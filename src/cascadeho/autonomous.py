@@ -103,74 +103,72 @@ class AutonomousData:
 
 
 def validate_data(data: AutonomousData) -> List[Violation]:
+    """The violations of ``data``, in check order.  A violation's location
+    and message are formatted only when its check fails."""
     v: List[Violation] = []
-
-    def check(ok, code, where, msg):
-        if not ok:
-            v.append(Violation(code, where, msg))
-
-    for oid, orbit in data.orbits.items():
-        check(orbit.grading is not None, "missing-grading", oid,
-              "integer grading required")
-        if orbit.grading is not None:
-            check((orbit.grading - orbit.parity) % 2 == 0, "grading-parity",
-                  oid, "grading parity != CZ parity")
-        if not orbit.good:
-            check(orbit.d % 2 == 0, "bad-orbit-multiplicity", oid,
-                  "bad orbit must have even multiplicity")
+    orbits = data.orbits
+    for oid, orbit in orbits.items():
+        if orbit.grading is None:
+            v.append(Violation("missing-grading", oid, "integer grading required"))
+        elif (orbit.grading - orbit.parity) % 2 != 0:
+            v.append(Violation("grading-parity", oid, "grading parity != CZ parity"))
+        if not orbit.good and orbit.d % 2 != 0:
+            v.append(Violation("bad-orbit-multiplicity", oid,
+                               "bad orbit must have even multiplicity"))
 
     # the action axioms compare integers, as the generator order does
-    (action,) = scaled_actions(data.orbits)
+    (action,) = scaled_actions(orbits)
     for (top, bottom), cylinders in sorted(data.mj1.items()):
-        where = f"mj1({top},{bottom})"
-        if top not in data.orbits or bottom not in data.orbits:
-            check(False, "unknown-orbit", where, "unknown orbit id")
+        if top not in orbits or bottom not in orbits:
+            v.append(Violation("unknown-orbit", f"mj1({top},{bottom})",
+                               "unknown orbit id"))
             continue
-        a, b = data.orbit(top), data.orbit(bottom)
-        check(a.good and b.good, "cylinder-bad-orbit", where,
-              "cylinder records live between good orbits")
-        check(action[bottom] < action[top], "action-axiom", where,
-              "action does not decrease")
-        check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
-              "cylinders preserve the homotopy class")
-        if a.grading is not None and b.grading is not None:
-            check(a.grading - b.grading == 1, "grading-axiom", where,
-                  "cylinder grading gap != 1")
+        a, b = orbits[top], orbits[bottom]
+        if not (a.good and b.good):
+            v.append(Violation("cylinder-bad-orbit", f"mj1({top},{bottom})",
+                               "cylinder records live between good orbits"))
+        if not action[bottom] < action[top]:
+            v.append(Violation("action-axiom", f"mj1({top},{bottom})",
+                               "action does not decrease"))
+        if a.homotopy_class != b.homotopy_class:
+            v.append(Violation("class-axiom", f"mj1({top},{bottom})",
+                               "cylinders preserve the homotopy class"))
+        if (a.grading is not None and b.grading is not None
+                and a.grading - b.grading != 1):
+            v.append(Violation("grading-axiom", f"mj1({top},{bottom})",
+                               "cylinder grading gap != 1"))
         for cyl in cylinders:
-            check(gcd(a.d, b.d) % cyl.du == 0, "du-divisibility", where,
-                  f"du = {cyl.du} does not divide gcd({a.d}, {b.d})")
+            if gcd(a.d, b.d) % cyl.du != 0:
+                v.append(Violation("du-divisibility", f"mj1({top},{bottom})",
+                                   f"du = {cyl.du} does not divide gcd({a.d}, {b.d})"))
 
-    for (src, tgt), coeff in sorted(data.extra.items()):
-        where = f"extra({src[0]}:{src[1]} -> {tgt[0]}:{tgt[1]})"
+    for ((sf, s), (tf, t)), coeff in sorted(data.extra.items()):
         if not coeff:
             continue
-        check(type(coeff) is int, "extra-coefficient", where,
-              f"coefficient {coeff!r} is not an integer")
-        if src[1] not in data.orbits or tgt[1] not in data.orbits:
-            check(False, "unknown-orbit", where, "unknown orbit id")
+        if type(coeff) is not int:
+            v.append(Violation("extra-coefficient", f"extra({sf}:{s} -> {tf}:{t})",
+                               f"coefficient {coeff!r} is not an integer"))
+        if s not in orbits or t not in orbits:
+            v.append(Violation("unknown-orbit", f"extra({sf}:{s} -> {tf}:{t})",
+                               "unknown orbit id"))
             continue
-        a, b = data.orbit(src[1]), data.orbit(tgt[1])
-        slot = (src[0], tgt[0])
-        if slot == ("check", "hat"):
-            legal = True
-        elif slot == ("hat", "hat"):
-            legal = not a.good
-        elif slot == ("check", "check"):
-            legal = not b.good
-        else:
-            legal = False
-        check(legal, "extra-slot", where,
-              "coefficient sits in a slot the block formulas determine")
-        check(action[tgt[1]] < action[src[1]], "action-axiom", where,
-              "action does not decrease")
-        check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
-              "extra entries preserve the homotopy class")
-        try:
-            gap = (data.generator_grading(a, src[0])
-                   - data.generator_grading(b, tgt[0]))
-            check(gap == 1, "grading-axiom", where, f"grading gap {gap} != 1")
-        except ValidationFailure:
-            pass  # reported above
+        a, b = orbits[s], orbits[t]
+        if not (sf == "check" and tf == "hat" or sf == tf == "hat" and not a.good
+                or sf == tf == "check" and not b.good):
+            v.append(Violation(
+                "extra-slot", f"extra({sf}:{s} -> {tf}:{t})",
+                "coefficient sits in a slot the block formulas determine"))
+        if not action[t] < action[s]:
+            v.append(Violation("action-axiom", f"extra({sf}:{s} -> {tf}:{t})",
+                               "action does not decrease"))
+        if a.homotopy_class != b.homotopy_class:
+            v.append(Violation("class-axiom", f"extra({sf}:{s} -> {tf}:{t})",
+                               "extra entries preserve the homotopy class"))
+        if a.grading is not None and b.grading is not None:
+            gap = (a.grading + (sf == "hat")) - (b.grading + (tf == "hat"))
+            if gap != 1:
+                v.append(Violation("grading-axiom", f"extra({sf}:{s} -> {tf}:{t})",
+                                   f"grading gap {gap} != 1"))
     return v
 
 
@@ -180,15 +178,17 @@ def _require_valid(data: AutonomousData):
         raise ValidationFailure(violations)
 
 
-def _scaled_count(cylinders: List[CylinderRecord], d: int, where: str) -> int:
-    """d * <delta a, b> for the simple cylinders a -> b: the sum of
-    epsilon * (d // du).  Raises CascadehoError if some du does not divide
-    d, which ``validate_data`` rules out."""
+def _scaled_count(cylinders: List[CylinderRecord], d: int, block: str,
+                  pair: Pair) -> int:
+    """d * <delta a, b> for the simple cylinders a -> b of ``pair``: the sum
+    of epsilon * (d // du).  Raises CascadehoError, naming ``block`` and the
+    pair, if some du does not divide d, which ``validate_data`` rules out."""
     total = 0
     for cyl in cylinders:
         q, r = divmod(d, cyl.du)
         if r:
-            raise CascadehoError(f"du = {cyl.du} does not divide {d} at {where}")
+            raise CascadehoError(
+                f"du = {cyl.du} does not divide {d} at {block}({pair[0]},{pair[1]})")
         total += cyl.epsilon * q
     return total
 
@@ -206,7 +206,7 @@ def _egh_complex(data: AutonomousData) -> ChainComplex:
     index = {g.gid: k for k, g in enumerate(gens)}
     entries = {}
     for (a, b), cylinders in data.mj1.items():
-        coeff = _scaled_count(cylinders, data.orbit(a).d, f"egh({a},{b})")
+        coeff = _scaled_count(cylinders, data.orbit(a).d, "egh", (a, b))
         if coeff:
             entries[(index[b], index[a])] = coeff
     n = len(gens)
@@ -238,11 +238,18 @@ def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
 def block_entries(data: AutonomousData) -> Dict[Tuple[GenKey, GenKey], int]:
     """Integer matrix entries of the nonequivariant block differential."""
     entries: Dict[Tuple[GenKey, GenKey], int] = {}
-
+    orbits = data.orbits
     for (a, b), cylinders in data.mj1.items():
-        # check block: +kappa-then-delta; hat block: -delta-then-kappa
-        cc = _scaled_count(cylinders, data.orbit(a).d, f"check block ({a},{b})")
-        hh = -_scaled_count(cylinders, data.orbit(b).d, f"hat block ({a},{b})")
+        # check block: +kappa-then-delta; hat block: -delta-then-kappa, in one
+        # pass; a du not dividing d raises (_scaled_count), check block first
+        da, db = orbits[a].d, orbits[b].d
+        cc = hh = 0
+        for cyl in cylinders:
+            if da % cyl.du or db % cyl.du:
+                _scaled_count(cylinders, da, "check block ", (a, b))
+                _scaled_count(cylinders, db, "hat block ", (a, b))
+            cc += cyl.epsilon * (da // cyl.du)
+            hh -= cyl.epsilon * (db // cyl.du)
         if cc:
             entries[(("check", a), ("check", b))] = cc
         if hh:
@@ -276,18 +283,20 @@ def _check_block_identities(data: AutonomousData, raw):
     """kappa . check-block + hat-block . kappa = 0 and d+ . kappa = 0.
 
     ``raw`` is ``block_entries(data)``; only its nonzero entries can break an
-    identity.  Of several failures, the first in ``data.orbits`` order is
-    reported: pair (a, b) in row-major order (the kappa identity before the
-    off-diagonal d+ test), then the diagonal of a after its pairs.
+    identity, and each pair (a, b) is tested once: with its check entry, or
+    with its hat entry when it has none.  Of several failures, the first in
+    ``data.orbits`` order is reported: pair (a, b) in row-major order (the
+    kappa identity before the off-diagonal d+ test), then the diagonal of a
+    after its pairs.
     """
-    kappa = {
-        oid: (orbit.d if orbit.good else 0) for oid, orbit in data.orbits.items()
-    }
+    kappa = {oid: (orbit.d if orbit.good else 0) for oid, orbit in data.orbits.items()}
     position = {oid: k for k, oid in enumerate(data.orbits)}
     failures = []
     for (sf, a), (tf, b) in raw:
         if sf == tf:
             cc = raw.get((("check", a), ("check", b)), 0)
+            if sf == "hat" and cc:
+                continue  # tested with its check entry
             hh = raw.get((("hat", a), ("hat", b)), 0)
             if kappa[b] * cc + hh * kappa[a]:
                 failures.append(
@@ -583,9 +592,8 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     # and then (RB + BR)[hat q, x] = d(q) * R[check q, x] != 0 (B R carries
     # the entry to hat q; R B has no term there, as B leaves only good check
     # generators), which ``_Pattern`` has refused with the tower's witness
-    steps.append(
-        CompareStep("complement of U^0 good check generators is a subcomplex", True)
-    )
+    steps.append(CompareStep(
+        "complement of U^0 good check generators is a subcomplex", True))
 
     stable = 2 * truncation - 2
 
@@ -594,13 +602,9 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
         g for (_cls, g) in pattern.homology(truncation, u0).rationalize()
         if g <= stable
     }
-    steps.append(
-        CompareStep(
-            "subcomplex is rationally acyclic in the stable range",
-            not bad_degrees,
-            ", ".join(map(str, sorted(bad_degrees)[:4])),
-        )
-    )
+    steps.append(CompareStep(
+        "subcomplex is rationally acyclic in the stable range",
+        not bad_degrees, ", ".join(map(str, sorted(bad_degrees)[:4]))))
 
     # (iii) the quotient differential is the cylindrical one: both read as
     # <d a, b> per pair of good orbits, listed in the EGH generator order
@@ -618,23 +622,15 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
         f"({a},{b}): {quotient.get((a, b), 0)} != {cylindrical.get((a, b), 0)}"
         for a, b in sorted(differ, key=lambda ab: (position[ab[0]], position[ab[1]]))
     ]
-    steps.append(
-        CompareStep(
-            "quotient differential equals the cylindrical differential",
-            not mismatches,
-            "; ".join(mismatches[:3]),
-        )
-    )
+    steps.append(CompareStep(
+        "quotient differential equals the cylindrical differential",
+        not mismatches, "; ".join(mismatches[:3])))
 
     # (iv) rationalised equivariant homology matches cylindrical ranks
     hom, stable = _certified_homology(pattern, truncation)
     left = {k: v for k, v in hom.rationalize().items() if k[1] <= stable}
     right = {k: v for k, v in homology(egh).rationalize().items() if k[1] <= stable}
-    steps.append(
-        CompareStep(
-            "rationalised equivariant homology equals cylindrical homology",
-            left == right,
-            "" if left == right else f"{left} != {right}",
-        )
-    )
+    steps.append(CompareStep(
+        "rationalised equivariant homology equals cylindrical homology",
+        left == right, "" if left == right else f"{left} != {right}"))
     return CompareReport(tuple(steps), stable)

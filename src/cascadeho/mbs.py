@@ -652,11 +652,12 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
 
 def scaled_actions(*orbit_tables) -> List[Dict[str, int]]:
     """Each table's orbit actions as integers: every action times the lcm of
-    all their denominators, so the integers compare as the actions do."""
-    scale = lcm(*(o.action.denominator for table in orbit_tables
-                  for o in table.values()))
-    return [{oid: o.action.numerator * (scale // o.action.denominator)
-             for oid, o in table.items()} for table in orbit_tables]
+    all their denominators, so the integers compare as the actions do.
+    Each action's numerator and denominator are read once."""
+    ratios = [[(oid, o.action.as_integer_ratio()) for oid, o in table.items()]
+              for table in orbit_tables]
+    scale = lcm(*{d for table in ratios for _oid, (_n, d) in table})
+    return [{oid: n * (scale // d) for oid, (n, d) in table} for table in ratios]
 
 
 def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,

@@ -182,8 +182,9 @@ def _lift_load(data, ratio):
     return tuple(out)
 
 
-# each record's (JSON key, attribute, type) rows, in reading order; a field
-# with a dataclass default may be absent or null, and is written unless None
+# each record's (JSON key, attribute, type) rows, in reading order, which is
+# field order; a field with a dataclass default may be absent or null, and is
+# written unless None
 _FIELDS = {
     Orbit: (("id", "oid", str), ("d", "d", int), ("parity", "parity", int),
             ("good", "good", bool), ("action", "action", Fraction),
@@ -215,25 +216,27 @@ def _reader(cls):
     """The loader of a ``cls`` record from its JSON object and the
     document's rational reader: the keys of ``_FIELDS[cls]`` in order, a
     Fraction field read by ``ratio`` and any other as a JSON value of
-    exactly its type."""
-    optional = {f.name for f in fields(cls) if f.default is not MISSING}
-    rows = [(key, attr, kind, attr in optional) for key, attr, kind in _FIELDS[cls]]
+    exactly its type.  Like ``PLComponent._trusted``, it stores each field in
+    field order, as ``__init__`` does, then runs ``__post_init__``, if any."""
+    default = {f.name: f.default for f in fields(cls)}
+    rows = [(key, attr, kind, default[attr]) for key, attr, kind in _FIELDS[cls]]
+    post_init = getattr(cls, "__post_init__", None)
+    new, store = object.__new__, object.__setattr__
 
     def read(data, ratio):
-        values = {}
-        for key, attr, kind, is_optional in rows:
-            if is_optional:
-                value = data.get(key)
-                if value is None:
-                    continue
-            else:
-                value = data[key]
-            if kind is Fraction:
+        record = new(cls)
+        for key, attr, kind, fallback in rows:
+            value = data[key] if fallback is MISSING else data.get(key)
+            if value is None and fallback is not MISSING:
+                value = fallback
+            elif kind is Fraction:
                 value = Fraction(*ratio(value))
             elif type(value) is not kind:
                 raise _kind_error(key, kind, value)
-            values[attr] = value
-        return cls(**values)
+            store(record, attr, value)
+        if post_init is not None:
+            post_init(record)
+        return record
 
     return read
 

@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import importlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from cascadeho.exact import (
     homology,
     verify_square_zero,
 )
-from cascadeho.mbs import Orbit
+from cascadeho.mbs import Orbit, Violation
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 from test_exact import blocks, record_reductions
 
@@ -186,6 +188,22 @@ def test_du_not_dividing_the_multiplicity_raises():
             CylinderRecord(epsilon, du)
 
 
+def test_one_pass_block_entries_report_the_check_block_first():
+    # the first cylinder breaks only the hat block, the second the check
+    # block: the check block's error comes first, as a pass per block reads
+    data = AutonomousData(orbits={
+        "a": Orbit("a", 4, 1, True, F(2), "", 1),
+        "b": Orbit("b", 2, 0, True, F(1), "", 0),
+    }, mj1={("a", "b"): [CylinderRecord(1, 4), CylinderRecord(1, 3)]})
+    with pytest.raises(CascadehoError) as err:
+        block_entries(data)
+    assert str(err.value) == "du = 3 does not divide 4 at check block (a,b)"
+    data.mj1[("a", "b")].pop()
+    with pytest.raises(CascadehoError) as err:
+        block_entries(data)
+    assert str(err.value) == "du = 4 does not divide 2 at hat block (a,b)"
+
+
 def test_non_integer_extra_coefficient_is_a_violation():
     # the block entries are ints from end to end; a float coefficient used
     # to be truncated silently (2.5 read as 2)
@@ -255,6 +273,178 @@ def test_validator_rejects_bad_slots_and_du():
     assert "du-divisibility" in codes
 
 
+def eager_validate_data(data):
+    """``validate_data`` as it was before it formatted only failures: every
+    check goes through one closure with its location and message already
+    formatted, and the actions are scaled as ``mbs.scaled_actions`` did.
+    The oracle for the violation list, order and texts included."""
+    v = []
+
+    def check(ok, code, where, msg):
+        if not ok:
+            v.append(Violation(code, where, msg))
+
+    for oid, orbit in data.orbits.items():
+        check(orbit.grading is not None, "missing-grading", oid,
+              "integer grading required")
+        if orbit.grading is not None:
+            check((orbit.grading - orbit.parity) % 2 == 0, "grading-parity",
+                  oid, "grading parity != CZ parity")
+        if not orbit.good:
+            check(orbit.d % 2 == 0, "bad-orbit-multiplicity", oid,
+                  "bad orbit must have even multiplicity")
+
+    scale = lcm(*(o.action.denominator for o in data.orbits.values()))
+    action = {oid: o.action.numerator * (scale // o.action.denominator)
+              for oid, o in data.orbits.items()}
+    for (top, bottom), cylinders in sorted(data.mj1.items()):
+        where = f"mj1({top},{bottom})"
+        if top not in data.orbits or bottom not in data.orbits:
+            check(False, "unknown-orbit", where, "unknown orbit id")
+            continue
+        a, b = data.orbit(top), data.orbit(bottom)
+        check(a.good and b.good, "cylinder-bad-orbit", where,
+              "cylinder records live between good orbits")
+        check(action[bottom] < action[top], "action-axiom", where,
+              "action does not decrease")
+        check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
+              "cylinders preserve the homotopy class")
+        if a.grading is not None and b.grading is not None:
+            check(a.grading - b.grading == 1, "grading-axiom", where,
+                  "cylinder grading gap != 1")
+        for cyl in cylinders:
+            check(gcd(a.d, b.d) % cyl.du == 0, "du-divisibility", where,
+                  f"du = {cyl.du} does not divide gcd({a.d}, {b.d})")
+
+    for (src, tgt), coeff in sorted(data.extra.items()):
+        where = f"extra({src[0]}:{src[1]} -> {tgt[0]}:{tgt[1]})"
+        if not coeff:
+            continue
+        check(type(coeff) is int, "extra-coefficient", where,
+              f"coefficient {coeff!r} is not an integer")
+        if src[1] not in data.orbits or tgt[1] not in data.orbits:
+            check(False, "unknown-orbit", where, "unknown orbit id")
+            continue
+        a, b = data.orbit(src[1]), data.orbit(tgt[1])
+        slot = (src[0], tgt[0])
+        if slot == ("check", "hat"):
+            legal = True
+        elif slot == ("hat", "hat"):
+            legal = not a.good
+        elif slot == ("check", "check"):
+            legal = not b.good
+        else:
+            legal = False
+        check(legal, "extra-slot", where,
+              "coefficient sits in a slot the block formulas determine")
+        check(action[tgt[1]] < action[src[1]], "action-axiom", where,
+              "action does not decrease")
+        check(a.homotopy_class == b.homotopy_class, "class-axiom", where,
+              "extra entries preserve the homotopy class")
+        try:
+            gap = (data.generator_grading(a, src[0])
+                   - data.generator_grading(b, tgt[0]))
+            check(gap == 1, "grading-axiom", where, f"grading gap {gap} != 1")
+        except ValidationFailure:
+            pass  # reported above
+    return v
+
+
+def bench_documents(tmp_path, monkeypatch, workload, seeds=(1, 2, 3)):
+    """The texts of the benchmark documents of ``workload`` at ``seeds``,
+    by (seed, name)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    texts = {}
+    for seed in seeds:
+        for r in workloads.build(workload, seed, str(tmp_path / f"{workload}-{seed}")):
+            with open(r.doc.path, encoding="utf-8") as fh:
+                texts[(seed, r.doc.name)] = fh.read()
+    return texts
+
+
+EXTRA_SLOTS = [("check", "hat"), ("hat", "hat"), ("check", "check"), ("hat", "check")]
+
+
+def corrupt(data, rng, slots):
+    """``data`` with one random corruption: an orbit's grading, multiplicity,
+    goodness, class or action, an mj1 pair or cylinder, or an extra entry
+    (its slot recorded in ``slots``)."""
+    data = copy.deepcopy(data)
+    oids = list(data.orbits)
+    kind = rng.randrange(7)
+    if kind == 0:  # an orbit field
+        oid = rng.choice(oids)
+        orbit = data.orbits[oid]
+        change = rng.choice([
+            {"grading": None}, {"grading": (orbit.grading or 0) + 1},
+            {"good": False}, {"good": False, "d": 3}, {"d": orbit.d + 1},
+            {"homotopy_class": orbit.homotopy_class + "x"},
+            {"action": orbit.action + rng.choice((-3, F(1, 7), 5))},
+            {"action": data.orbits[rng.choice(oids)].action},
+        ])
+        data.orbits[oid] = dataclasses.replace(orbit, **change)
+    elif kind == 1 and data.mj1:  # a cylinder whose du may divide nothing
+        pair = rng.choice(sorted(data.mj1))
+        data.mj1[pair] = data.mj1[pair] + [CylinderRecord(rng.choice((1, -1)),
+                                                          rng.choice((1, 2, 3, 4)))]
+    elif kind == 2 and data.mj1:  # a pair turned around
+        top, bottom = rng.choice(sorted(data.mj1))
+        data.mj1[(bottom, top)] = data.mj1.pop((top, bottom))
+    elif kind == 3:  # a pair between any two orbits, or an unknown one
+        top, bottom = rng.choice(oids), rng.choice(oids)
+        if rng.random() < 0.25:
+            top = "ghost"
+        if rng.random() < 0.5:
+            top, bottom = bottom, top
+        data.mj1[(top, bottom)] = [CylinderRecord(1, rng.choice((1, 2)))]
+    else:  # an extra entry in any slot, between any two orbits, one of
+        # them perhaps made bad
+        slot = rng.choice(EXTRA_SLOTS)
+        slots.add(slot)
+        src = (slot[0], "ghost" if kind == 4 else rng.choice(oids))
+        tgt = (slot[1], rng.choice(oids))
+        data.extra[(src, tgt)] = rng.choice((1, -2, 0, 2.5, F(1, 2)))
+        oid = rng.choice((src[1], tgt[1], None))
+        if oid in data.orbits:
+            orbit = data.orbits[oid]
+            data.orbits[oid] = dataclasses.replace(orbit, good=False, d=2 * orbit.d)
+    return data
+
+
+def test_validate_data_matches_the_eager_oracle(
+        tmp_path, monkeypatch):
+    # the same violations, codes, locations, messages and order, as the
+    # eager oracle on every autonomous fixture and mutation and on seeded
+    # corruptions of the seed 1-3 benchmark documents
+    from cascadeho import serialize
+    from cascadeho.scenarios import all_mutations
+
+    cases = [fixture(name).payload for name in fixture_names()
+             if fixture(name).kind == "autonomous"]
+    cases += [m.payload for m in all_mutations() if isinstance(m.payload, AutonomousData)]
+    fixtures = len(cases)
+    docs = [serialize.loads(text) for text in
+            bench_documents(tmp_path, monkeypatch, "autonomous").values()]
+    rng, slots = random.Random(31), set()
+    for k in range(240):
+        data = docs[k % len(docs)]
+        for _ in range(rng.randint(1, 3)):
+            data = corrupt(data, rng, slots)
+        cases.append(data)
+    codes = Counter()
+    for data in cases:
+        found = validate_data(data)
+        assert found == eager_validate_data(data)
+        codes.update(v.code for v in found)
+    assert fixtures >= 8 and len(cases) >= fixtures + 200
+    assert set(codes) == {
+        "missing-grading", "grading-parity", "bad-orbit-multiplicity",
+        "unknown-orbit", "cylinder-bad-orbit", "action-axiom", "class-axiom",
+        "grading-axiom", "du-divisibility", "extra-slot", "extra-coefficient"}
+    assert slots == set(EXTRA_SLOTS)
+
+
 # --- BV operator and structural identities ----------------------------------
 
 
@@ -311,6 +501,41 @@ def test_block_identity_failure_is_the_first_in_orbit_order():
         if expected is None:
             _check_block_identities(data, raw)
             continue
+        with pytest.raises(CascadehoError) as err:
+            _check_block_identities(data, raw)
+        assert str(err.value) == expected
+
+
+def test_a_pair_with_only_a_hat_entry_is_tested():
+    # the hat entry alone breaks the kappa identity: no check entry tests it
+    data = prequantization(1, 1, 2)
+    oids = list(data.orbits)
+    a, b = oids[0], oids[-1]
+    assert (("check", a), ("check", b)) not in block_entries(data)
+    raw = dict(block_entries(data))
+    raw[(("hat", a), ("hat", b))] = 1
+    expected = dense_identity_failure(data, raw)
+    assert expected.startswith(f"kappa-block identity fails on ({a}, {b}): 2*0 + 1*")
+    with pytest.raises(CascadehoError) as err:
+        _check_block_identities(data, raw)
+    assert str(err.value) == expected
+
+
+def test_a_pair_whose_two_entries_break_the_identity_is_reported_once():
+    # check and hat entries of one pair, each nonzero and together breaking
+    # the identity, give the one failure a dense scan finds, whichever of
+    # the two entries comes first in ``raw``
+    data = prequantization(1, 1, 2)
+    oids = list(data.orbits)
+    a, b = oids[0], oids[-1]
+    check, hat = (("check", a), ("check", b)), (("hat", a), ("hat", b))
+    for first, second in ((check, hat), (hat, check)):
+        raw = dict(block_entries(data))
+        raw[first] = 1
+        raw[second] = 1
+        expected = dense_identity_failure(data, raw)
+        assert expected == (f"kappa-block identity fails on ({a}, {b}): "
+                            "2*1 + 1*2 != 0")
         with pytest.raises(CascadehoError) as err:
             _check_block_identities(data, raw)
         assert str(err.value) == expected

@@ -200,6 +200,37 @@ def test_record_readers_match_the_per_field_oracle(cls):
 
 
 
+def test_one_step_records_equal_constructor_built_ones(tmp_path, monkeypatch):
+    # every record read from the fixtures, their trivial cobordisms and the
+    # seed 1-3 documents of the three benchmark workloads equals the record
+    # its constructor builds from the same fields, with the same attributes
+    # in the same order and an instance dict of the same size
+    from test_autonomous import bench_documents
+
+    texts = list(_documents().values())
+    for workload in ("autonomous", "mbs-lift", "cobordism"):
+        texts += bench_documents(tmp_path, monkeypatch, workload).values()
+    read = []
+    for cls, reader in list(serialize._READERS.items()):
+        def recording(data, ratio, reader=reader):
+            read.append(reader(data, ratio))
+            return read[-1]
+
+        monkeypatch.setitem(serialize._READERS, cls, recording)
+    for text in texts:
+        serialize.loads(text)
+    monkeypatch.undo()
+    assert {type(record) for record in read} == set(serialize._FIELDS)
+    for record in read:
+        cls = type(record)
+        names = [f.name for f in fields(cls)]
+        built = cls(**{name: getattr(record, name) for name in names})
+        assert record == built
+        assert list(vars(record)) == list(vars(built))
+        assert list(vars(record))[:len(names)] == names
+        assert sys.getsizeof(vars(record)) == sys.getsizeof(vars(built))
+
+
 # --- the JSON text writer against the standard library ----------------------
 
 # str drawn to include non-ASCII (beyond the BMP too), quotes, backslashes and

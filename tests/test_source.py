@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import cascadeho
-from cascadeho import cli, serialize
+from cascadeho import autonomous, cli, serialize
 from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
@@ -419,3 +419,53 @@ def test_one_mbs_function_checks_the_lift_rules():
             found.setdefault(rule, set()).add(f"{path.name}:{scope}")
     assert found == {rule: {"mbs.py:check_lift"}
                      for rule in _LIFT_RULES + ("MAX_LIFT_CROSSINGS",)}
+
+
+# the functions that run on every autonomous request, valid data included
+_LAZY_TEXT_FUNCTIONS = ("validate_data", "block_entries", "_egh_complex", "_scaled_count")
+
+
+def _eager_f_strings(tree, names):
+    """(function, line) of each f-string in the functions ``names`` of
+    ``tree`` that sits neither in the arguments of a ``Violation(...)`` call
+    nor in a ``raise``: text that valid data would format and throw away."""
+    found = []
+
+    def scan(node, function, lazy):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.JoinedStr) and not lazy:
+                found.append((function, child.lineno))
+                continue
+            inner = lazy or isinstance(child, ast.Raise) or (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", getattr(child.func, "attr", None))
+                == "Violation")
+            scan(child, function, inner)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            scan(node, node.name, False)
+    return found
+
+
+def test_autonomous_requests_format_text_only_for_failures():
+    # a violation's location and message, and the text of a raised error,
+    # are formatted only when a check fails, so valid data formats nothing
+    planted = ast.parse(
+        "def validate_data(data):\n"
+        "    where = f'mj1({data})'\n"
+        "    v.append(Violation('x', f'{data}', f'{data!r} fails'))\n"
+        "    v.append(f'{data}')\n"
+        "def _scaled_count(d):\n"
+        "    raise CascadehoError(f'du does not divide {d}')\n"
+        "def other(d):\n"
+        "    return f'{d}'\n"
+        "def block_entries(d):\n"
+        "    log(mbs.Violation('y', d, 'z'), f'{d}')\n"
+    )
+    assert _eager_f_strings(planted, _LAZY_TEXT_FUNCTIONS) == [
+        ("validate_data", 2), ("validate_data", 4), ("block_entries", 10)]
+    tree = ast.parse(Path(autonomous.__file__).read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(_LAZY_TEXT_FUNCTIONS) <= names
+    assert _eager_f_strings(tree, _LAZY_TEXT_FUNCTIONS) == []
