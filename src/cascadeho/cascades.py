@@ -107,6 +107,10 @@ class Edge(NamedTuple):
     phi: bool  # a cobordism piece: index d - 1 instead of d
 
 
+# an Edge made from its field tuple in one C call
+_edge = partial(tuple.__new__, Edge)
+
+
 class CascadeGraph:
     """Orbit circles (nodes) joined by moduli pieces (edges), indexed by top.
 
@@ -205,7 +209,7 @@ class CascadeGraph:
             for (a, b), pieces in moduli.items():
                 if pieces:
                     pair = (top(a), bottom(b))
-                    table[pair[0]].append(Edge(pair[1], pair, pieces, phi))
+                    table[pair[0]].append(_edge((pair[1], pair, pieces, phi)))
         for (a, b), count in m2cc.items():
             if count:
                 self.m2cc[top(a)].append((bottom(b), count))

@@ -451,27 +451,33 @@ class ChainComplex:
     def check_structure(self):
         """Structural sanity: grading drop 1, class preserved, action drops.
 
-        Returns a list of human-readable violation strings (empty if clean).
-        Actions are compared as integers: each times the lcm of their
-        denominators, so they compare as the actions do.
+        Returns a list of human-readable violation strings (empty if clean),
+        in entry order.  Actions are compared as integers: each times the
+        lcm of their denominators, so they compare as the actions do.  Each
+        entry is tested as it is stored; only the failing ones are sorted
+        and formatted.
         """
-        out = []
         gens = self.generators
-        scale = lcm(*(g.action.denominator for g in gens))
-        action = [g.action.numerator * (scale // g.action.denominator)
-                  for g in gens]
-        for (i, j), val in sorted(self.differential.entries.items()):
+        modulus = self.grading_modulus
+        ratios = [g.action.as_integer_ratio() for g in gens]
+        scale = lcm(*{den for _num, den in ratios})
+        action = [num * (scale // den) for num, den in ratios]
+        failed = []
+        for key, val in self.differential.entries.items():
+            i, j = key
             src, tgt = gens[j], gens[i]
-            dg = src.grading - 1 - tgt.grading
-            if self.grading_modulus:
-                dg %= self.grading_modulus
-            if dg != 0:
-                out.append(f"grading: <d {src.gid}, {tgt.gid}> = {val}")
-            if src.homotopy_class != tgt.homotopy_class:
-                out.append(f"class: <d {src.gid}, {tgt.gid}> = {val}")
-            same_orbit = src.orbit and src.orbit == tgt.orbit
-            if not same_orbit and not action[i] < action[j]:
-                out.append(f"action: <d {src.gid}, {tgt.gid}> = {val}")
+            grading = src.grading - 1 - tgt.grading
+            if modulus:
+                grading %= modulus
+            moved = src.homotopy_class != tgt.homotopy_class
+            drops = (src.orbit and src.orbit == tgt.orbit) or action[i] < action[j]
+            if grading or moved or not drops:
+                failed.append((key, val, (grading != 0, moved, not drops)))
+        out = []
+        for (i, j), val, broken in sorted(failed):
+            for what, bad in zip(("grading", "class", "action"), broken):
+                if bad:
+                    out.append(f"{what}: <d {gens[j].gid}, {gens[i].gid}> = {val}")
         return out
 
 

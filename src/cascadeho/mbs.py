@@ -587,55 +587,57 @@ class Violation:
     message: str
 
 
-def _check(violations, ok, code, location, message):
-    if not ok:
-        violations.append(Violation(code, location, message))
-    return ok
-
-
-def evaluation_values(sys: MorseBottSystem) -> Dict[str, set]:
-    """Per orbit, the ``circle_key`` of every point where a moduli evaluation
-    lands on it: m0 evaluations and m1 lift breakpoints.  A basepoint is
-    generic iff its key avoids its orbit's set.  A preimage query is
-    non-regular only at a lift breakpoint, so a basepoint whose key is not
-    in its orbit's set is a regular value of every m1 evaluation onto that
-    orbit: ``validate_moduli`` scans an in-system component for
-    ``basepoint-nonregular`` only when the key is in the set."""
-    values: Dict[str, set] = {oid: set() for oid in sys.orbits}
-    for (top, bottom), points in sys.m0.items():
-        for pt in points:
-            if top in values:
-                values[top].add(pt.e_plus_key)
-            if bottom in values:
-                values[bottom].add(pt.e_minus_key)
+def _hit_orbits(sys: MorseBottSystem, points: Dict[str, Point]) -> set:
+    """The orbits whose basepoint key ``points[oid]`` is an evaluation value
+    on them: an m0 point's key there, or a lift breakpoint value mod 1, read
+    in one pass that stops reading an orbit's lifts once it is hit.  A
+    basepoint is generic iff its orbit is not hit."""
+    hit = set()
+    for (top, bottom), pieces in sys.m0.items():
+        p, q = points.get(top), points.get(bottom)
+        for pt in pieces:
+            if pt.e_plus_key == p:
+                hit.add(top)
+            if pt.e_minus_key == q:
+                hit.add(bottom)
     for (top, bottom), comps in sys.m1.items():
         for comp in comps:
-            for side, oid in (("plus", top), ("minus", bottom)):
-                if oid in values:
-                    values[oid].update([(vn % vd, vd) for _tn, _td, vn, vd
-                                        in comp.lift(side)])
-    return values
+            # (vn, vd) is (pn, pd) mod 1 iff vd == pd and pd divides vn - pn
+            if top in points and top not in hit:
+                pn, pd = points[top]
+                for _tn, _td, vn, vd in comp.e_plus_lift:
+                    if vd == pd and (vn - pn) % pd == 0:
+                        hit.add(top)
+                        break
+            if bottom in points and bottom not in hit:
+                pn, pd = points[bottom]
+                for _tn, _td, vn, vd in comp.e_minus_lift:
+                    if vd == pd and (vn - pn) % pd == 0:
+                        hit.add(bottom)
+                        break
+    return hit
 
 
 def validate_system(sys: MorseBottSystem) -> List[Violation]:
-    """All structural axiom checks; returns machine-readable violations."""
+    """All structural axiom checks; returns machine-readable violations.
+    A violation's text is formatted only when its check fails."""
     v: List[Violation] = []
 
     for oid, orbit in sys.orbits.items():
-        if not orbit.good:
-            _check(v, orbit.d % 2 == 0, "bad-orbit-multiplicity", oid,
-                   "bad orbit must have even multiplicity")
-        if orbit.grading is not None and sys.grading_modulus != "parity":
-            _check(v, (orbit.grading - orbit.parity) % 2 == 0,
-                   "grading-parity", oid, "grading parity != CZ parity")
+        if not orbit.good and orbit.d % 2:
+            v.append(Violation("bad-orbit-multiplicity", oid,
+                               "bad orbit must have even multiplicity"))
+        if orbit.grading is not None and sys.grading_modulus != "parity" and (
+                orbit.grading - orbit.parity) % 2:
+            v.append(Violation("grading-parity", oid, "grading parity != CZ parity"))
 
     # basepoint genericity
-    values = evaluation_values(sys)
+    points = {oid: sys.basepoint(oid) for oid in sys.orbits}
+    hit = _hit_orbits(sys, points)
     for oid in sys.orbits:
-        p = sys.basepoint(oid)
-        if p in values[oid]:
-            v.append(Violation("basepoint-collision", oid,
-                               f"basepoint {point_str(p)} equals an evaluation value"))
+        if oid in hit:
+            v.append(Violation("basepoint-collision", oid, f"basepoint "
+                               f"{point_str(points[oid])} equals an evaluation value"))
     # a basepoint for no orbit is most likely a misspelt orbit id, which
     # would leave the intended orbit at basepoint 0
     for oid in sorted(set(sys.basepoints) - set(sys.orbits)):
@@ -645,7 +647,7 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     validate_moduli(
         v, sys, sys, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
         shift=0, modulus=sys.grading_modulus, equal_action=(),
-        end_check=partial(_validate_interval_end, sys), values=values,
+        end_check=partial(_validate_interval_end, sys), values=hit,
     )
     return v
 
@@ -671,15 +673,18 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
 
     Each basepoint must be a regular value of the evaluation maps onto its
-    orbit (``basepoint-nonregular``).  ``values`` is ``evaluation_values``
-    of the one system that ``upper`` and ``lower`` are, or None.  With it,
-    a component's ``breakpoint_hit`` scan at an end runs only when that
-    end's basepoint key is in its orbit's set, as the set holds every
-    breakpoint key of the component; otherwise the scan could not find a
-    hit.  With None (phi pieces, which no system's set holds) every
-    component is scanned.
+    orbit (``basepoint-nonregular``).  ``values`` is ``_hit_orbits`` of the
+    one system that ``upper`` and ``lower`` are, or None.  With it, a
+    component's ``breakpoint_hit`` scan at an end runs only when that end's
+    orbit is hit; otherwise the scan could not find a hit, as a query is
+    non-regular only at a breakpoint.  With None (phi pieces, which no
+    system's pass reads) every component is scanned.
     """
-    up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
+    if lower is upper:  # one system: each action read once, as ``low_point``
+        (up_action,) = scaled_actions(upper.orbits)
+        low_action = up_action
+    else:
+        up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
     up_point = {oid: upper.basepoint(oid) for oid in upper.orbits}
     low_point = up_point if lower is upper else {
         oid: lower.basepoint(oid) for oid in lower.orbits}
@@ -718,7 +723,7 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                 (side, p)
                 for side, p, oid in (("plus", up_point[top], top),
                                      ("minus", low_point[bottom], bottom))
-                if values is None or p in values[oid]
+                if values is None or oid in values
             ]
             for ci, comp in enumerate(pieces):
                 if comp.kind == "circle":
@@ -753,22 +758,29 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                                            f"{name}{pair}[{ci}]", hit))
 
 
+def end_where(table, pair, ci, end) -> str:
+    """The location of end ``end`` of ``table[pair][ci]``; validators
+    format it only for a violation."""
+    return f"{table}{pair}[{ci}].end{end}"
+
+
 def _validate_interval_end(sys, pair, comp, ci, end, v):
     top, bottom = pair
-    where = f"m1{pair}[{ci}].end{end}"
     label = comp.boundary_labels[end]
     mid = label.orbit
     if mid not in sys.orbits or mid == top or mid == bottom:
-        _check(v, False, "bad-label-orbit", where, f"intermediate {mid!r}")
+        v.append(Violation("bad-label-orbit", end_where("m1", pair, ci, end),
+                           f"intermediate {mid!r}"))
         return
     if not isinstance(label, BoundaryLabel) or label.d_plus not in (0, 1):
-        _check(v, False, "bad-label", where,
-               f"system interval ends need d_plus 0 or 1 labels, got {label!r}")
+        v.append(Violation("bad-label", end_where("m1", pair, ci, end),
+                           "system interval ends need d_plus 0 or 1 labels, "
+                           f"got {label!r}"))
         return
     upper = Level(sys.m0, sys.m1, (top, mid), frames(sys, sys, (top, mid)))
     lower = Level(sys.m0, sys.m1, (mid, bottom), frames(sys, sys, (mid, bottom)))
-    check_broken_pair(v, where, comp, frames(sys, sys, pair), end, label,
-                      label.d_plus, upper, lower, (-1) ** label.d_plus)
+    check_broken_pair(v, "m1", pair, ci, comp, frames(sys, sys, pair), end,
+                      label, label.d_plus, upper, lower, (-1) ** label.d_plus)
 
 
 class Level(NamedTuple):
@@ -781,9 +793,10 @@ class Level(NamedTuple):
     frames: Tuple
 
 
-def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
-                      upper, lower, factor):
-    """Check that ``comp``'s end ``end`` converges to the broken pair ``label``.
+def check_broken_pair(v, table, pair, ci, comp, comp_frames, end, label,
+                      d_upper, upper, lower, factor):
+    """Check that end ``end`` of ``comp``, the component ``table[pair][ci]``,
+    converges to the broken pair ``label``.
 
     The upper level has dimension ``d_upper`` and the lower one 1 - d_upper:
     the label names the rigid point of one and the parameter ``t`` on a
@@ -795,8 +808,8 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
     comps = comp_level.m1.get(comp_level.pair, [])
     if not (0 <= label.point_index < len(points)
             and 0 <= label.component_index < len(comps)):
-        _check(v, False, "missing-broken-pair", where,
-               "label references a moduli element that does not exist")
+        v.append(Violation("missing-broken-pair", end_where(table, pair, ci, end),
+                           "label references a moduli element that does not exist"))
         return
     point = points[label.point_index]
     other = comps[label.component_index]
@@ -807,9 +820,9 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
     try:
         direction = other.slope_sign(fiber, t)
     except NonRegularValue:
-        _check(v, False, "label-nonregular", where,
-               f"broken pair sits at parameter {t}, not inside a segment of "
-               "its component")
+        v.append(Violation("label-nonregular", end_where(table, pair, ci, end),
+                           f"broken pair sits at parameter {t}, not inside a "
+                           "segment of its component"))
         return
     tn, td = t.numerator, t.denominator
     at = {s: point_key(*_interpolate(other.lift(s), 0, tn, td)[1:])
@@ -822,12 +835,15 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
         fiber_point = point.e_plus_key
     # the values (vn, vd) of both lifts at parameter ``end`` (0 or 1)
     ends = [comp.lift(side)[-1 if end else 0][2:] for side in ("plus", "minus")]
-    _check(v, point_key(*ends[0]) == top_end, "label-eval-mismatch", where,
-           "top evaluation does not match broken limit")
-    _check(v, point_key(*ends[1]) == bottom_end, "label-eval-mismatch", where,
-           "bottom evaluation does not match broken limit")
-    _check(v, fiber_point == at[fiber], "label-fiber-mismatch", where,
-           "broken pair is not a fiber-product point")
+    if point_key(*ends[0]) != top_end:
+        v.append(Violation("label-eval-mismatch", end_where(table, pair, ci, end),
+                           "top evaluation does not match broken limit"))
+    if point_key(*ends[1]) != bottom_end:
+        v.append(Violation("label-eval-mismatch", end_where(table, pair, ci, end),
+                           "bottom evaluation does not match broken limit"))
+    if fiber_point != at[fiber]:
+        v.append(Violation("label-fiber-mismatch", end_where(table, pair, ci, end),
+                           "broken pair is not a fiber-product point"))
 
     fiber_sign = point.sign * direction * component_orientation(
         other, t, *comp_level.frames
@@ -835,12 +851,25 @@ def check_broken_pair(v, where, comp, comp_frames, end, label, d_upper,
     boundary_sign = transported_sign(comp, *comp_frames, *ends) * (
         1 if end == 1 else -1
     )
-    _check(v, boundary_sign == factor * fiber_sign, "label-sign-mismatch", where,
-           f"boundary sign {boundary_sign} != {factor} * fiber sign {fiber_sign}")
+    if boundary_sign != factor * fiber_sign:
+        v.append(Violation("label-sign-mismatch", end_where(table, pair, ci, end),
+                           f"boundary sign {boundary_sign} != {factor} * fiber "
+                           f"sign {fiber_sign}"))
 
 
 # ---------------------------------------------------------------------------
 # basepoints
+
+
+def _lands_on(lifts: List[IntLift], point: Point) -> bool:
+    """True iff a breakpoint value of one of the ``lifts`` is the circle
+    point ``point``, a pair in lowest terms such as a circle key."""
+    pn, pd = point
+    for pts in lifts:
+        for _tn, _td, vn, vd in pts:
+            if vd == pd and (vn - pn) % pd == 0:
+                return True
+    return False
 
 
 def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> MorseBottSystem:
@@ -854,18 +883,33 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
 
     rng = random.Random(seed)
     new = dict(sys.basepoints)
-    values = evaluation_values(sys)
+    # per orbit, the keys of the m0 evaluations and the lifts landing on it
+    keys = {oid: set() for oid in sys.orbits}
+    lifts = {oid: [] for oid in sys.orbits}
+    for (top, bottom), points in sys.m0.items():
+        for pt in points:
+            if top in keys:
+                keys[top].add(pt.e_plus_key)
+            if bottom in keys:
+                keys[bottom].add(pt.e_minus_key)
+    for (top, bottom), comps in sys.m1.items():
+        for comp in comps:
+            if top in lifts:
+                lifts[top].append(comp.e_plus_lift)
+            if bottom in lifts:
+                lifts[bottom].append(comp.e_minus_lift)
     denominators = [257, 263, 269, 271, 277, 281, 283, 293]
     for k, oid in enumerate(sorted(sys.orbits)):
         for attempt in range(64):
             if seed is None:
                 q = denominators[(k + attempt) % len(denominators)]
-                candidate = Fraction(0) if attempt == 0 else Fraction(1 + attempt, q)
+                num = 0 if attempt == 0 else 1 + attempt
             else:
                 q = denominators[attempt % len(denominators)]
-                candidate = Fraction(rng.randrange(q), q)
-            if circle_key(candidate) not in values[oid]:
-                new[oid] = candidate
+                num = rng.randrange(q)
+            key = point_key(num, q)
+            if key not in keys[oid] and not _lands_on(lifts[oid], key):
+                new[oid] = Fraction(num, q)
                 break
         else:
             raise NonRegularValue(f"could not find a generic basepoint for {oid}")

@@ -31,6 +31,7 @@ from .mbs import (
     SignedPoint,
     Violation,
     check_broken_pair,
+    end_where,
     frames,
     validate_moduli,
     validate_system,
@@ -99,17 +100,17 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
 
 def _validate_phi_end(m, pair, comp, ci, end, v):
     top, bottom = pair
-    where = f"phi1{pair}[{ci}].end{end}"
     label = comp.boundary_labels[end]
     if not isinstance(label, PhiLabel) or label.side not in ("top", "bottom") \
             or label.d_phi not in (0, 1):
-        v.append(Violation("bad-label", where,
+        v.append(Violation("bad-label", end_where("phi1", pair, ci, end),
                            "phi interval ends need PhiLabel entries"))
         return
     mid = label.orbit
     name, layer = ("source", m.source) if label.side == "top" else ("target", m.target)
     if mid not in layer.orbits:
-        v.append(Violation("bad-label-orbit", where, f"unknown {name} orbit {mid!r}"))
+        v.append(Violation("bad-label-orbit", end_where("phi1", pair, ci, end),
+                           f"unknown {name} orbit {mid!r}"))
         return
     if label.side == "top":
         # a source level splits off above the phi level
@@ -125,8 +126,8 @@ def _validate_phi_end(m, pair, comp, ci, end, v):
         lower = Level(m.target.m0, m.target.m1, (mid, bottom),
                       frames(m.target, m.target, (mid, bottom)))
         d_upper, factor = label.d_phi, (-1) ** label.d_phi
-    check_broken_pair(v, where, comp, frames(m.source, m.target, pair), end,
-                      label, d_upper, upper, lower, factor)
+    check_broken_pair(v, "phi1", pair, ci, comp, frames(m.source, m.target, pair),
+                      end, label, d_upper, upper, lower, factor)
 
 
 # ---------------------------------------------------------------------------

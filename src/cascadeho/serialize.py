@@ -265,21 +265,27 @@ def _component_json(comp: PLComponent):
 
 
 def _component_load(data, ratio) -> PLComponent:
-    labels = _object(data, "labels")
+    # the _object and _read checks inline, with their messages: this runs
+    # once per component of a document
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise TypeError(f"'labels' must be an object, got {labels!r}")
     for end in labels:
         if end not in ("0", "1"):
             raise ValueError(f'label end {end!r} is neither "0" nor "1"')
-    return PLComponent._trusted(
-        data["kind"],
-        _read(data, "sign_start", int),
-        _lift_load(data["e_plus_lift"], ratio),
-        _lift_load(data["e_minus_lift"], ratio),
-        {
-            int(end): _READERS[PhiLabel if "side" in label else BoundaryLabel](
-                label, ratio)
-            for end, label in labels.items()
-        },
-    )
+    kind = data["kind"]
+    sign_start = data["sign_start"]
+    if type(sign_start) is not int:
+        raise _kind_error("sign_start", int, sign_start)
+    plus = _lift_load(data["e_plus_lift"], ratio)
+    minus = _lift_load(data["e_minus_lift"], ratio)
+    # a fresh dict either way: the component shares nothing with ``data``
+    labels = {
+        int(end): _READERS[PhiLabel if "side" in label else BoundaryLabel](
+            label, ratio)
+        for end, label in labels.items()
+    } if labels else {}
+    return PLComponent._trusted(kind, sign_start, plus, minus, labels)
 
 
 def _pairs_json(mapping, value_key, value_fn):
@@ -320,7 +326,10 @@ def _components_json(components):
 
 
 def _components_load(e, ratio):
-    return [_component_load(c, ratio) for c in e["components"]]
+    out = []
+    for c in e["components"]:
+        out.append(_component_load(c, ratio))
+    return out
 
 
 def _orbits_json(orbits):

@@ -456,6 +456,68 @@ def test_check_structure_flags_bad_entries():
     assert any("class" in p for p in problems)
     assert any("action" in p for p in problems)
 
+def sorted_check_structure(complex_):
+    """``check_structure`` as a sort of every entry: each entry's grading,
+    class and action tests in entry order, formatted as it is tested."""
+    out = []
+    gens = complex_.generators
+    scale = math.lcm(*(g.action.denominator for g in gens))
+    action = [g.action.numerator * (scale // g.action.denominator) for g in gens]
+    for (i, j), val in sorted(complex_.differential.entries.items()):
+        src, tgt = gens[j], gens[i]
+        dg = src.grading - 1 - tgt.grading
+        if complex_.grading_modulus:
+            dg %= complex_.grading_modulus
+        if dg != 0:
+            out.append(f"grading: <d {src.gid}, {tgt.gid}> = {val}")
+        if src.homotopy_class != tgt.homotopy_class:
+            out.append(f"class: <d {src.gid}, {tgt.gid}> = {val}")
+        same_orbit = src.orbit and src.orbit == tgt.orbit
+        if not same_orbit and not action[i] < action[j]:
+            out.append(f"action: <d {src.gid}, {tgt.gid}> = {val}")
+    return out
+
+
+def _corrupted_complex(rng):
+    """A complex on 2-9 generators whose entries, inserted in a random
+    order, break the grading drop, the class or the action drop (one or
+    several of them), or, one time in five, none."""
+    n = rng.randrange(2, 10)
+    modulus = rng.choice((0, 0, 2, 4))
+    if rng.random() < 0.2:  # d g_j = sum of multiples of g_(j+1)
+        gens = tuple(ChainGenerator(f"g{k}", -k, "", Fraction(n - k, 2))
+                     for k in range(n))
+        entries = {(j + 1, j): rng.choice((-1, 2)) for j in range(n - 1)}
+        return ChainComplex(gens, IntMatrix._trusted(n, n, entries), modulus)
+    gens = tuple(
+        ChainGenerator(f"g{k}", rng.randrange(-2, 4), rng.choice(("", "", "u")),
+                       Fraction(rng.randrange(-6, 12), rng.choice((1, 2, 3))),
+                       rng.choice(("", "A", "B", "C")))
+        for k in range(n))
+    slots = [(i, j) for i in range(n) for j in range(n)]
+    rng.shuffle(slots)
+    entries = {slot: rng.choice((-2, -1, 1, 3)) for slot in slots[:rng.randrange(1, 12)]}
+    return ChainComplex(gens, IntMatrix._trusted(n, n, entries), modulus)
+
+
+def test_check_structure_matches_the_sorted_scan():
+    # check_structure tests each entry as it is stored and sorts only the
+    # failing ones; a scan of every entry in sorted order gives the same list
+    rng = random.Random(463)
+    seen = Counter()
+    for _ in range(400):
+        c = _corrupted_complex(rng)
+        found = c.check_structure()
+        assert found == sorted_check_structure(c)
+        seen.update(p.split(":")[0] for p in found)
+        seen["clean"] += not found
+        heads = [p.split(" = ")[0].split(": ")[1] for p in found]
+        seen["two breaks in one entry"] += len(heads) > len(set(heads))
+        keys = list(c.differential.entries)
+        seen["out of order"] += bool(found) and keys != sorted(keys)
+    assert min(seen[what] for what in ("grading", "class", "action", "clean",
+                                       "two breaks in one entry", "out of order")) >= 10
+
 
 def test_homology_rejects_an_entry_outside_every_block():
     # d a = 5c skips grading 1: d o d = 0, and no block holds the entry, so

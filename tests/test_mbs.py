@@ -5,12 +5,13 @@ import random
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeho import mbs, serialize
+from cascadeho import mbs, morphisms, serialize
 from cascadeho.cascades import (
     SRC,
     TGT,
@@ -32,12 +33,13 @@ from cascadeho.mbs import (
     Orbit,
     PLComponent,
     SignedPoint,
+    Violation,
     assign_basepoints,
     circle_key,
     component_orientation,
     component_preimages,
     cyclically_ordered,
-    evaluation_values,
+    point_str,
     scaled_actions,
     signed_preimages,
     transported_sign,
@@ -167,9 +169,8 @@ def test_circle_arithmetic_matches_fraction_oracle(x, y):
 
 
 def test_circle_keys_build_no_fractions(monkeypatch):
-    # evaluation values, the basepoint-collision test, the cyclic order and
-    # the cascade walk, of a system and of a cobordism, are decided in
-    # integers
+    # the basepoint-collision test, the cyclic order and the cascade walk,
+    # of a system and of a cobordism, are decided in integers
     sys_ = MorseBottSystem(
         orbits={
             "a": Orbit("a", 1, 0, True, F(2), "", 0),
@@ -194,7 +195,7 @@ def test_circle_keys_build_no_fractions(monkeypatch):
 
     monkeypatch.setattr(F, "__new__", counting)
     for other in systems:
-        evaluation_values(other)
+        validate_system(other)
     violations = validate_system(sys_)
     answers = [cyclically_ordered(*args) for args in orders]
     columns = []
@@ -312,6 +313,246 @@ def test_gated_basepoint_scan_reports_what_the_full_scan_does(monkeypatch):
     for (name, _validate, _doc), found in zip(cases, gated):
         if "on-breakpoints" in name:
             assert any(v.code == "basepoint-nonregular" for v in found), name
+
+
+# --- the set-based genericity check, kept as an oracle ----------------------
+
+
+def evaluation_values(sys_):
+    """Per orbit, the ``circle_key`` of every point where a moduli evaluation
+    lands on it: m0 evaluations and m1 lift breakpoints.  The set-based
+    genericity check: a basepoint is generic iff its key avoids its orbit's
+    set."""
+    values = {oid: set() for oid in sys_.orbits}
+    for (top, bottom), points in sys_.m0.items():
+        for pt in points:
+            if top in values:
+                values[top].add(pt.e_plus_key)
+            if bottom in values:
+                values[bottom].add(pt.e_minus_key)
+    for (top, bottom), comps in sys_.m1.items():
+        for comp in comps:
+            for side, oid in (("plus", top), ("minus", bottom)):
+                if oid in values:
+                    values[oid].update([(vn % vd, vd) for _tn, _td, vn, vd
+                                        in comp.lift(side)])
+    return values
+
+
+def set_based_validate_system(sys_):
+    """``validate_system`` with the set-based collision check and gate: a
+    component is scanned for ``basepoint-nonregular`` at an end only when
+    that end's basepoint key is in its orbit's ``evaluation_values`` set."""
+    v = []
+    for oid, orbit in sys_.orbits.items():
+        if not orbit.good and orbit.d % 2 != 0:
+            v.append(Violation("bad-orbit-multiplicity", oid,
+                               "bad orbit must have even multiplicity"))
+        if orbit.grading is not None and sys_.grading_modulus != "parity" and (
+                orbit.grading - orbit.parity) % 2 != 0:
+            v.append(Violation("grading-parity", oid, "grading parity != CZ parity"))
+    values = evaluation_values(sys_)
+    for oid in sys_.orbits:
+        p = sys_.basepoint(oid)
+        if p in values[oid]:
+            v.append(Violation("basepoint-collision", oid,
+                               f"basepoint {point_str(p)} equals an evaluation value"))
+    for oid in sorted(set(sys_.basepoints) - set(sys_.orbits)):
+        v.append(Violation("unknown-orbit", f"basepoints[{oid}]",
+                           f"basepoint for unknown orbit {oid!r}"))
+    # the gate p in values[oid], as the set of orbits it lets through
+    gate = {oid for oid in sys_.orbits if sys_.basepoint(oid) in values[oid]}
+    mbs.validate_moduli(
+        v, sys_, sys_, (("m0", 0, sys_.m0), ("m1", 1, sys_.m1), ("m2cc", 2, sys_.m2cc)),
+        shift=0, modulus=sys_.grading_modulus, equal_action=(),
+        end_check=partial(mbs._validate_interval_end, sys_), values=gate,
+    )
+    return v
+
+
+_COLLISIONS = ("m0-plus", "m0-minus", "circle-plus", "circle-minus",
+               "interval-plus", "interval-minus")
+
+
+def _collision_targets(sys_):
+    """Per kind of ``_COLLISIONS``, the (orbit, evaluation value) pairs a
+    basepoint can be moved onto: an m0 point's e+ or e- evaluation, or a
+    breakpoint of a circle or interval lift on either side."""
+    targets = {kind: [] for kind in _COLLISIONS}
+    for (top, bottom), points in sorted(sys_.m0.items()):
+        for pt in points:
+            targets["m0-plus"].append((top, pt.e_plus))
+            targets["m0-minus"].append((bottom, pt.e_minus))
+    for (top, bottom), comps in sorted(sys_.m1.items()):
+        for comp in comps:
+            for side, oid in (("plus", top), ("minus", bottom)):
+                for _tn, _td, vn, vd in comp.lift(side):
+                    targets[f"{comp.kind}-{side}"].append((oid, F(vn, vd)))
+    return {kind: [(oid, x) for oid, x in found if oid in sys_.orbits]
+            for kind, found in targets.items()}
+
+
+def _corrupt(sys_, rng):
+    """``sys_`` with one basepoint moved onto an evaluation value of its
+    orbit (a whole turn off it, sometimes), then up to two more edits: a
+    further move, an orbit with no moduli, or a pair naming an unknown
+    orbit whose pieces land on a known one.  Returns the system and the
+    (kind, orbit) of the first move, or None if a later edit moved that
+    basepoint again."""
+    targets = _collision_targets(sys_)
+    kinds = [kind for kind in _COLLISIONS if targets[kind]]
+    basepoints, orbits = dict(sys_.basepoints), dict(sys_.orbits)
+    m0, m1 = dict(sys_.m0), dict(sys_.m1)
+    first = None
+    for step in range(1 + rng.randrange(3)):
+        edit = "move" if step == 0 else rng.choice(
+            ("move", "lone-orbit", "unknown-top", "unknown-bottom"))
+        if edit == "move":
+            kind = rng.choice(kinds)
+            oid, x = rng.choice(targets[kind])
+            basepoints[oid] = x + rng.choice((0, 0, 1, -2))
+            first = first or (kind, oid, basepoints[oid])
+        elif edit == "lone-orbit":
+            oid = f"lone{step}"
+            orbits[oid] = Orbit(oid, 2, rng.randrange(2), rng.random() < 0.5,
+                                F(rng.randrange(1, 40), 7), "", rng.randrange(4))
+            basepoints[oid] = F(rng.randrange(9), 9)
+        else:
+            known = rng.choice(sorted(sys_.orbits))
+            pair = (known, "ghost") if edit == "unknown-top" else ("ghost", known)
+            side = "plus" if edit == "unknown-top" else "minus"
+            comps = [c for cs in sys_.m1.values() for c in cs]
+            if comps and rng.random() < 0.5:
+                comp = rng.choice(comps)
+                m1[pair] = [comp]
+                _tn, _td, vn, vd = rng.choice(comp.lift(side))
+                basepoints[known] = F(vn, vd) + rng.choice((0, 1))
+            else:
+                x = F(rng.randrange(1, 12), 13)
+                m0[pair] = [SignedPoint(x, x, 1)]
+                if rng.random() < 0.7:
+                    basepoints[known] = x - 1
+    kind, oid, x = first
+    moved = (kind, oid) if basepoints[oid] is x else None
+    return replace(sys_, orbits=orbits, basepoints=basepoints, m0=m0, m1=m1), moved
+
+
+def _corruption_cases(count=240):
+    """``count`` seeded corruptions of the Morse-Bott fixtures and mutations
+    and of the seed 1-3 lifts of both Morse-Bott workloads."""
+    bases = [fixture(name).payload for name in fixture_names()]
+    bases += [m.payload for m in all_mutations()]
+    for workload in ("cobordism", "mbs-lift"):
+        for seed in (1, 2, 3):
+            bases += _bench_lifts(seed, workload)
+    bases = [b for b in bases if isinstance(b, MorseBottSystem)
+             and any(_collision_targets(b).values())]
+    rng = random.Random(2002)
+    return [_corrupt(bases[k % len(bases)], rng) + (k,) for k in range(count)]
+
+
+def test_genericity_pass_matches_the_set_based_check(monkeypatch):
+    # validate_system decides basepoint genericity in one integer pass over
+    # the moduli; the set-based check it replaced gives the same violations
+    # (code, location, message, order), alone and inside validate_morphism
+    corrupted = _corruption_cases()
+    cases = _validation_cases()
+    start = len(cases)
+    cases += [(f"corrupted/{k}", validate_system, sys_) for sys_, _moved, k in corrupted]
+    cases += [(f"corrupted/{k}/trivial", validate_morphism, trivial_cobordism(sys_))
+              for sys_, _first, k in corrupted[::8]]
+    got = [validate(doc) for _name, validate, doc in cases]
+    monkeypatch.setattr(morphisms, "validate_system", set_based_validate_system)
+    for (name, validate, doc), found in zip(cases, got):
+        oracle = set_based_validate_system if validate is validate_system else validate
+        assert found == oracle(doc), name
+        if isinstance(doc, MorseBottSystem):
+            points = {oid: doc.basepoint(oid) for oid in doc.orbits}
+            values = evaluation_values(doc)
+            assert mbs._hit_orbits(doc, points) == {
+                oid for oid, p in points.items() if p in values[oid]}, name
+    # every kind of move lands: the moved orbit reports a collision
+    reported = set()
+    on_corrupted = got[start:start + len(corrupted)]
+    for (sys_, moved, k), found in zip(corrupted, on_corrupted):
+        if moved is not None:
+            kind, oid = moved
+            assert Violation("basepoint-collision", oid, "basepoint "
+                             f"{point_str(sys_.basepoint(oid))} equals an "
+                             "evaluation value") in found, k
+            reported.add(kind)
+    assert reported == set(_COLLISIONS)
+    found = [v for violations in on_corrupted for v in violations]
+    assert any(v.location.startswith("m0('ghost'") for v in found)
+    assert any(v.location.startswith("m1(") and "'ghost')" in v.location for v in found)
+    assert any(v.code == "basepoint-nonregular" for v in found)
+    assert any(v.code == "grading-parity" and v.location.startswith("lone") for v in found)
+
+
+def set_based_assign_basepoints(sys_, seed=None):
+    """The basepoints ``assign_basepoints`` drew with the set-based check."""
+    rng = random.Random(seed)
+    new = dict(sys_.basepoints)
+    values = evaluation_values(sys_)
+    denominators = [257, 263, 269, 271, 277, 281, 283, 293]
+    for k, oid in enumerate(sorted(sys_.orbits)):
+        for attempt in range(64):
+            if seed is None:
+                q = denominators[(k + attempt) % len(denominators)]
+                candidate = Fraction(0) if attempt == 0 else Fraction(1 + attempt, q)
+            else:
+                q = denominators[attempt % len(denominators)]
+                candidate = Fraction(rng.randrange(q), q)
+            if circle_key(candidate) not in values[oid]:
+                new[oid] = candidate
+                break
+        else:
+            raise NonRegularValue(f"could not find a generic basepoint for {oid}")
+    return new
+
+
+def _drawn_or_error(draw, sys_, seed):
+    try:
+        return draw(sys_, seed)
+    except NonRegularValue as exc:
+        return ("error", str(exc))
+
+
+def test_basepoint_draws_match_the_set_based_check():
+    systems = [(name, fixture(name).payload) for name in fixture_names()]
+    systems += [(f"{m.fixture}/{m.cls}", m.payload) for m in all_mutations()]
+    for workload in ("cobordism", "mbs-lift"):
+        for seed in (1, 2, 3):
+            systems += [(f"{workload}/{seed}/{k}", lift)
+                        for k, lift in enumerate(_bench_lifts(seed, workload))]
+    systems = [(name, s) for name, s in systems if isinstance(s, MorseBottSystem)]
+    assert "one-circle/basepoint-collision" in dict(systems)
+    # an orbit every candidate lands on, through m0 evaluations or lift
+    # breakpoints: no draw is generic
+    denominators = [257, 263, 269, 271, 277, 281, 283, 293]
+    everywhere = [F(r, q) for q in denominators for r in range(q)]
+    orbits = {oid: Orbit(oid, 1, 0, True, F(3 - k), "", 0)
+              for k, oid in enumerate("abc")}
+    systems.append(("all-m0-plus", MorseBottSystem(
+        orbits, m0={("a", "b"): [SignedPoint(x, F(1, 2), 1) for x in everywhere]})))
+    systems.append(("all-m0-minus", MorseBottSystem(
+        orbits, m0={("c", "a"): [SignedPoint(F(1, 2), x, 1) for x in everywhere]})))
+    lift = [(F(k, len(everywhere)), x) for k, x in enumerate(everywhere)]
+    lift.append((F(1), F(1, 2)))
+    short = ((F(0), F(1, 3)), (F(1), F(2, 3)))
+    systems.append(("all-m1-plus", MorseBottSystem(orbits, m1={("a", "b"): [
+        PLComponent("interval", 1, short, short), PLComponent("interval", 1, lift, short)]})))
+    systems.append(("all-m1-minus", MorseBottSystem(orbits, m1={("c", "a"): [
+        PLComponent("interval", 1, short, lift)]})))
+    for name, sys_ in systems:
+        for seed in (None, 1, 2, 3, 7, 11):
+            expected = _drawn_or_error(set_based_assign_basepoints, sys_, seed)
+            got = _drawn_or_error(lambda s, r: assign_basepoints(s, r).basepoints,
+                                  sys_, seed)
+            assert got == expected, (name, seed)
+            if name.startswith("all-"):
+                assert got == ("error", "could not find a generic basepoint for a")
+
 
 
 def transport_sign(orbit: Orbit, raw_sign: int, windings: int) -> int:

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import cascadeho
-from cascadeho import autonomous, cli, serialize
+from cascadeho import autonomous, cli, mbs, morphisms, serialize
 from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
@@ -423,23 +423,33 @@ def test_one_mbs_function_checks_the_lift_rules():
 
 # the functions that run on every autonomous request, valid data included
 _LAZY_TEXT_FUNCTIONS = ("validate_data", "block_entries", "_egh_complex", "_scaled_count")
+# the Morse-Bott validators that run on every request on an mbs or morphism
+# document: the system checks and each interval end's broken-pair checks
+_LAZY_MBS_FUNCTIONS = ("validate_system", "_validate_interval_end", "check_broken_pair")
+_LAZY_MORPHISM_FUNCTIONS = ("_validate_phi_end",)
+# helpers that format a violation's location
+_FORMATTERS = ("end_where",)
 
 
 def _eager_f_strings(tree, names):
-    """(function, line) of each f-string in the functions ``names`` of
-    ``tree`` that sits neither in the arguments of a ``Violation(...)`` call
-    nor in a ``raise``: text that valid data would format and throw away."""
+    """(function, line) of each f-string, or call of a location formatter,
+    in the functions ``names`` of ``tree`` that sits neither in the
+    arguments of a ``Violation(...)`` call nor in a ``raise``: text that
+    valid data would format and throw away."""
     found = []
+
+    def called(node):
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None))
 
     def scan(node, function, lazy):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.JoinedStr) and not lazy:
+            if (isinstance(child, ast.JoinedStr)
+                    or called(child) in _FORMATTERS) and not lazy:
                 found.append((function, child.lineno))
                 continue
             inner = lazy or isinstance(child, ast.Raise) or (
-                isinstance(child, ast.Call)
-                and getattr(child.func, "id", getattr(child.func, "attr", None))
-                == "Violation")
+                called(child) == "Violation")
             scan(child, function, inner)
 
     for node in ast.walk(tree):
@@ -450,7 +460,8 @@ def _eager_f_strings(tree, names):
 
 def test_autonomous_requests_format_text_only_for_failures():
     # a violation's location and message, and the text of a raised error,
-    # are formatted only when a check fails, so valid data formats nothing
+    # are formatted only when a check fails, so valid data formats nothing:
+    # on autonomous requests and in the Morse-Bott validators
     planted = ast.parse(
         "def validate_data(data):\n"
         "    where = f'mj1({data})'\n"
@@ -465,7 +476,27 @@ def test_autonomous_requests_format_text_only_for_failures():
     )
     assert _eager_f_strings(planted, _LAZY_TEXT_FUNCTIONS) == [
         ("validate_data", 2), ("validate_data", 4), ("block_entries", 10)]
-    tree = ast.parse(Path(autonomous.__file__).read_text())
-    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert set(_LAZY_TEXT_FUNCTIONS) <= names
-    assert _eager_f_strings(tree, _LAZY_TEXT_FUNCTIONS) == []
+    planted = ast.parse(
+        "def check_broken_pair(v, table, pair, ci, end):\n"
+        "    where = end_where(table, pair, ci, end)\n"
+        "    if bad:\n"
+        "        v.append(Violation('x', end_where(table, pair, ci, end), 'm'))\n"
+        "    _check(v, ok, 'y', mbs.end_where(table, pair, ci, end),\n"
+        "           f'boundary sign {ok}')\n"
+        "def validate_system(sys):\n"
+        "    for oid in sys.orbits:\n"
+        "        _check(v, ok, 'z', oid, f'basepoint {oid}')\n"
+        "def end_where(table, pair, ci, end):\n"
+        "    return f'{table}{pair}[{ci}].end{end}'\n"
+    )
+    assert _eager_f_strings(planted, _LAZY_MBS_FUNCTIONS) == [
+        ("check_broken_pair", 2), ("check_broken_pair", 5),
+        ("check_broken_pair", 6), ("validate_system", 9)]
+    for module, functions in ((autonomous, _LAZY_TEXT_FUNCTIONS),
+                              (mbs, _LAZY_MBS_FUNCTIONS),
+                              (morphisms, _LAZY_MORPHISM_FUNCTIONS)):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        assert set(functions) <= names
+        assert _eager_f_strings(tree, functions) == []
