@@ -54,10 +54,10 @@ from .mbs import Orbit, Violation, scaled_actions
 Pair = Tuple[str, str]
 GenKey = Tuple[str, str]  # (flavor, orbit)
 
-# most generators of one U-truncated complex, 2 per orbit and U power.
-# equivariant_differential assembles them; chs1 and compare build none, but
-# walk the tower's degrees (about 2K per class) and report a group for each,
-# so the bound keeps an untrusted --umax from making either unbounded work
+# the bound that keeps an untrusted --umax from making unbounded work: on
+# the generators equivariant_differential assembles, 2 per orbit and U
+# power, and on the (class, degree) slots whose groups _Pattern.homology
+# walks and reports for chs1 and compare, which build no tower
 MAX_GENERATORS = 10**6
 
 
@@ -484,13 +484,38 @@ def _assemble(pattern: _Pattern, truncation: int) -> ChainComplex:
 def _tower_pattern(data: AutonomousData, truncation: int) -> _Pattern:
     """The ``_Pattern`` of ``data`` for the towers up to U^truncation.
 
-    Raises ValueError for a truncation below 1 and InputError when the
-    tower would have more than MAX_GENERATORS generators, both before any
-    work; then ValidationFailure for invalid data, and SquareNonzero, with
-    the tower's witness, unless every tower squares to zero.
+    Raises ValueError for a truncation below 1, ValidationFailure for
+    invalid data, and SquareNonzero, with the tower's witness, unless every
+    tower squares to zero.  Then InputError when ``homology`` would walk
+    more than MAX_GENERATORS (class, degree) slots: hi - lo + 2K + 1 per
+    class, for its least and greatest base gradings lo and hi.  No work so
+    far depends on K.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    _require_valid(data)
+    pattern = _Pattern(data)
+    grading = pattern.grading
+    count = sum(max(grading[t] for t in members) - min(grading[t] for t in members)
+                + 2 * truncation + 1 for members in pattern.classes.values())
+    if count > MAX_GENERATORS:
+        raise InputError(
+            f"truncation K = {truncation} (--umax) needs {count} (class, degree) "
+            "slots (hi - lo + 2K + 1 per homotopy class), "
+            f"more than {MAX_GENERATORS}"
+        )
+    return pattern
+
+
+def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
+    """d (x) 1 + d_1 (x) U^{-1} on generators up to U^truncation.
+
+    Raises InputError, before any work, when the complex would have more
+    than MAX_GENERATORS generators; otherwise as ``_tower_pattern``.  d^2
+    = 0 is checked on the base generators (``_Pattern``), with the tower's
+    witness; the tower is not marked checked, so ``homology`` multiplies it
+    out again.
+    """
     count = 2 * len(data.orbits) * (truncation + 1)
     if count > MAX_GENERATORS:
         raise InputError(
@@ -498,18 +523,6 @@ def _tower_pattern(data: AutonomousData, truncation: int) -> _Pattern:
             f"(2 x {len(data.orbits)} orbits x (K + 1)), more than "
             f"{MAX_GENERATORS}"
         )
-    _require_valid(data)
-    return _Pattern(data)
-
-
-def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComplex:
-    """d (x) 1 + d_1 (x) U^{-1} on generators up to U^truncation.
-
-    Raises InputError, before any assembly, when the complex would have
-    more than MAX_GENERATORS generators.  d^2 = 0 is checked on the base
-    generators (``_Pattern``), with the tower's witness; the tower is not
-    marked checked, so ``homology`` multiplies it out again.
-    """
     return _assemble(_tower_pattern(data, truncation), truncation)
 
 

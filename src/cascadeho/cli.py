@@ -130,7 +130,7 @@ def _cmd_validate(args):
 def _cmd_nch(args):
     obj = _load(args.file, ("mbs", "autonomous"))
     if isinstance(obj, AutonomousData):
-        if args.basepoints is not None or args.action_bound:
+        if args.basepoints is not None or args.action_bound is not None:
             raise InputError(
                 "--basepoints/--action-bound only apply to mbs documents"
             )
@@ -138,7 +138,8 @@ def _cmd_nch(args):
     else:
         if args.basepoints is not None:
             obj = assign_basepoints(obj, args.basepoints)
-        bound = serialize._frac(args.action_bound) if args.action_bound else None
+        bound = (None if args.action_bound is None
+                 else serialize._frac(args.action_bound))
         result = nch_homology(obj, action_bound=bound)
     if args.homotopy_class is not None:
         result = type(result)(

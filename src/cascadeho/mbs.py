@@ -587,37 +587,6 @@ class Violation:
     message: str
 
 
-def _hit_orbits(sys: MorseBottSystem, points: Dict[str, Point]) -> set:
-    """The orbits whose basepoint key ``points[oid]`` is an evaluation value
-    on them: an m0 point's key there, or a lift breakpoint value mod 1, read
-    in one pass that stops reading an orbit's lifts once it is hit.  A
-    basepoint is generic iff its orbit is not hit."""
-    hit = set()
-    for (top, bottom), pieces in sys.m0.items():
-        p, q = points.get(top), points.get(bottom)
-        for pt in pieces:
-            if pt.e_plus_key == p:
-                hit.add(top)
-            if pt.e_minus_key == q:
-                hit.add(bottom)
-    for (top, bottom), comps in sys.m1.items():
-        for comp in comps:
-            # (vn, vd) is (pn, pd) mod 1 iff vd == pd and pd divides vn - pn
-            if top in points and top not in hit:
-                pn, pd = points[top]
-                for _tn, _td, vn, vd in comp.e_plus_lift:
-                    if vd == pd and (vn - pn) % pd == 0:
-                        hit.add(top)
-                        break
-            if bottom in points and bottom not in hit:
-                pn, pd = points[bottom]
-                for _tn, _td, vn, vd in comp.e_minus_lift:
-                    if vd == pd and (vn - pn) % pd == 0:
-                        hit.add(bottom)
-                        break
-    return hit
-
-
 def validate_system(sys: MorseBottSystem) -> List[Violation]:
     """All structural axiom checks; returns machine-readable violations.
     A violation's text is formatted only when its check fails."""
@@ -631,24 +600,25 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
                 orbit.grading - orbit.parity) % 2:
             v.append(Violation("grading-parity", oid, "grading parity != CZ parity"))
 
-    # basepoint genericity
-    points = {oid: sys.basepoint(oid) for oid in sys.orbits}
-    hit = _hit_orbits(sys, points)
+    moduli: List[Violation] = []
+    hit = validate_moduli(
+        moduli, sys, sys,
+        (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
+        shift=0, modulus=sys.grading_modulus, equal_action=(),
+        end_check=partial(_validate_interval_end, sys),
+    )
+    # a basepoint is generic iff no evaluation onto its orbit hits it
     for oid in sys.orbits:
         if oid in hit:
             v.append(Violation("basepoint-collision", oid, f"basepoint "
-                               f"{point_str(points[oid])} equals an evaluation value"))
+                               f"{point_str(sys.basepoint(oid))} equals an "
+                               "evaluation value"))
     # a basepoint for no orbit is most likely a misspelt orbit id, which
     # would leave the intended orbit at basepoint 0
     for oid in sorted(set(sys.basepoints) - set(sys.orbits)):
         v.append(Violation("unknown-orbit", f"basepoints[{oid}]",
                            f"basepoint for unknown orbit {oid!r}"))
-
-    validate_moduli(
-        v, sys, sys, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
-        shift=0, modulus=sys.grading_modulus, equal_action=(),
-        end_check=partial(_validate_interval_end, sys), values=hit,
-    )
+    v += moduli
     return v
 
 
@@ -663,7 +633,7 @@ def scaled_actions(*orbit_tables) -> List[Dict[str, int]]:
 
 
 def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
-                    end_check, values):
+                    end_check) -> set:
     """Check moduli from orbits of ``upper`` down to orbits of ``lower``.
 
     ``tables`` lists (name, dimension, moduli); a piece of dimension d has
@@ -672,13 +642,13 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     strictly, except across pairs in ``equal_action``.  Each end of a
     1-dimensional interval goes to ``end_check(pair, comp, ci, end, v)``.
 
-    Each basepoint must be a regular value of the evaluation maps onto its
-    orbit (``basepoint-nonregular``).  ``values`` is ``_hit_orbits`` of the
-    one system that ``upper`` and ``lower`` are, or None.  With it, a
-    component's ``breakpoint_hit`` scan at an end runs only when that end's
-    orbit is hit; otherwise the scan could not find a hit, as a query is
-    non-regular only at a breakpoint.  With None (phi pieces, which no
-    system's pass reads) every component is scanned.
+    This is the one place where validation reads an evaluation against a
+    basepoint.  Each side of a 1-dimensional component whose orbit is known
+    goes through ``breakpoint_hit`` once: a hit is a ``basepoint-nonregular``
+    violation, unless the pair names an unknown orbit.  Returns the orbits
+    whose basepoint an evaluation hits, there or at the e+/e- key of a
+    0-dimensional point: ``validate_system`` reports these as
+    ``basepoint-collision``.
     """
     if lower is upper:  # one system: each action read once, as ``low_point``
         (up_action,) = scaled_actions(upper.orbits)
@@ -688,6 +658,7 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     up_point = {oid: upper.basepoint(oid) for oid in upper.orbits}
     low_point = up_point if lower is upper else {
         oid: lower.basepoint(oid) for oid in lower.orbits}
+    hit = set()
     for name, dim, moduli in tables:
         index = dim - shift
         for pair, pieces in sorted(moduli.items()):
@@ -695,38 +666,40 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                 continue
             # messages and locations are formatted only for a violation
             top, bottom = pair
-            if top not in upper.orbits or bottom not in lower.orbits:
+            p, q = up_point.get(top), low_point.get(bottom)
+            known = p is not None and q is not None
+            if not known:
                 v.append(Violation("unknown-orbit", f"{name}{pair}", f"pair {pair}"))
-                continue
-            a, b = upper.orbit(top), lower.orbit(bottom)
-            if (a.parity - b.parity - index) % 2:
-                v.append(Violation("parity-axiom", f"{name}{pair}",
-                                   f"CZ parity gap != {index} mod 2 for {pair}"))
-            if a.grading is not None and b.grading is not None and modulus != "parity":
-                gap = a.grading - b.grading
-                if modulus:
-                    gap %= modulus
-                if gap != (index % modulus if modulus else index):
-                    v.append(Violation(
-                        "grading-axiom", f"{name}{pair}",
-                        f"grading gap {gap} != moduli index {index} for {pair}"))
-            if a.homotopy_class != b.homotopy_class:
-                v.append(Violation("class-axiom", f"{name}{pair}",
-                                   f"homotopy class changes across {pair}"))
-            drop = up_action[top] - low_action[bottom]
-            if drop < 0 or (drop == 0 and pair not in equal_action):
-                v.append(Violation("action-axiom", f"{name}{pair}",
-                                   f"action does not decrease across {pair}"))
+            else:
+                a, b = upper.orbit(top), lower.orbit(bottom)
+                if (a.parity - b.parity - index) % 2:
+                    v.append(Violation("parity-axiom", f"{name}{pair}",
+                                       f"CZ parity gap != {index} mod 2 for {pair}"))
+                if modulus != "parity" and None not in (a.grading, b.grading):
+                    gap = a.grading - b.grading
+                    if modulus:
+                        gap %= modulus
+                    if gap != (index % modulus if modulus else index):
+                        v.append(Violation(
+                            "grading-axiom", f"{name}{pair}",
+                            f"grading gap {gap} != moduli index {index} for {pair}"))
+                if a.homotopy_class != b.homotopy_class:
+                    v.append(Violation("class-axiom", f"{name}{pair}",
+                                       f"homotopy class changes across {pair}"))
+                drop = up_action[top] - low_action[bottom]
+                if drop < 0 or (drop == 0 and pair not in equal_action):
+                    v.append(Violation("action-axiom", f"{name}{pair}",
+                                       f"action does not decrease across {pair}"))
+            if dim == 0:
+                for pt in pieces:
+                    if pt.e_plus_key == p:
+                        hit.add(top)
+                    if pt.e_minus_key == q:
+                        hit.add(bottom)
             if dim != 1:
                 continue
-            ends = [
-                (side, p)
-                for side, p, oid in (("plus", up_point[top], top),
-                                     ("minus", low_point[bottom], bottom))
-                if values is None or oid in values
-            ]
             for ci, comp in enumerate(pieces):
-                if comp.kind == "circle":
+                if known and comp.kind == "circle":
                     try:
                         w_plus, w_minus = comp.winding("plus"), comp.winding("minus")
                     except ValueError:
@@ -742,7 +715,7 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                     if comp.boundary_labels:
                         v.append(Violation("circle-with-labels", f"{name}{pair}[{ci}]",
                                            "circle components have no boundary"))
-                else:
+                elif known:
                     for end in (0, 1):
                         if end in comp.boundary_labels:
                             end_check(pair, comp, ci, end, v)
@@ -751,11 +724,14 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
                                 "unlabeled-end", f"{name}{pair}[{ci}]",
                                 f"interval end {end} has no broken-pair label"))
                 # basepoints must be regular values of both evaluation maps
-                for side, p in ends:
-                    hit = breakpoint_hit(comp, side, p)
-                    if hit is not None:
-                        v.append(Violation("basepoint-nonregular",
-                                           f"{name}{pair}[{ci}]", hit))
+                for side, point, oid in (("plus", p, top), ("minus", q, bottom)):
+                    why = None if point is None else breakpoint_hit(comp, side, point)
+                    if why is not None:
+                        hit.add(oid)
+                        if known:
+                            v.append(Violation("basepoint-nonregular",
+                                               f"{name}{pair}[{ci}]", why))
+    return hit
 
 
 def end_where(table, pair, ci, end) -> str:

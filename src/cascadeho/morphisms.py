@@ -93,7 +93,7 @@ def validate_morphism(m: MorphismData) -> List[Violation]:
     validate_moduli(
         v, m.source, m.target, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)),
         shift=1, modulus=0, equal_action=m.allow_equal_action,
-        end_check=partial(_validate_phi_end, m), values=None,
+        end_check=partial(_validate_phi_end, m),
     )
     return v
 

@@ -1191,14 +1191,41 @@ def test_quotient_mismatches_do_not_depend_on_the_hash_seed(tmp_path, monkeypatc
     assert outputs[0] == outputs[1] != "\n"
 
 
+def _slots(data, k):
+    """The (class, degree) slots the truncation-k homology walks: per class,
+    hi - lo + 2k + 1 for its least and greatest check/hat gradings."""
+    spans = {}
+    for orbit in data.orbits.values():
+        spans.setdefault(orbit.homotopy_class, []).extend(
+            (orbit.grading, orbit.grading + 1))
+    return sum(max(g) - min(g) + 2 * k + 1 for g in spans.values())
+
+
 def test_generator_budget(monkeypatch):
+    # equivariant_differential assembles 2 x orbits x (K + 1) generators
     data = fixture("autonomous-chain").payload
     k = 3
     count = 2 * len(data.orbits) * (k + 1)
+    assert _slots(data, k) < count
     monkeypatch.setattr(autonomous, "MAX_GENERATORS", count - 1)
-    for build in (equivariant_differential, equivariant_homology, compare_egh):
-        with pytest.raises(InputError, match=f"truncation K = {k} .--umax."):
-            build(data, k)
+    with pytest.raises(InputError, match=f"truncation K = {k} .--umax. needs "
+                       f"{count} generators"):
+        equivariant_differential(data, k)
     monkeypatch.setattr(autonomous, "MAX_GENERATORS", count)
     assert len(equivariant_differential(data, k).generators) == count
+
+
+def test_slot_budget(monkeypatch):
+    # chs1 and compare build no tower: they are bounded by the slots they walk
+    data = fixture("autonomous-chain").payload
+    k = 3
+    count = _slots(data, k)
+    assert count == 11
+    monkeypatch.setattr(autonomous, "MAX_GENERATORS", count - 1)
+    for build in (equivariant_homology, compare_egh):
+        with pytest.raises(InputError, match=f"truncation K = {k} .--umax. needs "
+                           f"{count} .class, degree. slots"):
+            build(data, k)
+    monkeypatch.setattr(autonomous, "MAX_GENERATORS", count)
+    assert equivariant_homology(data, k)[1] == 2 * k - 2
     assert compare_egh(data, k).ok

@@ -347,6 +347,8 @@ def test_hostile_lift_is_rejected_from_its_crossing_bound(tmp_path, capsys,
 @pytest.mark.parametrize("name, option, value, message", [
     ("one-interval", "--action-bound", "abc", "bad rational 'abc'"),
     ("one-interval", "--action-bound", "1/0", "bad rational '1/0'"),
+    ("one-interval", "--action-bound", "", "bad rational ''"),
+    ("preq-112", "--action-bound", "", "only apply to mbs documents"),
     ("preq-112", "--umax", "0", "--umax must be >= 1, got 0"),
     ("preq-112", "--umax", "-1", "--umax must be >= 1, got -1"),
 ])
@@ -584,9 +586,14 @@ def test_d_squared_is_checked_for_every_document_kind(tmp_path, monkeypatch, cap
 
 
 def test_generator_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # chs1 and compare are bounded by the (class, degree) slots they walk:
+    # preq-112 has one class, graded -1..2 by its check and hat generators
     path = write_fixture(tmp_path, "preq-112")
-    orbits = len(fixture("preq-112").payload.orbits)
-    count = 2 * orbits * (5 + 1)
+    orbits = fixture("preq-112").payload.orbits.values()
+    assert len({o.homotopy_class for o in orbits}) == 1
+    gradings = [g for o in orbits for g in (o.grading, o.grading + 1)]
+    count = max(gradings) - min(gradings) + 2 * 5 + 1
+    assert count == 14
     for budget, code in ((count - 1, 3), (count, 0)):
         monkeypatch.setattr(autonomous, "MAX_GENERATORS", budget)
         for command in ("chs1", "compare"):
@@ -595,8 +602,9 @@ def test_generator_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
             if code:
                 assert out == ""
                 assert err == (
-                    f"error: truncation K = 5 (--umax) needs {count} generators "
-                    f"(2 x {orbits} orbits x (K + 1)), more than {count - 1}\n"
+                    f"error: truncation K = 5 (--umax) needs {count} (class, degree) "
+                    "slots (hi - lo + 2K + 1 per homotopy class), more than "
+                    f"{count - 1}\n"
                 )
 
 

@@ -283,35 +283,39 @@ def _validation_cases():
     return [(name, validator(doc), doc) for name, doc in docs if validator(doc)]
 
 
-def test_gated_basepoint_scan_reports_what_the_full_scan_does(monkeypatch):
-    # validate_moduli scans an in-system component for basepoint-nonregular
-    # only when the basepoint's key is among its orbit's evaluation values;
-    # the oracle scans every component, as phi pieces always are
+def test_moduli_scan_reads_each_component_side_once(monkeypatch):
+    # validate_moduli is the one place where validation reads an evaluation
+    # against a basepoint: each (component, side) whose orbit is known goes
+    # through breakpoint_hit exactly once, whether or not its orbit is hit,
+    # and so does the known end of a pair that names an unknown orbit
     cases = _validation_cases()
+    cases += [(f"corrupted/{k}", validate_system, sys_)
+              for sys_, _moved, k in _corruption_cases()]
     scans = []
     hit = mbs.breakpoint_hit
 
-    def counted_hit(*args):
-        scans.append(args)
-        return hit(*args)
+    def counted_hit(comp, side, q):
+        scans.append((id(comp), side))
+        return hit(comp, side, q)
 
     monkeypatch.setattr(mbs, "breakpoint_hit", counted_hit)
-    gated = [validate(doc) for _name, validate, doc in cases]
-    gated_scans = len(scans)
-    original = mbs.validate_moduli
-
-    def scan_all(*args, **kwargs):
-        return original(*args, **dict(kwargs, values=None))
-
-    monkeypatch.setattr(mbs, "validate_moduli", scan_all)
-    ungated = [validate(doc) for _name, validate, doc in cases]
-    for (name, _validate, _doc), got, expected in zip(cases, gated, ungated):
-        assert got == expected, name
-    # the gate skipped scans, and the cases do hit breakpoints: every moved
-    # system reports basepoint-nonregular, and so does its cobordism
-    assert gated_scans < len(scans) - gated_scans
-    for (name, _validate, _doc), found in zip(cases, gated):
+    for name, validate, doc in cases:
+        if validate is not validate_system:
+            continue
+        scans.clear()
+        validate(doc)
+        expected = [(id(comp), side)
+                    for (top, bottom), comps in sorted(doc.m1.items())
+                    for comp in comps
+                    for side, oid in (("plus", top), ("minus", bottom))
+                    if oid in doc.orbits]
+        assert sorted(scans) == sorted(expected), name
+    # the cases do hit breakpoints: every moved system reports
+    # basepoint-nonregular, and so does its cobordism
+    monkeypatch.undo()
+    for name, validate, doc in cases:
         if "on-breakpoints" in name:
+            found = validate(doc)
             assert any(v.code == "basepoint-nonregular" for v in found), name
 
 
@@ -340,9 +344,9 @@ def evaluation_values(sys_):
 
 
 def set_based_validate_system(sys_):
-    """``validate_system`` with the set-based collision check and gate: a
-    component is scanned for ``basepoint-nonregular`` at an end only when
-    that end's basepoint key is in its orbit's ``evaluation_values`` set."""
+    """``validate_system`` with the set-based collision check: an orbit's
+    basepoint collides iff its key is in the orbit's ``evaluation_values``
+    set.  The moduli checks are ``validate_moduli``'s own."""
     v = []
     for oid, orbit in sys_.orbits.items():
         if not orbit.good and orbit.d % 2 != 0:
@@ -360,14 +364,18 @@ def set_based_validate_system(sys_):
     for oid in sorted(set(sys_.basepoints) - set(sys_.orbits)):
         v.append(Violation("unknown-orbit", f"basepoints[{oid}]",
                            f"basepoint for unknown orbit {oid!r}"))
-    # the gate p in values[oid], as the set of orbits it lets through
-    gate = {oid for oid in sys_.orbits if sys_.basepoint(oid) in values[oid]}
-    mbs.validate_moduli(
+    _moduli_scan(v, sys_)
+    return v
+
+
+def _moduli_scan(v, sys_):
+    """``validate_moduli`` over the system's own tables: appends their
+    violations to ``v`` and returns the orbits whose basepoint is hit."""
+    return mbs.validate_moduli(
         v, sys_, sys_, (("m0", 0, sys_.m0), ("m1", 1, sys_.m1), ("m2cc", 2, sys_.m2cc)),
         shift=0, modulus=sys_.grading_modulus, equal_action=(),
-        end_check=partial(mbs._validate_interval_end, sys_), values=gate,
+        end_check=partial(mbs._validate_interval_end, sys_),
     )
-    return v
 
 
 _COLLISIONS = ("m0-plus", "m0-minus", "circle-plus", "circle-minus",
@@ -452,8 +460,8 @@ def _corruption_cases(count=240):
 
 
 def test_genericity_pass_matches_the_set_based_check(monkeypatch):
-    # validate_system decides basepoint genericity in one integer pass over
-    # the moduli; the set-based check it replaced gives the same violations
+    # validate_system decides basepoint genericity in validate_moduli's one
+    # scan over the moduli; the set-based check gives the same violations
     # (code, location, message, order), alone and inside validate_morphism
     corrupted = _corruption_cases()
     cases = _validation_cases()
@@ -469,7 +477,7 @@ def test_genericity_pass_matches_the_set_based_check(monkeypatch):
         if isinstance(doc, MorseBottSystem):
             points = {oid: doc.basepoint(oid) for oid in doc.orbits}
             values = evaluation_values(doc)
-            assert mbs._hit_orbits(doc, points) == {
+            assert _moduli_scan([], doc) == {
                 oid for oid, p in points.items() if p in values[oid]}, name
     # every kind of move lands: the moved orbit reports a collision
     reported = set()
@@ -485,6 +493,10 @@ def test_genericity_pass_matches_the_set_based_check(monkeypatch):
     found = [v for violations in on_corrupted for v in violations]
     assert any(v.location.startswith("m0('ghost'") for v in found)
     assert any(v.location.startswith("m1(") and "'ghost')" in v.location for v in found)
+    # a pair naming an unknown orbit is reported once, as unknown-orbit; its
+    # known end's hits count only toward that orbit's basepoint-collision
+    assert not any(v.code == "basepoint-nonregular" and "'ghost'" in v.location
+                   for v in found)
     assert any(v.code == "basepoint-nonregular" for v in found)
     assert any(v.code == "grading-parity" and v.location.startswith("lone") for v in found)
 
