@@ -21,7 +21,6 @@ at once.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import partial
 from fractions import Fraction
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
@@ -61,14 +60,15 @@ Key = Tuple[str, Hashable]  # (flavor, node): a generator of a cascade graph
 
 
 class Cascade(NamedTuple):
-    """One counted chain: the key of its target, its weight, and its trail.
+    """One counted chain: the row of its target (``CascadeGraph.key`` names
+    it), its weight, and its trail.
 
     The trail is (last piece, trail before it), back to None.  A pinned
     piece records its Preimage; ``pieces`` unwinds the trail, with each
     such piece's parameter t as a Fraction, only when a caller asks.
     """
 
-    key: Key
+    row: int
     weight: int  # +-1 for honest cascades; the raw count for m2cc entries
     trail: Optional[Tuple]
 
@@ -84,7 +84,7 @@ class Cascade(NamedTuple):
         return tuple(reversed(out))
 
 
-# a Cascade made from its (key, weight, trail) tuple in one C call: the
+# a Cascade made from its (row, weight, trail) tuple in one C call: the
 # walk makes one per counted chain, and the generated ``Cascade.__new__``
 # is a Python function
 _cascade = partial(tuple.__new__, Cascade)
@@ -101,8 +101,8 @@ def _layer_and_oid(node) -> Tuple[Optional[str], Hashable]:
 class Edge(NamedTuple):
     """The moduli pieces of one pair, as seen from its top node."""
 
-    bottom: Hashable
-    pair: Tuple  # (top node, bottom node): names the pair in trails and errors
+    bottom: int  # the number of the bottom node
+    pair: Tuple  # (top key, bottom key): names the pair in trails and errors
     pieces: Sequence  # SignedPoints on an m0 edge, PLComponents on an m1 edge
     phi: bool  # a cobordism piece: index d - 1 instead of d
 
@@ -119,8 +119,11 @@ class CascadeGraph:
     by the phi pieces.  Every node is a target, so a walk from a source node
     counts the chains that stay in the source layer (its differential
     column) and those that cross one phi piece (its column of the induced
-    map).  ``orbits`` holds each node's orbit and ``basepoints`` its
-    basepoint as a circle key, made once per graph: a node's frame.
+    map).  The nodes are numbered once, layer by layer; ``nodes`` holds
+    their keys, for trails and messages, and every other table is a list
+    indexed by node number.  The generator rows of node n are 2n (check)
+    and 2n + 1 (hat).  ``orbits`` holds each node's orbit and
+    ``basepoints`` its basepoint as a circle key: a node's frame.
 
     ``exits(node)`` lists the pieces a walk leaves a node by, made once per
     graph on first use, so each pinned preimage query is asked once; it
@@ -128,12 +131,14 @@ class CascadeGraph:
     """
 
     def __init__(self):
-        self.orbits: Dict[Hashable, Orbit] = {}
-        self.basepoints: Dict[Hashable, Point] = {}
-        self.m0: Dict[Hashable, List[Edge]] = defaultdict(list)
-        self.m1: Dict[Hashable, List[Edge]] = defaultdict(list)
-        self.m2cc: Dict[Hashable, List[Tuple[Hashable, int]]] = defaultdict(list)
-        self._exits: Dict[Hashable, Tuple[List, List, List]] = {}
+        self.nodes: List[Hashable] = []
+        self.number: Dict[Hashable, int] = {}  # a node's key -> its number
+        self.orbits: List[Orbit] = []
+        self.basepoints: List[Point] = []
+        self.m0: List[List[Edge]] = []
+        self.m1: List[List[Edge]] = []
+        self.m2cc: List[List[Tuple[int, int, Tuple]]] = []
+        self._exits: List[Optional[Tuple[List, List, List]]] = []
 
     @classmethod
     def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
@@ -144,21 +149,24 @@ class CascadeGraph:
     @classmethod
     def of_cobordism(cls, source, target, phi0, phi1) -> "CascadeGraph":
         graph = cls()
-        src, tgt = (lambda oid: (SRC, oid)), (lambda oid: (TGT, oid))
-        graph._layer(source, src)
-        graph._layer(target, tgt)
+        src = graph._layer(source, lambda oid: (SRC, oid))
+        tgt = graph._layer(target, lambda oid: (TGT, oid))
         graph._edges(phi0, phi1, {}, src, tgt, phi=True)
         return graph
 
-    def exits(self, node) -> Tuple[List, List, List]:
+    def key(self, row: int) -> Key:
+        """The (flavor, node key) of the generator in ``row``."""
+        return ("hat" if row & 1 else "check", self.nodes[row >> 1])
+
+    def exits(self, node: int) -> Tuple[List, List, List]:
         """The (opening, steps, closing) pieces out of ``node``, in edge,
         piece and crossing order:
 
         * opening: each e+-pinned crossing at the basepoint of ``node``, as
-          (bottom, (e- circle key, nudge), sign, trail);
-        * steps: each m0 point, as (bottom, e+ key, (e- key, 0), sign, piece);
+          (bottom, e- circle key, nudge, sign, trail);
+        * steps: each m0 point, as (bottom, e+ key, e- key, sign, piece);
         * closing: each e--pinned crossing at the basepoint of its bottom,
-          as (hat key of the bottom, weight, e+ circle key, nudge, piece).
+          as (bottom, its hat row, weight, e+ circle key, nudge, piece).
 
         A pinned phi evaluation that lands on the basepoint of the orbit it
         meets is nudged off it: just before it on the target orbit of an
@@ -170,54 +178,66 @@ class CascadeGraph:
         of each m1 edge's bottom once per edge; each (edge, component, side)
         is one ``mbs.component_preimages`` query in those frames.
         """
-        found = self._exits.get(node)
+        found = self._exits[node]
         if found is not None:
             return found
         orbits, basepoints = self.orbits, self.basepoints
         here = basepoints[node]
         top = (orbits[node], here)
         opening, steps, closing = [], [], []
-        for edge in self.m0.get(node, ()):
+        for edge in self.m0[node]:
             for idx, pt in enumerate(edge.pieces):
-                steps.append((edge.bottom, pt.e_plus_key, (pt.e_minus_key, 0), pt.sign,
+                steps.append((edge.bottom, pt.e_plus_key, pt.e_minus_key, pt.sign,
                               ("m0", edge.pair, idx)))
-        for bottom, pair, pieces, phi in self.m1.get(node, ()):
+        for bottom, pair, pieces, phi in self.m1[node]:
             there = basepoints[bottom]
             below = (orbits[bottom], there)
-            key = ("hat", bottom)
+            row = 2 * bottom + 1
             extra = 1 if phi else -1
             for ci, comp in enumerate(pieces):
                 for pre in component_preimages(comp, "plus", here, top, below):
                     eps = -1 if phi and pre.point == there else 0
-                    opening.append((bottom, (pre.point, eps), pre.sign,
+                    opening.append((bottom, pre.point, eps, pre.sign,
                                     (("pre-plus", pair, ci, pre), None)))
                 for pre in component_preimages(comp, "minus", there, top, below):
                     eps = 1 if phi and pre.point == here else 0
-                    closing.append((key, extra * pre.sign, pre.point, eps,
+                    closing.append((bottom, row, extra * pre.sign, pre.point, eps,
                                     ("pre-minus", pair, ci, pre)))
         found = self._exits[node] = (opening, steps, closing)
         return found
 
-    def _layer(self, sys, node):
-        for oid, orbit in sys.orbits.items():
-            self.orbits[node(oid)] = orbit
-            self.basepoints[node(oid)] = sys.basepoint(oid)
-        self._edges(sys.m0, sys.m1, sys.m2cc, node, node, phi=False)
+    def _layer(self, sys, key) -> Dict[str, int]:
+        """Add ``sys`` as a layer of nodes named ``key(oid)``; returns the
+        number of each oid."""
+        at = {oid: len(self.nodes) + k for k, oid in enumerate(sys.orbits)}
+        keys = [key(oid) for oid in sys.orbits]
+        self.number.update(zip(keys, at.values()))
+        self.nodes += keys
+        self.orbits += sys.orbits.values()
+        self.basepoints += map(sys.basepoint, sys.orbits)
+        for table in (self.m0, self.m1, self.m2cc):
+            table += [[] for _ in keys]
+        self._exits += [None] * len(keys)
+        self._edges(sys.m0, sys.m1, sys.m2cc, at, at, phi=False)
+        return at
 
-    def _edges(self, m0, m1, m2cc, top, bottom, phi):
+    def _edges(self, m0, m1, m2cc, upper, lower, phi):
+        nodes = self.nodes
         for table, moduli in ((self.m0, m0), (self.m1, m1)):
             for (a, b), pieces in moduli.items():
                 if pieces:
-                    pair = (top(a), bottom(b))
-                    table[pair[0]].append(_edge((pair[1], pair, pieces, phi)))
+                    top, bottom = upper[a], lower[b]
+                    table[top].append(_edge((bottom, (nodes[top], nodes[bottom]),
+                                             pieces, phi)))
         for (a, b), count in m2cc.items():
             if count:
-                self.m2cc[top(a)].append((bottom(b), count))
+                top, bottom = upper[a], lower[b]
+                self.m2cc[top].append((bottom, count, (nodes[top], nodes[bottom])))
 
 
 def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
-    """All rigid cascades out of the generator ``src`` = (flavor, node): one
-    walk gives its whole column.
+    """All rigid cascades out of the generator ``src`` = (flavor, node key):
+    one walk gives its whole column, each cascade naming its target by row.
 
     The walk reads each node's ``exits``.  A phi piece differs from an
     in-system piece in two ways, both settled there: an e_minus-pinned phi1
@@ -226,25 +246,9 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     MAX_PARTIAL_CHAINS chains.
     """
     flavor, start = src
+    start = graph.number[start]
     out: List[Cascade] = []
-    basepoints = graph.basepoints
-    exits = graph.exits
-
-    def ordered(node, last, value, eps, piece):
-        try:
-            return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
-        except NonDistinct as err:
-            kind, pair, index = piece[:3]
-            layer, oid = _layer_and_oid(node)
-            layers = [_layer_and_oid(n)[0] for n in pair]
-            if layers[0] == layers[1] == _layer_and_oid(start)[0]:
-                # an in-system piece of the layer the walk started in: name it
-                # as a walk over that layer's system alone does
-                node, pair = oid, tuple(_layer_and_oid(n)[1] for n in pair)
-            raise NonGenericConfiguration(
-                f"coincident circle points at intermediate {node} "
-                f"({kind}{pair}[{index}]): {err}"
-            ) from err
+    basepoints, table = graph.basepoints, graph._exits
 
     # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
@@ -254,44 +258,59 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
         if not graph.orbits[start].good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
-            trail = (("bad-diagonal", start), None)
-            out.append(_cascade((("check", start), -1, trail)))
-            out.append(_cascade((("check", start), -1, trail)))
-        stack.append((start, None, (start,), 1, None))
+            trail = (("bad-diagonal", graph.nodes[start]), None)
+            out.append(_cascade((2 * start, -1, trail)))
+            out.append(_cascade((2 * start, -1, trail)))
+        stack.append((start, None, 0, (start,), 1, None))
     else:
-        for bottom, last, sign, trail in exits(start)[0]:
-            stack.append((bottom, last, (start, bottom), sign, trail))
+        for bottom, last, eps, sign, trail in graph.exits(start)[0]:
+            stack.append((bottom, last, eps, (start, bottom), sign, trail))
     walked = 0
     while stack:
-        current, last, visited, sign, trail = stack.pop()
+        current, last, eps, visited, sign, trail = stack.pop()
         if trail is not None:
             walked += 1
             if walked > MAX_PARTIAL_CHAINS:
-                layer, oid = _layer_and_oid(start)
+                layer, oid = _layer_and_oid(graph.nodes[start])
                 where = f"{flavor}:{oid}" + (f" ({layer} layer)" if layer else "")
                 raise InputError(
                     f"the cascade walk from {where} extends more than "
                     f"{MAX_PARTIAL_CHAINS} partial chains"
                 )
-            out.append(_cascade((("check", current), sign, trail)))
-        _opening, steps, closing = exits(current)
-        # unconstrained 0-dimensional pieces
-        for bottom, e_plus, e_minus, weight, piece in steps:
-            if bottom not in visited and (
-                last is None or ordered(current, last, e_plus, 0, piece)
-            ):
-                stack.append((bottom, e_minus, visited + (bottom,), sign * weight,
-                              (piece, trail)))
-        # closing e_minus-pinned pieces onto hat generators
-        for key, weight, point, eps, piece in closing:
-            if key[1] not in visited and (
-                last is None or ordered(current, last, point, eps, piece)
-            ):
-                out.append(_cascade((key, weight * sign, (piece, trail))))
+            out.append(_cascade((2 * current, sign, trail)))
+        _opening, steps, closing = table[current] or graph.exits(current)
+        here = basepoints[current]
+        try:
+            # unconstrained 0-dimensional pieces
+            for bottom, e_plus, e_minus, weight, piece in steps:
+                if bottom not in visited and (
+                    last is None or cyclically_ordered(here, last, e_plus, eps, 0)
+                ):
+                    stack.append((bottom, e_minus, 0, visited + (bottom,),
+                                  sign * weight, (piece, trail)))
+            # closing e_minus-pinned pieces onto hat generators
+            for bottom, row, weight, point, nudge, piece in closing:
+                if bottom not in visited and (
+                    last is None or cyclically_ordered(here, last, point, eps, nudge)
+                ):
+                    out.append(_cascade((row, weight * sign, (piece, trail))))
+        except NonDistinct as err:
+            kind, pair, index = piece[:3]
+            node = graph.nodes[current]
+            layer, oid = _layer_and_oid(node)
+            layers = [_layer_and_oid(n)[0] for n in pair]
+            if layers[0] == layers[1] == _layer_and_oid(graph.nodes[start])[0]:
+                # an in-system piece of the layer the walk started in: name it
+                # as a walk over that layer's system alone does
+                node, pair = oid, tuple(_layer_and_oid(n)[1] for n in pair)
+            raise NonGenericConfiguration(
+                f"coincident circle points at intermediate {node} "
+                f"({kind}{pair}[{index}]): {err}"
+            ) from err
     if flavor == "check":
         # check -> hat on one pair needs both pins on one piece: counted by m2cc
-        for bottom, count in graph.m2cc.get(start, ()):
-            out.append(_cascade((("hat", bottom), count, (("m2cc", (start, bottom)), None))))
+        for bottom, count, pair in graph.m2cc[start]:
+            out.append(_cascade((2 * bottom + 1, count, (("m2cc", pair), None))))
     return out
 
 
@@ -306,16 +325,19 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     stays on one orbit) and keeps the homotopy class, so it lands in a slot
     ``assemble_complex`` allows, and any that did not would fail there.
 
-    Each column's chains are totalled by their (block, row) slot, and the
-    slots are sorted once, so the entries of each block's column are
-    inserted in row order.
+    The (block, row) slot of each graph row is read from one list, each
+    column's chains are totalled by slot, and the slots are sorted once, so
+    the entries of each block's column are inserted in row order.
     """
-    where = {key: (b, i) for b, rows in enumerate(blocks) for key, i in rows.items()}
+    slots: List[Optional[Tuple[int, int]]] = [None] * (2 * len(graph.nodes))
+    for b, rows in enumerate(blocks):
+        for (flavor, node), i in rows.items():
+            slots[2 * graph.number[node] + (flavor == "hat")] = (b, i)
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals: Dict[Tuple[int, int], int] = {}
-        for target, weight, _trail in enumerate_cascades(graph, key):
-            slot = where[target]
+        for row, weight, _trail in enumerate_cascades(graph, key):
+            slot = slots[row]
             totals[slot] = totals.get(slot, 0) + weight
         for slot in sorted(totals):
             weight = totals[slot]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 
 from . import serialize
@@ -369,19 +370,30 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
-    except ValidationFailure as err:
-        _violations_report(args, err.violations)
-        return 1
-    except (SquareNonzero, ChainMapFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ValidationFailure as err:
+            _violations_report(args, err.violations)
+            return 1
+        except (SquareNonzero, ChainMapFailure) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except InputError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
+        except CascadehoError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()  # a closed pipe is met here, not at shutdown
+    except BrokenPipeError as err:
+        # the reader of stdout is gone: the rest of the report, and the
+        # flush at shutdown, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {err}", file=sys.stderr)
         return 3
-    except CascadehoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     finally:
         if collecting:
             gc.enable()

@@ -497,7 +497,8 @@ def component_preimages(
     transport = not (top[0].good and bottom[0].good)
     qn, qd = q
     out, k = [], 0  # k: the segment of ``other`` the last crossing fell in
-    for (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) in zip(pts, pts[1:]):
+    for i in range(1, len(pts)):
+        (t0n, t0d, v0n, v0d), (t1n, t1d, v1n, v1d) = pts[i - 1], pts[i]
         # reduced fractions are one point mod 1 iff their denominators agree
         # and their numerators are congruent; the last breakpoint is checked
         # below

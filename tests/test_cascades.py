@@ -16,7 +16,9 @@ from cascadeho.mbs import (
     MorseBottSystem, Orbit, SignedPoint, assign_basepoints, component_preimages,
     cyclically_ordered,
 )
-from cascadeho.morphisms import MorphismData, induced_chain_map, trivial_cobordism
+from cascadeho.morphisms import (
+    MorphismData, induced_chain_map, trivial_cobordism, validate_morphism,
+)
 from cascadeho.scenarios import fixture, fixture_names
 from test_morphisms import BENCH_LIFTS, _bench_lifts, reseeded_cobordisms
 
@@ -34,8 +36,8 @@ def differential_table(sys_):
 
 def cascades_between(sys_, src, dst):
     """The cascades of src's column that end at dst, both (flavor, orbit)."""
-    column = enumerate_cascades(CascadeGraph.of_system(sys_), src)
-    return [c for c in column if c.key == dst]
+    graph = CascadeGraph.of_system(sys_)
+    return [c for c in enumerate_cascades(graph, src) if graph.key(c.row) == dst]
 
 
 def test_one_interval_differential_matches_hand_computation():
@@ -149,6 +151,32 @@ def test_nongeneric_configuration_named_per_system_in_a_morphism():
     assert str(err.value) == COINCIDENCE_AT_B
 
 
+COINCIDENCE_ACROSS_LAYERS = (
+    "coincident circle points at intermediate ('tgt', 'B') "
+    "(m0(('tgt', 'B'), ('tgt', 'C'))[0]): "
+    "points not distinct: 0, 2/5 (eps 0), 2/5 (eps 0)"
+)
+
+
+def test_nongeneric_configuration_across_layers_keeps_layer_names():
+    # the phi0 point A -> B ends where the target's m0 point B -> C starts:
+    # the coincidence is met at a target node by a walk from the source
+    # layer, so the graph's node keys name it
+    source = MorseBottSystem(orbits={"A": Orbit("A", 1, 0, True, F(3), "", 0)})
+    target = MorseBottSystem(
+        orbits={
+            "B": Orbit("B", 1, 1, True, F(2), "", 1),
+            "C": Orbit("C", 1, 1, True, F(1), "", 1),
+        },
+        m0={("B", "C"): [SignedPoint(F(2, 5), F(1, 2), 1)]},
+    )
+    m = MorphismData(source, target, phi0={("A", "B"): [SignedPoint(F(1, 5), F(2, 5), 1)]})
+    assert validate_morphism(m) == []
+    with pytest.raises(NonGenericConfiguration) as err:
+        induced_chain_map(m)
+    assert str(err.value) == COINCIDENCE_ACROSS_LAYERS
+
+
 def _fan(m):
     """m points on A -> B and m on B -> C, every pair in cyclic order at B:
     the walk from hat:A extends m + m^2 partial chains, every other walk
@@ -180,6 +208,24 @@ def test_partial_chain_budget(monkeypatch, tmp_path, capsys):
     path.write_text(serialize.dumps(sys_))
     assert main(["nch", str(path)]) == 3
     assert "hat:A" in capsys.readouterr().err
+
+
+def test_partial_chain_budget_in_a_cobordism_layer(monkeypatch, tmp_path, capsys):
+    # the walk from hat:A over the target layer extends the same m + m^2
+    # chains as over the system alone, and its message names the layer
+    m = 4
+    cobordism = trivial_cobordism(_fan(m))
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m)
+    assert induced_chain_map(cobordism).matrix.entries
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m - 1)
+    with pytest.raises(InputError) as err:
+        induced_chain_map(cobordism)
+    assert str(err.value) == (
+        "the cascade walk from hat:A (tgt layer) extends more than 19 partial chains")
+    path = tmp_path / "fan-cobordism.json"
+    path.write_text(serialize.dumps(cobordism))
+    assert main(["morphism", str(path)]) == 3
+    assert "hat:A (tgt layer)" in capsys.readouterr().err
 
 
 def test_build_ncc_rejects_invalid_system():
@@ -240,11 +286,12 @@ def test_cascade_pieces_recorded():
 
 
 def oracle_cascades(graph, src):
-    """The cascades out of ``src`` walked edge by edge: at every arrival each
-    m0 edge, then each m1 edge's components and their e_minus-pinned
-    crossings, queried afresh.  The same records, in the same order, as
-    ``enumerate_cascades`` must give."""
+    """The cascades out of ``src`` walked edge by edge over the numbered
+    graph: at every arrival each m0 edge, then each m1 edge's components and
+    their e_minus-pinned crossings, queried afresh.  The same records, in
+    the same order, as ``enumerate_cascades`` must give."""
     flavor, start = src
+    start = graph.number[start]
     orbits, basepoints = graph.orbits, graph.basepoints
     out = []
 
@@ -255,7 +302,7 @@ def oracle_cascades(graph, src):
         return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
 
     def preimages(edge, ci, side):
-        top, bottom = edge.pair
+        top, bottom = (graph.number[n] for n in edge.pair)
         return component_preimages(
             edge.pieces[ci], side, basepoints[top if side == "plus" else bottom],
             (orbits[top], basepoints[top]), (orbits[bottom], basepoints[bottom]))
@@ -263,11 +310,11 @@ def oracle_cascades(graph, src):
     stack = []
     if flavor == "hat":
         if not orbits[start].good:
-            trail = (("bad-diagonal", start), None)
-            out += [cascades.Cascade(("check", start), -1, trail)] * 2
+            trail = (("bad-diagonal", graph.nodes[start]), None)
+            out += [cascades.Cascade(2 * start, -1, trail)] * 2
         stack.append((start, None, (start,), 1, None))
     else:
-        for edge in graph.m1.get(start, ()):
+        for edge in graph.m1[start]:
             for ci in range(len(edge.pieces)):
                 for pre in preimages(edge, ci, "plus"):
                     last = (pre.point, nudge(edge, pre.point, edge.bottom, -1))
@@ -276,8 +323,8 @@ def oracle_cascades(graph, src):
     while stack:
         current, last, visited, sign, trail = stack.pop()
         if trail is not None:
-            out.append(cascades.Cascade(("check", current), sign, trail))
-        for edge in graph.m0.get(current, ()):
+            out.append(cascades.Cascade(2 * current, sign, trail))
+        for edge in graph.m0[current]:
             if edge.bottom in visited:
                 continue
             for idx, pt in enumerate(edge.pieces):
@@ -285,7 +332,7 @@ def oracle_cascades(graph, src):
                     stack.append((edge.bottom, (pt.e_minus_key, 0),
                                   visited + (edge.bottom,), sign * pt.sign,
                                   (("m0", edge.pair, idx), trail)))
-        for edge in graph.m1.get(current, ()):
+        for edge in graph.m1[current]:
             if edge.bottom in visited:
                 continue
             extra = 1 if edge.phi else -1
@@ -294,12 +341,11 @@ def oracle_cascades(graph, src):
                     eps = nudge(edge, pre.point, current, 1)
                     if last is None or ordered(current, last, pre.point, eps):
                         out.append(cascades.Cascade(
-                            ("hat", edge.bottom), extra * sign * pre.sign,
+                            2 * edge.bottom + 1, extra * sign * pre.sign,
                             (("pre-minus", edge.pair, ci, pre), trail)))
     if flavor == "check":
-        for bottom, count in graph.m2cc.get(start, ()):
-            out.append(cascades.Cascade(("hat", bottom), count,
-                                        (("m2cc", (start, bottom)), None)))
+        for bottom, count, pair in graph.m2cc[start]:
+            out.append(cascades.Cascade(2 * bottom + 1, count, (("m2cc", pair), None)))
     return out
 
 
@@ -352,14 +398,16 @@ def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
     for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
         asked.clear()
         for key in keys:
-            walked = [(c.key, c.weight, c.pieces) for c in enumerate_cascades(graph, key)]
-            expected = [(c.key, c.weight, c.pieces) for c in oracle_cascades(graph, key)]
+            walked = [(graph.key(c.row), c.weight, c.pieces)
+                      for c in enumerate_cascades(graph, key)]
+            expected = [(graph.key(c.row), c.weight, c.pieces)
+                        for c in oracle_cascades(graph, key)]
             assert walked == expected, key
         # each node's opening and closing lists were built at most once: one
         # query per side of each component on an edge out of a built node
         assert len(asked) == len(set(asked)) == sum(
-            2 * len(edge.pieces) for node in graph._exits
-            for edge in graph.m1.get(node, ()))
+            2 * len(edge.pieces) for node, built in enumerate(graph._exits)
+            if built is not None for edge in graph.m1[node])
         queries += len(asked)
     assert queries > 0  # every trivial cobordism has pinned phi pieces
 
@@ -371,7 +419,8 @@ def _sum_columns_oracle(graph, sources, blocks):
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals = {}
-        for target, weight, _trail in enumerate_cascades(graph, key):
+        for row, weight, _trail in enumerate_cascades(graph, key):
+            target = graph.key(row)
             totals[target] = totals.get(target, 0) + weight
         for (b, i), weight in sorted([(where[t], w) for t, w in totals.items() if w]):
             out[b][(i, j)] = weight

@@ -2,6 +2,8 @@ import gc
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +235,31 @@ def test_egh_square_nonzero_exit_code(tmp_path, capsys):
     assert main(["egh", str(path)]) == 2
     assert main(["nch", str(path)]) == 2
     assert "d^2 != 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nch", "one-interval"],
+    ["morphism", "morphism-interval", "--format", "json"],
+    ["scenario", "fixture", "--name", "one-interval", "-o", "-"],
+])
+def test_closed_stdout_pipe_is_an_io_error(argv, tmp_path):
+    # the reader of stdout is gone before the command writes: exit 3 with
+    # one error line, no traceback and nothing ignored at shutdown
+    if argv[0] != "scenario":
+        argv = [argv[0], write_fixture(tmp_path, argv[1])] + argv[2:]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from cascadeho.cli import main; sys.exit(main())"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        run = subprocess.run([sys.executable, "-c", script, *argv], stdout=writer,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(writer)
+    assert run.returncode == 3
+    assert run.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
 # --- malformed labels and basepoints are reported, not raised ----------------

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import cascadeho
-from cascadeho import autonomous, cli, mbs, morphisms, serialize
+from cascadeho import autonomous, cascades, cli, mbs, morphisms, serialize
 from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 
@@ -65,6 +65,22 @@ def test_only_verify_square_zero_writes_the_square_zero_mark():
     for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
         scan(ast.parse(path.read_text(), str(path)), "", path.name)
     assert found == ["exact.py:ChainComplex", "exact.py:verify_square_zero"]
+
+
+def test_only_enumerate_cascades_pops_a_partial_chain_stack():
+    # the cascade walk is one function; a second function of cascades.py
+    # that popped a stack of partial chains would be a second walk, whose
+    # counts could drift from the first
+    path = Path(cascades.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    poppers = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "pop"
+    ]
+    assert poppers == ["enumerate_cascades"]
 
 
 def test_rank_mod_stays_independent_of_the_z_elimination():
