@@ -421,6 +421,14 @@ class _Pattern:
                 IntMatrix._trusted(len(rows), len(cols), block)) if block else None
         return self.windows[key]
 
+    def stable_range(self, truncation: int) -> int:
+        """The greatest degree up to which the tower up to U^truncation has
+        the untruncated homology in every class: T_g is the untruncated
+        level exactly when g <= lo + 2K, so H_g is the limit's for g <= lo +
+        2K - 1 in a class whose least base grading is lo.  Capped at 2K - 2."""
+        lowest = min(self.grading, default=-1)
+        return min(lowest + 2 * truncation - 1, 2 * truncation - 2)
+
     def homology(self, truncation: int, dropped=()) -> HomologyResult:
         """Integral homology of the tower up to U^truncation, less the U^0
         copy of each base generator in ``dropped``, read off its windows;
@@ -529,7 +537,9 @@ def equivariant_differential(data: AutonomousData, truncation: int) -> ChainComp
 def equivariant_homology(
     data: AutonomousData, truncation: int
 ) -> Tuple[HomologyResult, int]:
-    """Integral equivariant homology and its certified stable range 2K - 2.
+    """Integral equivariant homology and its certified stable range
+    (``_Pattern.stable_range``: 2K - 2, less where a class's least base
+    grading lies below -1).
 
     The stable range is verified by computing the truncation K - 1
     homology too and diffing both results below the smaller range.  Both
@@ -543,10 +553,10 @@ def _certified_homology(pattern: _Pattern, truncation: int):
     has the same windows less the top ones, so it reads them off
     ``pattern.windows``."""
     result = pattern.homology(truncation)
-    stable = 2 * truncation - 2
+    stable = pattern.stable_range(truncation)
     if truncation >= 2:
         smaller = pattern.homology(truncation - 1)
-        cutoff = 2 * (truncation - 1) - 2
+        cutoff = pattern.stable_range(truncation - 1)
         if smaller.restricted(cutoff).groups != result.restricted(cutoff).groups:
             raise CascadehoError(
                 "equivariant homology is not truncation-stable below "
@@ -608,7 +618,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
     steps.append(CompareStep(
         "complement of U^0 good check generators is a subcomplex", True))
 
-    stable = 2 * truncation - 2
+    stable = pattern.stable_range(truncation)
 
     # (ii) that subcomplex is acyclic over Q in the stable range
     bad_degrees = {

@@ -84,9 +84,9 @@ class Cascade(NamedTuple):
         return tuple(reversed(out))
 
 
-# a Cascade made from its (row, weight, trail) tuple in one C call: the
-# walk makes one per counted chain, and the generated ``Cascade.__new__``
-# is a Python function
+# a Cascade made from its (row, weight, trail) tuple in one C call: a walk
+# with trails makes one per counted chain, and the generated
+# ``Cascade.__new__`` is a Python function
 _cascade = partial(tuple.__new__, Cascade)
 
 
@@ -235,7 +235,7 @@ class CascadeGraph:
                 self.m2cc[top].append((bottom, count, (nodes[top], nodes[bottom])))
 
 
-def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
+def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> List:
     """All rigid cascades out of the generator ``src`` = (flavor, node key):
     one walk gives its whole column, each cascade naming its target by row.
 
@@ -243,32 +243,33 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     in-system piece in two ways, both settled there: an e_minus-pinned phi1
     piece carries no extra -1, and a pinned phi evaluation on a basepoint is
     nudged off it.  Raises InputError once the walk has extended
-    MAX_PARTIAL_CHAINS chains.
+    MAX_PARTIAL_CHAINS chains.  With ``trails`` false it records no trail
+    and gives a (row, weight) pair per counted chain, in the same order.
     """
     flavor, start = src
     start = graph.number[start]
-    out: List[Cascade] = []
+    out = []
     basepoints, table = graph.basepoints, graph._exits
 
     # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
-    # recursion and its locals are freed when it returns
+    # recursion and its locals are freed when it returns.  Without trails
+    # the trail slot holds False past a walk's start.
     stack = []
     if flavor == "hat":
         if not graph.orbits[start].good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
-            trail = (("bad-diagonal", graph.nodes[start]), None)
-            out.append(_cascade((2 * start, -1, trail)))
-            out.append(_cascade((2 * start, -1, trail)))
+            trail = trails and (("bad-diagonal", graph.nodes[start]), None)
+            out += [_cascade((2 * start, -1, trail)) if trails else (2 * start, -1)] * 2
         stack.append((start, None, 0, (start,), 1, None))
     else:
         for bottom, last, eps, sign, trail in graph.exits(start)[0]:
-            stack.append((bottom, last, eps, (start, bottom), sign, trail))
+            stack.append((bottom, last, eps, (start, bottom), sign, trails and trail))
     walked = 0
     while stack:
         current, last, eps, visited, sign, trail = stack.pop()
-        if trail is not None:
+        if last is not None:  # every partial chain but a hat walk's start
             walked += 1
             if walked > MAX_PARTIAL_CHAINS:
                 layer, oid = _layer_and_oid(graph.nodes[start])
@@ -277,7 +278,8 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
                     f"the cascade walk from {where} extends more than "
                     f"{MAX_PARTIAL_CHAINS} partial chains"
                 )
-            out.append(_cascade((2 * current, sign, trail)))
+            out.append(_cascade((2 * current, sign, trail)) if trails
+                       else (2 * current, sign))
         _opening, steps, closing = table[current] or graph.exits(current)
         here = basepoints[current]
         try:
@@ -287,13 +289,14 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
                     last is None or cyclically_ordered(here, last, e_plus, eps, 0)
                 ):
                     stack.append((bottom, e_minus, 0, visited + (bottom,),
-                                  sign * weight, (piece, trail)))
+                                  sign * weight, trails and (piece, trail)))
             # closing e_minus-pinned pieces onto hat generators
             for bottom, row, weight, point, nudge, piece in closing:
                 if bottom not in visited and (
                     last is None or cyclically_ordered(here, last, point, eps, nudge)
                 ):
-                    out.append(_cascade((row, weight * sign, (piece, trail))))
+                    out.append(_cascade((row, weight * sign, (piece, trail)))
+                               if trails else (row, weight * sign))
         except NonDistinct as err:
             kind, pair, index = piece[:3]
             node = graph.nodes[current]
@@ -310,13 +313,14 @@ def enumerate_cascades(graph: CascadeGraph, src: Key) -> List[Cascade]:
     if flavor == "check":
         # check -> hat on one pair needs both pins on one piece: counted by m2cc
         for bottom, count, pair in graph.m2cc[start]:
-            out.append(_cascade((2 * bottom + 1, count, (("m2cc", pair), None))))
+            out.append(_cascade((2 * bottom + 1, count, (("m2cc", pair), None)))
+                       if trails else (2 * bottom + 1, count))
     return out
 
 
 def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     """The nonzero matrix entries (row, column) of several blocks, one walk
-    per column, each column's entries in row order.
+    per column without trails, each column's entries in row order.
 
     ``sources`` maps the column keys to column indices and each block maps
     the target keys it counts to row indices; every counted chain ends at a
@@ -336,7 +340,7 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     out = [{} for _ in blocks]
     for key, j in sources.items():
         totals: Dict[Tuple[int, int], int] = {}
-        for row, weight, _trail in enumerate_cascades(graph, key):
+        for row, weight in enumerate_cascades(graph, key, trails=False):
             slot = slots[row]
             totals[slot] = totals.get(slot, 0) + weight
         for slot in sorted(totals):

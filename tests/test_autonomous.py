@@ -601,6 +601,34 @@ def test_stable_range_grows_with_truncation():
     )
 
 
+def shifted(name, shift):
+    """The fixture ``name`` with every grading shifted by ``shift``: a class's
+    Z-grading rests on a choice of trivialisation, so this is valid data."""
+    data = fixture(name).payload
+    return dataclasses.replace(data, orbits={
+        oid: dataclasses.replace(o, grading=o.grading + shift)
+        for oid, o in data.orbits.items()})
+
+
+@pytest.mark.parametrize("name", ["preq-112", "autonomous-chain"])
+@pytest.mark.parametrize("shift", [0, -2, -4])
+def test_stable_range_is_stable_for_every_least_grading(name, shift):
+    # in degree g the tower's level is the untruncated one up to lo + 2K,
+    # so the range is lo + 2K - 1 (capped at 2K - 2) for least grading lo;
+    # a uniform 2K - 2 stated wrong groups once lo < -1
+    data = shifted(name, shift)
+    assert validate_data(data) == []
+    limit, _stable = equivariant_homology(data, 12)
+    lo = min(o.grading for o in data.orbits.values())
+    for truncation in range(1, 6):
+        result, stable = equivariant_homology(data, truncation)
+        assert stable == min(lo + 2 * truncation - 1, 2 * truncation - 2)
+        assert result.restricted(stable).groups == limit.restricted(stable).groups, (
+            truncation)
+        report = compare_egh(data, truncation)
+        assert report.ok and report.stable_range == stable, report.describe()
+
+
 def test_equivariant_rejects_low_truncation():
     with pytest.raises(ValueError):
         equivariant_differential(fixture("pd-minus").payload, 0)

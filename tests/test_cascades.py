@@ -158,10 +158,8 @@ COINCIDENCE_ACROSS_LAYERS = (
 )
 
 
-def test_nongeneric_configuration_across_layers_keeps_layer_names():
-    # the phi0 point A -> B ends where the target's m0 point B -> C starts:
-    # the coincidence is met at a target node by a walk from the source
-    # layer, so the graph's node keys name it
+def across_layers():
+    """The phi0 point A -> B ends where the target's m0 point B -> C starts."""
     source = MorseBottSystem(orbits={"A": Orbit("A", 1, 0, True, F(3), "", 0)})
     target = MorseBottSystem(
         orbits={
@@ -170,7 +168,14 @@ def test_nongeneric_configuration_across_layers_keeps_layer_names():
         },
         m0={("B", "C"): [SignedPoint(F(2, 5), F(1, 2), 1)]},
     )
-    m = MorphismData(source, target, phi0={("A", "B"): [SignedPoint(F(1, 5), F(2, 5), 1)]})
+    return MorphismData(source, target,
+                        phi0={("A", "B"): [SignedPoint(F(1, 5), F(2, 5), 1)]})
+
+
+def test_nongeneric_configuration_across_layers_keeps_layer_names():
+    # the coincidence is met at a target node by a walk from the source
+    # layer, so the graph's node keys name it
+    m = across_layers()
     assert validate_morphism(m) == []
     with pytest.raises(NonGenericConfiguration) as err:
         induced_chain_map(m)
@@ -226,6 +231,65 @@ def test_partial_chain_budget_in_a_cobordism_layer(monkeypatch, tmp_path, capsys
     path.write_text(serialize.dumps(cobordism))
     assert main(["morphism", str(path)]) == 3
     assert "hat:A (tgt layer)" in capsys.readouterr().err
+
+
+def _cobordism_keys(m):
+    """The generator keys of ``m``'s graph in the order ``induced_chain_map``
+    walks them: target columns, then source columns."""
+    return [key for layer, sys_ in ((cascades.TGT, m.target), (cascades.SRC, m.source))
+            for key in cascades.chain_generators(sys_, layer)[0]]
+
+
+def _walk_error(graph, keys, trails):
+    """The text of the first error the walks from ``keys`` raise."""
+    with pytest.raises((InputError, NonGenericConfiguration)) as err:
+        for key in keys:
+            enumerate_cascades(graph, key, trails=trails)
+    return str(err.value)
+
+
+def test_both_forms_raise_the_same_errors(monkeypatch):
+    # the budget at m + m^2 passes and one less raises, in a system and in a
+    # cobordism's target layer, with the same message in both forms
+    m = 4
+    fan = _fan(m)
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m)
+    for trails in (True, False):
+        assert enumerate_cascades(CascadeGraph.of_system(fan), ("hat", "A"), trails)
+    monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m - 1)
+    cobordism = trivial_cobordism(fan)
+    graphs = [
+        (CascadeGraph.of_system(fan), [("hat", "A")],
+         "the cascade walk from hat:A extends more than 19 partial chains"),
+        (CascadeGraph.of_cobordism(cobordism.source, cobordism.target,
+                                   cobordism.phi0, cobordism.phi1),
+         [("hat", (cascades.TGT, "A"))],
+         "the cascade walk from hat:A (tgt layer) extends more than 19 partial chains"),
+    ]
+    # the pinned coincidences, in one system and across a cobordism's layers
+    sys_ = nongeneric_system()
+    graphs.append((CascadeGraph.of_system(sys_), cascades.chain_generators(sys_)[0],
+                   COINCIDENCE_AT_B))
+    m = across_layers()
+    graphs.append((CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1),
+                   _cobordism_keys(m), COINCIDENCE_ACROSS_LAYERS))
+    for graph, keys, message in graphs:
+        assert _walk_error(graph, keys, True) == _walk_error(graph, keys, False) == message
+
+
+def test_counting_builds_no_cascade(monkeypatch):
+    # build_ncc and induced_chain_map walk in the count form: not one
+    # Cascade, so not one trail, is made for a fixture or its cobordism
+    def refuse(_fields):
+        raise AssertionError("a Cascade was built while counting")
+
+    monkeypatch.setattr(cascades, "_cascade", refuse)
+    for name in ("one-interval", "bad-circle"):
+        sys_ = fixture(name).payload
+        assert build_ncc(sys_).differential.entries
+        assert induced_chain_map(trivial_cobordism(sys_)).is_identity()
+    with pytest.raises(AssertionError, match="while counting"):
+        enumerate_cascades(CascadeGraph.of_system(sys_), ("hat", "B"))
 
 
 def test_build_ncc_rejects_invalid_system():
@@ -371,6 +435,11 @@ RESEEDED = ("one-circle", "one-interval", "bad-circle", "one-bad-orbit") + tuple
 MBS_LIFTS = ("1T", "2T", "1S", "2S", "preq")
 
 
+# every Morse-Bott fixture and the seed-1 lifts of both Morse-Bott workloads
+WALKED = ([n for n in fixture_names() if fixture(n).kind == "mbs"]
+          + [f"cobordism-{n}" for n in BENCH_LIFTS] + [f"mbs-lift-{n}" for n in MBS_LIFTS])
+
+
 def _walk_system(name):
     workload, _, lift = name.rpartition("-")
     if workload == "cobordism":
@@ -380,10 +449,7 @@ def _walk_system(name):
     return fixture(name).payload
 
 
-@pytest.mark.parametrize(
-    "name",
-    [n for n in fixture_names() if fixture(n).kind == "mbs"]
-    + [f"cobordism-{n}" for n in BENCH_LIFTS] + [f"mbs-lift-{n}" for n in MBS_LIFTS])
+@pytest.mark.parametrize("name", WALKED)
 def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
     asked = []  # the walk's queries; the oracle's go through mbs instead
     query = cascades.component_preimages
@@ -410,6 +476,14 @@ def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
             if built is not None for edge in graph.m1[node])
         queries += len(asked)
     assert queries > 0  # every trivial cobordism has pinned phi pieces
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_count_form_matches_the_trail_form(name):
+    for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
+        for key in keys:
+            counted = enumerate_cascades(graph, key, trails=False)
+            assert counted == [(c.row, c.weight) for c in enumerate_cascades(graph, key)]
 
 
 def _sum_columns_oracle(graph, sources, blocks):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import io
@@ -96,6 +97,25 @@ def test_chs1_reports_stable_range(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["stable_range"] == 4
     assert ["2G", 5] in data["unstable_gradings"]
+
+
+def test_chs1_and_compare_on_lowered_gradings(tmp_path, capsys):
+    # preq-112 with every grading lowered by 2: degree 0 is (Z/2)^2 for every
+    # K >= 2, so K = 1 may not claim it, and K = 3 is truncation-stable
+    data = fixture("preq-112").payload
+    data = dataclasses.replace(data, orbits={
+        oid: dataclasses.replace(o, grading=o.grading - 2)
+        for oid, o in data.orbits.items()})
+    path = tmp_path / "preq-112-lowered.json"
+    path.write_text(serialize.dumps(data))
+    assert main(["chs1", str(path), "--umax", "1"]) == 0
+    assert "stable range: degrees <= -2" in capsys.readouterr().out
+    assert main(["chs1", str(path), "--umax", "3", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["stable_range"] == 2
+    assert {"class": "2G", "grading": 0, "free": 0, "torsion": [2, 2]} in out["groups"]
+    assert main(["compare", str(path), "--umax", "1"]) == 0
+    assert capsys.readouterr().out.count("[ok]") == 4
 
 
 def test_compare_exit_codes(tmp_path, capsys):
