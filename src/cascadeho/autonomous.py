@@ -89,8 +89,9 @@ class AutonomousData:
     def orbit(self, oid: str) -> Orbit:
         return self.orbits[oid]
 
-    def good_orbits(self) -> List[Orbit]:
-        return [o for o in by_action(self.orbits) if o.good]
+    def good_orbits(self, action: Dict[str, int]) -> List[Orbit]:
+        """The good orbits in decreasing action, compared as ``action``."""
+        return [o for o in by_action(self.orbits, action) if o.good]
 
     def generator_grading(self, orbit: Orbit, flavor: str) -> int:
         """The grading of ``orbit``'s check or hat generator."""
@@ -102,9 +103,12 @@ class AutonomousData:
         return orbit.grading + (flavor == "hat")
 
 
-def validate_data(data: AutonomousData) -> List[Violation]:
-    """The violations of ``data``, in check order.  A violation's location
+def validate_data(data: AutonomousData, action=None) -> List[Violation]:
+    """The violations of ``data``, in check order, over the request's
+    ``scaled_actions`` table (made here when None).  A violation's location
     and message are formatted only when its check fails."""
+    if action is None:
+        (action,) = scaled_actions(data.orbits)
     v: List[Violation] = []
     orbits = data.orbits
     for oid, orbit in orbits.items():
@@ -117,7 +121,6 @@ def validate_data(data: AutonomousData) -> List[Violation]:
                                "bad orbit must have even multiplicity"))
 
     # the action axioms compare integers, as the generator order does
-    (action,) = scaled_actions(orbits)
     for (top, bottom), cylinders in sorted(data.mj1.items()):
         if top not in orbits or bottom not in orbits:
             v.append(Violation("unknown-orbit", f"mj1({top},{bottom})",
@@ -172,10 +175,14 @@ def validate_data(data: AutonomousData) -> List[Violation]:
     return v
 
 
-def _require_valid(data: AutonomousData):
-    violations = validate_data(data)
+def _require_valid(data: AutonomousData) -> Dict[str, int]:
+    """Raise ValidationFailure unless ``data`` is valid; returns the
+    request's one ``scaled_actions`` table, which validation read."""
+    (action,) = scaled_actions(data.orbits)
+    violations = validate_data(data, action)
     if violations:
         raise ValidationFailure(violations)
+    return action
 
 
 def _scaled_count(cylinders: List[CylinderRecord], d: int, block: str,
@@ -197,11 +204,11 @@ def _scaled_count(cylinders: List[CylinderRecord], d: int, block: str,
 # cylindrical (EGH) complex
 
 
-def _egh_complex(data: AutonomousData) -> ChainComplex:
-    """``egh_differential`` of valid data."""
+def _egh_complex(data: AutonomousData, action) -> ChainComplex:
+    """``egh_differential`` of valid data, its actions scaled as ``action``."""
     gens = tuple(
         ChainGenerator(o.oid, o.grading, o.homotopy_class, o.action, o.oid)
-        for o in data.good_orbits()
+        for o in data.good_orbits(action)
     )
     index = {g.gid: k for k, g in enumerate(gens)}
     entries = {}
@@ -222,8 +229,7 @@ def egh_differential(data: AutonomousData) -> ChainComplex:
     id, in decreasing action.  Raises SquareNonzero with a witness pair
     unless d^2 = 0.
     """
-    _require_valid(data)
-    return _egh_complex(data)
+    return _egh_complex(data, _require_valid(data))
 
 
 def egh_homology(data: AutonomousData) -> Dict[Tuple[str, int], int]:
@@ -274,7 +280,7 @@ def _bv_entries(data: AutonomousData, keys) -> Dict[Tuple[int, int], int]:
 
 def bv_operator(data: AutonomousData) -> IntMatrix:
     """Degree-1 BV operator: check a -> d(a) hat a on good orbits."""
-    keys, gens = chain_generators(data)
+    keys, gens = chain_generators(data, *scaled_actions(data.orbits))
     n = len(gens)
     return IntMatrix(n, n, _bv_entries(data, keys))
 
@@ -314,11 +320,11 @@ def _check_block_identities(data: AutonomousData, raw):
         raise CascadehoError(min(failures)[1])
 
 
-def _block_matrix(data: AutonomousData):
+def _block_matrix(data: AutonomousData, action):
     """The base generators of valid data (``chain_generators``), their keys,
     and R = ``block_entries`` in their indices, (row, column) = (target,
     source), in block_entries' order, once the kappa identities hold."""
-    keys, gens = chain_generators(data)
+    keys, gens = chain_generators(data, action)
     raw = block_entries(data)
     _check_block_identities(data, raw)
     return keys, gens, {(keys[tgt], keys[src]): v for (src, tgt), v in raw.items()}
@@ -327,8 +333,7 @@ def _block_matrix(data: AutonomousData):
 def block_differential(data: AutonomousData) -> ChainComplex:
     """Nonequivariant complex (check/hat generators, integral).  Raises
     SquareNonzero with a witness pair unless d^2 = 0."""
-    _require_valid(data)
-    _keys, gens, r = _block_matrix(data)
+    _keys, gens, r = _block_matrix(data, _require_valid(data))
     n = len(gens)
     complex_ = ChainComplex(tuple(gens), IntMatrix._trusted(n, n, r))
     verify_square_zero(complex_)
@@ -377,8 +382,9 @@ class _Pattern:
     power 1, the same generator pair and value for every K.
     """
 
-    def __init__(self, data: AutonomousData):
-        keys, self.base, self.r = _block_matrix(data)
+    def __init__(self, data: AutonomousData, action):
+        self.action = action  # the request's scaled_actions table
+        keys, self.base, self.r = _block_matrix(data, action)
         self.bv = _bv_entries(data, keys)
         self._verify_square()
         self.grading = [g.grading for g in self.base]
@@ -501,8 +507,7 @@ def _tower_pattern(data: AutonomousData, truncation: int) -> _Pattern:
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    _require_valid(data)
-    pattern = _Pattern(data)
+    pattern = _Pattern(data, _require_valid(data))
     grading = pattern.grading
     count = sum(max(grading[t] for t in members) - min(grading[t] for t in members)
                 + 2 * truncation + 1 for members in pattern.classes.values())
@@ -631,7 +636,7 @@ def compare_egh(data: AutonomousData, truncation: int) -> CompareReport:
 
     # (iii) the quotient differential is the cylindrical one: both read as
     # <d a, b> per pair of good orbits, listed in the EGH generator order
-    egh = _egh_complex(data)
+    egh = _egh_complex(data, pattern.action)
     quotient = {
         (u0[j], u0[i]): v for (i, j), v in pattern.r.items() if i in u0 and j in u0
     }

@@ -42,7 +42,7 @@ from .mbs import (
     Violation,
     component_preimages,
     cyclically_ordered,
-    scaled_actions,
+    orbit_tables,
     validate_system,
 )
 # not called here; kept because bench/test_bench.py::test_wrappers_are_removed
@@ -123,7 +123,8 @@ class CascadeGraph:
     their keys, for trails and messages, and every other table is a list
     indexed by node number.  The generator rows of node n are 2n (check)
     and 2n + 1 (hat).  ``orbits`` holds each node's orbit and
-    ``basepoints`` its basepoint as a circle key: a node's frame.
+    ``basepoints`` its basepoint as a circle key: a node's frame, read from
+    the request's ``OrbitTable`` of each layer.
 
     ``exits(node)`` lists the pieces a walk leaves a node by, made once per
     graph on first use, so each pinned preimage query is asked once; it
@@ -141,16 +142,16 @@ class CascadeGraph:
         self._exits: List[Optional[Tuple[List, List, List]]] = []
 
     @classmethod
-    def of_system(cls, sys: MorseBottSystem) -> "CascadeGraph":
+    def of_system(cls, sys: MorseBottSystem, point) -> "CascadeGraph":
         graph = cls()
-        graph._layer(sys, lambda oid: oid)
+        graph._layer(sys, lambda oid: oid, point)
         return graph
 
     @classmethod
-    def of_cobordism(cls, source, target, phi0, phi1) -> "CascadeGraph":
+    def of_cobordism(cls, source, target, phi0, phi1, points) -> "CascadeGraph":
         graph = cls()
-        src = graph._layer(source, lambda oid: (SRC, oid))
-        tgt = graph._layer(target, lambda oid: (TGT, oid))
+        src = graph._layer(source, lambda oid: (SRC, oid), points[0])
+        tgt = graph._layer(target, lambda oid: (TGT, oid), points[1])
         graph._edges(phi0, phi1, {}, src, tgt, phi=True)
         return graph
 
@@ -163,10 +164,13 @@ class CascadeGraph:
         piece and crossing order:
 
         * opening: each e+-pinned crossing at the basepoint of ``node``, as
-          (bottom, e- circle key, nudge, sign, trail);
-        * steps: each m0 point, as (bottom, e+ key, e- key, sign, piece);
-        * closing: each e--pinned crossing at the basepoint of its bottom,
-          as (bottom, its hat row, weight, e+ circle key, nudge, piece).
+          (bottom, e- circle key, nudge, sign, pair, component index, Preimage);
+        * steps: each m0 point, as (bottom, e+ key, e- key, sign, pair, index);
+        * closing: each e--pinned crossing at the basepoint of its bottom, as
+          (bottom, e+ circle key, nudge, weight, pair, component index, Preimage).
+
+        An entry holds only what a counting walk reads; a walk with trails
+        builds its trail pieces from them.
 
         A pinned phi evaluation that lands on the basepoint of the orbit it
         meets is nudged off it: just before it on the target orbit of an
@@ -185,36 +189,33 @@ class CascadeGraph:
         here = basepoints[node]
         top = (orbits[node], here)
         opening, steps, closing = [], [], []
-        for edge in self.m0[node]:
-            for idx, pt in enumerate(edge.pieces):
-                steps.append((edge.bottom, pt.e_plus_key, pt.e_minus_key, pt.sign,
-                              ("m0", edge.pair, idx)))
+        for bottom, pair, pieces, _phi in self.m0[node]:
+            for idx, pt in enumerate(pieces):
+                steps.append((bottom, pt.e_plus_key, pt.e_minus_key, pt.sign, pair, idx))
         for bottom, pair, pieces, phi in self.m1[node]:
             there = basepoints[bottom]
             below = (orbits[bottom], there)
-            row = 2 * bottom + 1
             extra = 1 if phi else -1
             for ci, comp in enumerate(pieces):
                 for pre in component_preimages(comp, "plus", here, top, below):
                     eps = -1 if phi and pre.point == there else 0
-                    opening.append((bottom, pre.point, eps, pre.sign,
-                                    (("pre-plus", pair, ci, pre), None)))
+                    opening.append((bottom, pre.point, eps, pre.sign, pair, ci, pre))
                 for pre in component_preimages(comp, "minus", there, top, below):
                     eps = 1 if phi and pre.point == here else 0
-                    closing.append((bottom, row, extra * pre.sign, pre.point, eps,
-                                    ("pre-minus", pair, ci, pre)))
+                    closing.append((bottom, pre.point, eps, extra * pre.sign, pair, ci, pre))
         found = self._exits[node] = (opening, steps, closing)
         return found
 
-    def _layer(self, sys, key) -> Dict[str, int]:
-        """Add ``sys`` as a layer of nodes named ``key(oid)``; returns the
-        number of each oid."""
+    def _layer(self, sys, key, point) -> Dict[str, int]:
+        """Add ``sys`` as a layer of nodes named ``key(oid)``, with the
+        basepoint keys ``point`` (``OrbitTable.point``); returns the number
+        of each oid."""
         at = {oid: len(self.nodes) + k for k, oid in enumerate(sys.orbits)}
         keys = [key(oid) for oid in sys.orbits]
         self.number.update(zip(keys, at.values()))
         self.nodes += keys
         self.orbits += sys.orbits.values()
-        self.basepoints += map(sys.basepoint, sys.orbits)
+        self.basepoints += point.values()
         for table in (self.m0, self.m1, self.m2cc):
             table += [[] for _ in keys]
         self._exits += [None] * len(keys)
@@ -264,8 +265,9 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
             out += [_cascade((2 * start, -1, trail)) if trails else (2 * start, -1)] * 2
         stack.append((start, None, 0, (start,), 1, None))
     else:
-        for bottom, last, eps, sign, trail in graph.exits(start)[0]:
-            stack.append((bottom, last, eps, (start, bottom), sign, trails and trail))
+        for bottom, last, eps, sign, pair, ci, pre in graph.exits(start)[0]:
+            stack.append((bottom, last, eps, (start, bottom), sign,
+                          trails and (("pre-plus", pair, ci, pre), None)))
     walked = 0
     while stack:
         current, last, eps, visited, sign, trail = stack.pop()
@@ -284,21 +286,23 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
         here = basepoints[current]
         try:
             # unconstrained 0-dimensional pieces
-            for bottom, e_plus, e_minus, weight, piece in steps:
+            kind = "m0"
+            for bottom, e_plus, e_minus, weight, pair, index in steps:
                 if bottom not in visited and (
                     last is None or cyclically_ordered(here, last, e_plus, eps, 0)
                 ):
-                    stack.append((bottom, e_minus, 0, visited + (bottom,),
-                                  sign * weight, trails and (piece, trail)))
+                    stack.append((bottom, e_minus, 0, visited + (bottom,), sign * weight,
+                                  trails and (("m0", pair, index), trail)))
             # closing e_minus-pinned pieces onto hat generators
-            for bottom, row, weight, point, nudge, piece in closing:
+            kind = "pre-minus"
+            for bottom, point, nudge, weight, pair, index, pre in closing:
                 if bottom not in visited and (
                     last is None or cyclically_ordered(here, last, point, eps, nudge)
                 ):
-                    out.append(_cascade((row, weight * sign, (piece, trail)))
-                               if trails else (row, weight * sign))
+                    out.append(_cascade((2 * bottom + 1, weight * sign,
+                                         (("pre-minus", pair, index, pre), trail)))
+                               if trails else (2 * bottom + 1, weight * sign))
         except NonDistinct as err:
-            kind, pair, index = piece[:3]
             node = graph.nodes[current]
             layer, oid = _layer_and_oid(node)
             layers = [_layer_and_oid(n)[0] for n in pair]
@@ -351,16 +355,16 @@ def sum_columns(graph, sources, blocks) -> List[Dict[Tuple[int, int], int]]:
     return out
 
 
-def by_action(orbits: Dict[str, Orbit]) -> List[Orbit]:
+def by_action(orbits: Dict[str, Orbit], action: Dict[str, int]) -> List[Orbit]:
     """The orbits of ``orbits`` in decreasing action, ties broken by id:
-    exactly the order of (-action, oid), compared in integers."""
-    (action,) = scaled_actions(orbits)
+    exactly the order of (-action, oid), compared in the request's integer
+    actions ``action`` (``mbs.scaled_actions``)."""
     ranked = sorted(orbits.items(), key=lambda item: (-action[item[0]], item[1].oid))
     return [orbit for _key, orbit in ranked]
 
 
 def chain_generators(
-    doc, layer: Optional[str] = None
+    doc, action: Dict[str, int], layer: Optional[str] = None
 ) -> Tuple[Dict[Key, int], List[ChainGenerator]]:
     """The check and hat generator of each orbit of ``doc``, in decreasing
     action: the one list every complex on check/hat generators is built on.
@@ -368,24 +372,20 @@ def chain_generators(
     ``doc`` is a MorseBottSystem or AutonomousData; its
     ``generator_grading(orbit, flavor)`` grades each generator.  Returns
     their keys (flavor, node), mapped to their indices, and their
-    ChainGenerators.  A node is the orbit id, or (layer, oid) in a
-    cobordism graph.
+    ChainGenerators, each made in one call.  A node is the orbit id, or
+    (layer, oid) in a cobordism graph.
     """
     keys: Dict[Key, int] = {}
     gens = []
-    for orbit in by_action(doc.orbits):
-        node = orbit.oid if layer is None else (layer, orbit.oid)
+    new = tuple.__new__
+    for orbit in by_action(doc.orbits, action):
+        oid = orbit.oid
+        node = oid if layer is None else (layer, oid)
         for flavor in ("check", "hat"):
             keys[(flavor, node)] = len(gens)
-            gens.append(
-                ChainGenerator(
-                    f"{flavor}:{orbit.oid}",
-                    doc.generator_grading(orbit, flavor),
-                    orbit.homotopy_class,
-                    orbit.action,
-                    orbit.oid,
-                )
-            )
+            gens.append(new(ChainGenerator, (
+                f"{flavor}:{oid}", doc.generator_grading(orbit, flavor),
+                orbit.homotopy_class, orbit.action, oid)))
     return keys, gens
 
 
@@ -408,12 +408,13 @@ def assemble_complex(sys: MorseBottSystem, gens, entries) -> ChainComplex:
 
 def build_ncc(sys: MorseBottSystem) -> ChainComplex:
     """Validate ``sys`` and assemble its nonequivariant chain complex."""
-    violations = validate_system(sys)
+    (table,) = orbit_tables(sys)
+    violations = validate_system(sys, table)
     if violations:
         raise ValidationFailure(violations)
 
-    keys, gens = chain_generators(sys)
-    (entries,) = sum_columns(CascadeGraph.of_system(sys), keys, [keys])
+    keys, gens = chain_generators(sys, table.action)
+    (entries,) = sum_columns(CascadeGraph.of_system(sys, table.point), keys, [keys])
     return assemble_complex(sys, gens, entries)
 
 

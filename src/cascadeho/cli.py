@@ -247,19 +247,19 @@ def _cmd_morphism(args):
         (cm.source_complex.generators[j].gid, cm.target_complex.generators[i].gid, v)
         for (i, j), v in cm.matrix.entries.items()
     )
-    _emit(
-        args,
-        ["chain map verified (d phi = phi d):"]
-        + [f"{src} -> {v} * {tgt}" for src, tgt, v in entries],
-        {
+    if args.format == "json":
+        print(serialize.json_text({
             "ok": True,
             "identity": cm.is_identity(),
             "entries": [
                 {"source": src, "target": tgt, "coefficient": v}
                 for src, tgt, v in entries
             ],
-        },
-    )
+        }))
+    else:
+        print("chain map verified (d phi = phi d):")
+        for src, tgt, v in entries:
+            print(f"{src} -> {v} * {tgt}")
     return 0
 
 

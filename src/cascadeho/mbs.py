@@ -548,15 +548,12 @@ def component_preimages(
     return out
 
 
-def frames(upper, lower, pair: Pair):
+def frames(upper, lower, pair: Pair, points):
     """(orbit, basepoint key) of the top orbit of ``pair`` in ``upper`` and
-    of the bottom orbit in ``lower``: the frames for orientations along that
-    pair."""
+    of the bottom orbit in ``lower``, the keys read from ``points`` (upper's,
+    lower's): the frames for orientations along that pair."""
     top, bottom = pair
-    return (
-        (upper.orbit(top), upper.basepoint(top)),
-        (lower.orbit(bottom), lower.basepoint(bottom)),
-    )
+    return (upper.orbit(top), points[0][top]), (lower.orbit(bottom), points[1][bottom])
 
 
 def signed_preimages(
@@ -573,8 +570,9 @@ def signed_preimages(
     builds each frame once per node and edge and calls
     ``component_preimages`` itself.
     """
-    top, bottom = frames(sys, sys, pair)
-    return component_preimages(comp, side, q, top, bottom)
+    top, bottom = pair
+    return component_preimages(comp, side, q, (sys.orbit(top), sys.basepoint(top)),
+                               (sys.orbit(bottom), sys.basepoint(bottom)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +586,13 @@ class Violation:
     message: str
 
 
-def validate_system(sys: MorseBottSystem) -> List[Violation]:
-    """All structural axiom checks; returns machine-readable violations.
+def validate_system(sys: MorseBottSystem,
+                    table: Optional[OrbitTable] = None) -> List[Violation]:
+    """All structural axiom checks, over the request's ``OrbitTable`` of
+    ``sys`` (made here when None); returns machine-readable violations.
     A violation's text is formatted only when its check fails."""
+    if table is None:
+        (table,) = orbit_tables(sys)
     v: List[Violation] = []
 
     for oid, orbit in sys.orbits.items():
@@ -605,14 +607,14 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     hit = validate_moduli(
         moduli, sys, sys,
         (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
-        shift=0, modulus=sys.grading_modulus, equal_action=(),
-        end_check=partial(_validate_interval_end, sys),
+        (table, table), shift=0, modulus=sys.grading_modulus, equal_action=(),
+        end_check=partial(_validate_interval_end, sys, (table.point, table.point)),
     )
     # a basepoint is generic iff no evaluation onto its orbit hits it
     for oid in sys.orbits:
         if oid in hit:
             v.append(Violation("basepoint-collision", oid, f"basepoint "
-                               f"{point_str(sys.basepoint(oid))} equals an "
+                               f"{point_str(table.point[oid])} equals an "
                                "evaluation value"))
     # a basepoint for no orbit is most likely a misspelt orbit id, which
     # would leave the intended orbit at basepoint 0
@@ -623,19 +625,38 @@ def validate_system(sys: MorseBottSystem) -> List[Violation]:
     return v
 
 
-def scaled_actions(*orbit_tables) -> List[Dict[str, int]]:
+def scaled_actions(*tables) -> List[Dict[str, int]]:
     """Each table's orbit actions as integers: every action times the lcm of
     all their denominators, so the integers compare as the actions do.
     Each action's numerator and denominator are read once."""
     ratios = [[(oid, o.action.as_integer_ratio()) for oid, o in table.items()]
-              for table in orbit_tables]
+              for table in tables]
     scale = lcm(*{d for table in ratios for _oid, (_n, d) in table})
     return [{oid: n * (scale // d) for oid, (n, d) in table} for table in ratios]
 
 
-def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
+class OrbitTable(NamedTuple):
+    """One system's orbits as one request reads them: each action as an
+    integer, all layers of the request on one scale, and each basepoint's
+    circle key."""
+
+    action: Dict[str, int]
+    point: Dict[str, Point]
+
+
+def orbit_tables(*systems) -> List[OrbitTable]:
+    """The ``OrbitTable`` of each system of one request: one
+    ``scaled_actions`` call over all of them, and each basepoint key made
+    once."""
+    actions = scaled_actions(*(sys.orbits for sys in systems))
+    return [OrbitTable(action, {oid: sys.basepoint(oid) for oid in sys.orbits})
+            for sys, action in zip(systems, actions)]
+
+
+def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_action,
                     end_check) -> set:
-    """Check moduli from orbits of ``upper`` down to orbits of ``lower``.
+    """Check moduli from orbits of ``upper`` down to orbits of ``lower``,
+    whose ``OrbitTable``s ``orbits`` holds.
 
     ``tables`` lists (name, dimension, moduli); a piece of dimension d has
     index d - ``shift``, and its pair's grading gap must equal that index
@@ -651,14 +672,7 @@ def validate_moduli(v, upper, lower, tables, *, shift, modulus, equal_action,
     0-dimensional point: ``validate_system`` reports these as
     ``basepoint-collision``.
     """
-    if lower is upper:  # one system: each action read once, as ``low_point``
-        (up_action,) = scaled_actions(upper.orbits)
-        low_action = up_action
-    else:
-        up_action, low_action = scaled_actions(upper.orbits, lower.orbits)
-    up_point = {oid: upper.basepoint(oid) for oid in upper.orbits}
-    low_point = up_point if lower is upper else {
-        oid: lower.basepoint(oid) for oid in lower.orbits}
+    (up_action, up_point), (low_action, low_point) = orbits
     hit = set()
     for name, dim, moduli in tables:
         index = dim - shift
@@ -741,7 +755,7 @@ def end_where(table, pair, ci, end) -> str:
     return f"{table}{pair}[{ci}].end{end}"
 
 
-def _validate_interval_end(sys, pair, comp, ci, end, v):
+def _validate_interval_end(sys, points, pair, comp, ci, end, v):
     top, bottom = pair
     label = comp.boundary_labels[end]
     mid = label.orbit
@@ -754,9 +768,9 @@ def _validate_interval_end(sys, pair, comp, ci, end, v):
                            "system interval ends need d_plus 0 or 1 labels, "
                            f"got {label!r}"))
         return
-    upper = Level(sys.m0, sys.m1, (top, mid), frames(sys, sys, (top, mid)))
-    lower = Level(sys.m0, sys.m1, (mid, bottom), frames(sys, sys, (mid, bottom)))
-    check_broken_pair(v, "m1", pair, ci, comp, frames(sys, sys, pair), end,
+    upper = Level(sys.m0, sys.m1, (top, mid), frames(sys, sys, (top, mid), points))
+    lower = Level(sys.m0, sys.m1, (mid, bottom), frames(sys, sys, (mid, bottom), points))
+    check_broken_pair(v, "m1", pair, ci, comp, frames(sys, sys, pair, points), end,
                       label, label.d_plus, upper, lower, (-1) ** label.d_plus)
 
 

@@ -33,6 +33,7 @@ from .mbs import (
     check_broken_pair,
     end_where,
     frames,
+    orbit_tables,
     validate_moduli,
     validate_system,
 )
@@ -81,24 +82,29 @@ class MorphismData:
     allow_equal_action: Set[Pair] = field(default_factory=set)
 
 
-def validate_morphism(m: MorphismData) -> List[Violation]:
+def validate_morphism(m: MorphismData, tables=None) -> List[Violation]:
+    """Both systems' checks, then the phi moduli's, over the request's
+    ``OrbitTable``s of source and target (made here when None)."""
+    tables = tables or orbit_tables(m.source, m.target)
     v: List[Violation] = []
-    for name, sys in (("source", m.source), ("target", m.target)):
-        for violation in validate_system(sys):
+    for name, sys, table in (("source", m.source, tables[0]),
+                             ("target", m.target, tables[1])):
+        for violation in validate_system(sys, table):
             v.append(
                 Violation(violation.code, f"{name}:{violation.location}",
                           violation.message)
             )
 
+    points = [table.point for table in tables]
     validate_moduli(
-        v, m.source, m.target, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)),
+        v, m.source, m.target, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)), tables,
         shift=1, modulus=0, equal_action=m.allow_equal_action,
-        end_check=partial(_validate_phi_end, m),
+        end_check=partial(_validate_phi_end, m, points),
     )
     return v
 
 
-def _validate_phi_end(m, pair, comp, ci, end, v):
+def _validate_phi_end(m, points, pair, comp, ci, end, v):
     top, bottom = pair
     label = comp.boundary_labels[end]
     if not isinstance(label, PhiLabel) or label.side not in ("top", "bottom") \
@@ -112,21 +118,22 @@ def _validate_phi_end(m, pair, comp, ci, end, v):
         v.append(Violation("bad-label-orbit", end_where("phi1", pair, ci, end),
                            f"unknown {name} orbit {mid!r}"))
         return
+    src, tgt = points
     if label.side == "top":
         # a source level splits off above the phi level
         upper = Level(m.source.m0, m.source.m1, (top, mid),
-                      frames(m.source, m.source, (top, mid)))
+                      frames(m.source, m.source, (top, mid), (src, src)))
         lower = Level(m.phi0, m.phi1, (mid, bottom),
-                      frames(m.source, m.target, (mid, bottom)))
+                      frames(m.source, m.target, (mid, bottom), points))
         d_upper, factor = 1 - label.d_phi, 1
     else:
         # a target level splits off below the phi level
         upper = Level(m.phi0, m.phi1, (top, mid),
-                      frames(m.source, m.target, (top, mid)))
+                      frames(m.source, m.target, (top, mid), points))
         lower = Level(m.target.m0, m.target.m1, (mid, bottom),
-                      frames(m.target, m.target, (mid, bottom)))
+                      frames(m.target, m.target, (mid, bottom), (tgt, tgt)))
         d_upper, factor = label.d_phi, (-1) ** label.d_phi
-    check_broken_pair(v, "phi1", pair, ci, comp, frames(m.source, m.target, pair),
+    check_broken_pair(v, "phi1", pair, ci, comp, frames(m.source, m.target, pair, points),
                       end, label, d_upper, upper, lower, factor)
 
 
@@ -141,8 +148,11 @@ class ChainMap:
     matrix: IntMatrix  # columns: source generators, rows: target generators
 
     def is_identity(self) -> bool:
-        n = len(self.source_complex.generators)
-        return self.matrix == IntMatrix.identity(n) and [
+        """The identity matrix between generators of equal ids, read off the
+        entries: n of them, each a diagonal 1."""
+        m, n = self.matrix, len(self.source_complex.generators)
+        return m.rows == m.cols == n == len(m.entries) and all(
+            m.entries.get((i, i)) == 1 for i in range(n)) and [
             g.gid for g in self.source_complex.generators
         ] == [g.gid for g in self.target_complex.generators]
 
@@ -163,18 +173,20 @@ def compose(second: ChainMap, first: ChainMap) -> ChainMap:
 def induced_chain_map(m: MorphismData) -> ChainMap:
     """Validate ``m``, count one-phi-piece chains; enforce the chain-map
     identity."""
-    violations = validate_morphism(m)
+    tables = orbit_tables(m.source, m.target)  # one scale for both layers
+    violations = validate_morphism(m, tables)
     if violations:
         raise ValidationFailure(violations)
 
-    src_keys, src_gens = chain_generators(m.source, SRC)
-    tgt_keys, tgt_gens = chain_generators(m.target, TGT)
+    src_keys, src_gens = chain_generators(m.source, tables[0].action, SRC)
+    tgt_keys, tgt_gens = chain_generators(m.target, tables[1].action, TGT)
 
     # one graph: a walk from a source generator yields its d_src column (the
     # chains ending in the source layer) and its phi column (those that cross
     # into the target layer).  Target columns go first, so that a coincidence
     # among target pieces alone is met as build_ncc(target) meets it.
-    graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+    graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1,
+                                      [table.point for table in tables])
     (d_tgt,) = sum_columns(graph, tgt_keys, [tgt_keys])
     d_src, phi = sum_columns(graph, src_keys, [src_keys, tgt_keys])
     src_cx = assemble_complex(m.source, src_gens, d_src)

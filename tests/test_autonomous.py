@@ -33,12 +33,18 @@ from cascadeho.exact import (
     homology,
     verify_square_zero,
 )
-from cascadeho.mbs import Orbit, Violation
+from cascadeho.mbs import Orbit, Violation, scaled_actions
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 from test_exact import blocks, record_reductions
 
 
 F = Fraction
+
+
+def _action(data):
+    """The scaled action table of ``data``, as one request makes it."""
+    (action,) = scaled_actions(data.orbits)
+    return action
 
 
 def delta(data):
@@ -172,7 +178,7 @@ def test_du_not_dividing_the_multiplicity_raises():
     with pytest.raises(CascadehoError, match="du = 2 does not divide 1"):
         block_entries(data)
     with pytest.raises(CascadehoError, match="du = 2 does not divide 1"):
-        autonomous._egh_complex(data)
+        autonomous._egh_complex(data, _action(data))
     with pytest.raises(ValidationFailure):
         egh_differential(data)
     # du divides d(a) but not d(b): the hat block refuses
@@ -672,13 +678,13 @@ def test_compare_egh_detects_manufactured_leak(tmp_path, monkeypatch, capsys):
 
     names = [name for name in fixture_names() if fixture(name).kind == "autonomous"]
     assert all(compare_egh(fixture(name).payload, 2).ok for name in names)
-    monkeypatch.setattr(autonomous, "validate_data", lambda data: [])
+    monkeypatch.setattr(autonomous, "validate_data", lambda data, action=None: [])
     monkeypatch.setattr(autonomous, "_check_block_identities", lambda data, raw: None)
     slots = 0
     for name in names:
         honest = fixture(name).payload
-        for q in honest.good_orbits():
-            for x in chain_generators(honest)[0]:
+        for q in honest.good_orbits(_action(honest)):
+            for x in chain_generators(honest, _action(honest))[0]:
                 flavor, oid = x
                 if (honest.orbit(oid).homotopy_class != q.homotopy_class
                         or (flavor == "check" and honest.orbit(oid).good)):
@@ -774,11 +780,20 @@ def test_chs1_and_compare_do_no_work_that_grows_with_k(monkeypatch):
         made.append(args)
         return original_new(cls, *args, **kwargs)
 
+    # chain_generators makes its generators by tuple.__new__, past the spy
+    original_generators = autonomous.chain_generators
+
+    def generators(*args):
+        keys, gens = original_generators(*args)
+        made.extend(gens)
+        return keys, gens
+
     monkeypatch.setattr(autonomous._Pattern, "window", window)
     monkeypatch.setattr(autonomous, "_assemble", assemble)
     monkeypatch.setattr(ChainGenerator, "__new__", new)
+    monkeypatch.setattr(autonomous, "chain_generators", generators)
     base = 2 * len(data.orbits)
-    good = len(data.good_orbits())
+    good = len(data.good_orbits(_action(data)))
     counts = {}
     for k in (60, 960):
         for command, run, generators in (
@@ -922,7 +937,7 @@ def hand_tower(data, k):
     """R (x) 1 + B (x) S on the base generators times U^0..U^k, entry by
     entry from ``block_entries`` (R) and ``bv_operator`` (B); generator
     t * (k + 1) + u is t (x) U^u."""
-    keys, base = chain_generators(data)
+    keys, base = chain_generators(data, _action(data))
     step = k + 1
     gens = tuple(
         ChainGenerator(f"{g.gid}:U{u}", g.grading + 2 * u, g.homotopy_class,
@@ -1054,7 +1069,7 @@ def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
     # action, so (RB + BR)[check a, check a] = d(a) and D^2 has it at
     # (check a U^0, check a U^1).  The validators reject both before any
     # assembly, so they are switched off to reach the d^2 check.
-    monkeypatch.setattr(autonomous, "validate_data", lambda data: [])
+    monkeypatch.setattr(autonomous, "validate_data", lambda data, action=None: [])
     monkeypatch.setattr(autonomous, "_check_block_identities", lambda data, raw: None)
     cases = shifted = 0
     for name in fixture_names():
@@ -1069,7 +1084,7 @@ def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
             c = into_check[0][1]
             data.extra[(("check", c), ("hat", c))] = 1
         else:
-            a = data.good_orbits()[0]
+            a = data.good_orbits(_action(data))[0]
             data.extra[(("hat", a.oid), ("check", a.oid))] = 1
         for k in range(1, 6):
             with pytest.raises(SquareNonzero) as whole:
@@ -1082,7 +1097,7 @@ def test_core_check_raises_the_whole_towers_witness(monkeypatch, broken):
             assert str(core.value) == str(whole.value)
             if broken == "R^2":
                 assert witness[0].endswith(":U0") and witness[1].endswith(":U0")
-            elif by_action(data.orbits)[0].oid == a.oid:
+            elif by_action(data.orbits, _action(data))[0].oid == a.oid:
                 # nothing enters hat a, so R^2 stays 0 in row check a
                 assert witness == (f"check:{a.oid}:U1", f"check:{a.oid}:U0", a.d)
                 shifted += 1
@@ -1137,9 +1152,9 @@ def test_compare_validates_once(monkeypatch):
     calls = []
     original = autonomous.validate_data
 
-    def counting(data):
+    def counting(data, action=None):
         calls.append(data)
-        return original(data)
+        return original(data, action)
 
     monkeypatch.setattr(autonomous, "validate_data", counting)
     assert compare_egh(fixture("preq-112").payload, 3).ok
@@ -1150,8 +1165,8 @@ def _scaled_egh(monkeypatch, factor):
     """Make ``compare_egh`` read a cylindrical differential scaled by ``factor``."""
     original = autonomous._egh_complex
 
-    def scaled(data):
-        c = original(data)
+    def scaled(data, action):
+        c = original(data, action)
         n = len(c.generators)
         entries = {k: factor * v for k, v in c.differential.entries.items()}
         return ChainComplex(c.generators, IntMatrix(n, n, entries))
@@ -1172,12 +1187,12 @@ def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, fa
 
     tower = equivariant_differential(data, 2)
     index = {g.gid: k for k, g in enumerate(tower.generators)}
-    egh = scaled(data)
+    egh = scaled(data, _action(data))
     cylindrical = {
         (egh.generators[j].gid, egh.generators[i].gid): v
         for (i, j), v in egh.differential.entries.items()
     }
-    good = [o.oid for o in data.good_orbits()]
+    good = [o.oid for o in data.good_orbits(_action(data))]
     expected = []
     for a in good:
         for b in good:

@@ -13,8 +13,8 @@ from cascadeho.cli import main
 from cascadeho.errors import InputError, NonGenericConfiguration, ValidationFailure
 from cascadeho.exact import verify_square_zero
 from cascadeho.mbs import (
-    MorseBottSystem, Orbit, SignedPoint, assign_basepoints, component_preimages,
-    cyclically_ordered,
+    MorseBottSystem, Orbit, PLComponent, SignedPoint, assign_basepoints,
+    component_preimages, cyclically_ordered, orbit_tables, scaled_actions, validate_system,
 )
 from cascadeho.morphisms import (
     MorphismData, induced_chain_map, trivial_cobordism, validate_morphism,
@@ -24,6 +24,26 @@ from test_morphisms import BENCH_LIFTS, _bench_lifts, reseeded_cobordisms
 
 
 F = Fraction
+
+
+def _action(sys_):
+    """The scaled action table of ``sys_``, as one request makes it."""
+    (action,) = scaled_actions(sys_.orbits)
+    return action
+
+
+def _system_graph(sys_):
+    """The cascade graph of ``sys_``, on its basepoint keys as one request
+    makes them."""
+    (table,) = orbit_tables(sys_)
+    return CascadeGraph.of_system(sys_, table.point)
+
+
+def _cobordism_graph(m):
+    """The cascade graph of the cobordism ``m``, on the basepoint keys of
+    both layers as one request makes them."""
+    points = [table.point for table in orbit_tables(m.source, m.target)]
+    return CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1, points)
 
 
 def differential_table(sys_):
@@ -36,7 +56,7 @@ def differential_table(sys_):
 
 def cascades_between(sys_, src, dst):
     """The cascades of src's column that end at dst, both (flavor, orbit)."""
-    graph = CascadeGraph.of_system(sys_)
+    graph = _system_graph(sys_)
     return [c for c in enumerate_cascades(graph, src) if graph.key(c.row) == dst]
 
 
@@ -237,7 +257,7 @@ def _cobordism_keys(m):
     """The generator keys of ``m``'s graph in the order ``induced_chain_map``
     walks them: target columns, then source columns."""
     return [key for layer, sys_ in ((cascades.TGT, m.target), (cascades.SRC, m.source))
-            for key in cascades.chain_generators(sys_, layer)[0]]
+            for key in cascades.chain_generators(sys_, _action(sys_), layer)[0]]
 
 
 def _walk_error(graph, keys, trails):
@@ -255,26 +275,70 @@ def test_both_forms_raise_the_same_errors(monkeypatch):
     fan = _fan(m)
     monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m)
     for trails in (True, False):
-        assert enumerate_cascades(CascadeGraph.of_system(fan), ("hat", "A"), trails)
+        assert enumerate_cascades(_system_graph(fan), ("hat", "A"), trails)
     monkeypatch.setattr(cascades, "MAX_PARTIAL_CHAINS", m + m * m - 1)
     cobordism = trivial_cobordism(fan)
     graphs = [
-        (CascadeGraph.of_system(fan), [("hat", "A")],
+        (_system_graph(fan), [("hat", "A")],
          "the cascade walk from hat:A extends more than 19 partial chains"),
-        (CascadeGraph.of_cobordism(cobordism.source, cobordism.target,
-                                   cobordism.phi0, cobordism.phi1),
+        (_cobordism_graph(cobordism),
          [("hat", (cascades.TGT, "A"))],
          "the cascade walk from hat:A (tgt layer) extends more than 19 partial chains"),
     ]
     # the pinned coincidences, in one system and across a cobordism's layers
     sys_ = nongeneric_system()
-    graphs.append((CascadeGraph.of_system(sys_), cascades.chain_generators(sys_)[0],
+    graphs.append((_system_graph(sys_), cascades.chain_generators(sys_, _action(sys_))[0],
                    COINCIDENCE_AT_B))
     m = across_layers()
-    graphs.append((CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1),
+    graphs.append((_cobordism_graph(m),
                    _cobordism_keys(m), COINCIDENCE_ACROSS_LAYERS))
     for graph, keys, message in graphs:
         assert _walk_error(graph, keys, True) == _walk_error(graph, keys, False) == message
+
+
+def closing_system(e_minus_ab=F(3, 4)):
+    """With e_minus_ab = 3/4, the m0 point A -> B arrives at B where the
+    e_minus-pinned crossing of the circle B -> C leaves it: the coincidence
+    is met in the walk's closing loop, not on an m0 step."""
+    lift = ((F(0), F(1, 4)), (F(1), F(5, 4))), ((F(0), F(1, 2)), (F(1), F(3, 2)))
+    return MorseBottSystem(
+        orbits={
+            "A": Orbit("A", 1, 0, True, F(3), "", 0),
+            "B": Orbit("B", 1, 0, True, F(2), "", 0),
+            "C": Orbit("C", 1, 1, True, F(1), "", -1),
+        },
+        m0={("A", "B"): [SignedPoint(F(1, 5), e_minus_ab, 1)]},
+        m1={("B", "C"): [PLComponent("circle", 1, *lift)]},
+    )
+
+
+COINCIDENCE_CLOSING = (
+    "coincident circle points at intermediate B (pre-minus('B', 'C')[0]): "
+    "points not distinct: 0, 3/4 (eps 0), 3/4 (eps 0)"
+)
+
+
+def test_a_coincidence_in_the_closing_loop_keeps_its_text():
+    # the closing e_minus-pinned crossing names its piece as pre-minus, in
+    # build_ncc, in a trivial cobordism, in a morphism whose target alone is
+    # nongeneric, and in both forms of the walk
+    sys_ = closing_system()
+    assert validate_system(sys_) == []
+    only_target = trivial_cobordism(closing_system(e_minus_ab=F(3, 5)))
+    only_target.target.m0[("A", "B")] = sys_.m0[("A", "B")]
+    assert validate_morphism(only_target) == []
+    for build, doc in ((build_ncc, sys_), (induced_chain_map, trivial_cobordism(sys_)),
+                       (induced_chain_map, only_target)):
+        with pytest.raises(NonGenericConfiguration) as err:
+            build(doc)
+        assert str(err.value) == COINCIDENCE_CLOSING
+    m = only_target
+    graphs = [(_system_graph(sys_), cascades.chain_generators(sys_, _action(sys_))[0]),
+              (_cobordism_graph(m),
+               _cobordism_keys(m))]
+    for graph, keys in graphs:
+        assert _walk_error(graph, keys, True) == _walk_error(graph, keys, False) \
+            == COINCIDENCE_CLOSING
 
 
 def test_counting_builds_no_cascade(monkeypatch):
@@ -289,7 +353,7 @@ def test_counting_builds_no_cascade(monkeypatch):
         assert build_ncc(sys_).differential.entries
         assert induced_chain_map(trivial_cobordism(sys_)).is_identity()
     with pytest.raises(AssertionError, match="while counting"):
-        enumerate_cascades(CascadeGraph.of_system(sys_), ("hat", "B"))
+        enumerate_cascades(_system_graph(sys_), ("hat", "B"))
 
 
 def test_build_ncc_rejects_invalid_system():
@@ -311,7 +375,8 @@ def test_unvalidated_cross_class_coefficients_fail_loudly(monkeypatch):
     sys_ = fixture("one-circle").payload
     sys_.orbits["b"] = replace(sys_.orbits["b"], homotopy_class="x")
     for module in (mbs, cascades):
-        monkeypatch.setattr(module, "validate_system", lambda _sys: [], raising=False)
+        monkeypatch.setattr(module, "validate_system", lambda _sys, _table=None: [],
+                            raising=False)
     with pytest.raises(ValidationFailure) as err:
         build_ncc(sys_)
     assert [(v.code, v.location) for v in err.value.violations] == [
@@ -418,12 +483,12 @@ def _graphs(sys_, reseeds):
     their generators; with ``reseeds``, also each reseeded trivial
     cobordism's."""
     keys = [(flavor, oid) for oid in sys_.orbits for flavor in ("check", "hat")]
-    out = [(CascadeGraph.of_system(sys_), keys)]
+    out = [(_system_graph(sys_), keys)]
     cobordisms = [trivial_cobordism(sys_)]
     if reseeds:
         cobordisms += [m for _end, _seed, m in reseeded_cobordisms(sys_)]
     for m in cobordisms:
-        graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+        graph = _cobordism_graph(m)
         out.append((graph, [(flavor, (layer, oid)) for flavor, oid in keys
                             for layer in (cascades.SRC, cascades.TGT)]))
     return out
@@ -520,12 +585,12 @@ def _column_sums():
     morphisms += [(f"trivial-{name}", trivial_cobordism(sys_)) for name, sys_ in systems]
     out = []
     for name, sys_ in systems:
-        keys, _gens = cascades.chain_generators(sys_)
-        out.append((name, CascadeGraph.of_system(sys_), keys, [keys]))
+        keys, _gens = cascades.chain_generators(sys_, _action(sys_))
+        out.append((name, _system_graph(sys_), keys, [keys]))
     for name, m in morphisms:
-        src, _gens = cascades.chain_generators(m.source, cascades.SRC)
-        tgt, _gens = cascades.chain_generators(m.target, cascades.TGT)
-        graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+        src, _gens = cascades.chain_generators(m.source, _action(m.source), cascades.SRC)
+        tgt, _gens = cascades.chain_generators(m.target, _action(m.target), cascades.TGT)
+        graph = _cobordism_graph(m)
         out += [(f"{name}/target", graph, tgt, [tgt]),
                 (f"{name}/source", graph, src, [src, tgt])]
     return out

@@ -782,3 +782,71 @@ def test_no_command_leaves_reference_cycles(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert set(left["text"]) == {0}
     assert set(left["json"]) == {0}
+
+
+# --- one orbit table per request --------------------------------------------
+
+
+def test_each_request_scales_the_actions_once(tmp_path, monkeypatch, capsys):
+    # a request scales the actions of all its layers in one scaled_actions
+    # call, and makes each basepoint key of each layer at most once
+    from cascadeho.mbs import MorseBottSystem
+    from cascadeho.morphisms import MorphismData
+
+    workloads = bench_workloads(monkeypatch)
+    paths = {}
+    for name in workloads.WORKLOADS:
+        for r in workloads.build(name, 1, str(tmp_path / name)):
+            paths[r.doc.name] = (r.doc.path, r.doc.obj)
+    written = {"empty-mbs": MorseBottSystem({}), "empty-autonomous": AutonomousData({}),
+               "empty-morphism": MorphismData(MorseBottSystem({}), MorseBottSystem({})),
+               "trivial-mbs-lift": trivial_cobordism(paths["lift-torus3-d1"][1])}
+    for name, doc in written.items():
+        paths[name] = (str(tmp_path / f"{name}.json"), doc)
+        Path(paths[name][0]).write_text(serialize.dumps(doc))
+    autonomous_requests = [["validate"], ["nch"], ["egh"], ["chs1", "--umax", "3"],
+                           ["compare", "--umax", "3"]]
+    requests = [
+        ("lift-torus3-d1", [["validate"], ["nch"], ["nch", "--basepoints", "5"]]),
+        ("trivial-mbs-lift", [["validate"], ["morphism", "--format", "json"]]),
+        ("trivial-lift-torus3-d1", [["validate"], ["morphism", "--format", "json"]]),
+        ("morphism-interval", [["validate"], ["morphism", "--format", "json"]]),
+        ("torus3-d1", autonomous_requests),
+        ("empty-mbs", [["validate"], ["nch"]]),
+        ("empty-autonomous", autonomous_requests),
+        ("empty-morphism", [["validate"], ["morphism"], ["morphism", "--format", "json"]]),
+    ]
+    scalings, keys = [], []
+    original = mbs.scaled_actions
+
+    def scaling(*tables):
+        scalings.append(len(tables))
+        return original(*tables)
+
+    # every module that bound the function at import
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cascadeho") and vars(module).get("scaled_actions") is original:
+            monkeypatch.setattr(module, "scaled_actions", scaling)
+    basepoint = mbs.MorseBottSystem.basepoint
+
+    def counted(self, oid):
+        keys.append((id(self), oid))
+        return basepoint(self, oid)
+
+    monkeypatch.setattr(mbs.MorseBottSystem, "basepoint", counted)
+    for name, argvs in requests:
+        path, doc = paths[name]
+        layers = [doc.source, doc.target] if isinstance(doc, MorphismData) else [doc]
+        for argv in argvs:
+            scalings.clear()
+            keys.clear()
+            assert main([argv[0], path] + argv[1:]) == 0, (name, argv)
+            out, err = capsys.readouterr()
+            assert out and not err
+            # a morphism's two layers are scaled together
+            assert scalings == [len(layers)], (name, argv)
+            assert len(keys) == len(set(keys)), (name, argv)
+            if isinstance(doc, AutonomousData):
+                assert keys == []
+            else:
+                assert len(keys) <= sum(len(layer.orbits) for layer in layers)

@@ -200,12 +200,14 @@ def test_circle_keys_build_no_fractions(monkeypatch):
     answers = [cyclically_ordered(*args) for args in orders]
     columns = []
     for other in systems:
-        keys, _gens = chain_generators(other)
-        columns += sum_columns(CascadeGraph.of_system(other), keys, [keys])
-    src_keys, _gens = chain_generators(cobordism.source, SRC)
-    tgt_keys, _gens = chain_generators(cobordism.target, TGT)
+        (table,) = mbs.orbit_tables(other)
+        keys, _gens = chain_generators(other, table.action)
+        columns += sum_columns(CascadeGraph.of_system(other, table.point), keys, [keys])
+    src, tgt = mbs.orbit_tables(cobordism.source, cobordism.target)
+    src_keys, _gens = chain_generators(cobordism.source, src.action, SRC)
+    tgt_keys, _gens = chain_generators(cobordism.target, tgt.action, TGT)
     graph = CascadeGraph.of_cobordism(cobordism.source, cobordism.target,
-                                      cobordism.phi0, cobordism.phi1)
+                                      cobordism.phi0, cobordism.phi1, [src.point, tgt.point])
     columns += sum_columns(graph, tgt_keys, [tgt_keys])
     columns += sum_columns(graph, src_keys, [src_keys, tgt_keys])
     monkeypatch.undo()
@@ -343,10 +345,10 @@ def evaluation_values(sys_):
     return values
 
 
-def set_based_validate_system(sys_):
+def set_based_validate_system(sys_, table=None):
     """``validate_system`` with the set-based collision check: an orbit's
     basepoint collides iff its key is in the orbit's ``evaluation_values``
-    set.  The moduli checks are ``validate_moduli``'s own."""
+    set.  The moduli checks are ``validate_moduli``'s own, over ``table``."""
     v = []
     for oid, orbit in sys_.orbits.items():
         if not orbit.good and orbit.d % 2 != 0:
@@ -364,17 +366,19 @@ def set_based_validate_system(sys_):
     for oid in sorted(set(sys_.basepoints) - set(sys_.orbits)):
         v.append(Violation("unknown-orbit", f"basepoints[{oid}]",
                            f"basepoint for unknown orbit {oid!r}"))
-    _moduli_scan(v, sys_)
+    _moduli_scan(v, sys_, table)
     return v
 
 
-def _moduli_scan(v, sys_):
-    """``validate_moduli`` over the system's own tables: appends their
+def _moduli_scan(v, sys_, table=None):
+    """``validate_moduli`` over the system's own tables and its
+    ``OrbitTable`` ``table`` (made here when None): appends their
     violations to ``v`` and returns the orbits whose basepoint is hit."""
+    table = table or mbs.orbit_tables(sys_)[0]
     return mbs.validate_moduli(
         v, sys_, sys_, (("m0", 0, sys_.m0), ("m1", 1, sys_.m1), ("m2cc", 2, sys_.m2cc)),
-        shift=0, modulus=sys_.grading_modulus, equal_action=(),
-        end_check=partial(mbs._validate_interval_end, sys_),
+        (table, table), shift=0, modulus=sys_.grading_modulus, equal_action=(),
+        end_check=partial(mbs._validate_interval_end, sys_, (table.point, table.point)),
     )
 
 
@@ -1232,8 +1236,8 @@ _actions = st.one_of(
 def test_integer_action_order_matches_fractions(actions):
     orbits = {oid: Orbit(oid, 1, 0, True, action) for oid, action in actions.items()}
     expected = sorted(orbits.values(), key=lambda o: (-o.action, o.oid))
-    assert by_action(orbits) == expected
     (scaled,) = scaled_actions(orbits)
+    assert by_action(orbits, scaled) == expected
     for a in orbits.values():
         for b in orbits.values():
             assert (scaled[a.oid] < scaled[b.oid]) == (a.action < b.action)

@@ -5,7 +5,9 @@ known amount; the complex or chain map built from the transformed document
 is compared with the original's.  The Morse-Bott transforms (rotating an
 orbit's circle coordinate with its basepoint, shifting a lift by an
 integer, subdividing lift segments, reparametrising every component) must
-leave the entries of ``build_ncc`` and of ``induced_chain_map`` identical.
+leave the entries of ``build_ncc`` and of ``induced_chain_map`` identical,
+and so must scaling every action by one factor and renaming every orbit
+(up to the renaming), which also leave every autonomous report identical.
 An even shift of one class's gradings must shift NCH, and CH^{S^1} inside
 its stated stable range, by the same amount.
 """
@@ -15,8 +17,10 @@ from fractions import Fraction
 
 import pytest
 
+from cascadeho import serialize
 from cascadeho.autonomous import AutonomousData, block_differential, equivariant_homology
 from cascadeho.cascades import SRC, TGT, build_ncc, nch_homology
+from cascadeho.cli import main
 from cascadeho.exact import homology
 from cascadeho.mbs import MorseBottSystem, PLComponent, SignedPoint, circle_key
 from cascadeho.morphisms import MorphismData, induced_chain_map, trivial_cobordism
@@ -311,3 +315,144 @@ def test_an_even_grading_shift_shifts_nch_and_chs1(name):
                 assert result.restricted(stable).groups == {
                     k: v for k, v in expected.items() if k[1] <= stable
                 }, (name, cls, shift, truncation)
+
+
+# --- scaling every action, renaming every orbit -----------------------------
+
+
+LAMBDA = F(7, 3)
+
+
+def _orbits(orbits, name=None, factor=1):
+    """An orbit table with each orbit renamed by ``name`` and its action
+    times ``factor``; with a ``name``, in reverse order."""
+    items = [(name[oid] if name else oid,
+              replace(o, oid=name[oid] if name else oid, action=o.action * factor))
+             for oid, o in orbits.items()]
+    return dict(reversed(items) if name else items)
+
+
+def scale_actions(doc, factor=LAMBDA):
+    """Every orbit's action times ``factor``, both layers of a morphism alike."""
+    if isinstance(doc, MorphismData):
+        return replace(doc, source=scale_actions(doc.source, factor),
+                       target=scale_actions(doc.target, factor))
+    return replace(doc, orbits=_orbits(doc.orbits, factor=factor))
+
+
+def _renaming(doc):
+    """A new name for every orbit of ``doc``, in the reverse sorted order."""
+    layers = [doc] if not isinstance(doc, MorphismData) else [doc.source, doc.target]
+    oids = sorted({oid for layer in layers for oid in layer.orbits})
+    return {oid: f"r{len(oids) - 1 - k:04d}" for k, oid in enumerate(oids)}
+
+
+def rename(doc, name):
+    """``doc`` with every orbit renamed by ``name`` and each orbit table
+    reversed."""
+    def pairs(table):
+        return {(name[a], name[b]): v for (a, b), v in table.items()}
+
+    if isinstance(doc, AutonomousData):
+        return AutonomousData(_orbits(doc.orbits, name), pairs(doc.mj1), {
+            ((fa, name[a]), (fb, name[b])): v for ((fa, a), (fb, b)), v in doc.extra.items()})
+
+    def comp(c, _top, _bottom):
+        labels = {end: replace(label, orbit=name[label.orbit])
+                  for end, label in c.boundary_labels.items()}
+        return _component(c, _pairs(c.e_plus_lift), _pairs(c.e_minus_lift), labels)
+
+    def system(sys_):
+        return replace(sys_, orbits=_orbits(sys_.orbits, name),
+                       basepoints={name[o]: v for o, v in sys_.basepoints.items()},
+                       m0=pairs(sys_.m0), m1=pairs(_table(sys_.m1, None, None, comp)),
+                       m2cc=pairs(sys_.m2cc))
+
+    if isinstance(doc, MorseBottSystem):
+        return system(doc)
+    return replace(doc, source=system(doc.source), target=system(doc.target),
+                   phi0=pairs(doc.phi0), phi1=pairs(_table(doc.phi1, None, None, comp)),
+                   allow_equal_action={(name[a], name[b]) for a, b in doc.allow_equal_action})
+
+
+def _scaled_answer(doc, factor):
+    """``_answer(doc)`` with every generator's action times ``factor``."""
+    def scaled(gens):
+        return tuple(g._replace(action=g.action * factor) for g in gens)
+
+    answer = _answer(doc)
+    if isinstance(doc, MorseBottSystem):
+        return scaled(answer[0]), answer[1]
+    return [(scaled(gens), entries) for gens, entries in answer[:2]] + answer[2:]
+
+
+def _named_answer(doc, name=None):
+    """``_answer(doc)`` keyed by generator names, each orbit renamed by
+    ``name``: the sorted generators, and each block as {(column, row): value}."""
+    def keyed(gens):
+        return [g._replace(gid=f"{g.gid.partition(':')[0]}:{name[g.orbit]}",
+                           orbit=name[g.orbit]) if name else g for g in gens]
+
+    def block(rows, cols, entries):
+        return {(cols[j].gid, rows[i].gid): v for (i, j), v in entries.items()}
+
+    if isinstance(doc, MorseBottSystem):
+        cx = build_ncc(doc)
+        gens = keyed(cx.generators)
+        return sorted(gens), block(gens, gens, cx.differential.entries)
+    cm = induced_chain_map(doc)
+    src, tgt = keyed(cm.source_complex.generators), keyed(cm.target_complex.generators)
+    return (sorted(src), block(src, src, cm.source_complex.differential.entries),
+            sorted(tgt), block(tgt, tgt, cm.target_complex.differential.entries),
+            block(tgt, src, cm.matrix.entries))
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_scaling_every_action_keeps_every_entry(name):
+    doc = DOCUMENTS[name]
+    assert _answer(scale_actions(doc)) == _scaled_answer(doc, LAMBDA)
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_renaming_every_orbit_keeps_every_entry(name):
+    doc = DOCUMENTS[name]
+    renaming = _renaming(doc)
+    assert _named_answer(rename(doc, renaming)) == _named_answer(doc, renaming)
+
+
+def test_scaling_and_renaming_change_the_documents():
+    # the scale reaches every layer; the renaming reverses both the sorted
+    # order of the ids and the order of the orbit table
+    m = fixture("morphism-interval").payload
+    scaled = scale_actions(m)
+    for old, new in ((m.source, scaled.source), (m.target, scaled.target)):
+        assert [o.action * LAMBDA for o in old.orbits.values()] == [
+            o.action for o in new.orbits.values()]
+    renaming = _renaming(m)
+    moved = rename(m, renaming)
+    assert sorted(renaming.values()) == [renaming[o] for o in sorted(renaming, reverse=True)]
+    assert list(moved.source.orbits) == [renaming[o] for o in reversed(m.source.orbits)]
+    assert moved.allow_equal_action == {(renaming[a], renaming[b])
+                                        for a, b in m.allow_equal_action}
+
+
+AUTONOMOUS_REQUESTS = (["nch"], ["egh"], ["chs1", "--umax", "3"], ["compare", "--umax", "3"])
+
+
+def _reports(doc, tmp_path, capsys):
+    """(exit code, stdout, stderr) of each autonomous request on ``doc``."""
+    path = tmp_path / "doc.json"
+    path.write_text(serialize.dumps(doc))
+    out = []
+    for argv in AUTONOMOUS_REQUESTS:
+        code = main([argv[0], str(path)] + argv[1:])
+        out.append((code,) + tuple(capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n, _doc in AUTONOMOUS])
+def test_scaling_and_renaming_keep_the_autonomous_reports(name, tmp_path, capsys):
+    doc = dict(AUTONOMOUS)[name]
+    expected = _reports(doc, tmp_path, capsys)
+    assert _reports(scale_actions(doc), tmp_path, capsys) == expected
+    assert _reports(rename(doc, _renaming(doc)), tmp_path, capsys) == expected

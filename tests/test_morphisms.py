@@ -11,7 +11,7 @@ import pytest
 from cascadeho import cascades, mbs, morphisms, serialize
 from cascadeho.cascades import build_ncc
 from cascadeho.errors import ChainMapFailure, ValidationFailure
-from cascadeho.exact import IntMatrix
+from cascadeho.exact import ChainComplex, ChainGenerator, IntMatrix
 from cascadeho.mbs import assign_basepoints, validate_system
 from cascadeho.morphisms import (
     MorphismData,
@@ -76,6 +76,48 @@ def test_trivial_cobordism_into_a_coarser_grading_is_identity(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["identity"] is True
 
 
+def identity_by_matrix(cm):
+    """``ChainMap.is_identity`` as it compared the matrix with a built
+    identity matrix and the two generator lists' ids."""
+    n = len(cm.source_complex.generators)
+    return cm.matrix == IntMatrix.identity(n) and [
+        g.gid for g in cm.source_complex.generators
+    ] == [g.gid for g in cm.target_complex.generators]
+
+
+def test_is_identity_matches_the_identity_matrix():
+    def complex_(*gids):
+        gens = tuple(ChainGenerator(gid, 0) for gid in gids)
+        return ChainComplex(gens, IntMatrix(len(gens), len(gens), {}))
+
+    abc, ab, xyz = complex_("a", "b", "c"), complex_("a", "b"), complex_("x", "y", "z")
+    empty = complex_()
+    diagonal = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+    cases = [
+        (abc, abc, diagonal, True),
+        (empty, empty, {}, True),
+        (abc, ab, {(0, 0): 1, (1, 1): 1}, False),  # not square
+        (ab, abc, {(0, 0): 1, (1, 1): 1}, False),
+        (abc, abc, diagonal | {(1, 1): -1}, False),
+        (abc, abc, diagonal | {(2, 2): 2}, False),
+        (abc, abc, {(0, 0): 1, (2, 2): 1}, False),  # a missing diagonal entry
+        (abc, abc, diagonal | {(0, 2): 1}, False),  # an extra entry
+        (abc, abc, diagonal | {(2, 1): -3}, False),
+        (abc, xyz, diagonal, False),  # equal matrices, other generator names
+        (abc, abc, {}, False),
+        (empty, abc, {}, False),
+    ]
+    for source, target, entries, expected in cases:
+        matrix = IntMatrix(len(target.generators), len(source.generators), entries)
+        cm = morphisms.ChainMap(source, target, matrix)
+        assert cm.is_identity() == identity_by_matrix(cm) == expected, entries
+    for name in fixture_names():
+        doc = fixture(name).payload
+        if isinstance(doc, MorphismData):
+            cm = induced_chain_map(doc)
+            assert cm.is_identity() == identity_by_matrix(cm), name
+
+
 def test_compose_rejects_mismatched_middle():
     cm1 = induced_chain_map(trivial_cobordism(fixture("one-circle").payload))
     cm2 = induced_chain_map(trivial_cobordism(fixture("one-interval").payload))
@@ -109,7 +151,7 @@ def test_chain_map_failure_witness(monkeypatch):
     m = fixture("morphism-interval").payload
     # flipping the source flow-line sign changes d_src but not the map
     m.source.m0[("A", "G")][0] = replace(m.source.m0[("A", "G")][0], sign=-1)
-    monkeypatch.setattr(morphisms, "validate_morphism", lambda _m: [])
+    monkeypatch.setattr(morphisms, "validate_morphism", lambda _m, _tables=None: [])
     with pytest.raises(ChainMapFailure) as err:
         induced_chain_map(m)
     assert err.value.source == "hat:A"
@@ -391,9 +433,11 @@ def _two_product_witness(m):
     products d_tgt . phi and phi . d_src in full, diffed over the union of
     their keys, least (row, column) first.  (source gid, target gid, value),
     or None when the identity holds."""
-    src_keys, src_gens = cascades.chain_generators(m.source, cascades.SRC)
-    tgt_keys, tgt_gens = cascades.chain_generators(m.target, cascades.TGT)
-    graph = cascades.CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1)
+    src, tgt = mbs.orbit_tables(m.source, m.target)
+    src_keys, src_gens = cascades.chain_generators(m.source, src.action, cascades.SRC)
+    tgt_keys, tgt_gens = cascades.chain_generators(m.target, tgt.action, cascades.TGT)
+    graph = cascades.CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1,
+                                               [src.point, tgt.point])
     (d_tgt,) = cascades.sum_columns(graph, tgt_keys, [tgt_keys])
     d_src, phi = cascades.sum_columns(graph, src_keys, [src_keys, tgt_keys])
     lhs, rhs = _entry_product(d_tgt, phi), _entry_product(phi, d_src)

@@ -83,6 +83,63 @@ def test_only_enumerate_cascades_pops_a_partial_chain_stack():
     assert poppers == ["enumerate_cascades"]
 
 
+def _references(tree, names):
+    """(name, scope) of each read of one of ``names`` in a module, as a
+    bare name or as an attribute (a call, or a function passed on), where
+    scope is the dotted name of the enclosing function or class."""
+    found = []
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in names and isinstance(child.ctx, ast.Load):
+                found.append((name, scope))
+            scan(child, inner)
+
+    scan(tree, "")
+    return found
+
+
+def test_only_the_request_entry_points_scale_the_actions():
+    # a request scales the actions of all its layers in one call and makes
+    # each basepoint key once: mbs.orbit_tables for the Morse-Bott builders
+    # (and for a validator called alone), autonomous._require_valid for the
+    # autonomous ones; every later step reads those tables.  A second
+    # scaling would redo the work, on a scale of its own
+    planted = ast.parse(
+        "def a(x):\n    return mbs.scaled_actions(x)\n"
+        "class B:\n    def c(self):\n        scale = scaled_actions\n"
+        "        return [s.basepoint(o) for o in s.orbits]\n"
+        "def d(x):\n    'scaled_actions'\n    x.scaled_actions = 1\n"
+        "def orbit_tables(*systems):\n    return scaled_actions(*systems)\n"
+    )
+    assert _references(planted, {"scaled_actions", "basepoint"}) == [
+        ("scaled_actions", "a"), ("scaled_actions", "B.c"), ("basepoint", "B.c"),
+        ("scaled_actions", "orbit_tables")]
+    found = set()
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found.update((name, f"{path.name}:{scope}") for name, scope in _references(
+            tree, {"scaled_actions", "orbit_tables", "basepoint"}))
+    assert found == {
+        ("scaled_actions", "mbs.py:orbit_tables"),
+        ("scaled_actions", "autonomous.py:validate_data"),
+        ("scaled_actions", "autonomous.py:_require_valid"),
+        ("scaled_actions", "autonomous.py:bv_operator"),
+        ("orbit_tables", "cascades.py:build_ncc"),
+        ("orbit_tables", "morphisms.py:induced_chain_map"),
+        ("orbit_tables", "mbs.py:validate_system"),
+        ("orbit_tables", "morphisms.py:validate_morphism"),
+        ("basepoint", "mbs.py:orbit_tables"),
+        # signed_preimages, which no request calls
+        ("basepoint", "mbs.py:signed_preimages"),
+    }
+
+
 def test_rank_mod_stays_independent_of_the_z_elimination():
     # rank_mod cross-checks every reduction over F_p; if either path reached
     # the other, directly or through a helper of exact.py, a fault in the
