@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import partial
 from fractions import Fraction
-from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .errors import InputError, NonDistinct, NonGenericConfiguration, ValidationFailure
 from .exact import (
@@ -98,21 +98,8 @@ def _layer_and_oid(node) -> Tuple[Optional[str], Hashable]:
     return node if isinstance(node, tuple) else (None, node)
 
 
-class Edge(NamedTuple):
-    """The moduli pieces of one pair, as seen from its top node."""
-
-    bottom: int  # the number of the bottom node
-    pair: Tuple  # (top key, bottom key): names the pair in trails and errors
-    pieces: Sequence  # SignedPoints on an m0 edge, PLComponents on an m1 edge
-    phi: bool  # a cobordism piece: index d - 1 instead of d
-
-
-# an Edge made from its field tuple in one C call
-_edge = partial(tuple.__new__, Edge)
-
-
 class CascadeGraph:
-    """Orbit circles (nodes) joined by moduli pieces (edges), indexed by top.
+    """Orbit circles (nodes) joined by moduli pieces, indexed by top node.
 
     A system is one layer whose nodes are its orbit ids.  A cobordism is two
     layers, source orbits (SRC, oid) above target orbits (TGT, oid), joined
@@ -126,9 +113,30 @@ class CascadeGraph:
     ``basepoints`` its basepoint as a circle key: a node's frame, read from
     the request's ``OrbitTable`` of each layer.
 
-    ``exits(node)`` lists the pieces a walk leaves a node by, made once per
-    graph on first use, so each pinned preimage query is asked once; it
-    builds the frames of those queries once per node and edge.
+    ``exits[node]`` holds the (opening, steps, closing) pieces a walk leaves
+    ``node`` by, written while the graph is built, in pair, piece and
+    crossing order:
+
+    * opening: each e+-pinned crossing at the basepoint of ``node``, as
+      (bottom, e- circle key, nudge, sign, pair, component index, Preimage);
+    * steps: each m0 point, as (bottom, e+ key, e- key, sign, pair, index);
+    * closing: each e--pinned crossing at the basepoint of its bottom, as
+      (bottom, e+ circle key, nudge, weight, pair, component index, Preimage).
+
+    An entry holds only what a counting walk reads; a walk with trails
+    builds its trail pieces from them.  A pair is (top key, bottom key).
+
+    A pinned phi evaluation that lands on the basepoint of the orbit it
+    meets is nudged off it: just before it on the target orbit of an
+    opening piece (-1), just after it on the source orbit of a closing one
+    (+1).  A closing weight carries the extra -1 of an e--pinned in-system
+    component.
+
+    Each (pair, component, side) is one ``mbs.component_preimages`` query,
+    in the frames (orbit, basepoint key) of the pair's ends, asked once, as
+    the graph is built.  So a graph built from unvalidated data raises
+    NonRegularValue there for a basepoint on a breakpoint; validated data
+    raises nothing there, since ``validate_moduli`` refuses that basepoint.
     """
 
     def __init__(self):
@@ -136,10 +144,8 @@ class CascadeGraph:
         self.number: Dict[Hashable, int] = {}  # a node's key -> its number
         self.orbits: List[Orbit] = []
         self.basepoints: List[Point] = []
-        self.m0: List[List[Edge]] = []
-        self.m1: List[List[Edge]] = []
+        self.exits: List[Tuple[List, List, List]] = []
         self.m2cc: List[List[Tuple[int, int, Tuple]]] = []
-        self._exits: List[Optional[Tuple[List, List, List]]] = []
 
     @classmethod
     def of_system(cls, sys: MorseBottSystem, point) -> "CascadeGraph":
@@ -159,53 +165,6 @@ class CascadeGraph:
         """The (flavor, node key) of the generator in ``row``."""
         return ("hat" if row & 1 else "check", self.nodes[row >> 1])
 
-    def exits(self, node: int) -> Tuple[List, List, List]:
-        """The (opening, steps, closing) pieces out of ``node``, in edge,
-        piece and crossing order:
-
-        * opening: each e+-pinned crossing at the basepoint of ``node``, as
-          (bottom, e- circle key, nudge, sign, pair, component index, Preimage);
-        * steps: each m0 point, as (bottom, e+ key, e- key, sign, pair, index);
-        * closing: each e--pinned crossing at the basepoint of its bottom, as
-          (bottom, e+ circle key, nudge, weight, pair, component index, Preimage).
-
-        An entry holds only what a counting walk reads; a walk with trails
-        builds its trail pieces from them.
-
-        A pinned phi evaluation that lands on the basepoint of the orbit it
-        meets is nudged off it: just before it on the target orbit of an
-        opening piece (-1), just after it on the source orbit of a closing
-        one (+1).  A closing weight carries the extra -1 of an e--pinned
-        in-system component.
-
-        The frame (orbit, basepoint key) of ``node`` is built once, and that
-        of each m1 edge's bottom once per edge; each (edge, component, side)
-        is one ``mbs.component_preimages`` query in those frames.
-        """
-        found = self._exits[node]
-        if found is not None:
-            return found
-        orbits, basepoints = self.orbits, self.basepoints
-        here = basepoints[node]
-        top = (orbits[node], here)
-        opening, steps, closing = [], [], []
-        for bottom, pair, pieces, _phi in self.m0[node]:
-            for idx, pt in enumerate(pieces):
-                steps.append((bottom, pt.e_plus_key, pt.e_minus_key, pt.sign, pair, idx))
-        for bottom, pair, pieces, phi in self.m1[node]:
-            there = basepoints[bottom]
-            below = (orbits[bottom], there)
-            extra = 1 if phi else -1
-            for ci, comp in enumerate(pieces):
-                for pre in component_preimages(comp, "plus", here, top, below):
-                    eps = -1 if phi and pre.point == there else 0
-                    opening.append((bottom, pre.point, eps, pre.sign, pair, ci, pre))
-                for pre in component_preimages(comp, "minus", there, top, below):
-                    eps = 1 if phi and pre.point == here else 0
-                    closing.append((bottom, pre.point, eps, extra * pre.sign, pair, ci, pre))
-        found = self._exits[node] = (opening, steps, closing)
-        return found
-
     def _layer(self, sys, key, point) -> Dict[str, int]:
         """Add ``sys`` as a layer of nodes named ``key(oid)``, with the
         basepoint keys ``point`` (``OrbitTable.point``); returns the number
@@ -216,20 +175,37 @@ class CascadeGraph:
         self.nodes += keys
         self.orbits += sys.orbits.values()
         self.basepoints += point.values()
-        for table in (self.m0, self.m1, self.m2cc):
-            table += [[] for _ in keys]
-        self._exits += [None] * len(keys)
+        self.exits += [([], [], []) for _ in keys]
+        self.m2cc += [[] for _ in keys]
         self._edges(sys.m0, sys.m1, sys.m2cc, at, at, phi=False)
         return at
 
     def _edges(self, m0, m1, m2cc, upper, lower, phi):
-        nodes = self.nodes
-        for table, moduli in ((self.m0, m0), (self.m1, m1)):
-            for (a, b), pieces in moduli.items():
-                if pieces:
-                    top, bottom = upper[a], lower[b]
-                    table[top].append(_edge((bottom, (nodes[top], nodes[bottom]),
-                                             pieces, phi)))
+        """Write the pieces of each pair from a node of ``upper`` down to
+        one of ``lower`` into the exit table of its top node."""
+        nodes, orbits, basepoints, exits = self.nodes, self.orbits, self.basepoints, self.exits
+        for (a, b), pieces in m0.items():
+            if pieces:
+                top, bottom = upper[a], lower[b]
+                pair = (nodes[top], nodes[bottom])
+                exits[top][1].extend((bottom, pt.e_plus_key, pt.e_minus_key, pt.sign, pair, idx)
+                                     for idx, pt in enumerate(pieces))
+        extra = 1 if phi else -1
+        for (a, b), pieces in m1.items():
+            if not pieces:
+                continue
+            top, bottom = upper[a], lower[b]
+            pair = (nodes[top], nodes[bottom])
+            opening, _steps, closing = exits[top]
+            here, there = basepoints[top], basepoints[bottom]
+            above, below = (orbits[top], here), (orbits[bottom], there)
+            for ci, comp in enumerate(pieces):
+                for pre in component_preimages(comp, "plus", here, above, below):
+                    eps = -1 if phi and pre.point == there else 0
+                    opening.append((bottom, pre.point, eps, pre.sign, pair, ci, pre))
+                for pre in component_preimages(comp, "minus", there, above, below):
+                    eps = 1 if phi and pre.point == here else 0
+                    closing.append((bottom, pre.point, eps, extra * pre.sign, pair, ci, pre))
         for (a, b), count in m2cc.items():
             if count:
                 top, bottom = upper[a], lower[b]
@@ -240,17 +216,18 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
     """All rigid cascades out of the generator ``src`` = (flavor, node key):
     one walk gives its whole column, each cascade naming its target by row.
 
-    The walk reads each node's ``exits``.  A phi piece differs from an
-    in-system piece in two ways, both settled there: an e_minus-pinned phi1
-    piece carries no extra -1, and a pinned phi evaluation on a basepoint is
-    nudged off it.  Raises InputError once the walk has extended
-    MAX_PARTIAL_CHAINS chains.  With ``trails`` false it records no trail
-    and gives a (row, weight) pair per counted chain, in the same order.
+    The walk reads each node's ``exits``, built with the graph, and asks
+    no preimage query itself.  A phi piece differs from an in-system piece
+    in two ways, both settled there: an e_minus-pinned phi1 piece carries
+    no extra -1, and a pinned phi evaluation on a basepoint is nudged off
+    it.  Raises InputError once the walk has extended MAX_PARTIAL_CHAINS
+    chains.  With ``trails`` false it records no trail and gives a (row,
+    weight) pair per counted chain, in the same order.
     """
     flavor, start = src
     start = graph.number[start]
     out = []
-    basepoints, table = graph.basepoints, graph._exits
+    basepoints, exits = graph.basepoints, graph.exits
 
     # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
@@ -265,7 +242,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
             out += [_cascade((2 * start, -1, trail)) if trails else (2 * start, -1)] * 2
         stack.append((start, None, 0, (start,), 1, None))
     else:
-        for bottom, last, eps, sign, pair, ci, pre in graph.exits(start)[0]:
+        for bottom, last, eps, sign, pair, ci, pre in exits[start][0]:
             stack.append((bottom, last, eps, (start, bottom), sign,
                           trails and (("pre-plus", pair, ci, pre), None)))
     walked = 0
@@ -282,7 +259,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
                 )
             out.append(_cascade((2 * current, sign, trail)) if trails
                        else (2 * current, sign))
-        _opening, steps, closing = table[current] or graph.exits(current)
+        _opening, steps, closing = exits[current]
         here = basepoints[current]
         try:
             # unconstrained 0-dimensional pieces

@@ -566,9 +566,9 @@ def signed_preimages(
     """Preimages of the circle point q along ``pair``, in the frames
     ``sys`` gives its ends.
 
-    The cascade walk does not come through here: ``CascadeGraph.exits``
-    builds each frame once per node and edge and calls
-    ``component_preimages`` itself.
+    The cascade walk does not come through here: ``CascadeGraph._edges``
+    builds the frames of each pair once and calls ``component_preimages``
+    itself.
     """
     top, bottom = pair
     return component_preimages(comp, side, q, (sys.orbit(top), sys.basepoint(top)),
@@ -852,17 +852,6 @@ def check_broken_pair(v, table, pair, ci, comp, comp_frames, end, label,
 # basepoints
 
 
-def _lands_on(lifts: List[IntLift], point: Point) -> bool:
-    """True iff a breakpoint value of one of the ``lifts`` is the circle
-    point ``point``, a pair in lowest terms such as a circle key."""
-    pn, pd = point
-    for pts in lifts:
-        for _tn, _td, vn, vd in pts:
-            if vd == pd and (vn - pn) % pd == 0:
-                return True
-    return False
-
-
 def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> MorseBottSystem:
     """Return a copy of the system with fresh generic basepoints.
 
@@ -874,9 +863,10 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
 
     rng = random.Random(seed)
     new = dict(sys.basepoints)
-    # per orbit, the keys of the m0 evaluations and the lifts landing on it
+    # per orbit, the keys of the m0 evaluations and the (component, side) of
+    # the m1 evaluations landing on it
     keys = {oid: set() for oid in sys.orbits}
-    lifts = {oid: [] for oid in sys.orbits}
+    sides = {oid: [] for oid in sys.orbits}
     for (top, bottom), points in sys.m0.items():
         for pt in points:
             if top in keys:
@@ -885,10 +875,10 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
                 keys[bottom].add(pt.e_minus_key)
     for (top, bottom), comps in sys.m1.items():
         for comp in comps:
-            if top in lifts:
-                lifts[top].append(comp.e_plus_lift)
-            if bottom in lifts:
-                lifts[bottom].append(comp.e_minus_lift)
+            if top in sides:
+                sides[top].append((comp, "plus"))
+            if bottom in sides:
+                sides[bottom].append((comp, "minus"))
     denominators = [257, 263, 269, 271, 277, 281, 283, 293]
     for k, oid in enumerate(sorted(sys.orbits)):
         for attempt in range(64):
@@ -899,7 +889,8 @@ def assign_basepoints(sys: MorseBottSystem, seed: Optional[int] = None) -> Morse
                 q = denominators[attempt % len(denominators)]
                 num = rng.randrange(q)
             key = point_key(num, q)
-            if key not in keys[oid] and not _lands_on(lifts[oid], key):
+            if key not in keys[oid] and not any(
+                    breakpoint_hit(comp, side, key) for comp, side in sides[oid]):
                 new[oid] = Fraction(num, q)
                 break
         else:

@@ -414,26 +414,50 @@ def test_cascade_pieces_recorded():
 # --- the walk against an edge-by-edge oracle --------------------------------
 
 
-def oracle_cascades(graph, src):
-    """The cascades out of ``src`` walked edge by edge over the numbered
-    graph: at every arrival each m0 edge, then each m1 edge's components and
-    their e_minus-pinned crossings, queried afresh.  The same records, in
-    the same order, as ``enumerate_cascades`` must give."""
+def _layers(doc):
+    """The moduli tables of ``doc`` as the oracle reads them: (m0, m1, m2cc,
+    top key, bottom key, phi) of a system, or of a cobordism's source
+    layer, then its target layer, then its phi pieces."""
+    if isinstance(doc, MorseBottSystem):
+        return [(doc.m0, doc.m1, doc.m2cc, lambda oid: oid, lambda oid: oid, False)]
+    src, tgt = (lambda oid: (cascades.SRC, oid)), (lambda oid: (cascades.TGT, oid))
+    return [(doc.source.m0, doc.source.m1, doc.source.m2cc, src, src, False),
+            (doc.target.m0, doc.target.m1, doc.target.m2cc, tgt, tgt, False),
+            (doc.phi0, doc.phi1, {}, src, tgt, True)]
+
+
+def oracle_cascades(graph, layers, src):
+    """The cascades out of ``src`` walked edge by edge over the pieces of
+    the documents, ``layers`` as ``_layers`` gives them: at every arrival
+    each m0 point of each pair out of the node, then each m1 component of
+    each such pair and its e_minus-pinned crossings, queried afresh, the
+    pairs in layer and table order.  The graph gives only the numbering and
+    the frames.  The same records, in the same order, as
+    ``enumerate_cascades`` must give."""
     flavor, start = src
-    start = graph.number[start]
+    number = graph.number
+    start = number[start]
     orbits, basepoints = graph.orbits, graph.basepoints
     out = []
 
-    def nudge(edge, value, node, eps):
-        return eps if edge.phi and value == basepoints[node] else 0
+    def pairs(node, dim):
+        """(bottom, pair, pieces, phi) of each pair of dimension ``dim`` out
+        of ``node``."""
+        for *moduli, _m2cc, up, down, phi in layers:
+            for (a, b), pieces in moduli[dim].items():
+                if pieces and number[up(a)] == node:
+                    yield number[down(b)], (up(a), down(b)), pieces, phi
+
+    def nudge(phi, value, node, eps):
+        return eps if phi and value == basepoints[node] else 0
 
     def ordered(node, last, value, eps):
         return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
 
-    def preimages(edge, ci, side):
-        top, bottom = (graph.number[n] for n in edge.pair)
+    def preimages(pair, comp, side):
+        top, bottom = (number[n] for n in pair)
         return component_preimages(
-            edge.pieces[ci], side, basepoints[top if side == "plus" else bottom],
+            comp, side, basepoints[top if side == "plus" else bottom],
             (orbits[top], basepoints[top]), (orbits[bottom], basepoints[bottom]))
 
     stack = []
@@ -443,55 +467,61 @@ def oracle_cascades(graph, src):
             out += [cascades.Cascade(2 * start, -1, trail)] * 2
         stack.append((start, None, (start,), 1, None))
     else:
-        for edge in graph.m1[start]:
-            for ci in range(len(edge.pieces)):
-                for pre in preimages(edge, ci, "plus"):
-                    last = (pre.point, nudge(edge, pre.point, edge.bottom, -1))
-                    stack.append((edge.bottom, last, (start, edge.bottom), pre.sign,
-                                  (("pre-plus", edge.pair, ci, pre), None)))
+        for bottom, pair, comps, phi in pairs(start, 1):
+            for ci, comp in enumerate(comps):
+                for pre in preimages(pair, comp, "plus"):
+                    last = (pre.point, nudge(phi, pre.point, bottom, -1))
+                    stack.append((bottom, last, (start, bottom), pre.sign,
+                                  (("pre-plus", pair, ci, pre), None)))
     while stack:
         current, last, visited, sign, trail = stack.pop()
         if trail is not None:
             out.append(cascades.Cascade(2 * current, sign, trail))
-        for edge in graph.m0[current]:
-            if edge.bottom in visited:
+        for bottom, pair, points, _phi in pairs(current, 0):
+            if bottom in visited:
                 continue
-            for idx, pt in enumerate(edge.pieces):
+            for idx, pt in enumerate(points):
                 if last is None or ordered(current, last, pt.e_plus_key, 0):
-                    stack.append((edge.bottom, (pt.e_minus_key, 0),
-                                  visited + (edge.bottom,), sign * pt.sign,
-                                  (("m0", edge.pair, idx), trail)))
-        for edge in graph.m1[current]:
-            if edge.bottom in visited:
+                    stack.append((bottom, (pt.e_minus_key, 0), visited + (bottom,),
+                                  sign * pt.sign, (("m0", pair, idx), trail)))
+        for bottom, pair, comps, phi in pairs(current, 1):
+            if bottom in visited:
                 continue
-            extra = 1 if edge.phi else -1
-            for ci in range(len(edge.pieces)):
-                for pre in preimages(edge, ci, "minus"):
-                    eps = nudge(edge, pre.point, current, 1)
+            extra = 1 if phi else -1
+            for ci, comp in enumerate(comps):
+                for pre in preimages(pair, comp, "minus"):
+                    eps = nudge(phi, pre.point, current, 1)
                     if last is None or ordered(current, last, pre.point, eps):
                         out.append(cascades.Cascade(
-                            2 * edge.bottom + 1, extra * sign * pre.sign,
-                            (("pre-minus", edge.pair, ci, pre), trail)))
+                            2 * bottom + 1, extra * sign * pre.sign,
+                            (("pre-minus", pair, ci, pre), trail)))
     if flavor == "check":
-        for bottom, count, pair in graph.m2cc[start]:
-            out.append(cascades.Cascade(2 * bottom + 1, count, (("m2cc", pair), None)))
+        for _m0, _m1, m2cc, up, down, _phi in layers:
+            for (a, b), count in m2cc.items():
+                if count and number[up(a)] == start:
+                    out.append(cascades.Cascade(2 * number[down(b)] + 1, count,
+                                                (("m2cc", (up(a), down(b))), None)))
     return out
 
 
-def _graphs(sys_, reseeds):
-    """The graph of ``sys_`` and of its trivial cobordism, with the keys of
-    their generators; with ``reseeds``, also each reseeded trivial
-    cobordism's."""
+def _documents(sys_, reseeds):
+    """``sys_`` and its trivial cobordism, with the keys of their
+    generators; with ``reseeds``, also each reseeded trivial cobordism."""
     keys = [(flavor, oid) for oid in sys_.orbits for flavor in ("check", "hat")]
-    out = [(_system_graph(sys_), keys)]
+    out = [(sys_, keys)]
     cobordisms = [trivial_cobordism(sys_)]
     if reseeds:
         cobordisms += [m for _end, _seed, m in reseeded_cobordisms(sys_)]
     for m in cobordisms:
-        graph = _cobordism_graph(m)
-        out.append((graph, [(flavor, (layer, oid)) for flavor, oid in keys
-                            for layer in (cascades.SRC, cascades.TGT)]))
+        out.append((m, [(flavor, (layer, oid)) for flavor, oid in keys
+                        for layer in (cascades.SRC, cascades.TGT)]))
     return out
+
+
+def _graph(doc):
+    if isinstance(doc, MorseBottSystem):
+        return _system_graph(doc)
+    return _cobordism_graph(doc)
 
 
 # the systems whose reseeded trivial cobordisms tests/test_morphisms.py checks
@@ -516,36 +546,40 @@ def _walk_system(name):
 
 @pytest.mark.parametrize("name", WALKED)
 def test_walk_matches_the_edge_by_edge_oracle(name, monkeypatch):
-    asked = []  # the walk's queries; the oracle's go through mbs instead
+    asked = []  # the graph's queries; the oracle's go through mbs instead
     query = cascades.component_preimages
 
     def counted(comp, side, q, top, bottom):
-        # a component lies on one edge, so this names (edge, component, side)
         asked.append((id(comp), side))
         return query(comp, side, q, top, bottom)
 
     monkeypatch.setattr(cascades, "component_preimages", counted)
     queries = 0
-    for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
+    for doc, keys in _documents(_walk_system(name), name in RESEEDED):
         asked.clear()
+        graph = _graph(doc)
+        layers = _layers(doc)
+        # building the graph asks each (component, side) of the documents'
+        # m1/phi1 pieces exactly once
+        expected = [(id(comp), side) for _m0, m1, *_rest in layers
+                    for comps in m1.values() for comp in comps for side in ("plus", "minus")]
+        assert len(set(expected)) == len(expected)
+        assert sorted(asked) == sorted(expected)
         for key in keys:
             walked = [(graph.key(c.row), c.weight, c.pieces)
                       for c in enumerate_cascades(graph, key)]
-            expected = [(graph.key(c.row), c.weight, c.pieces)
-                        for c in oracle_cascades(graph, key)]
-            assert walked == expected, key
-        # each node's opening and closing lists were built at most once: one
-        # query per side of each component on an edge out of a built node
-        assert len(asked) == len(set(asked)) == sum(
-            2 * len(edge.pieces) for node, built in enumerate(graph._exits)
-            if built is not None for edge in graph.m1[node])
+            oracle = [(graph.key(c.row), c.weight, c.pieces)
+                      for c in oracle_cascades(graph, layers, key)]
+            assert walked == oracle, key
+        assert len(asked) == len(expected)  # the walks ask nothing more
         queries += len(asked)
     assert queries > 0  # every trivial cobordism has pinned phi pieces
 
 
 @pytest.mark.parametrize("name", WALKED)
 def test_count_form_matches_the_trail_form(name):
-    for graph, keys in _graphs(_walk_system(name), name in RESEEDED):
+    for doc, keys in _documents(_walk_system(name), name in RESEEDED):
+        graph = _graph(doc)
         for key in keys:
             counted = enumerate_cascades(graph, key, trails=False)
             assert counted == [(c.row, c.weight) for c in enumerate_cascades(graph, key)]

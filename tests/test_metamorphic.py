@@ -8,6 +8,8 @@ integer, subdividing lift segments, reparametrising every component) must
 leave the entries of ``build_ncc`` and of ``induced_chain_map`` identical,
 and so must scaling every action by one factor and renaming every orbit
 (up to the renaming), which also leave every autonomous report identical.
+So must reversing every moduli table's pairs and every pair's pieces, each
+label following its pieces, and every autonomous pair's cylinders.
 An even shift of one class's gradings must shift NCH, and CH^{S^1} inside
 its stated stable range, by the same amount.
 """
@@ -456,3 +458,144 @@ def test_scaling_and_renaming_keep_the_autonomous_reports(name, tmp_path, capsys
     expected = _reports(doc, tmp_path, capsys)
     assert _reports(scale_actions(doc), tmp_path, capsys) == expected
     assert _reports(rename(doc, _renaming(doc)), tmp_path, capsys) == expected
+
+
+# --- permuting the pieces and the pairs --------------------------------------
+
+
+def _reversed(table, piece=lambda p, _pair: p):
+    """``table`` with its pairs in reverse insertion order and each pair's
+    pieces reversed, each rewritten by ``piece(p, pair)``."""
+    return {pair: [piece(p, pair) for p in reversed(pieces)]
+            for pair, pieces in reversed(table.items())}
+
+
+def _relabelled(levels):
+    """A component rewriter that moves the indices of each broken-pair
+    label to its pieces' places in reversed lists.  ``levels(label)`` gives
+    the (m0, m1) tables of the label's upper and lower level and the upper
+    level's dimension."""
+    def comp(c, pair):
+        top, bottom = pair
+        labels = {}
+        for end, label in c.boundary_labels.items():
+            upper, lower, d_upper = levels(label)
+            above, below = (upper, (top, label.orbit)), (lower, (label.orbit, bottom))
+            (point_tables, point_pair), (comp_tables, comp_pair) = (
+                (above, below) if d_upper == 0 else (below, above))
+            points = point_tables[0].get(point_pair, [])
+            comps = comp_tables[1].get(comp_pair, [])
+            labels[end] = replace(label, point_index=len(points) - 1 - label.point_index,
+                                  component_index=len(comps) - 1 - label.component_index)
+        return _component(c, _pairs(c.e_plus_lift), _pairs(c.e_minus_lift), labels)
+
+    return comp
+
+
+def permute(doc):
+    """``doc`` with every moduli table's pairs in reverse insertion order,
+    every m0/phi0 point list and m1/phi1 component list reversed, and each
+    BoundaryLabel/PhiLabel ``point_index`` and ``component_index`` moved
+    with the pieces they name; an autonomous document with every ``mj1``
+    cylinder list reversed."""
+    if isinstance(doc, AutonomousData):
+        return replace(doc, mj1={pair: records[::-1] for pair, records in doc.mj1.items()})
+
+    def system(sys_):
+        tables = (sys_.m0, sys_.m1)
+        return replace(sys_, m0=_reversed(sys_.m0),
+                       m1=_reversed(sys_.m1, _relabelled(
+                           lambda label: (tables, tables, label.d_plus))),
+                       m2cc=dict(reversed(sys_.m2cc.items())))
+
+    if isinstance(doc, MorseBottSystem):
+        return system(doc)
+    source, target = ((s.m0, s.m1) for s in (doc.source, doc.target))
+    phi = (doc.phi0, doc.phi1)
+
+    def levels(label):
+        if label.side == "top":
+            return source, phi, 1 - label.d_phi
+        return phi, target, label.d_phi
+
+    return replace(doc, source=system(doc.source), target=system(doc.target),
+                   phi0=_reversed(doc.phi0), phi1=_reversed(doc.phi1, _relabelled(levels)))
+
+
+def double(doc, s=F(1, 13)):
+    """``doc`` with a copy of each piece after it, every value of the copy
+    shifted by s and its labels naming the copies; an autonomous document
+    with each cylinder followed by one of the opposite sign.  For documents
+    with at most one piece per pair, whose labels name index 0.  The
+    fixtures have no pair with two pieces, so without these the reversals
+    above would move only the pairs."""
+    if isinstance(doc, AutonomousData):
+        return replace(doc, mj1={pair: records + [replace(r, epsilon=-r.epsilon)
+                                                  for r in records]
+                                 for pair, records in doc.mj1.items()})
+
+    def copy(p):
+        if isinstance(p, SignedPoint):
+            return SignedPoint(p.e_plus + s, p.e_minus + s, p.sign)
+        labels = {end: replace(label, point_index=1, component_index=1)
+                  for end, label in p.boundary_labels.items()}
+        return _component(p, [(t, v + s) for t, v in _pairs(p.e_plus_lift)],
+                          [(t, v + s) for t, v in _pairs(p.e_minus_lift)], labels)
+
+    def table(pieces_of):
+        assert all(len(pieces) <= 1 for pieces in pieces_of.values())
+        return {pair: pieces + [copy(p) for p in pieces] for pair, pieces in pieces_of.items()}
+
+    def system(sys_):
+        return replace(sys_, m0=table(sys_.m0), m1=table(sys_.m1))
+
+    if isinstance(doc, MorseBottSystem):
+        return system(doc)
+    return replace(doc, source=system(doc.source), target=system(doc.target),
+                   phi0=table(doc.phi0), phi1=table(doc.phi1))
+
+
+DOUBLED = {f"doubled {n}": double(fixture(n).payload)
+           for n in ("one-interval", "one-circle", "bad-circle", "morphism-interval")}
+DOUBLED["trivial-doubled one-interval"] = trivial_cobordism(DOUBLED["doubled one-interval"])
+PERMUTED = {**DOCUMENTS, **DOUBLED}
+AUTONOMOUS_PERMUTED = dict(AUTONOMOUS + [("doubled autonomous-chain",
+                                          double(fixture("autonomous-chain").payload))])
+
+
+@pytest.mark.parametrize("name", list(PERMUTED))
+def test_permuting_pieces_and_pairs_keeps_every_entry(name):
+    doc = PERMUTED[name]
+    assert _answer(permute(doc)) == _answer(doc)
+
+
+@pytest.mark.parametrize("name", list(AUTONOMOUS_PERMUTED))
+def test_permuting_cylinders_keeps_the_autonomous_reports(name, tmp_path, capsys):
+    doc = AUTONOMOUS_PERMUTED[name]
+    assert _reports(permute(doc), tmp_path, capsys) == _reports(doc, tmp_path, capsys)
+
+
+def _labels(tables):
+    return [(label.point_index, label.component_index) for table in tables
+            for pieces in table.values() for c in pieces
+            for label in c.boundary_labels.values()]
+
+
+def test_permuting_changes_the_documents():
+    # pairs, pieces and cylinders really move, and a label's indices follow
+    # the pieces it names (the doubled documents still validate above)
+    m = DOUBLED["doubled morphism-interval"]
+    moved = permute(m)
+    for old, new in ((m.source.m0, moved.source.m0), (m.phi1, moved.phi1)):
+        assert list(new) == list(reversed(old))
+        for pair, pieces in old.items():
+            assert len(pieces) == 2 and new[pair][0] != pieces[0]
+    assert sorted(_labels([m.phi1])) == [(0, 0), (0, 0), (1, 1), (1, 1)]
+    assert _labels([moved.phi1]) == [(1 - i, 1 - j) for i, j in reversed(_labels([m.phi1]))]
+    (original, copy), (first, second) = (
+        doc.m1[("alpha", "beta")] for doc in (DOUBLED["doubled one-interval"],
+                                              permute(DOUBLED["doubled one-interval"])))
+    assert first.e_plus_lift == copy.e_plus_lift and second.e_plus_lift == original.e_plus_lift
+    assert _labels([{"copy": [copy]}, {"first": [first]}]) == [(1, 1), (1, 1), (0, 0), (0, 0)]
+    chain = AUTONOMOUS_PERMUTED["doubled autonomous-chain"]
+    assert [r.epsilon for r in permute(chain).mj1[("w", "y")]] == [-1, 1]

@@ -140,6 +140,28 @@ def test_only_the_request_entry_points_scale_the_actions():
     }
 
 
+def test_only_the_graph_builder_asks_preimage_queries():
+    # CascadeGraph._edges asks each (pair, component, side) once, as the
+    # graph is built, and every walk reads the exit tables it fills; apart
+    # from it only signed_preimages, which no request calls, reads the
+    # query.  A second reader, such as a table built on first use, would be
+    # a second query path beside the first
+    planted = ast.parse(
+        "from .mbs import component_preimages\n"
+        "def a(c):\n    return mbs.component_preimages(c)\n"
+        "class B:\n    def exits(self):\n        query = component_preimages\n"
+        "def d(x):\n    'component_preimages'\n    x.component_preimages = 1\n"
+    )
+    assert _references(planted, {"component_preimages"}) == [
+        ("component_preimages", "a"), ("component_preimages", "B.exits")]
+    found = set()
+    for path in sorted(Path(cascadeho.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found.update(f"{path.name}:{scope}"
+                     for _name, scope in _references(tree, {"component_preimages"}))
+    assert found == {"cascades.py:CascadeGraph._edges", "mbs.py:signed_preimages"}
+
+
 def test_rank_mod_stays_independent_of_the_z_elimination():
     # rank_mod cross-checks every reduction over F_p; if either path reached
     # the other, directly or through a helper of exact.py, a fault in the
