@@ -35,9 +35,9 @@ from .exact import (
     verify_square_zero,
 )
 from .mbs import (
+    Frame,
     MorseBottSystem,
     Orbit,
-    Point,
     Preimage,
     Violation,
     component_preimages,
@@ -109,9 +109,9 @@ class CascadeGraph:
     map).  The nodes are numbered once, layer by layer; ``nodes`` holds
     their keys, for trails and messages, and every other table is a list
     indexed by node number.  The generator rows of node n are 2n (check)
-    and 2n + 1 (hat).  ``orbits`` holds each node's orbit and
-    ``basepoints`` its basepoint as a circle key: a node's frame, read from
-    the request's ``OrbitTable`` of each layer.
+    and 2n + 1 (hat).  ``frames`` holds each node's frame (orbit,
+    basepoint key), taken from the ``OrbitTable.frame`` of its layer: the
+    one list the builder and the walk read orbits and basepoints from.
 
     ``exits[node]`` holds the (opening, steps, closing) pieces a walk leaves
     ``node`` by, written while the graph is built, in pair, piece and
@@ -142,22 +142,21 @@ class CascadeGraph:
     def __init__(self):
         self.nodes: List[Hashable] = []
         self.number: Dict[Hashable, int] = {}  # a node's key -> its number
-        self.orbits: List[Orbit] = []
-        self.basepoints: List[Point] = []
+        self.frames: List[Frame] = []
         self.exits: List[Tuple[List, List, List]] = []
         self.m2cc: List[List[Tuple[int, int, Tuple]]] = []
 
     @classmethod
-    def of_system(cls, sys: MorseBottSystem, point) -> "CascadeGraph":
+    def of_system(cls, sys: MorseBottSystem, frame) -> "CascadeGraph":
         graph = cls()
-        graph._layer(sys, lambda oid: oid, point)
+        graph._layer(sys, lambda oid: oid, frame)
         return graph
 
     @classmethod
-    def of_cobordism(cls, source, target, phi0, phi1, points) -> "CascadeGraph":
+    def of_cobordism(cls, source, target, phi0, phi1, frames) -> "CascadeGraph":
         graph = cls()
-        src = graph._layer(source, lambda oid: (SRC, oid), points[0])
-        tgt = graph._layer(target, lambda oid: (TGT, oid), points[1])
+        src = graph._layer(source, lambda oid: (SRC, oid), frames[0])
+        tgt = graph._layer(target, lambda oid: (TGT, oid), frames[1])
         graph._edges(phi0, phi1, {}, src, tgt, phi=True)
         return graph
 
@@ -165,16 +164,14 @@ class CascadeGraph:
         """The (flavor, node key) of the generator in ``row``."""
         return ("hat" if row & 1 else "check", self.nodes[row >> 1])
 
-    def _layer(self, sys, key, point) -> Dict[str, int]:
-        """Add ``sys`` as a layer of nodes named ``key(oid)``, with the
-        basepoint keys ``point`` (``OrbitTable.point``); returns the number
-        of each oid."""
-        at = {oid: len(self.nodes) + k for k, oid in enumerate(sys.orbits)}
-        keys = [key(oid) for oid in sys.orbits]
+    def _layer(self, sys, key, frame) -> Dict[str, int]:
+        """Add ``sys`` as a layer of nodes named ``key(oid)``, numbered in
+        the order of its frames ``frame``; returns the number of each oid."""
+        at = {oid: len(self.nodes) + k for k, oid in enumerate(frame)}
+        keys = [key(oid) for oid in frame]
         self.number.update(zip(keys, at.values()))
         self.nodes += keys
-        self.orbits += sys.orbits.values()
-        self.basepoints += point.values()
+        self.frames += frame.values()
         self.exits += [([], [], []) for _ in keys]
         self.m2cc += [[] for _ in keys]
         self._edges(sys.m0, sys.m1, sys.m2cc, at, at, phi=False)
@@ -183,7 +180,7 @@ class CascadeGraph:
     def _edges(self, m0, m1, m2cc, upper, lower, phi):
         """Write the pieces of each pair from a node of ``upper`` down to
         one of ``lower`` into the exit table of its top node."""
-        nodes, orbits, basepoints, exits = self.nodes, self.orbits, self.basepoints, self.exits
+        nodes, frames, exits = self.nodes, self.frames, self.exits
         for (a, b), pieces in m0.items():
             if pieces:
                 top, bottom = upper[a], lower[b]
@@ -197,8 +194,8 @@ class CascadeGraph:
             top, bottom = upper[a], lower[b]
             pair = (nodes[top], nodes[bottom])
             opening, _steps, closing = exits[top]
-            here, there = basepoints[top], basepoints[bottom]
-            above, below = (orbits[top], here), (orbits[bottom], there)
+            above, below = frames[top], frames[bottom]
+            here, there = above[1], below[1]
             for ci, comp in enumerate(pieces):
                 for pre in component_preimages(comp, "plus", here, above, below):
                     eps = -1 if phi and pre.point == there else 0
@@ -227,7 +224,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
     flavor, start = src
     start = graph.number[start]
     out = []
-    basepoints, exits = graph.basepoints, graph.exits
+    frames, exits = graph.frames, graph.exits
 
     # partial chains (node, last e- circle key and its nudge, visited, sign,
     # trail); an explicit stack, so the walk's depth is not bounded by
@@ -235,7 +232,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
     # the trail slot holds False past a walk's start.
     stack = []
     if flavor == "hat":
-        if not graph.orbits[start].good:
+        if not frames[start][0].good:
             # the forced bad-orbit diagonal; for good orbits the two candidate
             # configurations carry opposite signs and cancel
             trail = trails and (("bad-diagonal", graph.nodes[start]), None)
@@ -260,7 +257,7 @@ def enumerate_cascades(graph: CascadeGraph, src: Key, trails: bool = True) -> Li
             out.append(_cascade((2 * current, sign, trail)) if trails
                        else (2 * current, sign))
         _opening, steps, closing = exits[current]
-        here = basepoints[current]
+        here = frames[current][1]
         try:
             # unconstrained 0-dimensional pieces
             kind = "m0"
@@ -391,7 +388,7 @@ def build_ncc(sys: MorseBottSystem) -> ChainComplex:
         raise ValidationFailure(violations)
 
     keys, gens = chain_generators(sys, table.action)
-    (entries,) = sum_columns(CascadeGraph.of_system(sys, table.point), keys, [keys])
+    (entries,) = sum_columns(CascadeGraph.of_system(sys, table.frame), keys, [keys])
     return assemble_complex(sys, gens, entries)
 
 

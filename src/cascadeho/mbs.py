@@ -548,14 +548,6 @@ def component_preimages(
     return out
 
 
-def frames(upper, lower, pair: Pair, points):
-    """(orbit, basepoint key) of the top orbit of ``pair`` in ``upper`` and
-    of the bottom orbit in ``lower``, the keys read from ``points`` (upper's,
-    lower's): the frames for orientations along that pair."""
-    top, bottom = pair
-    return (upper.orbit(top), points[0][top]), (lower.orbit(bottom), points[1][bottom])
-
-
 def signed_preimages(
     sys: MorseBottSystem,
     pair: Pair,
@@ -567,8 +559,8 @@ def signed_preimages(
     ``sys`` gives its ends.
 
     The cascade walk does not come through here: ``CascadeGraph._edges``
-    builds the frames of each pair once and calls ``component_preimages``
-    itself.
+    reads each node's frame from the request's ``OrbitTable`` and calls
+    ``component_preimages`` itself.
     """
     top, bottom = pair
     return component_preimages(comp, side, q, (sys.orbit(top), sys.basepoint(top)),
@@ -604,18 +596,12 @@ def validate_system(sys: MorseBottSystem,
             v.append(Violation("grading-parity", oid, "grading parity != CZ parity"))
 
     moduli: List[Violation] = []
-    hit = validate_moduli(
-        moduli, sys, sys,
-        (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
+    above, below = validate_moduli(
+        moduli, (("m0", 0, sys.m0), ("m1", 1, sys.m1), ("m2cc", 2, sys.m2cc)),
         (table, table), shift=0, modulus=sys.grading_modulus, equal_action=(),
-        end_check=partial(_validate_interval_end, sys, (table.point, table.point)),
+        end_check=partial(_validate_interval_end, sys, table.frame),
     )
-    # a basepoint is generic iff no evaluation onto its orbit hits it
-    for oid in sys.orbits:
-        if oid in hit:
-            v.append(Violation("basepoint-collision", oid, f"basepoint "
-                               f"{point_str(table.point[oid])} equals an "
-                               "evaluation value"))
+    v += basepoint_collisions(table.frame, above | below)
     # a basepoint for no orbit is most likely a misspelt orbit id, which
     # would leave the intended orbit at basepoint 0
     for oid in sorted(set(sys.basepoints) - set(sys.orbits)):
@@ -637,26 +623,38 @@ def scaled_actions(*tables) -> List[Dict[str, int]]:
 
 class OrbitTable(NamedTuple):
     """One system's orbits as one request reads them: each action as an
-    integer, all layers of the request on one scale, and each basepoint's
-    circle key."""
+    integer, all layers of the request on one scale, and each orbit's frame
+    (orbit, basepoint key), the trivialisation its signs are read in."""
 
     action: Dict[str, int]
-    point: Dict[str, Point]
+    frame: Dict[str, Frame]
 
 
 def orbit_tables(*systems) -> List[OrbitTable]:
     """The ``OrbitTable`` of each system of one request: one
-    ``scaled_actions`` call over all of them, and each basepoint key made
-    once."""
+    ``scaled_actions`` call over all of them, and each frame made once, in
+    orbit order, for every later step of the request to look up."""
     actions = scaled_actions(*(sys.orbits for sys in systems))
-    return [OrbitTable(action, {oid: sys.basepoint(oid) for oid in sys.orbits})
+    return [OrbitTable(action, {oid: (orbit, sys.basepoint(oid))
+                                for oid, orbit in sys.orbits.items()})
             for sys, action in zip(systems, actions)]
 
 
-def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_action,
-                    end_check) -> set:
-    """Check moduli from orbits of ``upper`` down to orbits of ``lower``,
-    whose ``OrbitTable``s ``orbits`` holds.
+def basepoint_collisions(frame: Dict[str, Frame], hit: set,
+                         layer: str = "") -> List[Violation]:
+    """A ``basepoint-collision`` at ``layer`` + oid for each orbit of
+    ``frame`` in ``hit``, in the order of ``frame``: a basepoint is generic
+    iff no evaluation onto its orbit hits it."""
+    return [Violation("basepoint-collision", layer + oid,
+                      f"basepoint {point_str(key)} equals an evaluation value")
+            for oid, (_orbit, key) in frame.items() if oid in hit]
+
+
+def validate_moduli(v, tables, orbits, *, shift, modulus, equal_action,
+                    end_check) -> Tuple[set, set]:
+    """Check moduli from the orbits of one ``OrbitTable`` down to those of
+    another, the pair ``orbits``; each orbit and basepoint key is read
+    from its table's frame.
 
     ``tables`` lists (name, dimension, moduli); a piece of dimension d has
     index d - ``shift``, and its pair's grading gap must equal that index
@@ -668,12 +666,13 @@ def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_ac
     basepoint.  Each side of a 1-dimensional component whose orbit is known
     goes through ``breakpoint_hit`` once: a hit is a ``basepoint-nonregular``
     violation, unless the pair names an unknown orbit.  Returns the orbits
-    whose basepoint an evaluation hits, there or at the e+/e- key of a
-    0-dimensional point: ``validate_system`` reports these as
-    ``basepoint-collision``.
+    of each table whose basepoint an evaluation hits, there or at the e+/e-
+    key of a 0-dimensional point, as (upper hits, lower hits):
+    ``basepoint_collisions`` reports them.
     """
-    (up_action, up_point), (low_action, low_point) = orbits
-    hit = set()
+    (up_action, up_frame), (low_action, low_frame) = orbits
+    above, below = set(), set()
+    unknown = (None, None)
     for name, dim, moduli in tables:
         index = dim - shift
         for pair, pieces in sorted(moduli.items()):
@@ -681,12 +680,11 @@ def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_ac
                 continue
             # messages and locations are formatted only for a violation
             top, bottom = pair
-            p, q = up_point.get(top), low_point.get(bottom)
+            (a, p), (b, q) = up_frame.get(top, unknown), low_frame.get(bottom, unknown)
             known = p is not None and q is not None
             if not known:
                 v.append(Violation("unknown-orbit", f"{name}{pair}", f"pair {pair}"))
             else:
-                a, b = upper.orbit(top), lower.orbit(bottom)
                 if (a.parity - b.parity - index) % 2:
                     v.append(Violation("parity-axiom", f"{name}{pair}",
                                        f"CZ parity gap != {index} mod 2 for {pair}"))
@@ -708,9 +706,9 @@ def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_ac
             if dim == 0:
                 for pt in pieces:
                     if pt.e_plus_key == p:
-                        hit.add(top)
+                        above.add(top)
                     if pt.e_minus_key == q:
-                        hit.add(bottom)
+                        below.add(bottom)
             if dim != 1:
                 continue
             for ci, comp in enumerate(pieces):
@@ -739,14 +737,15 @@ def validate_moduli(v, upper, lower, tables, orbits, *, shift, modulus, equal_ac
                                 "unlabeled-end", f"{name}{pair}[{ci}]",
                                 f"interval end {end} has no broken-pair label"))
                 # basepoints must be regular values of both evaluation maps
-                for side, point, oid in (("plus", p, top), ("minus", q, bottom)):
+                for side, point, oid, hits in (("plus", p, top, above),
+                                               ("minus", q, bottom, below)):
                     why = None if point is None else breakpoint_hit(comp, side, point)
                     if why is not None:
-                        hit.add(oid)
+                        hits.add(oid)
                         if known:
                             v.append(Violation("basepoint-nonregular",
                                                f"{name}{pair}[{ci}]", why))
-    return hit
+    return above, below
 
 
 def end_where(table, pair, ci, end) -> str:
@@ -755,11 +754,11 @@ def end_where(table, pair, ci, end) -> str:
     return f"{table}{pair}[{ci}].end{end}"
 
 
-def _validate_interval_end(sys, points, pair, comp, ci, end, v):
+def _validate_interval_end(sys, frame, pair, comp, ci, end, v):
     top, bottom = pair
     label = comp.boundary_labels[end]
     mid = label.orbit
-    if mid not in sys.orbits or mid == top or mid == bottom:
+    if mid not in frame or mid == top or mid == bottom:
         v.append(Violation("bad-label-orbit", end_where("m1", pair, ci, end),
                            f"intermediate {mid!r}"))
         return
@@ -768,9 +767,9 @@ def _validate_interval_end(sys, points, pair, comp, ci, end, v):
                            "system interval ends need d_plus 0 or 1 labels, "
                            f"got {label!r}"))
         return
-    upper = Level(sys.m0, sys.m1, (top, mid), frames(sys, sys, (top, mid), points))
-    lower = Level(sys.m0, sys.m1, (mid, bottom), frames(sys, sys, (mid, bottom), points))
-    check_broken_pair(v, "m1", pair, ci, comp, frames(sys, sys, pair, points), end,
+    upper = Level(sys.m0, sys.m1, (top, mid), (frame[top], frame[mid]))
+    lower = Level(sys.m0, sys.m1, (mid, bottom), (frame[mid], frame[bottom]))
+    check_broken_pair(v, "m1", pair, ci, comp, (frame[top], frame[bottom]), end,
                       label, label.d_plus, upper, lower, (-1) ** label.d_plus)
 
 

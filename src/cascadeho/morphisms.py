@@ -30,9 +30,9 @@ from .mbs import (
     PLComponent,
     SignedPoint,
     Violation,
+    basepoint_collisions,
     check_broken_pair,
     end_where,
-    frames,
     orbit_tables,
     validate_moduli,
     validate_system,
@@ -84,7 +84,12 @@ class MorphismData:
 
 def validate_morphism(m: MorphismData, tables=None) -> List[Violation]:
     """Both systems' checks, then the phi moduli's, over the request's
-    ``OrbitTable``s of source and target (made here when None)."""
+    ``OrbitTable``s of source and target (made here when None).
+
+    An orbit whose basepoint a phi evaluation hits is a
+    ``basepoint-collision`` at source:oid or target:oid, as a hit inside its
+    own system is, reported once; these come after both systems' violations
+    and before the phi moduli's."""
     tables = tables or orbit_tables(m.source, m.target)
     v: List[Violation] = []
     for name, sys, table in (("source", m.source, tables[0]),
@@ -95,16 +100,20 @@ def validate_morphism(m: MorphismData, tables=None) -> List[Violation]:
                           violation.message)
             )
 
-    points = [table.point for table in tables]
-    validate_moduli(
-        v, m.source, m.target, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)), tables,
+    moduli: List[Violation] = []
+    hits = validate_moduli(
+        moduli, (("phi0", 0, m.phi0), ("phi1", 1, m.phi1)), tables,
         shift=1, modulus=0, equal_action=m.allow_equal_action,
-        end_check=partial(_validate_phi_end, m, points),
+        end_check=partial(_validate_phi_end, m, [table.frame for table in tables]),
     )
-    return v
+    reported = {x.location for x in v if x.code == "basepoint-collision"}
+    for name, table, hit in zip(("source:", "target:"), tables, hits):
+        v += [x for x in basepoint_collisions(table.frame, hit, name)
+              if x.location not in reported]
+    return v + moduli
 
 
-def _validate_phi_end(m, points, pair, comp, ci, end, v):
+def _validate_phi_end(m, frames, pair, comp, ci, end, v):
     top, bottom = pair
     label = comp.boundary_labels[end]
     if not isinstance(label, PhiLabel) or label.side not in ("top", "bottom") \
@@ -113,27 +122,23 @@ def _validate_phi_end(m, points, pair, comp, ci, end, v):
                            "phi interval ends need PhiLabel entries"))
         return
     mid = label.orbit
-    name, layer = ("source", m.source) if label.side == "top" else ("target", m.target)
-    if mid not in layer.orbits:
+    src, tgt = frames
+    name, layer = ("source", src) if label.side == "top" else ("target", tgt)
+    if mid not in layer:
         v.append(Violation("bad-label-orbit", end_where("phi1", pair, ci, end),
                            f"unknown {name} orbit {mid!r}"))
         return
-    src, tgt = points
     if label.side == "top":
         # a source level splits off above the phi level
-        upper = Level(m.source.m0, m.source.m1, (top, mid),
-                      frames(m.source, m.source, (top, mid), (src, src)))
-        lower = Level(m.phi0, m.phi1, (mid, bottom),
-                      frames(m.source, m.target, (mid, bottom), points))
+        upper = Level(m.source.m0, m.source.m1, (top, mid), (src[top], src[mid]))
+        lower = Level(m.phi0, m.phi1, (mid, bottom), (src[mid], tgt[bottom]))
         d_upper, factor = 1 - label.d_phi, 1
     else:
         # a target level splits off below the phi level
-        upper = Level(m.phi0, m.phi1, (top, mid),
-                      frames(m.source, m.target, (top, mid), points))
-        lower = Level(m.target.m0, m.target.m1, (mid, bottom),
-                      frames(m.target, m.target, (mid, bottom), (tgt, tgt)))
+        upper = Level(m.phi0, m.phi1, (top, mid), (src[top], tgt[mid]))
+        lower = Level(m.target.m0, m.target.m1, (mid, bottom), (tgt[mid], tgt[bottom]))
         d_upper, factor = label.d_phi, (-1) ** label.d_phi
-    check_broken_pair(v, "phi1", pair, ci, comp, frames(m.source, m.target, pair, points),
+    check_broken_pair(v, "phi1", pair, ci, comp, (src[top], tgt[bottom]),
                       end, label, d_upper, upper, lower, factor)
 
 
@@ -186,7 +191,7 @@ def induced_chain_map(m: MorphismData) -> ChainMap:
     # into the target layer).  Target columns go first, so that a coincidence
     # among target pieces alone is met as build_ncc(target) meets it.
     graph = CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1,
-                                      [table.point for table in tables])
+                                      [table.frame for table in tables])
     (d_tgt,) = sum_columns(graph, tgt_keys, [tgt_keys])
     d_src, phi = sum_columns(graph, src_keys, [src_keys, tgt_keys])
     src_cx = assemble_complex(m.source, src_gens, d_src)

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import importlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +35,7 @@ from cascadeho.exact import (
 from cascadeho.mbs import Orbit, Violation, scaled_actions
 from cascadeho.scenarios import fixture, fixture_names, period_doubling, prequantization
 from test_exact import blocks, record_reductions
+import benchdocs
 
 
 F = Fraction
@@ -145,15 +145,13 @@ def rational_block_entries(data):
     return {k: v for k, v in entries.items() if v}
 
 
-def test_integer_block_formulas_match_the_rational_oracle(tmp_path, monkeypatch):
+def test_integer_block_formulas_match_the_rational_oracle(tmp_path):
     # every autonomous fixture and the seed 1-3 benchmark documents
     cases = {name: fixture(name).payload for name in fixture_names()
              if fixture(name).kind == "autonomous"}
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
     fixtures = len(cases)
     for seed in (1, 2, 3):
-        for r in workloads.build("autonomous", seed, str(tmp_path / str(seed))):
+        for r in benchdocs.workloads.build("autonomous", seed, str(tmp_path / str(seed))):
             cases[f"{r.doc.name}@{seed}"] = r.doc.obj
     assert len(cases) == fixtures + 3 * 3
     for name, data in cases.items():
@@ -356,19 +354,6 @@ def eager_validate_data(data):
     return v
 
 
-def bench_documents(tmp_path, monkeypatch, workload, seeds=(1, 2, 3)):
-    """The texts of the benchmark documents of ``workload`` at ``seeds``,
-    by (seed, name)."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
-    texts = {}
-    for seed in seeds:
-        for r in workloads.build(workload, seed, str(tmp_path / f"{workload}-{seed}")):
-            with open(r.doc.path, encoding="utf-8") as fh:
-                texts[(seed, r.doc.name)] = fh.read()
-    return texts
-
-
 EXTRA_SLOTS = [("check", "hat"), ("hat", "hat"), ("check", "check"), ("hat", "check")]
 
 
@@ -418,8 +403,7 @@ def corrupt(data, rng, slots):
     return data
 
 
-def test_validate_data_matches_the_eager_oracle(
-        tmp_path, monkeypatch):
+def test_validate_data_matches_the_eager_oracle(tmp_path):
     # the same violations, codes, locations, messages and order, as the
     # eager oracle on every autonomous fixture and mutation and on seeded
     # corruptions of the seed 1-3 benchmark documents
@@ -431,7 +415,7 @@ def test_validate_data_matches_the_eager_oracle(
     cases += [m.payload for m in all_mutations() if isinstance(m.payload, AutonomousData)]
     fixtures = len(cases)
     docs = [serialize.loads(text) for text in
-            bench_documents(tmp_path, monkeypatch, "autonomous").values()]
+            benchdocs.documents(tmp_path, "autonomous").values()]
     rng, slots = random.Random(31), set()
     for k in range(240):
         data = docs[k % len(docs)]
@@ -736,9 +720,8 @@ def test_lower_truncation_is_the_rebuilt_complex(tmp_path, monkeypatch):
         if fixture(name).kind == "autonomous"
         for k in (2, 3, 4)
     ]
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
-    docs = {r.doc.name: r.doc for r in workloads.build("autonomous", 1, str(tmp_path))}
+    docs = {r.doc.name: r.doc
+            for r in benchdocs.workloads.build("autonomous", 1, str(tmp_path))}
     cases += [(name, doc.obj, doc.umax) for name, doc in docs.items()]
     assert len(docs) == 3
     read = {}
@@ -820,9 +803,8 @@ def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
     from cascadeho import exact
     from cascadeho.cli import main
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
-    docs = {r.doc.name: r.doc for r in workloads.build("autonomous", 1, str(tmp_path))}
+    docs = {r.doc.name: r.doc
+            for r in benchdocs.workloads.build("autonomous", 1, str(tmp_path))}
     called = []
 
     def count(name):
@@ -855,11 +837,9 @@ def test_each_distinct_block_is_reduced_once_per_command(tmp_path, monkeypatch):
             assert counts == (expected, expected), (doc.name, command)
 
 
-def seed1_documents(tmp_path, monkeypatch):
+def seed1_documents(tmp_path):
     """The seed-1 documents of the autonomous benchmark workload, by name."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
-    requests = workloads.build("autonomous", 1, str(tmp_path))
+    requests = benchdocs.workloads.build("autonomous", 1, str(tmp_path))
     return requests, {r.doc.name: r.doc for r in requests}
 
 
@@ -869,7 +849,7 @@ def test_each_command_squares_each_complex_once(tmp_path, monkeypatch, capsys):
     # them again.
     from cascadeho.cli import main
 
-    requests, _docs = seed1_documents(tmp_path, monkeypatch)
+    requests, _docs = seed1_documents(tmp_path)
     products = []
     original = IntMatrix.__mul__
 
@@ -1005,12 +985,10 @@ def tower_report(data, k):
     ), stable)
 
 
-def pattern_cases(monkeypatch):
+def pattern_cases():
     """(name, data): every autonomous fixture, both period-doubling sides,
     prequantization data for small g, e, d, and random triangulated
     surfaces from the benchmark generators with d = 1 and d = 2."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    generators = importlib.import_module("generators")
     cases = [(name, fixture(name).payload) for name in fixture_names()
              if fixture(name).kind == "autonomous"]
     cases += [("pd-minus", period_doubling("minus")),
@@ -1019,10 +997,10 @@ def pattern_cases(monkeypatch):
               for g in (1, 2) for e in (1, 2) for d in (1, 2)]
     rng = random.Random(41)
     for d in (1, 2):
-        cases.append((f"torus3-d{d}", generators.surface(
-            generators.torus_triangles(3), d, f"{d}T", rng)))
-        cases.append((f"sphere-d{d}", generators.surface(
-            generators.OCTAHEDRON, d, f"{d}S", rng)))
+        cases.append((f"torus3-d{d}", benchdocs.generators.surface(
+            benchdocs.generators.torus_triangles(3), d, f"{d}T", rng)))
+        cases.append((f"sphere-d{d}", benchdocs.generators.surface(
+            benchdocs.generators.OCTAHEDRON, d, f"{d}S", rng)))
     return cases
 
 
@@ -1033,7 +1011,7 @@ def test_pattern_homology_matches_the_materialised_tower(monkeypatch):
     # reduces exactly the distinct blocks of the towers it reads, and
     # compare also each block of the EGH complex
     checked = 0
-    for name, data in pattern_cases(monkeypatch):
+    for name, data in pattern_cases():
         egh = egh_differential(data)
         lower = None
         for k in range(1, 13):
@@ -1119,7 +1097,7 @@ def test_chs1_and_compare_multiply_no_matrix_larger_than_the_core(
     from cascadeho import exact
     from cascadeho.cli import main
 
-    requests, _docs = seed1_documents(tmp_path, monkeypatch)
+    requests, _docs = seed1_documents(tmp_path)
     sizes, indices = [], []
     original, original_sum = IntMatrix.__mul__, exact.product_sum
 
@@ -1180,7 +1158,7 @@ def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, fa
     # a cylindrical differential scaled by ``factor`` breaks step (iii); its
     # details list the pairs as a loop over good x good in the EGH generator
     # order (decreasing action, then id) does
-    _requests, docs = seed1_documents(tmp_path, monkeypatch)
+    _requests, docs = seed1_documents(tmp_path)
     data = docs["torus3-d1"].obj
     scaled = _scaled_egh(monkeypatch, factor)
     step = compare_egh(data, 2).steps[2]
@@ -1205,14 +1183,14 @@ def test_quotient_mismatches_read_as_the_pairwise_loop(tmp_path, monkeypatch, fa
     assert step.details == "; ".join(expected[:3])
 
 
-def test_quotient_mismatches_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+def test_quotient_mismatches_do_not_depend_on_the_hash_seed(tmp_path):
     # the same failing step (iii) in fresh interpreters with different
     # string hashing reads the same
     import os
     import subprocess
     import sys
 
-    _requests, docs = seed1_documents(tmp_path, monkeypatch)
+    _requests, docs = seed1_documents(tmp_path)
     script = (
         "import sys, pytest, test_autonomous as t\n"
         "from cascadeho import serialize\n"

@@ -20,7 +20,8 @@ from cascadeho.morphisms import (
     MorphismData, induced_chain_map, trivial_cobordism, validate_morphism,
 )
 from cascadeho.scenarios import fixture, fixture_names
-from test_morphisms import BENCH_LIFTS, _bench_lifts, reseeded_cobordisms
+from benchdocs import bench_lifts
+from test_morphisms import BENCH_LIFTS, reseeded_cobordisms
 
 
 F = Fraction
@@ -33,17 +34,17 @@ def _action(sys_):
 
 
 def _system_graph(sys_):
-    """The cascade graph of ``sys_``, on its basepoint keys as one request
-    makes them."""
+    """The cascade graph of ``sys_``, on its frames as one request makes
+    them."""
     (table,) = orbit_tables(sys_)
-    return CascadeGraph.of_system(sys_, table.point)
+    return CascadeGraph.of_system(sys_, table.frame)
 
 
 def _cobordism_graph(m):
-    """The cascade graph of the cobordism ``m``, on the basepoint keys of
-    both layers as one request makes them."""
-    points = [table.point for table in orbit_tables(m.source, m.target)]
-    return CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1, points)
+    """The cascade graph of the cobordism ``m``, on the frames of both
+    layers as one request makes them."""
+    frames = [table.frame for table in orbit_tables(m.source, m.target)]
+    return CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1, frames)
 
 
 def differential_table(sys_):
@@ -437,7 +438,7 @@ def oracle_cascades(graph, layers, src):
     flavor, start = src
     number = graph.number
     start = number[start]
-    orbits, basepoints = graph.orbits, graph.basepoints
+    frames = graph.frames
     out = []
 
     def pairs(node, dim):
@@ -449,20 +450,20 @@ def oracle_cascades(graph, layers, src):
                     yield number[down(b)], (up(a), down(b)), pieces, phi
 
     def nudge(phi, value, node, eps):
-        return eps if phi and value == basepoints[node] else 0
+        return eps if phi and value == frames[node][1] else 0
 
     def ordered(node, last, value, eps):
-        return cyclically_ordered(basepoints[node], last[0], value, last[1], eps)
+        return cyclically_ordered(frames[node][1], last[0], value, last[1], eps)
 
     def preimages(pair, comp, side):
         top, bottom = (number[n] for n in pair)
         return component_preimages(
-            comp, side, basepoints[top if side == "plus" else bottom],
-            (orbits[top], basepoints[top]), (orbits[bottom], basepoints[bottom]))
+            comp, side, frames[top if side == "plus" else bottom][1],
+            frames[top], frames[bottom])
 
     stack = []
     if flavor == "hat":
-        if not orbits[start].good:
+        if not frames[start][0].good:
             trail = (("bad-diagonal", graph.nodes[start]), None)
             out += [cascades.Cascade(2 * start, -1, trail)] * 2
         stack.append((start, None, (start,), 1, None))
@@ -538,9 +539,9 @@ WALKED = ([n for n in fixture_names() if fixture(n).kind == "mbs"]
 def _walk_system(name):
     workload, _, lift = name.rpartition("-")
     if workload == "cobordism":
-        return _bench_lifts(1)[BENCH_LIFTS.index(lift)]
+        return bench_lifts(1)[BENCH_LIFTS.index(lift)]
     if workload == "mbs-lift":
-        return _bench_lifts(1, "mbs-lift")[MBS_LIFTS.index(lift)]
+        return bench_lifts(1, "mbs-lift")[MBS_LIFTS.index(lift)]
     return fixture(name).payload
 
 
@@ -615,7 +616,7 @@ def _column_sums():
     for workload in ("cobordism", "mbs-lift"):
         for seed in (1, 2, 3):
             systems += [(f"{workload}/{seed}/{k}", lift)
-                        for k, lift in enumerate(_bench_lifts(seed, workload))]
+                        for k, lift in enumerate(bench_lifts(seed, workload))]
     morphisms += [(f"trivial-{name}", trivial_cobordism(sys_)) for name, sys_ in systems]
     out = []
     for name, sys_ in systems:

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import importlib
 import io
 import json
 import os
@@ -23,6 +22,7 @@ from cascadeho.errors import SquareNonzero
 from cascadeho.mbs import Orbit, assign_basepoints, validate_system
 from cascadeho.morphisms import trivial_cobordism, validate_morphism
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
+from benchdocs import workloads
 
 
 def write_fixture(tmp_path, name):
@@ -34,10 +34,9 @@ def write_fixture(tmp_path, name):
 # --- documents --------------------------------------------------------------
 
 
-def test_round_trip_is_canonical(tmp_path, monkeypatch):
+def test_round_trip_is_canonical(tmp_path):
     docs = {name: fixture(name).payload for name in fixture_names()}
     docs.update((f"{m.fixture}--{m.cls}", m.payload) for m in all_mutations())
-    workloads = bench_workloads(monkeypatch)
     for name in workloads.WORKLOADS:
         for seed in (1, 2, 3):
             docs.update((f"{name}-{seed}:{r.doc.name}", r.doc.obj) for r in
@@ -341,7 +340,8 @@ def test_phi_basepoint_nonregular(tmp_path, capsys):
         payload["target"]["basepoints"]["B"] = "2/9"
     path = write_edited(tmp_path, "morphism-interval", edit)
     assert validate_report(path, capsys) == {
-        ("basepoint-nonregular", "phi1('G', 'B')[0]")
+        ("basepoint-collision", "target:B"),
+        ("basepoint-nonregular", "phi1('G', 'B')[0]"),
     }
 
 
@@ -604,15 +604,9 @@ def test_malformed_shape_is_a_usage_error(tmp_path, capsys, name, edit, command)
 # --- every builder checks d^2 = 0; one parser serves every call ------------
 
 
-def bench_workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    return importlib.import_module("workloads")
-
-
-def test_d_squared_is_checked_for_every_document_kind(tmp_path, monkeypatch, capsys):
+def test_d_squared_is_checked_for_every_document_kind(tmp_path, capsys):
     # the seed-1 lift of the sphere (d = 1) without the only component of
     # m1(s0_2, s0): valid, but <d d check:s0_2_5, check:s0> = 1
-    workloads = bench_workloads(monkeypatch)
     docs = {r.doc.name: r.doc for r in workloads.build("mbs-lift", 1, str(tmp_path))}
     sys_ = docs["lift-sphere-d1"].obj
     del sys_.m1[("s0_2", "s0")][0]
@@ -655,8 +649,7 @@ def test_generator_budget_is_a_usage_error(tmp_path, monkeypatch, capsys):
                 )
 
 
-def test_the_shared_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
-    workloads = bench_workloads(monkeypatch)
+def test_the_shared_parser_keeps_no_state(tmp_path, capsys):
     argvs = []
     for name in workloads.WORKLOADS:
         argvs += [r.argv for r in workloads.build(name, 1, str(tmp_path / name))]
@@ -736,7 +729,7 @@ def test_main_restores_the_collector_setting(tmp_path, capsys, monkeypatch,
     assert seen == [False] * 5
 
 
-def every_command(tmp_path, monkeypatch):
+def every_command(tmp_path):
     """The argv of each command that applies to each fixture, `chs1` and
     `compare` at --umax 1 to 3, and the seed-1 bench requests, all without
     --format."""
@@ -753,7 +746,6 @@ def every_command(tmp_path, monkeypatch):
                       for command in ("chs1", "compare") for k in (1, 2, 3)]
         else:
             argvs.append(["morphism", path])
-    workloads = bench_workloads(monkeypatch)
     for name in workloads.WORKLOADS:
         for r in workloads.build(name, 1, str(tmp_path / name)):
             at = r.argv.index("--format") if "--format" in r.argv else len(r.argv)
@@ -761,10 +753,10 @@ def every_command(tmp_path, monkeypatch):
     return argvs
 
 
-def test_no_command_leaves_reference_cycles(tmp_path, monkeypatch, capsys):
+def test_no_command_leaves_reference_cycles(tmp_path, capsys):
     # what lets main pause the collector: reference counting frees all that a
     # command drops, text and JSON reports alike
-    argvs = every_command(tmp_path, monkeypatch)
+    argvs = every_command(tmp_path)
     left = {"text": [], "json": []}
     was = gc.isenabled()
     gc.disable()
@@ -789,11 +781,12 @@ def test_no_command_leaves_reference_cycles(tmp_path, monkeypatch, capsys):
 
 def test_each_request_scales_the_actions_once(tmp_path, monkeypatch, capsys):
     # a request scales the actions of all its layers in one scaled_actions
-    # call, and makes each basepoint key of each layer at most once
+    # call, makes each basepoint key of each layer at most once, and reads
+    # each orbit's frame from its orbit table, never through
+    # MorseBottSystem.orbit
     from cascadeho.mbs import MorseBottSystem
     from cascadeho.morphisms import MorphismData
 
-    workloads = bench_workloads(monkeypatch)
     paths = {}
     for name in workloads.WORKLOADS:
         for r in workloads.build(name, 1, str(tmp_path / name)):
@@ -834,18 +827,27 @@ def test_each_request_scales_the_actions_once(tmp_path, monkeypatch, capsys):
         return basepoint(self, oid)
 
     monkeypatch.setattr(mbs.MorseBottSystem, "basepoint", counted)
+    orbit, looked_up = mbs.MorseBottSystem.orbit, []
+
+    def looked(self, oid):
+        looked_up.append(oid)
+        return orbit(self, oid)
+
+    monkeypatch.setattr(mbs.MorseBottSystem, "orbit", looked)
     for name, argvs in requests:
         path, doc = paths[name]
         layers = [doc.source, doc.target] if isinstance(doc, MorphismData) else [doc]
         for argv in argvs:
             scalings.clear()
             keys.clear()
+            looked_up.clear()
             assert main([argv[0], path] + argv[1:]) == 0, (name, argv)
             out, err = capsys.readouterr()
             assert out and not err
             # a morphism's two layers are scaled together
             assert scalings == [len(layers)], (name, argv)
             assert len(keys) == len(set(keys)), (name, argv)
+            assert looked_up == [], (name, argv)
             if isinstance(doc, AutonomousData):
                 assert keys == []
             else:

@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import math
 import random
@@ -8,7 +7,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +27,7 @@ from cascadeho.exact import (
     smith_with_inverse,
     verify_square_zero,
 )
+from benchdocs import workloads
 
 
 # --- independent oracles ----------------------------------------------------
@@ -923,11 +922,9 @@ def record_reductions(patch):
     return calls
 
 
-def bench_requests(tmp_path, monkeypatch, *names):
+def bench_requests(tmp_path, *names):
     """The seed-1 requests of the named benchmark workloads, their documents
     written under ``tmp_path``."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
     outdir = tmp_path / "bench"
     outdir.mkdir(exist_ok=True)
     return [r for name in names for r in workloads.build(name, 1, str(outdir))]
@@ -1042,7 +1039,7 @@ def test_every_reduction_is_cross_checked(tmp_path, monkeypatch, capsys):
     runs = [[command, path, *umax] for path in paths
             for command, *umax in (("nch",), ("egh",), ("chs1", "--umax", "4"),
                                    ("compare", "--umax", "4"))]
-    runs += [r.argv for r in bench_requests(tmp_path, monkeypatch, "autonomous", "mbs-lift")
+    runs += [r.argv for r in bench_requests(tmp_path, "autonomous", "mbs-lift")
              if r.argv[0] in ("nch", "egh", "chs1", "compare")]
     checked = 0
     for argv in runs:
@@ -1072,7 +1069,7 @@ def test_each_command_reduces_each_distinct_block_once(tmp_path, monkeypatch):
         runs += [(name, [command, str(path), *options])
                  for command, *options in COMMANDS]
     runs += [(r.doc.name, r.argv)
-             for r in bench_requests(tmp_path, monkeypatch, "autonomous", "mbs-lift")]
+             for r in bench_requests(tmp_path, "autonomous", "mbs-lift")]
     repeats, total = {}, 0
     for name, argv in runs:
         reductions.clear()

@@ -47,7 +47,7 @@ from cascadeho.mbs import (
 )
 from cascadeho.morphisms import MorphismData, trivial_cobordism, validate_morphism
 from cascadeho.scenarios import all_mutations, fixture, fixture_names
-from test_morphisms import _bench_lifts
+from benchdocs import bench_lifts
 
 
 F = Fraction
@@ -202,12 +202,12 @@ def test_circle_keys_build_no_fractions(monkeypatch):
     for other in systems:
         (table,) = mbs.orbit_tables(other)
         keys, _gens = chain_generators(other, table.action)
-        columns += sum_columns(CascadeGraph.of_system(other, table.point), keys, [keys])
+        columns += sum_columns(CascadeGraph.of_system(other, table.frame), keys, [keys])
     src, tgt = mbs.orbit_tables(cobordism.source, cobordism.target)
     src_keys, _gens = chain_generators(cobordism.source, src.action, SRC)
     tgt_keys, _gens = chain_generators(cobordism.target, tgt.action, TGT)
     graph = CascadeGraph.of_cobordism(cobordism.source, cobordism.target,
-                                      cobordism.phi0, cobordism.phi1, [src.point, tgt.point])
+                                      cobordism.phi0, cobordism.phi1, [src.frame, tgt.frame])
     columns += sum_columns(graph, tgt_keys, [tgt_keys])
     columns += sum_columns(graph, src_keys, [src_keys, tgt_keys])
     monkeypatch.undo()
@@ -275,7 +275,7 @@ def _validation_cases():
     docs += [(f"{m.fixture}/{m.cls}", m.payload) for m in all_mutations()]
     for workload in ("cobordism", "mbs-lift"):
         for seed in (1, 2, 3):
-            for k, lift in enumerate(_bench_lifts(seed, workload)):
+            for k, lift in enumerate(bench_lifts(seed, workload)):
                 systems = [("drawn", lift)]
                 if any(lift.m1.values()):  # the prequantization lift has none
                     systems.append(("on-breakpoints", _on_breakpoints(lift, seed)))
@@ -375,11 +375,12 @@ def _moduli_scan(v, sys_, table=None):
     ``OrbitTable`` ``table`` (made here when None): appends their
     violations to ``v`` and returns the orbits whose basepoint is hit."""
     table = table or mbs.orbit_tables(sys_)[0]
-    return mbs.validate_moduli(
-        v, sys_, sys_, (("m0", 0, sys_.m0), ("m1", 1, sys_.m1), ("m2cc", 2, sys_.m2cc)),
+    above, below = mbs.validate_moduli(
+        v, (("m0", 0, sys_.m0), ("m1", 1, sys_.m1), ("m2cc", 2, sys_.m2cc)),
         (table, table), shift=0, modulus=sys_.grading_modulus, equal_action=(),
-        end_check=partial(mbs._validate_interval_end, sys_, (table.point, table.point)),
+        end_check=partial(mbs._validate_interval_end, sys_, table.frame),
     )
+    return above | below
 
 
 _COLLISIONS = ("m0-plus", "m0-minus", "circle-plus", "circle-minus",
@@ -456,7 +457,7 @@ def _corruption_cases(count=240):
     bases += [m.payload for m in all_mutations()]
     for workload in ("cobordism", "mbs-lift"):
         for seed in (1, 2, 3):
-            bases += _bench_lifts(seed, workload)
+            bases += bench_lifts(seed, workload)
     bases = [b for b in bases if isinstance(b, MorseBottSystem)
              and any(_collision_targets(b).values())]
     rng = random.Random(2002)
@@ -540,7 +541,7 @@ def test_basepoint_draws_match_the_set_based_check():
     for workload in ("cobordism", "mbs-lift"):
         for seed in (1, 2, 3):
             systems += [(f"{workload}/{seed}/{k}", lift)
-                        for k, lift in enumerate(_bench_lifts(seed, workload))]
+                        for k, lift in enumerate(bench_lifts(seed, workload))]
     systems = [(name, s) for name, s in systems if isinstance(s, MorseBottSystem)]
     assert "one-circle/basepoint-collision" in dict(systems)
     # an orbit every candidate lands on, through m0 evaluations or lift

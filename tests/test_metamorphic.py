@@ -11,7 +11,9 @@ and so must scaling every action by one factor and renaming every orbit
 So must reversing every moduli table's pairs and every pair's pieces, each
 label following its pieces, and every autonomous pair's cylinders.
 An even shift of one class's gradings must shift NCH, and CH^{S^1} inside
-its stated stable range, by the same amount.
+its stated stable range, by the same amount.  New generic basepoints change
+only the trivialisations, so they must keep NCH, and the homology of both
+complexes of a morphism.
 """
 
 from dataclasses import replace
@@ -24,10 +26,11 @@ from cascadeho.autonomous import AutonomousData, block_differential, equivariant
 from cascadeho.cascades import SRC, TGT, build_ncc, nch_homology
 from cascadeho.cli import main
 from cascadeho.exact import homology
-from cascadeho.mbs import MorseBottSystem, PLComponent, SignedPoint, circle_key
+from cascadeho.mbs import (
+    MorseBottSystem, PLComponent, SignedPoint, assign_basepoints, circle_key)
 from cascadeho.morphisms import MorphismData, induced_chain_map, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names, prequantization
-from test_morphisms import _bench_lifts
+from benchdocs import bench_lifts
 
 
 F = Fraction
@@ -38,7 +41,7 @@ def _systems():
     torus(3, 2) lifts of the seed 1-2 ``mbs-lift`` documents."""
     out = [(n, fixture(n).payload) for n in fixture_names() if fixture(n).kind == "mbs"]
     for seed in (1, 2):
-        t31, t32 = _bench_lifts(seed, "mbs-lift")[:2]
+        t31, t32 = bench_lifts(seed, "mbs-lift")[:2]
         out += [(f"torus31/{seed}", t31), (f"torus32/{seed}", t32)]
     return out
 
@@ -599,3 +602,52 @@ def test_permuting_changes_the_documents():
     assert _labels([{"copy": [copy]}, {"first": [first]}]) == [(1, 1), (1, 1), (0, 0), (0, 0)]
     chain = AUTONOMOUS_PERMUTED["doubled autonomous-chain"]
     assert [r.epsilon for r in permute(chain).mj1[("w", "y")]] == [-1, 1]
+
+
+# --- new basepoints ---------------------------------------------------------
+
+
+RESEEDS = (1, 2, 3)
+
+
+def reseed(doc, seed):
+    """``doc`` with new generic basepoints from ``assign_basepoints(.,
+    seed)``, at both ends of a morphism."""
+    if isinstance(doc, MorseBottSystem):
+        return assign_basepoints(doc, seed)
+    return replace(doc, source=assign_basepoints(doc.source, seed),
+                   target=assign_basepoints(doc.target, seed))
+
+
+def _homologies(m):
+    cm = induced_chain_map(m)
+    return [homology(cx).groups for cx in (cm.source_complex, cm.target_complex)]
+
+
+@pytest.mark.parametrize("name", [n for n, _sys in SYSTEMS])
+def test_reseeding_keeps_nch_and_the_trivial_identity(name):
+    sys_ = dict(SYSTEMS)[name]
+    expected = nch_homology(sys_).groups
+    for seed in RESEEDS:
+        moved = reseed(sys_, seed)
+        assert moved.basepoints != sys_.basepoints, (name, seed)
+        assert nch_homology(moved).groups == expected, (name, seed)
+        assert induced_chain_map(trivial_cobordism(moved)).is_identity(), (name, seed)
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if fixture(n).kind == "morphism"])
+def test_reseeding_both_ends_keeps_the_homology(name):
+    m = fixture(name).payload
+    expected = _homologies(m)
+    for seed in RESEEDS:
+        assert _homologies(reseed(m, seed)) == expected, (name, seed)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 10(a): the doubled document has broken "
+                          "configurations that end no interval, yet validates "
+                          "clean, so its NCH depends on the basepoints")
+@pytest.mark.parametrize("seed", [1, 4])
+def test_reseeding_the_doubled_interval_keeps_nch(seed):
+    doc = DOUBLED["doubled one-interval"]
+    assert nch_homology(reseed(doc, seed)).groups == nch_homology(doc).groups

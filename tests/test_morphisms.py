@@ -1,10 +1,7 @@
 import copy
-import importlib.util
 import json
-import random
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +19,7 @@ from cascadeho.morphisms import (
     validate_morphism,
 )
 from cascadeho.scenarios import fixture, fixture_names
+from benchdocs import bench_lifts
 
 
 F = Fraction
@@ -213,6 +211,53 @@ def test_open_phi_circle_over_good_orbits_rejected():
     ]
 
 
+def _phi0_onto(point, m0_minus=F(1, 2)):
+    """Source orbits A (basepoint 1/7) above S (basepoint 0) with
+    m0(A, S) = [SignedPoint(1/3, m0_minus, +1)], target orbit T (basepoint
+    1/5), and phi0(S, T) = [point]."""
+    source = mbs.MorseBottSystem(
+        {"A": mbs.Orbit("A", 1, 1, True, F(5), grading=1),
+         "S": mbs.Orbit("S", 1, 1, True, F(4), grading=1)},
+        {"A": F(1, 7), "S": F(0)},
+        m0={("A", "S"): [mbs.SignedPoint(F(1, 3), m0_minus, 1)]})
+    target = mbs.MorseBottSystem({"T": mbs.Orbit("T", 1, 0, True, F(1), grading=2)},
+                                 {"T": F(1, 5)})
+    return MorphismData(source, target, phi0={("S", "T"): [point]})
+
+
+@pytest.mark.parametrize("point,m0_minus,expected", [
+    # e+ on the source basepoint of S
+    (mbs.SignedPoint(F(0), F(2, 3), 1), F(1, 2),
+     [("source:S", "basepoint 0 equals an evaluation value")]),
+    # e- on the target basepoint of T
+    (mbs.SignedPoint(F(1, 4), F(1, 5), 1), F(1, 2),
+     [("target:T", "basepoint 1/5 equals an evaluation value")]),
+    # S's basepoint is hit in its own system too: reported once, by it
+    (mbs.SignedPoint(F(0), F(1, 5), 1), F(0),
+     [("source:S", "basepoint 0 equals an evaluation value"),
+      ("target:T", "basepoint 1/5 equals an evaluation value")]),
+])
+def test_phi_points_on_a_basepoint_collide(point, m0_minus, expected, tmp_path, capsys):
+    # a phi evaluation on a basepoint is the fault validate_system reports
+    # as basepoint-collision for an evaluation inside one system
+    from cascadeho.cli import main
+
+    m = _phi0_onto(point, m0_minus)
+    assert [(v.code, v.location, v.message) for v in validate_morphism(m)] == [
+        ("basepoint-collision", where, message) for where, message in expected]
+    path = tmp_path / "phi0.json"
+    path.write_text(serialize.dumps(m))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"basepoint-collision at {where}: {message}" for where, message in expected]
+    assert main(["morphism", str(path)]) == 1
+    capsys.readouterr()
+    # off the basepoints, the document validates clean
+    clean = _phi0_onto(mbs.SignedPoint(F(1, 4), F(2, 3), 1))
+    assert validate_morphism(clean) == []
+    assert induced_chain_map(clean).matrix.entries
+
+
 def test_morphism_grading_gap_enforced():
     m = fixture("morphism-interval").payload
     # a phi1 family must connect equal gradings (index dim - 1)
@@ -291,34 +336,9 @@ def test_each_graph_asks_each_pinned_query_once(monkeypatch):
     assert len(set(asked)) == len(asked) > 0
 
 
-def _bench_module(name):
-    # bench/ is not a package; load its module by path
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"cascadeho_bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench_lifts(seed, workload="cobordism"):
-    """The lifts behind the ``cobordism`` (or ``mbs-lift``) workload's
-    documents for ``seed``: the rng draws surface data in this order, then
-    lifts each."""
-    gen = _bench_module("generators")
-    rng = random.Random(seed)
-    surfaces = [(gen.torus_triangles(3), 1, "1T"), (gen.OCTAHEDRON, 1, "1S"),
-                (gen.OCTAHEDRON, 2, "2S")]
-    if workload == "mbs-lift":
-        rng.randrange(1, 1 << 30)  # the seed of its --basepoints requests
-        surfaces.insert(1, (gen.torus_triangles(3), 2, "2T"))
-    data = [gen.surface(*surface, rng) for surface in surfaces]
-    data.append(gen.prequantization_shuffled(24, 1, 2, rng))
-    return [gen.lift_to_mbs(d, rng) for d in data]
-
-
 def test_one_morphism_walks_one_graph_and_asks_each_query_once(monkeypatch):
     systems = [fixture(n).payload for n in fixture_names() if fixture(n).kind == "mbs"]
-    systems += _bench_lifts(seed=1)
+    systems += bench_lifts(seed=1)
     graphs, calls = [], []
     init, query = cascades.CascadeGraph.__init__, cascades.component_preimages
 
@@ -368,7 +388,7 @@ BENCH_LIFTS = ("1T", "1S", "2S", "preq")
 
 def _reseed_base(name):
     if name.startswith("bench-"):
-        return _bench_lifts(seed=1)[BENCH_LIFTS.index(name[6:])]
+        return bench_lifts(seed=1)[BENCH_LIFTS.index(name[6:])]
     return fixture(name).payload
 
 
@@ -437,7 +457,7 @@ def _two_product_witness(m):
     src_keys, src_gens = cascades.chain_generators(m.source, src.action, cascades.SRC)
     tgt_keys, tgt_gens = cascades.chain_generators(m.target, tgt.action, cascades.TGT)
     graph = cascades.CascadeGraph.of_cobordism(m.source, m.target, m.phi0, m.phi1,
-                                               [src.point, tgt.point])
+                                               [src.frame, tgt.frame])
     (d_tgt,) = cascades.sum_columns(graph, tgt_keys, [tgt_keys])
     d_src, phi = cascades.sum_columns(graph, src_keys, [src_keys, tgt_keys])
     lhs, rhs = _entry_product(d_tgt, phi), _entry_product(phi, d_src)

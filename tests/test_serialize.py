@@ -15,6 +15,7 @@ from cascadeho.mbs import BoundaryLabel, Orbit, SignedPoint
 from cascadeho.morphisms import PhiLabel, trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
 from cascadeho.serialize import _frac
+import benchdocs
 
 
 def _oracle(s):
@@ -205,11 +206,9 @@ def test_one_step_records_equal_constructor_built_ones(tmp_path, monkeypatch):
     # seed 1-3 documents of the three benchmark workloads equals the record
     # its constructor builds from the same fields, with the same attributes
     # in the same order and an instance dict of the same size
-    from test_autonomous import bench_documents
-
     texts = list(_documents().values())
     for workload in ("autonomous", "mbs-lift", "cobordism"):
-        texts += bench_documents(tmp_path, monkeypatch, workload).values()
+        texts += benchdocs.documents(tmp_path, workload).values()
     read = []
     for cls, reader in list(serialize._READERS.items()):
         def recording(data, ratio, reader=reader):

@@ -4,13 +4,13 @@ import ast
 import dataclasses
 import doctest
 import importlib
-import importlib.util
 from pathlib import Path
 
 import cascadeho
 from cascadeho import autonomous, cascades, cli, mbs, morphisms, serialize
 from cascadeho.morphisms import trivial_cobordism
 from cascadeho.scenarios import fixture, fixture_names
+from benchdocs import tracing, workloads
 
 
 def test_no_bare_asserts_in_package():
@@ -208,19 +208,10 @@ def test_only_cli_main_sets_the_collector_policy():
     ]
 
 
-def _tracing():
-    """The benchmark's bench/tracing.py, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("cascadeho_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
 def test_benchmark_tracer_finds_every_function():
     # bench/tracing.py wraps package functions by name; a renamed function
     # would silently read 0 in its per-layer metric
-    with _tracing().Tracer() as tracer:
+    with tracing.Tracer() as tracer:
         pass
     assert tracer.missing == []
 
@@ -234,7 +225,7 @@ def test_benchmark_tracer_sees_the_walk_and_its_queries(tmp_path, capsys):
                       (trivial_cobordism(sys_), ["morphism", "--format", "json"])):
         path = tmp_path / f"{argv[0]}.json"
         path.write_text(serialize.dumps(doc))
-        with _tracing().Tracer() as tracer:
+        with tracing.Tracer() as tracer:
             assert cli.main([argv[0], str(path)] + argv[1:]) == 0, argv
         capsys.readouterr()
         for name in ("mbs.component_preimages", "cascades.enumerate_cascades"):
@@ -278,8 +269,6 @@ def test_autonomous_builders_make_no_fractions(tmp_path, monkeypatch):
 
     docs = [serialize.loads(serialize.dumps(fixture(name).payload))
             for name in fixture_names() if fixture(name).kind == "autonomous"]
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
     paths = {r.doc.path for r in workloads.build("autonomous", 1, str(tmp_path))}
     for path in sorted(paths):
         with open(path, encoding="utf-8") as fh:
@@ -320,8 +309,6 @@ def test_complex_builders_compare_no_fractions(tmp_path, monkeypatch):
 
     docs = [(fixture(name).kind, serialize.loads(serialize.dumps(fixture(name).payload)))
             for name in fixture_names() if fixture(name).kind in ("mbs", "morphism")]
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
     paths = {r.doc.path for r in workloads.build("cobordism", 1, str(tmp_path))}
     for path in sorted(paths):
         with open(path, encoding="utf-8") as fh:
